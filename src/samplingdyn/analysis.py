@@ -123,8 +123,17 @@ def classify_slope(slope_product: float) -> Stability:
     return Stability.MARGINAL
 
 
-def _bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    glo = g(lo)
+def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) -> float:
+    """Root of g in [lo, hi], bracketed by the sign of ``glo`` (the scan's
+    value at lo), which g at hi does not share.
+
+    The scan evaluates g on an array and the bisection on floats; the two
+    can round differently near a root, so the bracket keeps the scan's
+    signs and an endpoint where the float g is exactly zero is the root.
+    """
+    for end in (lo, hi):
+        if g(end) == 0.0:
+            return end
     for _ in range(200):
         if hi - lo <= BISECT_WIDTH:
             break
@@ -190,7 +199,7 @@ def scan_fixed_points(g: Callable, grid_points: int = GRID_POINTS) -> list[float
 
     signs = np.sign(gs)
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        push(_bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1]))
+        push(_bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1], gs[i]))
     for i in np.flatnonzero(signs == 0.0):
         push(float(xs[i]))
 

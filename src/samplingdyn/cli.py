@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,12 +23,11 @@ from . import svg as svgmod
 from .config import ConfigError
 from .dynamics import Environment, SampleSizeDistribution
 from .extensions import (
-    MinEffortResponse,
     Observation,
     contracting_pure_stability,
     mineffort_pure_stability,
 )
-from .flow import NumericError, estimate_basins, integrate
+from .flow import NumericError, System, estimate_basins, integrate
 from .games import canonicalize, to_dominance
 from .oracle import empirical_response, simulate_population
 
@@ -72,6 +72,14 @@ def _merged_config(args: argparse.Namespace) -> dict:
     ]:
         if value is not None:
             conf[key] = value
+    for key in ("tmax", "dt"):
+        if key in conf and not 0.0 < cfg._number(conf, key, "config") < math.inf:
+            raise ConfigError(f"'{key}' must be a positive finite number, got {conf[key]!r}")
+    if args.command == "oracle" and conf.get("dt", 0.0) > 1.0:
+        raise ConfigError(f"oracle 'dt' is a replacement probability per step, got {conf['dt']!r}")
+    res = conf.get("resolution", 2)
+    if isinstance(res, bool) or not isinstance(res, int) or res < 2:
+        raise ConfigError(f"'resolution' must be an integer of at least 2, got {res!r}")
     return conf
 
 
@@ -87,13 +95,10 @@ def _env_spec(conf: dict) -> cfg.EnvSpec:
     return cfg.parse_environment(conf["environment"])
 
 
-def _stationary_for_spec(spec: cfg.EnvSpec) -> an.StationaryAnalysis:
-    system = spec.response_system()
-    if spec.kind == "sampling" and spec.one_population:
-        return an.find_stationary_one_pop(system)
-    if spec.kind == "mineffort":
-        return an.find_stationary_one_pop(system)
-    return an.find_stationary_two_pop(system)
+def _system(spec: cfg.EnvSpec) -> System:
+    """The config's form sets the arity: "theta" and minimum-effort
+    configs are one population, "theta1"/"theta2" and logit configs two."""
+    return System.of(spec.response_system(), 1 if spec.one_population else 2)
 
 
 def _state_str(s: an.StationaryState) -> str:
@@ -129,7 +134,8 @@ def cmd_analyze(conf: dict) -> int:
         cfg.write_json(out / "theorems.json", reports)
         return 0
 
-    stationary = _stationary_for_spec(spec)
+    system = _system(spec)
+    stationary = system.stationary()
     cfg.write_stationary_csv(out / "stationary.csv", stationary)
     if stationary.continuum:
         print(f"continuum: {stationary.note}")
@@ -157,7 +163,7 @@ def cmd_analyze(conf: dict) -> int:
 
     if spec.kind == "sampling":
         env = spec.environment
-        pure = an.classify_pure_states(env, one_population=spec.one_population)
+        pure = an.classify_pure_states(env, one_population=system.dim == 1)
         reports["proposition-4"] = {
             "state_a": cfg.theorem_report_json(
                 an.TheoremReport(
@@ -199,32 +205,39 @@ def cmd_analyze(conf: dict) -> int:
             print(f"Theorem 4 part 1: {rep.parts['part1'].value}")
             print(f"Theorem 4 part 2: {rep.parts['part2'].value}")
 
-        if env.game.u2 < 1.0 < env.game.u1:
-            rep = an.check_theorem3(
-                env.game, (env.theta1, env.theta2), int(conf.get("big_k", 1000))
-            )
-            reports["theorem-3"] = cfg.theorem_report_json(rep)
-            print(f"Theorem 3: {rep.verdict.value}")
+        big_k = int(conf.get("big_k", 1000))
+        largest = max(env.theta1.max_support, env.theta2.max_support)
+        opposed = env.game.u2 < 1.0 < env.game.u1
+        if big_k <= largest:
+            # both checks move mass onto sample size big_k, which must be new
+            note = f"big_k={big_k} is not above the largest sample size {largest}"
+            skipped = {"applicable": False, "note": note}
+            if opposed:
+                reports["theorem-3"] = skipped
+            reports["theorem-2-search"] = skipped
+            print(f"mixture checks not applicable: {note}")
+        else:
+            if opposed:
+                rep = an.check_theorem3(env.game, (env.theta1, env.theta2), big_k)
+                reports["theorem-3"] = cfg.theorem_report_json(rep)
+                print(f"Theorem 3: {rep.verdict.value}")
 
-        step = float(conf.get("search_alpha_step", 0.1))
-        search = an.stable_interior_search(
-            env.game,
-            (env.theta1, env.theta2),
-            big_k=int(conf.get("big_k", 1000)),
-            alpha_step=step,
-        )
-        entry = {
-            "found": search.found,
-            "in_scope": search.in_scope,
-            "alpha": list(search.alpha) if search.alpha else None,
-            "alpha_step": step,
-        }
-        if search.state is not None:
-            entry["state"] = [search.state.p1, search.state.p2]
-        reports["theorem-2-search"] = entry
-        found = f"alpha={search.alpha}" if search.found else "none"
-        scope = "" if search.in_scope else " [outside theorem scope]"
-        print(f"Theorem 2/2' mixture search: {found}{scope}")
+            step = float(conf.get("search_alpha_step", 0.1))
+            search = an.stable_interior_search(
+                env.game, (env.theta1, env.theta2), big_k=big_k, alpha_step=step
+            )
+            entry = {
+                "found": search.found,
+                "in_scope": search.in_scope,
+                "alpha": list(search.alpha) if search.alpha else None,
+                "alpha_step": step,
+            }
+            if search.state is not None:
+                entry["state"] = [search.state.p1, search.state.p2]
+            reports["theorem-2-search"] = entry
+            found = f"alpha={search.alpha}" if search.found else "none"
+            scope = "" if search.in_scope else " [outside theorem scope]"
+            print(f"Theorem 2/2' mixture search: {found}{scope}")
 
         stable_int = stationary.stable_interior()
         for s in stable_int:
@@ -243,19 +256,14 @@ def cmd_phase(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
     samples = int(conf.get("samples", 601))
-    stationary = _stationary_for_spec(spec)
-    if spec.kind in ("sampling", "mineffort") and (
-        spec.one_population or spec.kind == "mineffort"
-    ):
-        response = (
-            spec.environment.single_response()
-            if spec.kind == "sampling"
-            else MinEffortResponse(spec.mineffort, spec.thetas[0])
-        )
+    system = _system(spec)
+    stationary = system.stationary()
+    if system.dim == 1:
+        (response,) = system.responses
         svg_text = svgmod.phase_svg_one_pop(response, stationary, samples)
         csv_text = svgmod.phase_curves_csv_one_pop(response, samples)
     else:
-        pair = spec.pair if spec.kind == "logit" else spec.environment.pair()
+        pair = system.pair
         svg_text = svgmod.phase_svg_two_pop(
             pair, stationary, samples, quiver=int(conf.get("quiver", 15))
         )
@@ -268,23 +276,27 @@ def cmd_phase(conf: dict) -> int:
 
 
 def _parse_initial(conf: dict, one_population: bool):
+    """The initial share, or pair of shares, in the config's form."""
     if "initial" not in conf:
         return 0.5 if one_population else (0.5, 0.5)
     raw = conf["initial"]
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, list) and len(raw) == 2:
-        return (float(raw[0]), float(raw[1]))
-    raise ConfigError(f"invalid 'initial': {raw!r}")
+    shares = [raw] if one_population else raw
+    if not (
+        isinstance(shares, list)
+        and len(shares) == (1 if one_population else 2)
+        and all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in shares)
+    ):
+        form = "a share" if one_population else "a pair of shares"
+        raise ConfigError(f"'initial' must be {form} in [0, 1], got {raw!r}")
+    return float(raw) if one_population else (float(raw[0]), float(raw[1]))
 
 
 def cmd_trajectory(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
     initial = _parse_initial(conf, spec.one_population)
-    system = spec.response_system()
     traj = integrate(
-        system,
+        _system(spec),
         initial,
         t_max=float(conf.get("tmax", 200.0)),
         dt=float(conf.get("dt", 0.01)),
@@ -297,9 +309,8 @@ def cmd_trajectory(conf: dict) -> int:
 def cmd_basins(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
-    system = spec.response_system()
     grid = estimate_basins(
-        system,
+        _system(spec),
         resolution=int(conf.get("resolution", 101)),
         t_max=float(conf.get("tmax", 200.0)),
         dt=float(conf.get("dt", 0.01)),
@@ -337,7 +348,7 @@ def cmd_oracle(conf: dict) -> int:
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
     n = int(conf.get("n", 10**5))
-    initial = _parse_initial(conf, spec.one_population) if "initial" in conf else None
+    initial = _parse_initial(conf, spec.one_population)
     traj = simulate_population(
         spec.environment,
         n=n,
@@ -379,12 +390,8 @@ def cmd_sweep(conf: dict) -> int:
     rows = []
 
     def analyze_env(env_or_response, one_pop: bool, value: float):
-        flag = ""
         try:
-            if one_pop:
-                res = an.find_stationary_one_pop(env_or_response)
-            else:
-                res = an.find_stationary_two_pop(env_or_response)
+            res = System.of(env_or_response, 1 if one_pop else 2).stationary()
         except ArithmeticError:
             return [cfg.fmt(value), "", "", "", "", "", "numeric-failure"]
         if res.continuum:
@@ -404,7 +411,7 @@ def cmd_sweep(conf: dict) -> int:
             "1" if stable_int else "0",
             t4p1,
             t4p2,
-            flag,
+            "",
         ]
 
     if sweep_type == "theta-mass":

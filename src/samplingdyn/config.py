@@ -30,13 +30,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .analysis import StationaryAnalysis, StationaryState, TheoremReport
+from .analysis import StationaryAnalysis, TheoremReport
 from .dynamics import (
     Environment,
-    LogitResponse,
     ResponsePair,
     SampleSizeDistribution,
-    SamplingResponse,
     TieBreak,
 )
 from .extensions import (
@@ -108,10 +106,6 @@ def parse_theta(obj: Any, context: str = "theta") -> SampleSizeDistribution:
         return SampleSizeDistribution.of(masses)
     except ValueError as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
-
-
-def theta_to_json(theta: SampleSizeDistribution) -> dict[str, float]:
-    return {str(k): w for k, w in theta.atoms}
 
 
 def parse_logit_groups(obj: Any, context: str) -> tuple[tuple[float, float], ...]:
@@ -262,10 +256,6 @@ def parse_environment(obj: Any) -> EnvSpec:
         game=game,
         thetas=(theta1, theta2),
     )
-
-
-def game_to_json(game: CoordinationGame) -> dict[str, float]:
-    return {"u1": game.u1, "u2": game.u2}
 
 
 def _write_text(path: Path, text: str) -> None:

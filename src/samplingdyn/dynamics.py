@@ -491,24 +491,6 @@ def _monotone_inverse(f, y, lo_value: float, hi_value: float):
     return float(out[0]) if scalar else out
 
 
-def sampling_response(f: SamplingResponse, p):
-    """Functional form of ``f(p)`` for the sampling kind."""
-    return f(p)
-
-
-def logit_response(f: LogitResponse, p):
-    """Functional form of ``f(p)`` for the logit kind."""
-    return f(p)
-
-
-def response_derivative(f, p):
-    return f.derivative(p)
-
-
-def response_inverse(f, y):
-    return f.inverse(y)
-
-
 @dataclass(frozen=True)
 class Environment:
     """A coordination game together with per-population sample size distributions."""
@@ -566,10 +548,6 @@ class ResponsePair:
 
     w1: ResponseFunction
     w2: ResponseFunction
-
-    @classmethod
-    def sampling(cls, env: Environment) -> "ResponsePair":
-        return env.pair()
 
     @classmethod
     def logit(

@@ -22,7 +22,7 @@ from .analysis import (
     MARGINAL_BAND,
     Stability,
     StationaryAnalysis,
-    classify_slope,
+    _alpha_grid,
     find_stationary_one_pop,
 )
 from .dynamics import (
@@ -33,6 +33,7 @@ from .dynamics import (
     snap_to_integer,
     truncated_expectation,
 )
+from .flow import _rk4_step, _step_count
 
 _PAYOFF_TIE_TOL = 1e-12
 ENUMERATION_LIMIT = 10**6
@@ -336,25 +337,21 @@ def integrate_contracting(
     x = np.concatenate([np.asarray(initial[0], float), np.asarray(initial[1], float)])
     if x.shape != (2 * g.M,):
         raise ValueError("initial state must be a pair of M-simplex points")
-    n_steps = int(round(t_max / dt))
+    n_steps = _step_count(t_max, dt)
+
+    def renorm(y: np.ndarray) -> np.ndarray:
+        out = np.clip(y, 0.0, 1.0)
+        out[: g.M] /= out[: g.M].sum()
+        out[g.M :] /= out[g.M :].sum()
+        return out
+
     times = np.arange(n_steps + 1) * dt
     path = np.empty((n_steps + 1, 2 * g.M))
     path[0] = x
     for i in range(1, n_steps + 1):
-        k1 = field(x)
-        k2 = field(_renorm(x + 0.5 * dt * k1, g.M))
-        k3 = field(_renorm(x + 0.5 * dt * k2, g.M))
-        k4 = field(_renorm(x + dt * k3, g.M))
-        x = _renorm(x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), g.M)
+        x = _rk4_step(field, x, dt, renorm)
         path[i] = x
     return times, path
-
-
-def _renorm(x: np.ndarray, M: int) -> np.ndarray:
-    out = np.clip(x, 0.0, 1.0)
-    out[:M] /= out[:M].sum()
-    out[M:] /= out[M:].sum()
-    return out
 
 
 class Observation(str, Enum):
@@ -573,7 +570,7 @@ def mineffort_stable_interior(
     else:
         in_scope = 1 < k < 1.0 / (1.0 - g.cost ** (1.0 / (g.n_players - 1)))
     note = "" if in_scope else "outside proposition hypothesis"
-    for alpha in _alpha_grid_steps(alpha_step):
+    for alpha in _alpha_grid(alpha_step):
         theta = SampleSizeDistribution.of({k: alpha, big_k: 1.0 - alpha})
         response = MinEffortResponse(g, theta)
         analysis: StationaryAnalysis = find_stationary_one_pop(response)
@@ -592,8 +589,3 @@ def mineffort_stable_interior(
     return MinEffortInteriorSearch(
         found=False, alpha=None, p_star=None, state=None, in_scope=in_scope, note=note
     )
-
-
-def _alpha_grid_steps(step: float) -> list[float]:
-    n = int(round(1.0 / step))
-    return [i * step for i in range(1, n)]

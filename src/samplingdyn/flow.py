@@ -4,6 +4,12 @@ dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
 bit for bit, which the golden-file outputs depend on.
+
+Arity: a single response function drives the one-population dynamics
+dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
+``Environment`` drives whichever the state asks for (a share or a pair);
+with no state to go by, a symmetric environment is one population and
+any other two.  ``System.of`` is the one place that applies this rule.
 """
 
 from __future__ import annotations
@@ -29,6 +35,92 @@ DEFAULT_DT = 0.01
 
 class NumericError(ArithmeticError):
     """A trajectory produced a non-finite state (response function bug)."""
+
+
+def _step_count(t_max: float, dt: float) -> int:
+    """Number of fixed steps of size dt that cover [0, t_max]."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"t_max must be a finite number >= 0, got {t_max!r}")
+    return int(round(t_max / dt))
+
+
+def _clamp01(x: float) -> float:
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def _clip01(x: np.ndarray) -> np.ndarray:
+    return np.clip(x, 0.0, 1.0)
+
+
+class System:
+    """The responses of one- or two-population dynamics, with their
+    batched vector field, scalar right-hand side and stationary states."""
+
+    def __init__(self, responses: tuple) -> None:
+        self.responses = responses  # (w,) or (w1, w2)
+        self.dim = len(responses)
+
+    @classmethod
+    def of(cls, system, dim: int | None = None) -> "System":
+        """Resolve an Environment, ResponsePair, single response or System;
+        ``dim`` is the size of the state when there is one."""
+        if isinstance(system, System):
+            out = system
+        elif isinstance(system, ResponsePair):
+            out = cls((system.w1, system.w2))
+        elif isinstance(system, Environment):
+            if dim is None:
+                dim = 1 if system.is_symmetric else 2
+            if dim == 1:
+                out = cls((system.single_response(),))
+            else:
+                out = cls((system.response(1), system.response(2)))
+        else:
+            out = cls((system,))
+        if dim is not None and dim != out.dim:
+            name = type(system).__name__
+            raise ValueError(f"{name} drives {out.dim}-population dynamics, not {dim}")
+        return out
+
+    @property
+    def pair(self) -> ResponsePair:
+        return ResponsePair(*self.responses)
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """Vector field on an (n, dim) array of states."""
+        if self.dim == 1:
+            return self.responses[0](x) - x
+        w1, w2 = self.responses
+        out = np.empty_like(x)
+        out[:, 0] = w1(x[:, 1]) - x[:, 0]
+        out[:, 1] = w2(x[:, 0]) - x[:, 1]
+        return out
+
+    def scalar_rhs(self):
+        """Python-float field on a tuple state, responses bound once; the
+        state is clamped first, as the batched step projects its stages."""
+        if self.dim == 1:
+            (w,) = self.responses
+
+            def rhs(state):
+                p = _clamp01(state[0])
+                return (w(p) - p,)
+
+            return rhs
+        w1, w2 = self.responses
+
+        def rhs(state):
+            p1, p2 = _clamp01(state[0]), _clamp01(state[1])
+            return (w1(p2) - p1, w2(p1) - p2)
+
+        return rhs
+
+    def stationary(self) -> StationaryAnalysis:
+        if self.dim == 1:
+            return find_stationary_one_pop(self.responses[0])
+        return find_stationary_two_pop(self.pair)
 
 
 @dataclass
@@ -59,47 +151,6 @@ class Trajectory:
         return float(last) if last.ndim == 0 or last.shape == () else tuple(last)
 
 
-def _field_and_dim(system, initial):
-    """Resolve (vector field on (n, d) arrays, d, stationary solver)."""
-    init = np.atleast_1d(np.asarray(initial, dtype=float))
-    if init.ndim != 1 or init.size not in (1, 2):
-        raise ValueError(f"initial state must be a scalar or a pair, got {initial!r}")
-    dim = init.size
-    if isinstance(system, Environment):
-        if dim == 1:
-            w = system.single_response()
-        else:
-            pair = system.pair()
-    elif isinstance(system, ResponsePair):
-        if dim == 1:
-            raise ValueError("a ResponsePair drives two-population dynamics")
-        pair = system
-    else:
-        if dim != 1:
-            raise ValueError("a single response function drives one-population dynamics")
-        w = system
-
-    if dim == 1:
-        def field(x):  # x: (n, 1)
-            return w(x) - x
-    else:
-        w1, w2 = pair.w1, pair.w2
-
-        def field(x):  # x: (n, 2)
-            out = np.empty_like(x)
-            out[:, 0] = w1(x[:, 1]) - x[:, 0]
-            out[:, 1] = w2(x[:, 0]) - x[:, 1]
-            return out
-
-    return field, dim, init
-
-
-def _stationary_for(system, dim: int) -> StationaryAnalysis:
-    if dim == 1:
-        return find_stationary_one_pop(system)
-    return find_stationary_two_pop(system)
-
-
 def _match_stationary(
     states: StationaryAnalysis, point: np.ndarray, tol: float = MATCH_TOL
 ) -> StationaryState | None:
@@ -115,43 +166,30 @@ def _match_stationary(
     return None
 
 
-def _rk4_step(field, x, dt, k1=None):
-    # stage arguments clamped into the unit cube; the field is only
-    # defined there and boundary overshoot is O(dt * |field|)
+def _rk4_step(field, x, dt, project, k1=None):
+    """One RK4 step on an array state.  ``project`` maps the stage
+    arguments and the result back onto the state space, where the field
+    is defined; the overshoot it removes is O(dt * |field|)."""
     if k1 is None:
         k1 = field(x)
-    k2 = field(np.clip(x + 0.5 * dt * k1, 0.0, 1.0))
-    k3 = field(np.clip(x + 0.5 * dt * k2, 0.0, 1.0))
-    k4 = field(np.clip(x + dt * k3, 0.0, 1.0))
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = field(project(x + 0.5 * dt * k1))
+    k3 = field(project(x + 0.5 * dt * k2))
+    k4 = field(project(x + dt * k3))
+    return project(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-def _scalar_rhs(system, dim: int):
-    """Python-float vector field matching the batched one bit for bit in
-    structure: stage states are clamped componentwise before evaluation."""
-    if dim == 1:
-        if isinstance(system, Environment):
-            w = system.single_response()
-        else:
-            w = system
-
-        def rhs(state):
-            p = _clamp01(state[0])
-            return (w(p) - p,)
-
-        return rhs
-    pair = system.pair() if isinstance(system, Environment) else system
-    w1, w2 = pair.w1, pair.w2
-
-    def rhs(state):
-        p1, p2 = _clamp01(state[0]), _clamp01(state[1])
-        return (w1(p2) - p1, w2(p1) - p2)
-
-    return rhs
+def _scalar_rk4_step(rhs, x: tuple, dt: float, k1: tuple) -> tuple:
+    """One unclamped RK4 step on a tuple state from k1 = rhs(x); at this
+    size tuples of floats are far faster than numpy arrays."""
+    half = 0.5 * dt
+    k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)))
+    k3 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k2)))
+    k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
+    sixth = dt / 6.0
+    return tuple(
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    )
 
 
 def integrate(
@@ -167,33 +205,26 @@ def integrate(
     verdict then names the nearest stationary state within 1e-6 (matched
     against ``stationary`` when given, otherwise computed on demand).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    _, dim, init = _field_and_dim(system, initial)
-    if np.any(init < 0.0) or np.any(init > 1.0):
+    n_steps = _step_count(t_max, dt)
+    init = np.atleast_1d(np.asarray(initial, dtype=float))
+    if init.ndim != 1 or init.size not in (1, 2):
+        raise ValueError(f"initial state must be a scalar or a pair, got {initial!r}")
+    if not np.all((init >= 0.0) & (init <= 1.0)):
         raise ValueError(f"initial state outside the unit interval/square: {initial!r}")
+    system = System.of(system, init.size)
 
-    rhs = _scalar_rhs(system, dim)
-    n_steps = int(round(t_max / dt))
+    rhs = system.scalar_rhs()
     x = tuple(float(v) for v in init)
     times = [0.0]
     path = [x]
     converged = False
     max_clamp = 0.0
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for step in range(1, n_steps + 1):
         k1 = rhs(x)
         if max(abs(v) for v in k1) < CONVERGENCE_TOL:
             converged = True
             break
-        k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)))
-        k3 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k2)))
-        k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
-        raw = tuple(
-            xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        )
+        raw = _scalar_rk4_step(rhs, x, dt, k1)
         if not all(math.isfinite(v) for v in raw):
             raise NumericError(f"non-finite state at step {step}")
         x = tuple(_clamp01(v) for v in raw)
@@ -206,11 +237,11 @@ def integrate(
     limit = None
     if converged:
         if stationary is None:
-            stationary = _stationary_for(system, dim)
+            stationary = system.stationary()
         limit = _match_stationary(stationary, np.asarray(x))
 
     states = np.asarray(path)
-    if dim == 1:
+    if system.dim == 1:
         states = states[:, 0]
     return Trajectory(
         times=np.asarray(times),
@@ -230,9 +261,6 @@ def convergence_limit(
     stationary: StationaryAnalysis | None = None,
 ) -> StationaryState:
     """The stationary state a trajectory settles into."""
-    if stationary is None:
-        _, dim, _ = _field_and_dim(system, initial)
-        stationary = _stationary_for(system, dim)
     traj = integrate(system, initial, t_max=t_max, dt=dt, stationary=stationary)
     if not traj.converged or traj.limit is None:
         raise NumericError(
@@ -249,12 +277,12 @@ def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float):
     converge, so the common all-active phase costs no masking passes.
     Returns (final states, converged mask).
     """
+    n_steps = _step_count(t_max, dt)
     n = x0.shape[0]
     out = x0.copy()
     converged = np.zeros(n, dtype=bool)
     idx = np.arange(n)
     x = x0.copy()
-    n_steps = int(round(t_max / dt))
     for _ in range(n_steps):
         fa = field(x)
         if not np.all(np.isfinite(fa)):
@@ -268,7 +296,7 @@ def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float):
             idx, x, fa = idx[keep], x[keep], fa[keep]
             if idx.size == 0:
                 return out, converged
-        x = np.clip(_rk4_step(field, x, dt, k1=fa), 0.0, 1.0)
+        x = _rk4_step(field, x, dt, _clip01, k1=fa)
     if idx.size:
         fa = field(x)
         done = np.max(np.abs(fa), axis=1) < CONVERGENCE_TOL
@@ -290,10 +318,8 @@ def terminal_states(
     """
     x0 = np.asarray(initials, dtype=float)
     one_pop = x0.ndim == 1
-    probe = np.array([0.5]) if one_pop else np.array([0.5, 0.5])
-    field, dim, _ = _field_and_dim(system, probe)
-    batch = x0.reshape(-1, dim)
-    finals, ok = _terminal_states(field, batch, t_max, dt)
+    system = System.of(system, 1 if one_pop else 2)
+    finals, ok = _terminal_states(system.field, x0.reshape(-1, system.dim), t_max, dt)
     return (finals[:, 0] if one_pop else finals), ok
 
 
@@ -324,63 +350,47 @@ def estimate_basins(
 
     Cells that fail to converge within t_max are retried once with half
     the step size, then flagged with index -1.  Shares are fractions of
-    converged cells per attractor.
+    all cells, flagged ones included, so they sum to less than one when
+    any cell is flagged.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution!r}")
-    probe = np.array([0.5])
-    if isinstance(system, Environment) and system.is_symmetric:
-        # symmetric environments can be run either way; basins default to
-        # the arity of the stationary analysis requested by the caller via
-        # ResponsePair for two populations
-        dim = 1
-    elif isinstance(system, Environment) or isinstance(system, ResponsePair):
-        dim = 2
-    else:
-        dim = 1
+    system = System.of(system)
 
     centers = (np.arange(resolution) + 0.5) / resolution
-    if dim == 1:
+    if system.dim == 1:
         x0 = centers.reshape(-1, 1)
-        field, _, _ = _field_and_dim(system, probe)
     else:
         g1, g2 = np.meshgrid(centers, centers, indexing="ij")
         x0 = np.column_stack([g1.ravel(), g2.ravel()])
-        field, _, _ = _field_and_dim(system, np.array([0.5, 0.5]))
 
-    stationary = _stationary_for(system, dim)
+    stationary = system.stationary()
     if stationary.continuum:
         raise ValueError("basin estimation needs finitely many stationary states")
 
-    finals, ok = _terminal_states(field, x0, t_max, dt)
+    finals, ok = _terminal_states(system.field, x0, t_max, dt)
     if not ok.all():
         redo = ~ok
-        finals_retry, ok_retry = _terminal_states(field, x0[redo], t_max, dt / 2.0)
+        finals_retry, ok_retry = _terminal_states(system.field, x0[redo], t_max, dt / 2.0)
         finals[redo] = finals_retry
         ok[redo] = ok_retry
 
-    cells = np.full(x0.shape[0], -1, dtype=int)
     refs = np.array(
         [np.atleast_1d(np.asarray(s.state, dtype=float)) for s in stationary.states]
     )
-    for i in range(x0.shape[0]):
-        if not ok[i]:
-            continue
-        dists = np.max(np.abs(refs - finals[i]), axis=1)
-        j = int(np.argmin(dists))
-        if dists[j] <= 1e-3:
-            cells[i] = j
-    flagged = int(np.sum(cells < 0))
-    assigned = cells[cells >= 0]
-    shares: dict[int, float] = {}
-    if assigned.size:
-        for j in np.unique(assigned):
-            shares[int(j)] = float(np.sum(assigned == j)) / float(cells.size)
-    shape = (resolution,) if dim == 1 else (resolution, resolution)
+    dists = np.max(np.abs(finals[:, None, :] - refs[None, :, :]), axis=2)
+    nearest = np.argmin(dists, axis=1)
+    near = dists[np.arange(len(nearest)), nearest] <= 1e-3
+    cells = np.where(ok & near, nearest, -1)
+    shares = {
+        int(j): float(np.sum(cells == j)) / float(cells.size)
+        for j in np.unique(cells[cells >= 0])
+    }
+    shape = (resolution,) if system.dim == 1 else (resolution, resolution)
     return BasinGrid(
         resolution=resolution,
         attractors=stationary.states,
         cells=cells.reshape(shape),
         shares=shares,
-        flagged=flagged,
+        flagged=int(np.sum(cells < 0)),
     )

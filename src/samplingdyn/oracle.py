@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Environment, SamplingResponse
+from .flow import _step_count
 
 
 def _threshold_arrays(response: SamplingResponse):
@@ -81,8 +82,9 @@ def simulate_population(
     """
     if n < 100:
         raise ValueError(f"population size must be at least 100, got {n!r}")
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("t_max and dt must be positive")
+    n_steps = _step_count(t_max, dt)
+    if dt > 1.0:
+        raise ValueError(f"dt is a replacement probability per step, at most 1; got {dt!r}")
     if initial is None:
         initial = 0.5 if env.is_symmetric else (0.5, 0.5)
     one_pop = np.ndim(initial) == 0
@@ -90,7 +92,6 @@ def simulate_population(
         raise ValueError("scalar initial share needs a symmetric environment")
 
     rng = np.random.default_rng(seed)
-    n_steps = int(round(t_max / dt))
     times = np.arange(n_steps + 1) * dt
 
     def deal(share: float) -> np.ndarray:

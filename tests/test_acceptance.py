@@ -38,7 +38,7 @@ from samplingdyn.extensions import (
     mineffort_response,
 )
 from samplingdyn.flow import estimate_basins, integrate, terminal_states
-from samplingdyn.flow import _scalar_rhs, _clamp01
+from samplingdyn.flow import System, _clamp01, _scalar_rk4_step
 from samplingdyn.games import CoordinationGame
 from samplingdyn.oracle import empirical_response, simulate_population
 
@@ -250,9 +250,8 @@ def test_criterion_06_logit_suite():
 def _march_until(system, start, ref, exceed=None, below=None, t_max=400.0, dt=0.01):
     """Scalar RK4 march that stops when the sup-distance from ref crosses
     a threshold; returns the stopping distance (or the final one)."""
-    rhs = _scalar_rhs(system, len(start))
+    rhs = System.of(system, len(start)).scalar_rhs()
     x = tuple(float(v) for v in start)
-    half, sixth = 0.5 * dt, dt / 6.0
     steps = int(round(t_max / dt))
     for _ in range(steps):
         d = max(abs(a - b) for a, b in zip(x, ref))
@@ -260,14 +259,7 @@ def _march_until(system, start, ref, exceed=None, below=None, t_max=400.0, dt=0.
             return d
         if below is not None and d < below:
             return d
-        k1 = rhs(x)
-        k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)))
-        k3 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k2)))
-        k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
-        x = tuple(
-            _clamp01(xi + sixth * (a + 2 * b + 2 * c + e))
-            for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-        )
+        x = tuple(_clamp01(v) for v in _scalar_rk4_step(rhs, x, dt, rhs(x)))
     return max(abs(a - b) for a, b in zip(x, ref))
 
 

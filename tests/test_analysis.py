@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import random_env, random_symmetric_env, random_theta
@@ -68,6 +70,22 @@ class TestOnePopStationary:
             env = random_symmetric_env(rng)
             for s in find_stationary_one_pop(env).states:
                 assert s.residual < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    u=st.floats(1.0, 1.5, exclude_min=True, exclude_max=True),
+    masses=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+)
+# p = 0.5 is an exact root here whose array and float values of w(p) - p
+# differ in sign (-5.6e-17 and 0.0)
+@example(u=1.12, masses=(0.3, 0.6, 0.1))
+def test_reported_states_are_stationary(u, masses):
+    total = sum(masses)
+    theta = SampleSizeDistribution.of({k: m / total for k, m in zip((1, 3, 5), masses)})
+    env = Environment.symmetric(u, theta)
+    for res in (find_stationary_one_pop(env), find_stationary_two_pop(env)):
+        assert all(s.residual <= 1e-10 for s in res.states), res.states
 
 
 class TestTwoPopStationary:

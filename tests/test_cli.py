@@ -11,6 +11,20 @@ FIG3_RIGHT = {
     "theta1": {"1": 0.5, "5": 0.5},
     "theta2": {"1": 0.5, "5": 0.5},
 }
+FIG3_LEFT = {
+    "u1": 20.0,
+    "u2": 0.05,
+    "theta1": {"3": 0.5, "1000": 0.5},
+    "theta2": {"3": 0.5, "1000": 0.5},
+}
+# a symmetric game with equal thetas, written in the two-population form
+SYMMETRIC_PAIR = {
+    "u1": 2.0,
+    "u2": 2.0,
+    "theta1": {"1": 0.5, "5": 0.5},
+    "theta2": {"1": 0.5, "5": 0.5},
+}
+ONE_POP = {"u": 1.2, "theta": {"2": 1.0}}
 
 
 def write_config(tmp_path: Path, obj: dict) -> str:
@@ -33,6 +47,24 @@ class TestAnalyze:
         reports = json.loads((tmp_path / "theorems.json").read_text())
         assert reports["theorem-4"]["parts"]["part1"] == "holds"
         assert reports["proposition-4"]["state_a"]["conditions"]["product"] == 1.5
+
+    def test_fig3_left_big_k_in_support_is_not_applicable(self, tmp_path, capsys):
+        conf = write_config(
+            tmp_path,
+            {
+                "command": "analyze",
+                "environment": FIG3_LEFT,
+                "search_alpha_step": 0.25,
+                "out": str(tmp_path),
+            },
+        )
+        assert main(["analyze", "--config", conf]) == 0
+        assert "not applicable" in capsys.readouterr().out
+        reports = json.loads((tmp_path / "theorems.json").read_text())
+        for name in ("theorem-3", "theorem-2-search"):
+            assert reports[name]["applicable"] is False
+            assert "big_k=1000" in reports[name]["note"]
+        assert "theorem-4" in reports
 
     def test_continuum_sentinel(self, tmp_path, capsys):
         env = {"u1": 1.2, "u2": 1.2, "theta1": {"1": 1.0}, "theta2": {"1": 1.0}}
@@ -149,6 +181,60 @@ class TestTrajectoryAndBasins:
         rows = (tmp_path / "basins.csv").read_text().splitlines()
         assert rows[0] == "cell_p1,cell_p2,attractor_index"
         assert len(rows) == 22
+
+
+    def test_two_population_form_keeps_two_populations(self, tmp_path):
+        # the config's form, not the game's symmetry, sets the arity
+        base = {"environment": SYMMETRIC_PAIR, "search_alpha_step": 0.5}
+        basins_dir, analyze_dir = tmp_path / "basins", tmp_path / "analyze"
+        conf = write_config(
+            tmp_path,
+            {**base, "command": "basins", "resolution": 5, "tmax": 200.0, "dt": 0.05},
+        )
+        assert main(["basins", "--config", conf, "--out", str(basins_dir)]) == 0
+        conf = write_config(tmp_path, {**base, "command": "analyze"})
+        assert main(["analyze", "--config", conf, "--out", str(analyze_dir)]) == 0
+
+        rows = (basins_dir / "basins.csv").read_text().splitlines()[1:]
+        assert len(rows) == 25 and all(r.split(",")[1] for r in rows)
+        legend = json.loads((basins_dir / "basins_legend.json").read_text())
+        attractors = [x for a in legend["attractors"] for x in (a["p1"], a["p2"])]
+        stationary = [
+            float(x)
+            for r in (analyze_dir / "stationary.csv").read_text().splitlines()[1:]
+            for x in r.split(",")[:2]
+        ]
+        assert len(attractors) == len(stationary) == 6
+        assert attractors == pytest.approx(stationary, abs=1e-11)
+
+    def test_initial_in_the_wrong_form_exits_2(self, tmp_path, capsys):
+        conf = write_config(
+            tmp_path,
+            {"command": "trajectory", "environment": ONE_POP, "initial": [0.2, 0.3]},
+        )
+        assert main(["trajectory", "--config", conf, "--out", str(tmp_path)]) == 2
+        assert "'initial'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("trajectory", ["--tmax", "nan"]),
+        ("trajectory", ["--dt", "0"]),
+        ("trajectory", ["--dt", "-1"]),
+        ("basins", ["--dt", "0"]),
+        ("basins", ["--dt", "-0.01"]),
+        ("basins", ["--tmax", "-1"]),
+        ("basins", ["--resolution", "1"]),
+        ("oracle", ["--dt", "1.5"]),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
+    conf = write_config(tmp_path, {"command": command, "environment": ONE_POP, "n": 1000})
+    assert main([command, "--config", conf, "--out", str(tmp_path), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestOracleCommand:

@@ -93,12 +93,33 @@ class TestIntegrate:
         traj = integrate(env, (0.9, 0.1), t_max=40.0)
         assert traj.states[-1] == pytest.approx(ref.y[:, -1], abs=1e-6)
 
-    def test_invalid_inputs(self):
+    @pytest.mark.parametrize(
+        "initial, kwargs",
+        [
+            pytest.param(1.5, {}, id="initial-above-one"),
+            pytest.param(float("nan"), {}, id="initial-nan"),
+            pytest.param(0.5, {"dt": 0.0}, id="dt-zero"),
+            pytest.param(0.5, {"dt": -1.0}, id="dt-negative"),
+            pytest.param(0.5, {"dt": float("nan")}, id="dt-nan"),
+            pytest.param(0.5, {"dt": float("inf")}, id="dt-inf"),
+            pytest.param(0.5, {"t_max": float("nan")}, id="tmax-nan"),
+            pytest.param(0.5, {"t_max": -1.0}, id="tmax-negative"),
+            pytest.param((0.5, 0.5, 0.5), {}, id="initial-triple"),
+        ],
+    )
+    def test_invalid_inputs(self, initial, kwargs):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
         with pytest.raises(ValueError):
-            integrate(env, 1.5)
+            integrate(env, initial, **kwargs)
+
+    def test_arity_mismatch(self):
+        env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         with pytest.raises(ValueError):
-            integrate(env, 0.5, dt=0.0)
+            integrate(env.pair(), 0.5)
+        with pytest.raises(ValueError):
+            integrate(env.response(1), (0.5, 0.5))
+        with pytest.raises(ValueError, match="symmetric"):
+            integrate(env, 0.5)
 
 
 class TestConvergenceLimit:
@@ -164,7 +185,26 @@ class TestBasins:
             1.0, abs=1.0 / grid.cells.size + 1e-12
         )
 
-    def test_resolution_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"resolution": 1}, id="resolution-1"),
+            pytest.param({"resolution": 0}, id="resolution-0"),
+            pytest.param({"resolution": 5, "dt": 0.0}, id="dt-zero"),
+            pytest.param({"resolution": 5, "dt": -0.01}, id="dt-negative"),
+            pytest.param({"resolution": 5, "t_max": -1.0}, id="tmax-negative"),
+            pytest.param({"resolution": 5, "t_max": float("nan")}, id="tmax-nan"),
+        ],
+    )
+    def test_resolution_validation(self, kwargs):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
         with pytest.raises(ValueError):
-            estimate_basins(env, resolution=1)
+            estimate_basins(env, **kwargs)
+
+    def test_arity_follows_the_system(self):
+        # a symmetric Environment is one population; its pair is two
+        env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
+        assert estimate_basins(env, resolution=5, t_max=100.0).cells.shape == (5,)
+        grid = estimate_basins(env.pair(), resolution=5, t_max=100.0)
+        assert grid.cells.shape == (5, 5)
+        assert all(s.is_pair for s in grid.attractors)

@@ -87,6 +87,9 @@ class TestSimulatePopulation:
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
         with pytest.raises(ValueError):
             simulate_population(env, n=10, t_max=1.0)
+        for dt in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                simulate_population(env, n=500, t_max=1.0, dt=dt)
         asym = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         with pytest.raises(ValueError):
             simulate_population(asym, n=500, t_max=1.0, initial=0.5)
