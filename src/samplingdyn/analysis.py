@@ -127,9 +127,9 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
     """Root of g in [lo, hi], bracketed by the sign of ``glo`` (the scan's
     value at lo), which g at hi does not share.
 
-    The scan evaluates g on an array and the bisection on floats; the two
-    can round differently near a root, so the bracket keeps the scan's
-    signs and an endpoint where the float g is exactly zero is the root.
+    ``g`` may be any callable, whose array and float values need not
+    agree to the last bit, so the bracket keeps the scan's signs and an
+    endpoint where the float g is exactly zero is the root.
     """
     for end in (lo, hi):
         if g(end) == 0.0:
@@ -427,10 +427,9 @@ def check_homogeneous_uniqueness(env: Environment) -> TheoremReport:
         raise ValueError("requires homogeneous sample size distributions")
     if k1 < 2 or k2 < 2:
         raise ValueError("requires sample sizes larger than 1")
-    if env.is_symmetric:
-        analysis = find_stationary_one_pop(env)
-    else:
-        analysis = find_stationary_two_pop(env)
+    from .flow import System  # flow imports this module
+
+    analysis = System.of(env).stationary()
     interior = analysis.interior()
     any_stable = any(s.stability == Stability.STABLE for s in interior)
     verdict = Verdict.HOLDS if (len(interior) <= 1 and not any_stable) else Verdict.FAILS

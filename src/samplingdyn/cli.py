@@ -5,6 +5,18 @@ normalize.  Runs are driven by a JSON config (--config) with a top-level
 "command" discriminator; the flags --out, --seed, --resolution, --tmax,
 --dt override the matching config fields.  Exit codes: 0 success, 2
 configuration error, 3 internal numeric failure.
+
+sweep.csv has one row per swept value with the columns
+    value            the swept theta mass, alpha or u
+    n_stationary     number of stationary states
+    n_interior       number of interior stationary states
+    stable_interior  1 if some interior state is asymptotically stable, else 0
+    thm4_part1       Theorem 4 part 1 verdict (holds/fails/boundary)
+    thm4_part2       Theorem 4 part 2 verdict
+    flag             empty, "continuum" or "numeric-failure"
+Theorem 4 concerns two populations with u1 >= 1, so its columns read
+"n/a" on one-population rows and rows with u1 < 1.  A flagged row leaves
+every column but value and flag empty.
 """
 
 from __future__ import annotations
@@ -389,21 +401,21 @@ def cmd_sweep(conf: dict) -> int:
     out = _out_dir(conf)
     rows = []
 
-    def analyze_env(env_or_response, one_pop: bool, value: float):
+    def analyze_env(env: Environment, one_pop: bool, value: float):
         try:
-            res = System.of(env_or_response, 1 if one_pop else 2).stationary()
+            res = System.of(env, 1 if one_pop else 2).stationary()
         except ArithmeticError:
             return [cfg.fmt(value), "", "", "", "", "", "numeric-failure"]
         if res.continuum:
             return [cfg.fmt(value), "", "", "", "", "", "continuum"]
         interior = res.interior()
         stable_int = res.stable_interior()
-        t4p1 = t4p2 = ""
-        if not one_pop and hasattr(env_or_response, "game"):
-            if env_or_response.game.u1 >= 1.0:
-                rep = an.check_theorem4(env_or_response)
-                t4p1 = rep.parts["part1"].value
-                t4p2 = rep.parts["part2"].value
+        if one_pop or env.game.u1 < 1.0:
+            t4p1 = t4p2 = "n/a"
+        else:
+            rep = an.check_theorem4(env)
+            t4p1 = rep.parts["part1"].value
+            t4p2 = rep.parts["part2"].value
         return [
             cfg.fmt(value),
             str(len(res.states)),
@@ -418,8 +430,8 @@ def cmd_sweep(conf: dict) -> int:
         game = cfg.parse_game(conf.get("environment", conf), "sweep environment")
         if not game.is_symmetric:
             raise ConfigError("theta-mass sweeps use a symmetric game")
-        k = int(cfg._number(spec, "k", "sweep"))
-        big_k = int(cfg._number(spec, "big_k", "sweep"))
+        k = cfg._integer(spec, "k", "sweep")
+        big_k = cfg._integer(spec, "big_k", "sweep")
         for beta in _sweep_values(spec):
             if not (0.0 < beta < 1.0):
                 raise ConfigError(f"theta mass {beta} outside (0, 1)")
@@ -431,7 +443,7 @@ def cmd_sweep(conf: dict) -> int:
         if env_spec.kind != "sampling":
             raise ConfigError("alpha sweeps need a sampling environment")
         env = env_spec.environment
-        big_k = int(cfg._number(spec, "big_k", "sweep"))
+        big_k = cfg._integer(spec, "big_k", "sweep")
         for alpha in _sweep_values(spec):
             if not (0.0 < alpha < 1.0):
                 raise ConfigError(f"alpha {alpha} outside (0, 1)")

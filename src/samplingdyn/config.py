@@ -90,6 +90,13 @@ def _number(obj: Mapping, key: str, context: str) -> float:
     return float(value)
 
 
+def _integer(obj: Mapping, key: str, context: str) -> int:
+    value = _number(obj, key, context)
+    if not value.is_integer():
+        raise ConfigError(f"field '{key}' in {context} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_theta(obj: Any, context: str = "theta") -> SampleSizeDistribution:
     if not isinstance(obj, Mapping) or not obj:
         raise ConfigError(f"{context} must be a non-empty object of masses")
@@ -177,6 +184,8 @@ def parse_environment(obj: Any) -> EnvSpec:
     if not isinstance(obj, Mapping):
         raise ConfigError("'environment' must be an object")
     context = "environment"
+    if "theta" in obj and ("theta1" in obj or "theta2" in obj):
+        raise ConfigError("'theta' (one population) cannot be combined with 'theta1'/'theta2'")
 
     if "contracting" in obj:
         c = obj["contracting"]
@@ -186,7 +195,7 @@ def parse_environment(obj: Any) -> EnvSpec:
             game = ContractingGame(tuple(diag1), tuple(diag2))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid contracting game: {exc}") from exc
-        if "M" in c and int(c["M"]) != game.M:
+        if "M" in c and _integer(c, "M", "contracting") != game.M:
             raise ConfigError(f"'M' = {c['M']} does not match diagonal length {game.M}")
         theta1 = parse_theta(_require(obj, "theta1", context), "theta1")
         theta2 = parse_theta(_require(obj, "theta2", context), "theta2")
@@ -201,7 +210,7 @@ def parse_environment(obj: Any) -> EnvSpec:
         me = obj["mineffort"]
         try:
             game = MinEffortGame(
-                n_players=int(_number(me, "N", "mineffort")),
+                n_players=_integer(me, "N", "mineffort"),
                 cost=_number(me, "c", "mineffort"),
                 observation=Observation(me.get("observation", "minimum-effort")),
             )
@@ -233,8 +242,7 @@ def parse_environment(obj: Any) -> EnvSpec:
         except ValueError as exc:
             raise ConfigError(f"invalid tie_break: {obj['tie_break']!r}") from exc
 
-    one_pop = "theta" in obj and "theta1" not in obj
-    if one_pop:
+    if "theta" in obj:
         if not game.is_symmetric:
             raise ConfigError("one-population environments need a symmetric game")
         theta = parse_theta(_require(obj, "theta", context), "theta")

@@ -41,17 +41,142 @@ class TieBreak(str, Enum):
 
 
 def _as_prob_array(p, clip_tol: float = _P_TOL):
-    """Validate p in [0, 1] (within clip_tol) and return (array, is_scalar)."""
+    """Validate p in [0, 1] (within clip_tol) and clip it there: a Python
+    float for a scalar or 0-d input, otherwise a float ndarray."""
+    if isinstance(p, (float, int)) or np.ndim(p) == 0:
+        x = float(p)
+        # NaN fails the comparison
+        if not -clip_tol <= x <= 1.0 + clip_tol:
+            raise ValueError(f"probability input must be finite and in [0, 1]: {p!r}")
+        return min(max(x, 0.0), 1.0)
     arr = np.asarray(p, dtype=float)
     if arr.size == 0:
-        return arr, False
+        return arr
     mn, mx = arr.min(), arr.max()
     # NaN propagates into min/max and fails these comparisons
     if not (mn >= -clip_tol and mx <= 1.0 + clip_tol):
         raise ValueError(f"probability input must be finite and in [0, 1]: {p!r}")
     if mn < 0.0 or mx > 1.0:
         arr = np.clip(arr, 0.0, 1.0)
-    return arr, np.ndim(p) == 0
+    return arr
+
+
+def _plain(x):
+    """A ufunc's value on a float, which numpy returns as a numpy scalar or
+    0-d array, as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _int_power(base, k: int):
+    """base**k for k >= 0 by binary exponentiation with ``*`` alone, so a
+    float and an ndarray get the same IEEE products (numpy's ``**`` on
+    arrays rounds differently from the float ``**``)."""
+    if k == 0:
+        return 0.0 * base + 1.0  # shaped like base
+    result = 1.0
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _tail(k: int, m: int, coeffs, p, q):
+    """Unchecked Pr(X >= m) for X ~ Binomial(k, p), with q = 1 - p and
+    ``coeffs`` the C(k, l), l = m..k, as floats (used for k <= 60).
+
+    Every step is a ``*``, a ``+`` or a ufunc, so a float and an ndarray
+    get bit-identical values.  Up to ``EXACT_TAIL_MAX_K`` the nonnegative
+    terms C(k,l) p^l q^(k-l) are summed by a Horner recurrence in p (m = 1
+    factors as p * (1 + q + ... + q^(k-1)), m = k is a plain power); above
+    it the regularized incomplete beta I_p(m, k - m + 1).
+    """
+    if m == 0:
+        return 0.0 * p + 1.0
+    if m > k:
+        return 0.0 * p
+    if k > EXACT_TAIL_MAX_K:
+        return _plain(special.betainc(m, k - m + 1, p))
+    if m == 1:
+        s = 1.0
+        for _ in range(k - 1):
+            s = s * q + 1.0
+        return p * s
+    if m == k:
+        return _int_power(p, k)
+    s = coeffs[-1]
+    qpow = 1.0
+    for c in reversed(coeffs[:-1]):
+        qpow = qpow * q
+        s = s * p + c * qpow
+    return s * _int_power(p, m)
+
+
+def _tail_slope(k: int, m: int, p, q):
+    """Unchecked derivative in p of the tail: m C(k,m) p^(m-1) q^(k-m)."""
+    if m == 0 or m > k:
+        return 0.0 * p
+    if k <= EXACT_TAIL_MAX_K:
+        return m * math.comb(k, m) * _int_power(p, m - 1) * _int_power(q, k - m)
+    # exp-log form; the coefficient overflows a float well below k = 1000
+    log_coeff = (
+        math.log(m)
+        + math.lgamma(k + 1)
+        - math.lgamma(m + 1)
+        - math.lgamma(k - m + 1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = log_coeff + (m - 1) * np.log(p) + (k - m) * np.log(q)
+        out = np.where(np.isfinite(logs), np.exp(logs), 0.0)
+    # interior formula degenerates at the endpoints: only m = 1 (resp. m = k)
+    # keeps a nonzero slope k at p = 0 (resp. p = 1)
+    out = np.where(p == 0.0, k if m == 1 else 0.0, out)
+    out = np.where(p == 1.0, k if m == k else 0.0, out)
+    return _plain(out)
+
+
+def _coefficients(k: int, m: int) -> tuple[float, ...] | None:
+    """C(k, l) for l = m..k as floats, where the Horner path runs."""
+    if k > EXACT_TAIL_MAX_K:
+        return None
+    return tuple(float(math.comb(k, l)) for l in range(m, k + 1))
+
+
+def _tail_atoms(theta: SampleSizeDistribution, thresholds: Sequence[int]) -> tuple:
+    """(k, mass, m, coefficients) per sample size of theta, with m the
+    matching threshold."""
+    return tuple(
+        (k, mass, m, _coefficients(k, m))
+        for (k, mass), m in zip(theta.atoms, thresholds)
+    )
+
+
+def _tail_mixture(atoms, p):
+    """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms."""
+    q = 1.0 - p
+    out = 0.0
+    for k, mass, m, coeffs in atoms:
+        out = out + mass * _tail(k, m, coeffs, p, q)
+    return out
+
+
+def _slope_mixture(atoms, p):
+    """Unchecked derivative in p of ``_tail_mixture``."""
+    q = 1.0 - p
+    out = 0.0
+    for k, mass, m, _ in atoms:
+        out = out + mass * _tail_slope(k, m, p, q)
+    return out
+
+
+def _check_tail_args(k: int, m: int) -> tuple[int, int]:
+    if k < 1 or k != int(k):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if m < 0 or m > k or m != int(m):
+        raise ValueError(f"m must be an integer in [0, {k}], got {m!r}")
+    return int(k), int(m)
 
 
 def binomial_tail(k: int, m: int, p):
@@ -68,103 +193,22 @@ def binomial_tail(k: int, m: int, p):
 
     Notes
     -----
-    For k <= 60 the tail is summed term by term (compensated summation for
-    scalars, pairwise accumulation for arrays), which is cancellation-free
-    because every term is nonnegative.  Larger k uses the regularized
-    incomplete beta identity Pr(X >= m) = I_p(m, k - m + 1), which stays
-    accurate for p near 0 or 1.
+    For k <= 60 the tail is one Horner recurrence over the terms
+    C(k,l) p^l (1-p)^(k-l), l >= m, which is cancellation-free because
+    every term is nonnegative; a float and an array give bit-identical
+    values.  Larger k uses the regularized incomplete beta identity
+    Pr(X >= m) = I_p(m, k - m + 1), which stays accurate for p near 0 or 1.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if m < 0 or m > k or m != int(m):
-        raise ValueError(f"m must be an integer in [0, {k}], got {m!r}")
-    k, m = int(k), int(m)
-    arr, scalar = _as_prob_array(p, clip_tol=0.0)
-    if m == 0:
-        out = np.ones_like(arr)
-        return float(out) if scalar else out
-    if k <= EXACT_TAIL_MAX_K:
-        if scalar:
-            pf = float(arr)
-            qf = 1.0 - pf
-            return math.fsum(
-                math.comb(k, l) * pf**l * qf ** (k - l) for l in range(m, k + 1)
-            )
-        return _tail_terms_array(k, m, arr)
-    out = special.betainc(m, k - m + 1, arr)
-    return float(out) if scalar else out
-
-
-def _int_power(base: np.ndarray, k: int) -> np.ndarray:
-    """base**k by binary exponentiation (multiplies beat pow on arrays)."""
-    result = None
-    acc = base
-    e = k
-    while e:
-        if e & 1:
-            result = acc.copy() if result is None else result * acc
-        e >>= 1
-        if e:
-            acc = acc * acc
-    return result
-
-
-def _tail_terms_array(k: int, m: int, p: np.ndarray) -> np.ndarray:
-    """Exact nonnegative-term evaluation of the tail on an array.
-
-    m = 1 uses the cancellation-free geometric factorization
-    p * (1 + q + ... + q^(k-1)); m = k is a plain power; the general case
-    runs a Horner recurrence over the terms C(k,l) p^(l-m) q^(k-l).  All
-    accumulated quantities are nonnegative, so precision matches the
-    scalar fsum path to a few ulps.
-    """
-    if m == 1 and k == 1:
-        return p.copy()
-    q = 1.0 - p
-    if m == 1:
-        s = np.ones_like(p)
-        for _ in range(k - 1):
-            s = s * q + 1.0
-        return p * s
-    if m == k:
-        return _int_power(p, k)
-    combs = [float(math.comb(k, l)) for l in range(m, k + 1)]
-    s = np.full_like(p, combs[-1])
-    qpow = np.ones_like(p)
-    for l in range(k - 1, m - 1, -1):
-        qpow = qpow * q
-        s = s * p + combs[l - m] * qpow
-    return s * _int_power(p, m)
+    k, m = _check_tail_args(k, m)
+    p = _as_prob_array(p, clip_tol=0.0)
+    return _tail(k, m, _coefficients(k, m), p, 1.0 - p)
 
 
 def binomial_tail_derivative(k: int, m: int, p):
     """Derivative in p of the binomial upper tail: m*C(k,m)*p^(m-1)*(1-p)^(k-m)."""
-    if k < 1 or m < 0 or m > k:
-        raise ValueError(f"invalid tail parameters k={k!r}, m={m!r}")
-    k, m = int(k), int(m)
-    arr, scalar = _as_prob_array(p, clip_tol=0.0)
-    if m == 0:
-        out = np.zeros_like(arr)
-        return float(out) if scalar else out
-    if k <= EXACT_TAIL_MAX_K:
-        coeff = m * math.comb(k, m)
-        out = coeff * arr ** (m - 1) * (1.0 - arr) ** (k - m)
-        return float(out) if scalar else out
-    # exp-log form; the coefficient overflows a float well below k = 1000
-    log_coeff = (
-        math.log(m)
-        + math.lgamma(k + 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(k - m + 1)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = log_coeff + (m - 1) * np.log(arr) + (k - m) * np.log(1.0 - arr)
-        out = np.where(np.isfinite(logs), np.exp(logs), 0.0)
-    # interior formula degenerates at the endpoints: only m = 1 (resp. m = k)
-    # keeps a nonzero slope k at p = 0 (resp. p = 1)
-    out = np.where(arr == 0.0, k if m == 1 else 0.0, out)
-    out = np.where(arr == 1.0, k if m == k else 0.0, out)
-    return float(out) if scalar else out
+    k, m = _check_tail_args(k, m)
+    p = _as_prob_array(p, clip_tol=0.0)
+    return _tail_slope(k, m, p, 1.0 - p)
 
 
 def snap_to_integer(x: float, tol: float = INTEGER_SNAP) -> float:
@@ -310,16 +354,9 @@ class SamplingResponse:
         self.u = float(u)
         self.theta = theta
         self.tie_break = TieBreak(tie_break)
-        atoms = []
-        for k, w in theta.atoms:
-            m = sampling_threshold(k, self.u, self.tie_break)
-            combs = (
-                tuple(math.comb(k, l) for l in range(m, k + 1))
-                if m <= k <= EXACT_TAIL_MAX_K
-                else None
-            )
-            atoms.append((k, w, m, combs))
-        self._atoms = tuple(atoms)
+        self._atoms = _tail_atoms(
+            theta, [sampling_threshold(k, self.u, self.tie_break) for k in theta.support]
+        )
 
     def __repr__(self) -> str:
         return (
@@ -332,52 +369,10 @@ class SamplingResponse:
         return self.theta.max_support
 
     def __call__(self, p):
-        if isinstance(p, (float, int)) and not isinstance(p, bool):
-            return self._value_scalar(float(p))
-        arr, scalar = _as_prob_array(p)
-        out = np.zeros_like(arr)
-        for k, w, m, _ in self._atoms:
-            if m > k:  # favor-b tie pushed the threshold past the sample size
-                continue
-            out = out + w * binomial_tail(k, m, arr)
-        return float(out) if scalar else out
-
-    def _value_scalar(self, pf: float) -> float:
-        if not (-_P_TOL <= pf <= 1.0 + _P_TOL):
-            raise ValueError(f"probability input must be finite and in [0, 1]: {pf!r}")
-        pf = min(max(pf, 0.0), 1.0)
-        qf = 1.0 - pf
-        parts = []
-        for k, w, m, combs in self._atoms:
-            if m > k:
-                continue
-            if combs is not None:
-                tail = math.fsum(
-                    c * pf ** (m + i) * qf ** (k - m - i) for i, c in enumerate(combs)
-                )
-            else:
-                tail = float(special.betainc(m, k - m + 1, pf))
-            parts.append(w * tail)
-        return math.fsum(parts)
+        return _tail_mixture(self._atoms, _as_prob_array(p))
 
     def derivative(self, p):
-        if isinstance(p, (float, int)) and not isinstance(p, bool):
-            p = float(p)
-            if not (-_P_TOL <= p <= 1.0 + _P_TOL):
-                raise ValueError(f"probability input must be in [0, 1]: {p!r}")
-            p = min(max(p, 0.0), 1.0)
-            return math.fsum(
-                w * float(binomial_tail_derivative(k, m, p))
-                for k, w, m, _ in self._atoms
-                if m <= k
-            )
-        arr, scalar = _as_prob_array(p)
-        out = np.zeros_like(arr)
-        for k, w, m, _ in self._atoms:
-            if m > k:
-                continue
-            out = out + w * binomial_tail_derivative(k, m, arr)
-        return float(out) if scalar else out
+        return _slope_mixture(self._atoms, _as_prob_array(p))
 
     def inverse(self, y):
         """Preimage of y under w, by bisection; exact at the endpoints."""
@@ -435,30 +430,20 @@ class LogitResponse:
         return f"LogitResponse(u={self.u!r}, groups={self.groups!r})"
 
     def __call__(self, p):
-        if isinstance(p, (float, int)) and not isinstance(p, bool):
-            pf = float(p)
-            if not (-_P_TOL <= pf <= 1.0 + _P_TOL):
-                raise ValueError(f"probability input must be in [0, 1]: {pf!r}")
-            pf = min(max(pf, 0.0), 1.0)
-            total = 0.0
-            for mu, eta in self.groups:
-                z = (1.0 - pf * (1.0 + self.u)) / eta
-                total += mu * (0.0 if z > 709.0 else 1.0 / (1.0 + math.exp(z)))
-            return total
-        arr, scalar = _as_prob_array(p)
-        out = np.zeros_like(arr)
+        p = _as_prob_array(p)
+        out = 0.0
         for mu, eta in self.groups:
             # payoff difference (first minus second action) is p*u - (1-p)
-            out = out + mu * special.expit((arr * (1.0 + self.u) - 1.0) / eta)
-        return float(out) if scalar else out
+            out = out + mu * special.expit((p * (1.0 + self.u) - 1.0) / eta)
+        return _plain(out)
 
     def derivative(self, p):
-        arr, scalar = _as_prob_array(p)
-        out = np.zeros_like(arr)
+        p = _as_prob_array(p)
+        out = 0.0
         for mu, eta in self.groups:
-            s = special.expit((arr * (1.0 + self.u) - 1.0) / eta)
+            s = special.expit((p * (1.0 + self.u) - 1.0) / eta)
             out = out + mu * s * (1.0 - s) * (1.0 + self.u) / eta
-        return float(out) if scalar else out
+        return _plain(out)
 
     def inverse(self, y):
         lo, hi = self(0.0), self(1.0)

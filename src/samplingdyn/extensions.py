@@ -28,8 +28,11 @@ from .analysis import (
 from .dynamics import (
     SampleSizeDistribution,
     _as_prob_array,
-    binomial_tail,
-    binomial_tail_derivative,
+    _int_power,
+    _monotone_inverse,
+    _slope_mixture,
+    _tail_atoms,
+    _tail_mixture,
     snap_to_integer,
     truncated_expectation,
 )
@@ -380,24 +383,24 @@ class MinEffortGame:
         object.__setattr__(self, "observation", Observation(self.observation))
 
 
-def _mineffort_thresholds(g: MinEffortGame, support: Sequence[int]) -> dict[int, int]:
+def _mineffort_thresholds(g: MinEffortGame, support: Sequence[int]) -> list[int]:
     """Per-size minimal count of low observations that triggers low effort.
 
     Minimum-effort observation: low wins on x >= k(1-c) (ties to low,
     which keeps small samples on the one-observation rule).  Action
     observation: low wins on x > k(1 - c^(1/(N-1))) (ties to high).
     """
-    out = {}
+    out = []
     if g.observation == Observation.MINIMUM_EFFORT:
         cut = 1.0 - g.cost
         for k in support:
             x = snap_to_integer(k * cut)
-            out[k] = int(x) if x == int(x) else math.ceil(x)
+            out.append(int(x) if x == int(x) else math.ceil(x))
     else:
         cut = 1.0 - g.cost ** (1.0 / (g.n_players - 1))
         for k in support:
             x = snap_to_integer(k * cut)
-            out[k] = int(x) + 1 if x == int(x) else math.ceil(x)
+            out.append(int(x) + 1 if x == int(x) else math.ceil(x))
     return out
 
 
@@ -410,7 +413,8 @@ class MinEffortResponse:
     round reads low with probability q = 1 - (1-p)^(N-1), and for sample
     sizes below 1/(1-c) the response reduces to
     1 - (1-p)^(k(N-1)).  Under action observation the sample is binomial
-    in p directly.
+    in p directly.  Either way the response is the sampling response's
+    mixture of binomial tails, evaluated at the observed probability q.
     """
 
     kind = "min-effort"
@@ -418,46 +422,27 @@ class MinEffortResponse:
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
         self.theta = theta
-        thresholds = _mineffort_thresholds(game, theta.support)
-        self._atoms = tuple((k, w, thresholds[k]) for k, w in theta.atoms)
+        self._atoms = _tail_atoms(theta, _mineffort_thresholds(game, theta.support))
 
-    def _observable(self, p):
+    def _observed(self, p):
+        """Chance that one sampled observation reads low at low-share p."""
         if self.game.observation == Observation.MINIMUM_EFFORT:
-            return 1.0 - (1.0 - p) ** (self.game.n_players - 1)
+            return 1.0 - _int_power(1.0 - p, self.game.n_players - 1)
         return p
 
     def __call__(self, p):
-        arr, scalar = _as_prob_array(p)
-        q = self._observable(arr)
-        out = np.zeros_like(arr)
-        for k, w, m in self._atoms:
-            if m > k:
-                continue
-            if m <= 0:
-                out = out + w
-                continue
-            out = out + w * binomial_tail(k, m, q)
-        return float(out) if scalar else out
+        return _tail_mixture(self._atoms, self._observed(_as_prob_array(p)))
 
     def derivative(self, p):
-        arr, scalar = _as_prob_array(p)
-        q = self._observable(arr)
+        p = _as_prob_array(p)
+        slope = _slope_mixture(self._atoms, self._observed(p))
         if self.game.observation == Observation.MINIMUM_EFFORT:
             n = self.game.n_players - 1
-            chain = n * (1.0 - arr) ** (n - 1)
-        else:
-            chain = np.ones_like(arr)
-        out = np.zeros_like(arr)
-        for k, w, m in self._atoms:
-            if m > k or m <= 0:
-                continue
-            out = out + w * binomial_tail_derivative(k, m, q) * chain
-        return float(out) if scalar else out
+            slope = slope * (n * _int_power(1.0 - p, n - 1))
+        return slope
 
     def inverse(self, y):
-        from .dynamics import _monotone_inverse
-
-        return _monotone_inverse(self, y, lo_value=float(self(0.0)), hi_value=float(self(1.0)))
+        return _monotone_inverse(self, y, lo_value=self(0.0), hi_value=self(1.0))
 
 
 def mineffort_response(g: MinEffortGame, theta: SampleSizeDistribution, p):

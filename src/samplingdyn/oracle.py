@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Environment, SamplingResponse
-from .flow import _step_count
+from .flow import System, _step_count
 
 
 def _threshold_arrays(response: SamplingResponse):
@@ -75,21 +75,23 @@ def simulate_population(
 ) -> EmpiricalTrajectory:
     """Simulate n agents per population for t_max time units.
 
-    One-population (symmetric) environments sample from their own
-    population; otherwise each population samples the other.  ``initial``
-    gives the starting share(s) of first-action players; agents are dealt
-    deterministically to match it as closely as n allows.
+    A scalar ``initial`` runs one population that samples itself, a pair
+    two populations that sample each other; with no ``initial``,
+    ``flow.System`` picks the form and every population starts at one
+    half.  Agents are dealt deterministically to match the starting
+    share(s) of first-action players as closely as n allows.
     """
     if n < 100:
         raise ValueError(f"population size must be at least 100, got {n!r}")
     n_steps = _step_count(t_max, dt)
     if dt > 1.0:
         raise ValueError(f"dt is a replacement probability per step, at most 1; got {dt!r}")
+    system = System.of(env, None if initial is None else np.size(initial))
     if initial is None:
-        initial = 0.5 if env.is_symmetric else (0.5, 0.5)
-    one_pop = np.ndim(initial) == 0
-    if one_pop and not env.is_symmetric:
-        raise ValueError("scalar initial share needs a symmetric environment")
+        initial = (0.5,) * system.dim
+    tables = [_threshold_arrays(w) for w in system.responses]
+    # population i samples population opponent[i]
+    opponent = (0,) if system.dim == 1 else (1, 0)
 
     rng = np.random.default_rng(seed)
     times = np.arange(n_steps + 1) * dt
@@ -100,39 +102,18 @@ def simulate_population(
         actions[:count] = True
         return actions
 
-    if one_pop:
-        response = env.single_response()
-        support, masses, thresholds = _threshold_arrays(response)
-        actions = deal(float(initial))
-        shares = np.empty(n_steps + 1)
-        shares[0] = actions.mean()
-        for step in range(1, n_steps + 1):
-            p = actions.mean()
-            dies = rng.random(n) < dt
-            d = int(dies.sum())
-            if d:
-                k_idx = rng.choice(len(support), size=d, p=masses)
-                counts = rng.binomial(support[k_idx], p)
-                actions[dies] = counts >= thresholds[k_idx]
-            shares[step] = actions.mean()
-        return EmpiricalTrajectory(times, shares, n=n, seed=seed, dt=dt)
-
-    r1, r2 = env.response(1), env.response(2)
-    tables = [_threshold_arrays(r1), _threshold_arrays(r2)]
-    init = np.asarray(initial, dtype=float).reshape(2)
-    pops = [deal(init[0]), deal(init[1])]
-    shares = np.empty((n_steps + 1, 2))
-    shares[0] = [pops[0].mean(), pops[1].mean()]
+    pops = [deal(share) for share in np.reshape(initial, system.dim)]
+    shares = np.empty((n_steps + 1, system.dim))
+    shares[0] = [pop.mean() for pop in pops]
     for step in range(1, n_steps + 1):
-        p_now = (pops[0].mean(), pops[1].mean())
-        for i in (0, 1):
-            support, masses, thresholds = tables[i]
-            p_opp = p_now[1 - i]
+        p_now = shares[step - 1]
+        for i, (support, masses, thresholds) in enumerate(tables):
             dies = rng.random(n) < dt
             d = int(dies.sum())
             if d:
                 k_idx = rng.choice(len(support), size=d, p=masses)
-                counts = rng.binomial(support[k_idx], p_opp)
+                counts = rng.binomial(support[k_idx], p_now[opponent[i]])
                 pops[i][dies] = counts >= thresholds[k_idx]
-        shares[step] = [pops[0].mean(), pops[1].mean()]
-    return EmpiricalTrajectory(times, shares, n=n, seed=seed, dt=dt)
+        shares[step] = [pop.mean() for pop in pops]
+    states = shares[:, 0] if system.dim == 1 else shares
+    return EmpiricalTrajectory(times, states, n=n, seed=seed, dt=dt)

@@ -77,8 +77,7 @@ class TestOnePopStationary:
     u=st.floats(1.0, 1.5, exclude_min=True, exclude_max=True),
     masses=st.tuples(*[st.floats(0.05, 1.0)] * 3),
 )
-# p = 0.5 is an exact root here whose array and float values of w(p) - p
-# differ in sign (-5.6e-17 and 0.0)
+# p = 0.5 is an exact root on the scan grid
 @example(u=1.12, masses=(0.3, 0.6, 0.1))
 def test_reported_states_are_stationary(u, masses):
     total = sum(masses)

@@ -75,11 +75,29 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "a state is stationary iff it is symmetric" in out
 
-    def test_missing_field_exits_2(self, tmp_path, capsys):
-        env = {"u1": 5.0, "theta1": {"1": 1.0}, "theta2": {"1": 1.0}}
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ({"u1": 5.0, "theta1": {"1": 1.0}, "theta2": {"1": 1.0}}, "u2"),
+            ({"mineffort": {"N": 2.5, "c": 0.5}, "theta": {"1": 1.0}}, "'N'"),
+            (
+                {
+                    "contracting": {"M": "x", "diag1": [4, 2, 1], "diag2": [1, 2, 4]},
+                    "theta1": {"1": 1.0},
+                    "theta2": {"1": 1.0},
+                },
+                "'M'",
+            ),
+            ({**ONE_POP, "theta1": {"2": 1.0}}, "'theta'"),
+            ({**FIG3_RIGHT, "theta": {"2": 1.0}}, "'theta'"),
+        ],
+        ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
+             "theta-and-theta2"],
+    )
+    def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
         assert main(["analyze", "--config", conf]) == 2
-        assert "u2" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_command_mismatch_exits_2(self, tmp_path, capsys):
         conf = write_config(tmp_path, {"command": "analyze", "environment": FIG3_RIGHT})
@@ -298,6 +316,29 @@ class TestSweep:
         assert rows[0].startswith("value,n_stationary,n_interior,stable_interior")
         got = {r.split(",")[0]: r.split(",")[3] for r in rows[1:]}
         assert got == {"0.45": "0", "0.55": "1", "0.65": "0"}
+        # Theorem 4 is a two-population statement
+        assert all(r.split(",")[4:6] == ["n/a", "n/a"] for r in rows[1:])
+
+    @pytest.mark.parametrize("u1, u2, applicable", [(5.0, 0.2, True), (0.5, 2.0, False)])
+    def test_alpha_theorem4_columns(self, tmp_path, u1, u2, applicable):
+        env = {**FIG3_RIGHT, "u1": u1, "u2": u2}
+        conf = write_config(
+            tmp_path,
+            {
+                "command": "sweep",
+                "environment": env,
+                "sweep": {"type": "alpha", "big_k": 1000, "start": 0.5, "stop": 0.5,
+                          "step": 0.1},
+                "out": str(tmp_path),
+            },
+        )
+        assert main(["sweep", "--config", conf]) == 0
+        (row,) = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        cols = row.split(",")[4:6]
+        if applicable:
+            assert all(c in ("holds", "fails", "boundary") for c in cols)
+        else:
+            assert cols == ["n/a", "n/a"]
 
     def test_unknown_type_exits_2(self, tmp_path):
         conf = write_config(

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import random_env, random_theta
@@ -17,6 +19,7 @@ from samplingdyn.dynamics import (
     sampling_threshold,
     truncated_expectation,
 )
+from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.games import CoordinationGame
 
 
@@ -68,6 +71,37 @@ class TestBinomialTail:
         assert val == pytest.approx(ref, rel=1e-10)
         val1 = binomial_tail(50, 1, 1e-12)
         assert val1 == pytest.approx(50e-12, rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    x=st.floats(0.0, 1.0),
+    ks=st.lists(
+        st.sampled_from([1, 2, 3, 5, 12, 40, 60, 61, 200, 1000]),
+        min_size=1, max_size=3, unique=True,
+    ),
+    u=st.floats(0.1, 5.0),
+    m_share=st.floats(0.0, 1.0),
+    n_players=st.integers(2, 6),
+    cost=st.floats(0.05, 0.95),
+    eta=st.floats(0.01, 1.0),
+)
+def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, cost, eta):
+    theta = SampleSizeDistribution.of({k: 1.0 / len(ks) for k in ks})
+    responses = [
+        SamplingResponse(u, theta, TieBreak.FAVOR_A),
+        SamplingResponse(u, theta, TieBreak.FAVOR_B),
+        LogitResponse(u, [(0.5, eta), (0.5, 2.0 * eta)]),
+        MinEffortResponse(MinEffortGame(n_players, cost, Observation.MINIMUM_EFFORT), theta),
+        MinEffortResponse(MinEffortGame(n_players, cost, Observation.OPPONENT_ACTION), theta),
+    ]
+    arr = np.array([x])
+    for w in responses:
+        assert w(x) == w(arr)[0], w
+        assert w.derivative(x) == w.derivative(arr)[0], w
+    for k in ks:
+        m = round(m_share * k)
+        assert binomial_tail(k, m, x) == binomial_tail(k, m, arr)[0], (k, m)
 
 
 class TestSamplingThreshold:
