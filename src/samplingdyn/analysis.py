@@ -8,6 +8,12 @@ those slopes at the corners.  The checkers evaluate the paper-level
 sufficient conditions (instability of homogeneous mixing, stabilization
 by sample-size mixtures, global convergence to miscoordination) as
 numeric reports rather than proofs.
+
+Arity: a single response function drives the one-population dynamics
+dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
+``Environment`` drives whichever the state asks for (a share or a pair);
+with no state to go by, a symmetric environment is one population and
+any other two.  ``System.of`` is the one place that applies this rule.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ import numpy as np
 
 from .dynamics import (
     Environment,
-    ResponseFunction,
     ResponsePair,
     SampleSizeDistribution,
-    SamplingResponse,
     truncated_expectation,
 )
 from .games import CoordinationGame
@@ -169,7 +173,7 @@ def _golden_min_abs(g: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def scan_fixed_points(g: Callable, grid_points: int = GRID_POINTS) -> list[float]:
+def scan_fixed_points(g: Callable) -> list[float]:
     """All roots of g on [0, 1] by sign-change scan plus bisection.
 
     ``g`` must accept numpy arrays.  Grid points where |g| dips below the
@@ -177,7 +181,7 @@ def scan_fixed_points(g: Callable, grid_points: int = GRID_POINTS) -> list[float
     and refined by golden section on |g|; they are kept only when the
     refined residual is below the stationary-state tolerance.
     """
-    xs = np.linspace(0.0, 1.0, grid_points)
+    xs = np.linspace(0.0, 1.0, GRID_POINTS)
     gs = np.asarray(g(xs), dtype=float)
     if not np.all(np.isfinite(gs)):
         raise ArithmeticError("non-finite values while scanning for fixed points")
@@ -207,10 +211,10 @@ def scan_fixed_points(g: Callable, grid_points: int = GRID_POINTS) -> list[float
     near = np.flatnonzero(np.abs(gs) < MARGINAL_BAND)
     for i in near:
         x = float(xs[i])
-        if any(abs(x - r) <= 2.0 / (grid_points - 1) for r in roots):
+        if any(abs(x - r) <= 2.0 / (GRID_POINTS - 1) for r in roots):
             continue
         lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, grid_points - 1)]
+        hi = xs[min(i + 1, GRID_POINTS - 1)]
         cand = _golden_min_abs(lambda t: float(g(t)), lo, hi)
         if abs(float(g(cand))) < RESIDUAL_TOL:
             push(cand)
@@ -222,97 +226,140 @@ class ContinuumError(RuntimeError):
     """Raised internally when the dynamics fix every state."""
 
 
-def _is_unit_sampling(w: ResponseFunction) -> bool:
-    return isinstance(w, SamplingResponse) and w.theta.is_unit
+def _clamp01(x: float) -> float:
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _resolve_single(env) -> ResponseFunction:
-    if isinstance(env, Environment):
-        return env.single_response()
-    return env  # already a response function
+class System:
+    """The responses of one- or two-population dynamics, with their
+    batched vector field, scalar right-hand side and stationary states."""
+
+    def __init__(self, responses: tuple) -> None:
+        self.responses = responses  # (w,) or (w1, w2)
+        self.dim = len(responses)
+
+    @classmethod
+    def of(cls, system, dim: int | None = None) -> "System":
+        """Resolve an Environment, ResponsePair, single response or System;
+        ``dim`` is the size of the state when there is one."""
+        if isinstance(system, System):
+            out = system
+        elif isinstance(system, ResponsePair):
+            out = cls((system.w1, system.w2))
+        elif isinstance(system, Environment):
+            if dim is None:
+                dim = 1 if system.is_symmetric else 2
+            if dim == 1:
+                out = cls((system.single_response(),))
+            else:
+                out = cls((system.response(1), system.response(2)))
+        else:
+            out = cls((system,))
+        if dim is not None and dim != out.dim:
+            name = type(system).__name__
+            raise ValueError(f"{name} drives {out.dim}-population dynamics, not {dim}")
+        return out
+
+    @property
+    def pair(self) -> ResponsePair:
+        return ResponsePair(*self.responses)
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """Vector field on an (n, dim) array of states."""
+        if self.dim == 1:
+            return self.responses[0](x) - x
+        w1, w2 = self.responses
+        out = np.empty_like(x)
+        out[:, 0] = w1(x[:, 1]) - x[:, 0]
+        out[:, 1] = w2(x[:, 0]) - x[:, 1]
+        return out
+
+    def scalar_rhs(self):
+        """Python-float field on a tuple state, responses bound once; the
+        state is clamped first, as the batched step projects its stages."""
+        if self.dim == 1:
+            (w,) = self.responses
+
+            def rhs(state):
+                p = _clamp01(state[0])
+                return (w(p) - p,)
+
+            return rhs
+        w1, w2 = self.responses
+
+        def rhs(state):
+            p1, p2 = _clamp01(state[0]), _clamp01(state[1])
+            return (w1(p2) - p1, w2(p1) - p2)
+
+        return rhs
+
+    def stationary(self) -> StationaryAnalysis:
+        if self.dim == 1:
+            return find_stationary_one_pop(self.responses[0])
+        return find_stationary_two_pop(self.pair)
 
 
-def _resolve_pair(env) -> ResponsePair:
-    if isinstance(env, Environment):
-        return env.pair()
-    if isinstance(env, ResponsePair):
-        return env
-    raise TypeError(f"expected an Environment or ResponsePair, got {type(env)!r}")
+class _Identity:
+    """The response w(p) = p: one population's dynamics compose w with it."""
+
+    def __call__(self, p):
+        return p
+
+    def derivative(self, p) -> float:
+        return 1.0
 
 
-def find_stationary_one_pop(env, grid_points: int = GRID_POINTS) -> StationaryAnalysis:
-    """All stationary states of the one-population dynamics dp/dt = w(p) - p.
+def _state(point, slope_product: float, residual: float) -> StationaryState:
+    """A stationary state at a share (one population) or a pair (two),
+    classified by its slope product."""
+    if isinstance(point, tuple):
+        root = math.sqrt(max(slope_product, 0.0))
+        eigenvalues = (-1.0 + root, -1.0 - root)
+    else:
+        eigenvalues = (slope_product - 1.0,)
+    return StationaryState(
+        state=point,
+        stability=classify_slope(slope_product),
+        slope_product=slope_product,
+        eigenvalues=eigenvalues,
+        residual=residual,
+    )
 
-    With every agent sampling a single action the response is the identity
-    and every state is stationary; that case returns a continuum sentinel
-    instead of a state list.
+
+def _stationary_search(system: System, note: str) -> StationaryAnalysis:
+    """Roots p1 of w1(w2(p1)) = p1 with p2 = w2(p1), where one population
+    has w2 = id, so p2 = p1 and the slope product w1'(p2) * w2'(p1) is w'(p).
+
+    Both responses increase, so the composition has no 2-cycles and each
+    root is a rest point.  When the scan finds every state fixed the
+    result is a continuum sentinel with ``note``.
     """
-    w = _resolve_single(env)
-    if _is_unit_sampling(w):
-        return StationaryAnalysis(
-            states=(), continuum=True, note="every state is stationary"
-        )
+    w1, w2 = system.responses if system.dim == 2 else (system.responses[0], _Identity())
     try:
-        roots = scan_fixed_points(lambda p: w(p) - p, grid_points)
+        roots = scan_fixed_points(lambda p: w1(w2(p)) - p)
     except ContinuumError:
-        return StationaryAnalysis(
-            states=(), continuum=True, note="every state is stationary"
-        )
-    states = []
-    for p in roots:
-        slope = float(w.derivative(p))
-        states.append(
-            StationaryState(
-                state=float(p),
-                stability=classify_slope(slope),
-                slope_product=slope,
-                eigenvalues=(slope - 1.0,),
-                residual=abs(float(w(p)) - p),
-            )
-        )
-    return StationaryAnalysis(states=tuple(states))
-
-
-def find_stationary_two_pop(env, grid_points: int = GRID_POINTS) -> StationaryAnalysis:
-    """All stationary states of the two-population dynamics.
-
-    Stationarity requires p1 = w1(w2(p1)); since both responses are
-    strictly increasing the composition has no 2-cycles, so each root p1
-    with p2 = w2(p1) is a genuine rest point.  Interior and pure states
-    alike are classified by the slope product w1'(p2) * w2'(p1).
-    """
-    pair = _resolve_pair(env)
-    w1, w2 = pair.w1, pair.w2
-    if _is_unit_sampling(w1) and _is_unit_sampling(w2):
-        return StationaryAnalysis(
-            states=(),
-            continuum=True,
-            note="a state is stationary iff it is symmetric",
-        )
-    try:
-        roots = scan_fixed_points(lambda p: w1(w2(p)) - p, grid_points)
-    except ContinuumError:
-        return StationaryAnalysis(
-            states=(),
-            continuum=True,
-            note="a state is stationary iff it is symmetric",
-        )
+        return StationaryAnalysis(states=(), continuum=True, note=note)
     states = []
     for p1 in roots:
+        p1 = float(p1)
         p2 = float(w2(p1))
-        sp = float(w1.derivative(p2)) * float(w2.derivative(p1))
-        root = math.sqrt(max(sp, 0.0))
-        residual = max(abs(float(w1(p2)) - p1), 0.0)
-        states.append(
-            StationaryState(
-                state=(float(p1), p2),
-                stability=classify_slope(sp),
-                slope_product=sp,
-                eigenvalues=(-1.0 + root, -1.0 - root),
-                residual=residual,
-            )
-        )
+        slope = float(w1.derivative(p2)) * float(w2.derivative(p1))
+        point = (p1, p2) if system.dim == 2 else p1
+        states.append(_state(point, slope, abs(float(w1(p2)) - p1)))
     return StationaryAnalysis(states=tuple(states))
+
+
+def find_stationary_one_pop(env) -> StationaryAnalysis:
+    """All stationary states of the one-population dynamics dp/dt = w(p) - p;
+    a continuum sentinel when every state is stationary (every agent
+    samples a single action)."""
+    return _stationary_search(System.of(env, 1), "every state is stationary")
+
+
+def find_stationary_two_pop(env) -> StationaryAnalysis:
+    """All stationary states of the two-population dynamics; pure and
+    interior states alike are classified by the slope product w1'(p2) * w2'(p1)."""
+    return _stationary_search(System.of(env, 2), "a state is stationary iff it is symmetric")
 
 
 @dataclass(frozen=True)
@@ -338,32 +385,14 @@ def classify_pure_states(env: Environment, one_population: bool = False) -> Pure
     b1 = truncated_expectation(env.theta1, g.u1 + 1.0, "weak")
     b2 = truncated_expectation(env.theta2, g.u2 + 1.0, "weak")
 
-    def pure(state, prod: float) -> StationaryState:
-        if one_population:
-            return StationaryState(
-                state=state[0],
-                stability=classify_slope(prod),
-                slope_product=prod,
-                eigenvalues=(prod - 1.0,),
-                residual=0.0,
-            )
-        root = math.sqrt(max(prod, 0.0))
-        return StationaryState(
-            state=state,
-            stability=classify_slope(prod),
-            slope_product=prod,
-            eigenvalues=(-1.0 + root, -1.0 - root),
-            residual=0.0,
-        )
-
     if one_population:
         if not env.is_symmetric:
             raise ValueError("one-population classification needs a symmetric environment")
         return PureStateClassification(
-            state_a=pure((1.0, 1.0), a1), state_b=pure((0.0, 0.0), b1)
+            state_a=_state(1.0, a1, 0.0), state_b=_state(0.0, b1, 0.0)
         )
     return PureStateClassification(
-        state_a=pure((1.0, 1.0), a1 * a2), state_b=pure((0.0, 0.0), b1 * b2)
+        state_a=_state((1.0, 1.0), a1 * a2, 0.0), state_b=_state((0.0, 0.0), b1 * b2, 0.0)
     )
 
 
@@ -427,8 +456,6 @@ def check_homogeneous_uniqueness(env: Environment) -> TheoremReport:
         raise ValueError("requires homogeneous sample size distributions")
     if k1 < 2 or k2 < 2:
         raise ValueError("requires sample sizes larger than 1")
-    from .flow import System  # flow imports this module
-
     analysis = System.of(env).stationary()
     interior = analysis.interior()
     any_stable = any(s.stability == Stability.STABLE for s in interior)
@@ -546,16 +573,16 @@ def check_theorem3(
     return TheoremReport(theorem="theorem-3", conditions=conditions, verdict=verdict)
 
 
-def payoff_efficiency(response, u: float, grid_points: int = 100_001) -> float:
+def payoff_efficiency(response, u: float) -> float:
     """Average payoff of response-following agents against a uniform opponent
     share, relative to exact payoff maximizers.
 
     Both averages are brute-force integrals over the opponent share on a
-    dense uniform grid (composite Simpson).
+    uniform grid of 100,001 points (composite Simpson).
     """
     from scipy.integrate import simpson
 
-    ps = np.linspace(0.0, 1.0, grid_points)
+    ps = np.linspace(0.0, 1.0, 100_001)
     wp = np.asarray(response(ps), dtype=float)
     realized = wp * ps * u + (1.0 - wp) * (1.0 - ps)
     best = np.maximum(ps * u, 1.0 - ps)

@@ -17,6 +17,10 @@ sweep.csv has one row per swept value with the columns
 Theorem 4 concerns two populations with u1 >= 1, so its columns read
 "n/a" on one-population rows and rows with u1 < 1.  A flagged row leaves
 every column but value and flag empty.
+
+oracle.csv in response mode has one row per population, in population
+order, under the header p,estimate,standard_error; population i draws
+its agents with seed + i - 1.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 from . import analysis as an
 from . import config as cfg
 from . import svg as svgmod
+from .analysis import System
 from .config import ConfigError
 from .dynamics import Environment, SampleSizeDistribution
 from .extensions import (
@@ -39,7 +44,7 @@ from .extensions import (
     contracting_pure_stability,
     mineffort_pure_stability,
 )
-from .flow import NumericError, System, estimate_basins, integrate
+from .flow import NumericError, estimate_basins, integrate
 from .games import canonicalize, to_dominance
 from .oracle import empirical_response, simulate_population
 
@@ -347,15 +352,15 @@ def cmd_oracle(conf: dict) -> int:
     if mode == "response":
         p = float(conf.get("p", 0.5))
         samples = int(conf.get("samples", 10**5))
-        est, se = empirical_response(spec.environment, p, samples, seed)
-        lines = [
-            f"# seed={seed} samples={samples}",
-            "p,estimate,standard_error",
-            f"{cfg.fmt(p)},{cfg.fmt(est)},{cfg.fmt(se)}",
-        ]
+        lines = [f"# seed={seed} samples={samples}", "p,estimate,standard_error"]
+        responses = _system(spec).responses
+        for i, response in enumerate(responses):
+            est, se = empirical_response(response, p, samples, seed + i)
+            lines.append(f"{cfg.fmt(p)},{cfg.fmt(est)},{cfg.fmt(se)}")
+            who = f" of population {i + 1}" if len(responses) > 1 else ""
+            print(f"empirical response{who} at p={p}: {est:.6f} +- {se:.2e}")
         with open(out / "oracle.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        print(f"empirical response at p={p}: {est:.6f} +- {se:.2e}")
         return 0
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
@@ -397,6 +402,8 @@ def cmd_sweep(conf: dict) -> int:
     if "sweep" not in conf:
         raise ConfigError("missing 'sweep' in config")
     spec = conf["sweep"]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'sweep' must be an object, got {spec!r}")
     sweep_type = spec.get("type")
     out = _out_dir(conf)
     rows = []

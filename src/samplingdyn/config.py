@@ -78,6 +78,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def _require(obj: Mapping, key: str, context: str):
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"'{context}' must be an object, got {obj!r}")
     if key not in obj:
         raise ConfigError(f"missing field '{key}' in {context}")
     return obj[key]

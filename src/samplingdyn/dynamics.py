@@ -282,11 +282,6 @@ class SampleSizeDistribution:
         return self.atoms[-1][0]
 
     @property
-    def is_unit(self) -> bool:
-        """True when every agent has sample size 1 (identity dynamics)."""
-        return len(self.atoms) == 1 and self.atoms[0][0] == 1
-
-    @property
     def degenerate_k(self) -> int | None:
         """The single sample size of a homogeneous distribution, else None."""
         return self.atoms[0][0] if len(self.atoms) == 1 else None

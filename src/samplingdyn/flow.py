@@ -3,13 +3,8 @@
 dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
-bit for bit, which the golden-file outputs depend on.
-
-Arity: a single response function drives the one-population dynamics
-dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
-``Environment`` drives whichever the state asks for (a share or a pair);
-with no state to go by, a symmetric environment is one population and
-any other two.  ``System.of`` is the one place that applies this rule.
+bit for bit, which the golden-file outputs depend on.  ``analysis.System``
+decides between one and two populations.
 """
 
 from __future__ import annotations
@@ -19,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    StationaryAnalysis,
-    StationaryState,
-    find_stationary_one_pop,
-    find_stationary_two_pop,
-)
-from .dynamics import Environment, ResponsePair
+from .analysis import StationaryAnalysis, StationaryState, System, _clamp01
 
 CONVERGENCE_TOL = 1e-10
 MATCH_TOL = 1e-6
@@ -46,81 +35,8 @@ def _step_count(t_max: float, dt: float) -> int:
     return int(round(t_max / dt))
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
 def _clip01(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
-
-
-class System:
-    """The responses of one- or two-population dynamics, with their
-    batched vector field, scalar right-hand side and stationary states."""
-
-    def __init__(self, responses: tuple) -> None:
-        self.responses = responses  # (w,) or (w1, w2)
-        self.dim = len(responses)
-
-    @classmethod
-    def of(cls, system, dim: int | None = None) -> "System":
-        """Resolve an Environment, ResponsePair, single response or System;
-        ``dim`` is the size of the state when there is one."""
-        if isinstance(system, System):
-            out = system
-        elif isinstance(system, ResponsePair):
-            out = cls((system.w1, system.w2))
-        elif isinstance(system, Environment):
-            if dim is None:
-                dim = 1 if system.is_symmetric else 2
-            if dim == 1:
-                out = cls((system.single_response(),))
-            else:
-                out = cls((system.response(1), system.response(2)))
-        else:
-            out = cls((system,))
-        if dim is not None and dim != out.dim:
-            name = type(system).__name__
-            raise ValueError(f"{name} drives {out.dim}-population dynamics, not {dim}")
-        return out
-
-    @property
-    def pair(self) -> ResponsePair:
-        return ResponsePair(*self.responses)
-
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """Vector field on an (n, dim) array of states."""
-        if self.dim == 1:
-            return self.responses[0](x) - x
-        w1, w2 = self.responses
-        out = np.empty_like(x)
-        out[:, 0] = w1(x[:, 1]) - x[:, 0]
-        out[:, 1] = w2(x[:, 0]) - x[:, 1]
-        return out
-
-    def scalar_rhs(self):
-        """Python-float field on a tuple state, responses bound once; the
-        state is clamped first, as the batched step projects its stages."""
-        if self.dim == 1:
-            (w,) = self.responses
-
-            def rhs(state):
-                p = _clamp01(state[0])
-                return (w(p) - p,)
-
-            return rhs
-        w1, w2 = self.responses
-
-        def rhs(state):
-            p1, p2 = _clamp01(state[0]), _clamp01(state[1])
-            return (w1(p2) - p1, w2(p1) - p2)
-
-        return rhs
-
-    def stationary(self) -> StationaryAnalysis:
-        if self.dim == 1:
-            return find_stationary_one_pop(self.responses[0])
-        return find_stationary_two_pop(self.pair)
 
 
 @dataclass
@@ -348,8 +264,9 @@ def estimate_basins(
 ) -> BasinGrid:
     """Integrate from every cell center and record which attractor wins.
 
-    Cells that fail to converge within t_max are retried once with half
-    the step size, then flagged with index -1.  Shares are fractions of
+    Cells that have not converged by t_max continue from where they
+    stopped for another t_max at half the step size, and are flagged with
+    index -1 if they still have not.  Shares are fractions of
     all cells, flagged ones included, so they sum to less than one when
     any cell is flagged.
     """
@@ -371,9 +288,7 @@ def estimate_basins(
     finals, ok = _terminal_states(system.field, x0, t_max, dt)
     if not ok.all():
         redo = ~ok
-        finals_retry, ok_retry = _terminal_states(system.field, x0[redo], t_max, dt / 2.0)
-        finals[redo] = finals_retry
-        ok[redo] = ok_retry
+        finals[redo], ok[redo] = _terminal_states(system.field, finals[redo], t_max, dt / 2.0)
 
     refs = np.array(
         [np.atleast_1d(np.asarray(s.state, dtype=float)) for s in stationary.states]

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import System
 from .dynamics import Environment, SamplingResponse
-from .flow import System, _step_count
+from .flow import _step_count
 
 
 def _threshold_arrays(response: SamplingResponse):
@@ -38,7 +39,7 @@ def empirical_response(env, p: float, samples: int, seed: int) -> tuple[float, f
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    response = env.single_response() if isinstance(env, Environment) else env
+    (response,) = System.of(env, 1).responses
     support, masses, thresholds = _threshold_arrays(response)
     rng = np.random.default_rng(seed)
     k_idx = rng.choice(len(support), size=samples, p=masses)
@@ -77,9 +78,10 @@ def simulate_population(
 
     A scalar ``initial`` runs one population that samples itself, a pair
     two populations that sample each other; with no ``initial``,
-    ``flow.System`` picks the form and every population starts at one
-    half.  Agents are dealt deterministically to match the starting
-    share(s) of first-action players as closely as n allows.
+    ``analysis.System`` picks the form and every population starts at one
+    half.  Starting shares must lie in [0, 1].  Agents are dealt
+    deterministically to match the starting share(s) of first-action
+    players as closely as n allows.
     """
     if n < 100:
         raise ValueError(f"population size must be at least 100, got {n!r}")
@@ -87,8 +89,9 @@ def simulate_population(
     if dt > 1.0:
         raise ValueError(f"dt is a replacement probability per step, at most 1; got {dt!r}")
     system = System.of(env, None if initial is None else np.size(initial))
-    if initial is None:
-        initial = (0.5,) * system.dim
+    starts = np.full(system.dim, 0.5) if initial is None else np.reshape(initial, system.dim)
+    if not np.all((starts >= 0.0) & (starts <= 1.0)):
+        raise ValueError(f"initial shares must lie in [0, 1], got {initial!r}")
     tables = [_threshold_arrays(w) for w in system.responses]
     # population i samples population opponent[i]
     opponent = (0,) if system.dim == 1 else (1, 0)
@@ -102,7 +105,7 @@ def simulate_population(
         actions[:count] = True
         return actions
 
-    pops = [deal(share) for share in np.reshape(initial, system.dim)]
+    pops = [deal(share) for share in starts]
     shares = np.empty((n_steps + 1, system.dim))
     shares[0] = [pop.mean() for pop in pops]
     for step in range(1, n_steps + 1):

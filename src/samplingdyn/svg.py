@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .analysis import Stability, StationaryAnalysis
+from .config import fmt
 from .dynamics import ResponsePair
 
 VIEW = 600
@@ -162,8 +163,6 @@ def phase_svg_two_pop(
 
 
 def phase_curves_csv_one_pop(response, samples: int = 601) -> str:
-    from .config import fmt
-
     ps = np.linspace(0.0, 1.0, samples)
     ws = np.asarray(response(ps), dtype=float)
     lines = ["p,w_of_p"]
@@ -172,8 +171,6 @@ def phase_curves_csv_one_pop(response, samples: int = 601) -> str:
 
 
 def phase_curves_csv_two_pop(pair: ResponsePair, samples: int = 601) -> str:
-    from .config import fmt
-
     ts = np.linspace(0.0, 1.0, samples)
     w2_vals = np.asarray(pair.w2(ts), dtype=float)
     w1_vals = np.asarray(pair.w1(ts), dtype=float)

@@ -26,6 +26,7 @@ from samplingdyn.dynamics import (
     SampleSizeDistribution,
     SamplingResponse,
 )
+from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.games import CoordinationGame
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
@@ -122,8 +123,9 @@ class TestTwoPopStationary:
         assert "symmetric" in res.note
 
     def test_symmetric_equivalence(self, rng):
-        # two-population stable states of a symmetric environment are the
-        # diagonal embeddings of the one-population stable states
+        # the two-population states of a symmetric environment are the
+        # diagonal embeddings of the one-population states, with the slope
+        # product w'(p)^2 and the same stability
         for _ in range(50):
             env = random_symmetric_env(rng, max_k=9)
             one = find_stationary_one_pop(env)
@@ -131,12 +133,22 @@ class TestTwoPopStationary:
             if one.continuum:
                 assert two.continuum
                 continue
-            one_stable = [s.p1 for s in one.stable()]
-            two_stable = [s.state for s in two.stable()]
-            assert len(one_stable) == len(two_stable)
-            for p, (p1, p2) in zip(one_stable, two_stable):
-                assert p1 == pytest.approx(p, abs=1e-9)
-                assert p2 == pytest.approx(p, abs=1e-9)
+            assert len(one.states) == len(two.states)
+            for s1, s2 in zip(one.states, two.states):
+                assert s2.p1 == pytest.approx(s1.p1, abs=1e-9)
+                assert s2.p2 == pytest.approx(s1.p1, abs=1e-9)
+                assert s2.slope_product == pytest.approx(s1.slope_product**2, rel=1e-9, abs=1e-12)
+                assert s2.stability == s1.stability
+
+    def test_identity_response_is_a_continuum(self):
+        # opponent-action observation with single-action samples copies the
+        # observed action; only the scan can tell, the response is no
+        # SamplingResponse
+        game = MinEffortGame(3, 0.5, Observation.OPPONENT_ACTION)
+        w = MinEffortResponse(game, SampleSizeDistribution.point(1))
+        res = find_stationary_one_pop(w)
+        assert res.continuum and not res.states
+        assert find_stationary_two_pop(ResponsePair(w, w)).continuum
 
     def test_neighbor_alternation(self, rng):
         # no two adjacent stationary states are both asymptotically stable

@@ -90,9 +90,11 @@ class TestAnalyze:
             ),
             ({**ONE_POP, "theta1": {"2": 1.0}}, "'theta'"),
             ({**FIG3_RIGHT, "theta": {"2": 1.0}}, "'theta'"),
+            ({"contracting": 5, "theta1": {"1": 1.0}, "theta2": {"1": 1.0}}, "'contracting'"),
+            ({"hawk_dove": [0.04, 0.2], "theta": {"2": 1.0}}, "'hawk_dove'"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
-             "theta-and-theta2"],
+             "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -292,6 +294,34 @@ class TestOracleCommand:
         lines = (tmp_path / "oracle.csv").read_text().splitlines()
         assert lines[1] == "p,estimate,standard_error"
 
+    def test_response_mode_two_populations(self, tmp_path, capsys):
+        conf = {
+            "command": "oracle",
+            "environment": FIG3_RIGHT,
+            "mode": "response",
+            "p": 0.5,
+            "samples": 20000,
+            "seed": 7,
+            "out": str(tmp_path),
+        }
+        assert main(["oracle", "--config", write_config(tmp_path, conf)]) == 0
+        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        assert lines[:2] == ["# seed=7 samples=20000", "p,estimate,standard_error"]
+        # at p = 1/2 both sample sizes 1 and 5 have mass 1/2; population 1
+        # (u1 = 5) needs one first action in five, population 2 all five
+        exact = (0.25 + 0.5 * (1 - 0.5**5), 0.25 + 0.5 * 0.5**5)
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        assert len(rows) == 2
+        for (p, est, se), w in zip(rows, exact):
+            assert p == 0.5 and abs(est - w) < 4 * se
+        # population 1 keeps the one-population seed
+        conf["environment"] = {"u": 5.0, "theta": FIG3_RIGHT["theta1"]}
+        (tmp_path / "one").mkdir()
+        conf["out"] = str(tmp_path / "one")
+        assert main(["oracle", "--config", write_config(tmp_path, conf)]) == 0
+        one = (tmp_path / "one" / "oracle.csv").read_text().splitlines()
+        assert one == lines[:3]
+
 
 class TestSweep:
     def test_theta_mass_indicator(self, tmp_path):
@@ -339,6 +369,13 @@ class TestSweep:
             assert all(c in ("holds", "fails", "boundary") for c in cols)
         else:
             assert cols == ["n/a", "n/a"]
+
+    def test_non_object_sweep_exits_2(self, tmp_path, capsys):
+        conf = write_config(
+            tmp_path, {"command": "sweep", "environment": {"u": 1.5}, "sweep": [0.1, 0.9]}
+        )
+        assert main(["sweep", "--config", conf]) == 2
+        assert "'sweep' must be an object" in capsys.readouterr().err
 
     def test_unknown_type_exits_2(self, tmp_path):
         conf = write_config(

@@ -334,7 +334,6 @@ class TestSampleSizeDistribution:
         assert theta.max_support == 5
         assert theta.mass(5) == 0.25 and theta.mass(2) == 0.0
         assert theta.mean() == pytest.approx(2.0)
-        assert SampleSizeDistribution.point(1).is_unit
         assert SampleSizeDistribution.point(4).degenerate_k == 4
         assert theta.degenerate_k is None
 

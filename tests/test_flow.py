@@ -165,6 +165,14 @@ class TestBasins:
         ][0]
         assert grid.shares[interior_idx] == pytest.approx(1.0)
 
+    def test_retry_continues_slow_cells(self):
+        # the slow eigenvalue -0.099 needs t ~ 217, past the default t_max
+        env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
+        grid = estimate_basins(env, resolution=5)
+        assert grid.flagged == 0
+        interior_idx = [i for i, s in enumerate(grid.attractors) if s.is_interior()]
+        assert np.all(grid.cells == interior_idx[0])
+
     def test_one_pop_symmetric_split(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
         grid = estimate_basins(env, resolution=101, t_max=100.0)

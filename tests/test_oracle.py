@@ -90,6 +90,9 @@ class TestSimulatePopulation:
         for dt in (0.0, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 simulate_population(env, n=500, t_max=1.0, dt=dt)
+        for initial in (-0.2, 1.7):
+            with pytest.raises(ValueError):
+                simulate_population(env, n=500, t_max=0.0, initial=initial)
         asym = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         with pytest.raises(ValueError):
             simulate_population(asym, n=500, t_max=1.0, initial=0.5)
