@@ -16,7 +16,9 @@ sweep.csv has one row per swept value with the columns
     flag             empty, "continuum" or "numeric-failure"
 Theorem 4 concerns two populations with u1 >= 1, so its columns read
 "n/a" on one-population rows and rows with u1 < 1.  A flagged row leaves
-every column but value and flag empty.
+every column but value and flag empty.  A sweep has at most
+MAX_SWEEP_VALUES (10,000) values, each rounded to 12 digits and larger
+than the one before.
 
 oracle.csv in response mode has one row per population, in population
 order, under the header p,estimate,standard_error; population i draws
@@ -94,10 +96,17 @@ def _merged_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"'{key}' must be a positive finite number, got {conf[key]!r}")
     if args.command == "oracle" and conf.get("dt", 0.0) > 1.0:
         raise ConfigError(f"oracle 'dt' is a replacement probability per step, got {conf['dt']!r}")
-    res = conf.get("resolution", 2)
-    if isinstance(res, bool) or not isinstance(res, int) or res < 2:
-        raise ConfigError(f"'resolution' must be an integer of at least 2, got {res!r}")
+    _integer_field(conf, "resolution", 2, least=2)
+    _integer_field(conf, "seed", 0, least=0)
     return conf
+
+
+def _integer_field(conf: dict, key: str, default: int, least: int) -> int:
+    """Config field ``key`` (``default`` when absent), an integer of at least ``least``."""
+    value = cfg._integer(conf, key, "config") if key in conf else default
+    if value < least:
+        raise ConfigError(f"'{key}' must be an integer of at least {least}, got {conf[key]!r}")
+    return value
 
 
 def _out_dir(conf: dict) -> Path:
@@ -126,6 +135,10 @@ def _state_str(s: an.StationaryState) -> str:
 
 def cmd_analyze(conf: dict) -> int:
     spec = _env_spec(conf)
+    big_k = _integer_field(conf, "big_k", 1000, least=1)
+    step = conf.get("search_alpha_step", 0.1)
+    if not (cfg._is_number(step) and 0.0 < step <= 0.5):
+        raise ConfigError(f"'search_alpha_step' must lie in (0, 0.5], got {step!r}")
     out = _out_dir(conf)
     reports: dict[str, dict] = {}
 
@@ -222,7 +235,6 @@ def cmd_analyze(conf: dict) -> int:
             print(f"Theorem 4 part 1: {rep.parts['part1'].value}")
             print(f"Theorem 4 part 2: {rep.parts['part2'].value}")
 
-        big_k = int(conf.get("big_k", 1000))
         largest = max(env.theta1.max_support, env.theta2.max_support)
         opposed = env.game.u2 < 1.0 < env.game.u1
         if big_k <= largest:
@@ -239,7 +251,6 @@ def cmd_analyze(conf: dict) -> int:
                 reports["theorem-3"] = cfg.theorem_report_json(rep)
                 print(f"Theorem 3: {rep.verdict.value}")
 
-            step = float(conf.get("search_alpha_step", 0.1))
             search = an.stable_interior_search(
                 env.game, (env.theta1, env.theta2), big_k=big_k, alpha_step=step
             )
@@ -272,7 +283,8 @@ def cmd_analyze(conf: dict) -> int:
 def cmd_phase(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
-    samples = int(conf.get("samples", 601))
+    samples = _integer_field(conf, "samples", 601, least=2)
+    quiver = _integer_field(conf, "quiver", 15, least=0)
     system = _system(spec)
     stationary = system.stationary()
     if system.dim == 1:
@@ -282,7 +294,7 @@ def cmd_phase(conf: dict) -> int:
     else:
         pair = system.pair
         svg_text = svgmod.phase_svg_two_pop(
-            pair, stationary, samples, quiver=int(conf.get("quiver", 15))
+            pair, stationary, samples, quiver=quiver
         )
         csv_text = svgmod.phase_curves_csv_two_pop(pair, samples)
     (out / "phase.svg").write_bytes(svg_text.encode("utf-8"))
@@ -301,7 +313,7 @@ def _parse_initial(conf: dict, one_population: bool):
     if not (
         isinstance(shares, list)
         and len(shares) == (1 if one_population else 2)
-        and all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in shares)
+        and all(cfg._is_number(v) and 0.0 <= v <= 1.0 for v in shares)
     ):
         form = "a share" if one_population else "a pair of shares"
         raise ConfigError(f"'initial' must be {form} in [0, 1], got {raw!r}")
@@ -350,8 +362,11 @@ def cmd_oracle(conf: dict) -> int:
     seed = int(conf.get("seed", 0))
     mode = conf.get("mode", "population")
     if mode == "response":
-        p = float(conf.get("p", 0.5))
-        samples = int(conf.get("samples", 10**5))
+        p = conf.get("p", 0.5)
+        if not (cfg._is_number(p) and 0.0 <= p <= 1.0):
+            raise ConfigError(f"'p' must lie in [0, 1], got {p!r}")
+        p = float(p)
+        samples = _integer_field(conf, "samples", 10**5, least=1)
         lines = [f"# seed={seed} samples={samples}", "p,estimate,standard_error"]
         responses = _system(spec).responses
         for i, response in enumerate(responses):
@@ -364,7 +379,7 @@ def cmd_oracle(conf: dict) -> int:
         return 0
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
-    n = int(conf.get("n", 10**5))
+    n = _integer_field(conf, "n", 10**5, least=100)
     initial = _parse_initial(conf, spec.one_population)
     traj = simulate_population(
         spec.environment,
@@ -381,6 +396,9 @@ def cmd_oracle(conf: dict) -> int:
     return 0
 
 
+MAX_SWEEP_VALUES = 10_000
+
+
 def _sweep_values(spec: dict) -> list[float]:
     start = float(cfg._number(spec, "start", "sweep"))
     stop = float(cfg._number(spec, "stop", "sweep"))
@@ -393,6 +411,10 @@ def _sweep_values(spec: dict) -> list[float]:
         v = round(start + i * step, 12)
         if v > stop + 1e-12:
             break
+        if values and not v > values[-1]:
+            raise ConfigError(f"sweep step {step!r} does not advance past {values[-1]!r}")
+        if len(values) == MAX_SWEEP_VALUES:
+            raise ConfigError(f"sweep has more than {MAX_SWEEP_VALUES} values")
         values.append(v)
         i += 1
     return values

@@ -85,11 +85,22 @@ def _require(obj: Mapping, key: str, context: str):
     return obj[key]
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(obj: Mapping, key: str, context: str) -> float:
     value = _require(obj, key, context)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"field '{key}' in {context} must be a number")
     return float(value)
+
+
+def _numbers(obj: Mapping, key: str, context: str) -> tuple[float, ...]:
+    value = _require(obj, key, context)
+    if not (isinstance(value, list) and all(_is_number(v) for v in value)):
+        raise ConfigError(f"field '{key}' in {context} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _integer(obj: Mapping, key: str, context: str) -> int:
@@ -108,7 +119,7 @@ def parse_theta(obj: Any, context: str = "theta") -> SampleSizeDistribution:
             k = int(key)
         except (TypeError, ValueError):
             raise ConfigError(f"{context} keys must be integer strings, got {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ConfigError(f"{context}[{key}] must be a number")
         masses[k] = float(value)
     try:
@@ -191,11 +202,11 @@ def parse_environment(obj: Any) -> EnvSpec:
 
     if "contracting" in obj:
         c = obj["contracting"]
-        diag1 = _require(c, "diag1", "contracting")
-        diag2 = _require(c, "diag2", "contracting")
+        diag1 = _numbers(c, "diag1", "contracting")
+        diag2 = _numbers(c, "diag2", "contracting")
         try:
-            game = ContractingGame(tuple(diag1), tuple(diag2))
-        except (TypeError, ValueError) as exc:
+            game = ContractingGame(diag1, diag2)
+        except ValueError as exc:
             raise ConfigError(f"invalid contracting game: {exc}") from exc
         if "M" in c and _integer(c, "M", "contracting") != game.M:
             raise ConfigError(f"'M' = {c['M']} does not match diagonal length {game.M}")

@@ -11,12 +11,14 @@ expectations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy import special
 
 from .analysis import (
     MARGINAL_BAND,
@@ -75,8 +77,8 @@ class ContractingGame:
             raise ValueError("payoff vectors must have equal length")
         if len(d1) < 2:
             raise ValueError("need at least two actions")
-        if any(x <= 0.0 for x in d1 + d2):
-            raise ValueError("diagonal payoffs must be positive")
+        if not all(0.0 < x < math.inf for x in d1 + d2):
+            raise ValueError(f"diagonal payoffs must be finite and positive, got {d1}, {d2}")
         if self.require_generic and not self.is_generic():
             raise ValueError("two equilibria share a payoff profile (set "
                              "require_generic=False to allow ties)")
@@ -117,10 +119,17 @@ class ContractingGame:
         return True
 
 
-def _argmax_set(payoffs: Sequence[float]) -> tuple[int, ...]:
-    best = max(payoffs)
-    tol = _PAYOFF_TIE_TOL * max(1.0, abs(best))
-    return tuple(i for i, v in enumerate(payoffs) if v >= best - tol)
+def _replies(payoffs: np.ndarray, rule: ContractTieRule) -> np.ndarray:
+    """Reply weights per row of sample payoffs.  The ties are the actions within
+    ``_PAYOFF_TIE_TOL`` (relative above 1) of the row's best; ``LOWEST`` and ``HIGHEST``
+    give the lowest or highest tie weight 1, ``UNIFORM`` each tie 1/|ties|."""
+    best = payoffs.max(axis=1, keepdims=True)
+    ties = payoffs >= best - _PAYOFF_TIE_TOL * np.maximum(1.0, np.abs(best))
+    if rule == ContractTieRule.UNIFORM:
+        return ties / ties.sum(axis=1, keepdims=True)
+    if rule == ContractTieRule.HIGHEST:
+        return _replies(payoffs[:, ::-1], ContractTieRule.LOWEST)[:, ::-1]
+    return (np.arange(ties.shape[1]) == ties.argmax(axis=1)[:, None]).astype(float)
 
 
 def contracting_best_response(
@@ -142,33 +151,13 @@ def contracting_best_response(
         raise ValueError(f"expected {g.M} counts, got {len(counts)}")
     if any(c < 0 for c in counts) or sum(counts) < 1:
         raise ValueError("sample must contain at least one observation")
-    payoffs = [u * c for u, c in zip(g.diag(player), counts)]
-    ties = _argmax_set(payoffs)
-    rule = ContractTieRule(rule)
-    if len(ties) == 1 or rule == ContractTieRule.LOWEST:
-        return ties[0]
-    if rule == ContractTieRule.HIGHEST:
-        return ties[-1]
+    payoffs = np.asarray(g.diag(player)) * np.asarray(counts)
+    ties = np.flatnonzero(_replies(payoffs[None, :], ContractTieRule(rule))[0])
+    if len(ties) == 1:
+        return int(ties[0])
     if rng is None:
         raise ValueError("uniform tie-breaking needs an rng")
     return int(rng.choice(ties))
-
-
-def _compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of length ``parts`` summing to k."""
-    if parts == 1:
-        yield (k,)
-        return
-    for head in range(k + 1):
-        for rest in _compositions(k - head, parts - 1):
-            yield (head,) + rest
-
-
-def _log_multinomial(k: int, counts: tuple[int, ...]) -> float:
-    out = math.lgamma(k + 1)
-    for c in counts:
-        out -= math.lgamma(c + 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -178,6 +167,67 @@ class ContractingResponse:
     probabilities: np.ndarray
     standard_error: np.ndarray | None
     exact: bool
+
+
+def _simplex_points(p, shape: tuple[int, ...]) -> np.ndarray:
+    """``p`` as an array of the given shape whose rows lie on the simplex within 1e-10."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != shape:
+        raise ValueError(f"a state must have shape {shape}, got {p.shape}")
+    if not (np.all(p >= -1e-10) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-10)):
+        raise ValueError(f"a state must lie on the simplex, got {p.tolist()}")
+    return p
+
+
+def _samples(k: int, M: int) -> np.ndarray:
+    """Count rows of every size-k sample over M actions (stars and bars)."""
+    bars = itertools.chain.from_iterable(itertools.combinations(range(k + M - 1), M - 1))
+    bars = np.fromiter(bars, dtype=np.int64).reshape(-1, M - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=k + M - 1) - 1
+
+
+class _ReplyMap:
+    """One player's reply distribution as a function of the opponent state.
+
+    A reply depends on the sample alone, so when theta's support has at
+    most ``enumeration_limit`` samples, their counts, log weights (log
+    mass plus log multinomial coefficient) and reply weights are built
+    once and an evaluation is ``exp(logw + counts @ log p) @ replies``;
+    beyond that, each evaluation is a Monte Carlo run of ``mc_draws``
+    samples seeded with ``seed``.  Evaluation does not check its state.
+    """
+
+    def __init__(self, g, player, theta, rule, enumeration_limit=ENUMERATION_LIMIT, seed=0,
+                 mc_draws=MC_DRAWS):
+        self.diag, self.theta, self.rule = np.asarray(g.diag(player)), theta, ContractTieRule(rule)
+        self.seed, self.mc_draws = seed, mc_draws
+        n_samples = sum(math.comb(k + g.M - 1, g.M - 1) for k in theta.support)
+        self.exact = n_samples <= enumeration_limit
+        if self.exact:
+            tables = [_samples(k, g.M) for k in theta.support]
+            self.counts = np.concatenate(tables)
+            log_mass = np.repeat([math.log(m) for _, m in theta.atoms], [len(t) for t in tables])
+            log_coef = special.gammaln(self.counts.sum(axis=1) + 1.0)
+            self.logw = log_mass + log_coef - special.gammaln(self.counts + 1.0).sum(axis=1)
+            self.replies = _replies(self.counts * self.diag, self.rule)
+
+    def __call__(self, p: np.ndarray) -> ContractingResponse:
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum()
+        if self.exact:
+            zero = p == 0.0
+            weights = np.exp(self.logw + self.counts @ np.log(np.where(zero, 1.0, p)))
+            weights[self.counts[:, zero].any(axis=1)] = 0.0
+            return ContractingResponse(weights @ self.replies, None, exact=True)
+        rng = np.random.default_rng(self.seed)
+        ks = rng.choice(self.theta.support, size=self.mc_draws, p=[m for _, m in self.theta.atoms])
+        hits = np.zeros(len(p))
+        for k, n_k in zip(*np.unique(ks, return_counts=True)):
+            samples = rng.multinomial(int(k), p, size=int(n_k))
+            hits += _replies(samples * self.diag, self.rule).sum(axis=0)
+        probs = hits / self.mc_draws
+        se = np.sqrt(probs * (1.0 - probs) / self.mc_draws)
+        return ContractingResponse(probs, se, exact=False)
 
 
 def contracting_response_vector(
@@ -195,60 +245,11 @@ def contracting_response_vector(
     Exact expectation enumerates every multinomial sample when the total
     composition count across the support stays within
     ``enumeration_limit``; beyond that, a seeded Monte Carlo run with
-    ``mc_draws`` draws reports its standard error.
+    ``mc_draws`` draws reports its standard error.  Under the uniform
+    rule a Monte Carlo draw with tied replies counts 1/|ties| for each.
     """
-    p = np.asarray(p_opponent, dtype=float)
-    if p.shape != (g.M,):
-        raise ValueError(f"opponent state must have {g.M} components")
-    if np.any(p < -1e-10) or abs(float(p.sum()) - 1.0) > 1e-10:
-        raise ValueError("opponent state must lie on the simplex")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    rule = ContractTieRule(rule)
-
-    n_terms = sum(math.comb(k + g.M - 1, g.M - 1) for k in theta.support)
-    if n_terms <= enumeration_limit:
-        out = np.zeros(g.M)
-        logs = np.log(np.where(p > 0.0, p, 1.0))
-        for k, mass in theta.atoms:
-            for counts in _compositions(k, g.M):
-                if any(c > 0 and p[i] == 0.0 for i, c in enumerate(counts)):
-                    continue
-                logprob = _log_multinomial(k, counts) + sum(
-                    c * logs[i] for i, c in enumerate(counts) if c
-                )
-                prob = mass * math.exp(logprob)
-                payoffs = [u * c for u, c in zip(g.diag(player), counts)]
-                ties = _argmax_set(payoffs)
-                if rule == ContractTieRule.LOWEST:
-                    out[ties[0]] += prob
-                elif rule == ContractTieRule.HIGHEST:
-                    out[ties[-1]] += prob
-                else:
-                    for t in ties:
-                        out[t] += prob / len(ties)
-        return ContractingResponse(out, None, exact=True)
-
-    rng = np.random.default_rng(seed)
-    ks = rng.choice(
-        theta.support, size=mc_draws, p=[m for _, m in theta.atoms]
-    )
-    hits = np.zeros(g.M)
-    for k in np.unique(ks):
-        n_k = int(np.sum(ks == k))
-        samples = rng.multinomial(int(k), p, size=n_k)
-        payoffs = samples * np.asarray(g.diag(player))
-        for row in payoffs:
-            ties = _argmax_set(row.tolist())
-            if rule == ContractTieRule.LOWEST:
-                hits[ties[0]] += 1.0
-            elif rule == ContractTieRule.HIGHEST:
-                hits[ties[-1]] += 1.0
-            else:
-                hits[int(rng.choice(ties))] += 1.0
-    probs = hits / mc_draws
-    se = np.sqrt(probs * (1.0 - probs) / mc_draws)
-    return ContractingResponse(probs, se, exact=False)
+    p = _simplex_points(p_opponent, (g.M,))
+    return _ReplyMap(g, player, theta, rule, enumeration_limit, seed, mc_draws)(p)
 
 
 @dataclass(frozen=True)
@@ -316,12 +317,12 @@ def contracting_field(
     rule: ContractTieRule = ContractTieRule.LOWEST,
 ):
     """Mean-field vector field on the concatenated simplex pair (2M,)."""
+    reply1 = _ReplyMap(g, 1, theta1, rule)
+    reply2 = _ReplyMap(g, 2, theta2, rule)
 
     def field(x: np.ndarray) -> np.ndarray:
         p1, p2 = x[: g.M], x[g.M :]
-        r1 = contracting_response_vector(g, 1, theta1, p2, rule).probabilities
-        r2 = contracting_response_vector(g, 2, theta2, p1, rule).probabilities
-        return np.concatenate([r1 - p1, r2 - p2])
+        return np.concatenate([reply1(p2).probabilities - p1, reply2(p1).probabilities - p2])
 
     return field
 
@@ -336,17 +337,13 @@ def integrate_contracting(
     rule: ContractTieRule = ContractTieRule.LOWEST,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 on the simplex pair; states renormalized after each step."""
-    field = contracting_field(g, theta1, theta2, rule)
-    x = np.concatenate([np.asarray(initial[0], float), np.asarray(initial[1], float)])
-    if x.shape != (2 * g.M,):
-        raise ValueError("initial state must be a pair of M-simplex points")
+    x = _simplex_points(initial, (2, g.M)).ravel()
     n_steps = _step_count(t_max, dt)
+    field = contracting_field(g, theta1, theta2, rule)
 
     def renorm(y: np.ndarray) -> np.ndarray:
-        out = np.clip(y, 0.0, 1.0)
-        out[: g.M] /= out[: g.M].sum()
-        out[g.M :] /= out[g.M :].sum()
-        return out
+        y = np.clip(y, 0.0, 1.0).reshape(2, g.M)
+        return (y / y.sum(axis=1, keepdims=True)).ravel()
 
     times = np.arange(n_steps + 1) * dt
     path = np.empty((n_steps + 1, 2 * g.M))

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,14 @@ def write_config(tmp_path: Path, obj: dict) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _contracting(diag1):
+    return {
+        "contracting": {"diag1": diag1, "diag2": [1, 2, 4]},
+        "theta1": {"1": 1.0},
+        "theta2": {"1": 1.0},
+    }
 
 
 class TestAnalyze:
@@ -92,9 +101,16 @@ class TestAnalyze:
             ({**FIG3_RIGHT, "theta": {"2": 1.0}}, "'theta'"),
             ({"contracting": 5, "theta1": {"1": 1.0}, "theta2": {"1": 1.0}}, "'contracting'"),
             ({"hawk_dove": [0.04, 0.2], "theta": {"2": 1.0}}, "'hawk_dove'"),
+            (_contracting([math.nan, 2, 1]), "finite and positive"),
+            (_contracting([math.inf, 2, 1]), "finite and positive"),
+            (_contracting([4, 2, -1]), "finite and positive"),
+            (_contracting("421"), "'diag1'"),
+            (_contracting([True, 2, 1]), "'diag1'"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
-             "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object"],
+             "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
+             "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
+             "bool-payoff"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -247,6 +263,7 @@ class TestTrajectoryAndBasins:
         ("basins", ["--tmax", "-1"]),
         ("basins", ["--resolution", "1"]),
         ("oracle", ["--dt", "1.5"]),
+        ("oracle", ["--seed", "-1"]),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
@@ -254,6 +271,30 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
     conf = write_config(tmp_path, {"command": command, "environment": ONE_POP, "n": 1000})
     assert main([command, "--config", conf, "--out", str(tmp_path), *flags]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("analyze", {"big_k": 1000.5}),
+        ("analyze", {"big_k": "1000"}),
+        ("analyze", {"search_alpha_step": 0}),
+        ("analyze", {"search_alpha_step": -0.1}),
+        ("analyze", {"search_alpha_step": 1.0}),
+        ("phase", {"samples": 100.5}),
+        ("phase", {"samples": 1}),
+        ("phase", {"quiver": -1}),
+        ("phase", {"quiver": 2.5}),
+    ],
+    ids=["fractional-big_k", "string-big_k", "zero-alpha-step", "negative-alpha-step",
+         "unit-alpha-step", "fractional-samples", "one-sample", "negative-quiver",
+         "fractional-quiver"],
+)
+def test_bad_analysis_numbers_exit_2(tmp_path, capsys, command, fields):
+    conf = {"command": command, "environment": FIG3_RIGHT, "out": str(tmp_path), **fields}
+    assert main([command, "--config", write_config(tmp_path, conf)]) == 2
+    assert f"'{next(iter(fields))}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -293,6 +334,29 @@ class TestOracleCommand:
         assert main(["oracle", "--config", conf]) == 0
         lines = (tmp_path / "oracle.csv").read_text().splitlines()
         assert lines[1] == "p,estimate,standard_error"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n": 99},
+            {"n": 1000.5},
+            {"seed": -3},
+            {"seed": 1.5},
+            {"mode": "response", "p": 1.5},
+            {"mode": "response", "p": -0.1},
+            {"mode": "response", "p": "0.5"},
+            {"mode": "response", "samples": 0},
+            {"mode": "response", "samples": 2.5},
+        ],
+        ids=["n-below-100", "fractional-n", "negative-seed", "fractional-seed", "p-above-1",
+             "negative-p", "string-p", "zero-samples", "fractional-samples"],
+    )
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, fields):
+        conf = {"command": "oracle", "environment": ONE_POP, "n": 1000, "tmax": 0.1,
+                "out": str(tmp_path), **fields}
+        assert main(["oracle", "--config", write_config(tmp_path, conf)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.csv").exists()
 
     def test_response_mode_two_populations(self, tmp_path, capsys):
         conf = {
@@ -376,6 +440,29 @@ class TestSweep:
         )
         assert main(["sweep", "--config", conf]) == 2
         assert "'sweep' must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "start, stop, step, message",
+        [
+            (0.1, 0.9, 1e-300, "does not advance"),
+            (0.1, 0.9, 1e-13, "does not advance"),
+            (0.1, 0.9, 1e-5, "more than 10000 values"),
+        ],
+        ids=["step-1e-300", "step-1e-13", "99999-values"],
+    )
+    def test_sweep_that_cannot_end_exits_2(self, tmp_path, capsys, start, stop, step, message):
+        conf = write_config(
+            tmp_path,
+            {
+                "command": "sweep",
+                "environment": {"u": 1.5},
+                "sweep": {"type": "theta-mass", "k": 1, "big_k": 5,
+                          "start": start, "stop": stop, "step": step},
+                "out": str(tmp_path),
+            },
+        )
+        assert main(["sweep", "--config", conf]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_type_exits_2(self, tmp_path):
         conf = write_config(

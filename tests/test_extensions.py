@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplingdyn.analysis import Stability, find_stationary_one_pop
 from samplingdyn.dynamics import (
@@ -118,17 +121,21 @@ class TestResponseVector:
             assert r.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(r.probabilities >= 0)
 
-    def test_monte_carlo_agrees_with_exact(self, rng):
-        g = random_contracting(rng, M=3)
+    @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
+    def test_monte_carlo_agrees_with_exact(self, rng, rule):
+        # the second game ties actions 1 and 2 for player 1 whenever their
+        # counts agree, so the three rules give different vectors
+        tied = ContractingGame((1.0, 2.0, 2.0), (2.0, 1.0, 3.0), require_generic=False)
         theta = SampleSizeDistribution.of({3: 0.5, 8: 0.5})
         p = (0.2, 0.5, 0.3)
-        exact = contracting_response_vector(g, 1, theta, p)
-        mc = contracting_response_vector(
-            g, 1, theta, p, enumeration_limit=0, mc_draws=200_000, seed=11
-        )
-        assert exact.exact and not mc.exact
-        band = 4.0 * np.maximum(mc.standard_error, 1e-6)
-        assert np.all(np.abs(mc.probabilities - exact.probabilities) <= band)
+        for g in (random_contracting(rng, M=3), tied):
+            exact = contracting_response_vector(g, 1, theta, p, rule)
+            mc = contracting_response_vector(
+                g, 1, theta, p, rule, enumeration_limit=0, mc_draws=200_000, seed=11
+            )
+            assert exact.exact and not mc.exact
+            band = 4.0 * np.maximum(mc.standard_error, 1e-6)
+            assert np.all(np.abs(mc.probabilities - exact.probabilities) <= band)
 
     def test_monte_carlo_deterministic(self):
         g = ContractingGame((1.0, 2.0, 3.0), (3.0, 2.0, 1.0))
@@ -140,6 +147,70 @@ class TestResponseVector:
             g, 1, theta, (0.3, 0.3, 0.4), enumeration_limit=0, mc_draws=10_000, seed=5
         )
         assert np.array_equal(a.probabilities, b.probabilities)
+
+
+def reference_response(diag, theta, p, rule):
+    """Brute-force reply distribution: every count vector of every sample
+    size, its multinomial probability and a Python argmax with the tie
+    tolerance of the module."""
+    out = [0.0] * len(diag)
+    for k, mass in theta.atoms:
+        for counts in itertools.product(range(k + 1), repeat=len(diag)):
+            if sum(counts) != k or any(c and p[i] == 0.0 for i, c in enumerate(counts)):
+                continue
+            log_prob = math.lgamma(k + 1) + sum(
+                c * math.log(p[i]) - math.lgamma(c + 1) for i, c in enumerate(counts)
+                if c
+            )
+            prob = mass * math.exp(log_prob)
+            payoffs = [u * c for u, c in zip(diag, counts)]
+            best = max(payoffs)
+            ties = [i for i, v in enumerate(payoffs) if v >= best - 1e-12 * max(1.0, best)]
+            if rule == "lowest":
+                out[ties[0]] += prob
+            elif rule == "highest":
+                out[ties[-1]] += prob
+            else:
+                for i in ties:
+                    out[i] += prob / len(ties)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    M=st.integers(2, 4),
+    rule=st.sampled_from([r.value for r in ContractTieRule]),
+    player=st.sampled_from([1, 2]),
+)
+def test_response_vector_matches_brute_force(data, M, rule, player):
+    # games on small integers have exact ties, so every rule matters, and
+    # games on tenths near ties (3 * 0.1 > 0.3) that only the tolerance joins
+    payoff = data.draw(
+        st.sampled_from(
+            [st.integers(1, 3).map(float), st.sampled_from([0.1, 0.2, 0.3, 0.6]),
+             st.floats(0.1, 5.0)]
+        )
+    )
+    g = ContractingGame(
+        tuple(data.draw(st.lists(payoff, min_size=M, max_size=M))),
+        tuple(data.draw(st.lists(payoff, min_size=M, max_size=M))),
+        require_generic=False,
+    )
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(sizes), max_size=len(sizes)))
+    theta = SampleSizeDistribution.of(
+        {k: w / sum(raw) for k, w in zip(sizes, raw)}
+    )
+    weights = data.draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=M, max_size=M)
+        .filter(lambda w: sum(w) > 0.0)
+    )
+    p = [w / sum(weights) for w in weights]
+    got = contracting_response_vector(g, player, theta, p, rule).probabilities
+    want = reference_response(g.diag(player), theta, p, rule)
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+    assert abs(got.sum() - 1.0) <= 1e-12
 
 
 class TestContractingStability:
@@ -209,6 +280,24 @@ class TestContractingStability:
         _, path = integrate_contracting(g, theta, theta, (p1, p2), t_max=60.0)
         depart = np.max(np.abs(path - path[0]), axis=1)
         assert depart.max() > 1e-2
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            ((0.5, 0.6, 0.0), (0.2, 0.3, 0.5)),
+            ((1.1, -0.1, 0.0), (0.2, 0.3, 0.5)),
+            ((math.nan, 0.5, 0.5), (0.2, 0.3, 0.5)),
+            ((0.5, 0.5), (0.2, 0.3, 0.5)),
+            ((0.5, 0.5, 0.0),),
+            ((0.5, 0.5, 0.0),) * 3,
+        ],
+        ids=["sum-above-1", "negative", "nan", "two-actions", "one-point", "three-points"],
+    )
+    def test_initial_state_is_checked(self, initial):
+        g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
+        theta = SampleSizeDistribution.point(2)
+        with pytest.raises(ValueError):
+            integrate_contracting(g, theta, theta, initial, t_max=0.1)
 
     def test_requires_generic_game(self):
         g = ContractingGame((1.0, 1.0), (2.0, 2.0), require_generic=False)
