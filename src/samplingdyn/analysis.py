@@ -18,6 +18,7 @@ any other two.  ``System.of`` is the one place that applies this rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,6 +40,7 @@ RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
 _DEDUPE_TOL = 1e-8
 _CONTINUUM_TOL = 1e-12
+ALPHA_STEP = 0.01  # the mixture search's default and finest alpha step
 
 
 class Stability(str, Enum):
@@ -222,8 +224,9 @@ def scan_fixed_points(g: Callable) -> list[float]:
     return sorted(roots)
 
 
-class ContinuumError(RuntimeError):
-    """Raised internally when the dynamics fix every state."""
+class ContinuumError(ValueError):
+    """The dynamics fix every state: raised by the scan, which the search
+    turns into a continuum sentinel, and by basin estimation."""
 
 
 def _clamp01(x: float) -> float:
@@ -498,7 +501,7 @@ def stable_interior_search(
     game: CoordinationGame,
     thetas: tuple[SampleSizeDistribution, SampleSizeDistribution],
     big_k: int = 1000,
-    alpha_step: float = 0.01,
+    alpha_step: float = ALPHA_STEP,
 ) -> StableInteriorSearch:
     """Scan mixture shares that keep mass alpha_i on the base distribution
     and move the rest to sample size big_k, looking for a stable interior
@@ -506,7 +509,7 @@ def stable_interior_search(
 
     The sufficient-condition hypothesis (1 < max support < u_i + 1 for
     each population) is only a flag: the search runs either way.  Alpha
-    pairs are scanned diagonal first, then lexicographically.
+    pairs are generated one at a time, diagonal first, then lexicographically.
     """
     theta1, theta2 = thetas
     if big_k <= max(theta1.max_support, theta2.max_support):
@@ -517,8 +520,9 @@ def stable_interior_search(
     )
     note = "" if in_scope else "outside theorem scope"
     grid = _alpha_grid(alpha_step)
-    pairs = [(a, a) for a in grid]
-    pairs += [(a1, a2) for a1 in grid for a2 in grid if a1 != a2]
+    pairs = itertools.chain(
+        ((a, a) for a in grid), ((a1, a2) for a1 in grid for a2 in grid if a1 != a2)
+    )
     for a1, a2 in pairs:
         env = Environment(
             game, theta1.mix_with(a1, big_k), theta2.mix_with(a2, big_k)

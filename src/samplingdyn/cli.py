@@ -6,6 +6,15 @@ normalize.  Runs are driven by a JSON config (--config) with a top-level
 --dt override the matching config fields.  Exit codes: 0 success, 2
 configuration error, 3 internal numeric failure.
 
+basins labels each cell with the stationary state its center converges
+to, a limit of the dynamics read off the stationary analysis (see
+``flow.estimate_basins``); --tmax and --dt bound the separatrix traces
+and the integration of the cells that cannot be labelled that way, whose
+number the legend records as integrated_cells.  A config whose every
+state is stationary has no basins (exit 2).  analyze's search_alpha_step
+lies in [0.01, 0.5]: the mixture search runs one stationary search per
+alpha pair, up to (1/step - 1)^2 of them.
+
 sweep.csv has one row per swept value with the columns
     value            the swept theta mass, alpha or u
     n_stationary     number of stationary states
@@ -137,8 +146,10 @@ def cmd_analyze(conf: dict) -> int:
     spec = _env_spec(conf)
     big_k = _integer_field(conf, "big_k", 1000, least=1)
     step = conf.get("search_alpha_step", 0.1)
-    if not (cfg._is_number(step) and 0.0 < step <= 0.5):
-        raise ConfigError(f"'search_alpha_step' must lie in (0, 0.5], got {step!r}")
+    if not (cfg._is_number(step) and an.ALPHA_STEP <= step <= 0.5):
+        raise ConfigError(
+            f"'search_alpha_step' must lie in [{an.ALPHA_STEP}, 0.5], got {step!r}"
+        )
     out = _out_dir(conf)
     reports: dict[str, dict] = {}
 
@@ -338,12 +349,15 @@ def cmd_trajectory(conf: dict) -> int:
 def cmd_basins(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
-    grid = estimate_basins(
-        _system(spec),
-        resolution=int(conf.get("resolution", 101)),
-        t_max=float(conf.get("tmax", 200.0)),
-        dt=float(conf.get("dt", 0.01)),
-    )
+    try:
+        grid = estimate_basins(
+            _system(spec),
+            resolution=int(conf.get("resolution", 101)),
+            t_max=float(conf.get("tmax", 200.0)),
+            dt=float(conf.get("dt", 0.01)),
+        )
+    except an.ContinuumError as exc:
+        raise ConfigError(f"'environment': {exc}") from None
     cfg.write_basins_csv(out / "basins.csv", grid)
     cfg.write_json(out / "basins_legend.json", cfg.basin_legend_json(grid))
     for i, s in enumerate(grid.attractors):
@@ -351,6 +365,8 @@ def cmd_basins(conf: dict) -> int:
         print(f"attractor {i} {_state_str(s)} [{s.stability.value}]: share {share:.4f}")
     if grid.flagged:
         print(f"flagged cells: {grid.flagged}")
+    if grid.integrated:
+        print(f"integrated cells: {grid.integrated}")
     return 0
 
 

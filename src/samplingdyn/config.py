@@ -378,5 +378,6 @@ def basin_legend_json(grid: BasinGrid) -> dict:
     return {
         "attractors": attractors,
         "flagged_cells": grid.flagged,
+        "integrated_cells": grid.integrated,
         "resolution": grid.resolution,
     }

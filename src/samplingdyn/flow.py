@@ -4,7 +4,8 @@ dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
 bit for bit, which the golden-file outputs depend on.  ``analysis.System``
-decides between one and two populations.
+decides between one and two populations.  Basins are read off the
+stationary analysis and integrated only where it cannot decide.
 """
 
 from __future__ import annotations
@@ -14,12 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import StationaryAnalysis, StationaryState, System, _clamp01
+from .analysis import (
+    ContinuumError,
+    Stability,
+    StationaryAnalysis,
+    StationaryState,
+    System,
+    _clamp01,
+)
 
 CONVERGENCE_TOL = 1e-10
 MATCH_TOL = 1e-6
 DEFAULT_T_MAX = 200.0
 DEFAULT_DT = 0.01
+SEPARATRIX_OFFSET = 1e-6  # distance from the saddle at which a trace starts
+SEPARATRIX_TOL = 1e-8  # least gap in p1 + p2 between a labelled cell and a separatrix
+_UNLABELLED = -2
 
 
 class NumericError(ArithmeticError):
@@ -248,6 +259,7 @@ class BasinGrid:
     cells: np.ndarray  # shape (res,) or (res, res); -1 marks a flagged cell
     shares: dict[int, float]
     flagged: int
+    integrated: int  # cells labelled by integrating their trajectory
 
     def share_of(self, state: StationaryState) -> float:
         for i, s in enumerate(self.attractors):
@@ -256,22 +268,176 @@ class BasinGrid:
         raise ValueError(f"unknown attractor {state!r}")
 
 
+def _match_labels(finals: np.ndarray, ok, stationary: StationaryAnalysis):
+    """Index of the state nearest each converged end point, -1 when none
+    lies within 1e-3."""
+    refs = np.array(
+        [np.atleast_1d(np.asarray(s.state, dtype=float)) for s in stationary.states]
+    )
+    dists = np.max(np.abs(finals[:, None, :] - refs[None, :, :]), axis=2)
+    nearest = np.argmin(dists, axis=1)
+    near = dists[np.arange(len(nearest)), nearest] <= 1e-3
+    return np.where(ok & near, nearest, -1)
+
+
+def _integrated_labels(system: System, x0, stationary, t_max: float, dt: float):
+    """Reference labels by brute force: integrate every start, continue the
+    unconverged ones from where they stopped for another t_max at dt/2, and
+    match the end points."""
+    finals, ok = _terminal_states(system.field, x0, t_max, dt)
+    if not ok.all():
+        redo = ~ok
+        finals[redo], ok[redo] = _terminal_states(system.field, finals[redo], t_max, dt / 2.0)
+    return _match_labels(finals, ok, stationary)
+
+
+def _sign_labels(system: System, x0, stationary):
+    """One population: a start moves monotonically to the nearest stationary
+    state in the direction of w(p) - p, marginal or not."""
+    p = x0[:, 0]
+    f = system.field(x0)[:, 0]
+    ps = np.array([s.state for s in stationary.states])
+    above = np.searchsorted(ps, p, side="right")
+    below = np.searchsorted(ps, p, side="left") - 1
+    target = np.where(f > 0.0, above, np.where(f < 0.0, below, -1))
+    cells = np.where((target >= 0) & (target < len(ps)), target, _UNLABELLED)
+    rest = np.abs(f) < CONVERGENCE_TOL
+    cells[rest] = _match_labels(x0[rest], True, stationary)
+    return cells
+
+
+def _hermite(knots, q):
+    """The cubic Hermite interpolant through knots (s, t, dt/ds) at q, held
+    constant beyond the first and last knot."""
+    s, t, m = knots
+    q = np.clip(q, s[0], s[-1])
+    i = np.clip(np.searchsorted(s, q, side="right") - 1, 0, len(s) - 2)
+    h = s[i + 1] - s[i]
+    u = (q - s[i]) / h
+    u2, u3 = u * u, u * u * u
+    return (
+        (2.0 * u3 - 3.0 * u2 + 1.0) * t[i]
+        + (u3 - 2.0 * u2 + u) * h * m[i]
+        + (3.0 * u2 - 2.0 * u3) * t[i + 1]
+        + (u3 - u2) * h * m[i + 1]
+    )
+
+
+def _stable_manifold(system: System, saddle: StationaryState, t_max: float, dt: float):
+    """Knots of the stable manifold of an interior saddle as t = h(s) in the
+    rotated coordinates s = p1 - p2, t = p1 + p2, traced backward from the
+    saddle along its stable eigenvector until both branches leave the
+    square.  None when a branch does not leave the square within t_max or
+    the curve increases somewhere."""
+    w1, w2 = system.responses
+    p1, p2 = saddle.state
+    v = (math.sqrt(w1.derivative(p2)), -math.sqrt(w2.derivative(p1)))
+    scale = SEPARATRIX_OFFSET / math.hypot(*v)
+    rhs = system.scalar_rhs()
+
+    def back(x):
+        return tuple(-f for f in rhs(x))
+
+    n_steps = _step_count(t_max, dt)
+    branches = []
+    for sign in (-1.0, 1.0):  # up-left, then down-right
+        x = (p1 + sign * scale * v[0], p2 + sign * scale * v[1])
+        k = back(x)
+        points, tangents = [x], [k]
+        for _ in range(n_steps):
+            x = _scalar_rk4_step(back, x, dt, k)
+            k = back(x)
+            points.append(x)
+            tangents.append(k)
+            if not all(0.0 <= c <= 1.0 for c in x):
+                break
+        else:
+            return None
+        branches.append((points, tangents))
+    (up_pts, up_tan), (down_pts, down_tan) = branches
+    pts = np.array(up_pts[::-1] + [saddle.state] + down_pts)
+    tan = np.array(up_tan[::-1] + [v] + down_tan)
+    if not (np.all(np.diff(pts[:, 0]) >= 0.0) and np.all(np.diff(pts[:, 1]) <= 0.0)):
+        return None
+    s = pts[:, 0] - pts[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (tan[:, 0] + tan[:, 1]) / (tan[:, 0] - tan[:, 1])
+    if np.any(np.diff(s) <= 0.0) or not np.all(np.isfinite(slopes)):
+        return None
+    return s, pts[:, 0] + pts[:, 1], slopes
+
+
+def _separatrix_labels(system: System, centers, x0, stationary, t_max: float, dt: float):
+    """Two populations: both responses increase, so the dynamics are
+    cooperative and the stable manifolds of the interior saddles are the
+    basin boundaries.  Once corner saddles, whose basins are the corners
+    alone, are dropped, the ordered states must alternate stable and
+    saddle; the start's label is the stable state between the curves it
+    lies above and below.  Each curve is traced at dt and at 2 dt, and a
+    start closer to it than their gap (at least SEPARATRIX_TOL) is left
+    unlabelled, as is every start when a precondition fails."""
+    unlabelled = np.full(len(x0), _UNLABELLED)
+    chain = [
+        i for i, s in enumerate(stationary.states)
+        if not (
+            s.stability == Stability.UNSTABLE
+            and (max(s.state) <= 1e-9 or min(s.state) >= 1.0 - 1e-9)
+        )
+    ]
+    stable, saddles = chain[0::2], [stationary.states[i] for i in chain[1::2]]
+    increasing = all(np.all(np.diff(w(centers)) >= 0.0) for w in system.responses)
+    if not (
+        increasing
+        and len(chain) % 2 == 1
+        and all(stationary.states[i].stability == Stability.STABLE for i in stable)
+        and all(s.stability == Stability.UNSTABLE and s.is_interior() for s in saddles)
+    ):
+        return unlabelled
+
+    s_cell = x0[:, 0] - x0[:, 1]
+    t_cell = x0[:, 0] + x0[:, 1]
+    above = np.zeros((len(saddles), len(x0)), dtype=bool)
+    unsure = np.zeros(len(x0), dtype=bool)
+    for k, saddle in enumerate(saddles):
+        heights = []
+        for step in (dt, 2.0 * dt):
+            knots = _stable_manifold(system, saddle, t_max, step)
+            if knots is None:
+                return unlabelled
+            heights.append(_hermite(knots, s_cell))
+        gap = t_cell - heights[0]
+        above[k] = gap > 0.0
+        unsure |= np.abs(gap) <= np.maximum(np.abs(heights[0] - heights[1]), SEPARATRIX_TOL)
+    # a start above a curve lies above every lower one
+    unsure |= np.any(np.diff(above.astype(np.int8), axis=0) > 0, axis=0)
+    cells = np.asarray(stable)[above.sum(axis=0)]
+    return np.where(unsure, _UNLABELLED, cells)
+
+
 def estimate_basins(
     system,
     resolution: int,
     t_max: float = DEFAULT_T_MAX,
     dt: float = DEFAULT_DT,
 ) -> BasinGrid:
-    """Integrate from every cell center and record which attractor wins.
+    """The stationary state each cell center converges to.
 
-    Cells that have not converged by t_max continue from where they
-    stopped for another t_max at half the step size, and are flagged with
-    index -1 if they still have not.  Shares are fractions of
-    all cells, flagged ones included, so they sum to less than one when
-    any cell is flagged.
+    Labels are limits of the dynamics, read off the stationary analysis:
+    in one population from the sign of w(p) - p, in two from the side of
+    each interior saddle's stable manifold a cell lies on.  ``t_max`` and
+    ``dt`` are the horizon and step of every integration this runs: the
+    separatrix traces and the brute-force fallback for cells too close to
+    a separatrix to classify, or for the whole grid when a stationary state
+    is marginal or the states do not alternate stable and saddle.  A
+    fallback cell that has not converged by t_max continues from where it
+    stopped for another t_max at half the step size, and is flagged with
+    index -1 if it still has not.  Shares are fractions of all cells,
+    flagged ones included, so they sum to less than one when any cell is
+    flagged.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution!r}")
+    _step_count(t_max, dt)  # checks dt and t_max even when nothing is integrated
     system = System.of(system)
 
     centers = (np.arange(resolution) + 0.5) / resolution
@@ -283,20 +449,15 @@ def estimate_basins(
 
     stationary = system.stationary()
     if stationary.continuum:
-        raise ValueError("basin estimation needs finitely many stationary states")
+        raise ContinuumError("basin estimation needs finitely many stationary states")
 
-    finals, ok = _terminal_states(system.field, x0, t_max, dt)
-    if not ok.all():
-        redo = ~ok
-        finals[redo], ok[redo] = _terminal_states(system.field, finals[redo], t_max, dt / 2.0)
-
-    refs = np.array(
-        [np.atleast_1d(np.asarray(s.state, dtype=float)) for s in stationary.states]
-    )
-    dists = np.max(np.abs(finals[:, None, :] - refs[None, :, :]), axis=2)
-    nearest = np.argmin(dists, axis=1)
-    near = dists[np.arange(len(nearest)), nearest] <= 1e-3
-    cells = np.where(ok & near, nearest, -1)
+    if system.dim == 1:
+        cells = _sign_labels(system, x0, stationary)
+    else:
+        cells = _separatrix_labels(system, centers, x0, stationary, t_max, dt)
+    todo = cells == _UNLABELLED
+    if todo.any():
+        cells[todo] = _integrated_labels(system, x0[todo], stationary, t_max, dt)
     shares = {
         int(j): float(np.sum(cells == j)) / float(cells.size)
         for j in np.unique(cells[cells >= 0])
@@ -308,4 +469,5 @@ def estimate_basins(
         cells=cells.reshape(shape),
         shares=shares,
         flagged=int(np.sum(cells < 0)),
+        integrated=int(np.sum(todo)),
     )

@@ -214,9 +214,23 @@ class TestTrajectoryAndBasins:
         assert main(["basins", "--config", conf]) == 0
         legend = json.loads((tmp_path / "basins_legend.json").read_text())
         assert legend["resolution"] == 21
+        assert legend["integrated_cells"] == 0
         rows = (tmp_path / "basins.csv").read_text().splitlines()
         assert rows[0] == "cell_p1,cell_p2,attractor_index"
         assert len(rows) == 22
+
+    def test_basins_reports_integrated_cells(self, tmp_path, capsys):
+        # the saddle (1/2, 1/2) has the anti-diagonal as its stable manifold,
+        # so the 5 cells on it are integrated
+        env = {"u1": 1.0, "u2": 1.0, "theta1": {"3": 1.0}, "theta2": {"3": 1.0}}
+        conf = write_config(
+            tmp_path,
+            {"command": "basins", "environment": env, "resolution": 5, "dt": 0.05},
+        )
+        assert main(["basins", "--config", conf, "--out", str(tmp_path)]) == 0
+        assert "integrated cells: 5" in capsys.readouterr().out
+        legend = json.loads((tmp_path / "basins_legend.json").read_text())
+        assert legend["integrated_cells"] == 5
 
 
     def test_two_population_form_keeps_two_populations(self, tmp_path):
@@ -282,13 +296,17 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         ("analyze", {"search_alpha_step": 0}),
         ("analyze", {"search_alpha_step": -0.1}),
         ("analyze", {"search_alpha_step": 1.0}),
+        ("analyze", {"search_alpha_step": 0.005}),
+        ("basins", {"environment": {"u": 1.2, "theta": {"1": 1}}}),
+        ("basins", {"environment": {"u1": 1.2, "u2": 0.5, "theta1": {"1": 1}, "theta2": {"1": 1}}}),
         ("phase", {"samples": 100.5}),
         ("phase", {"samples": 1}),
         ("phase", {"quiver": -1}),
         ("phase", {"quiver": 2.5}),
     ],
     ids=["fractional-big_k", "string-big_k", "zero-alpha-step", "negative-alpha-step",
-         "unit-alpha-step", "fractional-samples", "one-sample", "negative-quiver",
+         "unit-alpha-step", "alpha-step-below-0.01", "continuum-basins-theta",
+         "continuum-basins-theta1-theta2", "fractional-samples", "one-sample", "negative-quiver",
          "fractional-quiver"],
 )
 def test_bad_analysis_numbers_exit_2(tmp_path, capsys, command, fields):

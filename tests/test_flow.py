@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import random_env, random_symmetric_env
-from samplingdyn.analysis import Stability, find_stationary_two_pop
-from samplingdyn.dynamics import Environment, SampleSizeDistribution
+from samplingdyn.analysis import Stability, System, find_stationary_two_pop
+from samplingdyn.dynamics import Environment, ResponsePair, SampleSizeDistribution
+from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.flow import (
+    _integrated_labels,
     convergence_limit,
     estimate_basins,
     integrate,
@@ -14,6 +20,10 @@ from samplingdyn.flow import (
 from samplingdyn.games import CoordinationGame
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
+FIG3_LEFT = Environment.of(
+    CoordinationGame(20.0, 0.05), SampleSizeDistribution.of({3: 0.5, 1000: 0.5})
+)
+FIG3_RIGHT = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
 
 
 class TestIntegrate:
@@ -216,3 +226,132 @@ class TestBasins:
         grid = estimate_basins(env.pair(), resolution=5, t_max=100.0)
         assert grid.cells.shape == (5, 5)
         assert all(s.is_pair for s in grid.attractors)
+
+    def test_marginal_state_takes_its_cells(self):
+        # w(p) - p < 0 above the marginal state 0 (slope 1), which the
+        # trajectory from p = 1/18 only approaches algebraically
+        game = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
+        w = MinEffortResponse(game, SampleSizeDistribution.of({2: 0.5, 6: 0.5}))
+        grid = estimate_basins(w, resolution=9, t_max=260.0, dt=0.05)
+        assert grid.attractors[0].state == 0.0
+        assert grid.attractors[0].stability == Stability.MARGINAL
+        assert grid.cells[0] == 0
+        assert grid.flagged == 0 and grid.integrated == 0
+
+    @pytest.mark.parametrize("env", [FIG3_LEFT, FIG3_RIGHT], ids=["left", "right"])
+    def test_figure3_panels_need_no_integration(self, env):
+        grid = estimate_basins(env, resolution=99, t_max=260.0, dt=0.01)
+        assert grid.integrated == 0 and grid.flagged == 0
+        # cooperative dynamics: labels, ordered like the states, never
+        # decrease along a row or a column
+        assert np.all(np.diff(grid.cells, axis=0) >= 0)
+        assert np.all(np.diff(grid.cells, axis=1) >= 0)
+
+    @pytest.mark.parametrize(
+        "env, t_max, integrated",
+        [
+            # the saddle's stable manifold is the anti-diagonal p1 + p2 = 1,
+            # through the centers of 5 cells
+            pytest.param(
+                Environment.symmetric(1.0, SampleSizeDistribution.point(3)).pair(),
+                260.0,
+                5,
+                id="cells-on-a-separatrix",
+            ),
+            # the corner (1, 1) has slope product 1 * (0.5 + 0.25 * 2) = 1
+            pytest.param(
+                Environment.of(
+                    CoordinationGame(3.0, 0.5),
+                    SampleSizeDistribution.point(1),
+                    SampleSizeDistribution.of({1: 0.5, 2: 0.25, 9: 0.25}),
+                ),
+                20.0,
+                25,
+                id="marginal-state",
+            ),
+        ],
+    )
+    def test_fallback_cells_are_counted(self, env, t_max, integrated):
+        grid = estimate_basins(env, resolution=5, t_max=t_max, dt=0.1)
+        assert grid.integrated == integrated
+        ref = _brute_force_cells(env, 5, t_max, 0.1)
+        assert np.array_equal(grid.cells, ref)
+
+
+def _brute_force_cells(system, resolution, t_max, dt):
+    """Labels of the reference path: every cell integrated."""
+    system = System.of(system)
+    centers = (np.arange(resolution) + 0.5) / resolution
+    if system.dim == 1:
+        x0 = centers.reshape(-1, 1)
+    else:
+        g1, g2 = np.meshgrid(centers, centers, indexing="ij")
+        x0 = np.column_stack([g1.ravel(), g2.ravel()])
+    cells = _integrated_labels(system, x0, system.stationary(), t_max, dt)
+    return cells.reshape((resolution,) * system.dim)
+
+
+def _assert_matches_brute_force(system, resolution, t_max=260.0, dt=0.05):
+    """Equal labels wherever the reference converges to a listed state."""
+    cells = estimate_basins(system, resolution, t_max=t_max, dt=dt).cells
+    ref = _brute_force_cells(system, resolution, t_max, dt)
+    assert np.array_equal(np.where(ref >= 0, ref, cells), cells)
+
+
+@st.composite
+def _thetas(draw):
+    """One or two small sample sizes, often next to a large one."""
+    masses = draw(st.dictionaries(st.integers(1, 6), st.floats(0.1, 1.0), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        masses[draw(st.sampled_from([20, 100, 1000]))] = draw(st.floats(0.1, 1.0))
+    total = sum(masses.values())
+    return SampleSizeDistribution.of({k: m / total for k, m in masses.items()})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    u1=st.floats(0.0, 3.2).map(math.exp),
+    u2=st.floats(-3.2, 1.0).map(math.exp),
+    theta1=_thetas(),
+    theta2=_thetas(),
+)
+def test_two_population_labels_match_brute_force(u1, u2, theta1, theta2):
+    pair = Environment.of(CoordinationGame(u1, u2), theta1, theta2).pair()
+    assume(not System.of(pair).stationary().continuum)
+    _assert_matches_brute_force(pair, 9)
+
+
+_GROUPS = st.one_of(
+    st.tuples(st.tuples(st.just(1.0), st.floats(-4.0, 0.0).map(math.exp))),
+    st.floats(0.1, 0.9).flatmap(
+        lambda m: st.tuples(
+            st.tuples(st.just(m), st.floats(-4.0, -1.0).map(math.exp)),
+            st.tuples(st.just(1.0 - m), st.floats(-1.0, 1.0).map(math.exp)),
+        )
+    ),
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    u1=st.floats(-1.5, 2.0).map(math.exp),
+    u2=st.floats(-1.5, 2.0).map(math.exp),
+    groups1=_GROUPS,
+    groups2=_GROUPS,
+)
+def test_logit_labels_match_brute_force(u1, u2, groups1, groups2):
+    _assert_matches_brute_force(
+        ResponsePair.logit(CoordinationGame(u1, u2), groups1, groups2), 9
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(u=st.floats(-2.0, 2.5).map(math.exp), theta=_thetas())
+def test_one_population_labels_match_brute_force(u, theta):
+    env = Environment.symmetric(u, theta)
+    assume(not System.of(env).stationary().continuum)
+    _assert_matches_brute_force(env, 41)
+
+
+def test_figure3_left_labels_match_brute_force():
+    _assert_matches_brute_force(FIG3_LEFT.pair(), 33)
