@@ -4,8 +4,9 @@ dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
 bit for bit, which the golden-file outputs depend on.  ``analysis.System``
-decides between one and two populations.  Basins are read off the
-stationary analysis and integrated only where it cannot decide.
+decides between one and two populations.  Basins come from integrating
+every cell or, with ``method="separatrix"``, are read off the stationary
+analysis and integrated only where it cannot decide.
 """
 
 from __future__ import annotations
@@ -419,24 +420,28 @@ def estimate_basins(
     resolution: int,
     t_max: float = DEFAULT_T_MAX,
     dt: float = DEFAULT_DT,
+    method: str = "integrate",
 ) -> BasinGrid:
     """The stationary state each cell center converges to.
 
-    Labels are limits of the dynamics, read off the stationary analysis:
-    in one population from the sign of w(p) - p, in two from the side of
-    each interior saddle's stable manifold a cell lies on.  ``t_max`` and
-    ``dt`` are the horizon and step of every integration this runs: the
-    separatrix traces and the brute-force fallback for cells too close to
-    a separatrix to classify, or for the whole grid when a stationary state
-    is marginal or the states do not alternate stable and saddle.  A
-    fallback cell that has not converged by t_max continues from where it
-    stopped for another t_max at half the step size, and is flagged with
-    index -1 if it still has not.  Shares are fractions of all cells,
-    flagged ones included, so they sum to less than one when any cell is
-    flagged.
+    Labels are limits of the dynamics.  ``method="integrate"`` integrates
+    every cell center, the reference.  ``method="separatrix"`` reads them
+    off the stationary analysis: in one population from the sign of
+    w(p) - p, in two from the side of each interior saddle's stable
+    manifold a cell lies on; it integrates only the cells too close to a
+    separatrix to classify, or the whole grid when a stationary state is
+    marginal or the states do not alternate stable and saddle.  ``t_max``
+    and ``dt`` are the horizon and step of every integration this runs,
+    separatrix traces included.  An integrated cell that has not converged
+    by t_max continues from where it stopped for another t_max at half the
+    step size, and is flagged with index -1 if it still has not.  Shares
+    are fractions of all cells, flagged ones included, so they sum to less
+    than one when any cell is flagged.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution!r}")
+    if method not in ("integrate", "separatrix"):
+        raise ValueError(f"method must be 'integrate' or 'separatrix', got {method!r}")
     _step_count(t_max, dt)  # checks dt and t_max even when nothing is integrated
     system = System.of(system)
 
@@ -451,7 +456,9 @@ def estimate_basins(
     if stationary.continuum:
         raise ContinuumError("basin estimation needs finitely many stationary states")
 
-    if system.dim == 1:
+    if method == "integrate":
+        cells = np.full(len(x0), _UNLABELLED)
+    elif system.dim == 1:
         cells = _sign_labels(system, x0, stationary)
     else:
         cells = _separatrix_labels(system, centers, x0, stationary, t_max, dt)

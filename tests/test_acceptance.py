@@ -124,7 +124,9 @@ def test_criterion_03_figure3_right():
             -1.0 + math.sqrt(1.5), abs=1e-9
         )
 
-    grid = estimate_basins(FIG3_RIGHT, resolution=99, t_max=260.0, dt=0.01)
+    grid = estimate_basins(
+        FIG3_RIGHT, resolution=99, t_max=260.0, dt=0.01, method="separatrix"
+    )
     assert grid.flagged == 0
     interior_idx = [i for i, a in enumerate(grid.attractors) if a.is_interior()]
     assert len(interior_idx) == 1
@@ -446,7 +448,9 @@ def test_informational_basin_footnote_report():
     # the basin-share footnote is ambiguous about which panel it describes,
     # so report both panels at desk resolution without asserting a value
     for name, env in (("left", FIG3_LEFT), ("right", FIG3_RIGHT)):
-        grid = estimate_basins(env, resolution=15, t_max=260.0, dt=0.01)
+        grid = estimate_basins(
+            env, resolution=15, t_max=260.0, dt=0.01, method="separatrix"
+        )
         interior_share = sum(
             share
             for idx, share in grid.shares.items()

@@ -212,6 +212,7 @@ class TestBasins:
             pytest.param({"resolution": 5, "dt": -0.01}, id="dt-negative"),
             pytest.param({"resolution": 5, "t_max": -1.0}, id="tmax-negative"),
             pytest.param({"resolution": 5, "t_max": float("nan")}, id="tmax-nan"),
+            pytest.param({"resolution": 5, "method": "exact"}, id="unknown-method"),
         ],
     )
     def test_resolution_validation(self, kwargs):
@@ -232,7 +233,9 @@ class TestBasins:
         # trajectory from p = 1/18 only approaches algebraically
         game = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
         w = MinEffortResponse(game, SampleSizeDistribution.of({2: 0.5, 6: 0.5}))
-        grid = estimate_basins(w, resolution=9, t_max=260.0, dt=0.05)
+        grid = estimate_basins(
+            w, resolution=9, t_max=260.0, dt=0.05, method="separatrix"
+        )
         assert grid.attractors[0].state == 0.0
         assert grid.attractors[0].stability == Stability.MARGINAL
         assert grid.cells[0] == 0
@@ -240,7 +243,9 @@ class TestBasins:
 
     @pytest.mark.parametrize("env", [FIG3_LEFT, FIG3_RIGHT], ids=["left", "right"])
     def test_figure3_panels_need_no_integration(self, env):
-        grid = estimate_basins(env, resolution=99, t_max=260.0, dt=0.01)
+        grid = estimate_basins(
+            env, resolution=99, t_max=260.0, dt=0.01, method="separatrix"
+        )
         assert grid.integrated == 0 and grid.flagged == 0
         # cooperative dynamics: labels, ordered like the states, never
         # decrease along a row or a column
@@ -272,10 +277,20 @@ class TestBasins:
         ],
     )
     def test_fallback_cells_are_counted(self, env, t_max, integrated):
-        grid = estimate_basins(env, resolution=5, t_max=t_max, dt=0.1)
+        grid = estimate_basins(
+            env, resolution=5, t_max=t_max, dt=0.1, method="separatrix"
+        )
         assert grid.integrated == integrated
         ref = _brute_force_cells(env, 5, t_max, 0.1)
         assert np.array_equal(grid.cells, ref)
+
+    def test_integrate_method_integrates_every_cell(self):
+        env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
+        grid = estimate_basins(env.pair(), resolution=5, t_max=100.0)
+        assert grid.integrated == 25 and grid.flagged == 0
+        fast = estimate_basins(env.pair(), resolution=5, t_max=100.0, method="separatrix")
+        assert fast.integrated == 5  # the cells on the anti-diagonal separatrix
+        assert np.array_equal(grid.cells, fast.cells)
 
 
 def _brute_force_cells(system, resolution, t_max, dt):
@@ -293,7 +308,8 @@ def _brute_force_cells(system, resolution, t_max, dt):
 
 def _assert_matches_brute_force(system, resolution, t_max=260.0, dt=0.05):
     """Equal labels wherever the reference converges to a listed state."""
-    cells = estimate_basins(system, resolution, t_max=t_max, dt=dt).cells
+    grid = estimate_basins(system, resolution, t_max=t_max, dt=dt, method="separatrix")
+    cells = grid.cells
     ref = _brute_force_cells(system, resolution, t_max, dt)
     assert np.array_equal(np.where(ref >= 0, ref, cells), cells)
 
