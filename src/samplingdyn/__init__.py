@@ -51,6 +51,7 @@ from .flow import (
     convergence_limit,
     estimate_basins,
     integrate,
+    label_basins,
 )
 from .extensions import (
     ContractTieRule,

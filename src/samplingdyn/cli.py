@@ -8,7 +8,7 @@ configuration error, 3 internal numeric failure.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
-``flow.estimate_basins``, method "separatrix"); --tmax and --dt bound
+``flow.label_basins``); --tmax and --dt bound
 the separatrix traces and the integration of the cells that cannot be
 labelled that way, whose number the legend records as integrated_cells.
 A config whose every state is stationary has no basins (exit 2).  analyze's search_alpha_step
@@ -55,7 +55,9 @@ from .extensions import (
     contracting_pure_stability,
     mineffort_pure_stability,
 )
-from .flow import NumericError, estimate_basins, integrate
+# estimate_basins, the every-cell reference of label_basins, is not called
+# here; perfbench's tracer test checks that it wraps this binding too.
+from .flow import NumericError, estimate_basins, integrate, label_basins
 from .games import canonicalize, to_dominance
 from .oracle import empirical_response, simulate_population
 
@@ -350,12 +352,11 @@ def cmd_basins(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
     try:
-        grid = estimate_basins(
+        grid = label_basins(
             _system(spec),
             resolution=int(conf.get("resolution", 101)),
             t_max=float(conf.get("tmax", 200.0)),
             dt=float(conf.get("dt", 0.01)),
-            method="separatrix",
         )
     except an.ContinuumError as exc:
         raise ConfigError(f"'environment': {exc}") from None

@@ -4,9 +4,9 @@ dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
 bit for bit, which the golden-file outputs depend on.  ``analysis.System``
-decides between one and two populations.  Basins come from integrating
-every cell or, with ``method="separatrix"``, are read off the stationary
-analysis and integrated only where it cannot decide.
+decides between one and two populations.  ``label_basins`` reads basins
+off the stationary analysis and integrates only where it cannot decide;
+``estimate_basins``, which integrates every cell, is its reference.
 """
 
 from __future__ import annotations
@@ -415,66 +415,86 @@ def _separatrix_labels(system: System, centers, x0, stationary, t_max: float, dt
     return np.where(unsure, _UNLABELLED, cells)
 
 
-def estimate_basins(
-    system,
-    resolution: int,
-    t_max: float = DEFAULT_T_MAX,
-    dt: float = DEFAULT_DT,
-    method: str = "integrate",
-) -> BasinGrid:
-    """The stationary state each cell center converges to.
-
-    Labels are limits of the dynamics.  ``method="integrate"`` integrates
-    every cell center, the reference.  ``method="separatrix"`` reads them
-    off the stationary analysis: in one population from the sign of
-    w(p) - p, in two from the side of each interior saddle's stable
-    manifold a cell lies on; it integrates only the cells too close to a
-    separatrix to classify, or the whole grid when a stationary state is
-    marginal or the states do not alternate stable and saddle.  ``t_max``
-    and ``dt`` are the horizon and step of every integration this runs,
-    separatrix traces included.  An integrated cell that has not converged
-    by t_max continues from where it stopped for another t_max at half the
-    step size, and is flagged with index -1 if it still has not.  Shares
-    are fractions of all cells, flagged ones included, so they sum to less
-    than one when any cell is flagged.
-    """
+def _basin_starts(system, resolution: int, t_max: float, dt: float):
+    """The system, the cell centers along one axis, the grid's starts (one
+    row per cell) and its stationary analysis; checks the arguments."""
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution!r}")
-    if method not in ("integrate", "separatrix"):
-        raise ValueError(f"method must be 'integrate' or 'separatrix', got {method!r}")
     _step_count(t_max, dt)  # checks dt and t_max even when nothing is integrated
     system = System.of(system)
-
     centers = (np.arange(resolution) + 0.5) / resolution
     if system.dim == 1:
         x0 = centers.reshape(-1, 1)
     else:
         g1, g2 = np.meshgrid(centers, centers, indexing="ij")
         x0 = np.column_stack([g1.ravel(), g2.ravel()])
-
     stationary = system.stationary()
     if stationary.continuum:
         raise ContinuumError("basin estimation needs finitely many stationary states")
+    return system, centers, x0, stationary
 
-    if method == "integrate":
-        cells = np.full(len(x0), _UNLABELLED)
-    elif system.dim == 1:
+
+def _basin_grid(system: System, resolution: int, stationary, cells, integrated: int):
+    shares = {
+        int(j): float(np.sum(cells == j)) / float(cells.size)
+        for j in np.unique(cells[cells >= 0])
+    }
+    return BasinGrid(
+        resolution=resolution,
+        attractors=stationary.states,
+        cells=cells.reshape((resolution,) * system.dim),
+        shares=shares,
+        flagged=int(np.sum(cells < 0)),
+        integrated=integrated,
+    )
+
+
+def estimate_basins(
+    system,
+    resolution: int,
+    t_max: float = DEFAULT_T_MAX,
+    dt: float = DEFAULT_DT,
+) -> BasinGrid:
+    """Integrate from every cell center and record which attractor wins:
+    the reference for :func:`label_basins`, which gives the same labels
+    from the stationary analysis and integrates only where that cannot
+    decide.
+
+    Cells that have not converged by t_max continue from where they
+    stopped for another t_max at half the step size, and are flagged with
+    index -1 if they still have not.  Shares are fractions of all cells,
+    flagged ones included, so they sum to less than one when any cell is
+    flagged.
+    """
+    system, _, x0, stationary = _basin_starts(system, resolution, t_max, dt)
+    cells = _integrated_labels(system, x0, stationary, t_max, dt)
+    return _basin_grid(system, resolution, stationary, cells, len(cells))
+
+
+def label_basins(
+    system,
+    resolution: int,
+    t_max: float = DEFAULT_T_MAX,
+    dt: float = DEFAULT_DT,
+) -> BasinGrid:
+    """The stationary state each cell center converges to.
+
+    Labels are limits of the dynamics, read off the stationary analysis:
+    in one population from the sign of w(p) - p, in two from the side of
+    each interior saddle's stable manifold a cell lies on.  Only the cells
+    too close to a separatrix to classify, or the whole grid when a
+    stationary state is marginal or the states do not alternate stable
+    and saddle, are integrated as in :func:`estimate_basins`; ``integrated``
+    counts them.  ``t_max`` and ``dt`` are the horizon and step of every
+    integration this runs, separatrix traces included.  Shares are
+    fractions of all cells, flagged ones included.
+    """
+    system, centers, x0, stationary = _basin_starts(system, resolution, t_max, dt)
+    if system.dim == 1:
         cells = _sign_labels(system, x0, stationary)
     else:
         cells = _separatrix_labels(system, centers, x0, stationary, t_max, dt)
     todo = cells == _UNLABELLED
     if todo.any():
         cells[todo] = _integrated_labels(system, x0[todo], stationary, t_max, dt)
-    shares = {
-        int(j): float(np.sum(cells == j)) / float(cells.size)
-        for j in np.unique(cells[cells >= 0])
-    }
-    shape = (resolution,) if system.dim == 1 else (resolution, resolution)
-    return BasinGrid(
-        resolution=resolution,
-        attractors=stationary.states,
-        cells=cells.reshape(shape),
-        shares=shares,
-        flagged=int(np.sum(cells < 0)),
-        integrated=int(np.sum(todo)),
-    )
+    return _basin_grid(system, resolution, stationary, cells, int(np.sum(todo)))

@@ -37,7 +37,7 @@ from samplingdyn.extensions import (
     mineffort_pure_stability,
     mineffort_response,
 )
-from samplingdyn.flow import estimate_basins, integrate, terminal_states
+from samplingdyn.flow import integrate, label_basins, terminal_states
 from samplingdyn.flow import System, _clamp01, _scalar_rk4_step
 from samplingdyn.games import CoordinationGame
 from samplingdyn.oracle import empirical_response, simulate_population
@@ -124,9 +124,7 @@ def test_criterion_03_figure3_right():
             -1.0 + math.sqrt(1.5), abs=1e-9
         )
 
-    grid = estimate_basins(
-        FIG3_RIGHT, resolution=99, t_max=260.0, dt=0.01, method="separatrix"
-    )
+    grid = label_basins(FIG3_RIGHT, resolution=99, t_max=260.0, dt=0.01)
     assert grid.flagged == 0
     interior_idx = [i for i, a in enumerate(grid.attractors) if a.is_interior()]
     assert len(interior_idx) == 1
@@ -448,9 +446,7 @@ def test_informational_basin_footnote_report():
     # the basin-share footnote is ambiguous about which panel it describes,
     # so report both panels at desk resolution without asserting a value
     for name, env in (("left", FIG3_LEFT), ("right", FIG3_RIGHT)):
-        grid = estimate_basins(
-            env, resolution=15, t_max=260.0, dt=0.01, method="separatrix"
-        )
+        grid = label_basins(env, resolution=15, t_max=260.0, dt=0.01)
         interior_share = sum(
             share
             for idx, share in grid.shares.items()

@@ -11,10 +11,10 @@ from samplingdyn.analysis import Stability, System, find_stationary_two_pop
 from samplingdyn.dynamics import Environment, ResponsePair, SampleSizeDistribution
 from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.flow import (
-    _integrated_labels,
     convergence_limit,
     estimate_basins,
     integrate,
+    label_basins,
     terminal_states,
 )
 from samplingdyn.games import CoordinationGame
@@ -168,7 +168,7 @@ class TestTerminalStates:
 class TestBasins:
     def test_two_pop_globally_stable_interior(self):
         env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
-        grid = estimate_basins(env, resolution=21, t_max=300.0)
+        grid = label_basins(env, resolution=21, t_max=300.0)
         assert grid.flagged == 0
         interior_idx = [
             i for i, s in enumerate(grid.attractors) if s.is_interior()
@@ -185,7 +185,7 @@ class TestBasins:
 
     def test_one_pop_symmetric_split(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
-        grid = estimate_basins(env, resolution=101, t_max=100.0)
+        grid = label_basins(env, resolution=101, t_max=100.0)
         share0 = grid.share_of(grid.attractors[0])  # p = 0
         share1 = grid.share_of(grid.attractors[-1])  # p = 1
         assert share0 == pytest.approx(50 / 101)
@@ -193,12 +193,12 @@ class TestBasins:
 
     def test_single_attractor_takes_all(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
-        grid = estimate_basins(env, resolution=33, t_max=100.0)
+        grid = label_basins(env, resolution=33, t_max=100.0)
         assert grid.shares[len(grid.attractors) - 1] == pytest.approx(1.0)
 
     def test_shares_sum_to_one(self, rng):
         env = random_env(rng, max_k=7)
-        grid = estimate_basins(env, resolution=9, t_max=300.0)
+        grid = label_basins(env, resolution=9, t_max=300.0)
         assert sum(grid.shares.values()) == pytest.approx(
             1.0, abs=1.0 / grid.cells.size + 1e-12
         )
@@ -212,30 +212,29 @@ class TestBasins:
             pytest.param({"resolution": 5, "dt": -0.01}, id="dt-negative"),
             pytest.param({"resolution": 5, "t_max": -1.0}, id="tmax-negative"),
             pytest.param({"resolution": 5, "t_max": float("nan")}, id="tmax-nan"),
-            pytest.param({"resolution": 5, "method": "exact"}, id="unknown-method"),
         ],
     )
     def test_resolution_validation(self, kwargs):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
-        with pytest.raises(ValueError):
-            estimate_basins(env, **kwargs)
+        for basins in (estimate_basins, label_basins):
+            with pytest.raises(ValueError):
+                basins(env, **kwargs)
 
     def test_arity_follows_the_system(self):
         # a symmetric Environment is one population; its pair is two
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
-        assert estimate_basins(env, resolution=5, t_max=100.0).cells.shape == (5,)
-        grid = estimate_basins(env.pair(), resolution=5, t_max=100.0)
-        assert grid.cells.shape == (5, 5)
-        assert all(s.is_pair for s in grid.attractors)
+        for basins in (estimate_basins, label_basins):
+            assert basins(env, resolution=5, t_max=100.0).cells.shape == (5,)
+            grid = basins(env.pair(), resolution=5, t_max=100.0)
+            assert grid.cells.shape == (5, 5)
+            assert all(s.is_pair for s in grid.attractors)
 
     def test_marginal_state_takes_its_cells(self):
         # w(p) - p < 0 above the marginal state 0 (slope 1), which the
         # trajectory from p = 1/18 only approaches algebraically
         game = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
         w = MinEffortResponse(game, SampleSizeDistribution.of({2: 0.5, 6: 0.5}))
-        grid = estimate_basins(
-            w, resolution=9, t_max=260.0, dt=0.05, method="separatrix"
-        )
+        grid = label_basins(w, resolution=9, t_max=260.0, dt=0.05)
         assert grid.attractors[0].state == 0.0
         assert grid.attractors[0].stability == Stability.MARGINAL
         assert grid.cells[0] == 0
@@ -243,9 +242,7 @@ class TestBasins:
 
     @pytest.mark.parametrize("env", [FIG3_LEFT, FIG3_RIGHT], ids=["left", "right"])
     def test_figure3_panels_need_no_integration(self, env):
-        grid = estimate_basins(
-            env, resolution=99, t_max=260.0, dt=0.01, method="separatrix"
-        )
+        grid = label_basins(env, resolution=99, t_max=260.0, dt=0.01)
         assert grid.integrated == 0 and grid.flagged == 0
         # cooperative dynamics: labels, ordered like the states, never
         # decrease along a row or a column
@@ -277,40 +274,24 @@ class TestBasins:
         ],
     )
     def test_fallback_cells_are_counted(self, env, t_max, integrated):
-        grid = estimate_basins(
-            env, resolution=5, t_max=t_max, dt=0.1, method="separatrix"
-        )
+        grid = label_basins(env, resolution=5, t_max=t_max, dt=0.1)
         assert grid.integrated == integrated
-        ref = _brute_force_cells(env, 5, t_max, 0.1)
-        assert np.array_equal(grid.cells, ref)
+        ref = estimate_basins(env, resolution=5, t_max=t_max, dt=0.1)
+        assert np.array_equal(grid.cells, ref.cells)
 
-    def test_integrate_method_integrates_every_cell(self):
+    def test_reference_integrates_every_cell(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
         grid = estimate_basins(env.pair(), resolution=5, t_max=100.0)
         assert grid.integrated == 25 and grid.flagged == 0
-        fast = estimate_basins(env.pair(), resolution=5, t_max=100.0, method="separatrix")
+        fast = label_basins(env.pair(), resolution=5, t_max=100.0)
         assert fast.integrated == 5  # the cells on the anti-diagonal separatrix
         assert np.array_equal(grid.cells, fast.cells)
 
 
-def _brute_force_cells(system, resolution, t_max, dt):
-    """Labels of the reference path: every cell integrated."""
-    system = System.of(system)
-    centers = (np.arange(resolution) + 0.5) / resolution
-    if system.dim == 1:
-        x0 = centers.reshape(-1, 1)
-    else:
-        g1, g2 = np.meshgrid(centers, centers, indexing="ij")
-        x0 = np.column_stack([g1.ravel(), g2.ravel()])
-    cells = _integrated_labels(system, x0, system.stationary(), t_max, dt)
-    return cells.reshape((resolution,) * system.dim)
-
-
 def _assert_matches_brute_force(system, resolution, t_max=260.0, dt=0.05):
     """Equal labels wherever the reference converges to a listed state."""
-    grid = estimate_basins(system, resolution, t_max=t_max, dt=dt, method="separatrix")
-    cells = grid.cells
-    ref = _brute_force_cells(system, resolution, t_max, dt)
+    cells = label_basins(system, resolution, t_max=t_max, dt=dt).cells
+    ref = estimate_basins(system, resolution, t_max=t_max, dt=dt).cells
     assert np.array_equal(np.where(ref >= 0, ref, cells), cells)
 
 
