@@ -8,10 +8,10 @@ configuration error, 3 internal numeric failure.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
-``flow.label_basins``); --tmax and --dt bound
-the separatrix traces and the integration of the cells that cannot be
-labelled that way, whose number the legend records as integrated_cells.
-A config whose every state is stationary has no basins (exit 2).  analyze's search_alpha_step
+``flow.label_basins``); --tmax and --dt bound the separatrix traces and
+the integration of the cells that cannot be labelled that way, whose
+number the legend records as integrated_cells.  A config whose every
+state is stationary has no basins (exit 2).  analyze's search_alpha_step
 lies in [0.01, 0.5]: the mixture search runs one stationary search per
 alpha pair, up to (1/step - 1)^2 of them.
 
