@@ -31,7 +31,9 @@ than the one before.
 
 oracle.csv in response mode has one row per population, in population
 order, under the header p,estimate,standard_error; population i draws
-its agents with seed + i - 1.
+its agents with seed + i - 1.  The oracle's population size n and its
+response-mode samples are at most MAX_ORACLE_DRAWS (10**8); larger
+values are a configuration error (exit 2).
 """
 
 from __future__ import annotations
@@ -112,11 +114,14 @@ def _merged_config(args: argparse.Namespace) -> dict:
     return conf
 
 
-def _integer_field(conf: dict, key: str, default: int, least: int) -> int:
-    """Config field ``key`` (``default`` when absent), an integer of at least ``least``."""
+def _integer_field(conf: dict, key: str, default: int, least: int, most: int | None = None) -> int:
+    """Config field ``key`` (``default`` when absent), an integer of at
+    least ``least`` and, when given, at most ``most``."""
     value = cfg._integer(conf, key, "config") if key in conf else default
     if value < least:
         raise ConfigError(f"'{key}' must be an integer of at least {least}, got {conf[key]!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"'{key}' must be an integer of at most {most}, got {conf[key]!r}")
     return value
 
 
@@ -372,6 +377,10 @@ def cmd_basins(conf: dict) -> int:
     return 0
 
 
+# Largest oracle population size and response-mode sample count.
+MAX_ORACLE_DRAWS = 10**8
+
+
 def cmd_oracle(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
@@ -384,7 +393,7 @@ def cmd_oracle(conf: dict) -> int:
         if not (cfg._is_number(p) and 0.0 <= p <= 1.0):
             raise ConfigError(f"'p' must lie in [0, 1], got {p!r}")
         p = float(p)
-        samples = _integer_field(conf, "samples", 10**5, least=1)
+        samples = _integer_field(conf, "samples", 10**5, least=1, most=MAX_ORACLE_DRAWS)
         lines = [f"# seed={seed} samples={samples}", "p,estimate,standard_error"]
         responses = _system(spec).responses
         for i, response in enumerate(responses):
@@ -397,7 +406,7 @@ def cmd_oracle(conf: dict) -> int:
         return 0
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
-    n = _integer_field(conf, "n", 10**5, least=100)
+    n = _integer_field(conf, "n", 10**5, least=100, most=MAX_ORACLE_DRAWS)
     initial = _parse_initial(conf, spec.one_population)
     traj = simulate_population(
         spec.environment,

@@ -1,12 +1,21 @@
 """Finite-population Monte Carlo oracle for the mean-field dynamics.
 
-Agents hold actions; each step, every agent independently dies with
-probability dt and is replaced by a newcomer who samples (with
-replacement) from the opposing population's current actions and best
-responds.  Sampling with replacement makes the observed count exactly
-binomial in the opposing share, which is what the mean-field response
-assumes.  All draws come from one seeded generator, so runs are
-bit-reproducible.
+Each step, every agent independently dies with probability dt and is
+replaced by a newcomer who samples (with replacement) from the opposing
+population's actions at the start of the step and best responds.
+Sampling with replacement makes the observed count exactly binomial in
+the opposing share, which is what the mean-field response assumes.
+
+Agents are exchangeable, so a population's state is the number of its
+agents on the first action.  A step draws the deaths among the
+first-action and second-action agents as two binomials and lets only
+the newcomers draw a sample size and a sample, so it costs O(n*dt)
+draws, not O(n).  The newcomers' choices use the sampling thresholds
+alone, never the analytic tails they are meant to check.  All draws
+come from one seeded generator, so runs are bit-reproducible for a
+seed and follow the same distribution as the model of n individual
+agents; the numbers a seed gives differ from those of the per-agent
+simulation that earlier versions ran.
 """
 
 from __future__ import annotations
@@ -16,15 +25,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import System
-from .dynamics import Environment, SamplingResponse
+from .dynamics import Environment, SamplingResponse, sampling_threshold
 from .flow import _step_count
 
+# Most binomial samples held in memory at once, whatever the number of draws.
+DRAW_BLOCK = 1 << 20
 
-def _threshold_arrays(response: SamplingResponse):
-    support = np.array(response.theta.support, dtype=np.int64)
+
+def _draw_table(response: SamplingResponse):
+    support = response.theta.support
     masses = np.array([w for _, w in response.theta.atoms], dtype=float)
-    thresholds = np.array([m for _, _, m, _ in response._atoms], dtype=np.int64)
+    thresholds = [sampling_threshold(k, response.u, response.tie_break) for k in support]
     return support, masses, thresholds
+
+
+def _first_action_choices(rng, table, draws: int, p: float) -> int:
+    """How many of ``draws`` newcomers choose the first action.
+
+    Each draws a sample size from theta and that many i.i.d. Bernoulli(p)
+    opponent actions, and chooses the first action when the count
+    reaches the threshold of its size.
+    """
+    support, masses, thresholds = table
+    chosen = 0
+    while draws > 0:
+        block = min(draws, DRAW_BLOCK)
+        for k, m, c in zip(support, thresholds, rng.multinomial(block, masses)):
+            if c:
+                chosen += int(np.count_nonzero(rng.binomial(k, p, size=c) >= m))
+        draws -= block
+    return chosen
 
 
 def empirical_response(env, p: float, samples: int, seed: int) -> tuple[float, float]:
@@ -40,12 +70,9 @@ def empirical_response(env, p: float, samples: int, seed: int) -> tuple[float, f
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     (response,) = System.of(env, 1).responses
-    support, masses, thresholds = _threshold_arrays(response)
     rng = np.random.default_rng(seed)
-    k_idx = rng.choice(len(support), size=samples, p=masses)
-    counts = rng.binomial(support[k_idx], p)
-    choices = counts >= thresholds[k_idx]
-    estimate = float(np.mean(choices))
+    chosen = _first_action_choices(rng, _draw_table(response), samples, p)
+    estimate = chosen / samples
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / samples))
     return estimate, stderr
 
@@ -79,9 +106,18 @@ def simulate_population(
     A scalar ``initial`` runs one population that samples itself, a pair
     two populations that sample each other; with no ``initial``,
     ``analysis.System`` picks the form and every population starts at one
-    half.  Starting shares must lie in [0, 1].  Agents are dealt
-    deterministically to match the starting share(s) of first-action
-    players as closely as n allows.
+    half.  Starting shares must lie in [0, 1]; each population starts
+    with ``round(share * n)`` agents on the first action.
+
+    The state of a population is that count.  A step draws the deaths
+    ``D_A ~ Bin(n_A, dt)`` and ``D_B ~ Bin(n - n_A, dt)``; the
+    ``D_A + D_B`` newcomers sample the opposing shares at the start of
+    the step, and the count becomes ``n_A - D_A`` plus the newcomers who
+    choose the first action.  A step thus costs O(n*dt) draws.  Each
+    agent ends a step on the first action with probability
+    ``1 - dt + dt*w`` if it was on it and ``dt*w`` if not, as when every
+    agent is simulated; runs are bit-reproducible for a seed, but a
+    seed's numbers differ from those of the per-agent simulation.
     """
     if n < 100:
         raise ValueError(f"population size must be at least 100, got {n!r}")
@@ -92,31 +128,24 @@ def simulate_population(
     starts = np.full(system.dim, 0.5) if initial is None else np.reshape(initial, system.dim)
     if not np.all((starts >= 0.0) & (starts <= 1.0)):
         raise ValueError(f"initial shares must lie in [0, 1], got {initial!r}")
-    tables = [_threshold_arrays(w) for w in system.responses]
+    tables = [_draw_table(w) for w in system.responses]
     # population i samples population opponent[i]
     opponent = (0,) if system.dim == 1 else (1, 0)
 
     rng = np.random.default_rng(seed)
     times = np.arange(n_steps + 1) * dt
-
-    def deal(share: float) -> np.ndarray:
-        count = int(round(share * n))
-        actions = np.zeros(n, dtype=bool)
-        actions[:count] = True
-        return actions
-
-    pops = [deal(share) for share in starts]
-    shares = np.empty((n_steps + 1, system.dim))
-    shares[0] = [pop.mean() for pop in pops]
+    state = [int(round(share * n)) for share in starts]
+    counts = np.empty((n_steps + 1, system.dim), dtype=np.int64)
+    counts[0] = state
     for step in range(1, n_steps + 1):
-        p_now = shares[step - 1]
-        for i, (support, masses, thresholds) in enumerate(tables):
-            dies = rng.random(n) < dt
-            d = int(dies.sum())
-            if d:
-                k_idx = rng.choice(len(support), size=d, p=masses)
-                counts = rng.binomial(support[k_idx], p_now[opponent[i]])
-                pops[i][dies] = counts >= thresholds[k_idx]
-        shares[step] = [pop.mean() for pop in pops]
+        before = [count / n for count in state]
+        for i, table in enumerate(tables):
+            n_a = state[i]
+            # two scalar draws cost a fifth of one draw on a pair
+            d_a, d_b = rng.binomial(n_a, dt), rng.binomial(n - n_a, dt)
+            p = before[opponent[i]]
+            state[i] = n_a - d_a + _first_action_choices(rng, table, d_a + d_b, p)
+        counts[step] = state
+    shares = counts / n
     states = shares[:, 0] if system.dim == 1 else shares
     return EmpiricalTrajectory(times, states, n=n, seed=seed, dt=dt)

@@ -457,3 +457,26 @@ def test_informational_basin_footnote_report():
             f"{interior_share:.3f} at resolution 15 (reported, not gating)"
         )
     _ok(0, "basin shares reported for both panels (informational)")
+
+
+def test_informational_oracle_gap_against_n():
+    # the finite-population gap to the mean field should shrink like
+    # 1/sqrt(n); report it with the floor no n removes: the chain's
+    # expected step is a forward-Euler step of the field, which drifts
+    # O(dt) from the RK4 reference
+    start, t_max, dt = (0.5, 0.5), 2.0, 0.01
+    ref = integrate(FIG3_RIGHT, start, t_max=t_max, dt=dt).states
+    w1, w2 = FIG3_RIGHT.response(1), FIG3_RIGHT.response(2)
+    euler = [np.array(start)]
+    for _ in range(len(ref) - 1):
+        x, y = euler[-1]
+        euler.append(euler[-1] + dt * np.array([w1(y) - x, w2(x) - y]))
+    floor = float(np.max(np.abs(np.array(euler) - ref)))
+    print(f"    forward-Euler floor of the gap at dt = {dt}: {floor:.2e}")
+    gap = math.inf
+    for n in (10**3, 10**4, 10**5, 10**6, 10**7):
+        sim = simulate_population(FIG3_RIGHT, n=n, t_max=t_max, dt=dt, seed=1, initial=start)
+        gap = float(np.max(np.abs(sim.states - ref)))
+        print(f"    n = {n:>8}: gap {gap:.2e}, gap * sqrt(n) {gap * math.sqrt(n):.2f}")
+    assert gap < 0.03
+    _ok(0, "oracle gap to the mean field reported against n (informational)")

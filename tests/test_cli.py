@@ -365,9 +365,12 @@ class TestOracleCommand:
             {"mode": "response", "p": "0.5"},
             {"mode": "response", "samples": 0},
             {"mode": "response", "samples": 2.5},
+            {"mode": "response", "samples": 1e12},
+            {"n": 1e12},
         ],
         ids=["n-below-100", "fractional-n", "negative-seed", "fractional-seed", "p-above-1",
-             "negative-p", "string-p", "zero-samples", "fractional-samples"],
+             "negative-p", "string-p", "zero-samples", "fractional-samples", "huge-samples",
+             "huge-n"],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, fields):
         conf = {"command": "oracle", "environment": ONE_POP, "n": 1000, "tmax": 0.1,

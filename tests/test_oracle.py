@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import binom, chisquare
 
 from conftest import random_symmetric_env
+from samplingdyn import dynamics
 from samplingdyn.dynamics import Environment, SampleSizeDistribution
 from samplingdyn.flow import integrate
 from samplingdyn.games import CoordinationGame
@@ -96,3 +98,51 @@ class TestSimulatePopulation:
         asym = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         with pytest.raises(ValueError):
             simulate_population(asym, n=500, t_max=1.0, initial=0.5)
+
+
+class TestCountLevelStep:
+    def test_one_step_follows_the_per_agent_distribution(self):
+        # n = 100 agents, 30 on the first action, one step of dt = 0.1: the
+        # 30 keep it with probability 1 - dt + dt*w(p) and the other 70 take
+        # it with probability dt*w(p), so the new count is the sum of two
+        # binomials
+        n, n_a, dt, runs = 100, 30, 0.1, 4000
+        env = Environment.symmetric(3.0, SampleSizeDistribution.of({1: 0.3, 4: 0.7}))
+        w = env.single_response()(n_a / n)
+        states = np.array([
+            simulate_population(env, n=n, t_max=dt, dt=dt, seed=seed, initial=n_a / n).states
+            for seed in range(runs)
+        ])
+        assert states.shape == (runs, 2)
+        counts = np.round(states * n)
+        # shares are counts over n, up to the rounding of the division
+        assert np.max(np.abs(states * n - counts)) < 1e-9
+        assert np.all((counts >= 0) & (counts <= n))
+        assert np.all(counts[:, 0] == n_a)
+
+        values = np.arange(n + 1)
+        stay = binom.pmf(values, n_a, 1.0 - dt + dt * w)
+        join = binom.pmf(values, n - n_a, dt * w)
+        exact = np.convolve(stay, join)[: n + 1]
+        observed = np.bincount(counts[:, 1].astype(int), minlength=n + 1)
+        # counts expected fewer than 5 times share one bin
+        expected = runs * exact / exact.sum()
+        rare = expected < 5
+        pooled_obs = np.append(observed[~rare], observed[rare].sum())
+        pooled_exp = np.append(expected[~rare], expected[rare].sum())
+        assert chisquare(pooled_obs, pooled_exp).pvalue > 1e-3
+
+    def test_draws_only_thresholds_not_the_analytic_tails(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle evaluated the analytic response")
+
+        for name in ("_tail", "_tail_mixture", "_slope_mixture"):
+            monkeypatch.setattr(dynamics, name, refuse)
+        one = Environment.symmetric(1.2, THETA_15)
+        est, se = empirical_response(one, 0.4, 10_000, seed=1)
+        assert 0.0 < est < 1.0 and se > 0.0
+        traj = simulate_population(one, n=1000, t_max=0.5, seed=2, initial=0.3)
+        assert len(traj.states) == 51
+        two = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
+        traj = simulate_population(two, n=1000, t_max=0.5, seed=2, initial=(0.5, 0.5))
+        assert traj.states.shape == (51, 2)
