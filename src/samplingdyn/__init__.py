@@ -8,7 +8,6 @@ from .games import (
     OriginalGameMatrix,
     canonicalize,
     from_dominance,
-    mixed_nash,
     normalize_general,
     normalize_hawk_dove,
     normalize_symmetric,

@@ -38,7 +38,6 @@ GRID_POINTS = 10_001
 BISECT_WIDTH = 1e-12
 RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
-_DEDUPE_TOL = 1e-8
 _CONTINUUM_TOL = 1e-12
 ALPHA_STEP = 0.01  # the mixture search's default and finest alpha step
 
@@ -154,34 +153,15 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
     return 0.5 * (lo + hi)
 
 
-def _golden_min_abs(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section minimizer of |g| for tangency refinement."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = abs(g(c)), abs(g(d))
-    for _ in range(120):
-        if b - a <= BISECT_WIDTH:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = abs(g(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = abs(g(d))
-    return 0.5 * (a + b)
-
-
 def scan_fixed_points(g: Callable) -> list[float]:
-    """All roots of g on [0, 1] by sign-change scan plus bisection.
+    """All roots of g on [0, 1] found on a grid of ``GRID_POINTS`` points.
 
-    ``g`` must accept numpy arrays.  Grid points where |g| dips below the
-    marginal band without a sign change are treated as tangency candidates
-    and refined by golden section on |g|; they are kept only when the
-    refined residual is below the stationary-state tolerance.
+    ``g`` must accept numpy arrays.  A root is either a grid point where g
+    is exactly zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``), or one
+    bisected root in each grid cell over which g strictly changes sign.
+    The rule resolves roots one grid cell apart: two roots within one
+    cell, one of them an exact zero, show as one, and two roots strictly
+    inside one cell, such as a tangency between grid points, do not show.
     """
     xs = np.linspace(0.0, 1.0, GRID_POINTS)
     gs = np.asarray(g(xs), dtype=float)
@@ -190,37 +170,13 @@ def scan_fixed_points(g: Callable) -> list[float]:
     if np.max(np.abs(gs)) < _CONTINUUM_TOL:
         raise ContinuumError("every state is a fixed point")
 
-    roots: list[float] = []
-
-    def push(x: float) -> None:
-        for r in roots:
-            if abs(r - x) <= _DEDUPE_TOL:
-                return
-        roots.append(x)
-
-    if abs(gs[0]) < RESIDUAL_TOL:
-        push(0.0)
-    if abs(gs[-1]) < RESIDUAL_TOL:
-        push(1.0)
-
     signs = np.sign(gs)
+    for end in (0, -1):
+        if abs(gs[end]) < RESIDUAL_TOL:
+            signs[end] = 0.0
+    roots = [float(x) for x in xs[signs == 0.0]]
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        push(_bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1], gs[i]))
-    for i in np.flatnonzero(signs == 0.0):
-        push(float(xs[i]))
-
-    # tangency sweep: near-zero grid values not already next to a root
-    near = np.flatnonzero(np.abs(gs) < MARGINAL_BAND)
-    for i in near:
-        x = float(xs[i])
-        if any(abs(x - r) <= 2.0 / (GRID_POINTS - 1) for r in roots):
-            continue
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, GRID_POINTS - 1)]
-        cand = _golden_min_abs(lambda t: float(g(t)), lo, hi)
-        if abs(float(g(cand))) < RESIDUAL_TOL:
-            push(cand)
-
+        roots.append(_bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1], gs[i]))
     return sorted(roots)
 
 

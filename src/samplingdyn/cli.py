@@ -32,7 +32,9 @@ than the one before.
 oracle.csv in response mode has one row per population, in population
 order, under the header p,estimate,standard_error; population i draws
 its agents with seed + i - 1.  The oracle's population size n and its
-response-mode samples are at most MAX_ORACLE_DRAWS (10**8); larger
+response-mode samples are at most MAX_ORACLE_DRAWS (10**8), and its
+population-mode step count round(tmax / dt) at most MAX_ORACLE_STEPS
+(10**6; the defaults tmax 50 and dt 0.01 take 5,000 steps); larger
 values are a configuration error (exit 2).
 """
 
@@ -379,6 +381,8 @@ def cmd_basins(conf: dict) -> int:
 
 # Largest oracle population size and response-mode sample count.
 MAX_ORACLE_DRAWS = 10**8
+# Largest number of population-mode steps, round(tmax / dt).
+MAX_ORACLE_STEPS = 10**6
 
 
 def cmd_oracle(conf: dict) -> int:
@@ -407,12 +411,17 @@ def cmd_oracle(conf: dict) -> int:
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
     n = _integer_field(conf, "n", 10**5, least=100, most=MAX_ORACLE_DRAWS)
+    t_max, dt = float(conf.get("tmax", 50.0)), float(conf.get("dt", 0.01))
+    if t_max / dt > MAX_ORACLE_STEPS + 0.5:  # round(tmax / dt) steps; inf fails here too
+        raise ConfigError(
+            f"'tmax' / 'dt' must be at most {MAX_ORACLE_STEPS} steps, got {t_max!r} / {dt!r}"
+        )
     initial = _parse_initial(conf, spec.one_population)
     traj = simulate_population(
         spec.environment,
         n=n,
-        t_max=float(conf.get("tmax", 50.0)),
-        dt=float(conf.get("dt", 0.01)),
+        t_max=t_max,
+        dt=dt,
         seed=seed,
         initial=initial,
     )

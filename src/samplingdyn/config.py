@@ -177,7 +177,6 @@ class EnvSpec:
     one_population: bool
     environment: Environment | None = None
     pair: ResponsePair | None = None
-    game: CoordinationGame | None = None
     contracting: ContractingGame | None = None
     mineffort: MinEffortGame | None = None
     thetas: tuple[SampleSizeDistribution, ...] = ()
@@ -246,7 +245,7 @@ def parse_environment(obj: Any) -> EnvSpec:
             pair = ResponsePair.logit(game, groups1, groups2)
         except ValueError as exc:
             raise ConfigError(f"invalid logit groups: {exc}") from exc
-        return EnvSpec(kind="logit", one_population=False, pair=pair, game=game)
+        return EnvSpec(kind="logit", one_population=False, pair=pair)
 
     tie = TieBreak.FAVOR_A
     if "tie_break" in obj:
@@ -264,7 +263,6 @@ def parse_environment(obj: Any) -> EnvSpec:
             kind="sampling",
             one_population=True,
             environment=env,
-            game=game,
             thetas=(theta,),
         )
     theta1 = parse_theta(_require(obj, "theta1", context), "theta1")
@@ -274,7 +272,6 @@ def parse_environment(obj: Any) -> EnvSpec:
         kind="sampling",
         one_population=False,
         environment=env,
-        game=game,
         thetas=(theta1, theta2),
     )
 

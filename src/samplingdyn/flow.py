@@ -79,21 +79,6 @@ class Trajectory:
         return float(last) if last.ndim == 0 or last.shape == () else tuple(last)
 
 
-def _match_stationary(
-    states: StationaryAnalysis, point: np.ndarray, tol: float = MATCH_TOL
-) -> StationaryState | None:
-    best = None
-    best_dist = math.inf
-    for s in states.states:
-        ref = np.atleast_1d(np.asarray(s.state, dtype=float))
-        dist = float(np.max(np.abs(ref - point)))
-        if dist < best_dist:
-            best, best_dist = s, dist
-    if best is not None and best_dist <= tol:
-        return best
-    return None
-
-
 def _rk4_step(field, x, dt, project, k1=None):
     """One RK4 step on an array state.  ``project`` maps the stage
     arguments and the result back onto the state space, where the field
@@ -166,7 +151,8 @@ def integrate(
     if converged:
         if stationary is None:
             stationary = system.stationary()
-        limit = _match_stationary(stationary, np.asarray(x))
+        (i,) = _match_labels(np.asarray([x]), True, stationary, MATCH_TOL)
+        limit = stationary.states[i] if i >= 0 else None
 
     states = np.asarray(path)
     if system.dim == 1:
@@ -269,15 +255,17 @@ class BasinGrid:
         raise ValueError(f"unknown attractor {state!r}")
 
 
-def _match_labels(finals: np.ndarray, ok, stationary: StationaryAnalysis):
-    """Index of the state nearest each converged end point, -1 when none
-    lies within 1e-3."""
+def _match_labels(finals: np.ndarray, ok, stationary: StationaryAnalysis, tol: float = 1e-3):
+    """Index of the first state nearest (in sup distance) each converged
+    end point, -1 when none lies within ``tol``."""
+    if not stationary.states:
+        return np.full(len(finals), -1)
     refs = np.array(
         [np.atleast_1d(np.asarray(s.state, dtype=float)) for s in stationary.states]
     )
     dists = np.max(np.abs(finals[:, None, :] - refs[None, :, :]), axis=2)
     nearest = np.argmin(dists, axis=1)
-    near = dists[np.arange(len(nearest)), nearest] <= 1e-3
+    near = dists[np.arange(len(nearest)), nearest] <= tol
     return np.where(ok & near, nearest, -1)
 
 

@@ -52,10 +52,6 @@ class CoordinationGame:
         return self.u1 == self.u2
 
     @property
-    def is_canonical(self) -> bool:
-        return self.u1 >= 1.0
-
-    @property
     def u(self) -> float:
         """Single payoff parameter of a symmetric game."""
         if not self.is_symmetric:
@@ -220,8 +216,3 @@ def to_dominance(game: CoordinationGame) -> DominanceProfile:
 def from_dominance(d: DominanceProfile) -> CoordinationGame:
     """Inverse of :func:`to_dominance`: u_i = (1 - q_i)/q_i."""
     return CoordinationGame((1.0 - d.q1) / d.q1, (1.0 - d.q2) / d.q2)
-
-
-def mixed_nash(game: CoordinationGame) -> tuple[float, float]:
-    """Interior Nash equilibrium of the two-population game."""
-    return game.mixed_nash()

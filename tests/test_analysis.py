@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from conftest import random_env, random_symmetric_env, random_theta
+from conftest import random_env, random_game, random_symmetric_env, random_theta
+from samplingdyn import analysis
 from samplingdyn.analysis import (
     Stability,
     Verdict,
@@ -175,6 +177,101 @@ class TestTwoPopStationary:
                 right = float(pair.w2(s.p1 + delta)) - float(pair.w1.inverse(s.p1 + delta))
                 is_stable = left > 0 > right
                 assert is_stable == (s.stability == Stability.STABLE)
+
+
+def _exact_roots(w: SamplingResponse) -> list[float] | None:
+    """Real roots in [0, 1] of the exact polynomial w(p) - p, by mpmath at
+    60 digits, with multiplicity; None when w(p) = p identically."""
+    coeffs = list(w.polynomial_coefficients())
+    coeffs[1] -= 1
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return None
+    with mpmath.workdps(60):
+        descending = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        roots = mpmath.polyroots(descending, maxsteps=400, extraprec=200)
+        return sorted(
+            float(mpmath.re(r))
+            for r in roots
+            if abs(mpmath.im(r)) < 1e-20 and -1e-9 <= mpmath.re(r) <= 1.0 + 1e-9
+        )
+
+
+class TestScanResolution:
+    def test_oyama_states_do_not_depend_on_resolution(self, monkeypatch):
+        # |w(p) - p| stays below the marginal band for p up to about
+        # 4.4e-5, where it has no root: a small value is not a state
+        env = Environment.symmetric(1.5, SampleSizeDistribution.of({2: 0.5, 1000: 0.5}))
+        coarse = find_stationary_one_pop(env)
+        monkeypatch.setattr(analysis, "GRID_POINTS", 1_000_001)
+        fine = find_stationary_one_pop(env)
+        assert len(coarse.states) == len(fine.states) == 3
+        for a, b in zip(coarse.states, fine.states):
+            assert b.p1 == pytest.approx(a.p1, abs=1e-9)
+            assert b.stability == a.stability
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        u=st.floats(0.15, 8.0),
+        masses=st.dictionaries(st.integers(1, 12), st.floats(0.05, 1.0), min_size=1, max_size=4),
+    )
+    def test_one_pop_states_match_exact_roots(self, u, masses):
+        # every state is a root of the exact polynomial, and every root at
+        # least two grid cells from the others is found
+        total = sum(masses.values())
+        theta = SampleSizeDistribution.of({k: m / total for k, m in masses.items()})
+        w = SamplingResponse(u, theta)
+        res = find_stationary_one_pop(w)
+        exact = _exact_roots(w)
+        if exact is None:
+            assert res.continuum
+            return
+        found = [s.p1 for s in res.states]
+        for p in found:
+            assert min(abs(p - r) for r in exact) <= 1e-9, (found, exact)
+        apart = 2.0 / (analysis.GRID_POINTS - 1)
+        for i, r in enumerate(exact):
+            if all(abs(r - q) > apart for j, q in enumerate(exact) if j != i):
+                assert min(abs(p - r) for p in found) <= 1e-9, (found, exact)
+
+    def test_two_pop_states_agree_at_ten_times_the_resolution(self, rng, monkeypatch):
+        def groups():
+            mass = rng.random(int(rng.integers(1, 3))) + 0.2
+            return [(m, float(rng.uniform(0.05, 1.0))) for m in mass / mass.sum()]
+
+        systems = [random_env(rng) for _ in range(60)]
+        systems += [random_env(rng, big_k=1000) for _ in range(20)]
+        systems += [ResponsePair.logit(random_game(rng), groups(), groups()) for _ in range(20)]
+        coarse = [find_stationary_two_pop(system) for system in systems]
+        monkeypatch.setattr(analysis, "GRID_POINTS", 10 * (analysis.GRID_POINTS - 1) + 1)
+        for system, a in zip(systems, coarse):
+            b = find_stationary_two_pop(system)
+            assert b.continuum == a.continuum
+            assert len(b.states) == len(a.states), (system, a.states, b.states)
+            for sa, sb in zip(a.states, b.states):
+                assert sb.state == pytest.approx(sa.state, abs=1e-9)
+                assert sb.stability == sa.stability
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a root within one grid cell of an exact zero is missed (ROADMAP item 3)",
+    )
+    def test_root_next_to_a_pure_state(self):
+        # w1(p) = p, so the states are the roots of w2(p) - p: exactly 0,
+        # 7.706e-5 and 1.  The grid's first cell holds the middle one with
+        # no sign change, so (0, 0) and (1, 1) show as adjacent stable
+        # states with no saddle between them
+        theta2 = SampleSizeDistribution.of({
+            4: 0.24983216337430852, 5: 0.3713036772548215,
+            6: 0.2427754812819987, 7: 0.13608867808887123,
+        })
+        env = Environment.of(CoordinationGame(1.0, 3.0), SampleSizeDistribution.point(1), theta2)
+        res = find_stationary_two_pop(env)
+        assert [s.stability for s in res.states] == [
+            Stability.STABLE, Stability.UNSTABLE, Stability.STABLE
+        ]
+        assert res.states[1].p1 == pytest.approx(7.706386127041599e-05, abs=1e-9)
 
 
 class TestPureStates:

@@ -367,10 +367,12 @@ class TestOracleCommand:
             {"mode": "response", "samples": 2.5},
             {"mode": "response", "samples": 1e12},
             {"n": 1e12},
+            {"tmax": 1e9, "dt": 0.01},
+            {"tmax": 1e10, "dt": 1e-300},
         ],
         ids=["n-below-100", "fractional-n", "negative-seed", "fractional-seed", "p-above-1",
              "negative-p", "string-p", "zero-samples", "fractional-samples", "huge-samples",
-             "huge-n"],
+             "huge-n", "huge-step-count", "infinite-step-count"],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, fields):
         conf = {"command": "oracle", "environment": ONE_POP, "n": 1000, "tmax": 0.1,
