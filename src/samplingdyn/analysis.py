@@ -156,15 +156,40 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
 def scan_fixed_points(g: Callable) -> list[float]:
     """All roots of g on [0, 1] found on a grid of ``GRID_POINTS`` points.
 
-    ``g`` must accept numpy arrays.  A root is either a grid point where g
-    is exactly zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``), or one
-    bisected root in each grid cell over which g strictly changes sign.
-    The rule resolves roots one grid cell apart: two roots within one
-    cell, one of them an exact zero, show as one, and two roots strictly
-    inside one cell, such as a tangency between grid points, do not show.
+    ``g`` must accept numpy arrays and have the form g(x) = h(x) - x with
+    h nondecreasing.  A root is either a grid point where g is exactly
+    zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``), or one bisected root
+    in each grid cell over which g strictly changes sign.  The rule
+    resolves roots one grid cell apart: two roots within one cell, one of
+    them an exact zero, show as one, and two roots strictly inside one
+    cell, such as a tangency between grid points, do not show.
+
+    g is evaluated at every s-th grid point first (s = isqrt(GRID_POINTS
+    - 1), and the last point), then only inside the coarse cells that can
+    hold a root.  On a coarse cell [a, b], h(a) <= h(x) <= h(b) gives the
+    interval enclosure g(a) - (b - a) <= g(x) <= g(b) + (b - a) (Moore
+    1966).  A cell whose enclosure lies above ``RESIDUAL_TOL`` or below
+    -``RESIDUAL_TOL`` is skipped: that margin absorbs the rounding that
+    makes the computed h less than monotone, so every grid point inside
+    has the sign of the enclosure, is no exact zero and bounds no sign
+    change.  A skipped point holds the enclosure's bound nearest zero in
+    place of g, and the rule above runs on these values, so the roots are
+    those of g evaluated at every grid point.
     """
     xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    gs = np.asarray(g(xs), dtype=float)
+    n = GRID_POINTS - 1
+    coarse = np.append(np.arange(0, n, math.isqrt(n)), n)
+    gc = np.asarray(g(xs[coarse]), dtype=float)
+    width = np.diff(xs[coarse])
+    lo, hi = gc[:-1] - width, gc[1:] + width
+    skip = (lo > RESIDUAL_TOL) | (hi < -RESIDUAL_TOL)
+    # each grid point but the last lies in the coarse cell it starts or is inside
+    cell_points = np.diff(coarse)
+    gs = np.append(np.repeat(np.where(lo > RESIDUAL_TOL, lo, hi), cell_points), 0.0)
+    gs[coarse] = gc
+    fine = np.append(np.repeat(~skip, cell_points), False)
+    fine[coarse] = False
+    gs[fine] = g(xs[fine])
     if not np.all(np.isfinite(gs)):
         raise ArithmeticError("non-finite values while scanning for fixed points")
     if np.max(np.abs(gs)) < _CONTINUUM_TOL:

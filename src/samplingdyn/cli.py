@@ -32,10 +32,11 @@ than the one before.
 oracle.csv in response mode has one row per population, in population
 order, under the header p,estimate,standard_error; population i draws
 its agents with seed + i - 1.  The oracle's population size n and its
-response-mode samples are at most MAX_ORACLE_DRAWS (10**8), and its
-population-mode step count round(tmax / dt) at most MAX_ORACLE_STEPS
-(10**6; the defaults tmax 50 and dt 0.01 take 5,000 steps); larger
-values are a configuration error (exit 2).
+response-mode samples are at most MAX_ORACLE_DRAWS (10**8); larger
+values are a configuration error (exit 2).  So is a step count
+round(tmax / dt) above MAX_STEPS (10**6) for trajectory, basins and the
+oracle's population mode (the defaults tmax 200, 200 and 50 with dt
+0.01 take 20,000, 20,000 and 5,000 steps).
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ from .oracle import empirical_response, simulate_population
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", type=str, help="JSON run configuration")
+    shared.add_argument("--out", type=str, help="output directory (default '.')")
+    shared.add_argument("--seed", type=int, help="random seed")
+    shared.add_argument("--resolution", type=int, help="grid resolution per axis")
+    shared.add_argument("--tmax", type=float, help="integration horizon")
+    shared.add_argument("--dt", type=float, help="integration step size")
     parser = argparse.ArgumentParser(
         prog="samplingdyn",
         description="Sampling best-response dynamics for coordination games",
@@ -81,14 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sweep", "parameter sweep with per-point verdicts"),
         ("normalize", "reduce a game to the standard representation"),
     ]:
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", type=str, help="JSON run configuration")
-        p.add_argument("--out", type=str, help="output directory (default '.')")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--resolution", type=int, help="grid resolution per axis")
-        p.add_argument("--tmax", type=float, help="integration horizon")
-        p.add_argument("--dt", type=float, help="integration step size")
+        sub.add_parser(name, help=desc, parents=[shared])
     return parser
+
+
+# parse_args keeps no state between calls, so one parser serves every main()
+_PARSER = _build_parser()
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
@@ -340,16 +346,27 @@ def _parse_initial(conf: dict, one_population: bool):
     return float(raw) if one_population else (float(raw[0]), float(raw[1]))
 
 
+# Largest number of fixed steps, round(tmax / dt), of a run.
+MAX_STEPS = 10**6
+
+
+def _horizon(conf: dict, t_max: float) -> tuple[float, float]:
+    """The config's tmax (default ``t_max``) and dt (default 0.01), which
+    take at most MAX_STEPS steps."""
+    t_max, dt = float(conf.get("tmax", t_max)), float(conf.get("dt", 0.01))
+    if t_max / dt > MAX_STEPS + 0.5:  # round(tmax / dt) steps; inf fails here too
+        raise ConfigError(
+            f"'tmax' / 'dt' must be at most {MAX_STEPS} steps, got {t_max!r} / {dt!r}"
+        )
+    return t_max, dt
+
+
 def cmd_trajectory(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
     initial = _parse_initial(conf, spec.one_population)
-    traj = integrate(
-        _system(spec),
-        initial,
-        t_max=float(conf.get("tmax", 200.0)),
-        dt=float(conf.get("dt", 0.01)),
-    )
+    t_max, dt = _horizon(conf, 200.0)
+    traj = integrate(_system(spec), initial, t_max=t_max, dt=dt)
     cfg.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states)
     print(f"verdict: {traj.verdict}")
     return 0
@@ -358,12 +375,13 @@ def cmd_trajectory(conf: dict) -> int:
 def cmd_basins(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
+    t_max, dt = _horizon(conf, 200.0)
     try:
         grid = label_basins(
             _system(spec),
             resolution=int(conf.get("resolution", 101)),
-            t_max=float(conf.get("tmax", 200.0)),
-            dt=float(conf.get("dt", 0.01)),
+            t_max=t_max,
+            dt=dt,
         )
     except an.ContinuumError as exc:
         raise ConfigError(f"'environment': {exc}") from None
@@ -381,8 +399,6 @@ def cmd_basins(conf: dict) -> int:
 
 # Largest oracle population size and response-mode sample count.
 MAX_ORACLE_DRAWS = 10**8
-# Largest number of population-mode steps, round(tmax / dt).
-MAX_ORACLE_STEPS = 10**6
 
 
 def cmd_oracle(conf: dict) -> int:
@@ -411,11 +427,7 @@ def cmd_oracle(conf: dict) -> int:
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
     n = _integer_field(conf, "n", 10**5, least=100, most=MAX_ORACLE_DRAWS)
-    t_max, dt = float(conf.get("tmax", 50.0)), float(conf.get("dt", 0.01))
-    if t_max / dt > MAX_ORACLE_STEPS + 0.5:  # round(tmax / dt) steps; inf fails here too
-        raise ConfigError(
-            f"'tmax' / 'dt' must be at most {MAX_ORACLE_STEPS} steps, got {t_max!r} / {dt!r}"
-        )
+    t_max, dt = _horizon(conf, 50.0)
     initial = _parse_initial(conf, spec.one_population)
     traj = simulate_population(
         spec.environment,
@@ -570,8 +582,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         conf = _merged_config(args)
         return _COMMANDS[args.command](conf)

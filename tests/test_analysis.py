@@ -198,6 +198,112 @@ def _exact_roots(w: SamplingResponse) -> list[float] | None:
         )
 
 
+def _dense_scan(g):
+    """The scan's rule on g evaluated at every grid point: the reference
+    that the pruned ``analysis.scan_fixed_points`` must equal bit for bit."""
+    xs = np.linspace(0.0, 1.0, analysis.GRID_POINTS)
+    gs = np.asarray(g(xs), dtype=float)
+    if not np.all(np.isfinite(gs)):
+        raise ArithmeticError("non-finite values while scanning for fixed points")
+    if np.max(np.abs(gs)) < analysis._CONTINUUM_TOL:
+        raise analysis.ContinuumError("every state is a fixed point")
+    signs = np.sign(gs)
+    for end in (0, -1):
+        if abs(gs[end]) < analysis.RESIDUAL_TOL:
+            signs[end] = 0.0
+    roots = [float(x) for x in xs[signs == 0.0]]
+    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
+        roots.append(analysis._bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1], gs[i]))
+    return sorted(roots)
+
+
+def _scan_systems(rng):
+    """(search, system) pairs: one- and two-population sampling systems
+    with sizes 1-12, with an atom in 61-1000, mixed with big_k = 1000 as
+    the Theorem-2 search mixes them, logit pairs and minimum-effort systems."""
+    def groups():
+        mass = rng.random(int(rng.integers(1, 3))) + 0.2
+        return [(m, float(rng.uniform(0.05, 1.0))) for m in mass / mass.sum()]
+
+    def big():
+        return int(rng.integers(61, 1001))
+
+    one, two = find_stationary_one_pop, find_stationary_two_pop
+    out = [(one, random_symmetric_env(rng)) for _ in range(30)]
+    out += [(two, random_env(rng)) for _ in range(30)]
+    out += [(one, random_symmetric_env(rng, big_k=big())) for _ in range(8)]
+    out += [(two, random_env(rng, big_k=big())) for _ in range(8)]
+    for _ in range(12):
+        env = random_env(rng)
+        a1, a2 = rng.uniform(0.05, 0.95, size=2)
+        mixed = Environment(
+            env.game, env.theta1.mix_with(a1, 1000), env.theta2.mix_with(a2, 1000)
+        )
+        out.append((two, mixed))
+    out += [(two, ResponsePair.logit(random_game(rng), groups(), groups())) for _ in range(10)]
+    for n_players in (2, 3, 5):
+        for observation in Observation:
+            for cost in (0.2, 0.5, 0.8):
+                game = MinEffortGame(n_players, cost, observation)
+                out.append((one, MinEffortResponse(game, random_theta(rng))))
+    return out
+
+
+def _counting(g, count):
+    """g that adds the number of points it evaluates to ``count[0]``."""
+    def counted(x):
+        count[0] += np.size(x)
+        return g(x)
+
+    return counted
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("grid_points", [10_001, 100_001])
+    def test_states_equal_the_dense_scan(self, rng, monkeypatch, grid_points):
+        # at 100,001 points the coarse step is 316 and the last coarse
+        # cell holds 144 points, not 316
+        systems = _scan_systems(rng)
+        if grid_points != analysis.GRID_POINTS:
+            systems = systems[::3]
+            monkeypatch.setattr(analysis, "GRID_POINTS", grid_points)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "scan_fixed_points", _dense_scan)
+            want = [repr(search(system)) for search, system in systems]
+        got = [repr(search(system)) for search, system in systems]
+        for (_, system), a, b in zip(systems, want, got):
+            assert b == a, system
+
+    @pytest.mark.parametrize(
+        "env, n_roots",
+        [
+            (Environment.of(CoordinationGame(20.0, 0.05),
+                            SampleSizeDistribution.point(3).mix_with(0.5, 1000)), 5),
+            (Environment.symmetric(1.5, SampleSizeDistribution.of({2: 0.5, 1000: 0.5})), 3),
+        ],
+        ids=["fig3-left-mixed-at-one-half", "oyama"],
+    )
+    def test_scan_evaluates_few_points(self, env, n_roots):
+        # bisection included; a scan of every grid point takes 10,001
+        if env.is_symmetric:
+            w = env.single_response()
+            g = lambda p: w(p) - p
+        else:
+            pair = env.pair()
+            w1, w2 = pair.w1, pair.w2
+            g = lambda p: w1(w2(p)) - p
+        count = [0]
+        assert len(analysis.scan_fixed_points(_counting(g, count))) == n_roots
+        assert count[0] < 2_000, count[0]
+
+    def test_continuum_evaluates_every_point(self):
+        w = SamplingResponse(1.5, SampleSizeDistribution.point(1))
+        count = [0]
+        with pytest.raises(analysis.ContinuumError):
+            analysis.scan_fixed_points(_counting(lambda p: w(p) - p, count))
+        assert count[0] == analysis.GRID_POINTS
+
+
 class TestScanResolution:
     def test_oyama_states_do_not_depend_on_resolution(self, monkeypatch):
         # |w(p) - p| stays below the marginal band for p up to about

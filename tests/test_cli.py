@@ -278,6 +278,14 @@ class TestTrajectoryAndBasins:
         ("basins", ["--resolution", "1"]),
         ("oracle", ["--dt", "1.5"]),
         ("oracle", ["--seed", "-1"]),
+        *(
+            pytest.param(command, flags, id=f"{command}-{name}")
+            for command in ("trajectory", "basins")
+            for name, flags in [
+                ("huge-step-count", ["--tmax", "1e9", "--dt", "0.01"]),
+                ("infinite-step-count", ["--tmax", "1e10", "--dt", "1e-300"]),
+            ]
+        ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
