@@ -134,34 +134,62 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
 
     ``g`` may be any callable, whose array and float values need not
     agree to the last bit, so the bracket keeps the scan's signs and an
-    endpoint where the float g is exactly zero is the root.
+    endpoint or trial point where the float g is exactly zero is the root.
+    The bracket closes to at most ``BISECT_WIDTH`` by the Illinois method
+    (Dowell & Jarratt 1971): false position, halving the value kept at an
+    end that two steps in a row left in place.  Each trial point stays at
+    least ``BISECT_WIDTH / 2`` from both ends, so every step closes the
+    bracket by that much.  When the float g's signs at the ends disagree
+    with the scan's, the refinement is plain halving; after as many steps
+    as halving would take (slow near a multiple root), the rest is halving
+    too, so it never takes more than twice halving's evaluations.
     """
-    for end in (lo, hi):
-        if g(end) == 0.0:
-            return end
-    for _ in range(200):
+    lo, hi = float(lo), float(hi)
+    neg = glo < 0.0
+    flo, fhi = g(lo), g(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    illinois = ((flo < 0.0) == neg) and ((fhi < 0.0) != neg)
+    budget = math.ceil(math.log2(max((hi - lo) / BISECT_WIDTH, 1.0)))
+    half = 0.5 * BISECT_WIDTH
+    kept = 0  # -1 when the last step moved lo, +1 when it moved hi
+    for step in itertools.count():
         if hi - lo <= BISECT_WIDTH:
             break
-        mid = 0.5 * (lo + hi)
-        gmid = g(mid)
-        if gmid == 0.0:
-            return mid
-        if (glo < 0.0) == (gmid < 0.0):
-            lo, glo = mid, gmid
+        if illinois and step < budget:
+            x = lo - flo * (hi - lo) / (fhi - flo)
+            x = min(max(x, lo + half), hi - half)
         else:
-            hi = mid
+            x = 0.5 * (lo + hi)
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx < 0.0) == neg:
+            lo, flo = x, gx
+            if kept < 0:
+                fhi *= 0.5
+            kept = -1
+        else:
+            hi, fhi = x, gx
+            if kept > 0:
+                flo *= 0.5
+            kept = 1
     return 0.5 * (lo + hi)
 
 
 def scan_fixed_points(g: Callable) -> list[float]:
     """All roots of g on [0, 1] found on a grid of ``GRID_POINTS`` points.
 
-    ``g`` must accept numpy arrays and have the form g(x) = h(x) - x with
-    h nondecreasing.  A root is either a grid point where g is exactly
-    zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``), or one bisected root
-    in each grid cell over which g strictly changes sign.  The rule
-    resolves roots one grid cell apart: two roots within one cell, one of
-    them an exact zero, show as one, and two roots strictly inside one
+    ``g`` must accept numpy arrays, which the scan passes, and Python
+    floats, which the refinement passes, and have the form g(x) = h(x) - x
+    with h nondecreasing.  A root is either a grid point where g is exactly
+    zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``), or one root refined by
+    ``_bisect_root`` in each grid cell over which g strictly changes sign.
+    The rule resolves roots one grid cell apart: two roots within one cell,
+    one of them an exact zero, show as one (the stationary search finds the
+    other by its alternation rule), and two roots strictly inside one
     cell, such as a tangency between grid points, do not show.
 
     g is evaluated at every s-th grid point first (s = isqrt(GRID_POINTS
@@ -201,7 +229,7 @@ def scan_fixed_points(g: Callable) -> list[float]:
             signs[end] = 0.0
     roots = [float(x) for x in xs[signs == 0.0]]
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        roots.append(_bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1], gs[i]))
+        roots.append(_bisect_root(g, xs[i], xs[i + 1], gs[i]))
     return sorted(roots)
 
 
@@ -249,7 +277,10 @@ class System:
         return ResponsePair(*self.responses)
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        """Vector field on an (n, dim) array of states."""
+        """Vector field on an (n, dim) array of states.  The responses
+        are called through their checked entry: on arrays the check is a
+        small share of a call, and perfbench's tracer counts the batched
+        RK4 steps of basin grids from these calls."""
         if self.dim == 1:
             return self.responses[0](x) - x
         w1, w2 = self.responses
@@ -259,17 +290,18 @@ class System:
         return out
 
     def scalar_rhs(self):
-        """Python-float field on a tuple state, responses bound once; the
-        state is clamped first, as the batched step projects its stages."""
+        """Python-float field on a state sequence, returned as a tuple,
+        with the responses' unchecked evaluations bound once; the state is
+        clamped first, as the batched step projects its stages."""
         if self.dim == 1:
-            (w,) = self.responses
+            w = self.responses[0]._eval
 
             def rhs(state):
                 p = _clamp01(state[0])
                 return (w(p) - p,)
 
             return rhs
-        w1, w2 = self.responses
+        w1, w2 = (w._eval for w in self.responses)
 
         def rhs(state):
             p1, p2 = _clamp01(state[0]), _clamp01(state[1])
@@ -287,6 +319,9 @@ class _Identity:
     """The response w(p) = p: one population's dynamics compose w with it."""
 
     def __call__(self, p):
+        return p
+
+    def _eval(self, p):
         return p
 
     def derivative(self, p) -> float:
@@ -310,26 +345,92 @@ def _state(point, slope_product: float, residual: float) -> StationaryState:
     )
 
 
+def _root_beside(g: Callable[[float], float], r: float, edge: float, negative: bool):
+    """The root of g between its zero r and the grid point ``edge`` next to
+    it, where g is negative just beyond r when ``negative`` (positive when
+    not); None when g at ``edge`` has that sign too or no halved offset
+    from r shows it."""
+    gedge = g(edge)
+    if gedge == 0.0 or (gedge < 0.0) == negative:
+        return None
+    offset = edge - r
+    while abs(offset) > BISECT_WIDTH:
+        offset *= 0.5
+        x = r + offset
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx < 0.0) == negative:
+            return _bisect_root(g, x, edge, gx) if x < edge else _bisect_root(g, edge, x, gedge)
+    return None
+
+
+def _missed_roots(g: Callable[[float], float], states: list[StationaryState]) -> list[float]:
+    """Roots of g that the scan misses next to an exact zero.
+
+    g = h - id with h nondecreasing, so simple roots alternate between
+    g' < 0 (stable) and g' > 0 (unstable), and two neighbours both
+    strictly stable or both strictly unstable leave a root out between
+    them.  Next to such a neighbour r on the grid, where g is zero, g has
+    the sign of g'(r) just beyond r, and the opposite sign at the next grid
+    point when the root lies in that cell.  An offset from r is halved
+    until g takes the sign of g'(r); that brackets the root against the
+    grid point.  Nothing is evaluated when the states alternate.
+    """
+    found: list[float] = []
+    xs = None
+    for a, b in zip(states, states[1:]):
+        if a.stability != b.stability or a.stability == Stability.MARGINAL:
+            continue
+        if xs is None:
+            xs = np.linspace(0.0, 1.0, GRID_POINTS)
+        # with g' < 0 at r, g is negative just above r and positive just below
+        falling = a.stability == Stability.STABLE
+        for r, toward in ((a.p1, 1), (b.p1, -1)):
+            i = round(r * (GRID_POINTS - 1))
+            if xs[i] != r:
+                continue
+            root = _root_beside(g, r, float(xs[i + toward]), falling == (toward > 0))
+            if root is not None:
+                found.append(root)
+                break
+    return found
+
+
 def _stationary_search(system: System, note: str) -> StationaryAnalysis:
     """Roots p1 of w1(w2(p1)) = p1 with p2 = w2(p1), where one population
     has w2 = id, so p2 = p1 and the slope product w1'(p2) * w2'(p1) is w'(p).
 
     Both responses increase, so the composition has no 2-cycles and each
     root is a rest point.  When the scan finds every state fixed the
-    result is a continuum sentinel with ``note``.
+    result is a continuum sentinel with ``note``.  The scan's g evaluates
+    a Python float through the responses' unchecked ``_eval``, clamping
+    w2(p) as the checked call does, and an array through the checked calls.
     """
     w1, w2 = system.responses if system.dim == 2 else (system.responses[0], _Identity())
+    e1, e2 = w1._eval, w2._eval
+
+    def g(p):
+        if type(p) is float:
+            return e1(_clamp01(e2(p))) - p
+        return w1(w2(p)) - p
+
     try:
-        roots = scan_fixed_points(lambda p: w1(w2(p)) - p)
+        roots = scan_fixed_points(g)
     except ContinuumError:
         return StationaryAnalysis(states=(), continuum=True, note=note)
-    states = []
-    for p1 in roots:
+
+    def state_at(p1: float) -> StationaryState:
         p1 = float(p1)
         p2 = float(w2(p1))
         slope = float(w1.derivative(p2)) * float(w2.derivative(p1))
         point = (p1, p2) if system.dim == 2 else p1
-        states.append(_state(point, slope, abs(float(w1(p2)) - p1)))
+        return _state(point, slope, abs(float(w1(p2)) - p1))
+
+    states = [state_at(p1) for p1 in roots]
+    missed = _missed_roots(g, states)
+    if missed:
+        states = sorted(states + [state_at(p1) for p1 in missed], key=lambda s: s.p1)
     return StationaryAnalysis(states=tuple(states))
 
 

@@ -36,7 +36,9 @@ response-mode samples are at most MAX_ORACLE_DRAWS (10**8); larger
 values are a configuration error (exit 2).  So is a step count
 round(tmax / dt) above MAX_STEPS (10**6) for trajectory, basins and the
 oracle's population mode (the defaults tmax 200, 200 and 50 with dt
-0.01 take 20,000, 20,000 and 5,000 steps).
+0.01 take 20,000, 20,000 and 5,000 steps).  phase draws at most
+MAX_PHASE_SAMPLES (10**6) curve samples and a quiver of at most 1,000
+arrows per axis.
 """
 
 from __future__ import annotations
@@ -306,11 +308,14 @@ def cmd_analyze(conf: dict) -> int:
     return 0
 
 
+MAX_PHASE_SAMPLES = 10**6
+
+
 def cmd_phase(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
-    samples = _integer_field(conf, "samples", 601, least=2)
-    quiver = _integer_field(conf, "quiver", 15, least=0)
+    samples = _integer_field(conf, "samples", 601, least=2, most=MAX_PHASE_SAMPLES)
+    quiver = _integer_field(conf, "quiver", 15, least=0, most=math.isqrt(MAX_PHASE_SAMPLES))
     system = _system(spec)
     stationary = system.stationary()
     if system.dim == 1:

@@ -327,11 +327,12 @@ def trajectory_csv(times, states, comments: tuple[str, ...] = ()) -> str:
     two = states.ndim == 2
     lines = [f"# {c}" for c in comments]
     lines.append("t,p1,p2" if two else "t,p1")
-    for i, t in enumerate(times):
+    # rows of Python floats: indexing an array row by row is slower
+    for t, x in zip(np.asarray(times).tolist(), states.tolist()):
         if two:
-            lines.append(f"{fmt(t)},{fmt(states[i, 0])},{fmt(states[i, 1])}")
+            lines.append(f"{fmt(t)},{fmt(x[0])},{fmt(x[1])}")
         else:
-            lines.append(f"{fmt(t)},{fmt(states[i])}")
+            lines.append(f"{fmt(t)},{fmt(x)}")
     return "\n".join(lines) + "\n"
 
 

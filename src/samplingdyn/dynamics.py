@@ -18,6 +18,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .games import CoordinationGame
 
@@ -87,17 +88,22 @@ def _tail(k: int, m: int, coeffs, p, q):
     """Unchecked Pr(X >= m) for X ~ Binomial(k, p), with q = 1 - p and
     ``coeffs`` the C(k, l), l = m..k, as floats (used for k <= 60).
 
-    Every step is a ``*``, a ``+`` or a ufunc, so a float and an ndarray
-    get bit-identical values.  Up to ``EXACT_TAIL_MAX_K`` the nonnegative
-    terms C(k,l) p^l q^(k-l) are summed by a Horner recurrence in p (m = 1
-    factors as p * (1 + q + ... + q^(k-1)), m = k is a plain power); above
-    it the regularized incomplete beta I_p(m, k - m + 1).
+    Every step is a ``*``, a ``+`` or the incomplete beta function, so a
+    float and an ndarray get bit-identical values.  Up to
+    ``EXACT_TAIL_MAX_K`` the nonnegative terms C(k,l) p^l q^(k-l) are
+    summed by a Horner recurrence in p (m = 1 factors as
+    p * (1 + q + ... + q^(k-1)), m = k is a plain power); above it the
+    regularized incomplete beta I_p(m, k - m + 1): the ufunc on arrays, and
+    on a Python float the same compiled routine called directly, which
+    skips the ufunc's dispatch.
     """
     if m == 0:
         return 0.0 * p + 1.0
     if m > k:
         return 0.0 * p
     if k > EXACT_TAIL_MAX_K:
+        if type(p) is float:
+            return cython_special.betainc(float(m), float(k - m + 1), p)
         return _plain(special.betainc(m, k - m + 1, p))
     if m == 1:
         s = 1.0
@@ -334,6 +340,10 @@ class SamplingResponse:
     a theta-weighted sum of binomial tails with per-size thresholds.
     It is a strictly increasing polynomial of degree ``max(support)``
     with w(0) = 0 and w(1) = 1.
+
+    Calling the response checks that p lies in [0, 1] (within 1e-9, then
+    clipped); ``_eval`` is the same evaluation without the check, for
+    callers whose p is a Python float or float array already in [0, 1].
     """
 
     kind = "sampling"
@@ -364,7 +374,10 @@ class SamplingResponse:
         return self.theta.max_support
 
     def __call__(self, p):
-        return _tail_mixture(self._atoms, _as_prob_array(p))
+        return self._eval(_as_prob_array(p))
+
+    def _eval(self, p):
+        return _tail_mixture(self._atoms, p)
 
     def derivative(self, p):
         return _slope_mixture(self._atoms, _as_prob_array(p))
@@ -399,7 +412,8 @@ class LogitResponse:
     Each group (mass mu, noise eta) plays the first action with
     probability 1/(1 + exp(((1-p) - p*u)/eta)), where ``u`` is the
     deciding player's own payoff for coordinating on the first action.
-    Unlike the sampling response, w(0) > 0 and w(1) < 1.
+    Unlike the sampling response, w(0) > 0 and w(1) < 1.  Calling it
+    checks p as the sampling response does; ``_eval`` skips the check.
     """
 
     kind = "logit"
@@ -425,7 +439,9 @@ class LogitResponse:
         return f"LogitResponse(u={self.u!r}, groups={self.groups!r})"
 
     def __call__(self, p):
-        p = _as_prob_array(p)
+        return self._eval(_as_prob_array(p))
+
+    def _eval(self, p):
         out = 0.0
         for mu, eta in self.groups:
             # payoff difference (first minus second action) is p*u - (1-p)

@@ -412,6 +412,8 @@ class MinEffortResponse:
     1 - (1-p)^(k(N-1)).  Under action observation the sample is binomial
     in p directly.  Either way the response is the sampling response's
     mixture of binomial tails, evaluated at the observed probability q.
+    Calling it checks p as the sampling response does; ``_eval`` skips
+    the check.
     """
 
     kind = "min-effort"
@@ -428,7 +430,10 @@ class MinEffortResponse:
         return p
 
     def __call__(self, p):
-        return _tail_mixture(self._atoms, self._observed(_as_prob_array(p)))
+        return self._eval(_as_prob_array(p))
+
+    def _eval(self, p):
+        return _tail_mixture(self._atoms, self._observed(p))
 
     def derivative(self, p):
         p = _as_prob_array(p)

@@ -12,6 +12,7 @@ off the stationary analysis and integrates only where it cannot decide;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +94,16 @@ def _rk4_step(field, x, dt, project, k1=None):
 
 def _scalar_rk4_step(rhs, x: tuple, dt: float, k1: tuple) -> tuple:
     """One unclamped RK4 step on a tuple state from k1 = rhs(x); at this
-    size tuples of floats are far faster than numpy arrays."""
+    size tuples and lists of floats are far faster than numpy arrays."""
     half = 0.5 * dt
-    k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)))
-    k3 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k2)))
-    k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
+    k2 = rhs([xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = rhs([xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = rhs([xi + dt * ki for xi, ki in zip(x, k3)])
     sixth = dt / 6.0
-    return tuple(
+    return tuple([
         xi + sixth * (a + 2.0 * b + 2.0 * c + d)
         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    )
+    ])
 
 
 def integrate(
@@ -134,14 +135,14 @@ def integrate(
     max_clamp = 0.0
     for step in range(1, n_steps + 1):
         k1 = rhs(x)
-        if max(abs(v) for v in k1) < CONVERGENCE_TOL:
+        if max(map(abs, k1)) < CONVERGENCE_TOL:
             converged = True
             break
         raw = _scalar_rk4_step(rhs, x, dt, k1)
-        if not all(math.isfinite(v) for v in raw):
+        if not all(map(math.isfinite, raw)):
             raise NumericError(f"non-finite state at step {step}")
-        x = tuple(_clamp01(v) for v in raw)
-        max_clamp = max(max_clamp, max(abs(a - b) for a, b in zip(x, raw)))
+        x = tuple(map(_clamp01, raw))
+        max_clamp = max(max_clamp, *map(abs, map(operator.sub, x, raw)))
         times.append(step * dt)
         path.append(x)
     else:
@@ -227,10 +228,13 @@ def terminal_states(
 ):
     """Batched no-recording integration of many initial states.
 
-    ``initials`` has shape (n,) for one population or (n, 2) for two.
-    Returns (final states in the same shape, converged mask).
+    ``initials`` has shape (n,) for one population or (n, 2) for two,
+    with every share in [0, 1].  Returns (final states in the same shape,
+    converged mask).
     """
     x0 = np.asarray(initials, dtype=float)
+    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):
+        raise ValueError("initial states outside the unit interval/square")
     one_pop = x0.ndim == 1
     system = System.of(system, 1 if one_pop else 2)
     finals, ok = _terminal_states(system.field, x0.reshape(-1, system.dim), t_max, dt)

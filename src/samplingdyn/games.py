@@ -21,9 +21,12 @@ class NormalizationError(ValueError):
     """Input matrix does not have the required pair of strict equilibria."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+def _require_payoff(name: str, value: float) -> None:
+    # the corner conditions compare sample sizes with 1/u + 1
+    if not (math.isfinite(value) and value > 0.0 and math.isfinite(1.0 / value)):
+        raise ValueError(
+            f"{name} must be a positive finite number with a finite reciprocal, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,16 @@ class CoordinationGame:
     ``u1`` and ``u2`` are the players' payoffs for coordinating on the
     first action; coordinating on the second action pays 1 to both, and
     miscoordination pays 0.  One-population (symmetric) games are
-    represented with ``u1 == u2``.
+    represented with ``u1 == u2``.  Both payoffs are positive and finite,
+    and so are their reciprocals.
     """
 
     u1: float
     u2: float
 
     def __post_init__(self) -> None:
-        _require_positive("u1", self.u1)
-        _require_positive("u2", self.u2)
+        _require_payoff("u1", self.u1)
+        _require_payoff("u2", self.u2)
 
     @classmethod
     def symmetric(cls, u: float) -> "CoordinationGame":

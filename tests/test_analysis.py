@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -304,6 +304,137 @@ class TestPrunedScan:
         assert count[0] == analysis.GRID_POINTS
 
 
+def _halving_root(g, lo, hi, glo):
+    """Plain halving of the bracket to ``BISECT_WIDTH``, keeping the scan's
+    sign at lo: the refinement the Illinois method replaced, kept as its
+    reference."""
+    for end in (lo, hi):
+        if g(end) == 0.0:
+            return end
+    for _ in range(200):
+        if hi - lo <= analysis.BISECT_WIDTH:
+            break
+        mid = 0.5 * (lo + hi)
+        gmid = g(mid)
+        if gmid == 0.0:
+            return mid
+        if (glo < 0.0) == (gmid < 0.0):
+            lo, glo = mid, gmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _recorded_root(g, lo, hi, glo):
+    """``analysis._bisect_root``'s root and the (x, g(x)) it evaluated."""
+    seen = []
+
+    def recorded(x):
+        seen.append((x, g(x)))
+        return seen[-1][1]
+
+    return analysis._bisect_root(recorded, lo, hi, glo), seen
+
+
+def _criterion5_and_mixtures():
+    """Criterion 5's 6,050 homogeneous environments and 200 random mixtures
+    with big_k = 1000."""
+    rng = np.random.default_rng(5)
+    u_pairs = [(float(rng.uniform(0.15, 8.0)), float(rng.uniform(0.15, 8.0))) for _ in range(50)]
+    systems = [
+        Environment.of(
+            CoordinationGame(u1, u2),
+            SampleSizeDistribution.point(k1),
+            SampleSizeDistribution.point(k2),
+        )
+        for k1 in range(2, 13)
+        for k2 in range(2, 13)
+        for u1, u2 in u_pairs
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        env = random_env(rng)
+        a1, a2 = rng.uniform(0.05, 0.95, size=2)
+        systems.append(Environment(
+            env.game, env.theta1.mix_with(a1, 1000), env.theta2.mix_with(a2, 1000)
+        ))
+    return systems
+
+
+class TestRefinement:
+    def test_states_agree_with_halving_in_fewer_evaluations(self, monkeypatch):
+        systems = _criterion5_and_mixtures()
+        results, evaluations = {}, {}
+        for name, refine in [("halving", _halving_root), ("illinois", analysis._bisect_root)]:
+            count = [0]
+            monkeypatch.setattr(
+                analysis, "_bisect_root",
+                lambda g, lo, hi, glo, refine=refine, count=count:
+                    refine(_counting(g, count), lo, hi, glo),
+            )
+            results[name] = [find_stationary_two_pop(env) for env in systems]
+            evaluations[name] = count[0]
+        for env, a, b in zip(systems, results["halving"], results["illinois"]):
+            assert len(b.states) == len(a.states), env
+            for sa, sb in zip(a.states, b.states):
+                assert sb.stability == sa.stability, env
+                assert sb.state == pytest.approx(sa.state, abs=1e-10), env
+        # 163,154 evaluations by halving, 37,244 by the Illinois method
+        assert evaluations["illinois"] < 0.3 * evaluations["halving"], evaluations
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        lo=st.integers(0, 9_999),
+        c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        shape=st.sampled_from(["line", "cube", "step", "steep", "quadratic"]),
+        falling=st.booleans(),
+    )
+    def test_final_bracket_is_at_most_the_width(self, lo, c, shape, falling):
+        # a grid cell of the scan holding the root lo + c * width
+        width = 1.0 / (analysis.GRID_POINTS - 1)
+        a, b = lo * width, (lo + 1) * width
+        root = a + c * width
+        assume(a < root < b)
+        sign = -1.0 if falling else 1.0
+        g = {
+            "line": lambda x: sign * (x - root),
+            "cube": lambda x: sign * (x - root) ** 3,
+            "step": lambda x: sign * (1.0 if x >= root else -1.0),
+            "steep": lambda x: sign * math.tanh(1e9 * (x - root)),
+            "quadratic": lambda x: sign * (x - root) * (1.0 + 1e4 * (x - a)),
+        }[shape]
+        glo = g(a)
+        assume(glo != 0.0 and g(b) != 0.0)
+        got, seen = _recorded_root(g, a, b, glo)
+        # the two ends, then at most twice the 27 halvings of a 1e-4 cell,
+        # and a few steps for a simple root of a smooth g
+        assert len(seen) <= (12 if shape in ("line", "quadratic") else 2 + 2 * 27)
+        if (got, 0.0) in seen:
+            return  # an exact zero is returned as is
+        # the last points evaluated on each side of the root
+        low = max(x for x, v in seen if (v < 0.0) == (glo < 0.0))
+        high = min(x for x, v in seen if (v < 0.0) != (glo < 0.0))
+        assert 0.0 < high - low <= analysis.BISECT_WIDTH
+        assert got == 0.5 * (low + high)
+        if shape == "step":
+            assert low < root <= high
+
+    @pytest.mark.parametrize("at", ["lo", "hi", "inside"])
+    def test_exact_zero_is_returned_as_is(self, at):
+        # inside: the first false-position point is exactly 0.5
+        lo, hi = 0.25, 0.75
+        zero = {"lo": lo, "hi": hi, "inside": 0.5}[at]
+        g = lambda x: x - zero
+        assert analysis._bisect_root(g, lo, hi, g(lo) if at != "lo" else -1.0) == zero
+
+    def test_signs_that_disagree_with_the_scan_fall_back_to_halving(self):
+        # the float g is positive at both ends while the scan saw g(lo) < 0
+        g = lambda x: x - 0.3 + 1e-3
+        for lo, hi in [(0.3, 0.3001), (0.2999, 0.3)]:
+            want = _halving_root(g, lo, hi, -1e-12)
+            assert analysis._bisect_root(g, np.float64(lo), np.float64(hi), -1e-12) == want
+
+
 class TestScanResolution:
     def test_oyama_states_do_not_depend_on_resolution(self, monkeypatch):
         # |w(p) - p| stays below the marginal band for p up to about
@@ -359,15 +490,11 @@ class TestScanResolution:
                 assert sb.state == pytest.approx(sa.state, abs=1e-9)
                 assert sb.stability == sa.stability
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a root within one grid cell of an exact zero is missed (ROADMAP item 3)",
-    )
     def test_root_next_to_a_pure_state(self):
         # w1(p) = p, so the states are the roots of w2(p) - p: exactly 0,
         # 7.706e-5 and 1.  The grid's first cell holds the middle one with
-        # no sign change, so (0, 0) and (1, 1) show as adjacent stable
-        # states with no saddle between them
+        # no sign change, so the scan shows (0, 0) and (1, 1) as adjacent
+        # stable states, and the alternation rule finds the saddle
         theta2 = SampleSizeDistribution.of({
             4: 0.24983216337430852, 5: 0.3713036772548215,
             6: 0.2427754812819987, 7: 0.13608867808887123,
@@ -378,6 +505,44 @@ class TestScanResolution:
             Stability.STABLE, Stability.UNSTABLE, Stability.STABLE
         ]
         assert res.states[1].p1 == pytest.approx(7.706386127041599e-05, abs=1e-9)
+
+    def test_root_next_to_a_pure_state_one_population(self):
+        # mpmath roots 0, 6.087e-5 and 1; the grid's first cell holds the
+        # middle one with no sign change
+        w = SamplingResponse(
+            2.7485565010908943,
+            SampleSizeDistribution.of({2: 0.49978687922031156, 6: 0.5002131207796884}),
+        )
+        res = find_stationary_one_pop(w)
+        exact = _exact_roots(w)
+        assert len(exact) == 3 and exact[1] == pytest.approx(6.087e-5, rel=1e-3)
+        assert [s.stability for s in res.states] == [
+            Stability.STABLE, Stability.UNSTABLE, Stability.STABLE
+        ]
+        assert [s.p1 for s in res.states] == pytest.approx(exact, abs=1e-12)
+
+    def test_root_next_to_a_pure_state_two_populations(self):
+        # an unstable state at (4.31e-6, 1.80e-6), which the grid alone
+        # shows only at 1,000,001 points
+        game = CoordinationGame(7.472748337710141, 7.288412647814977)
+        theta1 = SampleSizeDistribution.of(
+            {8: 0.29995741581932894, 10: 0.47344709347137587, 229: 0.2265954907092951}
+        )
+        theta2 = SampleSizeDistribution.of({
+            7: 0.05951704793059627, 9: 0.42879465471535533,
+            11: 0.17417677448982877, 432: 0.3375115228642197,
+        })
+        env = Environment.of(game, theta1, theta2)
+        res = find_stationary_two_pop(env)
+        assert [s.stability for s in res.states] == [
+            Stability.STABLE, Stability.UNSTABLE, Stability.STABLE
+        ]
+        saddle = res.states[1]
+        assert saddle.state == pytest.approx((4.31e-6, 1.80e-6), rel=1e-2)
+        assert saddle.residual < 1e-15
+        w1, w2 = env.response(1), env.response(2)
+        g = lambda p: w1(w2(p)) - p
+        assert g(saddle.p1 - 1e-10) < 0.0 < g(saddle.p1 + 1e-10)
 
 
 class TestPureStates:

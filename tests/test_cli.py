@@ -106,11 +106,13 @@ class TestAnalyze:
             (_contracting([4, 2, -1]), "finite and positive"),
             (_contracting("421"), "'diag1'"),
             (_contracting([True, 2, 1]), "'diag1'"),
+            # 1/u overflows, and the corner conditions compare with 1/u + 1
+            ({**FIG3_RIGHT, "u1": 1e-320}, "finite reciprocal"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
              "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
-             "bool-payoff"],
+             "bool-payoff", "subnormal-payoff"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -311,11 +313,13 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         ("phase", {"samples": 1}),
         ("phase", {"quiver": -1}),
         ("phase", {"quiver": 2.5}),
+        ("phase", {"samples": 1e308}),
+        ("phase", {"quiver": 1e308}),
     ],
     ids=["fractional-big_k", "string-big_k", "zero-alpha-step", "negative-alpha-step",
          "unit-alpha-step", "alpha-step-below-0.01", "continuum-basins-theta",
          "continuum-basins-theta1-theta2", "fractional-samples", "one-sample", "negative-quiver",
-         "fractional-quiver"],
+         "fractional-quiver", "huge-samples", "huge-quiver"],
 )
 def test_bad_analysis_numbers_exit_2(tmp_path, capsys, command, fields):
     conf = {"command": command, "environment": FIG3_RIGHT, "out": str(tmp_path), **fields}

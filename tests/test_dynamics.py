@@ -64,6 +64,18 @@ class TestBinomialTail:
                 float(got[0]), abs=1e-14
             )
 
+    def test_float_incomplete_beta_equals_the_ufunc(self, rng):
+        # above EXACT_TAIL_MAX_K a float calls the compiled incomplete beta
+        # directly and an array calls the ufunc
+        for _ in range(400):
+            k = int(rng.integers(61, 1001))
+            m = int(rng.integers(1, k + 1))
+            ps = np.concatenate([rng.random(50), [0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16]])
+            want = binomial_tail(k, m, ps)
+            got = [binomial_tail(k, m, float(p)) for p in ps]
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(got, want), (k, m)
+
     def test_no_cancellation_near_edges(self):
         # relative accuracy where the tail is tiny
         val = binomial_tail(50, 25, 1e-3)
@@ -95,10 +107,13 @@ def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, c
         MinEffortResponse(MinEffortGame(n_players, cost, Observation.MINIMUM_EFFORT), theta),
         MinEffortResponse(MinEffortGame(n_players, cost, Observation.OPPONENT_ACTION), theta),
     ]
-    arr = np.array([x])
+    arr = np.array([x, 1.0 - x, 0.5 * x])
     for w in responses:
         assert w(x) == w(arr)[0], w
         assert w.derivative(x) == w.derivative(arr)[0], w
+        # the unchecked entry is the checked one without the check
+        assert type(w._eval(x)) is float and w._eval(x) == w(x), w
+        assert np.array_equal(w._eval(arr), w(arr)), w
     for k in ks:
         m = round(m_share * k)
         assert binomial_tail(k, m, x) == binomial_tail(k, m, arr)[0], (k, m)

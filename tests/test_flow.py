@@ -164,6 +164,16 @@ class TestTerminalStates:
             single = integrate(env, tuple(row), t_max=300.0)
             assert np.max(np.abs(np.asarray(single.final_state) - final)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "initials",
+        [[[0.5, 1.5]], [[0.5, -1e-10]], [[0.5, 0.5], [0.2, float("nan")]]],
+        ids=["share-above-one", "share-just-below-zero", "nan-in-a-pair"],
+    )
+    def test_rejects_initial_states_outside_the_unit_square(self, initials):
+        env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
+        with pytest.raises(ValueError, match="outside the unit"):
+            terminal_states(env, initials, t_max=1.0)
+
 
 class TestBasins:
     def test_two_pop_globally_stable_interior(self):
