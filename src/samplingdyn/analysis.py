@@ -142,7 +142,8 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
     bracket by that much.  When the float g's signs at the ends disagree
     with the scan's, the refinement is plain halving; after as many steps
     as halving would take (slow near a multiple root), the rest is halving
-    too, so it never takes more than twice halving's evaluations.
+    too, so it never takes more than twice halving's evaluations, and
+    stops there even when g returns NaN.
     """
     lo, hi = float(lo), float(hi)
     neg = glo < 0.0
@@ -155,7 +156,7 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
     budget = math.ceil(math.log2(max((hi - lo) / BISECT_WIDTH, 1.0)))
     half = 0.5 * BISECT_WIDTH
     kept = 0  # -1 when the last step moved lo, +1 when it moved hi
-    for step in itertools.count():
+    for step in range(2 * budget):
         if hi - lo <= BISECT_WIDTH:
             break
         if illinois and step < budget:

@@ -427,6 +427,12 @@ class TestRefinement:
         g = lambda x: x - zero
         assert analysis._bisect_root(g, lo, hi, g(lo) if at != "lo" else -1.0) == zero
 
+    def test_nan_from_g_ends_the_refinement(self):
+        g = lambda x: {0.25: -1.0, 0.75: 1.0}.get(x, math.nan)
+        _, seen = _recorded_root(g, 0.25, 0.75, -1.0)
+        # the two ends, then twice the 39 halvings from width 0.5 to 1e-12
+        assert len(seen) == 2 + 2 * 39
+
     def test_signs_that_disagree_with_the_scan_fall_back_to_halving(self):
         # the float g is positive at both ends while the scan saw g(lo) < 0
         g = lambda x: x - 0.3 + 1e-3
