@@ -38,7 +38,8 @@ round(tmax / dt) above MAX_STEPS (10**6) for trajectory, basins and the
 oracle's population mode (the defaults tmax 200, 200 and 50 with dt
 0.01 take 20,000, 20,000 and 5,000 steps).  phase draws at most
 MAX_PHASE_SAMPLES (10**6) curve samples and a quiver of at most 1,000
-arrows per axis.
+arrows per axis.  A basin grid has at most MAX_BASIN_CELLS (10**6)
+cells: resolution of them in one population, resolution**2 in two.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
     ]:
         if value is not None:
             conf[key] = value
+    if not isinstance(conf.get("out", "."), str):
+        raise ConfigError(f"'out' must be a directory path, got {conf['out']!r}")
     for key in ("tmax", "dt"):
         if key in conf and not 0.0 < cfg._number(conf, key, "config") < math.inf:
             raise ConfigError(f"'{key}' must be a positive finite number, got {conf[key]!r}")
@@ -354,6 +357,9 @@ def _parse_initial(conf: dict, one_population: bool):
 # Largest number of fixed steps, round(tmax / dt), of a run.
 MAX_STEPS = 10**6
 
+# Largest basin grid, resolution ** (number of populations) cells.
+MAX_BASIN_CELLS = 10**6
+
 
 def _horizon(conf: dict, t_max: float) -> tuple[float, float]:
     """The config's tmax (default ``t_max``) and dt (default 0.01), which
@@ -381,10 +387,14 @@ def cmd_basins(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
     t_max, dt = _horizon(conf, 200.0)
+    system = _system(spec)
+    resolution = _integer_field(conf, "resolution", 101, least=2)
+    if resolution**system.dim > MAX_BASIN_CELLS:
+        raise ConfigError(f"'resolution' {resolution} makes over {MAX_BASIN_CELLS} basin cells")
     try:
         grid = label_basins(
-            _system(spec),
-            resolution=int(conf.get("resolution", 101)),
+            system,
+            resolution=resolution,
             t_max=t_max,
             dt=dt,
         )
@@ -453,9 +463,11 @@ MAX_SWEEP_VALUES = 10_000
 
 
 def _sweep_values(spec: dict) -> list[float]:
-    start = float(cfg._number(spec, "start", "sweep"))
-    stop = float(cfg._number(spec, "stop", "sweep"))
-    step = float(cfg._number(spec, "step", "sweep"))
+    start = cfg._number(spec, "start", "sweep")
+    stop = cfg._number(spec, "stop", "sweep")
+    step = cfg._number(spec, "step", "sweep")
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
     if step <= 0 or stop < start:
         raise ConfigError("sweep needs step > 0 and stop >= start")
     values = []
@@ -514,6 +526,8 @@ def cmd_sweep(conf: dict) -> int:
             raise ConfigError("theta-mass sweeps use a symmetric game")
         k = cfg._integer(spec, "k", "sweep")
         big_k = cfg._integer(spec, "big_k", "sweep")
+        if min(k, big_k) < 1 or k == big_k:
+            raise ConfigError("sweep 'k' and 'big_k' must be distinct positive integers")
         for beta in _sweep_values(spec):
             if not (0.0 < beta < 1.0):
                 raise ConfigError(f"theta mass {beta} outside (0, 1)")
@@ -526,6 +540,8 @@ def cmd_sweep(conf: dict) -> int:
             raise ConfigError("alpha sweeps need a sampling environment")
         env = env_spec.environment
         big_k = cfg._integer(spec, "big_k", "sweep")
+        if big_k < 1 or big_k in env.theta1.support or big_k in env.theta2.support:
+            raise ConfigError(f"sweep 'big_k' {big_k} must be positive and outside theta's support")
         for alpha in _sweep_values(spec):
             if not (0.0 < alpha < 1.0):
                 raise ConfigError(f"alpha {alpha} outside (0, 1)")

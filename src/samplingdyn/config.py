@@ -141,7 +141,9 @@ def parse_logit_groups(obj: Any, context: str) -> tuple[tuple[float, float], ...
     return tuple(groups)
 
 
-def parse_game(obj: Mapping, context: str = "environment") -> CoordinationGame:
+def parse_game(obj: Any, context: str = "environment") -> CoordinationGame:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"'{context}' must be an object, got {obj!r}")
     try:
         if "matrix" in obj:
             m = obj["matrix"]

@@ -3,6 +3,8 @@
 The sampling response gives the probability that a revising agent plays
 the first action when she best-replies to a random sample of opponent
 actions: a weighted sum of binomial upper tails, one per sample size.
+Every tail, whatever its sample size, is one regularized incomplete beta
+function, and a Python float and an array get the same bits from it.
 The logit response is a mixture of logistic curves, one per noise group.
 Both are strictly increasing on [0, 1], differentiable, and invertible,
 which is what the stability analysis relies on.
@@ -21,10 +23,6 @@ from scipy import special
 from scipy.special import cython_special
 
 from .games import CoordinationGame
-
-# Above this sample size, exact term summation of the binomial tail gives
-# way to the regularized incomplete beta identity.
-EXACT_TAIL_MAX_K = 60
 
 # Absolute snap applied before integrality-sensitive comparisons, so that
 # thresholds like k/(u+1) with u = 1 land on the intended tie branch.
@@ -49,7 +47,8 @@ def _as_prob_array(p, clip_tol: float = _P_TOL):
         # NaN fails the comparison
         if not -clip_tol <= x <= 1.0 + clip_tol:
             raise ValueError(f"probability input must be finite and in [0, 1]: {p!r}")
-        return min(max(x, 0.0), 1.0)
+        # a conditional costs a fraction of the min/max builtins
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
     arr = np.asarray(p, dtype=float)
     if arr.size == 0:
         return arr
@@ -84,87 +83,62 @@ def _int_power(base, k: int):
     return result
 
 
-def _tail(k: int, m: int, coeffs, p, q):
-    """Unchecked Pr(X >= m) for X ~ Binomial(k, p), with q = 1 - p and
-    ``coeffs`` the C(k, l), l = m..k, as floats (used for k <= 60).
+# scipy's compiled float routines, which its ufuncs of the same names call
+# per element: a Python float gets an array's bits without the ufunc's
+# dispatch.  Indexing a fused function picks its float signature once.
+_betainc = cython_special.betainc["double"]
+_xlogy = cython_special.xlogy["double"]
+_betaln = cython_special.betaln
+_exp2 = cython_special.exp2
+_LOG2E = math.log2(math.e)
 
-    Every step is a ``*``, a ``+`` or the incomplete beta function, so a
-    float and an ndarray get bit-identical values.  Up to
-    ``EXACT_TAIL_MAX_K`` the nonnegative terms C(k,l) p^l q^(k-l) are
-    summed by a Horner recurrence in p (m = 1 factors as
-    p * (1 + q + ... + q^(k-1)), m = k is a plain power); above it the
-    regularized incomplete beta I_p(m, k - m + 1): the ufunc on arrays, and
-    on a Python float the same compiled routine called directly, which
-    skips the ufunc's dispatch.
+
+def _tail(k: int, m: int, p):
+    """Unchecked Pr(X >= m) for X ~ Binomial(k, p): the regularized
+    incomplete beta I_p(m, k - m + 1).
+
+    Arrays call the ufunc; a Python float calls the same compiled routine
+    directly, which skips the ufunc's dispatch and gives the same bits.
     """
     if m == 0:
         return 0.0 * p + 1.0
     if m > k:
         return 0.0 * p
-    if k > EXACT_TAIL_MAX_K:
-        if type(p) is float:
-            return cython_special.betainc(float(m), float(k - m + 1), p)
-        return _plain(special.betainc(m, k - m + 1, p))
-    if m == 1:
-        s = 1.0
-        for _ in range(k - 1):
-            s = s * q + 1.0
-        return p * s
-    if m == k:
-        return _int_power(p, k)
-    s = coeffs[-1]
-    qpow = 1.0
-    for c in reversed(coeffs[:-1]):
-        qpow = qpow * q
-        s = s * p + c * qpow
-    return s * _int_power(p, m)
+    if type(p) is float:
+        return _betainc(m, k - m + 1.0, p)
+    return _plain(special.betainc(m, k - m + 1, p))
 
 
 def _tail_slope(k: int, m: int, p, q):
-    """Unchecked derivative in p of the tail: m C(k,m) p^(m-1) q^(k-m)."""
+    """Unchecked derivative in p of the tail, with q = 1 - p:
+    p^(m-1) q^(k-m) / B(m, k - m + 1).
+
+    It is taken in exp-log form, because the coefficient m C(k, m)
+    overflows a float well below k = 1000; xlogy reads 0 log 0 as 0, so
+    the endpoints need no special case.  exp(x) is exp2(x log2(e)), since
+    numpy's exp has no compiled float routine to share with arrays; the
+    extra rounding is far below the error that q = 1 - p carries.
+    """
     if m == 0 or m > k:
         return 0.0 * p
-    if k <= EXACT_TAIL_MAX_K:
-        return m * math.comb(k, m) * _int_power(p, m - 1) * _int_power(q, k - m)
-    # exp-log form; the coefficient overflows a float well below k = 1000
-    log_coeff = (
-        math.log(m)
-        + math.lgamma(k + 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(k - m + 1)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = log_coeff + (m - 1) * np.log(p) + (k - m) * np.log(q)
-        out = np.where(np.isfinite(logs), np.exp(logs), 0.0)
-    # interior formula degenerates at the endpoints: only m = 1 (resp. m = k)
-    # keeps a nonzero slope k at p = 0 (resp. p = 1)
-    out = np.where(p == 0.0, k if m == 1 else 0.0, out)
-    out = np.where(p == 1.0, k if m == k else 0.0, out)
-    return _plain(out)
-
-
-def _coefficients(k: int, m: int) -> tuple[float, ...] | None:
-    """C(k, l) for l = m..k as floats, where the Horner path runs."""
-    if k > EXACT_TAIL_MAX_K:
-        return None
-    return tuple(float(math.comb(k, l)) for l in range(m, k + 1))
+    a, b = m - 1.0, k - m + 0.0  # the compiled calls take floats faster than ints
+    log_beta = _betaln(a + 1.0, b + 1.0)
+    if type(p) is float:
+        return _exp2((_xlogy(a, p) + _xlogy(b, q) - log_beta) * _LOG2E)
+    logs = special.xlogy(a, p) + special.xlogy(b, q)
+    return _plain(special.exp2((logs - log_beta) * _LOG2E))
 
 
 def _tail_atoms(theta: SampleSizeDistribution, thresholds: Sequence[int]) -> tuple:
-    """(k, mass, m, coefficients) per sample size of theta, with m the
-    matching threshold."""
-    return tuple(
-        (k, mass, m, _coefficients(k, m))
-        for (k, mass), m in zip(theta.atoms, thresholds)
-    )
+    """(k, mass, m) per sample size of theta, with m the matching threshold."""
+    return tuple((k, mass, m) for (k, mass), m in zip(theta.atoms, thresholds))
 
 
 def _tail_mixture(atoms, p):
     """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms."""
-    q = 1.0 - p
     out = 0.0
-    for k, mass, m, coeffs in atoms:
-        out = out + mass * _tail(k, m, coeffs, p, q)
+    for k, mass, m in atoms:
+        out = out + mass * _tail(k, m, p)
     return out
 
 
@@ -172,7 +146,7 @@ def _slope_mixture(atoms, p):
     """Unchecked derivative in p of ``_tail_mixture``."""
     q = 1.0 - p
     out = 0.0
-    for k, mass, m, _ in atoms:
+    for k, mass, m in atoms:
         out = out + mass * _tail_slope(k, m, p, q)
     return out
 
@@ -199,15 +173,13 @@ def binomial_tail(k: int, m: int, p):
 
     Notes
     -----
-    For k <= 60 the tail is one Horner recurrence over the terms
-    C(k,l) p^l (1-p)^(k-l), l >= m, which is cancellation-free because
-    every term is nonnegative; a float and an array give bit-identical
-    values.  Larger k uses the regularized incomplete beta identity
-    Pr(X >= m) = I_p(m, k - m + 1), which stays accurate for p near 0 or 1.
+    Every k uses the regularized incomplete beta identity
+    Pr(X >= m) = I_p(m, k - m + 1) (Abramowitz & Stegun, section 26.5), which
+    stays accurate for p near 0 or 1; a float and an array give
+    bit-identical values.
     """
     k, m = _check_tail_args(k, m)
-    p = _as_prob_array(p, clip_tol=0.0)
-    return _tail(k, m, _coefficients(k, m), p, 1.0 - p)
+    return _tail(k, m, _as_prob_array(p, clip_tol=0.0))
 
 
 def binomial_tail_derivative(k: int, m: int, p):
@@ -395,7 +367,7 @@ class SamplingResponse:
         """
         degree = self.degree
         coeffs = [Fraction(0)] * (degree + 1)
-        for k, w, m, _ in self._atoms:
+        for k, w, m in self._atoms:
             if m > k:
                 continue
             wf = Fraction(w)
@@ -425,10 +397,11 @@ class LogitResponse:
         if not groups:
             raise ValueError("logit response needs at least one noise group")
         for mu, eta in groups:
-            if eta <= 0.0:
-                raise ValueError(f"noise level must be positive, got {eta!r}")
-            if mu <= 0.0:
-                raise ValueError(f"group mass must be positive, got {mu!r}")
+            # NaN fails these comparisons
+            if not 0.0 < eta < math.inf:
+                raise ValueError(f"noise level must be positive and finite, got {eta!r}")
+            if not 0.0 < mu < math.inf:
+                raise ValueError(f"group mass must be positive and finite, got {mu!r}")
         total = math.fsum(mu for mu, _ in groups)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"group masses must sum to 1, got {total!r}")

@@ -79,6 +79,9 @@ class ContractingGame:
             raise ValueError("need at least two actions")
         if not all(0.0 < x < math.inf for x in d1 + d2):
             raise ValueError(f"diagonal payoffs must be finite and positive, got {d1}, {d2}")
+        # the pure-state conditions cut sample sizes at ubar / u + 1
+        if not all(math.isfinite(max(d) / min(d)) for d in (d1, d2)):
+            raise ValueError(f"diagonal payoff ratios must be finite, got {d1}, {d2}")
         if self.require_generic and not self.is_generic():
             raise ValueError("two equilibria share a payoff profile (set "
                              "require_generic=False to allow ties)")

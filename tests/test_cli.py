@@ -1,8 +1,12 @@
+import copy
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplingdyn.cli import main
 
@@ -40,6 +44,10 @@ def _contracting(diag1):
         "theta1": {"1": 1.0},
         "theta2": {"1": 1.0},
     }
+
+
+def _logit(mass=1.0, eta=0.5):
+    return {"u1": 2.0, "u2": 2.0, "logit": [{"mass": mass, "eta": eta}]}
 
 
 class TestAnalyze:
@@ -108,11 +116,17 @@ class TestAnalyze:
             (_contracting([True, 2, 1]), "'diag1'"),
             # 1/u overflows, and the corner conditions compare with 1/u + 1
             ({**FIG3_RIGHT, "u1": 1e-320}, "finite reciprocal"),
+            # ubar/u overflows in the pure-state conditions
+            (_contracting([4, 5e-324, 1]), "ratios must be finite"),
+            (_logit(eta=math.nan), "noise level"),
+            (_logit(eta=math.inf), "noise level"),
+            (_logit(mass=math.nan), "group mass"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
              "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
-             "bool-payoff", "subnormal-payoff"],
+             "bool-payoff", "subnormal-payoff", "subnormal-contracting-payoff",
+             "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -315,11 +329,20 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         ("phase", {"quiver": 2.5}),
         ("phase", {"samples": 1e308}),
         ("phase", {"quiver": 1e308}),
+        # one cell past the bound, so a missing check would stay cheap
+        ("basins", {"resolution": 10**6 + 1, "environment": ONE_POP}),
+        ("basins", {"resolution": 1001}),
+        ("normalize", {"game": -1}),
+        ("normalize", {"game": False}),
+        ("trajectory", {"out": 5}),
+        ("normalize", {"out": None}),
     ],
     ids=["fractional-big_k", "string-big_k", "zero-alpha-step", "negative-alpha-step",
          "unit-alpha-step", "alpha-step-below-0.01", "continuum-basins-theta",
          "continuum-basins-theta1-theta2", "fractional-samples", "one-sample", "negative-quiver",
-         "fractional-quiver", "huge-samples", "huge-quiver"],
+         "fractional-quiver", "huge-samples", "huge-quiver", "one-population-huge-resolution",
+         "two-population-huge-resolution", "number-game", "bool-game", "number-out",
+         "null-out"],
 )
 def test_bad_analysis_numbers_exit_2(tmp_path, capsys, command, fields):
     conf = {"command": command, "environment": FIG3_RIGHT, "out": str(tmp_path), **fields}
@@ -477,27 +500,41 @@ class TestSweep:
         assert "'sweep' must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "start, stop, step, message",
+        "environment, fields, message",
         [
-            (0.1, 0.9, 1e-300, "does not advance"),
-            (0.1, 0.9, 1e-13, "does not advance"),
-            (0.1, 0.9, 1e-5, "more than 10000 values"),
+            ({"u": 1.5}, {"step": 1e-300}, "does not advance"),
+            ({"u": 1.5}, {"step": 1e-13}, "does not advance"),
+            ({"u": 1.5}, {"step": 1e-5}, "more than 10000 values"),
+            ({"u": 1.5}, {"step": math.inf}, "must be finite"),
+            ({"u": 1.5}, {"start": math.nan}, "must be finite"),
+            ({"u": 1.5}, {"stop": -math.inf}, "must be finite"),
+            (ONE_POP, {"type": "u", "step": math.inf}, "must be finite"),
+            (3, {}, "must be an object"),
+            (1e300, {}, "must be an object"),
+            (True, {}, "must be an object"),
+            ({"u": 1.5}, {"k": 0}, "distinct positive integers"),
+            ({"u": 1.5}, {"k": -1}, "distinct positive integers"),
+            ({"u": 1.5}, {"big_k": -5}, "distinct positive integers"),
+            # the masses' dict would collapse onto one key
+            ({"u": 1.5}, {"k": 5}, "distinct positive integers"),
+            (FIG3_RIGHT, {"type": "alpha"}, "outside theta's support"),
         ],
-        ids=["step-1e-300", "step-1e-13", "99999-values"],
+        ids=["step-1e-300", "step-1e-13", "99999-values", "infinite-step", "nan-start",
+             "minus-infinite-stop", "u-infinite-step", "number-environment",
+             "huge-environment", "bool-environment", "zero-k", "negative-k",
+             "negative-big_k", "k-equals-big_k", "alpha-big_k-in-support"],
     )
-    def test_sweep_that_cannot_end_exits_2(self, tmp_path, capsys, start, stop, step, message):
+    def test_sweep_that_cannot_end_exits_2(self, tmp_path, capsys, environment, fields, message):
+        sweep = {"type": "theta-mass", "k": 1, "big_k": 5, "start": 0.1, "stop": 0.9,
+                 "step": 0.1, **fields}
         conf = write_config(
             tmp_path,
-            {
-                "command": "sweep",
-                "environment": {"u": 1.5},
-                "sweep": {"type": "theta-mass", "k": 1, "big_k": 5,
-                          "start": start, "stop": stop, "step": step},
-                "out": str(tmp_path),
-            },
+            {"command": "sweep", "environment": environment, "sweep": sweep,
+             "out": str(tmp_path)},
         )
         assert main(["sweep", "--config", conf]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
     def test_unknown_type_exits_2(self, tmp_path):
         conf = write_config(
@@ -535,3 +572,90 @@ class TestNormalize:
         game = {"matrix": {"u11": 1.0, "u12": 2.0, "u21": 0.0, "u22": 1.0}}
         conf = write_config(tmp_path, {"command": "normalize", "game": game})
         assert main(["normalize", "--config", conf]) == 2
+
+
+# Fixture configs whose every field keeps the run cheap: resolution <= 7,
+# tmax <= 5, n <= 500, samples <= 100, big_k <= 50.
+FUZZ_CONFIGS = [
+    {"command": "analyze", "environment": FIG3_RIGHT, "big_k": 50, "search_alpha_step": 0.25},
+    {"command": "analyze", "environment": ONE_POP, "big_k": 50, "search_alpha_step": 0.25},
+    {"command": "analyze", "environment": _contracting([4, 2, 1]), "big_k": 50,
+     "search_alpha_step": 0.25},
+    {"command": "analyze", "environment": {"mineffort": {"N": 3, "c": 0.5}, "theta": {"2": 1.0}},
+     "big_k": 50, "search_alpha_step": 0.25},
+    {"command": "phase", "environment": _logit(), "samples": 50, "quiver": 3},
+    {"command": "phase", "environment": ONE_POP, "samples": 50},
+    {"command": "trajectory", "environment": FIG3_RIGHT, "initial": [0.2, 0.7], "tmax": 5,
+     "dt": 0.1},
+    {"command": "basins", "environment": FIG3_RIGHT, "resolution": 7, "tmax": 5, "dt": 0.1},
+    {"command": "basins", "environment": ONE_POP, "resolution": 7, "tmax": 5, "dt": 0.1},
+    {"command": "oracle", "environment": ONE_POP, "n": 500, "tmax": 5, "dt": 0.1,
+     "initial": 0.3, "seed": 1},
+    {"command": "oracle", "environment": FIG3_RIGHT, "mode": "response", "p": 0.4,
+     "samples": 100},
+    {"command": "sweep", "environment": {"u": 1.5},
+     "sweep": {"type": "theta-mass", "k": 2, "big_k": 50, "start": 0.45, "stop": 0.55,
+               "step": 0.1}},
+    {"command": "sweep", "environment": FIG3_RIGHT,
+     "sweep": {"type": "alpha", "big_k": 50, "start": 0.5, "stop": 0.5, "step": 0.1}},
+    {"command": "sweep", "environment": ONE_POP,
+     "sweep": {"type": "u", "start": 1.0, "stop": 1.5, "step": 0.5}},
+    {"command": "normalize", "game": {"hawk_dove": {"g": 0.04, "l": 0.2}}},
+    {"command": "normalize",
+     "game": {"matrix": {"u11": 3, "u12": 1, "u21": 1, "u22": 2}}},
+]
+# Fields whose defaults cost far more than the fixtures' values.
+_COSTLY_DEFAULTS = {"resolution", "tmax", "n", "samples", "big_k", "search_alpha_step"}
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 5e-324, 0, -1, -0.5, "x", "", None, True,
+               False, [], [0.5, 0.5], {}]
+_NEW_KEYS = ["u", "u1", "theta", "theta1", "logit", "matrix", "hawk_dove", "contracting",
+             "mineffort", "k", "big_k", "initial", "mode", "p", "type", "1", "1000"]
+
+
+def _paths(node, path=()):
+    """Every path from the root of a JSON value to one of its parts."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    conf = copy.deepcopy(draw(st.sampled_from(FUZZ_CONFIGS)))
+    command = conf["command"]
+    bad_values = st.sampled_from(_BAD_VALUES).map(copy.deepcopy)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(conf))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = conf
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        node = parent[key]
+        op = draw(st.sampled_from(["replace", "drop", "add"]))
+        if op == "drop" and isinstance(parent, dict) and key not in _COSTLY_DEFAULTS:
+            del parent[key]
+        elif op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_NEW_KEYS))] = draw(bad_values)
+        elif key != "command":
+            parent[key] = draw(bad_values)
+    return command, conf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_conf=_mutated_configs())
+def test_mutated_configs_exit_0_or_2(command_conf):
+    # a bad field must end as a config error, never a traceback or exit 3
+    command, conf = command_conf
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "config.json"
+        path.write_text(json.dumps(conf))
+        assert main([command, "--config", str(path), "--out", out]) in (0, 2)

@@ -65,16 +65,17 @@ class TestBinomialTail:
             )
 
     def test_float_incomplete_beta_equals_the_ufunc(self, rng):
-        # above EXACT_TAIL_MAX_K a float calls the compiled incomplete beta
-        # directly and an array calls the ufunc
+        # a float calls scipy's compiled routines directly and an array
+        # calls their ufuncs, for the tail and for its slope
         for _ in range(400):
-            k = int(rng.integers(61, 1001))
+            k = int(rng.integers(1, 1001))
             m = int(rng.integers(1, k + 1))
             ps = np.concatenate([rng.random(50), [0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16]])
-            want = binomial_tail(k, m, ps)
-            got = [binomial_tail(k, m, float(p)) for p in ps]
-            assert all(type(v) is float for v in got)
-            assert np.array_equal(got, want), (k, m)
+            for f in (binomial_tail, binomial_tail_derivative):
+                want = f(k, m, ps)
+                got = [f(k, m, float(p)) for p in ps]
+                assert all(type(v) is float for v in got)
+                assert np.array_equal(got, want), (f.__name__, k, m)
 
     def test_no_cancellation_near_edges(self):
         # relative accuracy where the tail is tiny
