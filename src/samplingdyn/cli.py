@@ -40,6 +40,8 @@ oracle's population mode (the defaults tmax 200, 200 and 50 with dt
 MAX_PHASE_SAMPLES (10**6) curve samples and a quiver of at most 1,000
 arrows per axis.  A basin grid has at most MAX_BASIN_CELLS (10**6)
 cells: resolution of them in one population, resolution**2 in two.
+Sample sizes, whether theta keys, analyze's big_k or a sweep's k and
+big_k, are at most MAX_SAMPLE_SIZE (10**6).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from . import config as cfg
 from . import svg as svgmod
 from .analysis import System
 from .config import ConfigError
-from .dynamics import Environment, SampleSizeDistribution
+from .dynamics import MAX_SAMPLE_SIZE, Environment, SampleSizeDistribution
 from .extensions import (
     Observation,
     contracting_pure_stability,
@@ -164,7 +166,7 @@ def _state_str(s: an.StationaryState) -> str:
 
 def cmd_analyze(conf: dict) -> int:
     spec = _env_spec(conf)
-    big_k = _integer_field(conf, "big_k", 1000, least=1)
+    big_k = _integer_field(conf, "big_k", 1000, least=1, most=MAX_SAMPLE_SIZE)
     step = conf.get("search_alpha_step", 0.1)
     if not (cfg._is_number(step) and an.ALPHA_STEP <= step <= 0.5):
         raise ConfigError(
@@ -526,8 +528,9 @@ def cmd_sweep(conf: dict) -> int:
             raise ConfigError("theta-mass sweeps use a symmetric game")
         k = cfg._integer(spec, "k", "sweep")
         big_k = cfg._integer(spec, "big_k", "sweep")
-        if min(k, big_k) < 1 or k == big_k:
-            raise ConfigError("sweep 'k' and 'big_k' must be distinct positive integers")
+        if min(k, big_k) < 1 or max(k, big_k) > MAX_SAMPLE_SIZE or k == big_k:
+            raise ConfigError("sweep 'k' and 'big_k' must be distinct positive integers "
+                              f"of at most {MAX_SAMPLE_SIZE}")
         for beta in _sweep_values(spec):
             if not (0.0 < beta < 1.0):
                 raise ConfigError(f"theta mass {beta} outside (0, 1)")
@@ -540,8 +543,9 @@ def cmd_sweep(conf: dict) -> int:
             raise ConfigError("alpha sweeps need a sampling environment")
         env = env_spec.environment
         big_k = cfg._integer(spec, "big_k", "sweep")
-        if big_k < 1 or big_k in env.theta1.support or big_k in env.theta2.support:
-            raise ConfigError(f"sweep 'big_k' {big_k} must be positive and outside theta's support")
+        if not 1 <= big_k <= MAX_SAMPLE_SIZE or big_k in env.theta1.support + env.theta2.support:
+            raise ConfigError(f"sweep 'big_k' must lie in [1, {MAX_SAMPLE_SIZE}] and outside "
+                              f"theta's support, got {spec['big_k']!r}")
         for alpha in _sweep_values(spec):
             if not (0.0 < alpha < 1.0):
                 raise ConfigError(f"alpha {alpha} outside (0, 1)")

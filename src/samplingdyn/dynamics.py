@@ -30,6 +30,8 @@ INTEGER_SNAP = 1e-12
 
 _MASS_TOL = 1e-12
 _P_TOL = 1e-9
+# Largest sample size; scipy's incomplete beta turns NaN near 1e18.
+MAX_SAMPLE_SIZE = 10**6
 
 
 class TieBreak(str, Enum):
@@ -230,6 +232,8 @@ class SampleSizeDistribution:
         for k, mass in self.atoms:
             if k < 1 or k != int(k):
                 raise ValueError(f"sample sizes must be positive integers, got {k!r}")
+            if k > MAX_SAMPLE_SIZE:
+                raise ValueError(f"sample sizes must be at most {MAX_SAMPLE_SIZE}, got {k!r}")
             if k in seen:
                 raise ValueError(f"duplicate sample size {k}")
             seen.add(k)
@@ -318,8 +322,6 @@ class SamplingResponse:
     callers whose p is a Python float or float array already in [0, 1].
     """
 
-    kind = "sampling"
-
     def __init__(
         self,
         u: float,
@@ -387,8 +389,6 @@ class LogitResponse:
     Unlike the sampling response, w(0) > 0 and w(1) < 1.  Calling it
     checks p as the sampling response does; ``_eval`` skips the check.
     """
-
-    kind = "logit"
 
     def __init__(self, u: float, groups: Sequence[tuple[float, float]]) -> None:
         if u <= 0.0 or not math.isfinite(u):

@@ -5,8 +5,9 @@ sampling agents best-reply to multinomial samples of opponent actions.
 Minimum-effort games have two effort levels and two observation
 structures: agents either see the minimum effort of a random past round
 or the action of a random opponent.  Both extensions reuse the
-two-action machinery through per-size thresholds and truncated
-expectations.
+two-action machinery: per-size thresholds, truncated expectations and
+the binomial tails, which close the exact contracting reply over how a
+sample splits between the last two actions.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .dynamics import (
 from .flow import _rk4_step, _step_count
 
 _PAYOFF_TIE_TOL = 1e-12
-ENUMERATION_LIMIT = 10**6
-MC_DRAWS = 10**6
+ENUMERATION_LIMIT = 10**6  # prefixes a reply table may enumerate
 
 
 class ContractTieRule(str, Enum):
@@ -87,14 +87,11 @@ class ContractingGame:
                              "require_generic=False to allow ties)")
 
     def is_generic(self) -> bool:
-        for m in range(self.M):
-            for n in range(m + 1, self.M):
-                if (
-                    abs(self.diag1[m] - self.diag1[n]) <= _PAYOFF_TIE_TOL
-                    and abs(self.diag2[m] - self.diag2[n]) <= _PAYOFF_TIE_TOL
-                ):
-                    return False
-        return True
+        return not any(
+            abs(self.diag1[m] - self.diag1[n]) <= _PAYOFF_TIE_TOL
+            and abs(self.diag2[m] - self.diag2[n]) <= _PAYOFF_TIE_TOL
+            for m, n in itertools.combinations(range(self.M), 2)
+        )
 
     @property
     def M(self) -> int:
@@ -122,12 +119,16 @@ class ContractingGame:
         return True
 
 
+def _tie_margin(best):
+    return _PAYOFF_TIE_TOL * np.maximum(1.0, best)
+
+
 def _replies(payoffs: np.ndarray, rule: ContractTieRule) -> np.ndarray:
     """Reply weights per row of sample payoffs.  The ties are the actions within
-    ``_PAYOFF_TIE_TOL`` (relative above 1) of the row's best; ``LOWEST`` and ``HIGHEST``
-    give the lowest or highest tie weight 1, ``UNIFORM`` each tie 1/|ties|."""
+    ``_tie_margin`` of the row's best; ``LOWEST`` and ``HIGHEST`` give the lowest
+    or highest tie weight 1, ``UNIFORM`` each tie 1/|ties|."""
     best = payoffs.max(axis=1, keepdims=True)
-    ties = payoffs >= best - _PAYOFF_TIE_TOL * np.maximum(1.0, np.abs(best))
+    ties = payoffs >= best - _tie_margin(np.abs(best))
     if rule == ContractTieRule.UNIFORM:
         return ties / ties.sum(axis=1, keepdims=True)
     if rule == ContractTieRule.HIGHEST:
@@ -165,11 +166,9 @@ def contracting_best_response(
 
 @dataclass(frozen=True)
 class ContractingResponse:
-    """Expected reply distribution; ``standard_error`` set on Monte Carlo runs."""
+    """Exact reply distribution: ``probabilities[m]`` is the chance of replying m."""
 
     probabilities: np.ndarray
-    standard_error: np.ndarray | None
-    exact: bool
 
 
 def _simplex_points(p, shape: tuple[int, ...]) -> np.ndarray:
@@ -185,52 +184,74 @@ def _simplex_points(p, shape: tuple[int, ...]) -> np.ndarray:
 def _samples(k: int, M: int) -> np.ndarray:
     """Count rows of every size-k sample over M actions (stars and bars)."""
     bars = itertools.chain.from_iterable(itertools.combinations(range(k + M - 1), M - 1))
-    bars = np.fromiter(bars, dtype=np.int64).reshape(-1, M - 1)
+    bars = np.fromiter(bars, dtype=np.int64).reshape(math.comb(k + M - 1, M - 1), M - 1)
     return np.diff(bars, axis=1, prepend=-1, append=k + M - 1) - 1
 
 
 class _ReplyMap:
-    """One player's reply distribution as a function of the opponent state.
+    """One player's exact reply distribution as a function of the opponent state.
 
-    A reply depends on the sample alone, so when theta's support has at
-    most ``enumeration_limit`` samples, their counts, log weights (log
-    mass plus log multinomial coefficient) and reply weights are built
-    once and an evaluation is ``exp(logw + counts @ log p) @ replies``;
-    beyond that, each evaluation is a Monte Carlo run of ``mc_draws``
-    samples seeded with ``seed``.  Evaluation does not check its state.
+    The table lists each prefix of each size in theta's support (counts of
+    actions 0..M-3, then the total n of the last two).  As the split a of n
+    grows, x = a*d[M-2] rises, y = (n-a)*d[M-1] falls and the prefix
+    payoffs v stay put.  A payoff ties when it is at least f(best) =
+    best - margin(best), f increasing, so the ties change only where x or y
+    crosses f(max v) or f^-1(v_i) = v_i + margin(v_i), or x crosses f(y), or
+    y crosses f(x).  Marks at 0, n + 1 and floor - 1 to floor + 2 of each
+    crossing, which absorbs rounding, cut the splits into pieces [lo, hi].
+    A row per piece holds the prefix counts, log weight (log mass plus log
+    multinomial coefficient) and the replies to its first split; with q the
+    state with its last two shares merged, an evaluation is
+    ``(exp(logw + counts @ log q) * (U(lo) - U(hi + 1))) @ replies`` with
+    U(j) = Pr(Bin(n, r) >= j) = I_r(j, n - j + 1), r = p[M-2] / q[-1].
+    Past ``ENUMERATION_LIMIT`` prefixes it raises ``ValueError``; calls do
+    not check the state.
     """
 
-    def __init__(self, g, player, theta, rule, enumeration_limit=ENUMERATION_LIMIT, seed=0,
-                 mc_draws=MC_DRAWS):
-        self.diag, self.theta, self.rule = np.asarray(g.diag(player)), theta, ContractTieRule(rule)
-        self.seed, self.mc_draws = seed, mc_draws
-        n_samples = sum(math.comb(k + g.M - 1, g.M - 1) for k in theta.support)
-        self.exact = n_samples <= enumeration_limit
-        if self.exact:
-            tables = [_samples(k, g.M) for k in theta.support]
-            self.counts = np.concatenate(tables)
-            log_mass = np.repeat([math.log(m) for _, m in theta.atoms], [len(t) for t in tables])
-            log_coef = special.gammaln(self.counts.sum(axis=1) + 1.0)
-            self.logw = log_mass + log_coef - special.gammaln(self.counts + 1.0).sum(axis=1)
-            self.replies = _replies(self.counts * self.diag, self.rule)
+    def __init__(self, g, player, theta, rule):
+        diag, M = np.asarray(g.diag(player)), g.M
+        n_prefixes = sum(math.comb(k + M - 2, M - 2) for k in theta.support)
+        if n_prefixes > ENUMERATION_LIMIT:
+            raise ValueError(f"{n_prefixes} sample prefixes exceed ENUMERATION_LIMIT")
+        tables = [_samples(k, M - 1) for k in theta.support]
+        prefixes = np.concatenate(tables)
+        log_mass = np.repeat([math.log(m) for _, m in theta.atoms], [len(t) for t in tables])
+        log_coef = special.gammaln(prefixes.sum(axis=1) + 1.0)
+        logw = log_mass + log_coef - special.gammaln(prefixes + 1.0).sum(axis=1)
+        d1, d2, n = diag[-2], diag[-1], prefixes[:, -1]
+        v = prefixes[:, :-1] * diag[:-2]
+        best = v.max(axis=1, initial=0.0)
+        levels = np.column_stack([best - _tie_margin(best), v + _tie_margin(v)])
+        side = np.multiply.outer(_tie_margin(n * (d1 / (d1 + d2)) * d2), [-1.0, 1.0])
+        crossings = [levels / d1, n[:, None] - levels / d2, (n[:, None] * d2 + side) / (d1 + d2)]
+        marks = np.floor(np.column_stack(crossings))[:, :, None] + np.arange(-1.0, 3.0)
+        ends = np.column_stack([np.zeros(len(n)), n + 1.0])
+        marks = np.clip(np.column_stack([ends, marks.reshape(len(n), -1)]), 0.0, ends[:, 1:])
+        marks = np.sort(marks, axis=1).astype(np.int64)
+        fresh = np.diff(marks, axis=1, prepend=-1) > 0
+        row, flat = np.nonzero(fresh)[0], marks[fresh]
+        starts = np.flatnonzero(flat <= n[row])
+        row, lo, hi = row[starts], flat[starts], flat[starts + 1] - 1
+        self.counts, self.logw, n = prefixes[row].astype(float), logw[row], n[row]
+        splits = np.column_stack([self.counts[:, :-1], lo, n - lo])
+        self.replies = _replies(splits * diag, ContractTieRule(rule))
+        # tails = [U(0) = 1, U(n + 1) = 0, U(lo) for lo > 0]; U(hi + 1) is the next U(lo)
+        inner = lo > 0
+        self._a, self._b = lo[inner].astype(float), (n - lo + 1)[inner].astype(float)
+        self._upper = np.where(inner, np.cumsum(inner) + 1, 0)
+        self._lower = np.where(hi < n, np.append(self._upper[1:], 1), 1)
 
     def __call__(self, p: np.ndarray) -> ContractingResponse:
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)
         p = p / p.sum()
-        if self.exact:
-            zero = p == 0.0
-            weights = np.exp(self.logw + self.counts @ np.log(np.where(zero, 1.0, p)))
-            weights[self.counts[:, zero].any(axis=1)] = 0.0
-            return ContractingResponse(weights @ self.replies, None, exact=True)
-        rng = np.random.default_rng(self.seed)
-        ks = rng.choice(self.theta.support, size=self.mc_draws, p=[m for _, m in self.theta.atoms])
-        hits = np.zeros(len(p))
-        for k, n_k in zip(*np.unique(ks, return_counts=True)):
-            samples = rng.multinomial(int(k), p, size=int(n_k))
-            hits += _replies(samples * self.diag, self.rule).sum(axis=0)
-        probs = hits / self.mc_draws
-        se = np.sqrt(probs * (1.0 - probs) / self.mc_draws)
-        return ContractingResponse(probs, se, exact=False)
+        q = p[:-1].copy()
+        q[-1] += p[-1]
+        r = p[-2] / q[-1] if q[-1] > 0.0 else 0.0
+        tails = np.concatenate(([1.0, 0.0], special.betainc(self._a, self._b, r)))
+        # a zero share's log is -1e300, so a row that samples it weighs exactly 0
+        log_q = np.log(q, out=np.full(len(q), -1e300), where=q > 0.0)
+        weights = np.exp(self.logw + self.counts @ log_q) * (tails[self._upper] - tails[self._lower])
+        return ContractingResponse(weights @ self.replies)
 
 
 def contracting_response_vector(
@@ -239,20 +260,11 @@ def contracting_response_vector(
     theta: SampleSizeDistribution,
     p_opponent: Sequence[float],
     rule: ContractTieRule = ContractTieRule.LOWEST,
-    seed: int = 0,
-    enumeration_limit: int = ENUMERATION_LIMIT,
-    mc_draws: int = MC_DRAWS,
 ) -> ContractingResponse:
-    """Distribution of best replies over sampled opponent play.
-
-    Exact expectation enumerates every multinomial sample when the total
-    composition count across the support stays within
-    ``enumeration_limit``; beyond that, a seeded Monte Carlo run with
-    ``mc_draws`` draws reports its standard error.  Under the uniform
-    rule a Monte Carlo draw with tied replies counts 1/|ties| for each.
-    """
+    """Exact distribution of best replies to multinomial samples of ``p_opponent``
+    with sizes from ``theta``; ties follow ``rule`` (``UNIFORM`` splits evenly)."""
     p = _simplex_points(p_opponent, (g.M,))
-    return _ReplyMap(g, player, theta, rule, enumeration_limit, seed, mc_draws)(p)
+    return _ReplyMap(g, player, theta, rule)(p)
 
 
 @dataclass(frozen=True)
@@ -390,17 +402,12 @@ def _mineffort_thresholds(g: MinEffortGame, support: Sequence[int]) -> list[int]
     which keeps small samples on the one-observation rule).  Action
     observation: low wins on x > k(1 - c^(1/(N-1))) (ties to high).
     """
+    low_ties = g.observation == Observation.MINIMUM_EFFORT
+    cut = 1.0 - (g.cost if low_ties else g.cost ** (1.0 / (g.n_players - 1)))
     out = []
-    if g.observation == Observation.MINIMUM_EFFORT:
-        cut = 1.0 - g.cost
-        for k in support:
-            x = snap_to_integer(k * cut)
-            out.append(int(x) if x == int(x) else math.ceil(x))
-    else:
-        cut = 1.0 - g.cost ** (1.0 / (g.n_players - 1))
-        for k in support:
-            x = snap_to_integer(k * cut)
-            out.append(int(x) + 1 if x == int(x) else math.ceil(x))
+    for k in support:
+        x = snap_to_integer(k * cut)
+        out.append(math.ceil(x) if x != int(x) else int(x) + (0 if low_ties else 1))
     return out
 
 
@@ -418,8 +425,6 @@ class MinEffortResponse:
     Calling it checks p as the sampling response does; ``_eval`` skips
     the check.
     """
-
-    kind = "min-effort"
 
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
@@ -481,20 +486,22 @@ def mineffort_pure_stability(
         "round minimum taken over N-1 opponents (proof convention); "
         "the model text says N"
     )
+
+    def label(weak: float, strict: float, bound: float = 1.0) -> Stability:
+        if weak < bound - MARGINAL_BAND:
+            return Stability.STABLE
+        if strict > bound + MARGINAL_BAND:
+            return Stability.UNSTABLE
+        return Stability.MARGINAL
+
     if g.observation == Observation.MINIMUM_EFFORT:
         cut = 1.0 / (1.0 - g.cost)
         weak = truncated_expectation(theta, cut, "weak")
         strict = truncated_expectation(theta, cut, "strict")
         bound = 1.0 / g.n_players
-        if weak < bound - MARGINAL_BAND:
-            eff = Stability.STABLE
-        elif strict > bound + MARGINAL_BAND:
-            eff = Stability.UNSTABLE
-        else:
-            eff = Stability.MARGINAL
         return MinEffortStabilityReport(
             safe_label=Stability.STABLE,
-            efficient_label=eff,
+            efficient_label=label(weak, strict, bound),
             conditions={
                 "efficient_weak": weak,
                 "efficient_strict": strict,
@@ -512,14 +519,6 @@ def mineffort_pure_stability(
         "efficient_weak": truncated_expectation(theta, eff_cut, "weak"),
         "efficient_strict": truncated_expectation(theta, eff_cut, "strict"),
     }
-
-    def label(weak: float, strict: float) -> Stability:
-        if weak < 1.0 - MARGINAL_BAND:
-            return Stability.STABLE
-        if strict > 1.0 + MARGINAL_BAND:
-            return Stability.UNSTABLE
-        return Stability.MARGINAL
-
     return MinEffortStabilityReport(
         safe_label=label(conditions["safe_weak"], conditions["safe_strict"]),
         efficient_label=label(conditions["efficient_weak"], conditions["efficient_strict"]),

@@ -121,12 +121,16 @@ class TestAnalyze:
             (_logit(eta=math.nan), "noise level"),
             (_logit(eta=math.inf), "noise level"),
             (_logit(mass=math.nan), "group mass"),
+            # scipy's incomplete beta is NaN at sizes near 1e18
+            ({"u": 1.2, "theta": {"1000000000000000000000": 1.0}}, "at most 1000000"),
+            ({**FIG3_RIGHT, "theta2": {"1": 0.5, "1000001": 0.5}}, "at most 1000000"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
              "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
              "bool-payoff", "subnormal-payoff", "subnormal-contracting-payoff",
-             "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass"],
+             "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass", "huge-theta-key",
+             "theta-key-past-max-sample-size"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -317,6 +321,9 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
     [
         ("analyze", {"big_k": 1000.5}),
         ("analyze", {"big_k": "1000"}),
+        # 1e308 used to exit 0 with Theorem 3 reported as failing
+        ("analyze", {"big_k": 1e308}),
+        ("analyze", {"big_k": 10**6 + 1}),
         ("analyze", {"search_alpha_step": 0}),
         ("analyze", {"search_alpha_step": -0.1}),
         ("analyze", {"search_alpha_step": 1.0}),
@@ -337,7 +344,8 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         ("trajectory", {"out": 5}),
         ("normalize", {"out": None}),
     ],
-    ids=["fractional-big_k", "string-big_k", "zero-alpha-step", "negative-alpha-step",
+    ids=["fractional-big_k", "string-big_k", "huge-big_k", "big_k-past-max-sample-size",
+         "zero-alpha-step", "negative-alpha-step",
          "unit-alpha-step", "alpha-step-below-0.01", "continuum-basins-theta",
          "continuum-basins-theta1-theta2", "fractional-samples", "one-sample", "negative-quiver",
          "fractional-quiver", "huge-samples", "huge-quiver", "one-population-huge-resolution",
@@ -404,10 +412,11 @@ class TestOracleCommand:
             {"n": 1e12},
             {"tmax": 1e9, "dt": 0.01},
             {"tmax": 1e10, "dt": 1e-300},
+            {"environment": {"u": 1.2, "theta": {"1000000000000000000000": 1.0}}},
         ],
         ids=["n-below-100", "fractional-n", "negative-seed", "fractional-seed", "p-above-1",
              "negative-p", "string-p", "zero-samples", "fractional-samples", "huge-samples",
-             "huge-n", "huge-step-count", "infinite-step-count"],
+             "huge-n", "huge-step-count", "infinite-step-count", "huge-theta-key"],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, fields):
         conf = {"command": "oracle", "environment": ONE_POP, "n": 1000, "tmax": 0.1,
@@ -518,11 +527,16 @@ class TestSweep:
             # the masses' dict would collapse onto one key
             ({"u": 1.5}, {"k": 5}, "distinct positive integers"),
             (FIG3_RIGHT, {"type": "alpha"}, "outside theta's support"),
+            ({"u": 1.5}, {"big_k": 1e308}, "of at most 1000000"),
+            ({"u": 1.5}, {"k": 10**6 + 1}, "of at most 1000000"),
+            (FIG3_RIGHT, {"type": "alpha", "big_k": 1e308}, "in [1, 1000000]"),
+            (FIG3_RIGHT, {"type": "alpha", "big_k": 10**6 + 1}, "in [1, 1000000]"),
         ],
         ids=["step-1e-300", "step-1e-13", "99999-values", "infinite-step", "nan-start",
              "minus-infinite-stop", "u-infinite-step", "number-environment",
              "huge-environment", "bool-environment", "zero-k", "negative-k",
-             "negative-big_k", "k-equals-big_k", "alpha-big_k-in-support"],
+             "negative-big_k", "k-equals-big_k", "alpha-big_k-in-support", "huge-big_k",
+             "k-past-max-sample-size", "alpha-huge-big_k", "alpha-big_k-past-max-sample-size"],
     )
     def test_sweep_that_cannot_end_exits_2(self, tmp_path, capsys, environment, fields, message):
         sweep = {"type": "theta-mass", "k": 1, "big_k": 5, "start": 0.1, "stop": 0.9,
@@ -606,8 +620,8 @@ FUZZ_CONFIGS = [
 ]
 # Fields whose defaults cost far more than the fixtures' values.
 _COSTLY_DEFAULTS = {"resolution", "tmax", "n", "samples", "big_k", "search_alpha_step"}
-_BAD_VALUES = [math.nan, math.inf, -math.inf, 5e-324, 0, -1, -0.5, "x", "", None, True,
-               False, [], [0.5, 0.5], {}]
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 5e-324, 1e308, 10**6 + 1, 0, -1, -0.5, "x", "",
+               None, True, False, [], [0.5, 0.5], {}]
 _NEW_KEYS = ["u", "u1", "theta", "theta1", "logit", "matrix", "hawk_dove", "contracting",
              "mineffort", "k", "big_k", "initial", "mode", "p", "type", "1", "1000"]
 

@@ -1,11 +1,15 @@
+import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from samplingdyn import extensions
 from samplingdyn.analysis import Stability, find_stationary_one_pop
 from samplingdyn.dynamics import (
     SampleSizeDistribution,
@@ -26,6 +30,9 @@ from samplingdyn.extensions import (
     mineffort_pure_stability,
     mineffort_response,
     mineffort_stable_interior,
+    _replies,
+    _ReplyMap,
+    _samples,
 )
 
 
@@ -92,7 +99,6 @@ class TestResponseVector:
             pa = float(rng.random())
             r = contracting_response_vector(g, 1, theta, (pa, 1.0 - pa))
             w = SamplingResponse(g.diag1[0] / g.diag1[1], theta)
-            assert r.exact
             assert r.probabilities[0] == pytest.approx(w(pa), abs=1e-10)
 
     def test_single_observation_is_identity(self, rng):
@@ -123,30 +129,136 @@ class TestResponseVector:
 
     @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
     def test_monte_carlo_agrees_with_exact(self, rng, rule):
-        # the second game ties actions 1 and 2 for player 1 whenever their
-        # counts agree, so the three rules give different vectors
+        # theta = {1500: 1} has 1,127,251 samples; at p proportional to
+        # 1/diag every action pays the same in expectation, so the replies
+        # spread, and the second game ties actions 1 and 2 for player 1
+        # whenever their counts agree, so the three rules give different
+        # vectors
         tied = ContractingGame((1.0, 2.0, 2.0), (2.0, 1.0, 3.0), require_generic=False)
-        theta = SampleSizeDistribution.of({3: 0.5, 8: 0.5})
-        p = (0.2, 0.5, 0.3)
+        theta = SampleSizeDistribution.point(1500)
+        draws = np.random.default_rng(11)
         for g in (random_contracting(rng, M=3), tied):
-            exact = contracting_response_vector(g, 1, theta, p, rule)
-            mc = contracting_response_vector(
-                g, 1, theta, p, rule, enumeration_limit=0, mc_draws=200_000, seed=11
-            )
-            assert exact.exact and not mc.exact
-            band = 4.0 * np.maximum(mc.standard_error, 1e-6)
-            assert np.all(np.abs(mc.probabilities - exact.probabilities) <= band)
+            p = 1.0 / np.asarray(g.diag1)
+            p /= p.sum()
+            exact = contracting_response_vector(g, 1, theta, p, rule).probabilities
+            samples = draws.multinomial(1500, p, size=200_000)
+            mc = _replies(samples * np.asarray(g.diag1), ContractTieRule(rule)).mean(axis=0)
+            band = 4.0 * np.maximum(np.sqrt(mc * (1.0 - mc) / len(samples)), 1e-6)
+            assert np.all(np.abs(mc - exact) <= band)
+            # a few pieces per prefix, not one row per sample
+            assert len(_ReplyMap(g, 1, theta, rule).counts) <= 20 * 1501
 
-    def test_monte_carlo_deterministic(self):
-        g = ContractingGame((1.0, 2.0, 3.0), (3.0, 2.0, 1.0))
-        theta = SampleSizeDistribution.point(5)
-        a = contracting_response_vector(
-            g, 1, theta, (0.3, 0.3, 0.4), enumeration_limit=0, mc_draws=10_000, seed=5
-        )
-        b = contracting_response_vector(
-            g, 1, theta, (0.3, 0.3, 0.4), enumeration_limit=0, mc_draws=10_000, seed=5
-        )
-        assert np.array_equal(a.probabilities, b.probabilities)
+    def test_prefix_count_is_bounded(self, monkeypatch):
+        # M = 3 has k + 1 prefixes at size k
+        monkeypatch.setattr(extensions, "ENUMERATION_LIMIT", 50)
+        g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
+        p = (0.2, 0.5, 0.3)
+        with pytest.raises(ValueError, match="ENUMERATION_LIMIT"):
+            contracting_response_vector(g, 1, SampleSizeDistribution.point(60), p)
+        contracting_response_vector(g, 1, SampleSizeDistribution.point(40), p)
+
+
+@functools.lru_cache(maxsize=1)
+def _full_table(M, theta):
+    tables = [_samples(k, M) for k in theta.support]
+    counts = np.concatenate(tables)
+    log_mass = np.repeat([math.log(m) for _, m in theta.atoms], [len(t) for t in tables])
+    logw = (log_mass + special.gammaln(counts.sum(axis=1) + 1.0)
+            - special.gammaln(counts + 1.0).sum(axis=1))
+    return counts, logw
+
+
+def full_enumeration(diag, theta, p, rule):
+    """The reply distribution from one table row per sample: every count
+    vector of every size, its multinomial weight and its reply."""
+    diag = np.asarray(diag)
+    counts, logw = _full_table(len(diag), theta)
+    p = np.asarray(p, dtype=float)
+    zero = p == 0.0
+    exponent = logw + counts @ np.log(np.where(zero, 1.0, p))
+    exponent[counts[:, zero].any(axis=1)] = -np.inf
+    return np.exp(exponent) @ _replies(counts * diag, ContractTieRule(rule))
+
+
+class TestSplitPieces:
+    @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
+    def test_matches_full_enumeration(self, rng, rule):
+        families = [
+            lambda M: rng.integers(1, 4, M).astype(float),
+            lambda M: rng.choice([0.1, 0.2, 0.3, 0.6], M),
+            lambda M: rng.uniform(0.1, 5.0, M),
+            lambda M: rng.choice([1e-13, 3e-13, 1e-12, 1e-6, 1.0, 1e6, 1e12], M),
+        ]
+        for i in range(200):
+            M = int(rng.integers(2, 6))
+            diag = families[i % 4](M)
+            sizes = rng.choice(np.arange(1, 13), size=int(rng.integers(1, 4)), replace=False)
+            raw = rng.random(len(sizes)) + 0.05
+            theta = SampleSizeDistribution.of(
+                {int(k): float(w) for k, w in zip(sizes, raw / raw.sum())}
+            )
+            weights = rng.random(M) * (rng.random(M) > 0.25)
+            if weights.sum() == 0.0:
+                weights[0] = 1.0
+            p = weights / weights.sum()
+            g = ContractingGame(tuple(diag), tuple(diag), require_generic=False)
+            got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+            assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
+
+    def test_matches_full_enumeration_with_a_large_size(self, rng):
+        # 982,111 samples, 1,405 prefixes; the zero component leaves whole
+        # rows of the merged state without weight
+        g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
+        theta = SampleSizeDistribution.of({3: 0.5, 1400: 0.5})
+        states = [rng.dirichlet(np.ones(3)) for _ in range(2)]
+        states += [(0.0, 0.3, 0.7), (0.5, 0.5, 0.0), (0.2, 0.0, 0.8), (0.002, 0.499, 0.499)]
+        for rule in ContractTieRule:
+            for p in states:
+                got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+                assert np.max(np.abs(got - full_enumeration(g.diag1, theta, p, rule))) <= 2e-12
+
+    @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
+    def test_near_tied_prefix_payoffs(self, rule):
+        # actions 0 and 1 tie (4.8e-12 and 5e-12 lie within the absolute
+        # tolerance 1e-12); as a * 1e-13 rises past 5.8e-12 action 0 leaves
+        # the ties before action 1 does, a change that only the crossing of
+        # the lower prefix payoff marks
+        diag = (3e-13, 1e-12, 1e-13, 1e-13)
+        g = ContractingGame(diag, diag, require_generic=False)
+        theta = SampleSizeDistribution.point(90)
+        p = np.array([16.0, 5.0, 57.0, 12.0]) / 90.0
+        got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+        assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
+
+    @pytest.mark.parametrize("diag", [(1e200, 1e200), (3.0, 1e200, 1e200)])
+    def test_payoffs_whose_product_overflows(self, diag):
+        # the last two payoffs meet at n * d1 * d2 / (d1 + d2), and d1 * d2
+        # alone overflows
+        g = ContractingGame(diag, diag, require_generic=False)
+        theta = SampleSizeDistribution.point(10)
+        p = np.full(len(diag), 1.0 / len(diag))
+        for rule in ContractTieRule:
+            got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+            assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
+
+    def test_matches_high_precision_reference(self):
+        # every one of the 11,476 samples summed at 30 digits; the payoffs
+        # are integers, so ties are exact and argmax takes the lowest
+        g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
+        k, p = 150, ("0.3", "0.45", "0.25")
+        counts = _samples(k, 3)
+        with mpmath.workdps(30):
+            probs = [mpmath.mpf(x) for x in p]
+            want = [mpmath.mpf(0)] * 3
+            for reply, row in zip(np.argmax(counts * np.asarray(g.diag1), axis=1), counts):
+                want[reply] += mpmath.factorial(k) * mpmath.fprod(
+                    probs[i] ** int(c) / mpmath.factorial(int(c)) for i, c in enumerate(row)
+                )
+            want = np.array([float(w) for w in want])
+        got = contracting_response_vector(
+            g, 1, SampleSizeDistribution.point(k), [float(x) for x in p]
+        ).probabilities
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def reference_response(diag, theta, p, rule):
@@ -184,12 +296,13 @@ def reference_response(diag, theta, p, rule):
     player=st.sampled_from([1, 2]),
 )
 def test_response_vector_matches_brute_force(data, M, rule, player):
-    # games on small integers have exact ties, so every rule matters, and
-    # games on tenths near ties (3 * 0.1 > 0.3) that only the tolerance joins
+    # games on small integers have exact ties, so every rule matters, games
+    # on tenths near ties (3 * 0.1 > 0.3) that only the tolerance joins, and
+    # games of extreme magnitudes, where the absolute tolerance joins counts
     payoff = data.draw(
         st.sampled_from(
             [st.integers(1, 3).map(float), st.sampled_from([0.1, 0.2, 0.3, 0.6]),
-             st.floats(0.1, 5.0)]
+             st.floats(0.1, 5.0), st.sampled_from([1e-13, 3e-13, 1e-12, 1e-6, 1.0, 1e6, 1e12])]
         )
     )
     g = ContractingGame(
