@@ -245,7 +245,7 @@ def _clamp01(x: float) -> float:
 
 class System:
     """The responses of one- or two-population dynamics, with their
-    batched vector field, scalar right-hand side and stationary states."""
+    batched vector field, float RK4 step and stationary states."""
 
     def __init__(self, responses: tuple) -> None:
         self.responses = responses  # (w,) or (w1, w2)
@@ -290,25 +290,45 @@ class System:
         out[:, 1] = w2(x[:, 0]) - x[:, 1]
         return out
 
-    def scalar_rhs(self):
-        """Python-float field on a state sequence, returned as a tuple,
-        with the responses' unchecked evaluations bound once; the state is
-        clamped first, as the batched step projects its stages."""
+    def rk4_step(self):
+        """One RK4 step on Python floats, with the responses' unchecked
+        evaluations bound once: ``step(p, dt)`` gives ``(f, p_next)`` in
+        one population, ``step(p1, p2, dt)`` gives ``(f1, f2, p1_next,
+        p2_next)`` in two, with f the field at the state and the next state
+        unclamped.  Each stage clamps its state first, as the batched step
+        projects it; a negative dt runs time backward."""
         if self.dim == 1:
             w = self.responses[0]._eval
 
-            def rhs(state):
-                p = _clamp01(state[0])
-                return (w(p) - p,)
+            def step(p, dt):
+                half = 0.5 * dt
+                y = _clamp01(p)
+                a = w(y) - y
+                y = _clamp01(p + half * a)
+                b = w(y) - y
+                y = _clamp01(p + half * b)
+                c = w(y) - y
+                y = _clamp01(p + dt * c)
+                d = w(y) - y
+                return a, p + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
 
-            return rhs
+            return step
         w1, w2 = (w._eval for w in self.responses)
 
-        def rhs(state):
-            p1, p2 = _clamp01(state[0]), _clamp01(state[1])
-            return (w1(p2) - p1, w2(p1) - p2)
+        def step(p1, p2, dt):
+            half = 0.5 * dt
+            y1, y2 = _clamp01(p1), _clamp01(p2)
+            a1, a2 = w1(y2) - y1, w2(y1) - y2
+            y1, y2 = _clamp01(p1 + half * a1), _clamp01(p2 + half * a2)
+            b1, b2 = w1(y2) - y1, w2(y1) - y2
+            y1, y2 = _clamp01(p1 + half * b1), _clamp01(p2 + half * b2)
+            c1, c2 = w1(y2) - y1, w2(y1) - y2
+            y1, y2 = _clamp01(p1 + dt * c1), _clamp01(p2 + dt * c2)
+            d1, d2 = w1(y2) - y1, w2(y1) - y2
+            return (a1, a2, p1 + dt / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                    p2 + dt / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
 
-        return rhs
+        return step
 
     def stationary(self) -> StationaryAnalysis:
         if self.dim == 1:

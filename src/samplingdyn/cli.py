@@ -334,8 +334,7 @@ def cmd_phase(conf: dict) -> int:
         )
         csv_text = svgmod.phase_curves_csv_two_pop(pair, samples)
     (out / "phase.svg").write_bytes(svg_text.encode("utf-8"))
-    with open(out / "phase.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
+    cfg._write_text(out / "phase.csv", csv_text)
     print(f"wrote {out / 'phase.svg'} and {out / 'phase.csv'}")
     return 0
 
@@ -438,8 +437,7 @@ def cmd_oracle(conf: dict) -> int:
             lines.append(f"{cfg.fmt(p)},{cfg.fmt(est)},{cfg.fmt(se)}")
             who = f" of population {i + 1}" if len(responses) > 1 else ""
             print(f"empirical response{who} at p={p}: {est:.6f} +- {se:.2e}")
-        with open(out / "oracle.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        cfg._write_text(out / "oracle.csv", "\n".join(lines) + "\n")
         return 0
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
@@ -569,8 +567,7 @@ def cmd_sweep(conf: dict) -> int:
 
     header = "value,n_stationary,n_interior,stable_interior,thm4_part1,thm4_part2,flag"
     text = header + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    cfg._write_text(out / "sweep.csv", text)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 

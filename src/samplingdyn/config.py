@@ -329,12 +329,9 @@ def trajectory_csv(times, states, comments: tuple[str, ...] = ()) -> str:
     two = states.ndim == 2
     lines = [f"# {c}" for c in comments]
     lines.append("t,p1,p2" if two else "t,p1")
-    # rows of Python floats: indexing an array row by row is slower
-    for t, x in zip(np.asarray(times).tolist(), states.tolist()):
-        if two:
-            lines.append(f"{fmt(t)},{fmt(x[0])},{fmt(x[1])}")
-        else:
-            lines.append(f"{fmt(t)},{fmt(x)}")
+    # one format operation a row of Python floats gives ``fmt``'s text, faster
+    row = "%.12g,%.12g,%.12g" if two else "%.12g,%.12g"
+    lines.extend([row % tuple(r) for r in np.column_stack([times, states]).tolist()])
     return "\n".join(lines) + "\n"
 
 

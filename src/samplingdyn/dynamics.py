@@ -63,12 +63,6 @@ def _as_prob_array(p, clip_tol: float = _P_TOL):
     return arr
 
 
-def _plain(x):
-    """A ufunc's value on a float, which numpy returns as a numpy scalar or
-    0-d array, as a Python float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _int_power(base, k: int):
     """base**k for k >= 0 by binary exponentiation with ``*`` alone, so a
     float and an ndarray get the same IEEE products (numpy's ``**`` on
@@ -92,27 +86,22 @@ _betainc = cython_special.betainc["double"]
 _xlogy = cython_special.xlogy["double"]
 _betaln = cython_special.betaln
 _exp2 = cython_special.exp2
+_expit = cython_special.expit["double"]
 _LOG2E = math.log2(math.e)
 
 
 def _tail(k: int, m: int, p):
-    """Unchecked Pr(X >= m) for X ~ Binomial(k, p): the regularized
-    incomplete beta I_p(m, k - m + 1).
-
-    Arrays call the ufunc; a Python float calls the same compiled routine
-    directly, which skips the ufunc's dispatch and gives the same bits.
-    """
+    """Unchecked Pr(X >= m) for X ~ Binomial(k, p) on an array p: the
+    regularized incomplete beta I_p(m, k - m + 1)."""
     if m == 0:
         return 0.0 * p + 1.0
     if m > k:
         return 0.0 * p
-    if type(p) is float:
-        return _betainc(m, k - m + 1.0, p)
-    return _plain(special.betainc(m, k - m + 1, p))
+    return special.betainc(m, k - m + 1, p)
 
 
 def _tail_slope(k: int, m: int, p, q):
-    """Unchecked derivative in p of the tail, with q = 1 - p:
+    """Unchecked derivative in p of the tail on an array p, with q = 1 - p:
     p^(m-1) q^(k-m) / B(m, k - m + 1).
 
     It is taken in exp-log form, because the coefficient m C(k, m)
@@ -123,12 +112,9 @@ def _tail_slope(k: int, m: int, p, q):
     """
     if m == 0 or m > k:
         return 0.0 * p
-    a, b = m - 1.0, k - m + 0.0  # the compiled calls take floats faster than ints
-    log_beta = _betaln(a + 1.0, b + 1.0)
-    if type(p) is float:
-        return _exp2((_xlogy(a, p) + _xlogy(b, q) - log_beta) * _LOG2E)
+    a, b = m - 1.0, k - m + 0.0
     logs = special.xlogy(a, p) + special.xlogy(b, q)
-    return _plain(special.exp2((logs - log_beta) * _LOG2E))
+    return special.exp2((logs - _betaln(a + 1.0, b + 1.0)) * _LOG2E)
 
 
 def _tail_atoms(theta: SampleSizeDistribution, thresholds: Sequence[int]) -> tuple:
@@ -137,17 +123,37 @@ def _tail_atoms(theta: SampleSizeDistribution, thresholds: Sequence[int]) -> tup
 
 
 def _tail_mixture(atoms, p):
-    """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms."""
+    """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms, in order.
+
+    Arrays call the ufunc through ``_tail``; a Python float, checked for
+    once a call, calls its compiled routine directly, with the same bits.
+    There m = 0 adds the mass and m > k nothing, since betainc has no such
+    tails (betainc(0, b, 0.0) is 0.0, and b <= 0 gives NaN)."""
     out = 0.0
+    if type(p) is float:
+        for k, mass, m in atoms:
+            if m == 0:
+                out = out + mass
+            elif m <= k:
+                out = out + mass * _betainc(m, k - m + 1.0, p)
+        return out
     for k, mass, m in atoms:
         out = out + mass * _tail(k, m, p)
     return out
 
 
 def _slope_mixture(atoms, p):
-    """Unchecked derivative in p of ``_tail_mixture``."""
+    """Unchecked derivative in p of ``_tail_mixture``, with the float path
+    of ``_tail_slope`` on scipy's compiled routines."""
     q = 1.0 - p
     out = 0.0
+    if type(p) is float:
+        for k, mass, m in atoms:
+            if 0 < m <= k:
+                a, b = m - 1.0, k - m + 0.0  # the compiled calls take floats faster
+                logs = _xlogy(a, p) + _xlogy(b, q) - _betaln(a + 1.0, b + 1.0)
+                out = out + mass * _exp2(logs * _LOG2E)
+        return out
     for k, mass, m in atoms:
         out = out + mass * _tail_slope(k, m, p, q)
     return out
@@ -181,14 +187,13 @@ def binomial_tail(k: int, m: int, p):
     bit-identical values.
     """
     k, m = _check_tail_args(k, m)
-    return _tail(k, m, _as_prob_array(p, clip_tol=0.0))
+    return _tail_mixture(((k, 1.0, m),), _as_prob_array(p, clip_tol=0.0))
 
 
 def binomial_tail_derivative(k: int, m: int, p):
     """Derivative in p of the binomial upper tail: m*C(k,m)*p^(m-1)*(1-p)^(k-m)."""
     k, m = _check_tail_args(k, m)
-    p = _as_prob_array(p, clip_tol=0.0)
-    return _tail_slope(k, m, p, 1.0 - p)
+    return _slope_mixture(((k, 1.0, m),), _as_prob_array(p, clip_tol=0.0))
 
 
 def snap_to_integer(x: float, tol: float = INTEGER_SNAP) -> float:
@@ -415,19 +420,22 @@ class LogitResponse:
         return self._eval(_as_prob_array(p))
 
     def _eval(self, p):
+        # a Python float calls the ufunc's compiled routine directly
+        expit = _expit if type(p) is float else special.expit
         out = 0.0
         for mu, eta in self.groups:
             # payoff difference (first minus second action) is p*u - (1-p)
-            out = out + mu * special.expit((p * (1.0 + self.u) - 1.0) / eta)
-        return _plain(out)
+            out = out + mu * expit((p * (1.0 + self.u) - 1.0) / eta)
+        return out
 
     def derivative(self, p):
         p = _as_prob_array(p)
+        expit = _expit if type(p) is float else special.expit
         out = 0.0
         for mu, eta in self.groups:
-            s = special.expit((p * (1.0 + self.u) - 1.0) / eta)
+            s = expit((p * (1.0 + self.u) - 1.0) / eta)
             out = out + mu * s * (1.0 - s) * (1.0 + self.u) / eta
-        return _plain(out)
+        return out
 
     def inverse(self, y):
         lo, hi = self(0.0), self(1.0)

@@ -4,15 +4,16 @@ dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
 bit for bit, which the golden-file outputs depend on.  ``analysis.System``
-decides between one and two populations.  ``label_basins`` reads basins
-off the stationary analysis and integrates only where it cannot decide;
+decides between one and two populations and gives the float RK4 step, one
+per arity, that recorded trajectories and separatrix traces take; basin
+grids step arrays of states.  ``label_basins`` reads basins off the
+stationary analysis and integrates only where it cannot decide;
 ``estimate_basins``, which integrates every cell, is its reference.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,9 @@ class Trajectory:
 
     @property
     def verdict(self) -> str:
-        if self.converged:
-            return f"converged-to({self._limit_label()})"
-        return "max-time-reached"
-
-    def _limit_label(self) -> str:
-        if self.limit is None:
-            return "unmatched"
-        return repr(self.limit.state)
+        if not self.converged:
+            return "max-time-reached"
+        return f"converged-to({'unmatched' if self.limit is None else self.limit.state!r})"
 
     @property
     def final_state(self):
@@ -90,20 +86,6 @@ def _rk4_step(field, x, dt, project, k1=None):
     k3 = field(project(x + 0.5 * dt * k2))
     k4 = field(project(x + dt * k3))
     return project(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def _scalar_rk4_step(rhs, x: tuple, dt: float, k1: tuple) -> tuple:
-    """One unclamped RK4 step on a tuple state from k1 = rhs(x); at this
-    size tuples and lists of floats are far faster than numpy arrays."""
-    half = 0.5 * dt
-    k2 = rhs([xi + half * ki for xi, ki in zip(x, k1)])
-    k3 = rhs([xi + half * ki for xi, ki in zip(x, k2)])
-    k4 = rhs([xi + dt * ki for xi, ki in zip(x, k3)])
-    sixth = dt / 6.0
-    return tuple([
-        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ])
 
 
 def integrate(
@@ -127,45 +109,44 @@ def integrate(
         raise ValueError(f"initial state outside the unit interval/square: {initial!r}")
     system = System.of(system, init.size)
 
-    rhs = system.scalar_rhs()
-    x = tuple(float(v) for v in init)
-    times = [0.0]
-    path = [x]
-    converged = False
+    # a loop per arity, of O(1) float operations a step; the last pass only checks convergence
+    step = system.rk4_step()
     max_clamp = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(x)
-        if max(map(abs, k1)) < CONVERGENCE_TOL:
-            converged = True
-            break
-        raw = _scalar_rk4_step(rhs, x, dt, k1)
-        if not all(map(math.isfinite, raw)):
-            raise NumericError(f"non-finite state at step {step}")
-        x = tuple(map(_clamp01, raw))
-        max_clamp = max(max_clamp, *map(abs, map(operator.sub, x, raw)))
-        times.append(step * dt)
-        path.append(x)
+    if system.dim == 1:
+        p = float(init[0])
+        path = [p]
+        for n in range(n_steps + 1):
+            f, raw = step(p, dt)
+            converged = abs(f) < CONVERGENCE_TOL
+            if converged or n == n_steps:
+                break
+            if not math.isfinite(raw):
+                raise NumericError(f"non-finite state at step {n + 1}")
+            p = _clamp01(raw)
+            max_clamp = max(max_clamp, abs(p - raw))
+            path.append(p)
     else:
-        converged = max(abs(v) for v in rhs(x)) < CONVERGENCE_TOL
+        p1, p2 = float(init[0]), float(init[1])
+        path = [(p1, p2)]
+        for n in range(n_steps + 1):
+            f1, f2, raw1, raw2 = step(p1, p2, dt)
+            converged = abs(f1) < CONVERGENCE_TOL and abs(f2) < CONVERGENCE_TOL
+            if converged or n == n_steps:
+                break
+            if not (math.isfinite(raw1) and math.isfinite(raw2)):
+                raise NumericError(f"non-finite state at step {n + 1}")
+            p1, p2 = _clamp01(raw1), _clamp01(raw2)
+            max_clamp = max(max_clamp, abs(p1 - raw1), abs(p2 - raw2))
+            path.append((p1, p2))
 
+    states = np.asarray(path)
     limit = None
     if converged:
         if stationary is None:
             stationary = system.stationary()
-        (i,) = _match_labels(np.asarray([x]), True, stationary, MATCH_TOL)
+        (i,) = _match_labels(states[-1:].reshape(1, -1), True, stationary, MATCH_TOL)
         limit = stationary.states[i] if i >= 0 else None
-
-    states = np.asarray(path)
-    if system.dim == 1:
-        states = states[:, 0]
-    return Trajectory(
-        times=np.asarray(times),
-        states=states,
-        converged=converged,
-        limit=limit,
-        dt=dt,
-        max_clamp=max_clamp,
-    )
+    return Trajectory(np.arange(len(path)) * dt, states, converged, limit, dt, max_clamp)
 
 
 def convergence_limit(
@@ -326,24 +307,20 @@ def _stable_manifold(system: System, saddle: StationaryState, t_max: float, dt: 
     p1, p2 = saddle.state
     v = (math.sqrt(w1.derivative(p2)), -math.sqrt(w2.derivative(p1)))
     scale = SEPARATRIX_OFFSET / math.hypot(*v)
-    rhs = system.scalar_rhs()
-
-    def back(x):
-        return tuple(-f for f in rhs(x))
-
+    step = system.rk4_step()
     n_steps = _step_count(t_max, dt)
     branches = []
     for sign in (-1.0, 1.0):  # up-left, then down-right
-        x = (p1 + sign * scale * v[0], p2 + sign * scale * v[1])
-        k = back(x)
-        points, tangents = [x], [k]
-        for _ in range(n_steps):
-            x = _scalar_rk4_step(back, x, dt, k)
-            k = back(x)
-            points.append(x)
-            tangents.append(k)
-            if not all(0.0 <= c <= 1.0 for c in x):
-                break
+        x1, x2 = p1 + sign * scale * v[0], p2 + sign * scale * v[1]
+        points, tangents = [], []
+        for n in range(n_steps + 1):
+            # RK4 with -dt runs time backward; the tangent is -f
+            f1, f2, y1, y2 = step(x1, x2, -dt)
+            points.append((x1, x2))
+            tangents.append((-f1, -f2))
+            if n and not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
+                break  # the first point a step took out of the square
+            x1, x2 = y1, y2
         else:
             return None
         branches.append((points, tangents))

@@ -38,7 +38,7 @@ from samplingdyn.extensions import (
     mineffort_response,
 )
 from samplingdyn.flow import integrate, label_basins, terminal_states
-from samplingdyn.flow import System, _clamp01, _scalar_rk4_step
+from samplingdyn.flow import System, _clamp01
 from samplingdyn.games import CoordinationGame
 from samplingdyn.oracle import empirical_response, simulate_population
 
@@ -250,7 +250,7 @@ def test_criterion_06_logit_suite():
 def _march_until(system, start, ref, exceed=None, below=None, t_max=400.0, dt=0.01):
     """Scalar RK4 march that stops when the sup-distance from ref crosses
     a threshold; returns the stopping distance (or the final one)."""
-    rhs = System.of(system, len(start)).scalar_rhs()
+    step = System.of(system, len(start)).rk4_step()
     x = tuple(float(v) for v in start)
     steps = int(round(t_max / dt))
     for _ in range(steps):
@@ -259,7 +259,8 @@ def _march_until(system, start, ref, exceed=None, below=None, t_max=400.0, dt=0.
             return d
         if below is not None and d < below:
             return d
-        x = tuple(_clamp01(v) for v in _scalar_rk4_step(rhs, x, dt, rhs(x)))
+        # the step returns the field at x, then the next state
+        x = tuple(_clamp01(v) for v in step(*x, dt)[len(x):])
     return max(abs(a - b) for a, b in zip(x, ref))
 
 

@@ -4,10 +4,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from samplingdyn import config as cfg
 from samplingdyn.cli import main
 
 FIG3_RIGHT = {
@@ -201,6 +203,38 @@ class TestPhase:
         )
         assert main(["phase", "--config", conf]) == 0
         assert (tmp_path / "phase.csv").read_text().startswith("t,w2_of_t,w1_of_t")
+
+
+def _fmt_per_value_csv(times, states, two):
+    """The trajectory CSV as written with one ``fmt`` call per value, the
+    reference for the one format operation a row."""
+
+    def fmt(x):
+        return f"{float(x):.12g}"
+
+    lines = ["t,p1,p2" if two else "t,p1"]
+    for t, x in zip(times, states):
+        lines.append(f"{fmt(t)},{fmt(x[0])},{fmt(x[1])}" if two else f"{fmt(t)},{fmt(x)}")
+    return "\n".join(lines) + "\n"
+
+
+_CSV_FLOATS = st.floats(0.0, 1.0) | st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e-17, 0.1 + 0.2, 1.0, 1e16, 123456789012.5]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS), max_size=12),
+    two=st.booleans(),
+)
+def test_trajectory_csv_rows_match_per_value_formatting(rows, two):
+    times = [t for t, _, _ in rows]
+    states = [(a, b) for _, a, b in rows] if two else [a for _, a, _ in rows]
+    array = np.reshape(np.asarray(states, dtype=float), (-1, 2) if two else (-1,))
+    assert cfg.trajectory_csv(np.asarray(times, dtype=float), array) == _fmt_per_value_csv(
+        times, states, two
+    )
 
 
 class TestTrajectoryAndBasins:

@@ -120,6 +120,25 @@ def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, c
         assert binomial_tail(k, m, x) == binomial_tail(k, m, arr)[0], (k, m)
 
 
+@pytest.mark.parametrize(
+    "game, value",
+    [
+        # every threshold is 0: the response is 1 everywhere
+        pytest.param(MinEffortGame(3, 1.0 - 1e-13, Observation.MINIMUM_EFFORT), 1.0, id="m-zero"),
+        # every threshold is k + 1: the response is 0 everywhere
+        pytest.param(MinEffortGame(2, 1e-13, Observation.OPPONENT_ACTION), 0.0, id="m-past-k"),
+    ],
+)
+def test_float_kernel_keeps_exact_zero_and_one_atoms(game, value):
+    # betainc has no such tails: betainc(0, b, 0.0) is 0.0 and b <= 0 is NaN
+    w = MinEffortResponse(game, SampleSizeDistribution.of({1: 0.25, 3: 0.25, 9: 0.5}))
+    xs = [0.0, 5e-324, 1e-17, 0.3, 1.0 - 1e-16, 1.0]
+    for x in xs:
+        assert w._eval(x) == value and w.derivative(x) == 0.0, x
+    assert np.array_equal(w(np.array(xs)), np.full(len(xs), value))
+    assert np.array_equal(w.derivative(np.array(xs)), np.zeros(len(xs)))
+
+
 class TestSamplingThreshold:
     def test_modal_action_for_three_samples(self):
         # best reply to three observations is the modal action when u = 1.2

@@ -6,9 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import random_env, random_symmetric_env
-from samplingdyn.analysis import Stability, System, find_stationary_two_pop
-from samplingdyn.dynamics import Environment, ResponsePair, SampleSizeDistribution
+from conftest import random_env, random_symmetric_env, random_theta
+from samplingdyn import flow
+from samplingdyn.analysis import Stability, System, _clamp01, find_stationary_two_pop
+from samplingdyn.dynamics import (
+    Environment,
+    LogitResponse,
+    ResponsePair,
+    SampleSizeDistribution,
+    SamplingResponse,
+)
 from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.flow import (
     convergence_limit,
@@ -362,3 +369,187 @@ def test_one_population_labels_match_brute_force(u, theta):
 
 def test_figure3_left_labels_match_brute_force():
     _assert_matches_brute_force(FIG3_LEFT.pair(), 33)
+
+
+# The float path as it was before the fused RK4 step, kept as the reference
+# that the step, ``integrate`` and the separatrix traces must equal bit for
+# bit: a clamped field on a state sequence, one RK4 step over tuples, the
+# recording loop, and the backward trace on the negated field.
+def _reference_rhs(system):
+    if system.dim == 1:
+        w = system.responses[0]._eval
+
+        def rhs(state):
+            p = _clamp01(state[0])
+            return (w(p) - p,)
+
+        return rhs
+    w1, w2 = (w._eval for w in system.responses)
+
+    def rhs(state):
+        p1, p2 = _clamp01(state[0]), _clamp01(state[1])
+        return (w1(p2) - p1, w2(p1) - p2)
+
+    return rhs
+
+
+def _reference_rk4_step(rhs, x, dt, k1):
+    half = 0.5 * dt
+    k2 = rhs([xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = rhs([xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = rhs([xi + dt * ki for xi, ki in zip(x, k3)])
+    sixth = dt / 6.0
+    return tuple(
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    )
+
+
+def _reference_integrate(system, initial, t_max, dt):
+    system = System.of(system, np.size(initial))
+    rhs = _reference_rhs(system)
+    x = tuple(float(v) for v in np.atleast_1d(initial))
+    times, path = [0.0], [x]
+    converged, max_clamp = False, 0.0
+    for step in range(1, int(round(t_max / dt)) + 1):
+        k1 = rhs(x)
+        if max(map(abs, k1)) < flow.CONVERGENCE_TOL:
+            converged = True
+            break
+        raw = _reference_rk4_step(rhs, x, dt, k1)
+        assert all(map(math.isfinite, raw))
+        x = tuple(map(_clamp01, raw))
+        max_clamp = max(max_clamp, *(abs(a - b) for a, b in zip(x, raw)))
+        times.append(step * dt)
+        path.append(x)
+    else:
+        converged = max(abs(v) for v in rhs(x)) < flow.CONVERGENCE_TOL
+    limit = None
+    if converged:
+        stationary = system.stationary()
+        (i,) = flow._match_labels(np.asarray([x]), True, stationary, flow.MATCH_TOL)
+        limit = stationary.states[i] if i >= 0 else None
+    states = np.asarray(path)
+    if system.dim == 1:
+        states = states[:, 0]
+    return np.asarray(times), states, converged, limit, max_clamp
+
+
+def _reference_stable_manifold(system, saddle, t_max, dt):
+    w1, w2 = system.responses
+    p1, p2 = saddle.state
+    v = (math.sqrt(w1.derivative(p2)), -math.sqrt(w2.derivative(p1)))
+    scale = flow.SEPARATRIX_OFFSET / math.hypot(*v)
+    rhs = _reference_rhs(system)
+
+    def back(x):
+        return tuple(-f for f in rhs(x))
+
+    branches = []
+    for sign in (-1.0, 1.0):
+        x = (p1 + sign * scale * v[0], p2 + sign * scale * v[1])
+        k = back(x)
+        points, tangents = [x], [k]
+        for _ in range(int(round(t_max / dt))):
+            x = _reference_rk4_step(back, x, dt, k)
+            k = back(x)
+            points.append(x)
+            tangents.append(k)
+            if not all(0.0 <= c <= 1.0 for c in x):
+                break
+        else:
+            return None
+        branches.append((points, tangents))
+    (up_pts, up_tan), (down_pts, down_tan) = branches
+    pts = np.array(up_pts[::-1] + [saddle.state] + down_pts)
+    tan = np.array(up_tan[::-1] + [v] + down_tan)
+    if not (np.all(np.diff(pts[:, 0]) >= 0.0) and np.all(np.diff(pts[:, 1]) <= 0.0)):
+        return None
+    s = pts[:, 0] - pts[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (tan[:, 0] + tan[:, 1]) / (tan[:, 0] - tan[:, 1])
+    if np.any(np.diff(s) <= 0.0) or not np.all(np.isfinite(slopes)):
+        return None
+    return s, pts[:, 0] + pts[:, 1], slopes
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _reference_suite():
+    """(system, start, t_max, dt) runs over every response kind, both
+    arities and starts at 0 and 1; dt = 2.5 overshoots the square, so
+    those runs clamp."""
+    rng = np.random.default_rng(1414)
+    systems = []
+    for k in range(1, 13):
+        u = float(rng.uniform(0.15, 8.0))
+        systems.append(SamplingResponse(u, SampleSizeDistribution.point(k)))
+    for _ in range(6):
+        systems.append(SamplingResponse(float(rng.uniform(0.15, 8.0)), random_theta(rng, big_k=1000)))
+        systems.append(random_env(rng))
+        systems.append(random_env(rng, big_k=1000))
+    eta = [float(e) for e in rng.uniform(0.05, 1.0, 3)]
+    for groups in ([(1.0, eta[0])], [(0.3, eta[1]), (0.7, eta[2])]):
+        systems.append(LogitResponse(float(rng.uniform(0.15, 8.0)), groups))
+        systems.append(ResponsePair.logit(CoordinationGame(*rng.uniform(0.15, 8.0, 2)), groups))
+    mixed = SampleSizeDistribution.of({1: 0.5, 1000: 0.5})
+    for game in (
+        MinEffortGame(3, 0.4, Observation.MINIMUM_EFFORT),
+        MinEffortGame(4, 0.3, Observation.OPPONENT_ACTION),
+        MinEffortGame(3, 1.0 - 1e-13, Observation.MINIMUM_EFFORT),  # thresholds 0 and 1
+        MinEffortGame(2, 1e-13, Observation.OPPONENT_ACTION),  # every threshold past k
+    ):
+        systems.append(MinEffortResponse(game, mixed))
+        systems.append(MinEffortResponse(game, random_theta(rng)))
+    runs = []
+    for system in systems:
+        dim = System.of(system).dim
+        starts = [0.0, 1.0, float(rng.random())] if dim == 1 else [
+            (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), tuple(rng.random(2))
+        ]
+        for i, start in enumerate(starts):
+            runs.append((system, start, 3.0, 0.05 if i % 2 else 0.01))
+        runs.append((system, starts[-1], 25.0, 2.5))
+    runs.append((FIG3_RIGHT, (0.9, 0.1), 30.0, 0.01))  # converges at t = 11.6
+    return runs
+
+
+class TestFusedStep:
+    def test_integrate_matches_the_reference_bit_for_bit(self):
+        clamped = converged = 0
+        for system, start, t_max, dt in _reference_suite():
+            traj = integrate(system, start, t_max=t_max, dt=dt)
+            times, states, ok, limit, max_clamp = _reference_integrate(system, start, t_max, dt)
+            where = (system, start, dt)
+            assert _same_bits(traj.times, times), where
+            assert _same_bits(traj.states, states), where
+            assert traj.converged == ok, where
+            assert traj.limit == limit, where
+            assert _same_bits(traj.max_clamp, max_clamp), where
+            clamped += max_clamp > 0.0
+            converged += ok and len(times) > 100
+        assert clamped >= 10 and converged >= 1, (clamped, converged)
+
+    def test_separatrix_traces_match_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2718)
+        envs = [FIG3_LEFT] + [random_env(rng, max_k=9) for _ in range(20)]
+        traced = 0
+        for env in envs:
+            system = System.of(env, 2)
+            stationary = system.stationary()
+            if stationary.continuum:
+                continue
+            for saddle in stationary.states:
+                if not (saddle.is_interior() and saddle.stability == Stability.UNSTABLE):
+                    continue
+                for dt in (0.01, 0.05):
+                    got = flow._stable_manifold(system, saddle, 260.0, dt)
+                    ref = _reference_stable_manifold(system, saddle, 260.0, dt)
+                    assert (got is None) == (ref is None), (env, dt)
+                    if got is not None:
+                        assert all(_same_bits(a, b) for a, b in zip(got, ref)), (env, dt)
+                        traced += 1
+        assert traced >= 8, traced
