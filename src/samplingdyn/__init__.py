@@ -63,7 +63,6 @@ from .extensions import (
     contracting_response_vector,
     integrate_contracting,
     mineffort_pure_stability,
-    mineffort_response,
     mineffort_stable_interior,
 )
 from .oracle import EmpiricalTrajectory, empirical_response, simulate_population

@@ -9,6 +9,10 @@ sufficient conditions (instability of homogeneous mixing, stabilization
 by sample-size mixtures, global convergence to miscoordination) as
 numeric reports rather than proofs.
 
+Roots come from one pruned grid scan over a block of rows:
+``scan_fixed_points`` is its one-row case, and the Theorem-2 mixture
+search scans blocks of alpha pairs, which share their response tails.
+
 Arity: a single response function drives the one-population dynamics
 dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
 ``Environment`` drives whichever the state asks for (a share or a pair);
@@ -18,7 +22,6 @@ any other two.  ``System.of`` is the one place that applies this rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,6 +33,8 @@ from .dynamics import (
     Environment,
     ResponsePair,
     SampleSizeDistribution,
+    SamplingResponse,
+    _tail,
     truncated_expectation,
 )
 from .games import CoordinationGame
@@ -39,7 +44,9 @@ BISECT_WIDTH = 1e-12
 RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
 _CONTINUUM_TOL = 1e-12
+_TWO_POP_CONTINUUM = "a state is stationary iff it is symmetric"
 ALPHA_STEP = 0.01  # the mixture search's default and finest alpha step
+SCAN_BLOCK = 1 << 18  # most grid values of a mixture-search block: pairs * GRID_POINTS
 
 
 class Stability(str, Enum):
@@ -180,8 +187,74 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
     return 0.5 * (lo + hi)
 
 
+def _grid() -> tuple[np.ndarray, np.ndarray]:
+    """The grid, and its coarse points: every s-th, s = isqrt(n), and the last."""
+    n = GRID_POINTS - 1
+    coarse = np.concatenate((np.arange(0, n, math.isqrt(n)), [n]))
+    return np.linspace(0.0, 1.0, GRID_POINTS), coarse
+
+
+def _scan_rows(g_at: Callable, rows: int) -> list[tuple]:
+    """``scan_fixed_points`` on ``rows`` functions g_r, ``g_at(r, i, x)`` giving
+    g_r at grid points x = xs[i].  A row's scan, for ``_refine``, holds the
+    exception it raises, its zeros, and (lo, hi, g(lo)) per sign change."""
+    xs, coarse = _grid()
+    at = (np.zeros((rows, 1), dtype=int) + coarse).ravel()
+    gc = np.asarray(g_at(np.arange(rows).repeat(coarse.size), at, xs[at]), dtype=float)
+    gc = gc.reshape(rows, coarse.size)
+    width = xs[coarse[1:]] - xs[coarse[:-1]]
+    skip = (gc[:, :-1] - width > RESIDUAL_TOL) | (gc[:, 1:] + width < -RESIDUAL_TOL)
+    sc = np.sign(gc)
+    sc[:, 0] *= np.abs(gc[:, 0]) >= RESIDUAL_TOL
+    sc[:, -1] *= np.abs(gc[:, -1]) >= RESIDUAL_TOL
+    # each open cell, row by row, from its coarse start to its coarse end
+    cell_row, cell = (~skip).nonzero()
+    length = coarse[cell + 1] - coarse[cell] + 1
+    last = length.cumsum() - 1
+    first = last - length + 1
+    seg = np.arange(cell.size).repeat(length)
+    idx = np.arange(seg.size) + (coarse[cell] - first)[seg]
+    row = cell_row[seg]
+    fine = np.ones(seg.size, dtype=bool)
+    fine[first] = fine[last] = False
+    v = np.empty(seg.size)
+    v[fine] = g_at(row[fine], idx[fine], xs[idx[fine]])
+    signs = np.sign(v)
+    signs[first], signs[last] = sc[cell_row, cell], sc[cell_row, cell + 1]
+    # grid values of one sign fill a skipped cell and its ends, so the rule
+    # reads the coarse points and the open cells alone
+    zero_rows, zero_at = (sc == 0.0).nonzero()
+    zero = (fine & (signs == 0.0)).nonzero()[0]
+    flip = ((signs[:-1] * signs[1:] < 0.0) & (seg[:-1] == seg[1:])).nonzero()[0]
+    v[first], v[last] = gc[cell_row, cell], gc[cell_row, cell + 1]
+    bad = ~np.isfinite(gc).all(1)
+    bad[row[~np.isfinite(v)]] = True
+    flat = ~skip.any(1)
+    flat[row[np.abs(v) >= _CONTINUUM_TOL]] = False
+    scans = [(ArithmeticError("non-finite values while scanning for fixed points") if b
+              else ContinuumError("every state is a fixed point") if f else None, [], [])
+             for b, f in zip(bad.tolist(), flat.tolist())]
+    ok = ~(bad | flat)  # a row that raises reports no roots
+    zr, zi = np.concatenate(((zero_rows, coarse[zero_at]), (row[zero], idx[zero])), axis=1)
+    for r, i in zip(zr[ok[zr]].tolist(), zi[ok[zr]].tolist()):
+        scans[r][1].append(xs[i])
+    flip = flip[ok[row[flip]]]
+    for r, i, glo in zip(row[flip].tolist(), idx[flip].tolist(), v[flip].tolist()):
+        scans[r][2].append((xs[i], xs[i + 1], glo))
+    return scans
+
+
+def _refine(g: Callable[[float], float], scan: tuple) -> list[float]:
+    """The sorted roots of a row of ``_scan_rows``, its brackets refined."""
+    error, zeros, brackets = scan
+    if error is not None:
+        raise error
+    return sorted(zeros + [_bisect_root(g, lo, hi, glo) for lo, hi, glo in brackets])
+
+
 def scan_fixed_points(g: Callable) -> list[float]:
-    """All roots of g on [0, 1] found on a grid of ``GRID_POINTS`` points.
+    """All roots of g on [0, 1] found on a grid of ``GRID_POINTS`` points:
+    the one-row case of the block scan ``_scan_rows``.
 
     ``g`` must accept numpy arrays, which the scan passes, and Python
     floats, which the refinement passes, and have the form g(x) = h(x) - x
@@ -193,45 +266,16 @@ def scan_fixed_points(g: Callable) -> list[float]:
     other by its alternation rule), and two roots strictly inside one
     cell, such as a tangency between grid points, do not show.
 
-    g is evaluated at every s-th grid point first (s = isqrt(GRID_POINTS
-    - 1), and the last point), then only inside the coarse cells that can
-    hold a root.  On a coarse cell [a, b], h(a) <= h(x) <= h(b) gives the
-    interval enclosure g(a) - (b - a) <= g(x) <= g(b) + (b - a) (Moore
-    1966).  A cell whose enclosure lies above ``RESIDUAL_TOL`` or below
-    -``RESIDUAL_TOL`` is skipped: that margin absorbs the rounding that
-    makes the computed h less than monotone, so every grid point inside
-    has the sign of the enclosure, is no exact zero and bounds no sign
-    change.  A skipped point holds the enclosure's bound nearest zero in
-    place of g, and the rule above runs on these values, so the roots are
-    those of g evaluated at every grid point.
+    g is evaluated at the coarse points (``_grid``) first, then only inside
+    the coarse cells that can hold a root.  On a cell [a, b], h(a) <= h(x)
+    <= h(b) gives the enclosure g(a) - (b - a) <= g(x) <= g(b) + (b - a)
+    (Moore 1966).  A cell whose enclosure lies above ``RESIDUAL_TOL`` or
+    below -``RESIDUAL_TOL`` is skipped: that margin absorbs the rounding
+    that makes the computed h less than monotone, so g has the enclosure's
+    sign on the whole cell, ends included, and the roots are those of g
+    evaluated at every grid point.
     """
-    xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    n = GRID_POINTS - 1
-    coarse = np.append(np.arange(0, n, math.isqrt(n)), n)
-    gc = np.asarray(g(xs[coarse]), dtype=float)
-    width = np.diff(xs[coarse])
-    lo, hi = gc[:-1] - width, gc[1:] + width
-    skip = (lo > RESIDUAL_TOL) | (hi < -RESIDUAL_TOL)
-    # each grid point but the last lies in the coarse cell it starts or is inside
-    cell_points = np.diff(coarse)
-    gs = np.append(np.repeat(np.where(lo > RESIDUAL_TOL, lo, hi), cell_points), 0.0)
-    gs[coarse] = gc
-    fine = np.append(np.repeat(~skip, cell_points), False)
-    fine[coarse] = False
-    gs[fine] = g(xs[fine])
-    if not np.all(np.isfinite(gs)):
-        raise ArithmeticError("non-finite values while scanning for fixed points")
-    if np.max(np.abs(gs)) < _CONTINUUM_TOL:
-        raise ContinuumError("every state is a fixed point")
-
-    signs = np.sign(gs)
-    for end in (0, -1):
-        if abs(gs[end]) < RESIDUAL_TOL:
-            signs[end] = 0.0
-    roots = [float(x) for x in xs[signs == 0.0]]
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        roots.append(_bisect_root(g, xs[i], xs[i + 1], gs[i]))
-    return sorted(roots)
+    return _refine(g, _scan_rows(lambda r, i, x: g(x), 1)[0])
 
 
 class ContinuumError(ValueError):
@@ -291,14 +335,14 @@ class System:
         return out
 
     def rk4_step(self):
-        """One RK4 step on Python floats, with the responses' unchecked
-        evaluations bound once: ``step(p, dt)`` gives ``(f, p_next)`` in
+        """One RK4 step on Python floats, with the responses' float kernels
+        bound once: ``step(p, dt)`` gives ``(f, p_next)`` in
         one population, ``step(p1, p2, dt)`` gives ``(f1, f2, p1_next,
         p2_next)`` in two, with f the field at the state and the next state
         unclamped.  Each stage clamps its state first, as the batched step
         projects it; a negative dt runs time backward."""
         if self.dim == 1:
-            w = self.responses[0]._eval
+            w = self.responses[0]._kernel
 
             def step(p, dt):
                 half = 0.5 * dt
@@ -313,7 +357,7 @@ class System:
                 return a, p + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
 
             return step
-        w1, w2 = (w._eval for w in self.responses)
+        w1, w2 = (w._kernel for w in self.responses)
 
         def step(p1, p2, dt):
             half = 0.5 * dt
@@ -342,8 +386,7 @@ class _Identity:
     def __call__(self, p):
         return p
 
-    def _eval(self, p):
-        return p
+    _kernel = __call__
 
     def derivative(self, p) -> float:
         return 1.0
@@ -418,18 +461,19 @@ def _missed_roots(g: Callable[[float], float], states: list[StationaryState]) ->
     return found
 
 
-def _stationary_search(system: System, note: str) -> StationaryAnalysis:
+def _stationary_search(system: System, note: str, scan: tuple | None = None) -> StationaryAnalysis:
     """Roots p1 of w1(w2(p1)) = p1 with p2 = w2(p1), where one population
     has w2 = id, so p2 = p1 and the slope product w1'(p2) * w2'(p1) is w'(p).
 
     Both responses increase, so the composition has no 2-cycles and each
     root is a rest point.  When the scan finds every state fixed the
     result is a continuum sentinel with ``note``.  The scan's g evaluates
-    a Python float through the responses' unchecked ``_eval``, clamping
-    w2(p) as the checked call does, and an array through the checked calls.
+    a Python float through the responses' float kernels, clamping w2(p) as
+    the checked call does, and an array through the checked calls; a row
+    ``scan`` of ``_scan_rows`` on this g can stand in for the scan.
     """
     w1, w2 = system.responses if system.dim == 2 else (system.responses[0], _Identity())
-    e1, e2 = w1._eval, w2._eval
+    e1, e2 = w1._kernel, w2._kernel
 
     def g(p):
         if type(p) is float:
@@ -437,7 +481,7 @@ def _stationary_search(system: System, note: str) -> StationaryAnalysis:
         return w1(w2(p)) - p
 
     try:
-        roots = scan_fixed_points(g)
+        roots = scan_fixed_points(g) if scan is None else _refine(g, scan)
     except ContinuumError:
         return StationaryAnalysis(states=(), continuum=True, note=note)
 
@@ -465,7 +509,7 @@ def find_stationary_one_pop(env) -> StationaryAnalysis:
 def find_stationary_two_pop(env) -> StationaryAnalysis:
     """All stationary states of the two-population dynamics; pure and
     interior states alike are classified by the slope product w1'(p2) * w2'(p1)."""
-    return _stationary_search(System.of(env, 2), "a state is stationary iff it is symmetric")
+    return _stationary_search(System.of(env, 2), _TWO_POP_CONTINUUM)
 
 
 @dataclass(frozen=True)
@@ -600,6 +644,55 @@ def _alpha_grid(step: float) -> list[float]:
     return [i * step for i in range(1, n)]
 
 
+def _mixture_field(w1s: list, w2s: list) -> Callable:
+    """For a block of alpha pairs (i, j), ``g_at`` of ``_scan_rows`` with rows
+    g(x) = w1s[i](w2s[j](x)) - x.  The responses share atoms, so a w2 tail
+    is evaluated once per grid point, a w1 tail once per (j, point) at the
+    clipped w2s[j](x), and kept per j where every pair evaluates (coarse
+    points, first and last cells).  Masses add tails in ``_tail_mixture``'s order."""
+    xs, coarse = _grid()
+    atoms1, atoms2 = w1s[0]._atoms, w2s[0]._atoms
+    masses1, masses2 = (np.array([[mass for _, mass, _ in w._atoms] for w in ws]).T
+                        for ws in (w1s, w2s))
+    ends = np.arange(coarse[1]), np.arange(coarse[-2], coarse[-1])
+    shared = np.unique(np.concatenate((*ends, coarse)))
+    column = np.full(GRID_POINTS, -1)
+    column[shared] = np.arange(shared.size)
+    kept = np.empty((len(atoms1), len(w2s), shared.size))
+    filled = np.zeros(len(w2s), dtype=bool)
+
+    def tails1(j, i):
+        points, at_point = np.unique(i, return_inverse=True)
+        keys, at_key = np.unique(j * GRID_POINTS + i, return_inverse=True)
+        one = np.empty(keys.size, dtype=int)  # an element of each key
+        one[at_key] = np.arange(i.size)
+        q = 0.0
+        for mass, (k, _, m) in zip(masses2, atoms2):
+            q = q + mass[j[one]] * _tail(k, m, xs[points])[at_point[one]]
+        q = np.clip(q, 0.0, 1.0)
+        return np.array([_tail(k, m, q)[at_key] for k, _, m in atoms1])
+
+    def field(block: list) -> Callable:
+        alpha1, alpha2 = np.array(block).reshape(-1, 2).T
+        new = np.unique(alpha2[~filled[alpha2]])
+        t = tails1(new.repeat(shared.size), np.tile(shared, new.size))
+        kept[:, new], filled[new] = t.reshape(len(atoms1), new.size, shared.size), True
+
+        def g_at(r, i, x):
+            j, col = alpha2[r], column[i]
+            t = kept[:, j, col]
+            miss = col < 0
+            t[:, miss] = tails1(j[miss], i[miss])
+            out = 0.0
+            for mass, tail in zip(masses1, t):
+                out = out + mass[alpha1[r]] * tail
+            return out - x
+
+        return g_at
+
+    return field
+
+
 def stable_interior_search(
     game: CoordinationGame,
     thetas: tuple[SampleSizeDistribution, SampleSizeDistribution],
@@ -612,7 +705,10 @@ def stable_interior_search(
 
     The sufficient-condition hypothesis (1 < max support < u_i + 1 for
     each population) is only a flag: the search runs either way.  Alpha
-    pairs are generated one at a time, diagonal first, then lexicographically.
+    pairs are resolved one at a time, diagonal first, then
+    lexicographically, up to the first with a stable interior state; they
+    are scanned in blocks of consecutive pairs within ``SCAN_BLOCK``, which
+    share their response tails (``_mixture_field``).
     """
     theta1, theta2 = thetas
     if big_k <= max(theta1.max_support, theta2.max_support):
@@ -623,22 +719,19 @@ def stable_interior_search(
     )
     note = "" if in_scope else "outside theorem scope"
     grid = _alpha_grid(alpha_step)
-    pairs = itertools.chain(
-        ((a, a) for a in grid), ((a1, a2) for a1 in grid for a2 in grid if a1 != a2)
-    )
-    for a1, a2 in pairs:
-        env = Environment(
-            game, theta1.mix_with(a1, big_k), theta2.mix_with(a2, big_k)
-        )
-        analysis = find_stationary_two_pop(env)
-        hits = analysis.stable_interior()
-        if hits:
-            return StableInteriorSearch(
-                found=True, alpha=(a1, a2), state=hits[0], in_scope=in_scope, note=note
-            )
-    return StableInteriorSearch(
-        found=False, alpha=None, state=None, in_scope=in_scope, note=note
-    )
+    w1s = [SamplingResponse(game.u1, theta1.mix_with(a, big_k)) for a in grid]
+    w2s = [SamplingResponse(game.u2, theta2.mix_with(a, big_k)) for a in grid]
+    pairs = [(i, i) for i in range(len(grid))]
+    pairs += [(i, j) for i in range(len(grid)) for j in range(len(grid)) if i != j]
+    field, rows = _mixture_field(w1s, w2s), max(1, SCAN_BLOCK // GRID_POINTS)
+    for done in range(0, len(pairs), rows):
+        block = pairs[done:done + rows]
+        for (i, j), scan in zip(block, _scan_rows(field(block), len(block))):
+            pair = System((w1s[i], w2s[j]))
+            hits = _stationary_search(pair, _TWO_POP_CONTINUUM, scan).stable_interior()
+            if hits:
+                return StableInteriorSearch(True, (grid[i], grid[j]), hits[0], in_scope, note)
+    return StableInteriorSearch(False, None, None, in_scope, note)
 
 
 def check_theorem3(

@@ -4,7 +4,8 @@ The sampling response gives the probability that a revising agent plays
 the first action when she best-replies to a random sample of opponent
 actions: a weighted sum of binomial upper tails, one per sample size.
 Every tail, whatever its sample size, is one regularized incomplete beta
-function, and a Python float and an array get the same bits from it.
+function, and a Python float and an array get the same bits from it (a
+float through a kernel bound once, on the ufuncs' compiled routines).
 The logit response is a mixture of logistic curves, one per noise group.
 Both are strictly increasing on [0, 1], differentiable, and invertible,
 which is what the stability analysis relies on.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -123,23 +123,27 @@ def _tail_atoms(theta: SampleSizeDistribution, thresholds: Sequence[int]) -> tup
 
 
 def _tail_mixture(atoms, p):
-    """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms, in order.
-
-    Arrays call the ufunc through ``_tail``; a Python float, checked for
-    once a call, calls its compiled routine directly, with the same bits.
-    There m = 0 adds the mass and m > k nothing, since betainc has no such
-    tails (betainc(0, b, 0.0) is 0.0, and b <= 0 gives NaN)."""
+    """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms, in order,
+    on an array p; ``_tail_kernel`` is the same sum on a Python float."""
     out = 0.0
-    if type(p) is float:
-        for k, mass, m in atoms:
-            if m == 0:
-                out = out + mass
-            elif m <= k:
-                out = out + mass * _betainc(m, k - m + 1.0, p)
-        return out
     for k, mass, m in atoms:
         out = out + mass * _tail(k, m, p)
     return out
+
+
+def _tail_kernel(atoms):
+    """``_tail_mixture`` on a Python float, bound over the terms (mass, m,
+    k - m + 1.0) of the atoms.  An atom with m = 0 adds its mass and one
+    with m > k nothing: betainc(0, b, 0.0) is 0.0, and b <= 0 gives NaN."""
+    terms = tuple((mass, float(m), k - m + 1.0) for k, mass, m in atoms if m <= k)
+
+    def kernel(p):
+        out = 0.0
+        for mass, a, b in terms:
+            out = out + (mass * _betainc(a, b, p) if a else mass)
+        return out
+
+    return kernel
 
 
 def _slope_mixture(atoms, p):
@@ -187,7 +191,8 @@ def binomial_tail(k: int, m: int, p):
     bit-identical values.
     """
     k, m = _check_tail_args(k, m)
-    return _tail_mixture(((k, 1.0, m),), _as_prob_array(p, clip_tol=0.0))
+    p, atoms = _as_prob_array(p, clip_tol=0.0), ((k, 1.0, m),)
+    return _tail_kernel(atoms)(p) if type(p) is float else _tail_mixture(atoms, p)
 
 
 def binomial_tail_derivative(k: int, m: int, p):
@@ -324,7 +329,8 @@ class SamplingResponse:
 
     Calling the response checks that p lies in [0, 1] (within 1e-9, then
     clipped); ``_eval`` is the same evaluation without the check, for
-    callers whose p is a Python float or float array already in [0, 1].
+    callers whose p is a Python float or float array already in [0, 1];
+    a float goes to ``_kernel``, the tail mixture's float form, bound once.
     """
 
     def __init__(
@@ -341,6 +347,7 @@ class SamplingResponse:
         self._atoms = _tail_atoms(
             theta, [sampling_threshold(k, self.u, self.tie_break) for k in theta.support]
         )
+        self._kernel = _tail_kernel(self._atoms)
 
     def __repr__(self) -> str:
         return (
@@ -356,7 +363,7 @@ class SamplingResponse:
         return self._eval(_as_prob_array(p))
 
     def _eval(self, p):
-        return _tail_mixture(self._atoms, p)
+        return self._kernel(p) if type(p) is float else _tail_mixture(self._atoms, p)
 
     def derivative(self, p):
         return _slope_mixture(self._atoms, _as_prob_array(p))
@@ -364,25 +371,6 @@ class SamplingResponse:
     def inverse(self, y):
         """Preimage of y under w, by bisection; exact at the endpoints."""
         return _monotone_inverse(self, y, lo_value=0.0, hi_value=1.0)
-
-    def polynomial_coefficients(self) -> tuple[Fraction, ...]:
-        """Exact power-basis coefficients of w as Fractions.
-
-        Intended for identity checks at desk scale; the coefficients of a
-        degree-k tail grow like C(k, k/2), so evaluate them in exact
-        arithmetic rather than floats.
-        """
-        degree = self.degree
-        coeffs = [Fraction(0)] * (degree + 1)
-        for k, w, m in self._atoms:
-            if m > k:
-                continue
-            wf = Fraction(w)
-            for l in range(m, k + 1):
-                c_kl = math.comb(k, l)
-                for i in range(0, k - l + 1):
-                    coeffs[l + i] += wf * c_kl * math.comb(k - l, i) * (-1) ** i
-        return tuple(coeffs)
 
 
 class LogitResponse:
@@ -392,7 +380,8 @@ class LogitResponse:
     probability 1/(1 + exp(((1-p) - p*u)/eta)), where ``u`` is the
     deciding player's own payoff for coordinating on the first action.
     Unlike the sampling response, w(0) > 0 and w(1) < 1.  Calling it
-    checks p as the sampling response does; ``_eval`` skips the check.
+    checks p as the sampling response does; ``_eval`` skips the check, and
+    ``_kernel`` is its float form, bound once over the groups.
     """
 
     def __init__(self, u: float, groups: Sequence[tuple[float, float]]) -> None:
@@ -412,6 +401,15 @@ class LogitResponse:
             raise ValueError(f"group masses must sum to 1, got {total!r}")
         self.u = float(u)
         self.groups = groups
+        c = 1.0 + self.u
+
+        def kernel(p):
+            out = 0.0
+            for mu, eta in groups:  # the payoff difference is p*u - (1-p)
+                out = out + mu * _expit((p * c - 1.0) / eta)
+            return out
+
+        self._kernel = kernel
 
     def __repr__(self) -> str:
         return f"LogitResponse(u={self.u!r}, groups={self.groups!r})"
@@ -420,12 +418,11 @@ class LogitResponse:
         return self._eval(_as_prob_array(p))
 
     def _eval(self, p):
-        # a Python float calls the ufunc's compiled routine directly
-        expit = _expit if type(p) is float else special.expit
+        if type(p) is float:
+            return self._kernel(p)
         out = 0.0
         for mu, eta in self.groups:
-            # payoff difference (first minus second action) is p*u - (1-p)
-            out = out + mu * expit((p * (1.0 + self.u) - 1.0) / eta)
+            out = out + mu * special.expit((p * (1.0 + self.u) - 1.0) / eta)
         return out
 
     def derivative(self, p):

@@ -35,6 +35,7 @@ from .dynamics import (
     _monotone_inverse,
     _slope_mixture,
     _tail_atoms,
+    _tail_kernel,
     _tail_mixture,
     snap_to_integer,
     truncated_expectation,
@@ -423,13 +424,16 @@ class MinEffortResponse:
     in p directly.  Either way the response is the sampling response's
     mixture of binomial tails, evaluated at the observed probability q.
     Calling it checks p as the sampling response does; ``_eval`` skips
-    the check.
+    the check, and ``_kernel`` is its float form, bound once.
     """
 
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
         self.theta = theta
         self._atoms = _tail_atoms(theta, _mineffort_thresholds(game, theta.support))
+        tail, n = _tail_kernel(self._atoms), game.n_players - 1
+        minimum = game.observation == Observation.MINIMUM_EFFORT
+        self._kernel = (lambda p: tail(1.0 - _int_power(1.0 - p, n))) if minimum else tail
 
     def _observed(self, p):
         """Chance that one sampled observation reads low at low-share p."""
@@ -441,7 +445,7 @@ class MinEffortResponse:
         return self._eval(_as_prob_array(p))
 
     def _eval(self, p):
-        return _tail_mixture(self._atoms, self._observed(p))
+        return self._kernel(p) if type(p) is float else _tail_mixture(self._atoms, self._observed(p))
 
     def derivative(self, p):
         p = _as_prob_array(p)
@@ -453,11 +457,6 @@ class MinEffortResponse:
 
     def inverse(self, y):
         return _monotone_inverse(self, y, lo_value=self(0.0), hi_value=self(1.0))
-
-
-def mineffort_response(g: MinEffortGame, theta: SampleSizeDistribution, p):
-    """Share of revising agents choosing low effort at low-share p."""
-    return MinEffortResponse(g, theta)(p)
 
 
 @dataclass(frozen=True)

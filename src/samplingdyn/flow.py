@@ -73,7 +73,7 @@ class Trajectory:
     @property
     def final_state(self):
         last = self.states[-1]
-        return float(last) if last.ndim == 0 or last.shape == () else tuple(last)
+        return float(last) if last.ndim == 0 or last.shape == () else tuple(last.tolist())
 
 
 def _rk4_step(field, x, dt, project, k1=None):

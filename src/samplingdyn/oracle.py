@@ -90,7 +90,7 @@ class EmpiricalTrajectory:
     @property
     def final_state(self):
         last = self.states[-1]
-        return float(last) if np.ndim(last) == 0 else tuple(last)
+        return float(last) if np.ndim(last) == 0 else tuple(last.tolist())
 
 
 def simulate_population(

@@ -1,7 +1,26 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from samplingdyn import CoordinationGame, Environment, SampleSizeDistribution
+
+
+def polynomial_coefficients(w) -> tuple[Fraction, ...]:
+    """Exact power-basis coefficients of a sampling response w as Fractions:
+    the reference for identity checks at desk scale.  The coefficients of a
+    degree-k tail grow like C(k, k/2), so they are kept exact."""
+    coeffs = [Fraction(0)] * (w.degree + 1)
+    for k, mass, m in w._atoms:
+        if m > k:
+            continue
+        wf = Fraction(mass)
+        for l in range(m, k + 1):
+            c_kl = math.comb(k, l)
+            for i in range(0, k - l + 1):
+                coeffs[l + i] += wf * c_kl * math.comb(k - l, i) * (-1) ** i
+    return tuple(coeffs)
 
 
 def random_theta(rng, max_k=12, max_atoms=4, big_k=None):

@@ -31,11 +31,11 @@ from samplingdyn.dynamics import (
 from samplingdyn.extensions import (
     ContractingGame,
     MinEffortGame,
+    MinEffortResponse,
     Observation,
     contracting_response_vector,
     contracting_pure_stability,
     mineffort_pure_stability,
-    mineffort_response,
 )
 from samplingdyn.flow import integrate, label_basins, terminal_states
 from samplingdyn.flow import System, _clamp01
@@ -374,12 +374,12 @@ def test_criterion_09_extension_reductions():
             g_min = MinEffortGame(2, c, Observation.MINIMUM_EFFORT)
             w_ref = SamplingResponse(c / (1.0 - c), theta, TieBreak.FAVOR_B)
             assert np.max(
-                np.abs(mineffort_response(g_min, theta, ps) - w_ref(ps))
+                np.abs(MinEffortResponse(g_min, theta)(ps) - w_ref(ps))
             ) < 1e-9
         theta = SampleSizeDistribution.point(int(rng.integers(1, 13)))
         g_act = MinEffortGame(2, c, Observation.OPPONENT_ACTION)
         w_ref = SamplingResponse(c / (1.0 - c), theta, TieBreak.FAVOR_B)
-        assert np.max(np.abs(mineffort_response(g_act, theta, ps) - w_ref(ps))) < 1e-9
+        assert np.max(np.abs(MinEffortResponse(g_act, theta)(ps) - w_ref(ps))) < 1e-9
 
     # homogeneous sampling above size one keeps every Pareto-efficient
     # contracting equilibrium asymptotically stable

@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from conftest import random_env, random_game, random_symmetric_env, random_theta
+from conftest import (
+    polynomial_coefficients,
+    random_env,
+    random_game,
+    random_symmetric_env,
+    random_theta,
+)
 from samplingdyn import analysis
 from samplingdyn.analysis import (
     Stability,
@@ -182,7 +188,7 @@ class TestTwoPopStationary:
 def _exact_roots(w: SamplingResponse) -> list[float] | None:
     """Real roots in [0, 1] of the exact polynomial w(p) - p, by mpmath at
     60 digits, with multiplicity; None when w(p) = p identically."""
-    coeffs = list(w.polynomial_coefficients())
+    coeffs = list(polynomial_coefficients(w))
     coeffs[1] -= 1
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -695,7 +701,87 @@ class TestMiscoordination:
             miscoordination_probability((1.2, 0.5))
 
 
+def _reference_search(game, thetas, big_k, alpha_step):
+    """The mixture search as one whole two-population stationary search per
+    alpha pair, in the search's order: the reference that the block scan
+    must equal."""
+    theta1, theta2 = thetas
+    in_scope = (
+        1 < theta1.max_support < game.u1 + 1.0 and 1 < theta2.max_support < game.u2 + 1.0
+    )
+    note = "" if in_scope else "outside theorem scope"
+    grid = analysis._alpha_grid(alpha_step)
+    pairs = [(a, a) for a in grid] + [(a1, a2) for a1 in grid for a2 in grid if a1 != a2]
+    for a1, a2 in pairs:
+        env = Environment(game, theta1.mix_with(a1, big_k), theta2.mix_with(a2, big_k))
+        hits = find_stationary_two_pop(env).stable_interior()
+        if hits:
+            return analysis.StableInteriorSearch(True, (a1, a2), hits[0], in_scope, note)
+    return analysis.StableInteriorSearch(False, None, None, in_scope, note)
+
+
+def _search_cases(rng):
+    """(game, thetas, alpha_step): one- and two-population bases with sizes
+    1-12, half of them below u + 1 as Theorem 2 asks, some with an atom in
+    61-600, and the paper's fixtures."""
+    def theta(u, n):
+        max_k = 12 if n % 8 < 4 else max(2, min(12, int(u + 1.0)))
+        big = int(rng.integers(61, 601)) if n % 3 == 2 else None
+        return random_theta(rng, max_k=max_k, max_atoms=min(4, max_k), big_k=big)
+
+    cases = []
+    for n in range(24):
+        if n % 2:
+            game = random_game(rng)
+            thetas = (theta(game.u1, n), theta(game.u2, n))
+        else:
+            game = CoordinationGame.symmetric(float(rng.uniform(0.15, 8.0)))
+            thetas = (theta(game.u1, n),) * 2
+        cases.append((game, thetas, (0.5, 0.25, 0.2, 0.1)[n % 4]))
+    cases.append((CoordinationGame.symmetric(1.5), (SampleSizeDistribution.point(2),) * 2, 0.01))
+    cases.append((CoordinationGame(20.0, 0.05), (SampleSizeDistribution.point(3),) * 2, 0.1))
+    return cases
+
+
 class TestStableInteriorSearch:
+    def test_equals_one_stationary_search_per_pair(self, rng, monkeypatch):
+        cases = _search_cases(rng)
+        want = [repr(_reference_search(game, thetas, 1000, step)) for game, thetas, step in cases]
+        assert sum("found=True" in w for w in want) >= 8
+        # the default budget, blocks of three pairs, and blocks of one
+        for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
+            monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
+            for (game, thetas, step), w in zip(cases, want):
+                got = repr(stable_interior_search(game, thetas, 1000, step))
+                assert got == w, (budget, game, thetas, step)
+
+    def test_block_rows_equal_one_row_scans(self, rng):
+        # every pair of a block, not only the first hit, evaluates the grid
+        # points of its own scan and gets the scan of its own composed
+        # checked responses, bit for bit
+        def recording(g_at, points):
+            def recorded(r, i, x):
+                for row, k in zip(r.tolist(), i.tolist()):
+                    points.setdefault(row, []).append(k)
+                return g_at(r, i, x)
+
+            return recorded
+
+        for game, (theta1, theta2), step in _search_cases(rng)[:-2]:
+            grid = analysis._alpha_grid(step)
+            w1s = [SamplingResponse(game.u1, theta1.mix_with(a, 1000)) for a in grid]
+            w2s = [SamplingResponse(game.u2, theta2.mix_with(a, 1000)) for a in grid]
+            block = [(i, j) for i in range(len(grid)) for j in range(len(grid))]
+            points = {}
+            field = recording(analysis._mixture_field(w1s, w2s)(block), points)
+            scans = analysis._scan_rows(field, len(block))
+            for row, ((i, j), scan) in enumerate(zip(block, scans)):
+                w1, w2, want_points = w1s[i], w2s[j], {}
+                g_at = recording(lambda r, k, x: w1(w2(x)) - x, want_points)
+                (want,) = analysis._scan_rows(g_at, 1)
+                assert repr(scan) == repr(want), (game, theta1, theta2, grid[i], grid[j])
+                assert points[row] == want_points[0], (game, theta1, theta2, grid[i], grid[j])
+
     def test_oyama_interval(self):
         res = stable_interior_search(
             CoordinationGame.symmetric(1.5),

@@ -413,6 +413,21 @@ class TestOracleCommand:
         assert (tmp_path / "oracle.csv").read_bytes() == first
         assert first.startswith(b"# seed=42 n=1000\n")
 
+    def test_population_final_state_prints_plain_floats(self, tmp_path, capsys):
+        conf = write_config(
+            tmp_path,
+            {
+                "command": "oracle",
+                "environment": FIG3_RIGHT,
+                "n": 1000,
+                "tmax": 2.0,
+                "seed": 3,
+                "out": str(tmp_path),
+            },
+        )
+        assert main(["oracle", "--config", conf]) == 0
+        assert capsys.readouterr().out == "final state: (0.617, 0.368)\n"
+
     def test_response_mode(self, tmp_path):
         conf = write_config(
             tmp_path,

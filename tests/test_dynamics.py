@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from conftest import random_env, random_theta
+from conftest import polynomial_coefficients, random_env, random_theta
 from samplingdyn.dynamics import (
     Environment,
     LogitResponse,
@@ -115,6 +115,8 @@ def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, c
         # the unchecked entry is the checked one without the check
         assert type(w._eval(x)) is float and w._eval(x) == w(x), w
         assert np.array_equal(w._eval(arr), w(arr)), w
+        # and the float kernel, bound once, is its float path
+        assert type(w._kernel(x)) is float and w._kernel(x) == w(arr)[0], w
     for k in ks:
         m = round(m_share * k)
         assert binomial_tail(k, m, x) == binomial_tail(k, m, arr)[0], (k, m)
@@ -135,6 +137,7 @@ def test_float_kernel_keeps_exact_zero_and_one_atoms(game, value):
     xs = [0.0, 5e-324, 1e-17, 0.3, 1.0 - 1e-16, 1.0]
     for x in xs:
         assert w._eval(x) == value and w.derivative(x) == 0.0, x
+        assert type(w._kernel(x)) is float and w._kernel(x) == value, x
     assert np.array_equal(w(np.array(xs)), np.full(len(xs), value))
     assert np.array_equal(w.derivative(np.array(xs)), np.zeros(len(xs)))
 
@@ -218,7 +221,7 @@ class TestSamplingResponse:
         for _ in range(12):
             theta = random_theta(rng, max_k=50)
             w = SamplingResponse(float(rng.uniform(0.1, 10)), theta)
-            coeffs = w.polynomial_coefficients()
+            coeffs = polynomial_coefficients(w)
             assert len(coeffs) - 1 == theta.max_support == w.degree
             assert coeffs[-1] != 0
             for num in (1, 333, 500, 777, 999):

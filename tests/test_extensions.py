@@ -28,7 +28,6 @@ from samplingdyn.extensions import (
     contracting_response_vector,
     integrate_contracting,
     mineffort_pure_stability,
-    mineffort_response,
     mineffort_stable_interior,
     _replies,
     _ReplyMap,
@@ -425,13 +424,13 @@ class TestMinEffortResponse:
         for obs in Observation:
             g = MinEffortGame(3, 0.4, obs)
             theta = SampleSizeDistribution.of({1: 0.3, 4: 0.7})
-            assert mineffort_response(g, theta, 0.0) == 0.0
-            assert mineffort_response(g, theta, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert MinEffortResponse(g, theta)(0.0) == 0.0
+            assert MinEffortResponse(g, theta)(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_minimum_mode_low_sample_formula(self):
         g = MinEffortGame(3, 0.5, Observation.MINIMUM_EFFORT)
         theta = SampleSizeDistribution.point(2)
-        assert mineffort_response(g, theta, 0.3) == pytest.approx(1 - 0.7**4, abs=1e-12)
+        assert MinEffortResponse(g, theta)(0.3) == pytest.approx(1 - 0.7**4, abs=1e-12)
 
     def test_minimum_mode_mixture_formula(self):
         # every supported size is below 1/(1-c): response is the mixture of
@@ -444,7 +443,7 @@ class TestMinEffortResponse:
             + 0.25 * (1 - (1 - ps) ** 6)
             + 0.5 * (1 - (1 - ps) ** 12)
         )
-        assert np.allclose(mineffort_response(g, theta, ps), expected, atol=1e-12)
+        assert np.allclose(MinEffortResponse(g, theta)(ps), expected, atol=1e-12)
 
     def test_two_player_reductions(self, rng):
         # N = 2 collapses onto the two-action sampling response with
@@ -459,12 +458,12 @@ class TestMinEffortResponse:
                 theta = SampleSizeDistribution.point(int(rng.choice(ks)))
                 g = MinEffortGame(2, c, Observation.MINIMUM_EFFORT)
                 w = SamplingResponse(u, theta, TieBreak.FAVOR_B)
-                got = mineffort_response(g, theta, ps)
+                got = MinEffortResponse(g, theta)(ps)
                 assert np.allclose(got, w(ps), atol=1e-9)
             theta = SampleSizeDistribution.point(int(rng.integers(1, 13)))
             g = MinEffortGame(2, c, Observation.OPPONENT_ACTION)
             w = SamplingResponse(u, theta, TieBreak.FAVOR_B)
-            assert np.allclose(mineffort_response(g, theta, ps), w(ps), atol=1e-9)
+            assert np.allclose(MinEffortResponse(g, theta)(ps), w(ps), atol=1e-9)
 
     def test_derivative_matches_finite_differences(self, rng):
         ps = np.linspace(0.02, 0.98, 21)
