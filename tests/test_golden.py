@@ -1,0 +1,123 @@
+"""Checked-in outputs of every command.
+
+Each case runs one command on a small config and compares every file it
+writes, and its standard output, with the copies under
+``tests/golden/<case>/``.  The cases are the ``FUZZ_CONFIGS`` fixtures of
+``test_cli.py`` plus a few that put the minimum-effort, logit and
+large-sample responses into the bytes.  ``tests/golden/regen.py`` rewrites
+the copies after a deliberate change of output; this test never calls it.
+
+Float bits depend on the numpy and scipy build.  On the versions recorded
+in ``tests/golden/versions.json`` the bytes must match; on others the text
+must match exactly and every number within ``REL_TOL`` relative.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from samplingdyn.cli import main
+from test_cli import FIG3_RIGHT, FUZZ_CONFIGS, _logit
+
+GOLDEN = Path(__file__).parent / "golden"
+OUT = "<out>"  # stands for the output directory in standard output
+STDOUT = "stdout.txt"
+REL_TOL = 1e-12
+
+
+def _mineffort(observation: str) -> dict:
+    return {"mineffort": {"N": 3, "c": 0.5, "observation": observation},
+            "theta": {"1": 0.4, "10": 0.6}}
+
+
+CASES = {f"fuzz{i:02d}-{conf['command']}": conf for i, conf in enumerate(FUZZ_CONFIGS)}
+for _obs in ("minimum-effort", "opponent-action"):
+    _env = _mineffort(_obs)
+    CASES.update({
+        f"{_obs}-trajectory": {"command": "trajectory", "environment": _env, "initial": 0.3,
+                               "tmax": 5, "dt": 0.1},
+        f"{_obs}-phase": {"command": "phase", "environment": _env, "samples": 50},
+        f"{_obs}-basins": {"command": "basins", "environment": _env, "resolution": 9,
+                           "tmax": 5, "dt": 0.1},
+    })
+CASES["logit-trajectory"] = {"command": "trajectory", "environment": _logit(),
+                             "initial": [0.2, 0.7], "tmax": 5, "dt": 0.1}
+CASES["fig3-right-analyze"] = {"command": "analyze", "environment": FIG3_RIGHT,
+                               "search_alpha_step": 0.25}
+
+
+def run_case(conf: dict, work: Path) -> dict[str, bytes]:
+    """Run one case's command in ``work``: each written file's bytes by name,
+    and standard output under ``STDOUT`` with the output directory masked."""
+    out = work / "out"
+    path = work / "config.json"
+    path.write_text(json.dumps(conf), encoding="utf-8")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([conf["command"], "--config", str(path), "--out", str(out)])
+    assert code == 0, (conf, buf.getvalue())
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    files[STDOUT] = buf.getvalue().replace(str(out), OUT).encode("utf-8")
+    return files
+
+
+def versions() -> dict[str, str]:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def _text_mismatch(got: str, want: str) -> str | None:
+    """Where ``got`` differs from ``want`` in its text or, beyond ``REL_TOL``
+    relative, in a number; None if nowhere."""
+    got_parts, want_parts = _NUMBER.split(got), _NUMBER.split(want)
+    if len(got_parts) != len(want_parts):
+        return "the text has a different number of numbers"
+    for i, (g, w) in enumerate(zip(got_parts, want_parts)):
+        if i % 2 == 0:
+            if g != w:
+                return f"text {g!r} where {w!r} was recorded"
+        elif not math.isclose(float(g), float(w), rel_tol=REL_TOL) and g != w:
+            return f"number {g} where {w} was recorded"
+    return None
+
+
+def test_every_case_has_golden_files_and_no_other():
+    folders = [p.name for p in GOLDEN.iterdir() if p.is_dir() and p.name != "__pycache__"]
+    assert sorted(folders) == sorted(CASES)
+
+
+def test_text_mode_allows_rounding_and_nothing_else():
+    want = "p,w\n0.25,0.1234567890123\n"
+    assert _text_mismatch("p,w\n0.25,0.1234567890124\n", want) is None
+    assert "number" in _text_mismatch("p,w\n0.25,0.12345679\n", want)
+    assert "text" in _text_mismatch("p;w\n0.25,0.1234567890123\n", want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_files(case, tmp_path):
+    got = run_case(CASES[case], tmp_path)
+    folder = GOLDEN / case
+    want = {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+    assert sorted(got) == sorted(want), f"{case}: the command wrote other files"
+    recorded = json.loads((GOLDEN / "versions.json").read_text(encoding="utf-8"))
+    exact = versions() == recorded
+    mode = (f"bytes compared (numpy and scipy as recorded: {recorded})" if exact else
+            f"text compared exactly and numbers within {REL_TOL:g} relative "
+            f"(running {versions()}, recorded {recorded})")
+    for name in sorted(want):
+        if exact:
+            assert got[name] == want[name], f"{case}/{name} differs; {mode}"
+        else:
+            why = _text_mismatch(got[name].decode("utf-8"), want[name].decode("utf-8"))
+            assert why is None, f"{case}/{name}: {why}; {mode}"
