@@ -100,28 +100,6 @@ def _tail(k: int, m: int, p):
     return special.betainc(m, k - m + 1, p)
 
 
-def _tail_slope(k: int, m: int, p, q):
-    """Unchecked derivative in p of the tail on an array p, with q = 1 - p:
-    p^(m-1) q^(k-m) / B(m, k - m + 1).
-
-    It is taken in exp-log form, because the coefficient m C(k, m)
-    overflows a float well below k = 1000; xlogy reads 0 log 0 as 0, so
-    the endpoints need no special case.  exp(x) is exp2(x log2(e)), since
-    numpy's exp has no compiled float routine to share with arrays; the
-    extra rounding is far below the error that q = 1 - p carries.
-    """
-    if m == 0 or m > k:
-        return 0.0 * p
-    a, b = m - 1.0, k - m + 0.0
-    logs = special.xlogy(a, p) + special.xlogy(b, q)
-    return special.exp2((logs - _betaln(a + 1.0, b + 1.0)) * _LOG2E)
-
-
-def _tail_atoms(theta: SampleSizeDistribution, thresholds: Sequence[int]) -> tuple:
-    """(k, mass, m) per sample size of theta, with m the matching threshold."""
-    return tuple((k, mass, m) for (k, mass), m in zip(theta.atoms, thresholds))
-
-
 def _tail_mixture(atoms, p):
     """Unchecked sum of mass * Pr(Bin(k, p) >= m) over the atoms, in order,
     on an array p; ``_tail_kernel`` is the same sum on a Python float."""
@@ -147,19 +125,22 @@ def _tail_kernel(atoms):
 
 
 def _slope_mixture(atoms, p):
-    """Unchecked derivative in p of ``_tail_mixture``, with the float path
-    of ``_tail_slope`` on scipy's compiled routines."""
-    q = 1.0 - p
-    out = 0.0
-    if type(p) is float:
-        for k, mass, m in atoms:
-            if 0 < m <= k:
-                a, b = m - 1.0, k - m + 0.0  # the compiled calls take floats faster
-                logs = _xlogy(a, p) + _xlogy(b, q) - _betaln(a + 1.0, b + 1.0)
-                out = out + mass * _exp2(logs * _LOG2E)
-        return out
+    """Unchecked derivative in p of ``_tail_mixture``: the sum over the
+    atoms with 0 < m <= k of mass * p^(m-1) q^(k-m) / B(m, k - m + 1),
+    q = 1 - p, in exp-log form, because m C(k, m) overflows a float well
+    below k = 1000 (xlogy reads 0 log 0 as 0, so the endpoints need no
+    special case).  exp(x) is exp2(x log2(e)), as numpy's exp has no
+    compiled float routine; the extra rounding is far below the error of
+    q = 1 - p.  A float runs scipy's compiled routines, an array the ufuncs
+    of the same names, with the same bits; the sum starts at 0.0 * p, so an
+    array p gives an array even when every atom is constant."""
+    xlogy, exp2 = (_xlogy, _exp2) if type(p) is float else (special.xlogy, special.exp2)
+    q, out = 1.0 - p, 0.0 * p
     for k, mass, m in atoms:
-        out = out + mass * _tail_slope(k, m, p, q)
+        if 0 < m <= k:
+            a, b = m - 1.0, k - m + 0.0  # the compiled calls take floats faster
+            logs = xlogy(a, p) + xlogy(b, q) - _betaln(a + 1.0, b + 1.0)
+            out = out + mass * exp2(logs * _LOG2E)
     return out
 
 
@@ -317,20 +298,50 @@ def truncated_expectation(theta: SampleSizeDistribution, m: float, mode: str = "
     return math.fsum(k * w for k, w in theta.atoms if k < bound)
 
 
-class SamplingResponse:
+class _TailMixture:
+    """A mixture of binomial upper tails over the atoms (k, mass, m): a
+    sample size, its mass under ``theta`` and the least count that makes
+    the first action a best reply, at the chance q that one observation
+    shows that action: q = p, or q = 1 - (1 - p)^n with an observation
+    exponent n (the minimum of n draws).  Calling it checks p in [0, 1]
+    (within 1e-9, then clipped); a float goes to ``_kernel``, the float
+    form bound once, and an array to ``_tail_mixture`` at q.  The slope
+    carries the chain-rule factor n (1 - p)^(n-1) when n is set.
+    """
+
+    def __init__(self, theta: SampleSizeDistribution, thresholds, exponent: int | None = None):
+        self.theta = theta
+        self._atoms = tuple((k, mass, m) for (k, mass), m in zip(theta.atoms, thresholds))
+        self._exponent = n = exponent
+        tail = _tail_kernel(self._atoms)
+        self._kernel = tail if n is None else (lambda p: tail(1.0 - _int_power(1.0 - p, n)))
+
+    def __call__(self, p):
+        p, n = _as_prob_array(p), self._exponent
+        if type(p) is float:
+            return self._kernel(p)
+        return _tail_mixture(self._atoms, p if n is None else 1.0 - _int_power(1.0 - p, n))
+
+    def derivative(self, p):
+        p, n = _as_prob_array(p), self._exponent
+        if n is None:
+            return _slope_mixture(self._atoms, p)
+        slope = _slope_mixture(self._atoms, 1.0 - _int_power(1.0 - p, n))
+        return slope * (n * _int_power(1.0 - p, n - 1))
+
+    def inverse(self, y):
+        return _monotone_inverse(self, y)
+
+
+class SamplingResponse(_TailMixture):
     """Sampling best-response function w(p) for one population.
 
     ``w(p)`` is the probability that a revising agent with own
     coordination payoff ``u`` and sample size drawn from ``theta`` plays
     the first action when the opposing share playing it is ``p``:
-    a theta-weighted sum of binomial tails with per-size thresholds.
-    It is a strictly increasing polynomial of degree ``max(support)``
-    with w(0) = 0 and w(1) = 1.
-
-    Calling the response checks that p lies in [0, 1] (within 1e-9, then
-    clipped); ``_eval`` is the same evaluation without the check, for
-    callers whose p is a Python float or float array already in [0, 1];
-    a float goes to ``_kernel``, the tail mixture's float form, bound once.
+    a theta-weighted sum of binomial tails with per-size thresholds, the
+    tail mixture observed directly (q = p).  It is a strictly increasing
+    polynomial of degree ``max(support)`` with w(0) = 0 and w(1) = 1.
     """
 
     def __init__(
@@ -342,12 +353,14 @@ class SamplingResponse:
         if u <= 0.0 or not math.isfinite(u):
             raise ValueError(f"u must be a positive finite number, got {u!r}")
         self.u = float(u)
-        self.theta = theta
         self.tie_break = TieBreak(tie_break)
-        self._atoms = _tail_atoms(
+        super().__init__(
             theta, [sampling_threshold(k, self.u, self.tie_break) for k in theta.support]
         )
-        self._kernel = _tail_kernel(self._atoms)
+
+    # perfbench's tracer wraps these three names in each response class's own namespace
+    __call__, derivative, inverse = (
+        _TailMixture.__call__, _TailMixture.derivative, _TailMixture.inverse)
 
     def __repr__(self) -> str:
         return (
@@ -359,19 +372,6 @@ class SamplingResponse:
     def degree(self) -> int:
         return self.theta.max_support
 
-    def __call__(self, p):
-        return self._eval(_as_prob_array(p))
-
-    def _eval(self, p):
-        return self._kernel(p) if type(p) is float else _tail_mixture(self._atoms, p)
-
-    def derivative(self, p):
-        return _slope_mixture(self._atoms, _as_prob_array(p))
-
-    def inverse(self, y):
-        """Preimage of y under w, by bisection; exact at the endpoints."""
-        return _monotone_inverse(self, y, lo_value=0.0, hi_value=1.0)
-
 
 class LogitResponse:
     """Noisy best-response function: mixture of logistic curves.
@@ -380,8 +380,8 @@ class LogitResponse:
     probability 1/(1 + exp(((1-p) - p*u)/eta)), where ``u`` is the
     deciding player's own payoff for coordinating on the first action.
     Unlike the sampling response, w(0) > 0 and w(1) < 1.  Calling it
-    checks p as the sampling response does; ``_eval`` skips the check, and
-    ``_kernel`` is its float form, bound once over the groups.
+    checks p as the sampling response does, and a float goes to
+    ``_kernel``, its float form, bound once over the groups.
     """
 
     def __init__(self, u: float, groups: Sequence[tuple[float, float]]) -> None:
@@ -415,9 +415,7 @@ class LogitResponse:
         return f"LogitResponse(u={self.u!r}, groups={self.groups!r})"
 
     def __call__(self, p):
-        return self._eval(_as_prob_array(p))
-
-    def _eval(self, p):
+        p = _as_prob_array(p)
         if type(p) is float:
             return self._kernel(p)
         out = 0.0
@@ -435,15 +433,15 @@ class LogitResponse:
         return out
 
     def inverse(self, y):
-        lo, hi = self(0.0), self(1.0)
-        return _monotone_inverse(self, y, lo_value=lo, hi_value=hi)
+        return _monotone_inverse(self, y)
 
 
 ResponseFunction = Union[SamplingResponse, LogitResponse]
 
 
-def _monotone_inverse(f, y, lo_value: float, hi_value: float):
-    """Invert a strictly increasing f: [0,1] -> [lo_value, hi_value] by bisection."""
+def _monotone_inverse(f, y):
+    """Invert a strictly increasing f: [0, 1] -> [f(0), f(1)] by bisection."""
+    lo_value, hi_value = f(0.0), f(1.0)
     arr, scalar = np.asarray(y, dtype=float), np.ndim(y) == 0
     arr = np.atleast_1d(arr)
     if np.any(arr < lo_value - 1e-12) or np.any(arr > hi_value + 1e-12):

@@ -30,13 +30,7 @@ from .analysis import (
 )
 from .dynamics import (
     SampleSizeDistribution,
-    _as_prob_array,
-    _int_power,
-    _monotone_inverse,
-    _slope_mixture,
-    _tail_atoms,
-    _tail_kernel,
-    _tail_mixture,
+    _TailMixture,
     snap_to_integer,
     truncated_expectation,
 )
@@ -412,7 +406,7 @@ def _mineffort_thresholds(g: MinEffortGame, support: Sequence[int]) -> list[int]
     return out
 
 
-class MinEffortResponse:
+class MinEffortResponse(_TailMixture):
     """Share of revising agents adopting low effort as a function of the
     current low-effort share.
 
@@ -422,41 +416,19 @@ class MinEffortResponse:
     sizes below 1/(1-c) the response reduces to
     1 - (1-p)^(k(N-1)).  Under action observation the sample is binomial
     in p directly.  Either way the response is the sampling response's
-    mixture of binomial tails, evaluated at the observed probability q.
-    Calling it checks p as the sampling response does; ``_eval`` skips
-    the check, and ``_kernel`` is its float form, bound once.
+    tail mixture at the observed probability q, with this model's
+    thresholds and observation exponent N-1 or none.
     """
 
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
-        self.theta = theta
-        self._atoms = _tail_atoms(theta, _mineffort_thresholds(game, theta.support))
-        tail, n = _tail_kernel(self._atoms), game.n_players - 1
         minimum = game.observation == Observation.MINIMUM_EFFORT
-        self._kernel = (lambda p: tail(1.0 - _int_power(1.0 - p, n))) if minimum else tail
+        n = game.n_players - 1 if minimum else None
+        super().__init__(theta, _mineffort_thresholds(game, theta.support), n)
 
-    def _observed(self, p):
-        """Chance that one sampled observation reads low at low-share p."""
-        if self.game.observation == Observation.MINIMUM_EFFORT:
-            return 1.0 - _int_power(1.0 - p, self.game.n_players - 1)
-        return p
-
-    def __call__(self, p):
-        return self._eval(_as_prob_array(p))
-
-    def _eval(self, p):
-        return self._kernel(p) if type(p) is float else _tail_mixture(self._atoms, self._observed(p))
-
-    def derivative(self, p):
-        p = _as_prob_array(p)
-        slope = _slope_mixture(self._atoms, self._observed(p))
-        if self.game.observation == Observation.MINIMUM_EFFORT:
-            n = self.game.n_players - 1
-            slope = slope * (n * _int_power(1.0 - p, n - 1))
-        return slope
-
-    def inverse(self, y):
-        return _monotone_inverse(self, y, lo_value=self(0.0), hi_value=self(1.0))
+    # perfbench's tracer wraps these three names in each response class's own namespace
+    __call__, derivative, inverse = (
+        _TailMixture.__call__, _TailMixture.derivative, _TailMixture.inverse)
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,7 @@ def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, c
     for w in responses:
         assert w(x) == w(arr)[0], w
         assert w.derivative(x) == w.derivative(arr)[0], w
-        # the unchecked entry is the checked one without the check
-        assert type(w._eval(x)) is float and w._eval(x) == w(x), w
-        assert np.array_equal(w._eval(arr), w(arr)), w
-        # and the float kernel, bound once, is its float path
+        # the float kernel, bound once, is the float path
         assert type(w._kernel(x)) is float and w._kernel(x) == w(arr)[0], w
     for k in ks:
         m = round(m_share * k)
@@ -136,7 +133,7 @@ def test_float_kernel_keeps_exact_zero_and_one_atoms(game, value):
     w = MinEffortResponse(game, SampleSizeDistribution.of({1: 0.25, 3: 0.25, 9: 0.5}))
     xs = [0.0, 5e-324, 1e-17, 0.3, 1.0 - 1e-16, 1.0]
     for x in xs:
-        assert w._eval(x) == value and w.derivative(x) == 0.0, x
+        assert w(x) == value and w.derivative(x) == 0.0, x
         assert type(w._kernel(x)) is float and w._kernel(x) == value, x
     assert np.array_equal(w(np.array(xs)), np.full(len(xs), value))
     assert np.array_equal(w.derivative(np.array(xs)), np.zeros(len(xs)))

@@ -377,14 +377,14 @@ def test_figure3_left_labels_match_brute_force():
 # recording loop, and the backward trace on the negated field.
 def _reference_rhs(system):
     if system.dim == 1:
-        w = system.responses[0]._eval
+        w = system.responses[0]._kernel
 
         def rhs(state):
             p = _clamp01(state[0])
             return (w(p) - p,)
 
         return rhs
-    w1, w2 = (w._eval for w in system.responses)
+    w1, w2 = (w._kernel for w in system.responses)
 
     def rhs(state):
         p1, p2 = _clamp01(state[0]), _clamp01(state[1])
