@@ -640,8 +640,8 @@ class StableInteriorSearch:
 
 
 def _alpha_grid(step: float) -> list[float]:
-    n = int(round(1.0 / step))
-    return [i * step for i in range(1, n)]
+    """Every share i * step <= 1 - 1e-9 with i >= 1, whether or not step divides 1."""
+    return [i * step for i in range(1, int(1.0 / step) + 1) if i * step <= 1.0 - 1e-9]
 
 
 def _mixture_field(w1s: list, w2s: list) -> Callable:

@@ -13,7 +13,7 @@ the integration of the cells that cannot be labelled that way, whose
 number the legend records as integrated_cells.  A config whose every
 state is stationary has no basins (exit 2).  analyze's search_alpha_step
 lies in [0.01, 0.5]: the mixture search runs one stationary search per
-alpha pair, up to (1/step - 1)^2 of them.
+pair of shares i * step < 1, up to (1/step)^2 pairs.
 
 sweep.csv has one row per swept value with the columns
     value            the swept theta mass, alpha or u

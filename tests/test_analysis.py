@@ -34,7 +34,12 @@ from samplingdyn.dynamics import (
     SampleSizeDistribution,
     SamplingResponse,
 )
-from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
+from samplingdyn.extensions import (
+    MinEffortGame,
+    MinEffortResponse,
+    Observation,
+    mineffort_stable_interior,
+)
 from samplingdyn.games import CoordinationGame
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
@@ -803,6 +808,20 @@ class TestStableInteriorSearch:
         # max(supp) = 3 exceeds u2 + 1 = 1.05, so the hypothesis fails,
         # yet the mixture search still finds the stable interior state
         assert not res.in_scope and res.found
+
+    def test_steps_that_divide_one_keep_their_grid(self):
+        for n in range(2, 101):
+            assert analysis._alpha_grid(1.0 / n) == [i * (1.0 / n) for i in range(1, n)], n
+
+    def test_step_that_does_not_divide_one_keeps_the_top_share(self):
+        # round(1 / step) cut the grid at 0.6 for step 0.3, at 0.45 for step
+        # 0.45, and left none for step 0.7; both searches share the grid
+        assert analysis._alpha_grid(0.3) == [0.3, 0.6, 3 * 0.3]
+        assert analysis._alpha_grid(0.07)[-1] == 14 * 0.07
+        two = stable_interior_search(CoordinationGame(5.0, 0.2), (THETA_15,) * 2, 50, 0.45)
+        assert two.found and two.alpha == (0.9, 0.9)
+        one = mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=0.7)
+        assert one.found and one.alpha == 0.7 and one.state.stability == Stability.STABLE
 
     def test_unit_theta_flagged_and_empty(self):
         res = stable_interior_search(
