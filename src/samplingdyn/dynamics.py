@@ -2,13 +2,13 @@
 
 The sampling response gives the probability that a revising agent plays
 the first action when she best-replies to a random sample of opponent
-actions: a weighted sum of binomial upper tails, one per sample size.
-Every tail, whatever its sample size, is one regularized incomplete beta
-function, and a Python float and an array get the same bits from it (a
-float through a kernel bound once, on the ufuncs' compiled routines).
-The logit response is a mixture of logistic curves, one per noise group.
-Both are strictly increasing on [0, 1], differentiable, and invertible,
-which is what the stability analysis relies on.
+actions: a weighted sum of binomial upper tails, one per sample size, in
+one tail-mixture class that the minimum-effort response shares.  Every
+tail is one regularized incomplete beta function, and a Python float and
+an array get the same bits from it (a float through a kernel bound once,
+on the ufuncs' compiled routines).  The logit response is a mixture of
+logistic curves, one per noise group.  All are strictly increasing on
+[0, 1], differentiable, and invertible, as the stability analysis needs.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ Contracting games put positive payoffs on the diagonal and zero off it;
 sampling agents best-reply to multinomial samples of opponent actions.
 Minimum-effort games have two effort levels and two observation
 structures: agents either see the minimum effort of a random past round
-or the action of a random opponent.  Both extensions reuse the
-two-action machinery: per-size thresholds, truncated expectations and
-the binomial tails, which close the exact contracting reply over how a
-sample splits between the last two actions.
+or the action of a random opponent.  Both reuse the two-action
+machinery: per-size thresholds, truncated expectations and the binomial
+tails, whose mixture is the minimum-effort response (at the chance that
+one observation reads low) and which close the exact contracting reply.
 """
 
 from __future__ import annotations
