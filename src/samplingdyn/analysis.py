@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +45,7 @@ RESIDUAL_TOL = 1e-10
 MARGINAL_BAND = 1e-9
 _CONTINUUM_TOL = 1e-12
 _TWO_POP_CONTINUUM = "a state is stationary iff it is symmetric"
-ALPHA_STEP = 0.01  # the mixture search's default and finest alpha step
+ALPHA_STEP = 0.01  # the mixture searches' default and finest alpha step
 SCAN_BLOCK = 1 << 18  # most grid values of a mixture-search block: pairs * GRID_POINTS
 
 
@@ -126,11 +126,14 @@ class TheoremReport:
     note: str = ""
 
 
-def classify_slope(slope_product: float) -> Stability:
-    """Slope-product stability rule with a marginal band around 1."""
-    if slope_product < 1.0 - MARGINAL_BAND:
+def classify_slope(weak: float, strict: float | None = None, bound: float = 1.0) -> Stability:
+    """The one marginal-band rule of every stability call and verdict: stable
+    when ``weak`` lies below ``bound`` by more than ``MARGINAL_BAND``, unstable
+    when ``strict`` (else ``weak``) lies above it by more, otherwise marginal.
+    A pure-state call pairs weak and strict truncated-expectation products."""
+    if weak < bound - MARGINAL_BAND:
         return Stability.STABLE
-    if slope_product > 1.0 + MARGINAL_BAND:
+    if (weak if strict is None else strict) > bound + MARGINAL_BAND:
         return Stability.UNSTABLE
     return Stability.MARGINAL
 
@@ -546,18 +549,6 @@ def classify_pure_states(env: Environment, one_population: bool = False) -> Pure
     )
 
 
-def _band_verdict(conditions: Sequence[tuple[float, bool]]) -> Verdict:
-    """HOLDS iff all (value > 1) match the wanted direction, BOUNDARY near 1.
-
-    Each entry is (value, want_greater).  Any value within the marginal
-    band of the threshold makes the verdict boundary.
-    """
-    if any(abs(v - 1.0) <= MARGINAL_BAND for v, _ in conditions):
-        return Verdict.BOUNDARY
-    ok = all((v > 1.0) == want for v, want in conditions)
-    return Verdict.HOLDS if ok else Verdict.FAILS
-
-
 def check_theorem4(env: Environment) -> TheoremReport:
     """Global-miscoordination and local-coordination conditions.
 
@@ -575,11 +566,12 @@ def check_theorem4(env: Environment) -> TheoremReport:
     p2a = t1_1 * truncated_expectation(env.theta2, 1.0 / g.u2 + 1.0, "weak")
     p2b = t2_1 * truncated_expectation(env.theta1, g.u1 + 1.0, "weak")
 
-    part1 = _band_verdict([(p1a, True), (p1b, True)])
-    if any(abs(v - 1.0) <= MARGINAL_BAND for v in (p2a, p2b)):
-        part2 = Verdict.BOUNDARY
-    else:
-        part2 = Verdict.HOLDS if (p2a < 1.0 or p2b < 1.0) else Verdict.FAILS
+    calls1 = {classify_slope(p1a), classify_slope(p1b)}
+    calls2 = {classify_slope(p2a), classify_slope(p2b)}
+    part1 = (Verdict.BOUNDARY if Stability.MARGINAL in calls1
+             else Verdict.HOLDS if calls1 == {Stability.UNSTABLE} else Verdict.FAILS)
+    part2 = (Verdict.BOUNDARY if Stability.MARGINAL in calls2
+             else Verdict.HOLDS if Stability.STABLE in calls2 else Verdict.FAILS)
     return TheoremReport(
         theorem="theorem-4",
         conditions={
@@ -630,17 +622,22 @@ def miscoordination_probability(state: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class StableInteriorSearch:
-    """Outcome of the sample-size mixture search for a stable interior state."""
+    """Outcome of a sample-size mixture search for a stable interior state;
+    ``alpha`` is a pair of shares in two populations, one share in one."""
 
     found: bool
-    alpha: tuple[float, float] | None
+    alpha: tuple[float, float] | float | None
     state: StationaryState | None
     in_scope: bool
     note: str = ""
 
 
 def _alpha_grid(step: float) -> list[float]:
-    """Every share i * step <= 1 - 1e-9 with i >= 1, whether or not step divides 1."""
+    """Every share i * step <= 1 - 1e-9 with i >= 1, whether or not step
+    divides 1; the step of both mixture searches, which must lie in
+    [``ALPHA_STEP``, 1)."""
+    if not ALPHA_STEP <= step < 1.0:
+        raise ValueError(f"alpha step must lie in [{ALPHA_STEP}, 1), got {step!r}")
     return [i * step for i in range(1, int(1.0 / step) + 1) if i * step <= 1.0 - 1e-9]
 
 
@@ -708,7 +705,8 @@ def stable_interior_search(
     pairs are resolved one at a time, diagonal first, then
     lexicographically, up to the first with a stable interior state; they
     are scanned in blocks of consecutive pairs within ``SCAN_BLOCK``, which
-    share their response tails (``_mixture_field``).
+    share their response tails (``_mixture_field``).  A step outside
+    [``ALPHA_STEP``, 1) raises ``ValueError``.
     """
     theta1, theta2 = thetas
     if big_k <= max(theta1.max_support, theta2.max_support):
@@ -766,9 +764,10 @@ def check_theorem3(
     if best_state is not None:
         p1, p2 = best_state.state
         conditions.update({"p1": p1, "p2": p2, "miscoordination": best_misc})
-        if abs(best_misc - 0.5) <= MARGINAL_BAND:
+        side = classify_slope(best_misc, bound=0.5)  # unstable: above one half
+        if side == Stability.MARGINAL:
             verdict = Verdict.BOUNDARY
-        elif best_misc > 0.5 and p2 < 0.5 < p1:
+        elif side == Stability.UNSTABLE and p2 < 0.5 < p1:
             verdict = Verdict.HOLDS
     return TheoremReport(theorem="theorem-3", conditions=conditions, verdict=verdict)
 

@@ -47,6 +47,7 @@ big_k, are at most MAX_SAMPLE_SIZE (10**6).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -177,23 +178,13 @@ def cmd_analyze(conf: dict) -> int:
 
     if spec.kind == "contracting":
         eq_reports = contracting_pure_stability(spec.contracting, *spec.thetas)
-        entries = []
         for r in eq_reports:
-            entries.append(
-                {
-                    "action": r.action,
-                    "pareto_efficient": r.pareto_efficient,
-                    "part1_products": list(r.part1_products),
-                    "part2_products": list(r.part2_products),
-                    "label": r.label,
-                }
-            )
             print(
                 f"Proposition 5, equilibrium {r.action}: {r.label} "
                 f"(part1 {r.part1_products[0]:.6g}/{r.part1_products[1]:.6g}, "
                 f"part2 {r.part2_products[0]:.6g}/{r.part2_products[1]:.6g})"
             )
-        reports["proposition-5"] = {"equilibria": entries}
+        reports["proposition-5"] = {"equilibria": [dataclasses.asdict(r) for r in eq_reports]}
         cfg.write_json(out / "theorems.json", reports)
         return 0
 
@@ -228,26 +219,15 @@ def cmd_analyze(conf: dict) -> int:
         env = spec.environment
         pure = an.classify_pure_states(env, one_population=system.dim == 1)
         reports["proposition-4"] = {
-            "state_a": cfg.theorem_report_json(
-                an.TheoremReport(
-                    "proposition-4-a",
-                    {
-                        "product": pure.state_a.slope_product,
-                        "leading_eigenvalue": pure.state_a.leading_eigenvalue,
-                    },
-                    an.Verdict.HOLDS,
-                )
-            ),
-            "state_b": cfg.theorem_report_json(
-                an.TheoremReport(
-                    "proposition-4-b",
-                    {
-                        "product": pure.state_b.slope_product,
-                        "leading_eigenvalue": pure.state_b.leading_eigenvalue,
-                    },
-                    an.Verdict.HOLDS,
-                )
-            ),
+            f"state_{side}": {
+                "theorem": f"proposition-4-{side}",
+                "conditions": {
+                    "product": s.slope_product,
+                    "leading_eigenvalue": s.leading_eigenvalue,
+                },
+                "verdict": an.Verdict.HOLDS.value,
+            }
+            for side, s in (("a", pure.state_a), ("b", pure.state_b))
         }
         print(
             f"Proposition 4: state a {pure.state_a.stability.value} "

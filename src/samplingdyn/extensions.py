@@ -22,10 +22,11 @@ import numpy as np
 from scipy import special
 
 from .analysis import (
-    MARGINAL_BAND,
+    ALPHA_STEP,
     Stability,
-    StationaryAnalysis,
+    StableInteriorSearch,
     _alpha_grid,
+    classify_slope,
     find_stationary_one_pop,
 )
 from .dynamics import (
@@ -284,7 +285,8 @@ def contracting_pure_stability(
     size-1 agents in one population times the truncated expectation of
     the other, cut at ubar_j/u_j^m + 1) exceeds 1, and asymptotically
     stable when it is Pareto efficient and both weak products stay below
-    1; anything else is undetermined at this level.
+    1 (``classify_slope`` on the larger products); anything else is boundary
+    when some product is marginal and otherwise undetermined at this level.
     """
     if not g.is_generic():
         raise ValueError("stability classification needs a generic payoff profile")
@@ -299,12 +301,12 @@ def contracting_pure_stability(
         w1 = t1_1 * truncated_expectation(theta2, cut2, "weak")
         w2 = t2_1 * truncated_expectation(theta1, cut1, "weak")
         pareto = g.pareto_efficient(m)
-        near = any(abs(v - 1.0) <= MARGINAL_BAND for v in (s1, s2, w1, w2))
-        if s1 > 1.0 + MARGINAL_BAND or s2 > 1.0 + MARGINAL_BAND:
+        call = classify_slope(max(w1, w2), max(s1, s2))
+        if call == Stability.UNSTABLE:
             label = "unstable"
-        elif pareto and w1 < 1.0 - MARGINAL_BAND and w2 < 1.0 - MARGINAL_BAND:
+        elif call == Stability.STABLE and pareto:
             label = "asymptotically-stable"
-        elif near:
+        elif any(classify_slope(v) == Stability.MARGINAL for v in (s1, s2, w1, w2)):
             label = "boundary"
         else:
             label = "undetermined"
@@ -458,13 +460,6 @@ def mineffort_pure_stability(
         "the model text says N"
     )
 
-    def label(weak: float, strict: float, bound: float = 1.0) -> Stability:
-        if weak < bound - MARGINAL_BAND:
-            return Stability.STABLE
-        if strict > bound + MARGINAL_BAND:
-            return Stability.UNSTABLE
-        return Stability.MARGINAL
-
     if g.observation == Observation.MINIMUM_EFFORT:
         cut = 1.0 / (1.0 - g.cost)
         weak = truncated_expectation(theta, cut, "weak")
@@ -472,7 +467,7 @@ def mineffort_pure_stability(
         bound = 1.0 / g.n_players
         return MinEffortStabilityReport(
             safe_label=Stability.STABLE,
-            efficient_label=label(weak, strict, bound),
+            efficient_label=classify_slope(weak, strict, bound),
             conditions={
                 "efficient_weak": weak,
                 "efficient_strict": strict,
@@ -491,37 +486,28 @@ def mineffort_pure_stability(
         "efficient_strict": truncated_expectation(theta, eff_cut, "strict"),
     }
     return MinEffortStabilityReport(
-        safe_label=label(conditions["safe_weak"], conditions["safe_strict"]),
-        efficient_label=label(conditions["efficient_weak"], conditions["efficient_strict"]),
+        safe_label=classify_slope(conditions["safe_weak"], conditions["safe_strict"]),
+        efficient_label=classify_slope(conditions["efficient_weak"], conditions["efficient_strict"]),
         conditions=conditions,
         note=note,
     )
-
-
-@dataclass(frozen=True)
-class MinEffortInteriorSearch:
-    found: bool
-    alpha: float | None
-    p_star: float | None
-    state: object | None
-    in_scope: bool
-    note: str = ""
 
 
 def mineffort_stable_interior(
     g: MinEffortGame,
     k: int,
     big_k: int = 1000,
-    alpha_step: float = 0.01,
-) -> MinEffortInteriorSearch:
+    alpha_step: float = ALPHA_STEP,
+) -> StableInteriorSearch:
     """Mixture search for a stable interior low-effort share.
 
-    Scans alpha over a grid, placing mass alpha on sample size k and the
-    rest on big_k, and returns the first mixture whose response has an
-    interior fixed point with slope below 1.  The proposition hypothesis
-    (k < 1/(1-c) for minimum-effort observation, 1 < k < 1/(1-c^(1/(N-1)))
-    for action observation) is reported as a flag; the search runs either
-    way.
+    Scans alpha over the grid of ``stable_interior_search`` (a step
+    outside [``ALPHA_STEP``, 1) raises ``ValueError``), placing mass alpha
+    on sample size k and the rest on big_k, and returns the first alpha,
+    a float, whose response has an interior fixed point with slope below
+    1, with that state.  The proposition hypothesis (k < 1/(1-c) for
+    minimum-effort observation, 1 < k < 1/(1-c^(1/(N-1))) for action
+    observation) is reported as a flag; the search runs either way.
     """
     if big_k <= k:
         raise ValueError("big_k must exceed k")
@@ -532,20 +518,7 @@ def mineffort_stable_interior(
     note = "" if in_scope else "outside proposition hypothesis"
     for alpha in _alpha_grid(alpha_step):
         theta = SampleSizeDistribution.of({k: alpha, big_k: 1.0 - alpha})
-        response = MinEffortResponse(g, theta)
-        analysis: StationaryAnalysis = find_stationary_one_pop(response)
-        if analysis.continuum:
-            continue
-        hits = analysis.stable_interior()
+        hits = find_stationary_one_pop(MinEffortResponse(g, theta)).stable_interior()
         if hits:
-            return MinEffortInteriorSearch(
-                found=True,
-                alpha=alpha,
-                p_star=hits[0].state,
-                state=hits[0],
-                in_scope=in_scope,
-                note=note,
-            )
-    return MinEffortInteriorSearch(
-        found=False, alpha=None, p_star=None, state=None, in_scope=in_scope, note=note
-    )
+            return StableInteriorSearch(True, alpha, hits[0], in_scope, note)
+    return StableInteriorSearch(False, None, None, in_scope, note)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from samplingdyn import CoordinationGame, Environment, SampleSizeDistribution
+from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope
 
 
 def polynomial_coefficients(w) -> tuple[Fraction, ...]:
@@ -50,6 +51,41 @@ def random_env(rng, **theta_kw):
 def random_symmetric_env(rng, **theta_kw):
     u = float(rng.uniform(0.15, 8.0))
     return Environment.symmetric(u, random_theta(rng, **theta_kw))
+
+
+def band_inputs(rng, n=200) -> list[float]:
+    """Products for checks of the marginal-band rule: ``n`` seeded draws from
+    [0, 3], and every double within 8 ulps of bound -/+ ``MARGINAL_BAND`` for
+    the bounds 1, 1/2 and 1/N with N = 2..5."""
+    values = rng.uniform(0.0, 3.0, n).tolist()
+    for bound in [1.0, 0.5] + [1.0 / n for n in range(2, 6)]:
+        for edge in (bound - MARGINAL_BAND, bound + MARGINAL_BAND):
+            v = edge
+            for _ in range(8):
+                v = math.nextafter(v, -math.inf)
+            for _ in range(17):
+                values.append(v)
+                v = math.nextafter(v, math.inf)
+    return values
+
+
+def abs_near(v: float, bound: float) -> bool:
+    """The band test of the reference verdicts: |v - bound| <= MARGINAL_BAND."""
+    return abs(v - bound) <= MARGINAL_BAND
+
+
+def rule_near(v: float, bound: float) -> bool:
+    """The band test of ``classify_slope``: neither below nor above the band."""
+    return classify_slope(v, bound=bound) == Stability.MARGINAL
+
+
+def band_reference(ref, values, bound):
+    """``ref(near)``, a reference verdict on ``values`` with the band test
+    ``near``, and whether the two band tests differ on some value.  Where
+    they differ (one double next to some band edges) the reference takes
+    the rule's own band test, so only the rule's answer passes there."""
+    split = any(abs_near(v, bound) != rule_near(v, bound) for v in values)
+    return ref(rule_near if split else abs_near), split
 
 
 @pytest.fixture

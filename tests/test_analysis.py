@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import (
+    band_inputs,
+    band_reference,
     polynomial_coefficients,
     random_env,
     random_game,
@@ -17,6 +19,7 @@ from conftest import (
 from samplingdyn import analysis
 from samplingdyn.analysis import (
     Stability,
+    StationaryAnalysis,
     Verdict,
     check_homogeneous_uniqueness,
     check_theorem3,
@@ -648,6 +651,69 @@ class TestTheorem4:
             check_theorem4(env)
 
 
+def _band_verdict(conditions, near) -> Verdict:
+    """Theorem 4 part 1 with its own band test: HOLDS iff every (value > 1)
+    matches the wanted direction, BOUNDARY when a value is near 1."""
+    if any(near(v, 1.0) for v, _ in conditions):
+        return Verdict.BOUNDARY
+    ok = all((v > 1.0) == want for v, want in conditions)
+    return Verdict.HOLDS if ok else Verdict.FAILS
+
+
+def _theorem4_parts(p1a, p1b, p2a, p2b, near) -> dict:
+    """The reference for Theorem 4's two parts."""
+    part1 = _band_verdict([(p1a, True), (p1b, True)], near)
+    if any(near(v, 1.0) for v in (p2a, p2b)):
+        part2 = Verdict.BOUNDARY
+    else:
+        part2 = Verdict.HOLDS if (p2a < 1.0 or p2b < 1.0) else Verdict.FAILS
+    return {"part1": part1, "part2": part2}
+
+
+def _theorem3_verdict(misc, p1, p2, near) -> Verdict:
+    """The reference for Theorem 3's verdict on its most miscoordinated state."""
+    if near(misc, 0.5):
+        return Verdict.BOUNDARY
+    return Verdict.HOLDS if misc > 0.5 and p2 < 0.5 < p1 else Verdict.FAILS
+
+
+class TestBandRule:
+    def test_theorem4_parts_match_the_reference(self, rng, monkeypatch):
+        # size-1 masses are 1, and the cuts 1/u2 + 1 = 3 and u1 + 1 = 4 tell
+        # the four truncated expectations apart, so they are the products
+        env = Environment.of(CoordinationGame(3.0, 0.5), SampleSizeDistribution.point(1))
+        keys = [(3.0, "strict"), (4.0, "strict"), (3.0, "weak"), (4.0, "weak")]
+        table = {}
+        monkeypatch.setattr(analysis, "truncated_expectation", lambda _, m, mode: table[m, mode])
+        splits = 0
+        for v in band_inputs(rng):
+            others = rng.uniform(0.0, 3.0, 3).tolist()
+            for at in range(4):
+                p = others[:at] + [v] + others[at:]
+                table.update(zip(keys, p))
+                want, split = band_reference(lambda near: _theorem4_parts(*p, near), p, 1.0)
+                assert check_theorem4(env).parts == want, p
+                splits += split
+        assert splits  # the inputs reach the doubles where the band tests differ
+
+    def test_theorem3_boundary_matches_the_reference(self, rng, monkeypatch):
+        # one stable interior state at ``point``, whose miscoordination is ``misc``
+        case = {}
+        monkeypatch.setattr(analysis, "miscoordination_probability", lambda state: case["misc"])
+        monkeypatch.setattr(analysis, "find_stationary_two_pop", lambda env: StationaryAnalysis(
+            (analysis._state(case["point"], 0.25, 0.0),)))
+        game, thetas = CoordinationGame(3.0, 0.5), (SampleSizeDistribution.point(3),) * 2
+        splits = 0
+        for v in band_inputs(rng):
+            for p1, p2 in ((0.9, 0.1), (0.1, 0.9)):
+                case.update(misc=v, point=(p1, p2))
+                want, split = band_reference(
+                    lambda near: _theorem3_verdict(v, p1, p2, near), [v], 0.5)
+                assert check_theorem3(game, thetas).verdict == want, (v, p1, p2)
+                splits += split
+        assert splits
+
+
 class TestHomogeneousUniqueness:
     def test_triple_sampling(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
@@ -822,6 +888,15 @@ class TestStableInteriorSearch:
         assert two.found and two.alpha == (0.9, 0.9)
         one = mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=0.7)
         assert one.found and one.alpha == 0.7 and one.state.stability == Stability.STABLE
+
+    @pytest.mark.parametrize("step", [-0.1, 0.0, 0.005, 1.0, 1.5, math.nan, math.inf])
+    def test_both_searches_reject_a_step_outside_the_grid_range(self, step):
+        with pytest.raises(ValueError, match="alpha step"):
+            stable_interior_search(
+                CoordinationGame.symmetric(1.5), (SampleSizeDistribution.point(2),) * 2, 1000, step
+            )
+        with pytest.raises(ValueError, match="alpha step"):
+            mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=step)
 
     def test_unit_theta_flagged_and_empty(self):
         res = stable_interior_search(

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from conftest import band_inputs, band_reference
 from samplingdyn import extensions
-from samplingdyn.analysis import Stability, find_stationary_one_pop
+from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope, find_stationary_one_pop
 from samplingdyn.dynamics import (
     SampleSizeDistribution,
     SamplingResponse,
@@ -325,7 +326,54 @@ def test_response_vector_matches_brute_force(data, M, rule, player):
     assert abs(got.sum() - 1.0) <= 1e-12
 
 
+def _contracting_label(s1, s2, w1, w2, pareto, near) -> str:
+    """The reference for an equilibrium's label from its strict (s) and weak
+    (w) products, with the band test ``near``."""
+    if s1 > 1.0 + MARGINAL_BAND or s2 > 1.0 + MARGINAL_BAND:
+        return "unstable"
+    if pareto and w1 < 1.0 - MARGINAL_BAND and w2 < 1.0 - MARGINAL_BAND:
+        return "asymptotically-stable"
+    if any(near(v, 1.0) for v in (s1, s2, w1, w2)):
+        return "boundary"
+    return "undetermined"
+
+
+def _mineffort_label(weak, strict, bound=1.0) -> Stability:
+    """The reference for a minimum-effort pure state's label."""
+    if weak < bound - MARGINAL_BAND:
+        return Stability.STABLE
+    if strict > bound + MARGINAL_BAND:
+        return Stability.UNSTABLE
+    return Stability.MARGINAL
+
+
 class TestContractingStability:
+    def test_labels_match_the_reference(self, rng, monkeypatch):
+        # size-1 masses are 1, so the truncated expectations are the products;
+        # action 1 of this game is Pareto efficient, action 0 is not
+        g = ContractingGame((1.0, 2.0), (1.0, 2.0))
+        theta1, theta2 = SampleSizeDistribution.point(1), SampleSizeDistribution.of({1: 1.0})
+        table = {}
+        monkeypatch.setattr(extensions, "truncated_expectation",
+                            lambda theta, m, mode: table[theta is theta1, mode])
+        splits = 0
+        for v in band_inputs(rng):
+            r = rng.uniform(0.0, 1.0, 3).tolist()
+            # a strict product never exceeds the weak one of its population
+            edges = (v, v), (v * r[1], v), (v, v + r[2])
+            others = (3.0 * r[0] * r[1], 3.0 * r[0]), (0.0, 0.0)
+            for edge, other in itertools.product(edges, others):
+                for (s1, w1), (s2, w2) in ((edge, other), (other, edge)):
+                    table.update({(False, "strict"): s1, (True, "strict"): s2,
+                                  (False, "weak"): w1, (True, "weak"): w2})
+                    got = [rep.label for rep in contracting_pure_stability(g, theta1, theta2)]
+                    want = [band_reference(
+                        lambda near: _contracting_label(s1, s2, w1, w2, pareto, near),
+                        (s1, s2, w1, w2), 1.0) for pareto in (False, True)]
+                    assert got == [label for label, _ in want], (s1, s2, w1, w2)
+                    splits += want[0][1]
+        assert splits  # the inputs reach the doubles where the band tests differ
+
     def test_two_action_products_match_theorem4(self, rng):
         from samplingdyn.analysis import check_theorem4
         from samplingdyn.dynamics import Environment
@@ -526,6 +574,24 @@ class TestMinEffortStability:
             if pure.state_b.stability != Stability.MARGINAL:
                 assert rep.efficient_label == pure.state_b.stability
 
+    def test_labels_match_the_reference(self, rng, monkeypatch):
+        pair, theta = {}, SampleSizeDistribution.point(2)
+        monkeypatch.setattr(extensions, "truncated_expectation", lambda _, m, mode: pair[mode])
+        for v in band_inputs(rng):
+            r = float(rng.uniform(0.0, 3.0))
+            for weak, strict in ((v, v), (v, r), (r, v)):
+                pair.update(weak=weak, strict=strict)
+                for n in range(2, 6):
+                    want = _mineffort_label(weak, strict, 1.0 / n)
+                    assert classify_slope(weak, strict, 1.0 / n) == want, (weak, strict, n)
+                    rep = mineffort_pure_stability(MinEffortGame(n, 0.4), theta)
+                    assert rep.efficient_label == want, (weak, strict, n)
+                want = _mineffort_label(weak, strict)
+                assert classify_slope(weak, strict) == want, (weak, strict)
+                g = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
+                rep = mineffort_pure_stability(g, theta)
+                assert (rep.safe_label, rep.efficient_label) == (want, want), (weak, strict)
+
     def test_stable_interior_search(self):
         g = MinEffortGame(2, 0.6, Observation.MINIMUM_EFFORT)
         res = mineffort_stable_interior(g, k=2, big_k=1000, alpha_step=0.01)
@@ -533,8 +599,8 @@ class TestMinEffortStability:
         response = MinEffortResponse(
             g, SampleSizeDistribution.of({2: res.alpha, 1000: 1.0 - res.alpha})
         )
-        assert abs(response(res.p_star) - res.p_star) < 1e-10
-        assert response.derivative(res.p_star) < 1.0
+        assert abs(response(res.state.state) - res.state.state) < 1e-10
+        assert response.derivative(res.state.state) < 1.0
 
     def test_search_flags_hypothesis_violation(self):
         g = MinEffortGame(2, 0.6, Observation.MINIMUM_EFFORT)
