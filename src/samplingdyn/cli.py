@@ -225,7 +225,7 @@ def cmd_analyze(conf: dict) -> int:
                     "product": s.slope_product,
                     "leading_eigenvalue": s.leading_eigenvalue,
                 },
-                "verdict": an.Verdict.HOLDS.value,
+                "stability": s.stability.value,
             }
             for side, s in (("a", pure.state_a), ("b", pure.state_b))
         }

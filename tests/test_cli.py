@@ -67,6 +67,19 @@ class TestAnalyze:
         assert reports["theorem-4"]["parts"]["part1"] == "holds"
         assert reports["proposition-4"]["state_a"]["conditions"]["product"] == 1.5
 
+    @pytest.mark.parametrize("environment", [FIG3_RIGHT, ONE_POP, SYMMETRIC_PAIR])
+    def test_pure_state_stability_in_json_matches_stdout(self, tmp_path, capsys, environment):
+        conf = write_config(tmp_path, {"command": "analyze", "environment": environment,
+                                       "big_k": 50, "search_alpha_step": 0.25,
+                                       "out": str(tmp_path)})
+        assert main(["analyze", "--config", conf]) == 0
+        (line,) = [s for s in capsys.readouterr().out.splitlines() if s.startswith("Proposition 4")]
+        reports = json.loads((tmp_path / "theorems.json").read_text())["proposition-4"]
+        a, b = (reports[f"state_{side}"]["stability"] for side in "ab")
+        assert line.startswith(f"Proposition 4: state a {a} (product ")
+        assert f", state b {b} (product " in line
+        assert "verdict" not in reports["state_a"] and "verdict" not in reports["state_b"]
+
     def test_fig3_left_big_k_in_support_is_not_applicable(self, tmp_path, capsys):
         conf = write_config(
             tmp_path,
