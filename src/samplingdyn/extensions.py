@@ -194,8 +194,9 @@ class _ReplyMap:
     best - margin(best), f increasing, so the ties change only where x or y
     crosses f(max v) or f^-1(v_i) = v_i + margin(v_i), or x crosses f(y), or
     y crosses f(x).  Marks at 0, n + 1 and floor - 1 to floor + 2 of each
-    crossing, which absorbs rounding, cut the splits into pieces [lo, hi].
-    A row per piece holds the prefix counts, log weight (log mass plus log
+    crossing, which absorbs rounding, cut the splits into pieces [lo, hi],
+    and consecutive pieces with the same replies join into one.  A row per
+    piece holds the prefix counts, log weight (log mass plus log
     multinomial coefficient) and the replies to its first split; with q the
     state with its last two shares merged, an evaluation is
     ``(exp(logw + counts @ log q) * (U(lo) - U(hi + 1))) @ replies`` with
@@ -227,10 +228,15 @@ class _ReplyMap:
         fresh = np.diff(marks, axis=1, prepend=-1) > 0
         row, flat = np.nonzero(fresh)[0], marks[fresh]
         starts = np.flatnonzero(flat <= n[row])
-        row, lo, hi = row[starts], flat[starts], flat[starts + 1] - 1
-        self.counts, self.logw, n = prefixes[row].astype(float), logw[row], n[row]
-        splits = np.column_stack([self.counts[:, :-1], lo, n - lo])
-        self.replies = _replies(splits * diag, ContractTieRule(rule))
+        row, lo, hi, n = row[starts], flat[starts], flat[starts + 1] - 1, n[row[starts]]
+        replies = _replies(np.column_stack([prefixes[row, :-1], lo, n - lo]) * diag,
+                           ContractTieRule(rule))
+        # a piece joins the one before it when both have one prefix and one reply
+        keep = np.ones(len(row), dtype=bool)
+        keep[1:] = (row[1:] != row[:-1]) | (replies[1:] != replies[:-1]).any(axis=1)
+        hi = hi[np.append(np.flatnonzero(keep)[1:] - 1, len(row) - 1)]
+        row, lo, n, self.replies = row[keep], lo[keep], n[keep], replies[keep]
+        self.counts, self.logw = prefixes[row].astype(float), logw[row]
         # tails = [U(0) = 1, U(n + 1) = 0, U(lo) for lo > 0]; U(hi + 1) is the next U(lo)
         inner = lo > 0
         self._a, self._b = lo[inner].astype(float), (n - lo + 1)[inner].astype(float)

@@ -241,6 +241,14 @@ class TestSplitPieces:
             got = contracting_response_vector(g, 1, theta, p, rule).probabilities
             assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
 
+    def test_pieces_with_the_same_reply_join(self):
+        # 1,891 prefixes; cut at every crossing they would take 18,073 rows
+        g = ContractingGame((4.0, 2.0, 1.0, 3.0), (1.0, 2.0, 4.0, 3.0))
+        reply = _ReplyMap(g, 1, SampleSizeDistribution.point(60), ContractTieRule.UNIFORM)
+        assert len(reply.counts) <= 2 * math.comb(62, 2)
+        same_prefix = (reply.counts[1:] == reply.counts[:-1]).all(axis=1)
+        assert (reply.replies[1:] != reply.replies[:-1]).any(axis=1)[same_prefix].all()
+
     def test_matches_high_precision_reference(self):
         # every one of the 11,476 samples summed at 30 digits; the payoffs
         # are integers, so ties are exact and argmax takes the lowest
