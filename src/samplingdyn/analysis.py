@@ -4,7 +4,8 @@ A state is stationary when every revising agent reproduces the incumbent
 mix: w(p) = p for one population, p_i = w_i(p_j) for two.  Interior
 states are classified by the slope (product) of the response functions at
 the fixed point, pure states by truncated-expectation products that equal
-those slopes at the corners.  The checkers evaluate the paper-level
+those slopes at the corners; ``classify_slope`` makes every such call, and
+every verdict, against the marginal band.  The checkers evaluate the paper-level
 sufficient conditions (instability of homogeneous mixing, stabilization
 by sample-size mixtures, global convergence to miscoordination) as
 numeric reports rather than proofs.

@@ -7,7 +7,8 @@ structures: agents either see the minimum effort of a random past round
 or the action of a random opponent.  Both reuse the two-action
 machinery: per-size thresholds, truncated expectations and the binomial
 tails, whose mixture is the minimum-effort response (at the chance that
-one observation reads low) and which close the exact contracting reply.
+one observation reads low) and which close the exact contracting reply,
+and the stability rule, alpha grid and search result of ``analysis``.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class _ReplyMap:
     crossing, which absorbs rounding, cut the splits into pieces [lo, hi],
     and consecutive pieces with the same replies join into one.  A row per
     piece holds the prefix counts, log weight (log mass plus log
-    multinomial coefficient) and the replies to its first split; with q the
+    multinomial coefficient) and the replies to its splits; with q the
     state with its last two shares merged, an evaluation is
     ``(exp(logw + counts @ log q) * (U(lo) - U(hi + 1))) @ replies`` with
     U(j) = Pr(Bin(n, r) >= j) = I_r(j, n - j + 1), r = p[M-2] / q[-1].

@@ -58,7 +58,7 @@ def band_inputs(rng, n=200) -> list[float]:
     [0, 3], and every double within 8 ulps of bound -/+ ``MARGINAL_BAND`` for
     the bounds 1, 1/2 and 1/N with N = 2..5."""
     values = rng.uniform(0.0, 3.0, n).tolist()
-    for bound in [1.0, 0.5] + [1.0 / n for n in range(2, 6)]:
+    for bound in [1.0] + [1.0 / N for N in range(2, 6)]:
         for edge in (bound - MARGINAL_BAND, bound + MARGINAL_BAND):
             v = edge
             for _ in range(8):
