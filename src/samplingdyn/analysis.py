@@ -10,9 +10,11 @@ sufficient conditions (instability of homogeneous mixing, stabilization
 by sample-size mixtures, global convergence to miscoordination) as
 numeric reports rather than proofs.
 
-Roots come from one pruned grid scan over a block of rows:
-``scan_fixed_points`` is its one-row case, and the Theorem-2 mixture
-search scans blocks of alpha pairs, which share their response tails.
+Roots come from one grid scan over a block of rows, which splits the
+grid level by level and drops the cells that a monotone enclosure shows
+hold no root: ``scan_fixed_points`` is its one-row case, and the
+Theorem-2 mixture search scans blocks of alpha pairs, which share their
+response tails within each level.
 
 Arity: a single response function drives the one-population dynamics
 dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
@@ -23,6 +25,7 @@ any other two.  ``System.of`` is the one place that applies this rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -191,59 +194,84 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) 
     return 0.5 * (lo + hi)
 
 
-def _grid() -> tuple[np.ndarray, np.ndarray]:
-    """The grid, and its coarse points: every s-th, s = isqrt(n), and the last."""
-    n = GRID_POINTS - 1
-    coarse = np.concatenate((np.arange(0, n, math.isqrt(n)), [n]))
-    return np.linspace(0.0, 1.0, GRID_POINTS), coarse
+@functools.lru_cache(maxsize=4)
+def _grid_points(points: int) -> np.ndarray:
+    """The grid of ``points`` points, read-only, since every scan shares it."""
+    xs = np.linspace(0.0, 1.0, points)
+    xs.flags.writeable = False
+    return xs
+
+
+def _grid() -> tuple[np.ndarray, tuple[int, int, int]]:
+    """The grid, and the steps of the scan's levels: s = isqrt(n), isqrt(s)
+    and 1 for a grid of n steps."""
+    s = math.isqrt(GRID_POINTS - 1)
+    return _grid_points(GRID_POINTS), (s, math.isqrt(s), 1)
 
 
 def _scan_rows(g_at: Callable, rows: int) -> list[tuple]:
     """``scan_fixed_points`` on ``rows`` functions g_r, ``g_at(r, i, x)`` giving
     g_r at grid points x = xs[i].  A row's scan, for ``_refine``, holds the
     exception it raises, its zeros, and (lo, hi, g(lo)) per sign change."""
-    xs, coarse = _grid()
-    at = (np.zeros((rows, 1), dtype=int) + coarse).ravel()
-    gc = np.asarray(g_at(np.arange(rows).repeat(coarse.size), at, xs[at]), dtype=float)
-    gc = gc.reshape(rows, coarse.size)
-    width = xs[coarse[1:]] - xs[coarse[:-1]]
-    skip = (gc[:, :-1] - width > RESIDUAL_TOL) | (gc[:, 1:] + width < -RESIDUAL_TOL)
-    sc = np.sign(gc)
-    sc[:, 0] *= np.abs(gc[:, 0]) >= RESIDUAL_TOL
-    sc[:, -1] *= np.abs(gc[:, -1]) >= RESIDUAL_TOL
-    # each open cell, row by row, from its coarse start to its coarse end
-    cell_row, cell = (~skip).nonzero()
-    length = coarse[cell + 1] - coarse[cell] + 1
-    last = length.cumsum() - 1
-    first = last - length + 1
-    seg = np.arange(cell.size).repeat(length)
-    idx = np.arange(seg.size) + (coarse[cell] - first)[seg]
-    row = cell_row[seg]
-    fine = np.ones(seg.size, dtype=bool)
-    fine[first] = fine[last] = False
-    v = np.empty(seg.size)
-    v[fine] = g_at(row[fine], idx[fine], xs[idx[fine]])
-    signs = np.sign(v)
-    signs[first], signs[last] = sc[cell_row, cell], sc[cell_row, cell + 1]
-    # grid values of one sign fill a skipped cell and its ends, so the rule
-    # reads the coarse points and the open cells alone
-    zero_rows, zero_at = (sc == 0.0).nonzero()
-    zero = (fine & (signs == 0.0)).nonzero()[0]
-    flip = ((signs[:-1] * signs[1:] < 0.0) & (seg[:-1] == seg[1:])).nonzero()[0]
-    v[first], v[last] = gc[cell_row, cell], gc[cell_row, cell + 1]
-    bad = ~np.isfinite(gc).all(1)
-    bad[row[~np.isfinite(v)]] = True
-    flat = ~skip.any(1)
-    flat[row[np.abs(v) >= _CONTINUUM_TOL]] = False
-    scans = [(ArithmeticError("non-finite values while scanning for fixed points") if b
-              else ContinuumError("every state is a fixed point") if f else None, [], [])
-             for b, f in zip(bad.tolist(), flat.tolist())]
+    xs, steps = _grid()
+    n = GRID_POINTS - 1
+    coarse = np.append(np.arange(0, n, steps[0]), n)
+    # the points of each cell in order, ends included; level 0 has one cell
+    # [0, n] a row, split at the coarse points
+    seg, idx = np.arange(rows).repeat(coarse.size), np.tile(coarse, rows)
+    v = np.asarray(g_at(seg, idx, xs[idx]), dtype=float)
+    cell_row, seen = np.arange(rows), [(seg, idx, v)]
+    for step in steps[1:] + (0,):  # 0: the open cells are single grid steps
+        # the open sub-cells: consecutive points of a cell whose enclosure
+        # does not lie beyond +-RESIDUAL_TOL
+        x = xs[idx]
+        width = x[1:] - x[:-1]
+        keep = seg[:-1] == seg[1:]
+        keep &= ~((v[:-1] - width > RESIDUAL_TOL) | (v[1:] + width < -RESIDUAL_TOL))
+        row, a, b = cell_row[seg[:-1][keep]], idx[:-1][keep], idx[1:][keep]
+        ga, gb = v[:-1][keep], v[1:][keep]
+        if not step:
+            break
+        # each open cell split at every step-th grid point
+        count = (b - a - 1) // step + 2
+        last = count.cumsum() - 1
+        first = last - count + 1
+        seg = np.arange(a.size).repeat(count)
+        idx = a[seg] + (np.arange(seg.size) - first[seg]) * step
+        idx[last] = b
+        inner = np.ones(seg.size, dtype=bool)
+        inner[first] = inner[last] = False
+        v = np.empty(seg.size)
+        v[first], v[last] = ga, gb
+        r, i = row[seg[inner]], idx[inner]
+        if i.size:
+            v[inner] = g_at(r, i, xs[i])
+        cell_row = row
+        seen.append((r, i, v[inner]))
+    # a dropped cell has one strict sign at every grid point in it, ends
+    # included, so the rule reads the evaluated points and open cells alone
+    er, ei, ev = (np.concatenate(c) for c in zip(*seen))
+    ends = (ei == 0) | (ei == n)
+    zero = ((ev == 0.0) | (ends & (np.abs(ev) < RESIDUAL_TOL))).nonzero()[0]
+    zero = zero[np.lexsort((ei[zero], er[zero]))]
+    sa, sb = np.sign(ga), np.sign(gb)
+    sa[(a == 0) & (np.abs(ga) < RESIDUAL_TOL)] = 0.0
+    sb[(b == n) & (np.abs(gb) < RESIDUAL_TOL)] = 0.0
+    flip = (sa * sb < 0.0).nonzero()[0]
+    bad = np.zeros(rows, dtype=bool)
+    bad[er[~np.isfinite(ev)]] = True
+    # values this small open every cell, so a row of them has all its points
+    flat = np.ones(rows, dtype=bool)
+    flat[er[np.abs(ev) >= _CONTINUUM_TOL]] = False
+    scans = [(ArithmeticError("non-finite values while scanning for fixed points") if nonfinite
+              else ContinuumError("every state is a fixed point") if fixed else None, [], [])
+             for nonfinite, fixed in zip(bad.tolist(), flat.tolist())]
     ok = ~(bad | flat)  # a row that raises reports no roots
-    zr, zi = np.concatenate(((zero_rows, coarse[zero_at]), (row[zero], idx[zero])), axis=1)
-    for r, i in zip(zr[ok[zr]].tolist(), zi[ok[zr]].tolist()):
+    zero = zero[ok[er[zero]]]
+    for r, i in zip(er[zero].tolist(), ei[zero].tolist()):
         scans[r][1].append(xs[i])
     flip = flip[ok[row[flip]]]
-    for r, i, glo in zip(row[flip].tolist(), idx[flip].tolist(), v[flip].tolist()):
+    for r, i, glo in zip(row[flip].tolist(), a[flip].tolist(), ga[flip].tolist()):
         scans[r][2].append((xs[i], xs[i + 1], glo))
     return scans
 
@@ -270,14 +298,18 @@ def scan_fixed_points(g: Callable) -> list[float]:
     other by its alternation rule), and two roots strictly inside one
     cell, such as a tangency between grid points, do not show.
 
-    g is evaluated at the coarse points (``_grid``) first, then only inside
-    the coarse cells that can hold a root.  On a cell [a, b], h(a) <= h(x)
-    <= h(b) gives the enclosure g(a) - (b - a) <= g(x) <= g(b) + (b - a)
-    (Moore 1966).  A cell whose enclosure lies above ``RESIDUAL_TOL`` or
-    below -``RESIDUAL_TOL`` is skipped: that margin absorbs the rounding
-    that makes the computed h less than monotone, so g has the enclosure's
-    sign on the whole cell, ends included, and the roots are those of g
-    evaluated at every grid point.
+    g is evaluated level by level (``_grid``): at every s-th grid point
+    (s = isqrt(n) for n grid steps, and the last point), then at every
+    isqrt(s)-th point of each cell still open, then at every point of each
+    smaller cell still open.  On a cell [a, b], h(a) <= h(x) <= h(b) gives
+    the enclosure g(a) - (b - a) <= g(x) <= g(b) + (b - a) (Moore 1966).  A
+    cell whose enclosure lies above ``RESIDUAL_TOL`` or below
+    -``RESIDUAL_TOL`` is dropped at every level: that margin absorbs the
+    rounding that makes the computed h less than monotone, so g has the
+    enclosure's sign on the whole cell, ends included, and the roots are
+    those of g evaluated at every grid point.  The grid step is the
+    narrowest cell, so the work stays bounded next to a marginal state,
+    where cells that cannot be dropped multiply as they narrow.
     """
     return _refine(g, _scan_rows(lambda r, i, x: g(x), 1)[0])
 
@@ -451,7 +483,7 @@ def _missed_roots(g: Callable[[float], float], states: list[StationaryState]) ->
         if a.stability != b.stability or a.stability == Stability.MARGINAL:
             continue
         if xs is None:
-            xs = np.linspace(0.0, 1.0, GRID_POINTS)
+            xs = _grid()[0]
         # with g' < 0 at r, g is negative just above r and positive just below
         falling = a.stability == Stability.STABLE
         for r, toward in ((a.p1, 1), (b.p1, -1)):
@@ -644,46 +676,31 @@ def _alpha_grid(step: float) -> list[float]:
 
 def _mixture_field(w1s: list, w2s: list) -> Callable:
     """For a block of alpha pairs (i, j), ``g_at`` of ``_scan_rows`` with rows
-    g(x) = w1s[i](w2s[j](x)) - x.  The responses share atoms, so a w2 tail
-    is evaluated once per grid point, a w1 tail once per (j, point) at the
-    clipped w2s[j](x), and kept per j where every pair evaluates (coarse
-    points, first and last cells).  Masses add tails in ``_tail_mixture``'s order."""
-    xs, coarse = _grid()
+    g(x) = w1s[i](w2s[j](x)) - x.  The responses share atoms, so within a
+    call, one level of the scan, a w2 tail is evaluated once per grid point
+    and a w1 tail once per (j, point) at the clipped w2s[j](x).  Masses add
+    tails in ``_tail_mixture``'s order."""
+    xs = _grid()[0]
     atoms1, atoms2 = w1s[0]._atoms, w2s[0]._atoms
     masses1, masses2 = (np.array([[mass for _, mass, _ in w._atoms] for w in ws]).T
                         for ws in (w1s, w2s))
-    ends = np.arange(coarse[1]), np.arange(coarse[-2], coarse[-1])
-    shared = np.unique(np.concatenate((*ends, coarse)))
-    column = np.full(GRID_POINTS, -1)
-    column[shared] = np.arange(shared.size)
-    kept = np.empty((len(atoms1), len(w2s), shared.size))
-    filled = np.zeros(len(w2s), dtype=bool)
-
-    def tails1(j, i):
-        points, at_point = np.unique(i, return_inverse=True)
-        keys, at_key = np.unique(j * GRID_POINTS + i, return_inverse=True)
-        one = np.empty(keys.size, dtype=int)  # an element of each key
-        one[at_key] = np.arange(i.size)
-        q = 0.0
-        for mass, (k, _, m) in zip(masses2, atoms2):
-            q = q + mass[j[one]] * _tail(k, m, xs[points])[at_point[one]]
-        q = np.clip(q, 0.0, 1.0)
-        return np.array([_tail(k, m, q)[at_key] for k, _, m in atoms1])
 
     def field(block: list) -> Callable:
         alpha1, alpha2 = np.array(block).reshape(-1, 2).T
-        new = np.unique(alpha2[~filled[alpha2]])
-        t = tails1(new.repeat(shared.size), np.tile(shared, new.size))
-        kept[:, new], filled[new] = t.reshape(len(atoms1), new.size, shared.size), True
 
         def g_at(r, i, x):
-            j, col = alpha2[r], column[i]
-            t = kept[:, j, col]
-            miss = col < 0
-            t[:, miss] = tails1(j[miss], i[miss])
+            j = alpha2[r]
+            points, at_point = np.unique(i, return_inverse=True)
+            keys, at_key = np.unique(j * GRID_POINTS + i, return_inverse=True)
+            one = np.empty(keys.size, dtype=int)  # an element of each key
+            one[at_key] = np.arange(i.size)
+            q = 0.0
+            for mass, (k, _, m) in zip(masses2, atoms2):
+                q = q + mass[j[one]] * _tail(k, m, xs[points])[at_point[one]]
+            q = np.clip(q, 0.0, 1.0)
             out = 0.0
-            for mass, tail in zip(masses1, t):
-                out = out + mass[alpha1[r]] * tail
+            for mass, (k, _, m) in zip(masses1, atoms1):
+                out = out + mass[alpha1[r]] * _tail(k, m, q)[at_key]
             return out - x
 
         return g_at

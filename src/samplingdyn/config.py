@@ -329,10 +329,10 @@ def trajectory_csv(times, states, comments: tuple[str, ...] = ()) -> str:
     two = states.ndim == 2
     lines = [f"# {c}" for c in comments]
     lines.append("t,p1,p2" if two else "t,p1")
-    # one format operation a row of Python floats gives ``fmt``'s text, faster
-    row = "%.12g,%.12g,%.12g" if two else "%.12g,%.12g"
-    lines.extend([row % tuple(r) for r in np.column_stack([times, states]).tolist()])
-    return "\n".join(lines) + "\n"
+    # one format operation on the Python floats of every row gives ``fmt``'s text
+    values = np.column_stack([times, states]).ravel().tolist()
+    row = "%.12g,%.12g,%.12g\n" if two else "%.12g,%.12g\n"
+    return "\n".join(lines) + "\n" + (row * len(times)) % tuple(values)
 
 
 def write_trajectory_csv(path, times, states, comments: tuple[str, ...] = ()) -> None:

@@ -212,23 +212,37 @@ def _exact_roots(w: SamplingResponse) -> list[float] | None:
         )
 
 
+def _full_grid_scan(g_at, rows):
+    """The scan's rule on each row g_r evaluated at every grid point: the
+    reference that the level-by-level ``analysis._scan_rows`` must equal
+    row for row, with the same error, zeros and (lo, hi, g(lo)) brackets."""
+    n = analysis.GRID_POINTS
+    xs = np.linspace(0.0, 1.0, n)
+    r, i = np.arange(rows).repeat(n), np.tile(np.arange(n), rows)
+    out = []
+    for gs in np.asarray(g_at(r, i, xs[i]), dtype=float).reshape(rows, n):
+        if not np.all(np.isfinite(gs)):
+            error = ArithmeticError("non-finite values while scanning for fixed points")
+            out.append((error, [], []))
+            continue
+        if np.max(np.abs(gs)) < analysis._CONTINUUM_TOL:
+            out.append((analysis.ContinuumError("every state is a fixed point"), [], []))
+            continue
+        signs = np.sign(gs)
+        for end in (0, -1):
+            if abs(gs[end]) < analysis.RESIDUAL_TOL:
+                signs[end] = 0.0
+        zeros = [xs[k] for k in np.flatnonzero(signs == 0.0).tolist()]
+        flips = np.flatnonzero(signs[:-1] * signs[1:] < 0.0).tolist()
+        out.append((None, zeros, [(xs[k], xs[k + 1], float(gs[k])) for k in flips]))
+    return out
+
+
 def _dense_scan(g):
-    """The scan's rule on g evaluated at every grid point: the reference
-    that the pruned ``analysis.scan_fixed_points`` must equal bit for bit."""
-    xs = np.linspace(0.0, 1.0, analysis.GRID_POINTS)
-    gs = np.asarray(g(xs), dtype=float)
-    if not np.all(np.isfinite(gs)):
-        raise ArithmeticError("non-finite values while scanning for fixed points")
-    if np.max(np.abs(gs)) < analysis._CONTINUUM_TOL:
-        raise analysis.ContinuumError("every state is a fixed point")
-    signs = np.sign(gs)
-    for end in (0, -1):
-        if abs(gs[end]) < analysis.RESIDUAL_TOL:
-            signs[end] = 0.0
-    roots = [float(x) for x in xs[signs == 0.0]]
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        roots.append(analysis._bisect_root(lambda x: float(g(x)), xs[i], xs[i + 1], gs[i]))
-    return sorted(roots)
+    """The scan's rule on g evaluated at every grid point, refined: the
+    reference that the pruned ``analysis.scan_fixed_points`` must equal bit
+    for bit."""
+    return analysis._refine(g, _full_grid_scan(lambda r, i, x: g(x), 1)[0])
 
 
 def _scan_systems(rng):
@@ -270,6 +284,56 @@ def _counting(g, count):
         return g(x)
 
     return counted
+
+
+_U = st.floats(0.15, 8.0)
+
+
+@st.composite
+def _scan_theta(draw, big=True):
+    """Sizes 1-12, with an atom in 61-1000 half of the time when ``big``."""
+    masses = draw(st.dictionaries(st.integers(1, 12), st.floats(0.05, 1.0), min_size=1, max_size=4))
+    if big and draw(st.booleans()):
+        masses[draw(st.integers(61, 1000))] = draw(st.floats(0.05, 1.0))
+    total = sum(masses.values())
+    return SampleSizeDistribution.of({k: m / total for k, m in masses.items()})
+
+
+@st.composite
+def _scan_block(draw):
+    """(g_at, rows) of ``_scan_rows``: a one- or two-population sampling
+    system, a minimum-effort system under either observation, a logit pair,
+    or a block of ``_mixture_field`` rows."""
+    kind = draw(st.sampled_from(["one", "two", "min-effort", "logit", "mixture"]))
+    if kind == "one":
+        w = SamplingResponse(draw(_U), draw(_scan_theta()))
+        return (lambda r, i, x: w(x) - x), 1
+    if kind == "min-effort":
+        game = MinEffortGame(draw(st.integers(2, 5)), draw(st.floats(0.05, 0.95)),
+                             draw(st.sampled_from(Observation)))
+        w = MinEffortResponse(game, draw(_scan_theta()))
+        return (lambda r, i, x: w(x) - x), 1
+    if kind == "mixture":
+        u1, u2, step = draw(_U), draw(_U), draw(st.sampled_from([0.5, 0.25, 0.2]))
+        theta1, theta2 = draw(_scan_theta(big=False)), draw(_scan_theta(big=False))
+        big_k = draw(st.integers(61, 1000))
+        grid = analysis._alpha_grid(step)
+        w1s = [SamplingResponse(u1, theta1.mix_with(a, big_k)) for a in grid]
+        w2s = [SamplingResponse(u2, theta2.mix_with(a, big_k)) for a in grid]
+        index = st.integers(0, len(grid) - 1)
+        block = draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
+        return analysis._mixture_field(w1s, w2s)(block), len(block)
+    game = CoordinationGame(draw(_U), draw(_U))
+    if kind == "two":
+        pair = Environment.of(game, draw(_scan_theta()), draw(_scan_theta())).pair()
+    else:
+        groups = st.lists(st.tuples(st.floats(0.2, 1.2), st.floats(0.05, 1.0)),
+                          min_size=1, max_size=2)
+        g1, g2 = ([(m / sum(m for m, _ in g), eta) for m, eta in g]
+                  for g in (draw(groups), draw(groups)))
+        pair = ResponsePair.logit(game, g1, g2)
+    w1, w2 = pair.w1, pair.w2
+    return (lambda r, i, x: w1(w2(x)) - x), 1
 
 
 class TestPrunedScan:
@@ -316,6 +380,45 @@ class TestPrunedScan:
         with pytest.raises(analysis.ContinuumError):
             analysis.scan_fixed_points(_counting(lambda p: w(p) - p, count))
         assert count[0] == analysis.GRID_POINTS
+
+    @pytest.mark.parametrize("grid_points", [10_001, 101, 1_235])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_levels_equal_the_full_grid(self, grid_points, data):
+        # at 101 points the levels are 10, 3 and 1 steps; at 1,235 they are
+        # 35, 5 and 1, and the last coarse cell (9 steps) splits into 5 and 4
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "GRID_POINTS", grid_points)
+            g_at, rows = data.draw(_scan_block())
+            got = analysis._scan_rows(g_at, rows)
+            want = _full_grid_scan(g_at, rows)
+        assert [repr(scan) for scan in got] == [repr(scan) for scan in want]
+
+    @pytest.mark.parametrize(
+        "env, two_level",
+        [
+            (Environment.of(CoordinationGame(20.0, 0.05), THETA_3_1000), 1_289),
+            (Environment.of(CoordinationGame(5.0, 0.2), THETA_15), 1_586),
+            (Environment.symmetric(1.5, SampleSizeDistribution.of({2: 0.55, 1000: 0.45})), 2_873),
+        ],
+        ids=["fig3-left", "fig3-right", "oyama"],
+    )
+    def test_levels_evaluate_at_most_half_the_two_level_scan(self, monkeypatch, env, two_level):
+        # ``two_level``: the grid points the scan of the coarse points, then
+        # of every point of each open coarse cell, evaluated
+        count = [0]
+        scan = analysis._scan_rows
+
+        def counted(g_at, rows):
+            def g(r, i, x):
+                count[0] += i.size
+                return g_at(r, i, x)
+
+            return scan(g, rows)
+
+        monkeypatch.setattr(analysis, "_scan_rows", counted)
+        analysis.System.of(env).stationary()
+        assert 0 < count[0] <= two_level // 2, count[0]
 
 
 def _halving_root(g, lo, hi, glo):
