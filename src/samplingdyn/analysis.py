@@ -3,12 +3,15 @@
 A state is stationary when every revising agent reproduces the incumbent
 mix: w(p) = p for one population, p_i = w_i(p_j) for two.  Interior
 states are classified by the slope (product) of the response functions at
-the fixed point, pure states by truncated-expectation products that equal
-those slopes at the corners; ``classify_slope`` makes every such call, and
-every verdict, against the marginal band.  The checkers evaluate the paper-level
+the fixed point, pure states by corner products that equal those slopes
+at the corners: each response reads the agents that one contrary
+observation flips off its own thresholds, tie rule included
+(``corner_masses``).  ``classify_slope`` makes every such call, and every
+verdict, against the marginal band.  The checkers evaluate the paper-level
 sufficient conditions (instability of homogeneous mixing, stabilization
 by sample-size mixtures, global convergence to miscoordination) as
-numeric reports rather than proofs.
+numeric reports rather than proofs; the mixture checks take the
+``Environment``, so every mixture they build keeps its tie rule.
 
 Roots come from one grid scan over a block of rows, which splits the
 grid level by level and drops the cells that a monotone enclosure shows
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -36,12 +39,10 @@ import numpy as np
 from .dynamics import (
     Environment,
     ResponsePair,
-    SampleSizeDistribution,
     SamplingResponse,
     _tail,
     truncated_expectation,
 )
-from .games import CoordinationGame
 
 GRID_POINTS = 10_001
 BISECT_WIDTH = 1e-12
@@ -70,8 +71,8 @@ class StationaryState:
     """A rest point of the dynamics with its stability diagnostics.
 
     ``slope_product`` is w'(p*) for one population and w1'(p2)*w2'(p1)
-    for two; at pure states it coincides with the truncated-expectation
-    product of the corner linearization.
+    for two; at pure states it coincides with the corner product of
+    ``classify_pure_states``.
     """
 
     state: float | tuple[float, float]
@@ -134,7 +135,7 @@ def classify_slope(weak: float, strict: float | None = None, bound: float = 1.0)
     """The one marginal-band rule of every stability call and verdict: stable
     when ``weak`` lies below ``bound`` by more than ``MARGINAL_BAND``, unstable
     when ``strict`` (else ``weak``) lies above it by more, otherwise marginal.
-    A pure-state call pairs weak and strict truncated-expectation products."""
+    Proposition 5's calls pair weak and strict truncated-expectation products."""
     if weak < bound - MARGINAL_BAND:
         return Stability.STABLE
     if (weak if strict is None else strict) > bound + MARGINAL_BAND:
@@ -557,19 +558,18 @@ class PureStateClassification:
 
 
 def classify_pure_states(env: Environment, one_population: bool = False) -> PureStateClassification:
-    """Classify both pure states by truncated-expectation products.
+    """Classify both pure states by their corner products (Proposition 4).
 
     The corner Jacobian of the two-population dynamics has eigenvalues
     -1 +/- sqrt(prod) where prod multiplies, across populations, the
-    truncated expectation of agents whose best reply flips after a single
-    contrary observation: strictly below 1/u_i + 1 at the first-action
-    corner, weakly below u_i + 1 at the second.
+    expected sample size of the agents whose best reply flips after a
+    single contrary observation: those whose threshold is the whole sample
+    at the first-action corner and one observation at the second.  Each
+    response's ``corner_masses`` reads that set off its own thresholds, so
+    the environment's tie rule decides the sizes on a tie, and the
+    products are the slope products of the stationary search at the corners.
     """
-    g = env.game
-    a1 = truncated_expectation(env.theta1, 1.0 / g.u1 + 1.0, "strict")
-    a2 = truncated_expectation(env.theta2, 1.0 / g.u2 + 1.0, "strict")
-    b1 = truncated_expectation(env.theta1, g.u1 + 1.0, "weak")
-    b2 = truncated_expectation(env.theta2, g.u2 + 1.0, "weak")
+    (b1, a1), (b2, a2) = env.response(1).corner_masses(), env.response(2).corner_masses()
 
     if one_population:
         if not env.is_symmetric:
@@ -709,10 +709,7 @@ def _mixture_field(w1s: list, w2s: list) -> Callable:
 
 
 def stable_interior_search(
-    game: CoordinationGame,
-    thetas: tuple[SampleSizeDistribution, SampleSizeDistribution],
-    big_k: int = 1000,
-    alpha_step: float = ALPHA_STEP,
+    env: Environment, big_k: int = 1000, alpha_step: float = ALPHA_STEP
 ) -> StableInteriorSearch:
     """Scan mixture shares that keep mass alpha_i on the base distribution
     and move the rest to sample size big_k, looking for a stable interior
@@ -726,7 +723,7 @@ def stable_interior_search(
     share their response tails (``_mixture_field``).  A step outside
     [``ALPHA_STEP``, 1) raises ``ValueError``.
     """
-    theta1, theta2 = thetas
+    game, theta1, theta2 = env.game, env.theta1, env.theta2
     if big_k <= max(theta1.max_support, theta2.max_support):
         raise ValueError("big_k must exceed the base supports")
     in_scope = (
@@ -735,8 +732,8 @@ def stable_interior_search(
     )
     note = "" if in_scope else "outside theorem scope"
     grid = _alpha_grid(alpha_step)
-    w1s = [SamplingResponse(game.u1, theta1.mix_with(a, big_k)) for a in grid]
-    w2s = [SamplingResponse(game.u2, theta2.mix_with(a, big_k)) for a in grid]
+    w1s = [SamplingResponse(game.u1, theta1.mix_with(a, big_k), env.tie_break) for a in grid]
+    w2s = [SamplingResponse(game.u2, theta2.mix_with(a, big_k), env.tie_break) for a in grid]
     pairs = [(i, i) for i in range(len(grid))]
     pairs += [(i, j) for i in range(len(grid)) for j in range(len(grid)) if i != j]
     field, rows = _mixture_field(w1s, w2s), max(1, SCAN_BLOCK // GRID_POINTS)
@@ -750,11 +747,7 @@ def stable_interior_search(
     return StableInteriorSearch(False, None, None, in_scope, note)
 
 
-def check_theorem3(
-    game: CoordinationGame,
-    thetas: tuple[SampleSizeDistribution, SampleSizeDistribution],
-    big_k: int = 1000,
-) -> TheoremReport:
+def check_theorem3(env: Environment, big_k: int = 1000) -> TheoremReport:
     """Half-and-half mixture test for high-miscoordination stable states.
 
     For games where the players prefer opposite outcomes (u2 < 1 < u1),
@@ -764,13 +757,10 @@ def check_theorem3(
     the given payoffs; the underlying claim is only asserted for u1 and
     1/u2 large.
     """
-    if not (game.u2 < 1.0 < game.u1):
+    if not (env.game.u2 < 1.0 < env.game.u1):
         raise ValueError("requires u2 < 1 < u1 (different preferred outcomes)")
-    theta1, theta2 = thetas
-    env = Environment(
-        game, theta1.mix_with(0.5, big_k), theta2.mix_with(0.5, big_k)
-    )
-    analysis = find_stationary_two_pop(env)
+    analysis = find_stationary_two_pop(replace(
+        env, theta1=env.theta1.mix_with(0.5, big_k), theta2=env.theta2.mix_with(0.5, big_k)))
     best_misc = math.nan
     verdict = Verdict.FAILS
     best_state = None

@@ -13,7 +13,11 @@ the integration of the cells that cannot be labelled that way, whose
 number the legend records as integrated_cells.  A config whose every
 state is stationary has no basins (exit 2).  analyze's search_alpha_step
 lies in [0.01, 0.5]: the mixture search runs one stationary search per
-pair of shares i * step < 1, up to (1/step)^2 pairs.
+pair of shares i * step < 1, up to (1/step)^2 pairs.  A sampling
+environment's tie_break reaches every response analyze and sweep build:
+the pure-state calls, the mixtures of the Theorem-2 search and Theorem 3,
+and each swept environment, whether a theta-mass or u sweep reads it from
+its environment or an alpha sweep from the full one.
 
 sweep.csv has one row per swept value with the columns
     value            the swept theta mass, alpha or u
@@ -260,13 +264,11 @@ def cmd_analyze(conf: dict) -> int:
             print(f"mixture checks not applicable: {note}")
         else:
             if opposed:
-                rep = an.check_theorem3(env.game, (env.theta1, env.theta2), big_k)
+                rep = an.check_theorem3(env, big_k)
                 reports["theorem-3"] = cfg.theorem_report_json(rep)
                 print(f"Theorem 3: {rep.verdict.value}")
 
-            search = an.stable_interior_search(
-                env.game, (env.theta1, env.theta2), big_k=big_k, alpha_step=step
-            )
+            search = an.stable_interior_search(env, big_k=big_k, alpha_step=step)
             entry = {
                 "found": search.found,
                 "in_scope": search.in_scope,
@@ -501,7 +503,8 @@ def cmd_sweep(conf: dict) -> int:
         ]
 
     if sweep_type == "theta-mass":
-        game = cfg.parse_game(conf.get("environment", conf), "sweep environment")
+        env_obj = conf.get("environment", conf)
+        game, tie = cfg.parse_game(env_obj, "sweep environment"), cfg.parse_tie_break(env_obj)
         if not game.is_symmetric:
             raise ConfigError("theta-mass sweeps use a symmetric game")
         k = cfg._integer(spec, "k", "sweep")
@@ -513,8 +516,7 @@ def cmd_sweep(conf: dict) -> int:
             if not (0.0 < beta < 1.0):
                 raise ConfigError(f"theta mass {beta} outside (0, 1)")
             theta = SampleSizeDistribution.of({k: beta, big_k: 1.0 - beta})
-            env = Environment.symmetric(game.u, theta)
-            rows.append(analyze_env(env, True, beta))
+            rows.append(analyze_env(Environment.symmetric(game.u, theta, tie), True, beta))
     elif sweep_type == "alpha":
         env_spec = _env_spec(conf)
         if env_spec.kind != "sampling":
@@ -535,13 +537,13 @@ def cmd_sweep(conf: dict) -> int:
             )
             rows.append(analyze_env(mixed, env_spec.one_population, alpha))
     elif sweep_type == "u":
-        theta = cfg.parse_theta(
-            cfg._require(conf.get("environment", {}), "theta", "environment"), "theta"
-        )
+        env_obj = conf.get("environment", {})
+        theta = cfg.parse_theta(cfg._require(env_obj, "theta", "environment"), "theta")
+        tie = cfg.parse_tie_break(env_obj)
         for u in _sweep_values(spec):
             if u <= 0:
                 raise ConfigError(f"u {u} must be positive")
-            rows.append(analyze_env(Environment.symmetric(u, theta), True, u))
+            rows.append(analyze_env(Environment.symmetric(u, theta, tie), True, u))
     else:
         raise ConfigError(f"unknown sweep type {sweep_type!r}")
 

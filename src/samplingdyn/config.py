@@ -171,6 +171,14 @@ def parse_game(obj: Any, context: str = "environment") -> CoordinationGame:
         raise ConfigError(f"invalid game in {context}: {exc}") from exc
 
 
+def parse_tie_break(obj: Mapping) -> TieBreak:
+    """The environment's "tie_break", "favor-a" when absent."""
+    try:
+        return TieBreak(obj.get("tie_break", TieBreak.FAVOR_A))
+    except ValueError as exc:
+        raise ConfigError(f"invalid tie_break: {obj['tie_break']!r}") from exc
+
+
 @dataclass
 class EnvSpec:
     """Parsed environment: which model family and its constructed objects."""
@@ -249,13 +257,7 @@ def parse_environment(obj: Any) -> EnvSpec:
             raise ConfigError(f"invalid logit groups: {exc}") from exc
         return EnvSpec(kind="logit", one_population=False, pair=pair)
 
-    tie = TieBreak.FAVOR_A
-    if "tie_break" in obj:
-        try:
-            tie = TieBreak(obj["tie_break"])
-        except ValueError as exc:
-            raise ConfigError(f"invalid tie_break: {obj['tie_break']!r}") from exc
-
+    tie = parse_tie_break(obj)
     if "theta" in obj:
         if not game.is_symmetric:
             raise ConfigError("one-population environments need a symmetric game")

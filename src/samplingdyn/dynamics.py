@@ -332,6 +332,15 @@ class _TailMixture:
     def inverse(self, y):
         return _monotone_inverse(self, y)
 
+    def corner_masses(self) -> tuple[float, float]:
+        """Sum of k * mass over the atoms whose reply flips after one
+        contrary observation: m = 1 at p = 0 and m = k at p = 1, summed with
+        ``math.fsum`` in atom order, as ``truncated_expectation`` sums.  The
+        thresholds carry the tie rule.  Without an observation exponent
+        these are the corner slopes w'(0) and w'(1)."""
+        return (math.fsum(k * mass for k, mass, m in self._atoms if m == 1),
+                math.fsum(k * mass for k, mass, m in self._atoms if m == k))
+
 
 class SamplingResponse(_TailMixture):
     """Sampling best-response function w(p) for one population.

@@ -5,10 +5,11 @@ sampling agents best-reply to multinomial samples of opponent actions.
 Minimum-effort games have two effort levels and two observation
 structures: agents either see the minimum effort of a random past round
 or the action of a random opponent.  Both reuse the two-action
-machinery: per-size thresholds, truncated expectations and the binomial
-tails, whose mixture is the minimum-effort response (at the chance that
-one observation reads low) and which close the exact contracting reply,
-and the stability rule, alpha grid and search result of ``analysis``.
+machinery: per-size thresholds, whose corner sums decide the minimum-effort
+pure states, truncated expectations for the contracting ones, and the
+binomial tails, whose mixture is the minimum-effort response (at the chance
+that one observation reads low) and which close the exact contracting
+reply, and the stability rule, alpha grid and search result of ``analysis``.
 """
 
 from __future__ import annotations
@@ -455,47 +456,33 @@ def mineffort_pure_stability(
 ) -> MinEffortStabilityReport:
     """Stability of all-low (safe) and all-high (efficient) equilibria.
 
-    Minimum-effort observation: the safe state is always stable; the
-    efficient state compares truncated expectations cut at 1/(1-c)
-    against 1/N (weak for stability, strict for instability).  Action
-    observation classifies both states against 1; the efficient cut is
-    1/(1 - c^(1/(N-1))) and the safe cut (1/c)^(1/(N-1)), the latter
-    derived from the decision rule rather than the looser stated bound.
+    Both calls read ``corner_masses`` of the game's own response: the
+    expected sample size of the agents whom one contrary observation
+    flips, selected by the response's thresholds and their tie rule.
+    Minimum-effort observation (Proposition 7) keeps the paper's
+    conditions: the safe state is always stable, and the efficient sum
+    (sizes up to 1/(1-c)) is compared with 1/N.  Action observation
+    (Proposition 8) compares with 1 the efficient sum (sizes below
+    1/(1 - c^(1/(N-1)))) and the safe sum (sizes up to (1/c)^(1/(N-1))),
+    which are the response's slopes at the two corners.
     """
     note = (
         "round minimum taken over N-1 opponents (proof convention); "
         "the model text says N"
     )
-
+    efficient, safe = MinEffortResponse(g, theta).corner_masses()
     if g.observation == Observation.MINIMUM_EFFORT:
-        cut = 1.0 / (1.0 - g.cost)
-        weak = truncated_expectation(theta, cut, "weak")
-        strict = truncated_expectation(theta, cut, "strict")
         bound = 1.0 / g.n_players
         return MinEffortStabilityReport(
             safe_label=Stability.STABLE,
-            efficient_label=classify_slope(weak, strict, bound),
-            conditions={
-                "efficient_weak": weak,
-                "efficient_strict": strict,
-                "bound": bound,
-            },
+            efficient_label=classify_slope(efficient, bound=bound),
+            conditions={"efficient_sum": efficient, "bound": bound},
             note=note,
         )
-
-    root = 1.0 / (g.n_players - 1)
-    safe_cut = (1.0 / g.cost) ** root
-    eff_cut = 1.0 / (1.0 - g.cost**root)
-    conditions = {
-        "safe_weak": truncated_expectation(theta, safe_cut, "weak"),
-        "safe_strict": truncated_expectation(theta, safe_cut, "strict"),
-        "efficient_weak": truncated_expectation(theta, eff_cut, "weak"),
-        "efficient_strict": truncated_expectation(theta, eff_cut, "strict"),
-    }
     return MinEffortStabilityReport(
-        safe_label=classify_slope(conditions["safe_weak"], conditions["safe_strict"]),
-        efficient_label=classify_slope(conditions["efficient_weak"], conditions["efficient_strict"]),
-        conditions=conditions,
+        safe_label=classify_slope(safe),
+        efficient_label=classify_slope(efficient),
+        conditions={"safe_sum": safe, "efficient_sum": efficient},
         note=note,
     )
 

@@ -10,9 +10,9 @@ Agents are exchangeable, so a population's state is the number of its
 agents on the first action.  A step draws the deaths among the
 first-action and second-action agents as two binomials and lets only
 the newcomers draw a sample size and a sample, so it costs O(n*dt)
-draws, not O(n).  The newcomers' choices use the sampling thresholds
-alone, never the analytic tails they are meant to check.  All draws
-come from one seeded generator, so runs are bit-reproducible for a
+draws, not O(n).  The newcomers' choices use the response's own sampling
+thresholds alone, never the analytic tails they are meant to check.  All
+draws come from one seeded generator, so runs are bit-reproducible for a
 seed and follow the same distribution as the model of n individual
 agents; the numbers a seed gives differ from those of the per-agent
 simulation that earlier versions ran.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import System
-from .dynamics import Environment, SamplingResponse, sampling_threshold
+from .dynamics import Environment, SamplingResponse
 from .flow import _step_count
 
 # Most binomial samples held in memory at once, whatever the number of draws.
@@ -33,10 +33,8 @@ DRAW_BLOCK = 1 << 20
 
 
 def _draw_table(response: SamplingResponse):
-    support = response.theta.support
-    masses = np.array([w for _, w in response.theta.atoms], dtype=float)
-    thresholds = [sampling_threshold(k, response.u, response.tie_break) for k in support]
-    return support, masses, thresholds
+    """The response's atoms (k, mass, m), with m its threshold, and their masses."""
+    return response._atoms, np.array([mass for _, mass, _ in response._atoms])
 
 
 def _first_action_choices(rng, table, draws: int, p: float) -> int:
@@ -46,11 +44,11 @@ def _first_action_choices(rng, table, draws: int, p: float) -> int:
     opponent actions, and chooses the first action when the count
     reaches the threshold of its size.
     """
-    support, masses, thresholds = table
+    atoms, masses = table
     chosen = 0
     while draws > 0:
         block = min(draws, DRAW_BLOCK)
-        for k, m, c in zip(support, thresholds, rng.multinomial(block, masses)):
+        for (k, _, m), c in zip(atoms, rng.multinomial(block, masses)):
             if c:
                 chosen += int(np.count_nonzero(rng.binomial(k, p, size=c) >= m))
         draws -= block

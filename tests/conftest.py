@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from samplingdyn import CoordinationGame, Environment, SampleSizeDistribution
 from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope
@@ -36,6 +37,17 @@ def random_theta(rng, max_k=12, max_atoms=4, big_k=None):
     return SampleSizeDistribution.of(
         {int(k): float(w) for k, w in zip(ks, masses)}
     )
+
+
+@st.composite
+def theta_strategy(draw):
+    """Sample size distributions with one to four sizes in 1-12, sometimes
+    one more in 13-1000, and masses drawn from [0.15, 1.15], normalized."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        sizes.append(draw(st.integers(13, 1000)))
+    raw = [draw(st.floats(0.15, 1.15)) for _ in sizes]
+    return SampleSizeDistribution.of({k: w / sum(raw) for k, w in zip(sizes, raw)})
 
 
 def random_game(rng, lo=0.15, hi=8.0):

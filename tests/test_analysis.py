@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_game,
     random_symmetric_env,
     random_theta,
+    theta_strategy,
 )
 from samplingdyn import analysis
 from samplingdyn.analysis import (
@@ -36,6 +38,8 @@ from samplingdyn.dynamics import (
     ResponsePair,
     SampleSizeDistribution,
     SamplingResponse,
+    TieBreak,
+    truncated_expectation,
 )
 from samplingdyn.extensions import (
     MinEffortGame,
@@ -47,6 +51,9 @@ from samplingdyn.games import CoordinationGame
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
 THETA_3_1000 = SampleSizeDistribution.of({3: 0.5, 1000: 0.5})
+# payoffs u with k/(u + 1) integral for some sizes k <= 12 and for 1000, so
+# that the tie rule moves thresholds
+TIE_PAYOFFS = (1.0, 2.0, 3.0, 4.0, 0.5, 0.25, 1.0 / 3.0)
 
 
 class TestOnePopStationary:
@@ -668,7 +675,74 @@ class TestScanResolution:
         assert g(saddle.p1 - 1e-10) < 0.0 < g(saddle.p1 + 1e-10)
 
 
+@st.composite
+def _sampling_envs(draw):
+    """Sampling environments with payoffs where thresholds tie or at random,
+    either tie rule, and one population or two."""
+    payoffs = st.one_of(st.sampled_from(TIE_PAYOFFS), st.floats(0.15, 8.0))
+    tie = draw(st.sampled_from(TieBreak))
+    if draw(st.booleans()):
+        return Environment.symmetric(draw(payoffs), draw(theta_strategy()), tie)
+    game = CoordinationGame(draw(payoffs), draw(payoffs))
+    return Environment(game, draw(theta_strategy()), draw(theta_strategy()), tie)
+
+
+def _payoff_cut_products(env, one_population):
+    """Proposition 4's corner products as truncated expectations cut at the
+    payoffs, the favor-a reference: sizes strictly below 1/u + 1 at the
+    first-action corner, weakly below u + 1 at the second."""
+    g = env.game
+    a1 = truncated_expectation(env.theta1, 1.0 / g.u1 + 1.0, "strict")
+    a2 = truncated_expectation(env.theta2, 1.0 / g.u2 + 1.0, "strict")
+    b1 = truncated_expectation(env.theta1, g.u1 + 1.0, "weak")
+    b2 = truncated_expectation(env.theta2, g.u2 + 1.0, "weak")
+    return (a1, b1) if one_population else (a1 * a2, b1 * b2)
+
+
+# the two examples where the payoff cuts called the favor-b corners the wrong way
+FAVOR_B_EXAMPLES = (
+    Environment.symmetric(1.0, SampleSizeDistribution.of({2: 0.5, 4: 0.5}), TieBreak.FAVOR_B),
+    Environment.of(CoordinationGame(3.0, 1.0 / 3.0), SampleSizeDistribution.of({1: 0.5, 4: 0.5}),
+                   tie_break=TieBreak.FAVOR_B),
+)
+
+
 class TestPureStates:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(env=_sampling_envs())
+    @example(env=FAVOR_B_EXAMPLES[0])
+    @example(env=FAVOR_B_EXAMPLES[1])
+    def test_corners_equal_the_stationary_search(self, env):
+        system = analysis.System.of(env)
+        res = system.stationary()
+        assume(not res.continuum)
+        pure = classify_pure_states(env, one_population=system.dim == 1)
+        corners = {s.p1: s for s in res.states if s.p1 in (0.0, 1.0)}
+        for got, at in ((pure.state_b, 0.0), (pure.state_a, 1.0)):
+            want = corners[at]
+            assert got.stability == want.stability, (env, at)
+            # the search's first-action corner of two populations sits at
+            # p2 = w2(1), one rounding below 1 when theta's masses sum below
+            # 1, where a zero corner slope reads about 1e-16
+            assert math.isclose(got.slope_product, want.slope_product,
+                                rel_tol=1e-12, abs_tol=1e-12), (env, at)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(env=_sampling_envs())
+    def test_favor_a_products_equal_the_payoff_cuts(self, env):
+        env = replace(env, tie_break=TieBreak.FAVOR_A)
+        for one_population in (True, False) if env.is_symmetric else (False,):
+            pure = classify_pure_states(env, one_population)
+            want = _payoff_cut_products(env, one_population)
+            assert (pure.state_a.slope_product, pure.state_b.slope_product) == want, env
+
+    def test_favor_b_examples_trade_their_corners(self):
+        # the payoff cuts read the favor-a sets, whose products trade places here
+        for env, want in zip(FAVOR_B_EXAMPLES, ((1.0, 0.0), (1.25, 0.25))):
+            pure = classify_pure_states(env, one_population=env.is_symmetric)
+            assert (pure.state_a.slope_product, pure.state_b.slope_product) == want
+            assert _payoff_cut_products(env, env.is_symmetric) == want[::-1]
+
     def test_fig3_right_products(self):
         env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         pure = classify_pure_states(env)
@@ -805,14 +879,14 @@ class TestBandRule:
         monkeypatch.setattr(analysis, "miscoordination_probability", lambda state: case["misc"])
         monkeypatch.setattr(analysis, "find_stationary_two_pop", lambda env: StationaryAnalysis(
             (analysis._state(case["point"], 0.25, 0.0),)))
-        game, thetas = CoordinationGame(3.0, 0.5), (SampleSizeDistribution.point(3),) * 2
+        env = Environment.of(CoordinationGame(3.0, 0.5), SampleSizeDistribution.point(3))
         splits = 0
         for v in band_inputs(rng):
             for p1, p2 in ((0.9, 0.1), (0.1, 0.9)):
                 case.update(misc=v, point=(p1, p2))
                 want, split = band_reference(
                     lambda near: _theorem3_verdict(v, p1, p2, near), [v], 0.5)
-                assert check_theorem3(game, thetas).verdict == want, (v, p1, p2)
+                assert check_theorem3(env).verdict == want, (v, p1, p2)
                 splits += split
         assert splits
 
@@ -875,11 +949,11 @@ class TestMiscoordination:
             miscoordination_probability((1.2, 0.5))
 
 
-def _reference_search(game, thetas, big_k, alpha_step):
+def _reference_search(env, big_k, alpha_step):
     """The mixture search as one whole two-population stationary search per
-    alpha pair, in the search's order: the reference that the block scan
-    must equal."""
-    theta1, theta2 = thetas
+    alpha pair, in the search's order and with the environment's tie rule:
+    the reference that the block scan must equal."""
+    game, theta1, theta2 = env.game, env.theta1, env.theta2
     in_scope = (
         1 < theta1.max_support < game.u1 + 1.0 and 1 < theta2.max_support < game.u2 + 1.0
     )
@@ -887,17 +961,20 @@ def _reference_search(game, thetas, big_k, alpha_step):
     grid = analysis._alpha_grid(alpha_step)
     pairs = [(a, a) for a in grid] + [(a1, a2) for a1 in grid for a2 in grid if a1 != a2]
     for a1, a2 in pairs:
-        env = Environment(game, theta1.mix_with(a1, big_k), theta2.mix_with(a2, big_k))
-        hits = find_stationary_two_pop(env).stable_interior()
+        mixed = Environment(
+            game, theta1.mix_with(a1, big_k), theta2.mix_with(a2, big_k), env.tie_break
+        )
+        hits = find_stationary_two_pop(mixed).stable_interior()
         if hits:
             return analysis.StableInteriorSearch(True, (a1, a2), hits[0], in_scope, note)
     return analysis.StableInteriorSearch(False, None, None, in_scope, note)
 
 
 def _search_cases(rng):
-    """(game, thetas, alpha_step): one- and two-population bases with sizes
+    """(environment, alpha_step): one- and two-population bases with sizes
     1-12, half of them below u + 1 as Theorem 2 asks, some with an atom in
-    61-600, and the paper's fixtures."""
+    61-600, under favor-a at random payoffs and under favor-b at payoffs
+    where thresholds tie, and last the paper's fixtures."""
     def theta(u, n):
         max_k = 12 if n % 8 < 4 else max(2, min(12, int(u + 1.0)))
         big = int(rng.integers(61, 601)) if n % 3 == 2 else None
@@ -911,23 +988,34 @@ def _search_cases(rng):
         else:
             game = CoordinationGame.symmetric(float(rng.uniform(0.15, 8.0)))
             thetas = (theta(game.u1, n),) * 2
-        cases.append((game, thetas, (0.5, 0.25, 0.2, 0.1)[n % 4]))
-    cases.append((CoordinationGame.symmetric(1.5), (SampleSizeDistribution.point(2),) * 2, 0.01))
-    cases.append((CoordinationGame(20.0, 0.05), (SampleSizeDistribution.point(3),) * 2, 0.1))
+        cases.append((Environment(game, *thetas), (0.5, 0.25, 0.2, 0.1)[n % 4]))
+    for n in range(8):
+        u1, u2 = (float(u) for u in rng.choice(TIE_PAYOFFS, 2))
+        game = CoordinationGame(u1, u2) if n % 2 else CoordinationGame.symmetric(u1)
+        thetas = (theta(game.u1, n), theta(game.u2, n)) if n % 2 else (theta(u1, n),) * 2
+        cases.append((Environment(game, *thetas, TieBreak.FAVOR_B), (0.5, 0.25)[n % 2]))
+    cases.append((Environment.symmetric(1.5, SampleSizeDistribution.point(2)), 0.01))
+    cases.append((Environment.of(CoordinationGame(20.0, 0.05), SampleSizeDistribution.point(3)),
+                  0.1))
     return cases
 
 
 class TestStableInteriorSearch:
     def test_equals_one_stationary_search_per_pair(self, rng, monkeypatch):
         cases = _search_cases(rng)
-        want = [repr(_reference_search(game, thetas, 1000, step)) for game, thetas, step in cases]
+        want = [repr(_reference_search(env, 1000, step)) for env, step in cases]
         assert sum("found=True" in w for w in want) >= 8
+        # favor-b cases whose favor-a search differs: the tie rule reaches the search
+        moved = [env for (env, step), w in zip(cases, want) if env.tie_break == TieBreak.FAVOR_B
+                 and repr(_reference_search(replace(env, tie_break=TieBreak.FAVOR_A), 1000,
+                                            step)) != w]
+        assert moved
         # the default budget, blocks of three pairs, and blocks of one
         for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
             monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
-            for (game, thetas, step), w in zip(cases, want):
-                got = repr(stable_interior_search(game, thetas, 1000, step))
-                assert got == w, (budget, game, thetas, step)
+            for (env, step), w in zip(cases, want):
+                got = repr(stable_interior_search(env, 1000, step))
+                assert got == w, (budget, env, step)
 
     def test_block_rows_equal_one_row_scans(self, rng):
         # every pair of a block, not only the first hit, evaluates the grid
@@ -941,10 +1029,11 @@ class TestStableInteriorSearch:
 
             return recorded
 
-        for game, (theta1, theta2), step in _search_cases(rng)[:-2]:
+        for env, step in _search_cases(rng)[:-2]:
+            game, theta1, theta2, tie = env.game, env.theta1, env.theta2, env.tie_break
             grid = analysis._alpha_grid(step)
-            w1s = [SamplingResponse(game.u1, theta1.mix_with(a, 1000)) for a in grid]
-            w2s = [SamplingResponse(game.u2, theta2.mix_with(a, 1000)) for a in grid]
+            w1s = [SamplingResponse(game.u1, theta1.mix_with(a, 1000), tie) for a in grid]
+            w2s = [SamplingResponse(game.u2, theta2.mix_with(a, 1000), tie) for a in grid]
             block = [(i, j) for i in range(len(grid)) for j in range(len(grid))]
             points = {}
             field = recording(analysis._mixture_field(w1s, w2s)(block), points)
@@ -958,8 +1047,7 @@ class TestStableInteriorSearch:
 
     def test_oyama_interval(self):
         res = stable_interior_search(
-            CoordinationGame.symmetric(1.5),
-            (SampleSizeDistribution.point(2),) * 2,
+            Environment.symmetric(1.5, SampleSizeDistribution.point(2)),
             big_k=1000,
             alpha_step=0.01,
         )
@@ -969,8 +1057,7 @@ class TestStableInteriorSearch:
 
     def test_fig3_left_game_found_out_of_scope(self):
         res = stable_interior_search(
-            CoordinationGame(20.0, 0.05),
-            (SampleSizeDistribution.point(3),) * 2,
+            Environment.of(CoordinationGame(20.0, 0.05), SampleSizeDistribution.point(3)),
             big_k=1000,
             alpha_step=0.1,
         )
@@ -987,7 +1074,7 @@ class TestStableInteriorSearch:
         # 0.45, and left none for step 0.7; both searches share the grid
         assert analysis._alpha_grid(0.3) == [0.3, 0.6, 3 * 0.3]
         assert analysis._alpha_grid(0.07)[-1] == 14 * 0.07
-        two = stable_interior_search(CoordinationGame(5.0, 0.2), (THETA_15,) * 2, 50, 0.45)
+        two = stable_interior_search(Environment.of(CoordinationGame(5.0, 0.2), THETA_15), 50, 0.45)
         assert two.found and two.alpha == (0.9, 0.9)
         one = mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=0.7)
         assert one.found and one.alpha == 0.7 and one.state.stability == Stability.STABLE
@@ -996,15 +1083,14 @@ class TestStableInteriorSearch:
     def test_both_searches_reject_a_step_outside_the_grid_range(self, step):
         with pytest.raises(ValueError, match="alpha step"):
             stable_interior_search(
-                CoordinationGame.symmetric(1.5), (SampleSizeDistribution.point(2),) * 2, 1000, step
+                Environment.symmetric(1.5, SampleSizeDistribution.point(2)), 1000, step
             )
         with pytest.raises(ValueError, match="alpha step"):
             mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=step)
 
     def test_unit_theta_flagged_and_empty(self):
         res = stable_interior_search(
-            CoordinationGame.symmetric(1.5),
-            (SampleSizeDistribution.point(1),) * 2,
+            Environment.symmetric(1.5, SampleSizeDistribution.point(1)),
             big_k=1000,
             alpha_step=0.2,
         )
@@ -1014,7 +1100,7 @@ class TestStableInteriorSearch:
 class TestTheorem3:
     def test_fig3_left_holds(self):
         rep = check_theorem3(
-            CoordinationGame(20.0, 0.05), (SampleSizeDistribution.point(3),) * 2, 1000
+            Environment.of(CoordinationGame(20.0, 0.05), SampleSizeDistribution.point(3)), 1000
         )
         assert rep.verdict == Verdict.HOLDS
         assert rep.conditions["miscoordination"] == pytest.approx(0.6458, abs=5e-3)
@@ -1022,15 +1108,27 @@ class TestTheorem3:
 
     def test_weak_asymmetry_fails(self):
         rep = check_theorem3(
-            CoordinationGame(1.01, 1 / 1.01), (SampleSizeDistribution.point(2),) * 2, 1000
+            Environment.of(CoordinationGame(1.01, 1 / 1.01), SampleSizeDistribution.point(2)), 1000
         )
         assert rep.verdict == Verdict.FAILS
 
+    def test_keeps_the_tie_rule(self):
+        # 1000 / (u + 1) is integral for u = 3 and u = 1/4, so the big-sample
+        # thresholds tie; the mixture keeps the environment's rule
+        env = Environment.of(CoordinationGame(3.0, 0.25), SampleSizeDistribution.of(
+            {1: 0.5, 2: 0.5}), tie_break=TieBreak.FAVOR_B)
+        states = {}
+        for tie in TieBreak:
+            mixed = Environment.of(env.game, env.theta1.mix_with(0.5, 1000), tie_break=tie)
+            (state,) = find_stationary_two_pop(mixed).stable_interior()
+            states[tie] = state.state
+        assert states[TieBreak.FAVOR_A] != states[TieBreak.FAVOR_B]
+        rep = check_theorem3(env, 1000)
+        assert (rep.conditions["p1"], rep.conditions["p2"]) == states[TieBreak.FAVOR_B]
+
     def test_symmetric_game_rejected(self):
         with pytest.raises(ValueError):
-            check_theorem3(
-                CoordinationGame(2.0, 2.0), (SampleSizeDistribution.point(2),) * 2
-            )
+            check_theorem3(Environment.symmetric(2.0, SampleSizeDistribution.point(2)))
 
 
 class TestPayoffEfficiency:

@@ -563,6 +563,36 @@ class TestSweep:
         else:
             assert cols == ["n/a", "n/a"]
 
+    @pytest.mark.parametrize("tie, want", [("favor-a", "0.2,2,0,0,n/a,n/a,"),
+                                           ("favor-b", "0.2,3,1,0,n/a,n/a,")])
+    @pytest.mark.parametrize("sweep_type", ["theta-mass", "u"])
+    def test_one_population_sweeps_keep_the_tie_rule(self, tmp_path, sweep_type, tie, want):
+        # u = 3 and the sizes 2 and 4 tie at 2/(u + 1) and 4/(u + 1)
+        if sweep_type == "theta-mass":
+            env = {"u": 3, "tie_break": tie}
+            sweep = {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2,
+                     "step": 0.1}
+        else:
+            env = {"theta": {"2": 0.2, "4": 0.8}, "tie_break": tie}
+            sweep = {"type": "u", "start": 3, "stop": 3, "step": 1}
+            want = "3" + want[3:]
+        conf = write_config(tmp_path, {"command": "sweep", "environment": env, "sweep": sweep,
+                                       "out": str(tmp_path)})
+        assert main(["sweep", "--config", conf]) == 0
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [want]
+
+    @pytest.mark.parametrize("environment, sweep", [
+        ({"u": 3, "tie_break": "favor-c"},
+         {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2, "step": 0.1}),
+        ({"theta": {"2": 1.0}, "tie_break": 1},
+         {"type": "u", "start": 3, "stop": 3, "step": 1}),
+    ], ids=["theta-mass", "u"])
+    def test_bad_tie_rule_exits_2(self, tmp_path, capsys, environment, sweep):
+        conf = write_config(tmp_path, {"command": "sweep", "environment": environment,
+                                       "sweep": sweep, "out": str(tmp_path)})
+        assert main(["sweep", "--config", conf]) == 2
+        assert "invalid tie_break" in capsys.readouterr().err
+
     def test_non_object_sweep_exits_2(self, tmp_path, capsys):
         conf = write_config(
             tmp_path, {"command": "sweep", "environment": {"u": 1.5}, "sweep": [0.1, 0.9]}

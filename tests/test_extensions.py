@@ -5,11 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from conftest import band_inputs, band_reference
+from conftest import band_inputs, band_reference, theta_strategy
 from samplingdyn import extensions
 from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope, find_stationary_one_pop
 from samplingdyn.dynamics import (
@@ -346,11 +346,11 @@ def _contracting_label(s1, s2, w1, w2, pareto, near) -> str:
     return "undetermined"
 
 
-def _mineffort_label(weak, strict, bound=1.0) -> Stability:
+def _mineffort_label(v, bound=1.0) -> Stability:
     """The reference for a minimum-effort pure state's label."""
-    if weak < bound - MARGINAL_BAND:
+    if v < bound - MARGINAL_BAND:
         return Stability.STABLE
-    if strict > bound + MARGINAL_BAND:
+    if v > bound + MARGINAL_BAND:
         return Stability.UNSTABLE
     return Stability.MARGINAL
 
@@ -537,6 +537,16 @@ class TestMinEffortResponse:
                 assert np.max(np.abs(r.derivative(ps) - fd)) < 1e-6
 
 
+# costs with k * cut integral for some k <= 12 under N = 2-4 players, where
+# the tie rules of the thresholds decide
+TIE_COSTS = (0.5, 0.25, 0.75, 0.64, 1.0 / 9.0, 0.8, 0.2)
+
+
+def _mineffort_games(observation):
+    costs = st.one_of(st.sampled_from(TIE_COSTS), st.floats(0.05, 0.95))
+    return st.builds(MinEffortGame, st.integers(2, 6), costs, st.just(observation))
+
+
 class TestMinEffortStability:
     def test_unit_sample_example(self):
         g = MinEffortGame(2, 0.5, Observation.MINIMUM_EFFORT)
@@ -554,7 +564,7 @@ class TestMinEffortStability:
         g = MinEffortGame(4, 0.9, Observation.MINIMUM_EFFORT)
         theta = SampleSizeDistribution.of({1: 0.4, 20: 0.6})
         rep = mineffort_pure_stability(g, theta)
-        assert rep.conditions["efficient_weak"] == pytest.approx(0.4)
+        assert rep.conditions["efficient_sum"] == pytest.approx(0.4)
         assert rep.conditions["bound"] == pytest.approx(0.25)
         assert rep.efficient_label == Stability.UNSTABLE
 
@@ -583,22 +593,52 @@ class TestMinEffortStability:
                 assert rep.efficient_label == pure.state_b.stability
 
     def test_labels_match_the_reference(self, rng, monkeypatch):
-        pair, theta = {}, SampleSizeDistribution.point(2)
-        monkeypatch.setattr(extensions, "truncated_expectation", lambda _, m, mode: pair[mode])
+        # the corner sums are read off the response, so the band inputs go in there
+        sums, theta = {}, SampleSizeDistribution.point(2)
+        monkeypatch.setattr(MinEffortResponse, "corner_masses",
+                            lambda self: (sums["efficient"], sums["safe"]))
         for v in band_inputs(rng):
             r = float(rng.uniform(0.0, 3.0))
-            for weak, strict in ((v, v), (v, r), (r, v)):
-                pair.update(weak=weak, strict=strict)
-                for n in range(2, 6):
-                    want = _mineffort_label(weak, strict, 1.0 / n)
-                    assert classify_slope(weak, strict, 1.0 / n) == want, (weak, strict, n)
-                    rep = mineffort_pure_stability(MinEffortGame(n, 0.4), theta)
-                    assert rep.efficient_label == want, (weak, strict, n)
-                want = _mineffort_label(weak, strict)
-                assert classify_slope(weak, strict) == want, (weak, strict)
-                g = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
+            sums.update(efficient=v, safe=r)
+            for n in range(2, 6):
+                want = _mineffort_label(v, 1.0 / n)
+                rep = mineffort_pure_stability(MinEffortGame(n, 0.4), theta)
+                assert (rep.safe_label, rep.efficient_label) == (Stability.STABLE, want), (v, n)
+                assert rep.conditions == {"efficient_sum": v, "bound": 1.0 / n}
+            g = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
+            for safe, efficient in ((v, r), (r, v)):
+                sums.update(efficient=efficient, safe=safe)
                 rep = mineffort_pure_stability(g, theta)
-                assert (rep.safe_label, rep.efficient_label) == (want, want), (weak, strict)
+                want = (_mineffort_label(safe), _mineffort_label(efficient))
+                assert (rep.safe_label, rep.efficient_label) == want, (safe, efficient)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(game=_mineffort_games(Observation.OPPONENT_ACTION), theta=theta_strategy())
+    def test_action_labels_equal_the_stationary_corners(self, game, theta):
+        # Proposition 8's sums are the response's slopes at the corners
+        res = find_stationary_one_pop(MinEffortResponse(game, theta))
+        assume(not res.continuum)
+        corners = {s.p1: s for s in res.states if s.p1 in (0.0, 1.0)}
+        rep = mineffort_pure_stability(game, theta)
+        assert rep.efficient_label == corners[0.0].stability, (game, theta)
+        assert rep.safe_label == corners[1.0].stability, (game, theta)
+        assert math.isclose(rep.conditions["efficient_sum"], corners[0.0].slope_product,
+                            rel_tol=1e-12)
+        assert math.isclose(rep.conditions["safe_sum"], corners[1.0].slope_product,
+                            rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(game=_mineffort_games(Observation.MINIMUM_EFFORT), theta=theta_strategy())
+    def test_minimum_labels_move_only_off_the_weak_strict_margin(self, game, theta):
+        # the weak and strict sums cut at 1/(1 - c) called "marginal" wherever
+        # they disagreed; the threshold sum is one of the two
+        cut = 1.0 / (1.0 - game.cost)
+        weak, strict = (truncated_expectation(theta, cut, mode) for mode in ("weak", "strict"))
+        old = classify_slope(weak, strict, 1.0 / game.n_players)
+        rep = mineffort_pure_stability(game, theta)
+        assert rep.safe_label == Stability.STABLE
+        assert rep.conditions["efficient_sum"] in (weak, strict)
+        assert rep.efficient_label == old or old == Stability.MARGINAL, (game, theta)
 
     def test_stable_interior_search(self):
         g = MinEffortGame(2, 0.6, Observation.MINIMUM_EFFORT)

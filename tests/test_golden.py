@@ -4,7 +4,8 @@ Each case runs one command on a small config and compares every file it
 writes, and its standard output, with the copies under
 ``tests/golden/<case>/``.  The cases are the ``FUZZ_CONFIGS`` fixtures of
 ``test_cli.py`` plus a few that put the minimum-effort, logit and
-large-sample responses into the bytes.  ``tests/golden/regen.py`` rewrites
+large-sample responses, the favor-b tie rule and Propositions 7 and 8 into
+the bytes.  ``tests/golden/regen.py`` rewrites
 the copies after a deliberate change of output; this test never calls it.
 
 Float bits depend on the numpy and scipy build.  On the versions recorded
@@ -53,6 +54,20 @@ CASES["logit-trajectory"] = {"command": "trajectory", "environment": _logit(),
                              "initial": [0.2, 0.7], "tmax": 5, "dt": 0.1}
 CASES["fig3-right-analyze"] = {"command": "analyze", "environment": FIG3_RIGHT,
                                "search_alpha_step": 0.25}
+# favor-b examples whose ties move the pure states' calls and the mixtures'
+# thresholds: big_k / (u + 1) is integral too
+CASES["favor-b-one-pop-analyze"] = {
+    "command": "analyze", "big_k": 48, "search_alpha_step": 0.25,
+    "environment": {"u": 1, "tie_break": "favor-b", "theta": {"2": 0.5, "4": 0.5}}}
+CASES["favor-b-two-pop-analyze"] = {
+    "command": "analyze", "big_k": 48, "search_alpha_step": 0.25,
+    "environment": {"u1": 3, "u2": 1 / 3, "tie_break": "favor-b",
+                    "theta1": {"1": 0.5, "4": 0.5}, "theta2": {"1": 0.5, "4": 0.5}}}
+CASES["favor-b-theta-mass-sweep"] = {
+    "command": "sweep", "environment": {"u": 3, "tie_break": "favor-b"},
+    "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2, "step": 0.1}}
+for _obs in ("minimum-effort", "opponent-action"):
+    CASES[f"{_obs}-analyze"] = {"command": "analyze", "environment": _mineffort(_obs)}
 
 
 def run_case(conf: dict, work: Path) -> dict[str, bytes]:
