@@ -525,6 +525,8 @@ def _stationary_search(system: System, note: str, scan: tuple | None = None) -> 
     def state_at(p1: float) -> StationaryState:
         p1 = float(p1)
         p2 = float(w2(p1))
+        if p1 in (0.0, 1.0) and abs(p2 - p1) <= RESIDUAL_TOL:
+            p2 = p1  # the pure state: masses summing one rounding off 1 move w2(p1)
         slope = float(w1.derivative(p2)) * float(w2.derivative(p1))
         point = (p1, p2) if system.dim == 2 else p1
         return _state(point, slope, abs(float(w1(p2)) - p1))

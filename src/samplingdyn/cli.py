@@ -14,10 +14,14 @@ number the legend records as integrated_cells.  A config whose every
 state is stationary has no basins (exit 2).  analyze's search_alpha_step
 lies in [0.01, 0.5]: the mixture search runs one stationary search per
 pair of shares i * step < 1, up to (1/step)^2 pairs.  A sampling
-environment's tie_break reaches every response analyze and sweep build:
-the pure-state calls, the mixtures of the Theorem-2 search and Theorem 3,
-and each swept environment, whether a theta-mass or u sweep reads it from
-its environment or an alpha sweep from the full one.
+environment's tie_break reaches every response analyze and sweep build,
+the mixtures of the Theorem-2 search and Theorem 3 included.
+
+sweep needs an "environment" and parses it as every command does, with
+the swept "u", or "theta" as {k: 1}, in place of its own; a theta-mass
+sweep mixes {k: 1} with big_k as an alpha sweep mixes theta.  Keys of
+another model (mineffort, logit, contracting), and "matrix" or
+"hawk_dove" in a u sweep, exit 2.
 
 sweep.csv has one row per swept value with the columns
     value            the swept theta mass, alpha or u
@@ -64,7 +68,7 @@ from . import config as cfg
 from . import svg as svgmod
 from .analysis import System
 from .config import ConfigError
-from .dynamics import MAX_SAMPLE_SIZE, Environment, SampleSizeDistribution
+from .dynamics import MAX_SAMPLE_SIZE, Environment
 from .extensions import (
     Observation,
     contracting_pure_stability,
@@ -151,10 +155,21 @@ def _out_dir(conf: dict) -> Path:
     return out
 
 
-def _env_spec(conf: dict) -> cfg.EnvSpec:
+def _env_spec(conf: dict, swept: dict | None = None) -> cfg.EnvSpec:
+    """The config's environment; for a sweep, a sampling one with the
+    ``swept`` fields in place of its own."""
     if "environment" not in conf:
         raise ConfigError("missing 'environment' in config")
-    return cfg.parse_environment(conf["environment"])
+    obj = conf["environment"]
+    if swept and isinstance(obj, dict):
+        if "u" in swept and ("matrix" in obj or "hawk_dove" in obj):
+            raise ConfigError("a u sweep sets the game by 'u', which 'matrix' and 'hawk_dove' "
+                              "would override")
+        obj = {**obj, **swept}
+    spec = cfg.parse_environment(obj)
+    if swept is not None and spec.kind != "sampling":
+        raise ConfigError(f"sweeps need a sampling environment, got a {spec.kind} one")
+    return spec
 
 
 def _system(spec: cfg.EnvSpec) -> System:
@@ -502,33 +517,29 @@ def cmd_sweep(conf: dict) -> int:
             "",
         ]
 
-    if sweep_type == "theta-mass":
-        env_obj = conf.get("environment", conf)
-        game, tie = cfg.parse_game(env_obj, "sweep environment"), cfg.parse_tie_break(env_obj)
-        if not game.is_symmetric:
-            raise ConfigError("theta-mass sweeps use a symmetric game")
-        k = cfg._integer(spec, "k", "sweep")
-        big_k = cfg._integer(spec, "big_k", "sweep")
-        if min(k, big_k) < 1 or max(k, big_k) > MAX_SAMPLE_SIZE or k == big_k:
-            raise ConfigError("sweep 'k' and 'big_k' must be distinct positive integers "
-                              f"of at most {MAX_SAMPLE_SIZE}")
-        for beta in _sweep_values(spec):
-            if not (0.0 < beta < 1.0):
-                raise ConfigError(f"theta mass {beta} outside (0, 1)")
-            theta = SampleSizeDistribution.of({k: beta, big_k: 1.0 - beta})
-            rows.append(analyze_env(Environment.symmetric(game.u, theta, tie), True, beta))
-    elif sweep_type == "alpha":
-        env_spec = _env_spec(conf)
-        if env_spec.kind != "sampling":
-            raise ConfigError("alpha sweeps need a sampling environment")
+    if sweep_type == "u":
+        for u in _sweep_values(spec):
+            if u <= 0:
+                raise ConfigError(f"u {u} must be positive")
+            env_spec = _env_spec(conf, {"u": u})
+            rows.append(analyze_env(env_spec.environment, env_spec.one_population, u))
+    elif sweep_type in ("theta-mass", "alpha"):
+        big_k, swept = cfg._integer(spec, "big_k", "sweep"), {}
+        if sweep_type == "theta-mass":
+            k = cfg._integer(spec, "k", "sweep")
+            if min(k, big_k) < 1 or max(k, big_k) > MAX_SAMPLE_SIZE or k == big_k:
+                raise ConfigError("sweep 'k' and 'big_k' must be distinct positive integers "
+                                  f"of at most {MAX_SAMPLE_SIZE}")
+            # theta mass beta on k is the alpha sweep of theta {k: 1}
+            swept = {"theta": {str(k): 1.0}}
+        env_spec = _env_spec(conf, swept)
         env = env_spec.environment
-        big_k = cfg._integer(spec, "big_k", "sweep")
         if not 1 <= big_k <= MAX_SAMPLE_SIZE or big_k in env.theta1.support + env.theta2.support:
             raise ConfigError(f"sweep 'big_k' must lie in [1, {MAX_SAMPLE_SIZE}] and outside "
                               f"theta's support, got {spec['big_k']!r}")
         for alpha in _sweep_values(spec):
             if not (0.0 < alpha < 1.0):
-                raise ConfigError(f"alpha {alpha} outside (0, 1)")
+                raise ConfigError(f"{sweep_type} {alpha} outside (0, 1)")
             mixed = Environment(
                 env.game,
                 env.theta1.mix_with(alpha, big_k),
@@ -536,14 +547,6 @@ def cmd_sweep(conf: dict) -> int:
                 env.tie_break,
             )
             rows.append(analyze_env(mixed, env_spec.one_population, alpha))
-    elif sweep_type == "u":
-        env_obj = conf.get("environment", {})
-        theta = cfg.parse_theta(cfg._require(env_obj, "theta", "environment"), "theta")
-        tie = cfg.parse_tie_break(env_obj)
-        for u in _sweep_values(spec):
-            if u <= 0:
-                raise ConfigError(f"u {u} must be positive")
-            rows.append(analyze_env(Environment.symmetric(u, theta, tie), True, u))
     else:
         raise ConfigError(f"unknown sweep type {sweep_type!r}")
 

@@ -171,14 +171,6 @@ def parse_game(obj: Any, context: str = "environment") -> CoordinationGame:
         raise ConfigError(f"invalid game in {context}: {exc}") from exc
 
 
-def parse_tie_break(obj: Mapping) -> TieBreak:
-    """The environment's "tie_break", "favor-a" when absent."""
-    try:
-        return TieBreak(obj.get("tie_break", TieBreak.FAVOR_A))
-    except ValueError as exc:
-        raise ConfigError(f"invalid tie_break: {obj['tie_break']!r}") from exc
-
-
 @dataclass
 class EnvSpec:
     """Parsed environment: which model family and its constructed objects."""
@@ -257,27 +249,17 @@ def parse_environment(obj: Any) -> EnvSpec:
             raise ConfigError(f"invalid logit groups: {exc}") from exc
         return EnvSpec(kind="logit", one_population=False, pair=pair)
 
-    tie = parse_tie_break(obj)
-    if "theta" in obj:
-        if not game.is_symmetric:
-            raise ConfigError("one-population environments need a symmetric game")
-        theta = parse_theta(_require(obj, "theta", context), "theta")
-        env = Environment(game, theta, theta, tie)
-        return EnvSpec(
-            kind="sampling",
-            one_population=True,
-            environment=env,
-            thetas=(theta,),
-        )
-    theta1 = parse_theta(_require(obj, "theta1", context), "theta1")
-    theta2 = parse_theta(_require(obj, "theta2", context), "theta2")
-    env = Environment(game, theta1, theta2, tie)
-    return EnvSpec(
-        kind="sampling",
-        one_population=False,
-        environment=env,
-        thetas=(theta1, theta2),
-    )
+    try:
+        tie = TieBreak(obj.get("tie_break", TieBreak.FAVOR_A))
+    except ValueError as exc:
+        raise ConfigError(f"invalid tie_break: {obj['tie_break']!r}") from exc
+    one = "theta" in obj
+    if one and not game.is_symmetric:
+        raise ConfigError("one-population environments need a symmetric game")
+    keys = ("theta",) if one else ("theta1", "theta2")
+    thetas = tuple(parse_theta(_require(obj, key, context), key) for key in keys)
+    env = Environment(game, thetas[0], thetas[-1], tie)
+    return EnvSpec(kind="sampling", one_population=one, environment=env, thetas=thetas)
 
 
 def _write_text(path: Path, text: str) -> None:

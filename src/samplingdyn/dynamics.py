@@ -24,8 +24,9 @@ from scipy.special import cython_special
 
 from .games import CoordinationGame
 
-# Absolute snap applied before integrality-sensitive comparisons, so that
-# thresholds like k/(u+1) with u = 1 land on the intended tie branch.
+# Relative snap before integrality-sensitive comparisons: x within
+# INTEGER_SNAP * max(1, |x|) of an integer is that integer, so an exact tie
+# k/(u+1) lands on the tie branch at every k up to MAX_SAMPLE_SIZE.
 INTEGER_SNAP = 1e-12
 
 _MASS_TOL = 1e-12
@@ -182,31 +183,34 @@ def binomial_tail_derivative(k: int, m: int, p):
     return _slope_mixture(((k, 1.0, m),), _as_prob_array(p, clip_tol=0.0))
 
 
-def snap_to_integer(x: float, tol: float = INTEGER_SNAP) -> float:
-    """Round x to the nearest integer when within tol of it."""
+def snap_to_integer(x: float) -> float:
+    """Round x to the nearest integer when within INTEGER_SNAP * max(1, |x|)
+    of it: the rounding error of a computed cut scales with its size."""
     r = round(x)
-    return float(r) if abs(x - r) <= tol else x
+    return float(r) if abs(x - r) <= INTEGER_SNAP * max(1.0, abs(x)) else x
 
 
 def sampling_threshold(k: int, u: float, rule: TieBreak = TieBreak.FAVOR_A) -> int:
-    """Minimal count of first-action observations that makes it a best reply.
+    """Least count of first-action observations in a sample of size k that
+    makes the first action a best reply at coordination payoff u: the one
+    threshold rule, which the minimum-effort responses share.
 
-    In a sample of size k, the first action is weakly optimal iff the count
-    X satisfies X >= k/(u+1).  Under ``favor-a`` ties go to the first
-    action; under ``favor-b`` an exact tie (integral k/(u+1)) goes to the
-    second action, raising the threshold by one.
+    The first action is weakly optimal iff the count X satisfies
+    X >= k/(u+1).  An exact tie (k/(u+1) integral after ``snap_to_integer``)
+    goes to the first action under ``favor-a`` and to the second under
+    ``favor-b``, which raises the threshold by one.  The threshold is at
+    least 1, also for u = inf: a sample without the first action never
+    makes it a best reply.
     """
     if k < 1 or k != int(k):
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if u <= 0.0:
+    if not u > 0.0:  # NaN fails the comparison
         raise ValueError(f"u must be positive, got {u!r}")
     x = snap_to_integer(k / (u + 1.0))
-    if x == int(x) and x >= 1.0:
-        m = int(x)
-        if rule == TieBreak.FAVOR_B:
-            m += 1
-        return m
-    return math.ceil(x)
+    if not x.is_integer():
+        return math.ceil(x)
+    # a cut of 0 (snapped, or u = inf) is no tie: one observation decides
+    return max(int(x) + (1 if rule == TieBreak.FAVOR_B else 0), 1)
 
 
 @dataclass(frozen=True)
@@ -284,9 +288,9 @@ class SampleSizeDistribution:
 def truncated_expectation(theta: SampleSizeDistribution, m: float, mode: str = "weak") -> float:
     """Expected sample size counting only sizes up to m.
 
-    ``weak`` sums k*theta(k) over k <= m, ``strict`` over k < m.  A bound m
-    within 1e-12 of an integer is snapped to it before comparing, so tie
-    cases like m = u + 1 with integral u land on the intended side.
+    ``weak`` sums k*theta(k) over k <= m, ``strict`` over k < m.  The bound
+    is snapped as the thresholds are (``snap_to_integer``), so tie cases
+    like m = u + 1 with integral u land on the intended side.
     """
     if m <= 0:
         raise ValueError(f"truncation bound must be positive, got {m!r}")

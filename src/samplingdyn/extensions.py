@@ -5,11 +5,13 @@ sampling agents best-reply to multinomial samples of opponent actions.
 Minimum-effort games have two effort levels and two observation
 structures: agents either see the minimum effort of a random past round
 or the action of a random opponent.  Both reuse the two-action
-machinery: per-size thresholds, whose corner sums decide the minimum-effort
-pure states, truncated expectations for the contracting ones, and the
-binomial tails, whose mixture is the minimum-effort response (at the chance
-that one observation reads low) and which close the exact contracting
-reply, and the stability rule, alpha grid and search result of ``analysis``.
+machinery.  A minimum-effort agent best-replies as a sampling agent with
+low effort first, at the payoff and tie rule ``MinEffortGame`` states:
+``sampling_threshold`` gives its thresholds, whose corner sums decide its
+pure states, and its response is their tail mixture at the chance that
+one observation reads low.  Truncated expectations decide the contracting
+pure states, and binomial tails close the exact contracting reply.  Both
+use the stability rule, alpha grid and search result of ``analysis``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from .analysis import (
 )
 from .dynamics import (
     SampleSizeDistribution,
+    TieBreak,
     _TailMixture,
-    snap_to_integer,
+    sampling_threshold,
     truncated_expectation,
 )
 from .flow import _rk4_step, _step_count
@@ -385,7 +388,8 @@ class MinEffortGame:
 
     Low effort pays 1 regardless; high effort pays 2 - c when every
     opponent also goes high and 1 - c otherwise.  States track the share
-    playing low.
+    playing low.  An agent's reply is the two-action best reply with low
+    effort first, at the effective payoff ``u`` and tie rule ``tie_break``.
     """
 
     n_players: int
@@ -399,21 +403,23 @@ class MinEffortGame:
             raise ValueError(f"effort cost must lie in (0, 1), got {self.cost!r}")
         object.__setattr__(self, "observation", Observation(self.observation))
 
+    @property
+    def u(self) -> float:
+        """c/(1 - c) under minimum-effort observation (low wins on
+        x >= k(1 - c)); c'/(1 - c') with c' = c^(1/(N-1)) under action
+        observation, infinite where c' rounds to 1 (low wins on any low
+        observation)."""
+        c = self.cost
+        if self.observation == Observation.OPPONENT_ACTION:
+            c = c ** (1.0 / (self.n_players - 1))
+        return c / (1.0 - c) if c < 1.0 else math.inf
 
-def _mineffort_thresholds(g: MinEffortGame, support: Sequence[int]) -> list[int]:
-    """Per-size minimal count of low observations that triggers low effort.
-
-    Minimum-effort observation: low wins on x >= k(1-c) (ties to low,
-    which keeps small samples on the one-observation rule).  Action
-    observation: low wins on x > k(1 - c^(1/(N-1))) (ties to high).
-    """
-    low_ties = g.observation == Observation.MINIMUM_EFFORT
-    cut = 1.0 - (g.cost if low_ties else g.cost ** (1.0 / (g.n_players - 1)))
-    out = []
-    for k in support:
-        x = snap_to_integer(k * cut)
-        out.append(math.ceil(x) if x != int(x) else int(x) + (0 if low_ties else 1))
-    return out
+    @property
+    def tie_break(self) -> TieBreak:
+        """Ties go to low effort under minimum-effort observation, which
+        keeps small samples on the one-observation rule, else to high."""
+        low = self.observation == Observation.MINIMUM_EFFORT
+        return TieBreak.FAVOR_A if low else TieBreak.FAVOR_B
 
 
 class MinEffortResponse(_TailMixture):
@@ -426,15 +432,16 @@ class MinEffortResponse(_TailMixture):
     sizes below 1/(1-c) the response reduces to
     1 - (1-p)^(k(N-1)).  Under action observation the sample is binomial
     in p directly.  Either way the response is the sampling response's
-    tail mixture at the observed probability q, with this model's
-    thresholds and observation exponent N-1 or none.
+    tail mixture at the observed probability q, with observation exponent
+    N-1 or none and the thresholds ``sampling_threshold`` gives at the
+    game's ``u`` and ``tie_break``.
     """
 
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
-        minimum = game.observation == Observation.MINIMUM_EFFORT
-        n = game.n_players - 1 if minimum else None
-        super().__init__(theta, _mineffort_thresholds(game, theta.support), n)
+        u, rule = game.u, game.tie_break
+        n = game.n_players - 1 if game.observation == Observation.MINIMUM_EFFORT else None
+        super().__init__(theta, [sampling_threshold(k, u, rule) for k in theta.support], n)
 
     # perfbench's tracer wraps these three names in each response class's own namespace
     __call__, derivative, inverse = (
@@ -499,19 +506,17 @@ def mineffort_stable_interior(
     outside [``ALPHA_STEP``, 1) raises ``ValueError``), placing mass alpha
     on sample size k and the rest on big_k, and returns the first alpha,
     a float, whose response has an interior fixed point with slope below
-    1, with that state.  The proposition hypothesis (k < 1/(1-c) for
-    minimum-effort observation, 1 < k < 1/(1-c^(1/(N-1))) for action
-    observation) is reported as a flag; the search runs either way.
+    1, with that state.  The proposition hypothesis, k < u + 1 at the
+    game's effective payoff u (k < 1/(1-c) for minimum-effort observation)
+    and also 1 < k under action observation, is reported as a flag; the
+    search runs either way.
     """
     if big_k <= k:
         raise ValueError("big_k must exceed k")
-    if g.observation == Observation.MINIMUM_EFFORT:
-        in_scope = k < 1.0 / (1.0 - g.cost)
-    else:
-        in_scope = 1 < k < 1.0 / (1.0 - g.cost ** (1.0 / (g.n_players - 1)))
+    in_scope = k < g.u + 1.0 and (g.observation == Observation.MINIMUM_EFFORT or 1 < k)
     note = "" if in_scope else "outside proposition hypothesis"
     for alpha in _alpha_grid(alpha_step):
-        theta = SampleSizeDistribution.of({k: alpha, big_k: 1.0 - alpha})
+        theta = SampleSizeDistribution.point(k).mix_with(alpha, big_k)
         hits = find_stationary_one_pop(MinEffortResponse(g, theta)).stable_interior()
         if hits:
             return StableInteriorSearch(True, alpha, hits[0], in_scope, note)

@@ -107,6 +107,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "a state is stationary iff it is symmetric" in out
 
+    @pytest.mark.parametrize("u", [1e11, 1e13])
+    def test_one_sample_at_a_huge_payoff_is_a_continuum(self, tmp_path, capsys, u):
+        # k/(u + 1) lies below the snap at u = 1e13, yet one observation
+        # still decides, so w(p) = p
+        conf = write_config(tmp_path, {"command": "analyze", "out": str(tmp_path),
+                                       "environment": {"u": u, "theta": {"1": 1}}})
+        assert main(["analyze", "--config", conf]) == 0
+        assert "continuum: every state is stationary" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "env, message",
         [
@@ -592,6 +601,24 @@ class TestSweep:
                                        "sweep": sweep, "out": str(tmp_path)})
         assert main(["sweep", "--config", conf]) == 2
         assert "invalid tie_break" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf, message", [
+        ({"environment": {"u": 1.5, "mineffort": {"N": 3, "c": 0.5}},
+          "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2,
+                    "step": 0.1}}, "need a sampling environment"),
+        ({"environment": {"theta": {"3": 1}, "logit": [{"mass": 1, "eta": 0.5}]},
+          "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}},
+         "need a sampling environment"),
+        ({"u": 1.5, "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2,
+                              "stop": 0.2, "step": 0.1}}, "missing 'environment'"),
+        ({"environment": {"matrix": {"u11": 3, "u12": 1, "u21": 1, "u22": 2}, "theta": {"3": 1}},
+          "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}}, "a u sweep sets the game"),
+    ], ids=["theta-mass-mineffort", "u-logit", "theta-mass-no-environment", "u-matrix"])
+    def test_environment_the_sweep_cannot_read_exits_2(self, tmp_path, capsys, conf, message):
+        # every swept environment is parsed whole, so no key goes unread
+        path = write_config(tmp_path, {"command": "sweep", "out": str(tmp_path), **conf})
+        assert main(["sweep", "--config", path]) == 2
+        assert message in capsys.readouterr().err
 
     def test_non_object_sweep_exits_2(self, tmp_path, capsys):
         conf = write_config(

@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import polynomial_coefficients, random_env, random_theta
 from samplingdyn.dynamics import (
+    MAX_SAMPLE_SIZE,
     Environment,
     LogitResponse,
     SampleSizeDistribution,
     SamplingResponse,
     TieBreak,
+    _TailMixture,
     binomial_tail,
     binomial_tail_derivative,
     sampling_threshold,
@@ -119,18 +121,21 @@ def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, c
         assert binomial_tail(k, m, x) == binomial_tail(k, m, arr)[0], (k, m)
 
 
+_ZERO_ONE_THETA = SampleSizeDistribution.of({1: 0.25, 3: 0.25, 9: 0.5})
+
+
 @pytest.mark.parametrize(
-    "game, value",
+    "w, value",
     [
-        # every threshold is 0: the response is 1 everywhere
-        pytest.param(MinEffortGame(3, 1.0 - 1e-13, Observation.MINIMUM_EFFORT), 1.0, id="m-zero"),
+        # every threshold is 0, which no best reply has: the response is 1 everywhere
+        pytest.param(_TailMixture(_ZERO_ONE_THETA, (0, 0, 0), 2), 1.0, id="m-zero"),
         # every threshold is k + 1: the response is 0 everywhere
-        pytest.param(MinEffortGame(2, 1e-13, Observation.OPPONENT_ACTION), 0.0, id="m-past-k"),
+        pytest.param(MinEffortResponse(MinEffortGame(2, 1e-13, Observation.OPPONENT_ACTION),
+                                       _ZERO_ONE_THETA), 0.0, id="m-past-k"),
     ],
 )
-def test_float_kernel_keeps_exact_zero_and_one_atoms(game, value):
+def test_float_kernel_keeps_exact_zero_and_one_atoms(w, value):
     # betainc has no such tails: betainc(0, b, 0.0) is 0.0 and b <= 0 is NaN
-    w = MinEffortResponse(game, SampleSizeDistribution.of({1: 0.25, 3: 0.25, 9: 0.5}))
     xs = [0.0, 5e-324, 1e-17, 0.3, 1.0 - 1e-16, 1.0]
     for x in xs:
         assert w(x) == value and w.derivative(x) == 0.0, x
@@ -158,6 +163,28 @@ class TestSamplingThreshold:
         u = 2.0 * (1.0 + 1e-15)
         assert sampling_threshold(6, u, TieBreak.FAVOR_A) == 2
         assert sampling_threshold(6, u, TieBreak.FAVOR_B) == 3
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(a=st.integers(1, 1000), b=st.integers(1, 1000), k=st.integers(1, MAX_SAMPLE_SIZE),
+           tie=st.booleans())
+    @example(a=7, b=13, k=83320, tie=False)  # 54,158 exactly, which a 1e-12 snap missed
+    def test_exact_at_rational_payoffs(self, a, b, k, tie):
+        # u = a/b: the first action wins on x >= kb/(a + b), a tie when a + b
+        # divides kb (always when it divides k); the rounding of k/(u + 1)
+        # grows with k, the snap with it
+        if tie:
+            k = max(k - k % (a + b), a + b)
+        cut, rest = divmod(k * b, a + b)
+        assert sampling_threshold(k, a / b, TieBreak.FAVOR_A) == cut + (rest > 0)
+        assert sampling_threshold(k, a / b, TieBreak.FAVOR_B) == cut + 1
+
+    @pytest.mark.parametrize("rule", list(TieBreak))
+    def test_a_positive_cut_needs_one_observation(self, rule):
+        # k/(u + 1) below the snap (or 0 at u = inf) still needs one
+        # first-action observation: no threshold is 0
+        for u in (1e11, 1e13, 1e300, math.inf):
+            for k in (1, 2, 1000, MAX_SAMPLE_SIZE):
+                assert sampling_threshold(k, u, rule) == 1, (k, u)
 
 
 class TestSamplingResponse:

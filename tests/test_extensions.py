@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -13,6 +13,7 @@ from conftest import band_inputs, band_reference, theta_strategy
 from samplingdyn import extensions
 from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope, find_stationary_one_pop
 from samplingdyn.dynamics import (
+    MAX_SAMPLE_SIZE,
     SampleSizeDistribution,
     SamplingResponse,
     TieBreak,
@@ -535,6 +536,34 @@ class TestMinEffortResponse:
                 r = MinEffortResponse(g, theta)
                 fd = (r(ps + h) - r(ps - h)) / (2 * h)
                 assert np.max(np.abs(r.derivative(ps) - fd)) < 1e-6
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(a=st.integers(1, 1000), d=st.integers(1, 1000), n=st.integers(2, 8),
+           k=st.integers(1, MAX_SAMPLE_SIZE), tie=st.booleans())
+    @example(a=9, d=11, n=6, k=950100, tie=False)  # c = 0.45: 522,555 exactly
+    def test_thresholds_are_exact_at_rational_costs(self, a, d, n, k, tie):
+        # c = a/(a + d): minimum-effort observation goes low on
+        # x >= k d/(a + d), ties to low, and action observation at N = 2 on
+        # x > k d/(a + d); a tie whenever a + d divides k
+        if tie:
+            k = max(k - k % (a + d), a + d)
+        cut, rest = divmod(k * d, a + d)
+        c, theta = a / (a + d), SampleSizeDistribution.point(k)
+        for game, want in ((MinEffortGame(n, c, Observation.MINIMUM_EFFORT), cut + (rest > 0)),
+                           (MinEffortGame(2, c, Observation.OPPONENT_ACTION), cut + 1)):
+            ((_, _, m),) = MinEffortResponse(game, theta)._atoms
+            assert m == want, game
+
+    @pytest.mark.parametrize("observation", list(Observation))
+    def test_costs_next_to_one_need_one_observation(self, observation):
+        # c^(1/7) rounds to 1 at c = 1 - 2^-53, an infinite effective payoff
+        c = 1.0 - 2.0**-53
+        assert MinEffortGame(8, c, Observation.OPPONENT_ACTION).u == math.inf
+        theta = SampleSizeDistribution.of({1: 0.5, 1000: 0.25, MAX_SAMPLE_SIZE: 0.25})
+        for n in range(2, 9):
+            game = MinEffortGame(n, c, observation)
+            assert [m for _, _, m in MinEffortResponse(game, theta)._atoms] == [1, 1, 1], n
+            assert mineffort_stable_interior(game, k=2, big_k=10, alpha_step=0.5).in_scope
 
 
 # costs with k * cut integral for some k <= 12 under N = 2-4 players, where

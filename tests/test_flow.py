@@ -499,7 +499,7 @@ def _reference_suite():
     for game in (
         MinEffortGame(3, 0.4, Observation.MINIMUM_EFFORT),
         MinEffortGame(4, 0.3, Observation.OPPONENT_ACTION),
-        MinEffortGame(3, 1.0 - 1e-13, Observation.MINIMUM_EFFORT),  # thresholds 0 and 1
+        MinEffortGame(3, 1.0 - 1e-13, Observation.MINIMUM_EFFORT),  # every threshold 1
         MinEffortGame(2, 1e-13, Observation.OPPONENT_ACTION),  # every threshold past k
     ):
         systems.append(MinEffortResponse(game, mixed))
