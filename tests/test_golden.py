@@ -68,6 +68,12 @@ CASES["favor-b-theta-mass-sweep"] = {
     "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2, "step": 0.1}}
 for _obs in ("minimum-effort", "opponent-action"):
     CASES[f"{_obs}-analyze"] = {"command": "analyze", "environment": _mineffort(_obs)}
+# one-population mixture searches: no share of u = 4.77, k = 3 at step 0.25,
+# and the share 0.55 of the Oyama example at step 0.05
+CASES["one-pop-k3-analyze"] = {"command": "analyze", "search_alpha_step": 0.25,
+                               "environment": {"u": 4.765685148304299, "theta": {"3": 1}}}
+CASES["one-pop-k2-analyze"] = {"command": "analyze", "search_alpha_step": 0.05,
+                               "environment": {"u": 1.5, "theta": {"2": 1}}}
 
 
 def run_case(conf: dict, work: Path) -> dict[str, bytes]:
