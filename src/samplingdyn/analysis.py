@@ -15,9 +15,9 @@ numeric reports rather than proofs; the mixture checks take the
 
 Roots come from one grid scan over a block of rows, which splits the
 grid level by level and drops the cells that a monotone enclosure shows
-hold no root: ``scan_fixed_points`` is its one-row case, and the
-Theorem-2 mixture search scans blocks of alpha pairs, which share their
-response tails within each level.
+hold no root: ``scan_fixed_points`` is its one-row case, and the one
+mixture search scans blocks of shares (one population) or of pairs of
+shares (two), which share their response tails within each level.
 
 Arity: a single response function drives the one-population dynamics
 dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
@@ -40,6 +40,7 @@ from .dynamics import (
     Environment,
     ResponsePair,
     SamplingResponse,
+    _int_power,
     _tail,
     truncated_expectation,
 )
@@ -498,16 +499,16 @@ def _missed_roots(g: Callable[[float], float], states: list[StationaryState]) ->
     return found
 
 
-def _stationary_search(system: System, note: str, scan: tuple | None = None) -> StationaryAnalysis:
+def _stationary_search(system: System, scan: tuple | None = None) -> StationaryAnalysis:
     """Roots p1 of w1(w2(p1)) = p1 with p2 = w2(p1), where one population
     has w2 = id, so p2 = p1 and the slope product w1'(p2) * w2'(p1) is w'(p).
 
     Both responses increase, so the composition has no 2-cycles and each
     root is a rest point.  When the scan finds every state fixed the
-    result is a continuum sentinel with ``note``.  The scan's g evaluates
-    a Python float through the responses' float kernels, clamping w2(p) as
-    the checked call does, and an array through the checked calls; a row
-    ``scan`` of ``_scan_rows`` on this g can stand in for the scan.
+    result is a continuum sentinel with its arity's note.  The scan's g
+    evaluates a Python float through the responses' float kernels, clamping
+    w2(p) as the checked call does, and an array through the checked
+    calls; a row ``scan`` of ``_scan_rows`` on this g can stand in for it.
     """
     w1, w2 = system.responses if system.dim == 2 else (system.responses[0], _Identity())
     e1, e2 = w1._kernel, w2._kernel
@@ -520,6 +521,7 @@ def _stationary_search(system: System, note: str, scan: tuple | None = None) -> 
     try:
         roots = scan_fixed_points(g) if scan is None else _refine(g, scan)
     except ContinuumError:
+        note = _TWO_POP_CONTINUUM if system.dim == 2 else "every state is stationary"
         return StationaryAnalysis(states=(), continuum=True, note=note)
 
     def state_at(p1: float) -> StationaryState:
@@ -542,13 +544,13 @@ def find_stationary_one_pop(env) -> StationaryAnalysis:
     """All stationary states of the one-population dynamics dp/dt = w(p) - p;
     a continuum sentinel when every state is stationary (every agent
     samples a single action)."""
-    return _stationary_search(System.of(env, 1), "every state is stationary")
+    return _stationary_search(System.of(env, 1))
 
 
 def find_stationary_two_pop(env) -> StationaryAnalysis:
     """All stationary states of the two-population dynamics; pure and
     interior states alike are classified by the slope product w1'(p2) * w2'(p1)."""
-    return _stationary_search(System.of(env, 2), _TWO_POP_CONTINUUM)
+    return _stationary_search(System.of(env, 2))
 
 
 @dataclass(frozen=True)
@@ -676,33 +678,38 @@ def _alpha_grid(step: float) -> list[float]:
     return [i * step for i in range(1, int(1.0 / step) + 1) if i * step <= 1.0 - 1e-9]
 
 
-def _mixture_field(w1s: list, w2s: list) -> Callable:
-    """For a block of alpha pairs (i, j), ``g_at`` of ``_scan_rows`` with rows
-    g(x) = w1s[i](w2s[j](x)) - x.  The responses share atoms, so within a
-    call, one level of the scan, a w2 tail is evaluated once per grid point
-    and a w1 tail once per (j, point) at the clipped w2s[j](x).  Masses add
-    tails in ``_tail_mixture``'s order."""
-    xs = _grid()[0]
-    atoms1, atoms2 = w1s[0]._atoms, w2s[0]._atoms
-    masses1, masses2 = (np.array([[mass for _, mass, _ in w._atoms] for w in ws]).T
-                        for ws in (w1s, w2s))
+def _mixture_field(w1s: list, w2s: list | None) -> Callable:
+    """``g_at`` of ``_scan_rows`` for a block of rows: g(x) = w1s[i](x) - x for
+    a share (i,), g(x) = w1s[i](w2s[j](x)) - x for a pair (i, j).  Within a
+    call, one level of the scan, each tail of w2 or of a lone w1 is taken
+    once per grid point, and of w1 after w2 once per (j, point), w1's at its
+    observed chance.  Masses add tails in ``_tail_mixture``'s order, so each
+    row equals its checked one-row scan bit for bit."""
+    xs, n = _grid()[0], w1s[0]._exponent
+    atoms1, masses1 = w1s[0]._atoms, np.array([[a[1] for a in w._atoms] for w in w1s]).T
+    if w2s is not None:
+        atoms2, masses2 = w2s[0]._atoms, np.array([[a[1] for a in w._atoms] for w in w2s]).T
 
     def field(block: list) -> Callable:
-        alpha1, alpha2 = np.array(block).reshape(-1, 2).T
+        alpha1, alpha2 = np.array(block).T[[0, -1]]
 
         def g_at(r, i, x):
-            j = alpha2[r]
-            points, at_point = np.unique(i, return_inverse=True)
-            keys, at_key = np.unique(j * GRID_POINTS + i, return_inverse=True)
-            one = np.empty(keys.size, dtype=int)  # an element of each key
-            one[at_key] = np.arange(i.size)
-            q = 0.0
-            for mass, (k, _, m) in zip(masses2, atoms2):
-                q = q + mass[j[one]] * _tail(k, m, xs[points])[at_point[one]]
-            q = np.clip(q, 0.0, 1.0)
+            points, at = np.unique(i, return_inverse=True)
+            q = xs[points]
+            if w2s is not None:
+                j = alpha2[r]
+                keys, at_key = np.unique(j * GRID_POINTS + i, return_inverse=True)
+                one = np.empty(keys.size, dtype=int)  # an element of each key
+                one[at_key] = np.arange(i.size)
+                y = 0.0
+                for mass, (k, _, m) in zip(masses2, atoms2):
+                    y = y + mass[j[one]] * _tail(k, m, q)[at[one]]
+                q, at = np.clip(y, 0.0, 1.0), at_key
+            if n is not None:
+                q = 1.0 - _int_power(1.0 - q, n)
             out = 0.0
             for mass, (k, _, m) in zip(masses1, atoms1):
-                out = out + mass[alpha1[r]] * _tail(k, m, q)[at_key]
+                out = out + mass[alpha1[r]] * _tail(k, m, q)[at]
             return out - x
 
         return g_at
@@ -710,43 +717,50 @@ def _mixture_field(w1s: list, w2s: list) -> Callable:
     return field
 
 
-def stable_interior_search(
-    env: Environment, big_k: int = 1000, alpha_step: float = ALPHA_STEP
-) -> StableInteriorSearch:
+def _first_stable_interior(w1s, w2s, grid, in_scope, note) -> StableInteriorSearch:
+    """The first row with a stable interior state: shares of ``grid`` when
+    ``w2s`` is None, else pairs, the diagonal first, then lexicographically.
+    Blocks of rows within ``SCAN_BLOCK`` share one scan (``_mixture_field``)
+    and are resolved row by row."""
+    ws, shares = (w1s,) if w2s is None else (w1s, w2s), range(len(grid))
+    rows = [(i,) * len(ws) for i in shares]
+    rows += [(i, j) for i in shares for j in shares if i != j] if w2s else []
+    field, size = _mixture_field(w1s, w2s), max(1, SCAN_BLOCK // GRID_POINTS)
+    for done in range(0, len(rows), size):
+        block = rows[done:done + size]
+        for row, scan in zip(block, _scan_rows(field(block), len(block))):
+            system = System(tuple(w[i] for w, i in zip(ws, row)))
+            hits = _stationary_search(system, scan).stable_interior()
+            if hits:
+                alpha = tuple(grid[i] for i in row) if w2s else grid[row[0]]
+                return StableInteriorSearch(True, alpha, hits[0], in_scope, note)
+    return StableInteriorSearch(False, None, None, in_scope, note)
+
+
+def stable_interior_search(env: Environment, big_k: int = 1000, alpha_step: float = ALPHA_STEP,
+                           one_population: bool = False) -> StableInteriorSearch:
     """Scan mixture shares that keep mass alpha_i on the base distribution
     and move the rest to sample size big_k, looking for a stable interior
-    state.
+    state: shares alpha of one population when ``one_population`` (the
+    environment must be symmetric), else pairs (alpha1, alpha2).
 
     The sufficient-condition hypothesis (1 < max support < u_i + 1 for
-    each population) is only a flag: the search runs either way.  Alpha
-    pairs are resolved one at a time, diagonal first, then
-    lexicographically, up to the first with a stable interior state; they
-    are scanned in blocks of consecutive pairs within ``SCAN_BLOCK``, which
-    share their response tails (``_mixture_field``).  A step outside
-    [``ALPHA_STEP``, 1) raises ``ValueError``.
+    each population) is only a flag: the search runs either way.  The
+    first hit in ``_first_stable_interior``'s order is the result.  A step
+    outside [``ALPHA_STEP``, 1) raises ``ValueError``.
     """
     game, theta1, theta2 = env.game, env.theta1, env.theta2
+    if one_population and not env.is_symmetric:
+        raise ValueError("a one-population search needs a symmetric environment")
     if big_k <= max(theta1.max_support, theta2.max_support):
         raise ValueError("big_k must exceed the base supports")
-    in_scope = (
-        1 < theta1.max_support < game.u1 + 1.0
-        and 1 < theta2.max_support < game.u2 + 1.0
-    )
+    in_scope = 1 < theta1.max_support < game.u1 + 1.0 and 1 < theta2.max_support < game.u2 + 1.0
     note = "" if in_scope else "outside theorem scope"
     grid = _alpha_grid(alpha_step)
     w1s = [SamplingResponse(game.u1, theta1.mix_with(a, big_k), env.tie_break) for a in grid]
-    w2s = [SamplingResponse(game.u2, theta2.mix_with(a, big_k), env.tie_break) for a in grid]
-    pairs = [(i, i) for i in range(len(grid))]
-    pairs += [(i, j) for i in range(len(grid)) for j in range(len(grid)) if i != j]
-    field, rows = _mixture_field(w1s, w2s), max(1, SCAN_BLOCK // GRID_POINTS)
-    for done in range(0, len(pairs), rows):
-        block = pairs[done:done + rows]
-        for (i, j), scan in zip(block, _scan_rows(field(block), len(block))):
-            pair = System((w1s[i], w2s[j]))
-            hits = _stationary_search(pair, _TWO_POP_CONTINUUM, scan).stable_interior()
-            if hits:
-                return StableInteriorSearch(True, (grid[i], grid[j]), hits[0], in_scope, note)
-    return StableInteriorSearch(False, None, None, in_scope, note)
+    w2s = None if one_population else [
+        SamplingResponse(game.u2, theta2.mix_with(a, big_k), env.tie_break) for a in grid]
+    return _first_stable_interior(w1s, w2s, grid, in_scope, note)
 
 
 def check_theorem3(env: Environment, big_k: int = 1000) -> TheoremReport:

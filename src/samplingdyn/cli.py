@@ -12,16 +12,19 @@ to, a limit of the dynamics read off the stationary analysis (see
 the integration of the cells that cannot be labelled that way, whose
 number the legend records as integrated_cells.  A config whose every
 state is stationary has no basins (exit 2).  analyze's search_alpha_step
-lies in [0.01, 0.5]: the mixture search runs one stationary search per
-pair of shares i * step < 1, up to (1/step)^2 pairs.  A sampling
-environment's tie_break reaches every response analyze and sweep build,
-the mixtures of the Theorem-2 search and Theorem 3 included.
+lies in [0.01, 0.5]: the mixture search scans the shares i * step < 1 of
+a "theta" config and the pairs of them, up to (1/step)^2, of a
+"theta1"/"theta2" config; theorems.json lists the hit's shares, one per
+population, as "alpha".  Theorem 4 concerns two populations, so only
+"theta1"/"theta2" configs report it.  A sampling environment's tie_break
+reaches every response analyze and sweep build, the mixtures of the
+Theorem-2 search and Theorem 3 included.
 
 sweep needs an "environment" and parses it as every command does, with
 the swept "u", or "theta" as {k: 1}, in place of its own; a theta-mass
 sweep mixes {k: 1} with big_k as an alpha sweep mixes theta.  Keys of
-another model (mineffort, logit, contracting), and "matrix" or
-"hawk_dove" in a u sweep, exit 2.
+another model (mineffort, logit, contracting) exit 2, and so does a u
+sweep of a game set in another form, as any second game form does.
 
 sweep.csv has one row per swept value with the columns
     value            the swept theta mass, alpha or u
@@ -162,9 +165,6 @@ def _env_spec(conf: dict, swept: dict | None = None) -> cfg.EnvSpec:
         raise ConfigError("missing 'environment' in config")
     obj = conf["environment"]
     if swept and isinstance(obj, dict):
-        if "u" in swept and ("matrix" in obj or "hawk_dove" in obj):
-            raise ConfigError("a u sweep sets the game by 'u', which 'matrix' and 'hawk_dove' "
-                              "would override")
         obj = {**obj, **swept}
     spec = cfg.parse_environment(obj)
     if swept is not None and spec.kind != "sampling":
@@ -261,7 +261,7 @@ def cmd_analyze(conf: dict) -> int:
                 reports["theorem-1"] = cfg.theorem_report_json(rep)
                 print(f"Theorem 1/1': {rep.verdict.value}")
 
-        if env.game.u1 >= 1.0:
+        if system.dim == 2 and env.game.u1 >= 1.0:
             rep = an.check_theorem4(env)
             reports["theorem-4"] = cfg.theorem_report_json(rep)
             print(f"Theorem 4 part 1: {rep.parts['part1'].value}")
@@ -283,15 +283,12 @@ def cmd_analyze(conf: dict) -> int:
                 reports["theorem-3"] = cfg.theorem_report_json(rep)
                 print(f"Theorem 3: {rep.verdict.value}")
 
-            search = an.stable_interior_search(env, big_k=big_k, alpha_step=step)
-            entry = {
-                "found": search.found,
-                "in_scope": search.in_scope,
-                "alpha": list(search.alpha) if search.alpha else None,
-                "alpha_step": step,
-            }
+            search = an.stable_interior_search(env, big_k=big_k, alpha_step=step,
+                                               one_population=system.dim == 1)
+            entry = {"found": search.found, "in_scope": search.in_scope, "alpha_step": step,
+                     "alpha": None if search.alpha is None else np.ravel(search.alpha).tolist()}
             if search.state is not None:
-                entry["state"] = [search.state.p1, search.state.p2]
+                entry["state"] = np.ravel(search.state.state).tolist()
             reports["theorem-2-search"] = entry
             found = f"alpha={search.alpha}" if search.found else "none"
             scope = "" if search.in_scope else " [outside theorem scope]"

@@ -15,6 +15,7 @@ Environment objects:
     minimum effort:          {"mineffort": {"N": 4, "c": 0.5,
                               "observation": "minimum-effort"}, "theta": ...}
 
+An environment sets its game in one form (a second is an error).
 Sample size distributions use string keys ({"1": 0.5}); tie_break is
 "favor-a" or "favor-b".  CSVs are comma separated with "." decimals, a
 header row, and LF line endings; floats print with 12 significant
@@ -144,6 +145,10 @@ def parse_logit_groups(obj: Any, context: str) -> tuple[tuple[float, float], ...
 def parse_game(obj: Any, context: str = "environment") -> CoordinationGame:
     if not isinstance(obj, Mapping):
         raise ConfigError(f"'{context}' must be an object, got {obj!r}")
+    forms = [key for key in ("matrix", "hawk_dove", "u") if key in obj]
+    forms += ["u1/u2"] if "u1" in obj or "u2" in obj else []
+    if len(forms) > 1:
+        raise ConfigError(f"'{context}' sets the game in more than one form: {', '.join(forms)}")
     try:
         if "matrix" in obj:
             m = obj["matrix"]
@@ -209,6 +214,8 @@ def parse_environment(obj: Any) -> EnvSpec:
             game = ContractingGame(diag1, diag2)
         except ValueError as exc:
             raise ConfigError(f"invalid contracting game: {exc}") from exc
+        if not game.is_generic():
+            raise ConfigError("invalid contracting game: two equilibria share a payoff profile")
         if "M" in c and _integer(c, "M", "contracting") != game.M:
             raise ConfigError(f"'M' = {c['M']} does not match diagonal length {game.M}")
         theta1 = parse_theta(_require(obj, "theta1", context), "theta1")

@@ -9,9 +9,10 @@ machinery.  A minimum-effort agent best-replies as a sampling agent with
 low effort first, at the payoff and tie rule ``MinEffortGame`` states:
 ``sampling_threshold`` gives its thresholds, whose corner sums decide its
 pure states, and its response is their tail mixture at the chance that
-one observation reads low.  Truncated expectations decide the contracting
-pure states, and binomial tails close the exact contracting reply.  Both
-use the stability rule, alpha grid and search result of ``analysis``.
+one observation reads low, so its mixture search is the one-population
+search of ``analysis``.  Truncated expectations decide the contracting
+pure states of generic games, and binomial tails close the exact
+contracting reply.  Both use the stability rule of ``analysis``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .analysis import (
     Stability,
     StableInteriorSearch,
     _alpha_grid,
+    _first_stable_interior,
     classify_slope,
-    find_stationary_one_pop,
 )
 from .dynamics import (
     SampleSizeDistribution,
@@ -59,15 +60,13 @@ class ContractingGame:
     """M-action coordination game with positive diagonal payoffs.
 
     ``diag1[m]`` (``diag2[m]``) is player 1's (2's) payoff when both pick
-    action m; any mismatch pays zero.  Genericity (no two diagonal cells
-    with the same payoff profile) is required by the stability analysis;
-    pass ``require_generic=False`` to study tied games where only the
-    response machinery is needed.
+    action m; any mismatch pays zero.  Only the stability analysis needs
+    genericity (no two diagonal cells with the same payoff profile, see
+    ``is_generic``); the replies and the field take tied games too.
     """
 
     diag1: tuple[float, ...]
     diag2: tuple[float, ...]
-    require_generic: bool = True
 
     def __post_init__(self) -> None:
         d1 = tuple(float(x) for x in self.diag1)
@@ -83,9 +82,6 @@ class ContractingGame:
         # the pure-state conditions cut sample sizes at ubar / u + 1
         if not all(math.isfinite(max(d) / min(d)) for d in (d1, d2)):
             raise ValueError(f"diagonal payoff ratios must be finite, got {d1}, {d2}")
-        if self.require_generic and not self.is_generic():
-            raise ValueError("two equilibria share a payoff profile (set "
-                             "require_generic=False to allow ties)")
 
     def is_generic(self) -> bool:
         return not any(
@@ -502,22 +498,17 @@ def mineffort_stable_interior(
 ) -> StableInteriorSearch:
     """Mixture search for a stable interior low-effort share.
 
-    Scans alpha over the grid of ``stable_interior_search`` (a step
-    outside [``ALPHA_STEP``, 1) raises ``ValueError``), placing mass alpha
-    on sample size k and the rest on big_k, and returns the first alpha,
-    a float, whose response has an interior fixed point with slope below
-    1, with that state.  The proposition hypothesis, k < u + 1 at the
-    game's effective payoff u (k < 1/(1-c) for minimum-effort observation)
-    and also 1 < k under action observation, is reported as a flag; the
-    search runs either way.
+    The one-population search of ``stable_interior_search`` (a step outside
+    [``ALPHA_STEP``, 1) raises ``ValueError``) over mass alpha on sample
+    size k and the rest on big_k: the first alpha, a float, with a stable
+    interior state.  The proposition hypothesis, k < u + 1 at the game's
+    effective payoff u (k < 1/(1-c) for minimum-effort observation) and
+    also 1 < k under action observation, is only a flag.
     """
     if big_k <= k:
         raise ValueError("big_k must exceed k")
     in_scope = k < g.u + 1.0 and (g.observation == Observation.MINIMUM_EFFORT or 1 < k)
     note = "" if in_scope else "outside proposition hypothesis"
-    for alpha in _alpha_grid(alpha_step):
-        theta = SampleSizeDistribution.point(k).mix_with(alpha, big_k)
-        hits = find_stationary_one_pop(MinEffortResponse(g, theta)).stable_interior()
-        if hits:
-            return StableInteriorSearch(True, alpha, hits[0], in_scope, note)
-    return StableInteriorSearch(False, None, None, in_scope, note)
+    grid = _alpha_grid(alpha_step)
+    ws = [MinEffortResponse(g, SampleSizeDistribution.point(k).mix_with(a, big_k)) for a in grid]
+    return _first_stable_interior(ws, None, grid, in_scope, note)

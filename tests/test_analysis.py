@@ -310,8 +310,9 @@ def _scan_theta(draw, big=True):
 def _scan_block(draw):
     """(g_at, rows) of ``_scan_rows``: a one- or two-population sampling
     system, a minimum-effort system under either observation, a logit pair,
-    or a block of ``_mixture_field`` rows."""
-    kind = draw(st.sampled_from(["one", "two", "min-effort", "logit", "mixture"]))
+    or a block of ``_mixture_field`` rows, pairs of sampling responses or
+    shares of one sampling or minimum-effort response."""
+    kind = draw(st.sampled_from(["one", "two", "min-effort", "logit", "mixture", "shares"]))
     if kind == "one":
         w = SamplingResponse(draw(_U), draw(_scan_theta()))
         return (lambda r, i, x: w(x) - x), 1
@@ -330,6 +331,19 @@ def _scan_block(draw):
         index = st.integers(0, len(grid) - 1)
         block = draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
         return analysis._mixture_field(w1s, w2s)(block), len(block)
+    if kind == "shares":
+        theta, big_k = draw(_scan_theta(big=False)), draw(st.integers(61, 1000))
+        grid = analysis._alpha_grid(draw(st.sampled_from([0.5, 0.25, 0.2])))
+        if draw(st.booleans()):
+            u, tie = draw(_U), draw(st.sampled_from(TieBreak))
+            ws = [SamplingResponse(u, theta.mix_with(a, big_k), tie) for a in grid]
+        else:
+            game = MinEffortGame(draw(st.integers(2, 5)), draw(st.floats(0.05, 0.95)),
+                                 draw(st.sampled_from(Observation)))
+            ws = [MinEffortResponse(game, theta.mix_with(a, big_k)) for a in grid]
+        block = draw(st.lists(st.integers(0, len(grid) - 1).map(lambda i: (i,)), min_size=1,
+                              max_size=6))
+        return analysis._mixture_field(ws, None)(block), len(block)
     game = CoordinationGame(draw(_U), draw(_U))
     if kind == "two":
         pair = Environment.of(game, draw(_scan_theta()), draw(_scan_theta())).pair()
@@ -973,6 +987,33 @@ def _reference_search(env, big_k, alpha_step):
     return analysis.StableInteriorSearch(False, None, None, in_scope, note)
 
 
+def _reference_one_pop_search(env, big_k, alpha_step):
+    """The one-population mixture search as one whole stationary search per
+    share, in order and with the environment's tie rule."""
+    in_scope = 1 < env.theta1.max_support < env.game.u1 + 1.0
+    note = "" if in_scope else "outside theorem scope"
+    for a in analysis._alpha_grid(alpha_step):
+        mixed = env.theta1.mix_with(a, big_k)
+        env_a = Environment(env.game, mixed, mixed, env.tie_break)
+        hits = find_stationary_one_pop(env_a).stable_interior()
+        if hits:
+            return analysis.StableInteriorSearch(True, a, hits[0], in_scope, note)
+    return analysis.StableInteriorSearch(False, None, None, in_scope, note)
+
+
+def _reference_mineffort_search(game, k, big_k, alpha_step):
+    """The minimum-effort mixture search as it was written before it joined
+    the block scan: one whole stationary search per share."""
+    in_scope = k < game.u + 1.0 and (game.observation == Observation.MINIMUM_EFFORT or 1 < k)
+    note = "" if in_scope else "outside proposition hypothesis"
+    for alpha in analysis._alpha_grid(alpha_step):
+        theta = SampleSizeDistribution.point(k).mix_with(alpha, big_k)
+        hits = find_stationary_one_pop(MinEffortResponse(game, theta)).stable_interior()
+        if hits:
+            return analysis.StableInteriorSearch(True, alpha, hits[0], in_scope, note)
+    return analysis.StableInteriorSearch(False, None, None, in_scope, note)
+
+
 def _search_cases(rng):
     """(environment, alpha_step): one- and two-population bases with sizes
     1-12, half of them below u + 1 as Theorem 2 asks, some with an atom in
@@ -1021,9 +1062,10 @@ class TestStableInteriorSearch:
                 assert got == w, (budget, env, step)
 
     def test_block_rows_equal_one_row_scans(self, rng):
-        # every pair of a block, not only the first hit, evaluates the grid
+        # every row of a block, not only the first hit, evaluates the grid
         # points of its own scan and gets the scan of its own composed
-        # checked responses, bit for bit
+        # checked responses, bit for bit: pairs of sampling responses, and
+        # shares of one sampling or minimum-effort response
         def recording(g_at, points):
             def recorded(r, i, x):
                 for row, k in zip(r.tolist(), i.tolist()):
@@ -1032,21 +1074,64 @@ class TestStableInteriorSearch:
 
             return recorded
 
+        def check(w1s, w2s, block, case):
+            points = {}
+            field = recording(analysis._mixture_field(w1s, w2s)(block), points)
+            scans = analysis._scan_rows(field, len(block))
+            for row, (index, scan) in enumerate(zip(block, scans)):
+                w1, w2, want_points = w1s[index[0]], w2s and w2s[index[1]], {}
+                h = w1 if w2 is None else (lambda x: w1(w2(x)))
+                (want,) = analysis._scan_rows(recording(lambda r, k, x: h(x) - x, want_points), 1)
+                assert repr(scan) == repr(want), (case, index)
+                assert points[row] == want_points[0], (case, index)
+
         for env, step in _search_cases(rng)[:-2]:
             game, theta1, theta2, tie = env.game, env.theta1, env.theta2, env.tie_break
             grid = analysis._alpha_grid(step)
             w1s = [SamplingResponse(game.u1, theta1.mix_with(a, 1000), tie) for a in grid]
             w2s = [SamplingResponse(game.u2, theta2.mix_with(a, 1000), tie) for a in grid]
-            block = [(i, j) for i in range(len(grid)) for j in range(len(grid))]
-            points = {}
-            field = recording(analysis._mixture_field(w1s, w2s)(block), points)
-            scans = analysis._scan_rows(field, len(block))
-            for row, ((i, j), scan) in enumerate(zip(block, scans)):
-                w1, w2, want_points = w1s[i], w2s[j], {}
-                g_at = recording(lambda r, k, x: w1(w2(x)) - x, want_points)
-                (want,) = analysis._scan_rows(g_at, 1)
-                assert repr(scan) == repr(want), (game, theta1, theta2, grid[i], grid[j])
-                assert points[row] == want_points[0], (game, theta1, theta2, grid[i], grid[j])
+            check(w1s, w2s, [(i, j) for i in range(len(grid)) for j in range(len(grid))], env)
+            if env.is_symmetric:
+                check(w1s, None, [(i,) for i in range(len(grid))], env)
+        grid = analysis._alpha_grid(0.2)
+        for n in range(12):
+            game = MinEffortGame(int(rng.integers(2, 7)), float(rng.uniform(0.05, 0.95)),
+                                 list(Observation)[n % 2])
+            theta = random_theta(rng)
+            ws = [MinEffortResponse(game, theta.mix_with(a, 1000)) for a in grid]
+            check(ws, None, [(i,) for i in range(len(grid))], (game, theta))
+
+    def test_one_population_equals_one_stationary_search_per_share(self, rng, monkeypatch):
+        cases = [(replace(env, tie_break=tie), step) for env, step in _search_cases(rng)
+                 if env.is_symmetric for tie in TieBreak]
+        want = [repr(_reference_one_pop_search(env, 1000, step)) for env, step in cases]
+        assert sum("found=True" in w for w in want) >= 4
+        for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
+            monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
+            for (env, step), w in zip(cases, want):
+                got = repr(stable_interior_search(env, 1000, step, one_population=True))
+                assert got == w, (budget, env, step)
+
+    def test_minimum_effort_equals_one_stationary_search_per_share(self, rng, monkeypatch):
+        # half of the sizes k below u + 1, as the proposition asks
+        cases = []
+        for n in range(40):
+            game = MinEffortGame(int(rng.integers(2, 7)), float(rng.uniform(0.05, 0.95)),
+                                 list(Observation)[n % 2])
+            top = 12 if n % 4 >= 2 else max(2, min(12, int(game.u + 1.0)))
+            cases.append((game, int(rng.integers(1, top + 1)), int(rng.integers(13, 601)),
+                          (0.5, 0.25, 0.2, 0.1, 0.05)[n % 5]))
+        want = [repr(_reference_mineffort_search(*case)) for case in cases]
+        assert 4 <= sum("found=True" in w for w in want) < len(want)
+        for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
+            monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
+            for case, w in zip(cases, want):
+                assert repr(mineffort_stable_interior(*case)) == w, (budget, case)
+
+    def test_one_population_needs_a_symmetric_environment(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            stable_interior_search(Environment.of(CoordinationGame(5.0, 0.2), THETA_15), 1000,
+                                   0.5, one_population=True)
 
     def test_oyama_interval(self):
         res = stable_interior_search(

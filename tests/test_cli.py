@@ -32,6 +32,9 @@ SYMMETRIC_PAIR = {
     "theta2": {"1": 0.5, "5": 0.5},
 }
 ONE_POP = {"u": 1.2, "theta": {"2": 1.0}}
+# a payoff where the two-population search on the symmetric pair finds the
+# asymmetric state (0.0480, 0.0686) at the shares (0.25, 0.5)
+U_K3 = 4.765685148304299
 
 
 def write_config(tmp_path: Path, obj: dict) -> str:
@@ -79,6 +82,29 @@ class TestAnalyze:
         assert line.startswith(f"Proposition 4: state a {a} (product ")
         assert f", state b {b} (product " in line
         assert "verdict" not in reports["state_a"] and "verdict" not in reports["state_b"]
+
+    @pytest.mark.parametrize("environment, step, found, alpha", [
+        ({"u": U_K3, "theta": {"3": 1}}, 0.25, "none", None),
+        ({"u": 1.5, "theta": {"2": 1}}, 0.05, "alpha=0.55", [0.55]),
+        ({"u1": U_K3, "u2": U_K3, "theta1": {"3": 1}, "theta2": {"3": 1}}, 0.25,
+         "alpha=(0.25, 0.5)", [0.25, 0.5]),
+        (SYMMETRIC_PAIR, 0.25, "none [outside theorem scope]", None),
+    ], ids=["one-pop-none", "one-pop-share", "two-pop-pair", "symmetric-pair"])
+    def test_search_has_one_share_per_population(self, tmp_path, capsys, environment, step,
+                                                 found, alpha):
+        # the config's form sets the arity of the search, and Theorem 4 is a
+        # statement about two populations
+        conf = write_config(tmp_path, {"command": "analyze", "environment": environment,
+                                       "search_alpha_step": step, "out": str(tmp_path)})
+        assert main(["analyze", "--config", conf]) == 0
+        out, two = capsys.readouterr().out, "theta1" in environment
+        assert f"Theorem 2/2' mixture search: {found}\n" in out
+        assert ("Theorem 4 part 1" in out) == two
+        reports = json.loads((tmp_path / "theorems.json").read_text())
+        assert reports["theorem-2-search"]["alpha"] == alpha
+        assert ("theorem-4" in reports) == two
+        if alpha is not None:
+            assert len(reports["theorem-2-search"]["state"]) == len(alpha)
 
     def test_fig3_left_big_k_in_support_is_not_applicable(self, tmp_path, capsys):
         conf = write_config(
@@ -148,13 +174,16 @@ class TestAnalyze:
             # scipy's incomplete beta is NaN at sizes near 1e18
             ({"u": 1.2, "theta": {"1000000000000000000000": 1.0}}, "at most 1000000"),
             ({**FIG3_RIGHT, "theta2": {"1": 0.5, "1000001": 0.5}}, "at most 1000000"),
+            ({**FIG3_RIGHT, "u": 2}, "more than one form: u, u1/u2"),
+            ({"contracting": {"diag1": [1, 1, 4], "diag2": [2, 2, 4]}, "theta1": {"1": 1},
+              "theta2": {"1": 1}}, "share a payoff profile"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
              "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
              "bool-payoff", "subnormal-payoff", "subnormal-contracting-payoff",
              "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass", "huge-theta-key",
-             "theta-key-past-max-sample-size"],
+             "theta-key-past-max-sample-size", "two-game-forms", "tied-contracting-game"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -612,8 +641,11 @@ class TestSweep:
         ({"u": 1.5, "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2,
                               "stop": 0.2, "step": 0.1}}, "missing 'environment'"),
         ({"environment": {"matrix": {"u11": 3, "u12": 1, "u21": 1, "u22": 2}, "theta": {"3": 1}},
-          "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}}, "a u sweep sets the game"),
-    ], ids=["theta-mass-mineffort", "u-logit", "theta-mass-no-environment", "u-matrix"])
+          "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}}, "more than one form"),
+        ({"environment": FIG3_RIGHT, "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}},
+         "more than one form"),
+    ], ids=["theta-mass-mineffort", "u-logit", "theta-mass-no-environment", "u-matrix",
+            "u-u1-u2"])
     def test_environment_the_sweep_cannot_read_exits_2(self, tmp_path, capsys, conf, message):
         # every swept environment is parsed whole, so no key goes unread
         path = write_config(tmp_path, {"command": "sweep", "out": str(tmp_path), **conf})
@@ -705,6 +737,12 @@ class TestNormalize:
         game = {"matrix": {"u11": 1.0, "u12": 2.0, "u21": 0.0, "u22": 1.0}}
         conf = write_config(tmp_path, {"command": "normalize", "game": game})
         assert main(["normalize", "--config", conf]) == 2
+
+    def test_two_game_forms_exit_2(self, tmp_path, capsys):
+        # the parser read the first form, u = 2, and dropped u1 and u2
+        conf = write_config(tmp_path, {"command": "normalize", "game": {**FIG3_RIGHT, "u": 2}})
+        assert main(["normalize", "--config", conf]) == 2
+        assert "'game' sets the game in more than one form: u, u1/u2" in capsys.readouterr().err
 
 
 # Fixture configs whose every field keeps the run cheap: resolution <= 7,

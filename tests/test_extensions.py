@@ -76,7 +76,7 @@ class TestBestResponse:
                 assert (best == 0) == (x >= m)
 
     def test_tie_rules(self):
-        g = ContractingGame((1.0, 1.0), (1.0, 2.0), require_generic=False)
+        g = ContractingGame((1.0, 1.0), (1.0, 2.0))
         assert contracting_best_response(g, 1, (1, 1), ContractTieRule.LOWEST) == 0
         assert contracting_best_response(g, 1, (1, 1), ContractTieRule.HIGHEST) == 1
         rng = np.random.default_rng(0)
@@ -109,7 +109,7 @@ class TestResponseVector:
         assert np.allclose(r.probabilities, p, atol=1e-12)
 
     def test_symmetric_ties_split_uniformly(self):
-        g = ContractingGame((1.0,) * 3, (1.0,) * 3, require_generic=False)
+        g = ContractingGame((1.0,) * 3, (1.0,) * 3)
         r = contracting_response_vector(
             g,
             1,
@@ -135,7 +135,7 @@ class TestResponseVector:
         # spread, and the second game ties actions 1 and 2 for player 1
         # whenever their counts agree, so the three rules give different
         # vectors
-        tied = ContractingGame((1.0, 2.0, 2.0), (2.0, 1.0, 3.0), require_generic=False)
+        tied = ContractingGame((1.0, 2.0, 2.0), (2.0, 1.0, 3.0))
         theta = SampleSizeDistribution.point(1500)
         draws = np.random.default_rng(11)
         for g in (random_contracting(rng, M=3), tied):
@@ -202,7 +202,7 @@ class TestSplitPieces:
             if weights.sum() == 0.0:
                 weights[0] = 1.0
             p = weights / weights.sum()
-            g = ContractingGame(tuple(diag), tuple(diag), require_generic=False)
+            g = ContractingGame(tuple(diag), tuple(diag))
             got = contracting_response_vector(g, 1, theta, p, rule).probabilities
             assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
 
@@ -225,7 +225,7 @@ class TestSplitPieces:
         # the ties before action 1 does, a change that only the crossing of
         # the lower prefix payoff marks
         diag = (3e-13, 1e-12, 1e-13, 1e-13)
-        g = ContractingGame(diag, diag, require_generic=False)
+        g = ContractingGame(diag, diag)
         theta = SampleSizeDistribution.point(90)
         p = np.array([16.0, 5.0, 57.0, 12.0]) / 90.0
         got = contracting_response_vector(g, 1, theta, p, rule).probabilities
@@ -235,7 +235,7 @@ class TestSplitPieces:
     def test_payoffs_whose_product_overflows(self, diag):
         # the last two payoffs meet at n * d1 * d2 / (d1 + d2), and d1 * d2
         # alone overflows
-        g = ContractingGame(diag, diag, require_generic=False)
+        g = ContractingGame(diag, diag)
         theta = SampleSizeDistribution.point(10)
         p = np.full(len(diag), 1.0 / len(diag))
         for rule in ContractTieRule:
@@ -317,7 +317,6 @@ def test_response_vector_matches_brute_force(data, M, rule, player):
     g = ContractingGame(
         tuple(data.draw(st.lists(payoff, min_size=M, max_size=M))),
         tuple(data.draw(st.lists(payoff, min_size=M, max_size=M))),
-        require_generic=False,
     )
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
     raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(sizes), max_size=len(sizes)))
@@ -469,7 +468,7 @@ class TestContractingStability:
             integrate_contracting(g, theta, theta, initial, t_max=0.1)
 
     def test_requires_generic_game(self):
-        g = ContractingGame((1.0, 1.0), (2.0, 2.0), require_generic=False)
+        g = ContractingGame((1.0, 1.0), (2.0, 2.0))
         with pytest.raises(ValueError):
             contracting_pure_stability(
                 g, SampleSizeDistribution.point(2), SampleSizeDistribution.point(2)
