@@ -10,8 +10,10 @@ observation flips off its own thresholds, tie rule included
 verdict, against the marginal band.  The checkers evaluate the paper-level
 sufficient conditions (instability of homogeneous mixing, stabilization
 by sample-size mixtures, global convergence to miscoordination) as
-numeric reports rather than proofs; the mixture checks take the
-``Environment``, so every mixture they build keeps its tie rule.
+numeric reports rather than proofs.  Every check takes a ``System``, or
+anything ``System.of`` resolves, and reads payoffs, sample sizes and tie
+rule off its responses; each response builds its own mixtures
+(``mix_with``), so every mixture keeps its tie rule.
 
 Roots come from one grid scan over a block of rows, which splits the
 grid level by level and drops the cells that a monotone enclosure shows
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -39,7 +41,6 @@ import numpy as np
 from .dynamics import (
     Environment,
     ResponsePair,
-    SamplingResponse,
     _int_power,
     _tail,
     truncated_expectation,
@@ -561,8 +562,8 @@ class PureStateClassification:
     state_b: StationaryState  # everyone plays the second action
 
 
-def classify_pure_states(env: Environment, one_population: bool = False) -> PureStateClassification:
-    """Classify both pure states by their corner products (Proposition 4).
+def classify_pure_states(system) -> PureStateClassification:
+    """Classify both pure states of ``System.of(system)`` by their corner products.
 
     The corner Jacobian of the two-population dynamics has eigenvalues
     -1 +/- sqrt(prod) where prod multiplies, across populations, the
@@ -570,38 +571,32 @@ def classify_pure_states(env: Environment, one_population: bool = False) -> Pure
     single contrary observation: those whose threshold is the whole sample
     at the first-action corner and one observation at the second.  Each
     response's ``corner_masses`` reads that set off its own thresholds, so
-    the environment's tie rule decides the sizes on a tie, and the
-    products are the slope products of the stationary search at the corners.
+    its tie rule decides the sizes on a tie, and the products are the
+    slope products of the stationary search at the corners (Proposition 4).
     """
-    (b1, a1), (b2, a2) = env.response(1).corner_masses(), env.response(2).corner_masses()
-
-    if one_population:
-        if not env.is_symmetric:
-            raise ValueError("one-population classification needs a symmetric environment")
-        return PureStateClassification(
-            state_a=_state(1.0, a1, 0.0), state_b=_state(0.0, b1, 0.0)
-        )
-    return PureStateClassification(
-        state_a=_state((1.0, 1.0), a1 * a2, 0.0), state_b=_state((0.0, 0.0), b1 * b2, 0.0)
-    )
+    system = System.of(system)
+    b, a = (math.prod(m) for m in zip(*(w.corner_masses() for w in system.responses)))
+    one = system.dim == 1
+    return PureStateClassification(state_a=_state(1.0 if one else (1.0, 1.0), a, 0.0),
+                                   state_b=_state(0.0 if one else (0.0, 0.0), b, 0.0))
 
 
-def check_theorem4(env: Environment) -> TheoremReport:
-    """Global-miscoordination and local-coordination conditions.
+def check_theorem4(system) -> TheoremReport:
+    """Global-miscoordination and local-coordination conditions of the two
+    populations of ``System.of(system, 2)``.
 
     Part 1 (both strict products above 1) asserts that no interior start
     converges to a pure state; part 2 (some weak product below 1) asserts
     that at least one pure equilibrium is asymptotically stable.
     """
-    g = env.game
-    if g.u1 < 1.0 - 1e-12:
+    w1, w2 = System.of(system, 2).responses
+    if w1.u < 1.0 - 1e-12:
         raise ValueError("requires the canonical representation u1 >= 1")
-    t1_1 = env.theta1.mass(1)
-    t2_1 = env.theta2.mass(1)
-    p1a = t1_1 * truncated_expectation(env.theta2, 1.0 / g.u2 + 1.0, "strict")
-    p1b = t2_1 * truncated_expectation(env.theta1, g.u1 + 1.0, "strict")
-    p2a = t1_1 * truncated_expectation(env.theta2, 1.0 / g.u2 + 1.0, "weak")
-    p2b = t2_1 * truncated_expectation(env.theta1, g.u1 + 1.0, "weak")
+    t1_1, t2_1 = w1.theta.mass(1), w2.theta.mass(1)
+    p1a = t1_1 * truncated_expectation(w2.theta, 1.0 / w2.u + 1.0, "strict")
+    p1b = t2_1 * truncated_expectation(w1.theta, w1.u + 1.0, "strict")
+    p2a = t1_1 * truncated_expectation(w2.theta, 1.0 / w2.u + 1.0, "weak")
+    p2b = t2_1 * truncated_expectation(w1.theta, w1.u + 1.0, "weak")
 
     calls1 = {classify_slope(p1a), classify_slope(p1b)}
     calls2 = {classify_slope(p2a), classify_slope(p2b)}
@@ -622,20 +617,21 @@ def check_theorem4(env: Environment) -> TheoremReport:
     )
 
 
-def check_homogeneous_uniqueness(env: Environment) -> TheoremReport:
-    """At most one interior stationary state under homogeneous sampling.
+def check_homogeneous_uniqueness(system) -> TheoremReport:
+    """At most one interior stationary state of ``System.of(system)`` under
+    homogeneous sampling (Theorem 1 for one population, 1' for two).
 
     Requires every agent in each population to share one sample size
     strictly above 1; the report records the interior count and whether
     any interior state was classified stable.
     """
-    k1 = env.theta1.degenerate_k
-    k2 = env.theta2.degenerate_k
-    if k1 is None or k2 is None:
+    system = System.of(system)
+    ks = [w.theta.degenerate_k for w in system.responses]
+    if None in ks:
         raise ValueError("requires homogeneous sample size distributions")
-    if k1 < 2 or k2 < 2:
+    if min(ks) < 2:
         raise ValueError("requires sample sizes larger than 1")
-    analysis = System.of(env).stationary()
+    analysis = system.stationary()
     interior = analysis.interior()
     any_stable = any(s.stability == Stability.STABLE for s in interior)
     verdict = Verdict.HOLDS if (len(interior) <= 1 and not any_stable) else Verdict.FAILS
@@ -678,7 +674,7 @@ def _alpha_grid(step: float) -> list[float]:
     return [i * step for i in range(1, int(1.0 / step) + 1) if i * step <= 1.0 - 1e-9]
 
 
-def _mixture_field(w1s: list, w2s: list | None) -> Callable:
+def _mixture_field(w1s: list, w2s: list | None = None) -> Callable:
     """``g_at`` of ``_scan_rows`` for a block of rows: g(x) = w1s[i](x) - x for
     a share (i,), g(x) = w1s[i](w2s[j](x)) - x for a pair (i, j).  Within a
     call, one level of the scan, each tail of w2 or of a lone w1 is taken
@@ -717,66 +713,63 @@ def _mixture_field(w1s: list, w2s: list | None) -> Callable:
     return field
 
 
-def _first_stable_interior(w1s, w2s, grid, in_scope, note) -> StableInteriorSearch:
-    """The first row with a stable interior state: shares of ``grid`` when
-    ``w2s`` is None, else pairs, the diagonal first, then lexicographically.
-    Blocks of rows within ``SCAN_BLOCK`` share one scan (``_mixture_field``)
-    and are resolved row by row."""
-    ws, shares = (w1s,) if w2s is None else (w1s, w2s), range(len(grid))
+def _first_stable_interior(base, big_k, step, in_scope, note) -> StableInteriorSearch:
+    """The first row with a stable interior state, each response of ``base``
+    mixed by ``mix_with`` at the shares of ``_alpha_grid(step)``: shares
+    for one response, else pairs, the diagonal first, then
+    lexicographically.  Blocks of rows within ``SCAN_BLOCK`` share one scan
+    (``_mixture_field``) and are resolved row by row."""
+    if big_k <= max(w.theta.max_support for w in base):
+        raise ValueError("big_k must exceed the base supports")
+    grid = _alpha_grid(step)
+    ws, shares = [[w.mix_with(a, big_k) for a in grid] for w in base], range(len(grid))
     rows = [(i,) * len(ws) for i in shares]
-    rows += [(i, j) for i in shares for j in shares if i != j] if w2s else []
-    field, size = _mixture_field(w1s, w2s), max(1, SCAN_BLOCK // GRID_POINTS)
+    rows += [(i, j) for i in shares for j in shares if i != j] if len(ws) == 2 else []
+    field, size = _mixture_field(*ws), max(1, SCAN_BLOCK // GRID_POINTS)
     for done in range(0, len(rows), size):
         block = rows[done:done + size]
         for row, scan in zip(block, _scan_rows(field(block), len(block))):
             system = System(tuple(w[i] for w, i in zip(ws, row)))
             hits = _stationary_search(system, scan).stable_interior()
             if hits:
-                alpha = tuple(grid[i] for i in row) if w2s else grid[row[0]]
+                alpha = tuple(grid[i] for i in row) if len(ws) == 2 else grid[row[0]]
                 return StableInteriorSearch(True, alpha, hits[0], in_scope, note)
     return StableInteriorSearch(False, None, None, in_scope, note)
 
 
-def stable_interior_search(env: Environment, big_k: int = 1000, alpha_step: float = ALPHA_STEP,
-                           one_population: bool = False) -> StableInteriorSearch:
-    """Scan mixture shares that keep mass alpha_i on the base distribution
-    and move the rest to sample size big_k, looking for a stable interior
-    state: shares alpha of one population when ``one_population`` (the
-    environment must be symmetric), else pairs (alpha1, alpha2).
+def stable_interior_search(system, big_k: int = 1000,
+                           alpha_step: float = ALPHA_STEP) -> StableInteriorSearch:
+    """Scan mixture shares that keep mass alpha_i on each base distribution
+    of ``System.of(system)`` and move the rest to sample size big_k,
+    looking for a stable interior state: shares alpha of one population,
+    pairs (alpha1, alpha2) of two.
 
     The sufficient-condition hypothesis (1 < max support < u_i + 1 for
     each population) is only a flag: the search runs either way.  The
-    first hit in ``_first_stable_interior``'s order is the result.  A step
-    outside [``ALPHA_STEP``, 1) raises ``ValueError``.
+    first hit in ``_first_stable_interior``'s order is the result.  A big_k
+    inside a support, or a step outside [``ALPHA_STEP``, 1), raises
+    ``ValueError``.
     """
-    game, theta1, theta2 = env.game, env.theta1, env.theta2
-    if one_population and not env.is_symmetric:
-        raise ValueError("a one-population search needs a symmetric environment")
-    if big_k <= max(theta1.max_support, theta2.max_support):
-        raise ValueError("big_k must exceed the base supports")
-    in_scope = 1 < theta1.max_support < game.u1 + 1.0 and 1 < theta2.max_support < game.u2 + 1.0
+    responses = System.of(system).responses
+    in_scope = all(1 < w.theta.max_support < w.u + 1.0 for w in responses)
     note = "" if in_scope else "outside theorem scope"
-    grid = _alpha_grid(alpha_step)
-    w1s = [SamplingResponse(game.u1, theta1.mix_with(a, big_k), env.tie_break) for a in grid]
-    w2s = None if one_population else [
-        SamplingResponse(game.u2, theta2.mix_with(a, big_k), env.tie_break) for a in grid]
-    return _first_stable_interior(w1s, w2s, grid, in_scope, note)
+    return _first_stable_interior(responses, big_k, alpha_step, in_scope, note)
 
 
-def check_theorem3(env: Environment, big_k: int = 1000) -> TheoremReport:
+def check_theorem3(system, big_k: int = 1000) -> TheoremReport:
     """Half-and-half mixture test for high-miscoordination stable states.
 
     For games where the players prefer opposite outcomes (u2 < 1 < u1),
     moving half of each population to sample size big_k should create an
     asymptotically stable interior state with miscoordination of at least
     one half and p2 < 1/2 < p1.  The verdict records whether that holds at
-    the given payoffs; the underlying claim is only asserted for u1 and
-    1/u2 large.
+    the given payoffs of ``System.of(system, 2)``; the underlying claim is
+    only asserted for u1 and 1/u2 large.
     """
-    if not (env.game.u2 < 1.0 < env.game.u1):
+    w1, w2 = System.of(system, 2).responses
+    if not (w2.u < 1.0 < w1.u):
         raise ValueError("requires u2 < 1 < u1 (different preferred outcomes)")
-    analysis = find_stationary_two_pop(replace(
-        env, theta1=env.theta1.mix_with(0.5, big_k), theta2=env.theta2.mix_with(0.5, big_k)))
+    analysis = System((w1.mix_with(0.5, big_k), w2.mix_with(0.5, big_k))).stationary()
     best_misc = math.nan
     verdict = Verdict.FAILS
     best_state = None

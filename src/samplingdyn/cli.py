@@ -16,9 +16,10 @@ lies in [0.01, 0.5]: the mixture search scans the shares i * step < 1 of
 a "theta" config and the pairs of them, up to (1/step)^2, of a
 "theta1"/"theta2" config; theorems.json lists the hit's shares, one per
 population, as "alpha".  Theorem 4 concerns two populations, so only
-"theta1"/"theta2" configs report it.  A sampling environment's tie_break
-reaches every response analyze and sweep build, the mixtures of the
-Theorem-2 search and Theorem 3 included.
+"theta1"/"theta2" configs report it.  analyze and sweep run every check
+on the one System they build from the config's form, and each mixture is
+one of its responses' ``mix_with``, so a sampling environment's tie_break
+reaches them all.
 
 sweep needs an "environment" and parses it as every command does, with
 the swept "u", or "theta" as {k: 1}, in place of its own; a theta-mass
@@ -71,7 +72,7 @@ from . import config as cfg
 from . import svg as svgmod
 from .analysis import System
 from .config import ConfigError
-from .dynamics import MAX_SAMPLE_SIZE, Environment
+from .dynamics import MAX_SAMPLE_SIZE
 from .extensions import (
     Observation,
     contracting_pure_stability,
@@ -221,11 +222,8 @@ def cmd_analyze(conf: dict) -> int:
 
     if spec.kind == "mineffort":
         rep = mineffort_pure_stability(spec.mineffort, spec.thetas[0])
-        name = (
-            "proposition-7"
-            if spec.mineffort.observation == Observation.MINIMUM_EFFORT
-            else "proposition-8"
-        )
+        minimum = spec.mineffort.observation == Observation.MINIMUM_EFFORT
+        name = "proposition-7" if minimum else "proposition-8"
         reports[name] = {
             "safe": rep.safe_label.value,
             "efficient": rep.efficient_label.value,
@@ -235,8 +233,8 @@ def cmd_analyze(conf: dict) -> int:
         print(f"{name}: safe {rep.safe_label.value}, efficient {rep.efficient_label.value}")
 
     if spec.kind == "sampling":
-        env = spec.environment
-        pure = an.classify_pure_states(env, one_population=system.dim == 1)
+        game, thetas = spec.environment.game, [w.theta for w in system.responses]
+        pure = an.classify_pure_states(system)
         reports["proposition-4"] = {
             f"state_{side}": {
                 "theorem": f"proposition-4-{side}",
@@ -255,20 +253,19 @@ def cmd_analyze(conf: dict) -> int:
             f"(product {pure.state_b.slope_product:.6g})"
         )
 
-        if env.theta1.degenerate_k and env.theta2.degenerate_k:
-            if env.theta1.degenerate_k > 1 and env.theta2.degenerate_k > 1:
-                rep = an.check_homogeneous_uniqueness(env)
-                reports["theorem-1"] = cfg.theorem_report_json(rep)
-                print(f"Theorem 1/1': {rep.verdict.value}")
+        if all((t.degenerate_k or 0) > 1 for t in thetas):
+            rep = an.check_homogeneous_uniqueness(system)
+            reports["theorem-1"] = cfg.theorem_report_json(rep)
+            print(f"Theorem 1/1': {rep.verdict.value}")
 
-        if system.dim == 2 and env.game.u1 >= 1.0:
-            rep = an.check_theorem4(env)
+        if system.dim == 2 and game.u1 >= 1.0:
+            rep = an.check_theorem4(system)
             reports["theorem-4"] = cfg.theorem_report_json(rep)
             print(f"Theorem 4 part 1: {rep.parts['part1'].value}")
             print(f"Theorem 4 part 2: {rep.parts['part2'].value}")
 
-        largest = max(env.theta1.max_support, env.theta2.max_support)
-        opposed = env.game.u2 < 1.0 < env.game.u1
+        largest = max(t.max_support for t in thetas)
+        opposed = game.u2 < 1.0 < game.u1
         if big_k <= largest:
             # both checks move mass onto sample size big_k, which must be new
             note = f"big_k={big_k} is not above the largest sample size {largest}"
@@ -279,12 +276,11 @@ def cmd_analyze(conf: dict) -> int:
             print(f"mixture checks not applicable: {note}")
         else:
             if opposed:
-                rep = an.check_theorem3(env, big_k)
+                rep = an.check_theorem3(system, big_k)
                 reports["theorem-3"] = cfg.theorem_report_json(rep)
                 print(f"Theorem 3: {rep.verdict.value}")
 
-            search = an.stable_interior_search(env, big_k=big_k, alpha_step=step,
-                                               one_population=system.dim == 1)
+            search = an.stable_interior_search(system, big_k=big_k, alpha_step=step)
             entry = {"found": search.found, "in_scope": search.in_scope, "alpha_step": step,
                      "alpha": None if search.alpha is None else np.ravel(search.alpha).tolist()}
             if search.state is not None:
@@ -323,9 +319,7 @@ def cmd_phase(conf: dict) -> int:
         csv_text = svgmod.phase_curves_csv_one_pop(response, samples)
     else:
         pair = system.pair
-        svg_text = svgmod.phase_svg_two_pop(
-            pair, stationary, samples, quiver=quiver
-        )
+        svg_text = svgmod.phase_svg_two_pop(pair, stationary, samples, quiver=quiver)
         csv_text = svgmod.phase_curves_csv_two_pop(pair, samples)
     (out / "phase.svg").write_bytes(svg_text.encode("utf-8"))
     cfg._write_text(out / "phase.csv", csv_text)
@@ -370,9 +364,10 @@ def _horizon(conf: dict, t_max: float) -> tuple[float, float]:
 def cmd_trajectory(conf: dict) -> int:
     spec = _env_spec(conf)
     out = _out_dir(conf)
-    initial = _parse_initial(conf, spec.one_population)
+    system = _system(spec)
+    initial = _parse_initial(conf, system.dim == 1)
     t_max, dt = _horizon(conf, 200.0)
-    traj = integrate(_system(spec), initial, t_max=t_max, dt=dt)
+    traj = integrate(system, initial, t_max=t_max, dt=dt)
     cfg.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states)
     print(f"verdict: {traj.verdict}")
     return 0
@@ -489,19 +484,19 @@ def cmd_sweep(conf: dict) -> int:
     out = _out_dir(conf)
     rows = []
 
-    def analyze_env(env: Environment, one_pop: bool, value: float):
+    def analyze_env(system: System, value: float):
         try:
-            res = System.of(env, 1 if one_pop else 2).stationary()
+            res = system.stationary()
         except ArithmeticError:
             return [cfg.fmt(value), "", "", "", "", "", "numeric-failure"]
         if res.continuum:
             return [cfg.fmt(value), "", "", "", "", "", "continuum"]
         interior = res.interior()
         stable_int = res.stable_interior()
-        if one_pop or env.game.u1 < 1.0:
+        if system.dim == 1 or system.responses[0].u < 1.0:
             t4p1 = t4p2 = "n/a"
         else:
-            rep = an.check_theorem4(env)
+            rep = an.check_theorem4(system)
             t4p1 = rep.parts["part1"].value
             t4p2 = rep.parts["part2"].value
         return [
@@ -518,8 +513,7 @@ def cmd_sweep(conf: dict) -> int:
         for u in _sweep_values(spec):
             if u <= 0:
                 raise ConfigError(f"u {u} must be positive")
-            env_spec = _env_spec(conf, {"u": u})
-            rows.append(analyze_env(env_spec.environment, env_spec.one_population, u))
+            rows.append(analyze_env(_system(_env_spec(conf, {"u": u})), u))
     elif sweep_type in ("theta-mass", "alpha"):
         big_k, swept = cfg._integer(spec, "big_k", "sweep"), {}
         if sweep_type == "theta-mass":
@@ -529,21 +523,16 @@ def cmd_sweep(conf: dict) -> int:
                                   f"of at most {MAX_SAMPLE_SIZE}")
             # theta mass beta on k is the alpha sweep of theta {k: 1}
             swept = {"theta": {str(k): 1.0}}
-        env_spec = _env_spec(conf, swept)
-        env = env_spec.environment
-        if not 1 <= big_k <= MAX_SAMPLE_SIZE or big_k in env.theta1.support + env.theta2.support:
+        base = _system(_env_spec(conf, swept))
+        if not 1 <= big_k <= MAX_SAMPLE_SIZE or any(big_k in w.theta.support
+                                                     for w in base.responses):
             raise ConfigError(f"sweep 'big_k' must lie in [1, {MAX_SAMPLE_SIZE}] and outside "
                               f"theta's support, got {spec['big_k']!r}")
         for alpha in _sweep_values(spec):
             if not (0.0 < alpha < 1.0):
                 raise ConfigError(f"{sweep_type} {alpha} outside (0, 1)")
-            mixed = Environment(
-                env.game,
-                env.theta1.mix_with(alpha, big_k),
-                env.theta2.mix_with(alpha, big_k),
-                env.tie_break,
-            )
-            rows.append(analyze_env(mixed, env_spec.one_population, alpha))
+            mixed = System(tuple(w.mix_with(alpha, big_k) for w in base.responses))
+            rows.append(analyze_env(mixed, alpha))
     else:
         raise ConfigError(f"unknown sweep type {sweep_type!r}")
 

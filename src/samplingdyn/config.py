@@ -15,7 +15,8 @@ Environment objects:
     minimum effort:          {"mineffort": {"N": 4, "c": 0.5,
                               "observation": "minimum-effort"}, "theta": ...}
 
-An environment sets its game in one form (a second is an error).
+An environment sets its game in one form (a second is an error), and
+names no key that only another model reads (``_MODEL_KEYS``).
 Sample size distributions use string keys ({"1": 0.5}); tie_break is
 "favor-a" or "favor-b".  CSVs are comma separated with "." decimals, a
 header row, and LF line endings; floats print with 12 significant
@@ -199,14 +200,27 @@ class EnvSpec:
         raise ConfigError(f"{self.kind} environments do not define scalar/pair dynamics")
 
 
+_GAME_FORMS, _LOGIT = ("matrix", "hawk_dove", "u", "u1", "u2"), ("logit", "logit1", "logit2")
+_MODEL_KEYS = {  # the environment keys each model reads
+    "contracting": ("contracting", "theta1", "theta2"), "mineffort": ("mineffort", "theta"),
+    "logit": _GAME_FORMS + _LOGIT,
+    "sampling": _GAME_FORMS + ("theta", "theta1", "theta2", "tie_break"),
+}
+
+
 def parse_environment(obj: Any) -> EnvSpec:
     if not isinstance(obj, Mapping):
         raise ConfigError("'environment' must be an object")
     context = "environment"
+    kind = next((k for k in ("contracting", "mineffort") if k in obj),
+                "logit" if any(k in obj for k in _LOGIT) else "sampling")
+    unread = sorted(set(obj) & set().union(*_MODEL_KEYS.values()) - set(_MODEL_KEYS[kind]))
+    if unread:
+        raise ConfigError(f"a {kind} environment does not read {', '.join(unread)}")
     if "theta" in obj and ("theta1" in obj or "theta2" in obj):
         raise ConfigError("'theta' (one population) cannot be combined with 'theta1'/'theta2'")
 
-    if "contracting" in obj:
+    if kind == "contracting":
         c = obj["contracting"]
         diag1 = _numbers(c, "diag1", "contracting")
         diag2 = _numbers(c, "diag2", "contracting")
@@ -227,7 +241,7 @@ def parse_environment(obj: Any) -> EnvSpec:
             thetas=(theta1, theta2),
         )
 
-    if "mineffort" in obj:
+    if kind == "mineffort":
         me = obj["mineffort"]
         try:
             game = MinEffortGame(
@@ -244,7 +258,7 @@ def parse_environment(obj: Any) -> EnvSpec:
 
     game = parse_game(obj, context)
 
-    if "logit" in obj or "logit1" in obj or "logit2" in obj:
+    if kind == "logit":
         if "logit" in obj:
             groups1 = groups2 = parse_logit_groups(obj["logit"], "logit")
         else:

@@ -385,6 +385,10 @@ class SamplingResponse(_TailMixture):
     def degree(self) -> int:
         return self.theta.max_support
 
+    def mix_with(self, alpha: float, big_k: int) -> "SamplingResponse":
+        """This response on ``theta.mix_with(alpha, big_k)``, tie rule kept."""
+        return SamplingResponse(self.u, self.theta.mix_with(alpha, big_k), self.tie_break)
+
 
 class LogitResponse:
     """Noisy best-response function: mixture of logistic curves.

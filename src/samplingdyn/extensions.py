@@ -30,7 +30,6 @@ from .analysis import (
     ALPHA_STEP,
     Stability,
     StableInteriorSearch,
-    _alpha_grid,
     _first_stable_interior,
     classify_slope,
 )
@@ -161,13 +160,6 @@ def contracting_best_response(
     return int(rng.choice(ties))
 
 
-@dataclass(frozen=True)
-class ContractingResponse:
-    """Exact reply distribution: ``probabilities[m]`` is the chance of replying m."""
-
-    probabilities: np.ndarray
-
-
 def _simplex_points(p, shape: tuple[int, ...]) -> np.ndarray:
     """``p`` as an array of the given shape whose rows lie on the simplex within 1e-10."""
     p = np.asarray(p, dtype=float)
@@ -244,7 +236,7 @@ class _ReplyMap:
         self._upper = np.where(inner, np.cumsum(inner) + 1, 0)
         self._lower = np.where(hi < n, np.append(self._upper[1:], 1), 1)
 
-    def __call__(self, p: np.ndarray) -> ContractingResponse:
+    def __call__(self, p: np.ndarray) -> np.ndarray:
         p = np.maximum(p, 0.0)
         p = p / p.sum()
         q = p[:-1].copy()
@@ -254,7 +246,7 @@ class _ReplyMap:
         # a zero share's log is -1e300, so a row that samples it weighs exactly 0
         log_q = np.log(q, out=np.full(len(q), -1e300), where=q > 0.0)
         weights = np.exp(self.logw + self.counts @ log_q) * (tails[self._upper] - tails[self._lower])
-        return ContractingResponse(weights @ self.replies)
+        return weights @ self.replies
 
 
 def contracting_response_vector(
@@ -263,9 +255,9 @@ def contracting_response_vector(
     theta: SampleSizeDistribution,
     p_opponent: Sequence[float],
     rule: ContractTieRule = ContractTieRule.LOWEST,
-) -> ContractingResponse:
-    """Exact distribution of best replies to multinomial samples of ``p_opponent``
-    with sizes from ``theta``; ties follow ``rule`` (``UNIFORM`` splits evenly)."""
+) -> np.ndarray:
+    """Chances of each best reply (entry m: reply m) to multinomial samples of
+    ``p_opponent`` with sizes from ``theta``; ties follow ``rule`` (``UNIFORM`` splits evenly)."""
     p = _simplex_points(p_opponent, (g.M,))
     return _ReplyMap(g, player, theta, rule)(p)
 
@@ -341,7 +333,7 @@ def contracting_field(
 
     def field(x: np.ndarray) -> np.ndarray:
         p1, p2 = x[: g.M], x[g.M :]
-        return np.concatenate([reply1(p2).probabilities - p1, reply2(p1).probabilities - p2])
+        return np.concatenate([reply1(p2) - p1, reply2(p1) - p2])
 
     return field
 
@@ -443,6 +435,10 @@ class MinEffortResponse(_TailMixture):
     __call__, derivative, inverse = (
         _TailMixture.__call__, _TailMixture.derivative, _TailMixture.inverse)
 
+    def mix_with(self, alpha: float, big_k: int) -> "MinEffortResponse":
+        """This response on ``theta.mix_with(alpha, big_k)``."""
+        return MinEffortResponse(self.game, self.theta.mix_with(alpha, big_k))
+
 
 @dataclass(frozen=True)
 class MinEffortStabilityReport:
@@ -498,17 +494,14 @@ def mineffort_stable_interior(
 ) -> StableInteriorSearch:
     """Mixture search for a stable interior low-effort share.
 
-    The one-population search of ``stable_interior_search`` (a step outside
-    [``ALPHA_STEP``, 1) raises ``ValueError``) over mass alpha on sample
-    size k and the rest on big_k: the first alpha, a float, with a stable
+    The one-population search of ``stable_interior_search`` (big_k <= k, or
+    a step outside [``ALPHA_STEP``, 1), raises ``ValueError``) on the
+    response to sample size k: the first alpha, a float, with a stable
     interior state.  The proposition hypothesis, k < u + 1 at the game's
     effective payoff u (k < 1/(1-c) for minimum-effort observation) and
     also 1 < k under action observation, is only a flag.
     """
-    if big_k <= k:
-        raise ValueError("big_k must exceed k")
     in_scope = k < g.u + 1.0 and (g.observation == Observation.MINIMUM_EFFORT or 1 < k)
     note = "" if in_scope else "outside proposition hypothesis"
-    grid = _alpha_grid(alpha_step)
-    ws = [MinEffortResponse(g, SampleSizeDistribution.point(k).mix_with(a, big_k)) for a in grid]
-    return _first_stable_interior(ws, None, grid, in_scope, note)
+    base = (MinEffortResponse(g, SampleSizeDistribution.point(k)),)
+    return _first_stable_interior(base, big_k, alpha_step, in_scope, note)

@@ -189,16 +189,12 @@ def test_criterion_05_homogeneous_uniqueness_suite():
 
 
 def _interior_roots(core: np.ndarray) -> int:
-    """Count sign changes with zero runs collapsed into single roots."""
-    tokens: list[float] = []
-    for v in np.sign(core):
-        if not tokens or tokens[-1] != v:
-            tokens.append(float(v))
-    roots = tokens.count(0.0)
-    for a, b in zip(tokens, tokens[1:]):
-        if a != 0.0 and b != 0.0 and a != b:
-            roots += 1
-    return roots
+    """Count sign changes with zero runs collapsed into single roots: each
+    run of equal signs is one token, and the roots are the zero tokens
+    plus the neighbouring nonzero tokens of opposite sign."""
+    signs = np.sign(core)
+    tokens = signs[np.append(True, signs[1:] != signs[:-1])]
+    return int(np.count_nonzero(tokens == 0.0) + np.count_nonzero(tokens[:-1] * tokens[1:] < 0.0))
 
 
 def test_criterion_06_logit_suite():
@@ -358,7 +354,7 @@ def test_criterion_09_extension_reductions():
         pa = float(rng.random())
         r = contracting_response_vector(g, 1, theta, (pa, 1.0 - pa))
         w = SamplingResponse(g.diag1[0] / g.diag1[1], theta)
-        assert abs(r.probabilities[0] - w(pa)) < 1e-9
+        assert abs(r[0] - w(pa)) < 1e-9
 
     # N = 2 minimum-effort response matches the two-action response with
     # u = c/(1-c) and high-effort tie-breaking

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -737,7 +738,7 @@ class TestPureStates:
         system = analysis.System.of(env)
         res = system.stationary()
         assume(not res.continuum)
-        pure = classify_pure_states(env, one_population=system.dim == 1)
+        pure = classify_pure_states(system)
         corners = {s.p1: s for s in res.states if s.p1 in (0.0, 1.0)}
         for got, at in ((pure.state_b, 0.0), (pure.state_a, 1.0)):
             want = corners[at]
@@ -749,14 +750,14 @@ class TestPureStates:
     def test_favor_a_products_equal_the_payoff_cuts(self, env):
         env = replace(env, tie_break=TieBreak.FAVOR_A)
         for one_population in (True, False) if env.is_symmetric else (False,):
-            pure = classify_pure_states(env, one_population)
+            pure = classify_pure_states(analysis.System.of(env, 1 if one_population else 2))
             want = _payoff_cut_products(env, one_population)
             assert (pure.state_a.slope_product, pure.state_b.slope_product) == want, env
 
     def test_favor_b_examples_trade_their_corners(self):
         # the payoff cuts read the favor-a sets, whose products trade places here
         for env, want in zip(FAVOR_B_EXAMPLES, ((1.0, 0.0), (1.25, 0.25))):
-            pure = classify_pure_states(env, one_population=env.is_symmetric)
+            pure = classify_pure_states(env)
             assert (pure.state_a.slope_product, pure.state_b.slope_product) == want
             assert _payoff_cut_products(env, env.is_symmetric) == want[::-1]
 
@@ -807,7 +808,7 @@ class TestPureStates:
 
     def test_one_population_variant(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
-        pure = classify_pure_states(env, one_population=True)
+        pure = classify_pure_states(env)
         assert pure.state_a.state == 1.0 and pure.state_b.state == 0.0
         assert pure.state_a.eigenvalues == (pure.state_a.slope_product - 1.0,)
 
@@ -1058,7 +1059,7 @@ class TestStableInteriorSearch:
         for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
             monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
             for (env, step), w in zip(cases, want):
-                got = repr(stable_interior_search(env, 1000, step))
+                got = repr(stable_interior_search(analysis.System.of(env, 2), 1000, step))
                 assert got == w, (budget, env, step)
 
     def test_block_rows_equal_one_row_scans(self, rng):
@@ -1109,7 +1110,7 @@ class TestStableInteriorSearch:
         for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
             monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
             for (env, step), w in zip(cases, want):
-                got = repr(stable_interior_search(env, 1000, step, one_population=True))
+                got = repr(stable_interior_search(env, 1000, step))
                 assert got == w, (budget, env, step)
 
     def test_minimum_effort_equals_one_stationary_search_per_share(self, rng, monkeypatch):
@@ -1129,13 +1130,13 @@ class TestStableInteriorSearch:
                 assert repr(mineffort_stable_interior(*case)) == w, (budget, case)
 
     def test_one_population_needs_a_symmetric_environment(self):
+        env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         with pytest.raises(ValueError, match="symmetric"):
-            stable_interior_search(Environment.of(CoordinationGame(5.0, 0.2), THETA_15), 1000,
-                                   0.5, one_population=True)
+            stable_interior_search(analysis.System.of(env, 1), 1000, 0.5)
 
     def test_oyama_interval(self):
         res = stable_interior_search(
-            Environment.symmetric(1.5, SampleSizeDistribution.point(2)),
+            analysis.System.of(Environment.symmetric(1.5, SampleSizeDistribution.point(2)), 2),
             big_k=1000,
             alpha_step=0.01,
         )
@@ -1183,6 +1184,62 @@ class TestStableInteriorSearch:
             alpha_step=0.2,
         )
         assert not res.in_scope and not res.found
+
+
+def _outcome(check, *args) -> str:
+    """The repr of a check's result, or of the ValueError it raises."""
+    try:
+        return repr(check(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestSystemArguments:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(env=_sampling_envs())
+    @example(env=Environment.symmetric(1.5, SampleSizeDistribution.point(3)))
+    @example(env=Environment.symmetric(2.0, SampleSizeDistribution.of({2: 0.5, 3: 0.5})))
+    @example(env=Environment.of(CoordinationGame(2.0, 0.5), SampleSizeDistribution.point(2),
+                                SampleSizeDistribution.point(4), TieBreak.FAVOR_B))
+    def test_an_environment_is_the_system_it_resolves_to(self, env):
+        # a bare environment is one population when symmetric, two otherwise
+        assume(max(env.theta1.max_support, env.theta2.max_support) < 1000)
+        system = analysis.System.of(env)
+        search = functools.partial(stable_interior_search, big_k=1000, alpha_step=0.5)
+        checks = [classify_pure_states, search]
+        if all(t.degenerate_k for t in (env.theta1, env.theta2)):
+            checks.append(check_homogeneous_uniqueness)
+        for check in checks:
+            assert _outcome(check, env) == _outcome(check, system), (env, check)
+        if env.is_symmetric:
+            # two populations on request, as the searches read a symmetric
+            # environment before one population became the default
+            pair = analysis.System.of(env, 2)
+            (b1, a1), (b2, a2) = (w.corner_masses() for w in pair.responses)
+            want = analysis.PureStateClassification(analysis._state((1.0, 1.0), a1 * a2, 0.0),
+                                                    analysis._state((0.0, 0.0), b1 * b2, 0.0))
+            assert repr(classify_pure_states(pair)) == repr(want), env
+            assert repr(search(pair)) == repr(_reference_search(env, 1000, 0.5)), env
+
+    @pytest.mark.parametrize("tie", list(TieBreak))
+    def test_sampling_responses_mix_their_own_atoms(self, tie, rng):
+        for _ in range(20):
+            u, theta, alpha = float(rng.uniform(0.15, 8.0)), random_theta(rng), rng.random()
+            mixed = SamplingResponse(u, theta, tie).mix_with(alpha, 1000)
+            want = SamplingResponse(u, theta.mix_with(alpha, 1000), tie)
+            assert type(mixed) is SamplingResponse and mixed._atoms == want._atoms
+            assert mixed.tie_break == tie
+
+    @pytest.mark.parametrize("observation", list(Observation))
+    def test_minimum_effort_responses_mix_their_own_atoms(self, observation, rng):
+        for _ in range(20):
+            game = MinEffortGame(int(rng.integers(2, 7)), float(rng.uniform(0.05, 0.95)),
+                                 observation)
+            theta, alpha = random_theta(rng), rng.random()
+            mixed = MinEffortResponse(game, theta).mix_with(alpha, 1000)
+            want = MinEffortResponse(game, theta.mix_with(alpha, 1000))
+            assert type(mixed) is MinEffortResponse and mixed._atoms == want._atoms
+            assert mixed._exponent == want._exponent
 
 
 class TestTheorem3:

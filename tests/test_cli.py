@@ -177,13 +177,26 @@ class TestAnalyze:
             ({**FIG3_RIGHT, "u": 2}, "more than one form: u, u1/u2"),
             ({"contracting": {"diag1": [1, 1, 4], "diag2": [2, 2, 4]}, "theta1": {"1": 1},
               "theta2": {"1": 1}}, "share a payoff profile"),
+            # each key below is one that only another model reads
+            ({"u1": 2, "u2": 0.5, "logit1": [{"mass": 1, "eta": 0.3}],
+              "logit2": [{"mass": 1, "eta": 0.3}], "theta1": {"1": 1}, "theta2": {"1": 1}},
+             "a logit environment does not read theta1, theta2"),
+            ({"u": 2, "theta": {"2": 1}, "logit": [{"mass": 1, "eta": 0.3}]},
+             "a logit environment does not read theta"),
+            ({"mineffort": {"N": 3, "c": 0.5}, "theta": {"2": 1}, "u": 5},
+             "a mineffort environment does not read u"),
+            ({"contracting": {"diag1": [1, 2], "diag2": [2, 1]}, "theta1": {"1": 1},
+              "theta2": {"1": 1}, "u1": 3, "u2": 0.2},
+             "a contracting environment does not read u1, u2"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
              "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
              "bool-payoff", "subnormal-payoff", "subnormal-contracting-payoff",
              "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass", "huge-theta-key",
-             "theta-key-past-max-sample-size", "two-game-forms", "tied-contracting-game"],
+             "theta-key-past-max-sample-size", "two-game-forms", "tied-contracting-game",
+             "logit-with-thetas", "logit-with-theta", "mineffort-with-u",
+             "contracting-with-u1-u2"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -634,9 +647,12 @@ class TestSweep:
     @pytest.mark.parametrize("conf, message", [
         ({"environment": {"u": 1.5, "mineffort": {"N": 3, "c": 0.5}},
           "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2,
-                    "step": 0.1}}, "need a sampling environment"),
+                    "step": 0.1}}, "a mineffort environment does not read u"),
         ({"environment": {"theta": {"3": 1}, "logit": [{"mass": 1, "eta": 0.5}]},
           "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}},
+         "a logit environment does not read theta"),
+        ({"environment": {"mineffort": {"N": 3, "c": 0.5}, "theta": {"3": 1}},
+          "sweep": {"type": "alpha", "big_k": 50, "start": 0.5, "stop": 0.5, "step": 0.1}},
          "need a sampling environment"),
         ({"u": 1.5, "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2,
                               "stop": 0.2, "step": 0.1}}, "missing 'environment'"),
@@ -644,8 +660,8 @@ class TestSweep:
           "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}}, "more than one form"),
         ({"environment": FIG3_RIGHT, "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}},
          "more than one form"),
-    ], ids=["theta-mass-mineffort", "u-logit", "theta-mass-no-environment", "u-matrix",
-            "u-u1-u2"])
+    ], ids=["theta-mass-mineffort", "u-logit", "alpha-mineffort", "theta-mass-no-environment",
+            "u-matrix", "u-u1-u2"])
     def test_environment_the_sweep_cannot_read_exits_2(self, tmp_path, capsys, conf, message):
         # every swept environment is parsed whole, so no key goes unread
         path = write_config(tmp_path, {"command": "sweep", "out": str(tmp_path), **conf})

@@ -100,13 +100,13 @@ class TestResponseVector:
             pa = float(rng.random())
             r = contracting_response_vector(g, 1, theta, (pa, 1.0 - pa))
             w = SamplingResponse(g.diag1[0] / g.diag1[1], theta)
-            assert r.probabilities[0] == pytest.approx(w(pa), abs=1e-10)
+            assert r[0] == pytest.approx(w(pa), abs=1e-10)
 
     def test_single_observation_is_identity(self, rng):
         g = random_contracting(rng, M=3)
         p = rng.dirichlet(np.ones(3))
         r = contracting_response_vector(g, 1, SampleSizeDistribution.point(1), p)
-        assert np.allclose(r.probabilities, p, atol=1e-12)
+        assert np.allclose(r, p, atol=1e-12)
 
     def test_symmetric_ties_split_uniformly(self):
         g = ContractingGame((1.0,) * 3, (1.0,) * 3)
@@ -117,7 +117,7 @@ class TestResponseVector:
             (1 / 3, 1 / 3, 1 / 3),
             rule=ContractTieRule.UNIFORM,
         )
-        assert np.allclose(r.probabilities, 1 / 3, atol=1e-12)
+        assert np.allclose(r, 1 / 3, atol=1e-12)
 
     def test_simplex_output(self, rng):
         for _ in range(20):
@@ -125,8 +125,8 @@ class TestResponseVector:
             theta = SampleSizeDistribution.of({2: 0.5, 6: 0.5})
             p = rng.dirichlet(np.ones(g.M))
             r = contracting_response_vector(g, 1, theta, p)
-            assert r.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(r.probabilities >= 0)
+            assert r.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(r >= 0)
 
     @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
     def test_monte_carlo_agrees_with_exact(self, rng, rule):
@@ -141,7 +141,7 @@ class TestResponseVector:
         for g in (random_contracting(rng, M=3), tied):
             p = 1.0 / np.asarray(g.diag1)
             p /= p.sum()
-            exact = contracting_response_vector(g, 1, theta, p, rule).probabilities
+            exact = contracting_response_vector(g, 1, theta, p, rule)
             samples = draws.multinomial(1500, p, size=200_000)
             mc = _replies(samples * np.asarray(g.diag1), ContractTieRule(rule)).mean(axis=0)
             band = 4.0 * np.maximum(np.sqrt(mc * (1.0 - mc) / len(samples)), 1e-6)
@@ -203,7 +203,7 @@ class TestSplitPieces:
                 weights[0] = 1.0
             p = weights / weights.sum()
             g = ContractingGame(tuple(diag), tuple(diag))
-            got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+            got = contracting_response_vector(g, 1, theta, p, rule)
             assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
 
     def test_matches_full_enumeration_with_a_large_size(self, rng):
@@ -215,7 +215,7 @@ class TestSplitPieces:
         states += [(0.0, 0.3, 0.7), (0.5, 0.5, 0.0), (0.2, 0.0, 0.8), (0.002, 0.499, 0.499)]
         for rule in ContractTieRule:
             for p in states:
-                got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+                got = contracting_response_vector(g, 1, theta, p, rule)
                 assert np.max(np.abs(got - full_enumeration(g.diag1, theta, p, rule))) <= 2e-12
 
     @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
@@ -228,7 +228,7 @@ class TestSplitPieces:
         g = ContractingGame(diag, diag)
         theta = SampleSizeDistribution.point(90)
         p = np.array([16.0, 5.0, 57.0, 12.0]) / 90.0
-        got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+        got = contracting_response_vector(g, 1, theta, p, rule)
         assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
 
     @pytest.mark.parametrize("diag", [(1e200, 1e200), (3.0, 1e200, 1e200)])
@@ -239,7 +239,7 @@ class TestSplitPieces:
         theta = SampleSizeDistribution.point(10)
         p = np.full(len(diag), 1.0 / len(diag))
         for rule in ContractTieRule:
-            got = contracting_response_vector(g, 1, theta, p, rule).probabilities
+            got = contracting_response_vector(g, 1, theta, p, rule)
             assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
 
     def test_pieces_with_the_same_reply_join(self):
@@ -266,7 +266,7 @@ class TestSplitPieces:
             want = np.array([float(w) for w in want])
         got = contracting_response_vector(
             g, 1, SampleSizeDistribution.point(k), [float(x) for x in p]
-        ).probabilities
+        )
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -328,7 +328,7 @@ def test_response_vector_matches_brute_force(data, M, rule, player):
         .filter(lambda w: sum(w) > 0.0)
     )
     p = [w / sum(weights) for w in weights]
-    got = contracting_response_vector(g, player, theta, p, rule).probabilities
+    got = contracting_response_vector(g, player, theta, p, rule)
     want = reference_response(g.diag(player), theta, p, rule)
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
     assert abs(got.sum() - 1.0) <= 1e-12
@@ -613,7 +613,7 @@ class TestMinEffortStability:
             g = MinEffortGame(2, c, Observation.OPPONENT_ACTION)
             rep = mineffort_pure_stability(g, theta)
             env = Environment.symmetric(c / (1.0 - c), theta)
-            pure = classify_pure_states(env, one_population=True)
+            pure = classify_pure_states(env)
             # low effort is the first action of the reduced game
             if pure.state_a.stability != Stability.MARGINAL:
                 assert rep.safe_label == pure.state_a.stability
