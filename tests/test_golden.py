@@ -4,8 +4,8 @@ Each case runs one command on a small config and compares every file it
 writes, and its standard output, with the copies under
 ``tests/golden/<case>/``.  The cases are the ``FUZZ_CONFIGS`` fixtures of
 ``test_cli.py`` plus a few that put the minimum-effort, logit and
-large-sample responses, the favor-b tie rule and Propositions 7 and 8 into
-the bytes.  ``tests/golden/regen.py`` rewrites
+large-sample responses, the favor-b tie rule, Propositions 7 and 8 and the
+separatrix traces of two-population basins into the bytes.  ``tests/golden/regen.py`` rewrites
 the copies after a deliberate change of output; this test never calls it.
 
 Float bits depend on the numpy and scipy build.  On the versions recorded
@@ -27,7 +27,7 @@ import pytest
 import scipy
 
 from samplingdyn.cli import main
-from test_cli import FIG3_RIGHT, FUZZ_CONFIGS, _logit
+from test_cli import FIG3_LEFT, FIG3_RIGHT, FUZZ_CONFIGS, _logit
 
 GOLDEN = Path(__file__).parent / "golden"
 OUT = "<out>"  # stands for the output directory in standard output
@@ -74,6 +74,13 @@ CASES["one-pop-k3-analyze"] = {"command": "analyze", "search_alpha_step": 0.25,
                                "environment": {"u": 4.765685148304299, "theta": {"3": 1}}}
 CASES["one-pop-k2-analyze"] = {"command": "analyze", "search_alpha_step": 0.05,
                                "environment": {"u": 1.5, "theta": {"2": 1}}}
+# the figure-3 left basins label their cells from separatrix traces, and a
+# three-atom one-population trajectory converges (to 1.0 at t = 32.9)
+CASES["fig3-left-basins"] = {"command": "basins", "environment": FIG3_LEFT, "resolution": 7,
+                             "tmax": 260, "dt": 0.05}
+CASES["one-pop-three-atom-trajectory"] = {
+    "command": "trajectory", "initial": 0.3, "tmax": 40, "dt": 0.05,
+    "environment": {"u": 2.0, "theta": {"1": 0.3, "4": 0.3, "9": 0.4}}}
 
 
 def run_case(conf: dict, work: Path) -> dict[str, bytes]:
