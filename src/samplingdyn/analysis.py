@@ -49,6 +49,7 @@ from .dynamics import (
 GRID_POINTS = 10_001
 BISECT_WIDTH = 1e-12
 RESIDUAL_TOL = 1e-10
+CONVERGENCE_TOL = 1e-10  # a run has converged where |field| is below it in each component
 MARGINAL_BAND = 1e-9
 _CONTINUUM_TOL = 1e-12
 _TWO_POP_CONTINUUM = "a state is stationary iff it is symmetric"
@@ -317,6 +318,10 @@ def scan_fixed_points(g: Callable) -> list[float]:
     return _refine(g, _scan_rows(lambda r, i, x: g(x), 1)[0])
 
 
+class NumericError(ArithmeticError):
+    """A trajectory produced a non-finite state (response function bug)."""
+
+
 class ContinuumError(ValueError):
     """The dynamics fix every state: raised by the scan, which the search
     turns into a continuum sentinel, and by basin estimation."""
@@ -328,7 +333,8 @@ def _clamp01(x: float) -> float:
 
 class System:
     """The responses of one- or two-population dynamics, with their
-    batched vector field, float RK4 step and stationary states."""
+    batched vector field, the float RK4 loop that recorded trajectories and
+    separatrix traces run, and their stationary states."""
 
     def __init__(self, responses: tuple) -> None:
         self.responses = responses  # (w,) or (w1, w2)
@@ -373,45 +379,104 @@ class System:
         out[:, 1] = w2(x[:, 0]) - x[:, 1]
         return out
 
-    def rk4_step(self):
-        """One RK4 step on Python floats, with the responses' float kernels
-        bound once: ``step(p, dt)`` gives ``(f, p_next)`` in
-        one population, ``step(p1, p2, dt)`` gives ``(f1, f2, p1_next,
-        p2_next)`` in two, with f the field at the state and the next state
-        unclamped.  Each stage clamps its state first, as the batched step
-        projects it; a negative dt runs time backward."""
+    def rk4_path(self, start, dt: float, n_steps: int, _trace: bool = False):
+        """At most ``n_steps`` fixed RK4 steps of size dt from ``start`` (a
+        share in [0, 1] in one population, a pair of shares in two), on
+        Python floats through the responses' float kernels, bound once: the
+        one float RK4 loop of each arity.  The stages clamp their states
+        into [0, 1], as the batched step projects them; a negative dt runs
+        time backward.
+
+        Returns ``(paths, converged, max_clamp)``, with one list of recorded
+        shares per population, the start first.  The run stops at the first
+        state where every component of the field is below
+        ``CONVERGENCE_TOL`` in absolute value (``converged``); the field is
+        the step's first stage, so the last state costs one field call.  A
+        next state in [0, 1] is kept as it is; one outside is clamped into
+        it, and ``max_clamp`` is the largest move the clamp made, or raises
+        ``NumericError`` with its step number when it is not finite.
+
+        ``_trace`` (two populations), for the separatrix traces, keeps the
+        next states unclamped and checks no convergence; it stops after the
+        first state past the start that lies outside the square and returns
+        ``(paths, fields)``, with the field at each recorded state, or None
+        when no state left the square within ``n_steps``.
+        """
+        half, sixth, max_clamp = 0.5 * dt, dt / 6.0, 0.0
         if self.dim == 1:
             w = self.responses[0]._kernel
-
-            def step(p, dt):
-                half = 0.5 * dt
-                y = _clamp01(p)
-                a = w(y) - y
-                y = _clamp01(p + half * a)
+            p = start
+            path = [p]
+            append = path.append
+            for n in range(n_steps + 1):
+                a = w(p) - p  # the state is in [0, 1], where the clamp does nothing
+                if -CONVERGENCE_TOL < a < CONVERGENCE_TOL:
+                    return (path,), True, max_clamp
+                if n == n_steps:
+                    break
+                y = p + half * a
+                y = 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
                 b = w(y) - y
-                y = _clamp01(p + half * b)
+                y = p + half * b
+                y = 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
                 c = w(y) - y
-                y = _clamp01(p + dt * c)
+                y = p + dt * c
+                y = 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
                 d = w(y) - y
-                return a, p + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                raw = p + sixth * (a + 2.0 * b + 2.0 * c + d)
+                if 0.0 <= raw <= 1.0:
+                    p = raw
+                else:
+                    if not math.isfinite(raw):
+                        raise NumericError(f"non-finite state at step {n + 1}")
+                    p = 0.0 if raw < 0.0 else 1.0
+                    max_clamp = max(max_clamp, abs(p - raw))
+                append(p)
+            return (path,), False, max_clamp
 
-            return step
         w1, w2 = (w._kernel for w in self.responses)
-
-        def step(p1, p2, dt):
-            half = 0.5 * dt
-            y1, y2 = _clamp01(p1), _clamp01(p2)
+        p1, p2 = start
+        path1, path2, fields1, fields2 = [p1], [p2], [], []
+        append1, append2 = path1.append, path2.append
+        for n in range(n_steps + 1):
+            y1 = 0.0 if p1 < 0.0 else (1.0 if p1 > 1.0 else p1)
+            y2 = 0.0 if p2 < 0.0 else (1.0 if p2 > 1.0 else p2)
             a1, a2 = w1(y2) - y1, w2(y1) - y2
-            y1, y2 = _clamp01(p1 + half * a1), _clamp01(p2 + half * a2)
+            if _trace:
+                fields1.append(a1)
+                fields2.append(a2)
+                if n and not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
+                    return (path1, path2), (fields1, fields2)
+            elif (-CONVERGENCE_TOL < a1 < CONVERGENCE_TOL
+                    and -CONVERGENCE_TOL < a2 < CONVERGENCE_TOL):
+                return (path1, path2), True, max_clamp
+            if n == n_steps:
+                break
+            y1, y2 = p1 + half * a1, p2 + half * a2
+            y1 = 0.0 if y1 < 0.0 else (1.0 if y1 > 1.0 else y1)
+            y2 = 0.0 if y2 < 0.0 else (1.0 if y2 > 1.0 else y2)
             b1, b2 = w1(y2) - y1, w2(y1) - y2
-            y1, y2 = _clamp01(p1 + half * b1), _clamp01(p2 + half * b2)
+            y1, y2 = p1 + half * b1, p2 + half * b2
+            y1 = 0.0 if y1 < 0.0 else (1.0 if y1 > 1.0 else y1)
+            y2 = 0.0 if y2 < 0.0 else (1.0 if y2 > 1.0 else y2)
             c1, c2 = w1(y2) - y1, w2(y1) - y2
-            y1, y2 = _clamp01(p1 + dt * c1), _clamp01(p2 + dt * c2)
+            y1, y2 = p1 + dt * c1, p2 + dt * c2
+            y1 = 0.0 if y1 < 0.0 else (1.0 if y1 > 1.0 else y1)
+            y2 = 0.0 if y2 < 0.0 else (1.0 if y2 > 1.0 else y2)
             d1, d2 = w1(y2) - y1, w2(y1) - y2
-            return (a1, a2, p1 + dt / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                    p2 + dt / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-
-        return step
+            raw1 = p1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            raw2 = p2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            if _trace or (0.0 <= raw1 <= 1.0 and 0.0 <= raw2 <= 1.0):
+                p1, p2 = raw1, raw2
+            else:
+                if not (math.isfinite(raw1) and math.isfinite(raw2)):
+                    raise NumericError(f"non-finite state at step {n + 1}")
+                p1 = 0.0 if raw1 < 0.0 else (1.0 if raw1 > 1.0 else raw1)
+                p2 = 0.0 if raw2 < 0.0 else (1.0 if raw2 > 1.0 else raw2)
+                max_clamp = max(max_clamp, abs(p1 - raw1), abs(p2 - raw2))
+            append1(p1)
+            append2(p2)
+        return None if _trace else ((path1, path2), False, max_clamp)
 
     def stationary(self) -> StationaryAnalysis:
         if self.dim == 1:

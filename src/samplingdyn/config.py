@@ -219,6 +219,8 @@ def parse_environment(obj: Any) -> EnvSpec:
         raise ConfigError(f"a {kind} environment does not read {', '.join(unread)}")
     if "theta" in obj and ("theta1" in obj or "theta2" in obj):
         raise ConfigError("'theta' (one population) cannot be combined with 'theta1'/'theta2'")
+    if "logit" in obj and ("logit1" in obj or "logit2" in obj):
+        raise ConfigError("'logit' (both populations) cannot be combined with 'logit1'/'logit2'")
 
     if kind == "contracting":
         c = obj["contracting"]

@@ -3,10 +3,13 @@
 dp_i/dt = w_i(p_j) - p_i points into the unit square on its boundary, so
 trajectories are clamped componentwise after every step; the clamp can
 only absorb integrator error.  Fixed-step RK4 keeps runs reproducible
-bit for bit, which the golden-file outputs depend on.  ``analysis.System``
-decides between one and two populations and gives the float RK4 step, one
-per arity, that recorded trajectories and separatrix traces take; basin
-grids step arrays of states.  ``label_basins`` reads basins off the
+bit for bit, which the golden-file outputs depend on.  There are two
+forms of the step.  ``analysis.System`` decides between one and two
+populations and runs the one float RK4 loop of each arity
+(``System.rk4_path``): ``integrate`` records it, and the separatrix traces
+follow it backward in time.  Basin grids and
+``extensions.integrate_contracting`` step arrays of states
+(``_rk4_step``).  ``label_basins`` reads basins off the
 stationary analysis and integrates only where it cannot decide;
 ``estimate_basins``, which integrates every cell, is its reference.
 """
@@ -19,25 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    CONVERGENCE_TOL,
     ContinuumError,
+    NumericError,
     Stability,
     StationaryAnalysis,
     StationaryState,
     System,
-    _clamp01,
 )
 
-CONVERGENCE_TOL = 1e-10
 MATCH_TOL = 1e-6
 DEFAULT_T_MAX = 200.0
 DEFAULT_DT = 0.01
 SEPARATRIX_OFFSET = 1e-6  # distance from the saddle at which a trace starts
 SEPARATRIX_TOL = 1e-8  # least gap in p1 + p2 between a labelled cell and a separatrix
 _UNLABELLED = -2
-
-
-class NumericError(ArithmeticError):
-    """A trajectory produced a non-finite state (response function bug)."""
 
 
 def _step_count(t_max: float, dt: float) -> int:
@@ -108,45 +107,16 @@ def integrate(
     if not np.all((init >= 0.0) & (init <= 1.0)):
         raise ValueError(f"initial state outside the unit interval/square: {initial!r}")
     system = System.of(system, init.size)
-
-    # a loop per arity, of O(1) float operations a step; the last pass only checks convergence
-    step = system.rk4_step()
-    max_clamp = 0.0
-    if system.dim == 1:
-        p = float(init[0])
-        path = [p]
-        for n in range(n_steps + 1):
-            f, raw = step(p, dt)
-            converged = abs(f) < CONVERGENCE_TOL
-            if converged or n == n_steps:
-                break
-            if not math.isfinite(raw):
-                raise NumericError(f"non-finite state at step {n + 1}")
-            p = _clamp01(raw)
-            max_clamp = max(max_clamp, abs(p - raw))
-            path.append(p)
-    else:
-        p1, p2 = float(init[0]), float(init[1])
-        path = [(p1, p2)]
-        for n in range(n_steps + 1):
-            f1, f2, raw1, raw2 = step(p1, p2, dt)
-            converged = abs(f1) < CONVERGENCE_TOL and abs(f2) < CONVERGENCE_TOL
-            if converged or n == n_steps:
-                break
-            if not (math.isfinite(raw1) and math.isfinite(raw2)):
-                raise NumericError(f"non-finite state at step {n + 1}")
-            p1, p2 = _clamp01(raw1), _clamp01(raw2)
-            max_clamp = max(max_clamp, abs(p1 - raw1), abs(p2 - raw2))
-            path.append((p1, p2))
-
-    states = np.asarray(path)
+    start = float(init[0]) if system.dim == 1 else (float(init[0]), float(init[1]))
+    paths, converged, max_clamp = system.rk4_path(start, dt, n_steps)
+    states = np.asarray(paths[0]) if system.dim == 1 else np.column_stack(paths)
     limit = None
     if converged:
         if stationary is None:
             stationary = system.stationary()
         (i,) = _match_labels(states[-1:].reshape(1, -1), True, stationary, MATCH_TOL)
         limit = stationary.states[i] if i >= 0 else None
-    return Trajectory(np.arange(len(path)) * dt, states, converged, limit, dt, max_clamp)
+    return Trajectory(np.arange(len(states)) * dt, states, converged, limit, dt, max_clamp)
 
 
 def convergence_limit(
@@ -307,26 +277,19 @@ def _stable_manifold(system: System, saddle: StationaryState, t_max: float, dt: 
     p1, p2 = saddle.state
     v = (math.sqrt(w1.derivative(p2)), -math.sqrt(w2.derivative(p1)))
     scale = SEPARATRIX_OFFSET / math.hypot(*v)
-    step = system.rk4_step()
     n_steps = _step_count(t_max, dt)
     branches = []
     for sign in (-1.0, 1.0):  # up-left, then down-right
-        x1, x2 = p1 + sign * scale * v[0], p2 + sign * scale * v[1]
-        points, tangents = [], []
-        for n in range(n_steps + 1):
-            # RK4 with -dt runs time backward; the tangent is -f
-            f1, f2, y1, y2 = step(x1, x2, -dt)
-            points.append((x1, x2))
-            tangents.append((-f1, -f2))
-            if n and not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
-                break  # the first point a step took out of the square
-            x1, x2 = y1, y2
-        else:
+        start = (p1 + sign * scale * v[0], p2 + sign * scale * v[1])
+        # RK4 with -dt runs time backward, along the tangent -f
+        branch = system.rk4_path(start, -dt, n_steps, _trace=True)
+        if branch is None:
             return None
-        branches.append((points, tangents))
-    (up_pts, up_tan), (down_pts, down_tan) = branches
-    pts = np.array(up_pts[::-1] + [saddle.state] + down_pts)
-    tan = np.array(up_tan[::-1] + [v] + down_tan)
+        branches.append(branch)
+    ((u1, u2), (uf1, uf2)), ((d1, d2), (df1, df2)) = branches
+    pts = np.column_stack([u1[::-1] + [p1] + d1, u2[::-1] + [p2] + d2])
+    tan = -np.column_stack([uf1[::-1] + [0.0] + df1, uf2[::-1] + [0.0] + df2])
+    tan[len(u1)] = v  # the saddle's own tangent
     if not (np.all(np.diff(pts[:, 0]) >= 0.0) and np.all(np.diff(pts[:, 1]) <= 0.0)):
         return None
     s = pts[:, 0] - pts[:, 1]

@@ -25,6 +25,25 @@ def polynomial_coefficients(w) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+class NanPastResponse:
+    """A response with a bug: w = 1 below ``cut`` and NaN from it on, in
+    the float kernel that the RK4 loop calls and in the checked call.
+
+    With w = 1, an RK4 step of dt = 1 from 0 evaluates the stages at 0,
+    0.5, 0.25 and 0.75 and ends at 0.625; the next step's stages run from
+    0.625 to 0.90625 and end near 0.859, and the third step's last stage
+    is near 0.965.  So a cut at 0.7, 0.8 or 0.95 turns the state
+    non-finite at step 1, 2 or 3."""
+
+    def __init__(self, cut: float) -> None:
+        self.cut = cut
+
+    def _kernel(self, p):
+        return 1.0 if p < self.cut else math.nan
+
+    __call__ = _kernel
+
+
 def random_theta(rng, max_k=12, max_atoms=4, big_k=None):
     """Random finite-support sample size distribution with bounded masses."""
     n_atoms = int(rng.integers(1, max_atoms + 1))

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NanPastResponse
+from samplingdyn import cli
 from samplingdyn import config as cfg
+from samplingdyn.analysis import System
 from samplingdyn.cli import main
 
 FIG3_RIGHT = {
@@ -188,6 +191,11 @@ class TestAnalyze:
             ({"contracting": {"diag1": [1, 2], "diag2": [2, 1]}, "theta1": {"1": 1},
               "theta2": {"1": 1}, "u1": 3, "u2": 0.2},
              "a contracting environment does not read u1, u2"),
+            # one logit form at a time, as for theta
+            ({**_logit(eta=0.3), "logit1": [{"mass": 1, "eta": 5.0}], "logit2": "junk"},
+             "'logit' (both populations) cannot be combined with 'logit1'/'logit2'"),
+            ({**_logit(eta=0.3), "logit2": [{"mass": 1, "eta": 5.0}]},
+             "'logit' (both populations) cannot be combined with 'logit1'/'logit2'"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
@@ -196,7 +204,7 @@ class TestAnalyze:
              "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass", "huge-theta-key",
              "theta-key-past-max-sample-size", "two-game-forms", "tied-contracting-game",
              "logit-with-thetas", "logit-with-theta", "mineffort-with-u",
-             "contracting-with-u1-u2"],
+             "contracting-with-u1-u2", "logit-with-logit1-logit2", "logit-with-logit2"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -317,6 +325,20 @@ class TestTrajectoryAndBasins:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,p1"
         assert "converged-to" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("initial, responses", [
+        (0.0, (NanPastResponse(0.8),)),
+        ([0.0, 0.0], (NanPastResponse(2.0), NanPastResponse(0.8))),
+    ], ids=["one-population", "two-populations"])
+    def test_non_finite_state_exits_3(self, tmp_path, capsys, monkeypatch, initial, responses):
+        # a response that turns NaN from 0.8 on stands in for the config's
+        conf = write_config(tmp_path, {"command": "trajectory", "environment": ONE_POP,
+                                       "initial": initial, "tmax": 10.0, "dt": 1.0,
+                                       "out": str(tmp_path)})
+        monkeypatch.setattr(cli, "_system", lambda spec: System(responses))
+        assert main(["trajectory", "--config", conf]) == 3
+        assert "numeric failure: non-finite state at step 2" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_basins_outputs(self, tmp_path):
         conf = write_config(

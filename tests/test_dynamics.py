@@ -93,7 +93,7 @@ class TestBinomialTail:
     x=st.floats(0.0, 1.0),
     ks=st.lists(
         st.sampled_from([1, 2, 3, 5, 12, 40, 60, 61, 200, 1000]),
-        min_size=1, max_size=3, unique=True,
+        min_size=1, max_size=5, unique=True,
     ),
     u=st.floats(0.1, 5.0),
     m_share=st.floats(0.0, 1.0),
@@ -106,7 +106,9 @@ def test_float_and_array_paths_are_bit_identical(x, ks, u, m_share, n_players, c
     responses = [
         SamplingResponse(u, theta, TieBreak.FAVOR_A),
         SamplingResponse(u, theta, TieBreak.FAVOR_B),
+        LogitResponse(u, [(1.0, eta)]),
         LogitResponse(u, [(0.5, eta), (0.5, 2.0 * eta)]),
+        LogitResponse(u, [(0.25, eta), (0.25, 2.0 * eta), (0.5, 0.5 * eta)]),
         MinEffortResponse(MinEffortGame(n_players, cost, Observation.MINIMUM_EFFORT), theta),
         MinEffortResponse(MinEffortGame(n_players, cost, Observation.OPPONENT_ACTION), theta),
     ]

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import random_env, random_symmetric_env, random_theta
+from conftest import NanPastResponse, random_env, random_symmetric_env, random_theta
 from samplingdyn import flow
 from samplingdyn.analysis import Stability, System, _clamp01, find_stationary_two_pop
 from samplingdyn.dynamics import (
@@ -137,6 +137,28 @@ class TestIntegrate:
             integrate(env.response(1), (0.5, 0.5))
         with pytest.raises(ValueError, match="symmetric"):
             integrate(env, 0.5)
+
+
+class TestNonFiniteState:
+    """A response that turns NaN stops the run with NumericError, which
+    names the step whose next state is not finite."""
+
+    @pytest.mark.parametrize("cut, step", [(0.7, 1), (0.8, 2), (0.95, 3)])
+    def test_one_population(self, cut, step):
+        with pytest.raises(flow.NumericError, match=rf"^non-finite state at step {step}$"):
+            integrate(NanPastResponse(cut), 0.0, t_max=10.0, dt=1.0)
+
+    @pytest.mark.parametrize("cut, step", [(0.7, 1), (0.8, 2), (0.95, 3)])
+    def test_two_populations(self, cut, step):
+        # w2 reads population 1's stage states, which move as one population's
+        pair = ResponsePair(NanPastResponse(2.0), NanPastResponse(cut))
+        with pytest.raises(flow.NumericError, match=rf"^non-finite state at step {step}$"):
+            integrate(pair, (0.0, 0.0), t_max=10.0, dt=1.0)
+
+    def test_a_run_that_ends_first_is_finite(self):
+        traj = integrate(NanPastResponse(0.95), 0.0, t_max=2.0, dt=1.0)
+        assert not traj.converged and traj.states[:2].tolist() == [0.0, 0.625]
+        assert 0.85 < traj.states[2] < 0.87
 
 
 class TestConvergenceLimit:
@@ -504,6 +526,17 @@ def _reference_suite():
     ):
         systems.append(MinEffortResponse(game, mixed))
         systems.append(MinEffortResponse(game, random_theta(rng)))
+    # every form of float kernel the responses bind: tails of one to five
+    # atoms, observation exponents 1 to 5 and one to three logit groups
+    for sizes in ((4,), (2, 9), (1, 3, 7), (1, 2, 5, 8), (1, 2, 5, 8, 11)):
+        theta = SampleSizeDistribution.of({k: 1.0 / len(sizes) for k in sizes})
+        systems.append(SamplingResponse(1.7, theta))
+    for n_players in range(2, 7):
+        game = MinEffortGame(n_players, 0.4, Observation.MINIMUM_EFFORT)
+        systems.append(MinEffortResponse(game, SampleSizeDistribution.of({1: 0.3, 4: 0.7})))
+    three = [(0.2, 0.1), (0.3, 0.4), (0.5, 0.9)]
+    systems.append(LogitResponse(2.5, three))
+    systems.append(ResponsePair.logit(CoordinationGame(3.0, 0.4), three, [(1.0, 0.3)]))
     runs = []
     for system in systems:
         dim = System.of(system).dim
@@ -517,7 +550,29 @@ def _reference_suite():
     return runs
 
 
+def _kernel_forms(system):
+    """The float-kernel forms a system's responses bind, by what each form
+    is chosen from: the tail terms (atoms with m <= k), the observation
+    exponent and the logit groups."""
+    forms = set()
+    for w in System.of(system).responses:
+        if isinstance(w, LogitResponse):
+            forms.add(("groups", len(w.groups)))
+        else:
+            forms.add(("terms", sum(m <= k for k, _, m in w._atoms)))
+            if w._exponent is not None:
+                forms.add(("exponent", w._exponent))
+    return forms
+
+
 class TestFusedStep:
+    def test_suite_binds_every_float_kernel_form(self):
+        forms = set().union(*(_kernel_forms(system) for system, *_ in _reference_suite()))
+        for kind, written_out in (("terms", 3), ("exponent", 4), ("groups", 2)):
+            counts = {n for k, n in forms if k == kind}
+            assert set(range(1, written_out + 1)) <= counts, (kind, counts)
+            assert max(counts) > written_out, (kind, counts)
+
     def test_integrate_matches_the_reference_bit_for_bit(self):
         clamped = converged = 0
         for system, start, t_max, dt in _reference_suite():
