@@ -392,9 +392,9 @@ class System:
         state where every component of the field is below
         ``CONVERGENCE_TOL`` in absolute value (``converged``); the field is
         the step's first stage, so the last state costs one field call.  A
-        next state in [0, 1] is kept as it is; one outside is clamped into
-        it, and ``max_clamp`` is the largest move the clamp made, or raises
-        ``NumericError`` with its step number when it is not finite.
+        next state outside [0, 1] is clamped into it, and ``max_clamp`` is
+        the largest move the clamp made; a non-finite one raises
+        ``NumericError`` with its step number.
 
         ``_trace`` (two populations), for the separatrix traces, keeps the
         next states unclamped and checks no convergence; it stops after the
