@@ -387,23 +387,25 @@ class System:
         into [0, 1], as the batched step projects them; a negative dt runs
         time backward.
 
-        Returns ``(paths, converged, max_clamp)``, with one list of recorded
-        shares per population, the start first.  The run stops at the first
-        state where every component of the field is below
-        ``CONVERGENCE_TOL`` in absolute value (``converged``); the field is
+        Returns ``(paths, stopped, max_clamp, fields)``, with one list of
+        recorded shares per population, the start first.  The run stops
+        early (``stopped``) at the first state where every component of the
+        field is below ``CONVERGENCE_TOL`` in absolute value; the field is
         the step's first stage, so the last state costs one field call.  A
         next state outside [0, 1] is clamped into it, and ``max_clamp`` is
         the largest move the clamp made; a non-finite one raises
-        ``NumericError`` with its step number.
+        ``NumericError`` with its step number.  ``fields`` is None.
 
-        ``_trace`` (two populations), for the separatrix traces, keeps the
-        next states unclamped and checks no convergence; it stops after the
-        first state past the start that lies outside the square and returns
-        ``(paths, fields)``, with the field at each recorded state, or None
-        when no state left the square within ``n_steps``.
+        ``_trace``, for the separatrix traces and in two populations only,
+        keeps the next states unclamped and checks no convergence: the run
+        stops early after the first state past the start that lies outside
+        the square, ``max_clamp`` is 0.0, and ``fields`` holds one list per
+        population of the field at each recorded state.
         """
         half, sixth, max_clamp = 0.5 * dt, dt / 6.0, 0.0
         if self.dim == 1:
+            if _trace:
+                raise ValueError("separatrix traces run in two populations only")
             w = self.responses[0]._kernel
             p = start
             path = [p]
@@ -411,7 +413,7 @@ class System:
             for n in range(n_steps + 1):
                 a = w(p) - p  # the state is in [0, 1], where the clamp does nothing
                 if -CONVERGENCE_TOL < a < CONVERGENCE_TOL:
-                    return (path,), True, max_clamp
+                    return (path,), True, max_clamp, None
                 if n == n_steps:
                     break
                 y = p + half * a
@@ -432,7 +434,7 @@ class System:
                     p = 0.0 if raw < 0.0 else 1.0
                     max_clamp = max(max_clamp, abs(p - raw))
                 append(p)
-            return (path,), False, max_clamp
+            return (path,), False, max_clamp, None
 
         w1, w2 = (w._kernel for w in self.responses)
         p1, p2 = start
@@ -446,10 +448,10 @@ class System:
                 fields1.append(a1)
                 fields2.append(a2)
                 if n and not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-                    return (path1, path2), (fields1, fields2)
+                    return (path1, path2), True, max_clamp, (fields1, fields2)
             elif (-CONVERGENCE_TOL < a1 < CONVERGENCE_TOL
                     and -CONVERGENCE_TOL < a2 < CONVERGENCE_TOL):
-                return (path1, path2), True, max_clamp
+                return (path1, path2), True, max_clamp, None
             if n == n_steps:
                 break
             y1, y2 = p1 + half * a1, p2 + half * a2
@@ -476,7 +478,7 @@ class System:
                 max_clamp = max(max_clamp, abs(p1 - raw1), abs(p2 - raw2))
             append1(p1)
             append2(p2)
-        return None if _trace else ((path1, path2), False, max_clamp)
+        return (path1, path2), False, max_clamp, ((fields1, fields2) if _trace else None)
 
     def stationary(self) -> StationaryAnalysis:
         if self.dim == 1:

@@ -113,22 +113,8 @@ def _tail_mixture(atoms, p):
 def _tail_kernel(atoms):
     """``_tail_mixture`` on a Python float, bound over the terms (mass, m,
     k - m + 1.0) of the atoms.  An atom with m = 0 adds its mass and one
-    with m > k nothing: betainc(0, b, 0.0) is 0.0, and b <= 0 gives NaN.
-    One to three terms, all with m >= 1, are written out without the loop,
-    whose overhead is a large share of a call; ``0.0 + t1 + t2 + ...`` adds
-    in the loop's order, so floats and arrays keep the same bits."""
+    with m > k nothing: betainc(0, b, 0.0) is 0.0, and b <= 0 gives NaN."""
     terms = tuple((mass, float(m), k - m + 1.0) for k, mass, m in atoms if m <= k)
-    if all(a for _, a, _ in terms):
-        if len(terms) == 1:
-            ((m1, a1, b1),) = terms
-            return lambda p: 0.0 + m1 * _betainc(a1, b1, p)
-        if len(terms) == 2:
-            (m1, a1, b1), (m2, a2, b2) = terms
-            return lambda p: 0.0 + m1 * _betainc(a1, b1, p) + m2 * _betainc(a2, b2, p)
-        if len(terms) == 3:
-            (m1, a1, b1), (m2, a2, b2), (m3, a3, b3) = terms
-            return lambda p: (0.0 + m1 * _betainc(a1, b1, p) + m2 * _betainc(a2, b2, p)
-                              + m3 * _betainc(a3, b3, p))
 
     def kernel(p):
         out = 0.0
@@ -137,21 +123,6 @@ def _tail_kernel(atoms):
         return out
 
     return kernel
-
-
-def _observed_kernel(tail, n: int):
-    """``tail`` at q = 1 - (1 - p)^n on a Python float.  For n <= 4 the
-    power is written out as the products ``_int_power`` takes, so a float
-    keeps an array's bits without its loop (1.0 * x is x)."""
-    if n == 1:
-        return lambda p: tail(1.0 - (1.0 - p))
-    if n == 2:
-        return lambda p: tail(1.0 - (1.0 - p) * (1.0 - p))
-    if n == 3:
-        return lambda p: tail(1.0 - (1.0 - p) * ((1.0 - p) * (1.0 - p)))
-    if n == 4:
-        return lambda p: tail(1.0 - ((1.0 - p) * (1.0 - p)) * ((1.0 - p) * (1.0 - p)))
-    return lambda p: tail(1.0 - _int_power(1.0 - p, n))
 
 
 def _slope_mixture(atoms, p):
@@ -347,7 +318,7 @@ class _TailMixture:
         self._atoms = tuple((k, mass, m) for (k, mass), m in zip(theta.atoms, thresholds))
         self._exponent = n = exponent
         tail = _tail_kernel(self._atoms)
-        self._kernel = tail if n is None else _observed_kernel(tail, n)
+        self._kernel = tail if n is None else (lambda p: tail(1.0 - _int_power(1.0 - p, n)))
 
     def __call__(self, p):
         p, n = _as_prob_array(p), self._exponent
@@ -419,28 +390,6 @@ class SamplingResponse(_TailMixture):
         return SamplingResponse(self.u, self.theta.mix_with(alpha, big_k), self.tie_break)
 
 
-def _logit_kernel(c: float, groups):
-    """The logit mixture on a Python float, the sum over the groups of
-    mu * expit((p * c - 1) / eta) with c = 1 + u, as the payoff difference
-    is p*u - (1-p).  One or two groups are written out, in the loop's
-    order ``0.0 + t1 + t2``."""
-    if len(groups) == 1:
-        ((mu1, eta1),) = groups
-        return lambda p: 0.0 + mu1 * _expit((p * c - 1.0) / eta1)
-    if len(groups) == 2:
-        (mu1, eta1), (mu2, eta2) = groups
-        return lambda p: (0.0 + mu1 * _expit((p * c - 1.0) / eta1)
-                          + mu2 * _expit((p * c - 1.0) / eta2))
-
-    def kernel(p):
-        out = 0.0
-        for mu, eta in groups:
-            out = out + mu * _expit((p * c - 1.0) / eta)
-        return out
-
-    return kernel
-
-
 class LogitResponse:
     """Noisy best-response function: mixture of logistic curves.
 
@@ -469,7 +418,15 @@ class LogitResponse:
             raise ValueError(f"group masses must sum to 1, got {total!r}")
         self.u = float(u)
         self.groups = groups
-        self._kernel = _logit_kernel(1.0 + self.u, groups)
+        c = 1.0 + self.u
+
+        def kernel(p):
+            out = 0.0
+            for mu, eta in groups:  # the payoff difference is p*u - (1-p)
+                out = out + mu * _expit((p * c - 1.0) / eta)
+            return out
+
+        self._kernel = kernel
 
     def __repr__(self) -> str:
         return f"LogitResponse(u={self.u!r}, groups={self.groups!r})"

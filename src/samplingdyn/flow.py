@@ -108,7 +108,7 @@ def integrate(
         raise ValueError(f"initial state outside the unit interval/square: {initial!r}")
     system = System.of(system, init.size)
     start = float(init[0]) if system.dim == 1 else (float(init[0]), float(init[1]))
-    paths, converged, max_clamp = system.rk4_path(start, dt, n_steps)
+    paths, converged, max_clamp, _ = system.rk4_path(start, dt, n_steps)
     states = np.asarray(paths[0]) if system.dim == 1 else np.column_stack(paths)
     limit = None
     if converged:
@@ -282,10 +282,10 @@ def _stable_manifold(system: System, saddle: StationaryState, t_max: float, dt: 
     for sign in (-1.0, 1.0):  # up-left, then down-right
         start = (p1 + sign * scale * v[0], p2 + sign * scale * v[1])
         # RK4 with -dt runs time backward, along the tangent -f
-        branch = system.rk4_path(start, -dt, n_steps, _trace=True)
-        if branch is None:
+        paths, left, _, fields = system.rk4_path(start, -dt, n_steps, _trace=True)
+        if not left:
             return None
-        branches.append(branch)
+        branches.append((paths, fields))
     ((u1, u2), (uf1, uf2)), ((d1, d2), (df1, df2)) = branches
     pts = np.column_stack([u1[::-1] + [p1] + d1, u2[::-1] + [p2] + d2])
     tan = -np.column_stack([uf1[::-1] + [0.0] + df1, uf2[::-1] + [0.0] + df2])

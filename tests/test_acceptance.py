@@ -249,7 +249,7 @@ def _march_until(system, start, ref, exceed=None, below=None, t_max=400.0, dt=0.
     float RK4 loop records the states; it ends early only at a state where
     the field is below 1e-10, which the march would barely move from."""
     x0 = tuple(float(v) for v in start)
-    paths, _, _ = System.of(system, len(x0)).rk4_path(
+    paths, _, _, _ = System.of(system, len(x0)).rk4_path(
         x0 if len(x0) == 2 else x0[0], dt, int(round(t_max / dt)))
     for x in zip(*paths):
         d = max(abs(a - b) for a, b in zip(x, ref))
