@@ -1,4 +1,44 @@
-"""Sampling best-response and logit dynamics for coordination games."""
+"""Sampling best-response and logit dynamics for coordination games.
+
+The package's API is the names below, by the module that defines them:
+every name in double backquotes here is exported, and every export is
+named here.  The commands of the cli module run all of them but the last
+group.
+
+- games: ``CoordinationGame``, ``DominanceProfile``, ``HawkDoveGame``,
+  ``NormalizationError``, ``OriginalGameMatrix``, ``canonicalize``,
+  ``normalize_general``, ``normalize_hawk_dove``, ``normalize_symmetric``,
+  ``to_dominance``.
+- dynamics: ``Environment``, ``LogitResponse``, ``ResponsePair``,
+  ``SampleSizeDistribution``, ``SamplingResponse``, ``TieBreak``,
+  ``sampling_threshold``, ``truncated_expectation``.
+- analysis: ``PureStateClassification``, ``Stability``,
+  ``StationaryAnalysis``, ``StationaryState``, ``StableInteriorSearch``,
+  ``TheoremReport``, ``Verdict``, ``check_homogeneous_uniqueness``,
+  ``check_theorem3``, ``check_theorem4``, ``classify_pure_states``,
+  ``find_stationary_one_pop``, ``find_stationary_two_pop``,
+  ``miscoordination_probability``, ``stable_interior_search``.
+- flow: ``BasinGrid``, ``NumericError``, ``Trajectory``, ``integrate``,
+  ``label_basins``.
+- extensions: ``ContractingGame``, ``MinEffortGame``,
+  ``MinEffortResponse``, ``Observation``, ``contracting_pure_stability``,
+  ``mineffort_pure_stability``.
+- oracle: ``EmpiricalTrajectory``, ``empirical_response``,
+  ``simulate_population``.
+
+No command runs these, and each stays for a reason:
+
+- ``binomial_tail``, ``contracting_response_vector`` (with its
+  ``ContractTieRule``), ``integrate_contracting`` and ``estimate_basins``:
+  perfbench's tracer patches them by name, as it patches the response
+  classes' inverse methods, and perfbench/test_tracer.py asserts that the
+  cli module's estimate_basins is the flow module's;
+- ``payoff_efficiency``: it feeds criterion 6's report in the acceptance
+  tests;
+- ``mineffort_stable_interior``: the paper's minimum-effort mixture
+  search, which analyze will report once it reports the exact mixture
+  window that ROADMAP.md plans.
+"""
 
 from .games import (
     CoordinationGame,
@@ -7,7 +47,6 @@ from .games import (
     NormalizationError,
     OriginalGameMatrix,
     canonicalize,
-    from_dominance,
     normalize_general,
     normalize_hawk_dove,
     normalize_symmetric,
@@ -21,7 +60,6 @@ from .dynamics import (
     SamplingResponse,
     TieBreak,
     binomial_tail,
-    binomial_tail_derivative,
     sampling_threshold,
     truncated_expectation,
 )
@@ -47,7 +85,6 @@ from .flow import (
     BasinGrid,
     NumericError,
     Trajectory,
-    convergence_limit,
     estimate_basins,
     integrate,
     label_basins,
@@ -58,7 +95,6 @@ from .extensions import (
     MinEffortGame,
     MinEffortResponse,
     Observation,
-    contracting_best_response,
     contracting_pure_stability,
     contracting_response_vector,
     integrate_contracting,

@@ -4,7 +4,10 @@ Subcommands: analyze, phase, trajectory, basins, oracle, sweep,
 normalize.  Runs are driven by a JSON config (--config) with a top-level
 "command" discriminator; the flags --out, --seed, --resolution, --tmax,
 --dt override the matching config fields.  Exit codes: 0 success, 2
-configuration error, 3 internal numeric failure.
+configuration error, 3 internal numeric failure.  A command makes the
+output directory and writes its files only after it has run, so a run
+that exits 2 or 3 leaves neither; an --out that names a file, or a path
+under one, exits 2.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
@@ -64,6 +67,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -154,8 +158,12 @@ def _integer_field(conf: dict, key: str, default: int, least: int, most: int | N
 
 
 def _out_dir(conf: dict) -> Path:
+    """The output directory, made with its parents when missing."""
     out = Path(conf.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"'out' {str(out)!r} cannot be a directory: {exc.strerror}") from None
     return out
 
 
@@ -185,7 +193,7 @@ def _state_str(s: an.StationaryState) -> str:
     return f"{s.p1:.4f}"
 
 
-def cmd_analyze(conf: dict) -> int:
+def cmd_analyze(conf: dict) -> Callable[[Path], None]:
     spec = _env_spec(conf)
     big_k = _integer_field(conf, "big_k", 1000, least=1, most=MAX_SAMPLE_SIZE)
     step = conf.get("search_alpha_step", 0.1)
@@ -193,7 +201,6 @@ def cmd_analyze(conf: dict) -> int:
         raise ConfigError(
             f"'search_alpha_step' must lie in [{an.ALPHA_STEP}, 0.5], got {step!r}"
         )
-    out = _out_dir(conf)
     reports: dict[str, dict] = {}
 
     if spec.kind == "contracting":
@@ -205,12 +212,10 @@ def cmd_analyze(conf: dict) -> int:
                 f"part2 {r.part2_products[0]:.6g}/{r.part2_products[1]:.6g})"
             )
         reports["proposition-5"] = {"equilibria": [dataclasses.asdict(r) for r in eq_reports]}
-        cfg.write_json(out / "theorems.json", reports)
-        return 0
+        return lambda out: cfg.write_json(out / "theorems.json", reports)
 
     system = _system(spec)
     stationary = system.stationary()
-    cfg.write_stationary_csv(out / "stationary.csv", stationary)
     if stationary.continuum:
         print(f"continuum: {stationary.note}")
     else:
@@ -298,17 +303,19 @@ def cmd_analyze(conf: dict) -> int:
                     f"{an.miscoordination_probability(s.state):.4f}"
                 )
 
-    if reports:
-        cfg.write_json(out / "theorems.json", reports)
-    return 0
+    def write(out: Path) -> None:
+        cfg.write_stationary_csv(out / "stationary.csv", stationary)
+        if reports:
+            cfg.write_json(out / "theorems.json", reports)
+
+    return write
 
 
 MAX_PHASE_SAMPLES = 10**6
 
 
-def cmd_phase(conf: dict) -> int:
+def cmd_phase(conf: dict) -> Callable[[Path], None]:
     spec = _env_spec(conf)
-    out = _out_dir(conf)
     samples = _integer_field(conf, "samples", 601, least=2, most=MAX_PHASE_SAMPLES)
     quiver = _integer_field(conf, "quiver", 15, least=0, most=math.isqrt(MAX_PHASE_SAMPLES))
     system = _system(spec)
@@ -321,10 +328,13 @@ def cmd_phase(conf: dict) -> int:
         pair = system.pair
         svg_text = svgmod.phase_svg_two_pop(pair, stationary, samples, quiver=quiver)
         csv_text = svgmod.phase_curves_csv_two_pop(pair, samples)
-    (out / "phase.svg").write_bytes(svg_text.encode("utf-8"))
-    cfg._write_text(out / "phase.csv", csv_text)
-    print(f"wrote {out / 'phase.svg'} and {out / 'phase.csv'}")
-    return 0
+
+    def write(out: Path) -> None:
+        (out / "phase.svg").write_bytes(svg_text.encode("utf-8"))
+        cfg._write_text(out / "phase.csv", csv_text)
+        print(f"wrote {out / 'phase.svg'} and {out / 'phase.csv'}")
+
+    return write
 
 
 def _parse_initial(conf: dict, one_population: bool):
@@ -361,21 +371,18 @@ def _horizon(conf: dict, t_max: float) -> tuple[float, float]:
     return t_max, dt
 
 
-def cmd_trajectory(conf: dict) -> int:
+def cmd_trajectory(conf: dict) -> Callable[[Path], None]:
     spec = _env_spec(conf)
-    out = _out_dir(conf)
     system = _system(spec)
     initial = _parse_initial(conf, system.dim == 1)
     t_max, dt = _horizon(conf, 200.0)
     traj = integrate(system, initial, t_max=t_max, dt=dt)
-    cfg.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states)
     print(f"verdict: {traj.verdict}")
-    return 0
+    return lambda out: cfg.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states)
 
 
-def cmd_basins(conf: dict) -> int:
+def cmd_basins(conf: dict) -> Callable[[Path], None]:
     spec = _env_spec(conf)
-    out = _out_dir(conf)
     t_max, dt = _horizon(conf, 200.0)
     system = _system(spec)
     resolution = _integer_field(conf, "resolution", 101, least=2)
@@ -390,8 +397,6 @@ def cmd_basins(conf: dict) -> int:
         )
     except an.ContinuumError as exc:
         raise ConfigError(f"'environment': {exc}") from None
-    cfg.write_basins_csv(out / "basins.csv", grid)
-    cfg.write_json(out / "basins_legend.json", cfg.basin_legend_json(grid))
     for i, s in enumerate(grid.attractors):
         share = grid.shares.get(i, 0.0)
         print(f"attractor {i} {_state_str(s)} [{s.stability.value}]: share {share:.4f}")
@@ -399,16 +404,20 @@ def cmd_basins(conf: dict) -> int:
         print(f"flagged cells: {grid.flagged}")
     if grid.integrated:
         print(f"integrated cells: {grid.integrated}")
-    return 0
+
+    def write(out: Path) -> None:
+        cfg.write_basins_csv(out / "basins.csv", grid)
+        cfg.write_json(out / "basins_legend.json", cfg.basin_legend_json(grid))
+
+    return write
 
 
 # Largest oracle population size and response-mode sample count.
 MAX_ORACLE_DRAWS = 10**8
 
 
-def cmd_oracle(conf: dict) -> int:
+def cmd_oracle(conf: dict) -> Callable[[Path], None]:
     spec = _env_spec(conf)
-    out = _out_dir(conf)
     if spec.kind != "sampling":
         raise ConfigError("the oracle simulates sampling environments only")
     seed = int(conf.get("seed", 0))
@@ -426,8 +435,7 @@ def cmd_oracle(conf: dict) -> int:
             lines.append(f"{cfg.fmt(p)},{cfg.fmt(est)},{cfg.fmt(se)}")
             who = f" of population {i + 1}" if len(responses) > 1 else ""
             print(f"empirical response{who} at p={p}: {est:.6f} +- {se:.2e}")
-        cfg._write_text(out / "oracle.csv", "\n".join(lines) + "\n")
-        return 0
+        return lambda out: cfg._write_text(out / "oracle.csv", "\n".join(lines) + "\n")
     if mode != "population":
         raise ConfigError(f"unknown oracle mode {mode!r}")
     n = _integer_field(conf, "n", 10**5, least=100, most=MAX_ORACLE_DRAWS)
@@ -441,11 +449,10 @@ def cmd_oracle(conf: dict) -> int:
         seed=seed,
         initial=initial,
     )
-    cfg.write_trajectory_csv(
+    print(f"final state: {traj.final_state}")
+    return lambda out: cfg.write_trajectory_csv(
         out / "oracle.csv", traj.times, traj.states, comments=(f"seed={seed} n={n}",)
     )
-    print(f"final state: {traj.final_state}")
-    return 0
 
 
 MAX_SWEEP_VALUES = 10_000
@@ -474,14 +481,13 @@ def _sweep_values(spec: dict) -> list[float]:
     return values
 
 
-def cmd_sweep(conf: dict) -> int:
+def cmd_sweep(conf: dict) -> Callable[[Path], None]:
     if "sweep" not in conf:
         raise ConfigError("missing 'sweep' in config")
     spec = conf["sweep"]
     if not isinstance(spec, dict):
         raise ConfigError(f"'sweep' must be an object, got {spec!r}")
     sweep_type = spec.get("type")
-    out = _out_dir(conf)
     rows = []
 
     def analyze_env(system: System, value: float):
@@ -538,12 +544,15 @@ def cmd_sweep(conf: dict) -> int:
 
     header = "value,n_stationary,n_interior,stable_interior,thm4_part1,thm4_part2,flag"
     text = header + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-    cfg._write_text(out / "sweep.csv", text)
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
-    return 0
+
+    def write(out: Path) -> None:
+        cfg._write_text(out / "sweep.csv", text)
+        print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
+
+    return write
 
 
-def cmd_normalize(conf: dict) -> int:
+def cmd_normalize(conf: dict) -> Callable[[Path], None] | None:
     game_obj = conf.get("game", conf.get("environment"))
     if game_obj is None:
         raise ConfigError("missing 'game' in config")
@@ -558,9 +567,9 @@ def cmd_normalize(conf: dict) -> int:
         "mixed_nash": list(canonical.mixed_nash()),
     }
     print(json.dumps(out_obj, indent=2, sort_keys=True))
-    if "out" in conf:
-        cfg.write_json(_out_dir(conf) / "normalized.json", out_obj)
-    return 0
+    if "out" not in conf:
+        return None
+    return lambda out: cfg.write_json(out / "normalized.json", out_obj)
 
 
 _COMMANDS = {
@@ -578,7 +587,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         conf = _merged_config(args)
-        return _COMMANDS[args.command](conf)
+        # a command returns the function that writes its files, so that the
+        # output directory is made only once the command has checked and run
+        write = _COMMANDS[args.command](conf)
+        if write is not None:
+            write(_out_dir(conf))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -145,14 +145,6 @@ def _slope_mixture(atoms, p):
     return out
 
 
-def _check_tail_args(k: int, m: int) -> tuple[int, int]:
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if m < 0 or m > k or m != int(m):
-        raise ValueError(f"m must be an integer in [0, {k}], got {m!r}")
-    return int(k), int(m)
-
-
 def binomial_tail(k: int, m: int, p):
     """Upper tail Pr(X >= m) for X ~ Binomial(k, p).
 
@@ -172,15 +164,12 @@ def binomial_tail(k: int, m: int, p):
     stays accurate for p near 0 or 1; a float and an array give
     bit-identical values.
     """
-    k, m = _check_tail_args(k, m)
-    p, atoms = _as_prob_array(p, clip_tol=0.0), ((k, 1.0, m),)
+    if k < 1 or k != int(k):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if m < 0 or m > k or m != int(m):
+        raise ValueError(f"m must be an integer in [0, {k}], got {m!r}")
+    p, atoms = _as_prob_array(p, clip_tol=0.0), ((int(k), 1.0, int(m)),)
     return _tail_kernel(atoms)(p) if type(p) is float else _tail_mixture(atoms, p)
-
-
-def binomial_tail_derivative(k: int, m: int, p):
-    """Derivative in p of the binomial upper tail: m*C(k,m)*p^(m-1)*(1-p)^(k-m)."""
-    k, m = _check_tail_args(k, m)
-    return _slope_mixture(((k, 1.0, m),), _as_prob_array(p, clip_tol=0.0))
 
 
 def snap_to_integer(x: float) -> float:
@@ -268,9 +257,6 @@ class SampleSizeDistribution:
             if kk == k:
                 return w
         return 0.0
-
-    def mean(self) -> float:
-        return math.fsum(k * w for k, w in self.atoms)
 
     def mix_with(self, alpha: float, big_k: int) -> "SampleSizeDistribution":
         """Mixture keeping mass alpha on this distribution and 1-alpha on big_k."""
@@ -380,10 +366,6 @@ class SamplingResponse(_TailMixture):
             f"SamplingResponse(u={self.u!r}, theta={self.theta.as_dict()!r}, "
             f"tie_break={self.tie_break.value!r})"
         )
-
-    @property
-    def degree(self) -> int:
-        return self.theta.max_support
 
     def mix_with(self, alpha: float, big_k: int) -> "SamplingResponse":
         """This response on ``theta.mix_with(alpha, big_k)``, tie rule kept."""

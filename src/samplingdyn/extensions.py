@@ -132,34 +132,6 @@ def _replies(payoffs: np.ndarray, rule: ContractTieRule) -> np.ndarray:
     return (np.arange(ties.shape[1]) == ties.argmax(axis=1)[:, None]).astype(float)
 
 
-def contracting_best_response(
-    g: ContractingGame,
-    player: int,
-    counts: Sequence[int],
-    rule: ContractTieRule = ContractTieRule.LOWEST,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Best reply (0-based action index) to a sample with the given
-    per-action counts.
-
-    Payoff of action m against the sample is diag[m] * counts[m]; ties go
-    to the lowest index by default, or are drawn by ``rng`` under the
-    uniform rule.
-    """
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != g.M:
-        raise ValueError(f"expected {g.M} counts, got {len(counts)}")
-    if any(c < 0 for c in counts) or sum(counts) < 1:
-        raise ValueError("sample must contain at least one observation")
-    payoffs = np.asarray(g.diag(player)) * np.asarray(counts)
-    ties = np.flatnonzero(_replies(payoffs[None, :], ContractTieRule(rule))[0])
-    if len(ties) == 1:
-        return int(ties[0])
-    if rng is None:
-        raise ValueError("uniform tie-breaking needs an rng")
-    return int(rng.choice(ties))
-
-
 def _simplex_points(p, shape: tuple[int, ...]) -> np.ndarray:
     """``p`` as an array of the given shape whose rows lie on the simplex within 1e-10."""
     p = np.asarray(p, dtype=float)

@@ -92,13 +92,12 @@ def integrate(
     initial,
     t_max: float = DEFAULT_T_MAX,
     dt: float = DEFAULT_DT,
-    stationary: StationaryAnalysis | None = None,
 ) -> Trajectory:
     """Integrate from one initial state, recording every step.
 
     Stops early once the vector field's sup norm drops below 1e-10; the
-    verdict then names the nearest stationary state within 1e-6 (matched
-    against ``stationary`` when given, otherwise computed on demand).
+    verdict then names the stationary state of ``system.stationary()``
+    nearest the end point within 1e-6, or none.
     """
     n_steps = _step_count(t_max, dt)
     init = np.atleast_1d(np.asarray(initial, dtype=float))
@@ -112,28 +111,10 @@ def integrate(
     states = np.asarray(paths[0]) if system.dim == 1 else np.column_stack(paths)
     limit = None
     if converged:
-        if stationary is None:
-            stationary = system.stationary()
+        stationary = system.stationary()
         (i,) = _match_labels(states[-1:].reshape(1, -1), True, stationary, MATCH_TOL)
         limit = stationary.states[i] if i >= 0 else None
     return Trajectory(np.arange(len(states)) * dt, states, converged, limit, dt, max_clamp)
-
-
-def convergence_limit(
-    system,
-    initial,
-    t_max: float = 500.0,
-    dt: float = DEFAULT_DT,
-    stationary: StationaryAnalysis | None = None,
-) -> StationaryState:
-    """The stationary state a trajectory settles into."""
-    traj = integrate(system, initial, t_max=t_max, dt=dt, stationary=stationary)
-    if not traj.converged or traj.limit is None:
-        raise NumericError(
-            f"trajectory from {initial!r} did not converge to a known stationary "
-            f"state within t_max={t_max}"
-        )
-    return traj.limit
 
 
 def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float):
@@ -171,27 +152,6 @@ def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float):
     return out, converged
 
 
-def terminal_states(
-    system,
-    initials,
-    t_max: float = DEFAULT_T_MAX,
-    dt: float = DEFAULT_DT,
-):
-    """Batched no-recording integration of many initial states.
-
-    ``initials`` has shape (n,) for one population or (n, 2) for two,
-    with every share in [0, 1].  Returns (final states in the same shape,
-    converged mask).
-    """
-    x0 = np.asarray(initials, dtype=float)
-    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):
-        raise ValueError("initial states outside the unit interval/square")
-    one_pop = x0.ndim == 1
-    system = System.of(system, 1 if one_pop else 2)
-    finals, ok = _terminal_states(system.field, x0.reshape(-1, system.dim), t_max, dt)
-    return (finals[:, 0] if one_pop else finals), ok
-
-
 @dataclass
 class BasinGrid:
     """Attractor index per grid cell plus each attractor's share of cells."""
@@ -202,12 +162,6 @@ class BasinGrid:
     shares: dict[int, float]
     flagged: int
     integrated: int  # cells labelled by integrating their trajectory
-
-    def share_of(self, state: StationaryState) -> float:
-        for i, s in enumerate(self.attractors):
-            if s is state or s.state == state.state:
-                return self.shares.get(i, 0.0)
-        raise ValueError(f"unknown attractor {state!r}")
 
 
 def _match_labels(finals: np.ndarray, ok, stationary: StationaryAnalysis, tol: float = 1e-3):

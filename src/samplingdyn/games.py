@@ -66,10 +66,6 @@ class CoordinationGame:
         """Interior Nash equilibrium (p1, p2) = (1/(1+u2), 1/(1+u1))."""
         return (1.0 / (1.0 + self.u2), 1.0 / (1.0 + self.u1))
 
-    def mixed_nash_one_pop(self) -> float:
-        """Interior Nash equilibrium 1/(1+u) of the symmetric one-population game."""
-        return 1.0 / (1.0 + self.u)
-
 
 @dataclass(frozen=True)
 class OriginalGameMatrix:
@@ -215,8 +211,3 @@ def normalize_hawk_dove(h: HawkDoveGame) -> CoordinationGame:
 def to_dominance(game: CoordinationGame) -> DominanceProfile:
     """Tight q-dominance levels of the first-action equilibrium: q_i = 1/(1+u_i)."""
     return DominanceProfile(1.0 / (1.0 + game.u1), 1.0 / (1.0 + game.u2))
-
-
-def from_dominance(d: DominanceProfile) -> CoordinationGame:
-    """Inverse of :func:`to_dominance`: u_i = (1 - q_i)/q_i."""
-    return CoordinationGame((1.0 - d.q1) / d.q1, (1.0 - d.q2) / d.q2)

@@ -13,7 +13,7 @@ def polynomial_coefficients(w) -> tuple[Fraction, ...]:
     """Exact power-basis coefficients of a sampling response w as Fractions:
     the reference for identity checks at desk scale.  The coefficients of a
     degree-k tail grow like C(k, k/2), so they are kept exact."""
-    coeffs = [Fraction(0)] * (w.degree + 1)
+    coeffs = [Fraction(0)] * (w.theta.max_support + 1)
     for k, mass, m in w._atoms:
         if m > k:
             continue

@@ -37,8 +37,7 @@ from samplingdyn.extensions import (
     contracting_pure_stability,
     mineffort_pure_stability,
 )
-from samplingdyn.flow import integrate, label_basins, terminal_states
-from samplingdyn.flow import System
+from samplingdyn.flow import System, _terminal_states, integrate, label_basins
 from samplingdyn.games import CoordinationGame
 from samplingdyn.oracle import empirical_response, simulate_population
 
@@ -64,7 +63,7 @@ def test_criterion_01_figure1_suite():
     res2 = find_stationary_one_pop(env2)
     assert not res2.interior()
     starts = np.linspace(0.01, 0.99, 99)
-    finals, ok = terminal_states(env2, starts, t_max=100.0)
+    finals, ok = _terminal_states(System.of(env2, 1).field, starts.reshape(-1, 1), 100.0, 0.01)
     assert ok.all()
     assert np.max(np.abs(finals - 1.0)) < 1e-6
 

@@ -868,3 +868,36 @@ def test_mutated_configs_exit_0_or_2(command_conf):
         path = Path(out) / "config.json"
         path.write_text(json.dumps(conf))
         assert main([command, "--config", str(path), "--out", out]) in (0, 2)
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("conf", [
+        {"command": "oracle", "environment": ONE_POP, "mode": "bogus"},
+        {"command": "sweep", "environment": ONE_POP, "sweep": {"type": "bogus"}},
+        {"command": "trajectory", "environment": ONE_POP, "tmax": 1e5, "dt": 0.01},
+        {"command": "phase", "environment": ONE_POP, "samples": 2.5},
+        {"command": "oracle", "environment": ONE_POP, "mode": "response", "p": True},
+        {"command": "oracle", "environment": ONE_POP, "mode": "response", "samples": 0},
+    ], ids=["oracle-mode", "sweep-type", "trajectory-steps", "phase-samples", "oracle-p",
+            "oracle-samples"])
+    def test_config_error_makes_no_directory(self, tmp_path, capsys, conf):
+        # each of these fields is checked after the command starts
+        out = tmp_path / "out" / "nested"
+        path = write_config(tmp_path, conf)
+        assert main([conf["command"], "--config", path, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("conf", list({c["command"]: c for c in FUZZ_CONFIGS}.values()),
+                             ids=lambda c: c["command"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-a-file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, conf, under):
+        existing = tmp_path / "existing"
+        existing.write_text("keep\n")
+        out = existing / "sub" if under else existing
+        path = write_config(tmp_path, conf)
+        assert main([conf["command"], "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 'out'") and repr(str(out)) in err
+        assert existing.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "existing"]

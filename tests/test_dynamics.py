@@ -16,8 +16,8 @@ from samplingdyn.dynamics import (
     SamplingResponse,
     TieBreak,
     _TailMixture,
+    _slope_mixture,
     binomial_tail,
-    binomial_tail_derivative,
     sampling_threshold,
     truncated_expectation,
 )
@@ -69,11 +69,14 @@ class TestBinomialTail:
     def test_float_incomplete_beta_equals_the_ufunc(self, rng):
         # a float calls scipy's compiled routines directly and an array
         # calls their ufuncs, for the tail and for its slope
+        def binomial_tail_slope(k, m, p):
+            return _slope_mixture(((k, 1.0, m),), p)
+
         for _ in range(400):
             k = int(rng.integers(1, 1001))
             m = int(rng.integers(1, k + 1))
             ps = np.concatenate([rng.random(50), [0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16]])
-            for f in (binomial_tail, binomial_tail_derivative):
+            for f in (binomial_tail, binomial_tail_slope):
                 want = f(k, m, ps)
                 got = [f(k, m, float(p)) for p in ps]
                 assert all(type(v) is float for v in got)
@@ -248,7 +251,7 @@ class TestSamplingResponse:
             theta = random_theta(rng, max_k=50)
             w = SamplingResponse(float(rng.uniform(0.1, 10)), theta)
             coeffs = polynomial_coefficients(w)
-            assert len(coeffs) - 1 == theta.max_support == w.degree
+            assert len(coeffs) - 1 == theta.max_support
             assert coeffs[-1] != 0
             for num in (1, 333, 500, 777, 999):
                 x = Fraction(num, 1000)
@@ -323,9 +326,10 @@ class TestDerivative:
             checked += 1
 
     def test_large_k_derivative_endpoints(self):
-        assert binomial_tail_derivative(1000, 48, 0.0) == 0.0
-        assert binomial_tail_derivative(1000, 1, 0.0) == pytest.approx(1000.0)
-        assert binomial_tail_derivative(1000, 1000, 1.0) == pytest.approx(1000.0)
+        # the slope of Pr(Bin(k, p) >= m) is m C(k, m) p^(m-1) (1-p)^(k-m)
+        assert _slope_mixture(((1000, 1.0, 48),), 0.0) == 0.0
+        assert _slope_mixture(((1000, 1.0, 1),), 0.0) == pytest.approx(1000.0)
+        assert _slope_mixture(((1000, 1.0, 1000),), 1.0) == pytest.approx(1000.0)
 
 
 class TestInverse:
@@ -397,7 +401,6 @@ class TestSampleSizeDistribution:
         assert theta.support == (1, 5)
         assert theta.max_support == 5
         assert theta.mass(5) == 0.25 and theta.mass(2) == 0.0
-        assert theta.mean() == pytest.approx(2.0)
         assert SampleSizeDistribution.point(4).degenerate_k == 4
         assert theta.degenerate_k is None
 

@@ -25,7 +25,6 @@ from samplingdyn.extensions import (
     MinEffortGame,
     MinEffortResponse,
     Observation,
-    contracting_best_response,
     contracting_pure_stability,
     contracting_response_vector,
     integrate_contracting,
@@ -48,10 +47,16 @@ def random_contracting(rng, M=None, lo=0.3, hi=5.0):
             continue
 
 
+def _reply(g, counts, rule=ContractTieRule.LOWEST) -> list[float]:
+    """Player 1's reply weights to one sample with the given per-action
+    counts: one row of ``_replies``."""
+    return _replies(np.asarray(g.diag1) * np.asarray([counts], dtype=float), rule)[0].tolist()
+
+
 class TestBestResponse:
     def test_hand_example(self):
         g = ContractingGame((1.0, 3.0), (2.0, 1.0))
-        assert contracting_best_response(g, 1, (2, 1)) == 1  # payoffs (2, 3)
+        assert _reply(g, (2, 1)) == [0.0, 1.0]  # payoffs (2, 3)
 
     def test_unanimous_sample(self, rng):
         for _ in range(20):
@@ -59,7 +64,7 @@ class TestBestResponse:
             k = int(rng.integers(1, 9))
             counts = [0] * g.M
             counts[0] = k
-            assert contracting_best_response(g, 1, counts) == 0
+            assert _reply(g, counts) == [1.0] + [0.0] * (g.M - 1)
 
     def test_two_actions_match_threshold_rule(self, rng):
         # the two-action argmax agrees with the binomial threshold under
@@ -72,24 +77,14 @@ class TestBestResponse:
                 k, u, TieBreak.FAVOR_A
             )
             for x in range(k + 1):
-                best = contracting_best_response(g, 1, (x, k - x))
-                assert (best == 0) == (x >= m)
+                reply = _reply(g, (x, k - x))
+                assert reply == ([1.0, 0.0] if x >= m else [0.0, 1.0])
 
     def test_tie_rules(self):
         g = ContractingGame((1.0, 1.0), (1.0, 2.0))
-        assert contracting_best_response(g, 1, (1, 1), ContractTieRule.LOWEST) == 0
-        assert contracting_best_response(g, 1, (1, 1), ContractTieRule.HIGHEST) == 1
-        rng = np.random.default_rng(0)
-        picks = {
-            contracting_best_response(g, 1, (1, 1), ContractTieRule.UNIFORM, rng)
-            for _ in range(40)
-        }
-        assert picks == {0, 1}
-
-    def test_empty_sample_rejected(self):
-        g = ContractingGame((1.0, 2.0), (2.0, 1.0))
-        with pytest.raises(ValueError):
-            contracting_best_response(g, 1, (0, 0))
+        assert _reply(g, (1, 1), ContractTieRule.LOWEST) == [1.0, 0.0]
+        assert _reply(g, (1, 1), ContractTieRule.HIGHEST) == [0.0, 1.0]
+        assert _reply(g, (1, 1), ContractTieRule.UNIFORM) == [0.5, 0.5]
 
 
 class TestResponseVector:

@@ -8,7 +8,6 @@ from samplingdyn.games import (
     NormalizationError,
     OriginalGameMatrix,
     canonicalize,
-    from_dominance,
     normalize_general,
     normalize_hawk_dove,
     normalize_symmetric,
@@ -116,21 +115,26 @@ def test_hawk_dove_antisymmetry(rng):
         assert abs(g.u1 * g.u2 - 1.0) < 1e-12
 
 
+def _from_dominance(d: DominanceProfile) -> CoordinationGame:
+    """The inverse of ``to_dominance``: u_i = (1 - q_i) / q_i."""
+    return CoordinationGame((1.0 - d.q1) / d.q1, (1.0 - d.q2) / d.q2)
+
+
 def test_dominance_examples():
     assert to_dominance(CoordinationGame(1.0, 1.0)).q1 == pytest.approx(0.5)
     assert to_dominance(CoordinationGame(20.0, 1.0)).q1 == pytest.approx(1.0 / 21.0)
-    assert from_dominance(DominanceProfile(0.25, 0.5)).u1 == pytest.approx(3.0)
+    assert to_dominance(CoordinationGame(3.0, 1.0)).q1 == pytest.approx(0.25)
 
 
 def test_dominance_round_trip(rng):
     for _ in range(200):
         q1, q2 = rng.uniform(0.01, 0.99, size=2)
-        d = to_dominance(from_dominance(DominanceProfile(q1, q2)))
+        d = to_dominance(_from_dominance(DominanceProfile(q1, q2)))
         assert d.q1 == pytest.approx(q1, rel=1e-12)
         assert d.q2 == pytest.approx(q2, rel=1e-12)
     for _ in range(200):
         u1, u2 = rng.uniform(0.02, 50.0, size=2)
-        g = from_dominance(to_dominance(CoordinationGame(u1, u2)))
+        g = _from_dominance(to_dominance(CoordinationGame(u1, u2)))
         assert g.u1 == pytest.approx(u1, rel=1e-12)
         assert g.u2 == pytest.approx(u2, rel=1e-12)
 
@@ -141,7 +145,7 @@ def test_mixed_nash():
     # the antisymmetric bargaining game has its mixed equilibrium near (0.95, 0.05)
     assert p1 == pytest.approx(1.0 / 1.05, abs=1e-12)
     assert p2 == pytest.approx(1.0 / 21.0, abs=1e-12)
-    assert CoordinationGame.symmetric(1.2).mixed_nash_one_pop() == pytest.approx(1 / 2.2)
+    assert CoordinationGame.symmetric(1.2).mixed_nash() == pytest.approx((1 / 2.2, 1 / 2.2))
 
 
 def test_canonicalize_flag():

@@ -6,9 +6,15 @@ round an import cycle; the modules are layered so that none is needed.
 
 Only the finite-population oracle draws random numbers; every other
 module is deterministic.
+
+The API is pinned: the exports are the names the package docstring lists,
+and a public top-level function or class that no other code of the
+package uses is exported.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import samplingdyn
@@ -59,3 +65,44 @@ def test_only_the_oracle_creates_random_generators():
         if found:
             offenders[path.name] = found
     assert not offenders, offenders
+
+
+def test_exports_are_the_names_the_package_docstring_lists():
+    exported = {
+        name for name in samplingdyn.__all__
+        if not inspect.ismodule(getattr(samplingdyn, name))
+    }
+    listed = set(re.findall(r"``([A-Za-z_]\w*)``", samplingdyn.__doc__))
+    assert exported == listed, (sorted(exported - listed), sorted(listed - exported))
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name read, attribute taken or name imported within ``node``."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+def test_every_public_definition_is_used_in_the_package_or_exported():
+    # __init__'s re-exports are the exports, not a use
+    top_level = [
+        (path.name, node)
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "__init__.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    used = [_names_used(node) for _, node in top_level]
+    unused = [
+        f"{module}: {node.name}"
+        for i, (module, node) in enumerate(top_level)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in samplingdyn.__all__
+        and not any(node.name in names for j, names in enumerate(used) if j != i)
+    ]
+    assert not unused, unused
