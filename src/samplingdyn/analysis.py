@@ -100,9 +100,9 @@ class StationaryState:
     def leading_eigenvalue(self) -> float:
         return max(self.eigenvalues)
 
-    def is_interior(self, eps: float = 1e-9) -> bool:
+    def is_interior(self) -> bool:
         coords = self.state if self.is_pair else (self.state,)
-        return all(eps < c < 1.0 - eps for c in coords)
+        return all(1e-9 < c < 1.0 - 1e-9 for c in coords)
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,11 @@ class StationaryAnalysis:
     continuum: bool = False
     note: str = ""
 
-    def stable(self) -> tuple[StationaryState, ...]:
-        return tuple(s for s in self.states if s.stability == Stability.STABLE)
+    def interior(self) -> tuple[StationaryState, ...]:
+        return tuple(s for s in self.states if s.is_interior())
 
-    def interior(self, eps: float = 1e-9) -> tuple[StationaryState, ...]:
-        return tuple(s for s in self.states if s.is_interior(eps))
-
-    def stable_interior(self, eps: float = 1e-9) -> tuple[StationaryState, ...]:
-        return tuple(s for s in self.interior(eps) if s.stability == Stability.STABLE)
+    def stable_interior(self) -> tuple[StationaryState, ...]:
+        return tuple(s for s in self.interior() if s.stability == Stability.STABLE)
 
 
 @dataclass(frozen=True)
@@ -146,38 +143,30 @@ def classify_slope(weak: float, strict: float | None = None, bound: float = 1.0)
     return Stability.MARGINAL
 
 
-def _bisect_root(g: Callable[[float], float], lo: float, hi: float, glo: float) -> float:
-    """Root of g in [lo, hi], bracketed by the sign of ``glo`` (the scan's
-    value at lo), which g at hi does not share.
+def _bisect_root(g: Callable, lo: float, hi: float, glo: float, ghi: float) -> float:
+    """Root of g in [lo, hi], where the caller has g's values ``glo`` at lo
+    and ``ghi`` at hi, of strict opposite signs.
 
-    ``g`` may be any callable, whose array and float values need not
-    agree to the last bit, so the bracket keeps the scan's signs and an
-    endpoint or trial point where the float g is exactly zero is the root.
-    The bracket closes to at most ``BISECT_WIDTH`` by the Illinois method
-    (Dowell & Jarratt 1971): false position, halving the value kept at an
-    end that two steps in a row left in place.  Each trial point stays at
-    least ``BISECT_WIDTH / 2`` from both ends, so every step closes the
-    bracket by that much.  When the float g's signs at the ends disagree
-    with the scan's, the refinement is plain halving; after as many steps
-    as halving would take (slow near a multiple root), the rest is halving
-    too, so it never takes more than twice halving's evaluations, and
-    stops there even when g returns NaN.
+    The ends are not evaluated again: the scan's array values, and the
+    float values ``_root_beside`` has taken, are the float g's bit for bit.
+    A trial point where g is exactly zero is the root.  The bracket closes
+    to at most ``BISECT_WIDTH`` by the Illinois method (Dowell & Jarratt
+    1971): false position, halving the value kept at an end that two steps
+    in a row left in place.  Each trial point stays at least
+    ``BISECT_WIDTH / 2`` from both ends, so every step closes the bracket by
+    that much.  After as many steps as halving would take (slow near a
+    multiple root), the rest is halving, so it never takes more than twice
+    halving's evaluations, and stops there even when g returns NaN.
     """
-    lo, hi = float(lo), float(hi)
+    lo, hi, flo, fhi = float(lo), float(hi), glo, ghi
     neg = glo < 0.0
-    flo, fhi = g(lo), g(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    illinois = ((flo < 0.0) == neg) and ((fhi < 0.0) != neg)
     budget = math.ceil(math.log2(max((hi - lo) / BISECT_WIDTH, 1.0)))
     half = 0.5 * BISECT_WIDTH
     kept = 0  # -1 when the last step moved lo, +1 when it moved hi
     for step in range(2 * budget):
         if hi - lo <= BISECT_WIDTH:
             break
-        if illinois and step < budget:
+        if step < budget:
             x = lo - flo * (hi - lo) / (fhi - flo)
             x = min(max(x, lo + half), hi - half)
         else:
@@ -216,7 +205,8 @@ def _grid() -> tuple[np.ndarray, tuple[int, int, int]]:
 def _scan_rows(g_at: Callable, rows: int) -> list[tuple]:
     """``scan_fixed_points`` on ``rows`` functions g_r, ``g_at(r, i, x)`` giving
     g_r at grid points x = xs[i].  A row's scan, for ``_refine``, holds the
-    exception it raises, its zeros, and (lo, hi, g(lo)) per sign change."""
+    exception it raises, its zeros, and (lo, hi, g(lo), g(hi)) per sign
+    change."""
     xs, steps = _grid()
     n = GRID_POINTS - 1
     coarse = np.append(np.arange(0, n, steps[0]), n)
@@ -275,8 +265,8 @@ def _scan_rows(g_at: Callable, rows: int) -> list[tuple]:
     for r, i in zip(er[zero].tolist(), ei[zero].tolist()):
         scans[r][1].append(xs[i])
     flip = flip[ok[row[flip]]]
-    for r, i, glo in zip(row[flip].tolist(), a[flip].tolist(), ga[flip].tolist()):
-        scans[r][2].append((xs[i], xs[i + 1], glo))
+    for r, i, glo, ghi in zip(*(c[flip].tolist() for c in (row, a, ga, gb))):
+        scans[r][2].append((xs[i], xs[i + 1], glo, ghi))
     return scans
 
 
@@ -285,7 +275,7 @@ def _refine(g: Callable[[float], float], scan: tuple) -> list[float]:
     error, zeros, brackets = scan
     if error is not None:
         raise error
-    return sorted(zeros + [_bisect_root(g, lo, hi, glo) for lo, hi, glo in brackets])
+    return sorted(zeros + [_bisect_root(g, *bracket) for bracket in brackets])
 
 
 def scan_fixed_points(g: Callable) -> list[float]:
@@ -293,10 +283,11 @@ def scan_fixed_points(g: Callable) -> list[float]:
     the one-row case of the block scan ``_scan_rows``.
 
     ``g`` must accept numpy arrays, which the scan passes, and Python
-    floats, which the refinement passes, and have the form g(x) = h(x) - x
-    with h nondecreasing.  A root is either a grid point where g is exactly
-    zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``), or one root refined by
-    ``_bisect_root`` in each grid cell over which g strictly changes sign.
+    floats, which the refinement passes, with the same values, and have
+    the form g(x) = h(x) - x with h nondecreasing.  A root is either a grid
+    point where g is exactly zero (at 0 and 1, where |g| < ``RESIDUAL_TOL``),
+    or one root refined by ``_bisect_root`` in each grid cell over which g
+    strictly changes sign.
     The rule resolves roots one grid cell apart: two roots within one cell,
     one of them an exact zero, show as one (the stationary search finds the
     other by its alternation rule), and two roots strictly inside one
@@ -531,7 +522,8 @@ def _root_beside(g: Callable[[float], float], r: float, edge: float, negative: b
         if gx == 0.0:
             return x
         if (gx < 0.0) == negative:
-            return _bisect_root(g, x, edge, gx) if x < edge else _bisect_root(g, edge, x, gedge)
+            return (_bisect_root(g, x, edge, gx, gedge) if x < edge
+                    else _bisect_root(g, edge, x, gedge, gx))
     return None
 
 

@@ -7,7 +7,7 @@ normalize.  Runs are driven by a JSON config (--config) with a top-level
 configuration error, 3 internal numeric failure.  A command makes the
 output directory and writes its files only after it has run, so a run
 that exits 2 or 3 leaves neither; an --out that names a file, or a path
-under one, exits 2.
+under one, exits 2 before the command runs.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
@@ -62,6 +62,7 @@ big_k, are at most MAX_SAMPLE_SIZE (10**6).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -134,8 +135,15 @@ def _merged_config(args: argparse.Namespace) -> dict:
     ]:
         if value is not None:
             conf[key] = value
-    if not isinstance(conf.get("out", "."), str):
-        raise ConfigError(f"'out' must be a directory path, got {conf['out']!r}")
+    out = conf.get("out", ".")
+    if not isinstance(out, str) or "\0" in out:
+        raise ConfigError(f"'out' must be a directory path, got {out!r}")
+    # an 'out' at or under a file fails before the run; _out_dir reports
+    # what only making the directory tells, such as permissions
+    with contextlib.suppress(OSError):
+        nearest = next((p for p in (Path(out), *Path(out).parents) if p.exists()), None)
+        if not (nearest is None or nearest.is_dir()):
+            raise ConfigError(f"'out' {out!r} cannot be a directory: {str(nearest)!r} is a file")
     for key in ("tmax", "dt"):
         if key in conf and not 0.0 < cfg._number(conf, key, "config") < math.inf:
             raise ConfigError(f"'{key}' must be a positive finite number, got {conf[key]!r}")

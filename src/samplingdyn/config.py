@@ -16,7 +16,9 @@ Environment objects:
                               "observation": "minimum-effort"}, "theta": ...}
 
 An environment sets its game in one form (a second is an error), and
-names no key that only another model reads (``_MODEL_KEYS``).
+names no key that only another model reads (``_MODEL_KEYS``).  A matrix is
+read in its own labels, as "u1"/"u2" with its reduced payoffs; only
+normalize relabels it to the canonical u1 >= 1, reporting "labels_swapped".
 Sample size distributions use string keys ({"1": 0.5}); tie_break is
 "favor-a" or "favor-b".  CSVs are comma separated with "." decimals, a
 header row, and LF line endings; floats print with 12 significant

@@ -93,9 +93,7 @@ _LOG2E = math.log2(math.e)
 
 def _tail(k: int, m: int, p):
     """Unchecked Pr(X >= m) for X ~ Binomial(k, p) on an array p: the
-    regularized incomplete beta I_p(m, k - m + 1)."""
-    if m == 0:
-        return 0.0 * p + 1.0
+    regularized incomplete beta I_p(m, k - m + 1), for m >= 1."""
     if m > k:
         return 0.0 * p
     return special.betainc(m, k - m + 1, p)
@@ -112,14 +110,14 @@ def _tail_mixture(atoms, p):
 
 def _tail_kernel(atoms):
     """``_tail_mixture`` on a Python float, bound over the terms (mass, m,
-    k - m + 1.0) of the atoms.  An atom with m = 0 adds its mass and one
-    with m > k nothing: betainc(0, b, 0.0) is 0.0, and b <= 0 gives NaN."""
+    k - m + 1.0) of the atoms, whose thresholds m are at least 1.  An atom
+    with m > k adds nothing, as b <= 0 would give NaN."""
     terms = tuple((mass, float(m), k - m + 1.0) for k, mass, m in atoms if m <= k)
 
     def kernel(p):
         out = 0.0
         for mass, a, b in terms:
-            out = out + (mass * _betainc(a, b, p) if a else mass)
+            out = out + mass * _betainc(a, b, p)
         return out
 
     return kernel
@@ -127,7 +125,7 @@ def _tail_kernel(atoms):
 
 def _slope_mixture(atoms, p):
     """Unchecked derivative in p of ``_tail_mixture``: the sum over the
-    atoms with 0 < m <= k of mass * p^(m-1) q^(k-m) / B(m, k - m + 1),
+    atoms with m <= k of mass * p^(m-1) q^(k-m) / B(m, k - m + 1),
     q = 1 - p, in exp-log form, because m C(k, m) overflows a float well
     below k = 1000 (xlogy reads 0 log 0 as 0, so the endpoints need no
     special case).  exp(x) is exp2(x log2(e)), as numpy's exp has no
@@ -138,7 +136,7 @@ def _slope_mixture(atoms, p):
     xlogy, exp2 = (_xlogy, _exp2) if type(p) is float else (special.xlogy, special.exp2)
     q, out = 1.0 - p, 0.0 * p
     for k, mass, m in atoms:
-        if 0 < m <= k:
+        if m <= k:
             a, b = m - 1.0, k - m + 0.0  # the compiled calls take floats faster
             logs = xlogy(a, p) + xlogy(b, q) - _betaln(a + 1.0, b + 1.0)
             out = out + mass * exp2(logs * _LOG2E)
@@ -153,7 +151,7 @@ def binomial_tail(k: int, m: int, p):
     k : int
         Number of trials, k >= 1.
     m : int
-        Tail cutoff, 0 <= m <= k.  m = 0 returns 1.
+        Tail cutoff, 0 <= m <= k.  m = 0 returns 1, which no kernel takes.
     p : float or ndarray
         Success probability in [0, 1].
 
@@ -169,6 +167,8 @@ def binomial_tail(k: int, m: int, p):
     if m < 0 or m > k or m != int(m):
         raise ValueError(f"m must be an integer in [0, {k}], got {m!r}")
     p, atoms = _as_prob_array(p, clip_tol=0.0), ((int(k), 1.0, int(m)),)
+    if m == 0:
+        return 0.0 * p + 1.0  # shaped like p
     return _tail_kernel(atoms)(p) if type(p) is float else _tail_mixture(atoms, p)
 
 

@@ -163,13 +163,13 @@ def _relabel_player1(m: OriginalGameMatrix) -> OriginalGameMatrix:
     )
 
 
-def normalize_general(m: OriginalGameMatrix, canonical: bool = True) -> CoordinationGame:
+def normalize_general(m: OriginalGameMatrix) -> CoordinationGame:
     """Reduce a general two-action game with two strict equilibria.
 
     If the strict equilibria sit on the anti-diagonal, player 1's actions
     are relabeled first.  The reduced payoffs are
-    u1 = (u11 - u21)/(u22 - u12) and u2 = (v11 - v12)/(v22 - v21); with
-    ``canonical`` the result is relabeled so u1 >= 1.
+    u1 = (u11 - u21)/(u22 - u12) and u2 = (v11 - v12)/(v22 - v21), in the
+    matrix's own labels, also when u1 < 1 (``canonicalize`` relabels).
     """
     if not m.has_column_player:
         raise NormalizationError("general normalization requires both players' payoffs")
@@ -191,10 +191,7 @@ def normalize_general(m: OriginalGameMatrix, canonical: bool = True) -> Coordina
                 f"no pair of strict diagonal or anti-diagonal equilibria: {primary}"
             ) from primary
 
-    game = CoordinationGame(g1 / g2, g3 / g4)
-    if canonical:
-        game, _ = canonicalize(game)
-    return game
+    return CoordinationGame(g1 / g2, g3 / g4)
 
 
 def normalize_hawk_dove(h: HawkDoveGame) -> CoordinationGame:

@@ -213,8 +213,9 @@ def test_criterion_06_logit_suite():
     res_het = find_stationary_two_pop(het)
     target = [
         s
-        for s in res_het.stable()
-        if abs(s.p1 - 0.21) <= 0.01 and abs(s.p2 - 0.21) <= 0.01
+        for s in res_het.states
+        if s.stability == Stability.STABLE
+        and abs(s.p1 - 0.21) <= 0.01 and abs(s.p2 - 0.21) <= 0.01
     ]
     assert target, "heterogeneous logit must stabilize (0.21, 0.21)"
     mistake_het = float(het.w1(0.0))
@@ -328,8 +329,8 @@ def test_criterion_08_symmetric_equivalence():
         if one.continuum:
             assert two.continuum
             continue
-        one_stable = [s.p1 for s in one.stable()]
-        two_stable = [s.state for s in two.stable()]
+        one_stable = [s.p1 for s in one.states if s.stability == Stability.STABLE]
+        two_stable = [s.state for s in two.states if s.stability == Stability.STABLE]
         assert len(one_stable) == len(two_stable)
         for p, (p1, p2) in zip(one_stable, two_stable):
             assert abs(p1 - p) < 1e-9 and abs(p2 - p) < 1e-9

@@ -40,6 +40,11 @@ ONE_POP = {"u": 1.2, "theta": {"2": 1.0}}
 U_K3 = 4.765685148304299
 
 
+# a general matrix whose reduction, (0.5, 4), has u1 < 1
+SWAPPED_MATRIX = {"matrix": {"u11": 1, "u12": 0, "u21": 0, "u22": 2,
+                             "v11": 4, "v12": 0, "v21": 0, "v22": 1}}
+
+
 def write_config(tmp_path: Path, obj: dict) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
@@ -59,6 +64,25 @@ def _logit(mass=1.0, eta=0.5):
 
 
 class TestAnalyze:
+    def test_matrix_is_read_in_its_own_labels(self, tmp_path, capsys):
+        # relabelled to (2, 0.25), the matrix read (0, 0) stable, an unstable
+        # state at (0.5706, 0.4294) and Theorem 4; in its own labels it is
+        # the u1/u2 game (0.5, 4), with (0, 0) unstable and no Theorem 4
+        thetas = {"theta1": {"1": 0.5, "5": 0.5}, "theta2": {"1": 0.5, "5": 0.5}}
+        seen = []
+        for name, game in [("matrix", SWAPPED_MATRIX), ("u1u2", {"u1": 0.5, "u2": 4.0})]:
+            out = tmp_path / name
+            conf = write_config(tmp_path, {"command": "analyze", "environment": {**game, **thetas},
+                                           "big_k": 50, "search_alpha_step": 0.25})
+            assert main(["analyze", "--config", conf, "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            seen.append((capsys.readouterr().out, files))
+        assert seen[0] == seen[1]
+        stdout, files = seen[1]
+        assert "stationary (0.0000, 0.0000): unstable (slope product 1.5," in stdout
+        assert "stationary (1.0000, 1.0000): asymptotically-stable" in stdout
+        assert "Theorem 4" not in stdout and sorted(files) == ["stationary.csv", "theorems.json"]
+
     def test_fig3_right_summary_and_files(self, tmp_path, capsys):
         conf = write_config(
             tmp_path, {"command": "analyze", "environment": FIG3_RIGHT, "out": str(tmp_path)}
@@ -463,6 +487,7 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         ("normalize", {"game": False}),
         ("trajectory", {"out": 5}),
         ("normalize", {"out": None}),
+        ("normalize", {"out": "a\0b"}),
     ],
     ids=["fractional-big_k", "string-big_k", "huge-big_k", "big_k-past-max-sample-size",
          "zero-alpha-step", "negative-alpha-step",
@@ -470,7 +495,7 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
          "continuum-basins-theta1-theta2", "fractional-samples", "one-sample", "negative-quiver",
          "fractional-quiver", "huge-samples", "huge-quiver", "one-population-huge-resolution",
          "two-population-huge-resolution", "number-game", "bool-game", "number-out",
-         "null-out"],
+         "null-out", "nul-byte-out"],
 )
 def test_bad_analysis_numbers_exit_2(tmp_path, capsys, command, fields):
     conf = {"command": command, "environment": FIG3_RIGHT, "out": str(tmp_path), **fields}
@@ -760,16 +785,11 @@ class TestNormalize:
         assert obj["dominance"]["q1"] == pytest.approx(1 / 21)
 
     def test_matrix_with_swap(self, tmp_path, capsys):
-        game = {
-            "matrix": {
-                "u11": 1.0, "u12": 0.0, "u21": 0.0, "u22": 2.0,
-                "v11": 4.0, "v12": 0.0, "v21": 0.0, "v22": 1.0,
-            }
-        }
-        conf = write_config(tmp_path, {"command": "normalize", "game": game})
+        # the matrix reduces to (0.5, 4) in its own labels
+        conf = write_config(tmp_path, {"command": "normalize", "game": SWAPPED_MATRIX})
         assert main(["normalize", "--config", conf]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["u1"], obj["u2"]) == (2.0, 0.25)
+        assert (obj["u1"], obj["u2"], obj["labels_swapped"]) == (2.0, 0.25, True)
 
     def test_degenerate_matrix_exits_2(self, tmp_path, capsys):
         game = {"matrix": {"u11": 1.0, "u12": 2.0, "u21": 0.0, "u22": 1.0}}
@@ -897,7 +917,9 @@ class TestOutputDirectory:
         out = existing / "sub" if under else existing
         path = write_config(tmp_path, conf)
         assert main([conf["command"], "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
+        # the run stops before the command prints anything
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
         assert err.startswith("config error: 'out'") and repr(str(out)) in err
         assert existing.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "existing"]

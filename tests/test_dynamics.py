@@ -15,7 +15,6 @@ from samplingdyn.dynamics import (
     SampleSizeDistribution,
     SamplingResponse,
     TieBreak,
-    _TailMixture,
     _slope_mixture,
     binomial_tail,
     sampling_threshold,
@@ -39,6 +38,7 @@ class TestBinomialTail:
 
     def test_m_zero_is_one(self):
         assert binomial_tail(7, 0, 0.3) == 1.0
+        assert np.array_equal(binomial_tail(7, 0, np.array([0.0, 0.3, 1.0])), np.ones(3))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -132,15 +132,13 @@ _ZERO_ONE_THETA = SampleSizeDistribution.of({1: 0.25, 3: 0.25, 9: 0.5})
 @pytest.mark.parametrize(
     "w, value",
     [
-        # every threshold is 0, which no best reply has: the response is 1 everywhere
-        pytest.param(_TailMixture(_ZERO_ONE_THETA, (0, 0, 0), 2), 1.0, id="m-zero"),
         # every threshold is k + 1: the response is 0 everywhere
         pytest.param(MinEffortResponse(MinEffortGame(2, 1e-13, Observation.OPPONENT_ACTION),
                                        _ZERO_ONE_THETA), 0.0, id="m-past-k"),
     ],
 )
 def test_float_kernel_keeps_exact_zero_and_one_atoms(w, value):
-    # betainc has no such tails: betainc(0, b, 0.0) is 0.0 and b <= 0 is NaN
+    # betainc has no such tail: b <= 0 is NaN
     xs = [0.0, 5e-324, 1e-17, 0.3, 1.0 - 1e-16, 1.0]
     for x in xs:
         assert w(x) == value and w.derivative(x) == 0.0, x

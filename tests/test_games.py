@@ -51,12 +51,13 @@ def test_normalize_general_hand_example():
 
 
 def test_normalize_general_canonicalizes_label_swap():
-    # raw reduction gives (0.5, 4); canonical form swaps to (2, 0.25)
+    # the reduction keeps the matrix's labels, (0.5, 4); canonicalize swaps
+    # them to (2, 0.25)
     m = OriginalGameMatrix(1.0, 0.0, 0.0, 2.0, v11=4.0, v12=0.0, v21=0.0, v22=1.0)
-    raw = normalize_general(m, canonical=False)
+    raw = normalize_general(m)
     assert (raw.u1, raw.u2) == pytest.approx((0.5, 4.0))
-    g = normalize_general(m)
-    assert (g.u1, g.u2) == pytest.approx((2.0, 0.25))
+    g, swapped = canonicalize(normalize_general(m))
+    assert (g.u1, g.u2) == pytest.approx((2.0, 0.25)) and swapped
 
 
 def test_normalize_general_antidiagonal_equilibria_match_hawk_dove():
@@ -95,7 +96,7 @@ def test_affine_invariance_of_normalization(rng):
             v11=s2 * (u2 + d1), v12=s2 * (0.0 + d1),
             v21=s2 * (0.0 + d2), v22=s2 * (1.0 + d2),
         )
-        got = normalize_general(shifted, canonical=False)
+        got = normalize_general(shifted)
         assert got.u1 == pytest.approx(u1, rel=1e-12, abs=1e-12)
         assert got.u2 == pytest.approx(u2, rel=1e-12, abs=1e-12)
 
