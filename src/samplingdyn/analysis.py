@@ -81,7 +81,6 @@ class StationaryState:
     state: float | tuple[float, float]
     stability: Stability
     slope_product: float
-    eigenvalues: tuple[float, ...]
     residual: float
 
     @property
@@ -98,7 +97,11 @@ class StationaryState:
 
     @property
     def leading_eigenvalue(self) -> float:
-        return max(self.eigenvalues)
+        """The larger Jacobian eigenvalue: w' - 1 in one population,
+        -1 + sqrt(w1' w2') in two (-1 when the product is negative)."""
+        if self.is_pair:
+            return -1.0 + math.sqrt(max(self.slope_product, 0.0))
+        return self.slope_product - 1.0
 
     def is_interior(self) -> bool:
         coords = self.state if self.is_pair else (self.state,)
@@ -128,7 +131,6 @@ class TheoremReport:
     conditions: dict[str, float]
     verdict: Verdict
     parts: dict[str, Verdict] = field(default_factory=dict)
-    note: str = ""
 
 
 def classify_slope(weak: float, strict: float | None = None, bound: float = 1.0) -> Stability:
@@ -492,16 +494,10 @@ class _Identity:
 def _state(point, slope_product: float, residual: float) -> StationaryState:
     """A stationary state at a share (one population) or a pair (two),
     classified by its slope product."""
-    if isinstance(point, tuple):
-        root = math.sqrt(max(slope_product, 0.0))
-        eigenvalues = (-1.0 + root, -1.0 - root)
-    else:
-        eigenvalues = (slope_product - 1.0,)
     return StationaryState(
         state=point,
         stability=classify_slope(slope_product),
         slope_product=slope_product,
-        eigenvalues=eigenvalues,
         residual=residual,
     )
 
@@ -721,7 +717,6 @@ class StableInteriorSearch:
     alpha: tuple[float, float] | float | None
     state: StationaryState | None
     in_scope: bool
-    note: str = ""
 
 
 def _alpha_grid(step: float) -> list[float]:
@@ -772,7 +767,7 @@ def _mixture_field(w1s: list, w2s: list | None = None) -> Callable:
     return field
 
 
-def _first_stable_interior(base, big_k, step, in_scope, note) -> StableInteriorSearch:
+def _first_stable_interior(base, big_k, step, in_scope) -> StableInteriorSearch:
     """The first row with a stable interior state, each response of ``base``
     mixed by ``mix_with`` at the shares of ``_alpha_grid(step)``: shares
     for one response, else pairs, the diagonal first, then
@@ -792,8 +787,8 @@ def _first_stable_interior(base, big_k, step, in_scope, note) -> StableInteriorS
             hits = _stationary_search(system, scan).stable_interior()
             if hits:
                 alpha = tuple(grid[i] for i in row) if len(ws) == 2 else grid[row[0]]
-                return StableInteriorSearch(True, alpha, hits[0], in_scope, note)
-    return StableInteriorSearch(False, None, None, in_scope, note)
+                return StableInteriorSearch(True, alpha, hits[0], in_scope)
+    return StableInteriorSearch(False, None, None, in_scope)
 
 
 def stable_interior_search(system, big_k: int = 1000,
@@ -811,8 +806,7 @@ def stable_interior_search(system, big_k: int = 1000,
     """
     responses = System.of(system).responses
     in_scope = all(1 < w.theta.max_support < w.u + 1.0 for w in responses)
-    note = "" if in_scope else "outside theorem scope"
-    return _first_stable_interior(responses, big_k, alpha_step, in_scope, note)
+    return _first_stable_interior(responses, big_k, alpha_step, in_scope)
 
 
 def check_theorem3(system, big_k: int = 1000) -> TheoremReport:

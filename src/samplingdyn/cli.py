@@ -2,8 +2,13 @@
 
 Subcommands: analyze, phase, trajectory, basins, oracle, sweep,
 normalize.  Runs are driven by a JSON config (--config) with a top-level
-"command" discriminator; the flags --out, --seed, --resolution, --tmax,
---dt override the matching config fields.  Exit codes: 0 success, 2
+"command" discriminator.  Every subcommand takes --config and --out, and
+only the flags of the config fields it reads, each overriding its field:
+    trajectory   --tmax --dt
+    basins       --resolution --tmax --dt
+    oracle       --seed --tmax --dt
+analyze, phase, sweep and normalize take no other flag; a flag that a
+subcommand does not take exits 2.  Exit codes: 0 success, 2
 configuration error, 3 internal numeric failure.  A command makes the
 output directory and writes its files only after it has run, so a run
 that exits 2 or 3 leaves neither; an --out that names a file, or a path
@@ -90,29 +95,36 @@ from .games import canonicalize, to_dominance
 from .oracle import empirical_response, simulate_population
 
 
+# each flag's type and help; a subcommand takes the flags of the fields it reads
+_FLAGS = {
+    "config": (str, "JSON run configuration"),
+    "out": (str, "output directory (default '.')"),
+    "seed": (int, "random seed"),
+    "resolution": (int, "grid resolution per axis"),
+    "tmax": (float, "integration horizon"),
+    "dt": (float, "integration step size"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", type=str, help="JSON run configuration")
-    shared.add_argument("--out", type=str, help="output directory (default '.')")
-    shared.add_argument("--seed", type=int, help="random seed")
-    shared.add_argument("--resolution", type=int, help="grid resolution per axis")
-    shared.add_argument("--tmax", type=float, help="integration horizon")
-    shared.add_argument("--dt", type=float, help="integration step size")
     parser = argparse.ArgumentParser(
         prog="samplingdyn",
         description="Sampling best-response dynamics for coordination games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("analyze", "stationary states, stability, and theorem reports"),
-        ("phase", "deterministic SVG phase plot plus curve CSV"),
-        ("trajectory", "integrate one trajectory to CSV"),
-        ("basins", "basin-of-attraction grid to CSV"),
-        ("oracle", "finite-population Monte Carlo run to CSV"),
-        ("sweep", "parameter sweep with per-point verdicts"),
-        ("normalize", "reduce a game to the standard representation"),
+    for name, desc, flags in [
+        ("analyze", "stationary states, stability, and theorem reports", ()),
+        ("phase", "deterministic SVG phase plot plus curve CSV", ()),
+        ("trajectory", "integrate one trajectory to CSV", ("tmax", "dt")),
+        ("basins", "basin-of-attraction grid to CSV", ("resolution", "tmax", "dt")),
+        ("oracle", "finite-population Monte Carlo run to CSV", ("seed", "tmax", "dt")),
+        ("sweep", "parameter sweep with per-point verdicts", ()),
+        ("normalize", "reduce a game to the standard representation", ()),
     ]:
-        sub.add_parser(name, help=desc, parents=[shared])
+        command = sub.add_parser(name, help=desc)
+        for flag in ("config", "out", *flags):
+            kind, text = _FLAGS[flag]
+            command.add_argument(f"--{flag}", type=kind, help=text)
     return parser
 
 
@@ -121,20 +133,14 @@ _PARSER = _build_parser()
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
-    conf = cfg.load_config(args.config) if args.config else {}
-    if "command" in conf and conf["command"] != args.command:
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    command, path = flags.pop("command"), flags.pop("config", None)
+    conf = cfg.load_config(path) if path else {}
+    if "command" in conf and conf["command"] != command:
         raise ConfigError(
-            f"config is for command {conf['command']!r}, invoked as {args.command!r}"
+            f"config is for command {conf['command']!r}, invoked as {command!r}"
         )
-    for key, value in [
-        ("out", args.out),
-        ("seed", args.seed),
-        ("resolution", args.resolution),
-        ("tmax", args.tmax),
-        ("dt", args.dt),
-    ]:
-        if value is not None:
-            conf[key] = value
+    conf.update(flags)
     out = conf.get("out", ".")
     if not isinstance(out, str) or "\0" in out:
         raise ConfigError(f"'out' must be a directory path, got {out!r}")
@@ -147,7 +153,7 @@ def _merged_config(args: argparse.Namespace) -> dict:
     for key in ("tmax", "dt"):
         if key in conf and not 0.0 < cfg._number(conf, key, "config") < math.inf:
             raise ConfigError(f"'{key}' must be a positive finite number, got {conf[key]!r}")
-    if args.command == "oracle" and conf.get("dt", 0.0) > 1.0:
+    if command == "oracle" and conf.get("dt", 0.0) > 1.0:
         raise ConfigError(f"oracle 'dt' is a replacement probability per step, got {conf['dt']!r}")
     _integer_field(conf, "resolution", 2, least=2)
     _integer_field(conf, "seed", 0, least=0)

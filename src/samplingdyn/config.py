@@ -67,15 +67,27 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.load``'s object hook: an object that repeats a key is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears more than once in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
         with open(p, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8, nesting or a repeated key
         raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be an object, got {type(obj).__name__}")
     return obj
@@ -118,14 +130,17 @@ def parse_theta(obj: Any, context: str = "theta") -> SampleSizeDistribution:
     if not isinstance(obj, Mapping) or not obj:
         raise ConfigError(f"{context} must be a non-empty object of masses")
     masses: dict[int, float] = {}
+    keys: dict[int, str] = {}
     for key, value in obj.items():
         try:
             k = int(key)
         except (TypeError, ValueError):
             raise ConfigError(f"{context} keys must be integer strings, got {key!r}")
+        if k in keys:
+            raise ConfigError(f"{context} keys {keys[k]!r} and {key!r} name one sample size {k}")
         if not _is_number(value):
             raise ConfigError(f"{context}[{key}] must be a number")
-        masses[k] = float(value)
+        masses[k], keys[k] = float(value), key
     try:
         return SampleSizeDistribution.of(masses)
     except ValueError as exc:
@@ -323,8 +338,6 @@ def theorem_report_json(report: TheoremReport) -> dict:
     }
     if report.parts:
         out["parts"] = {k: v.value for k, v in report.parts.items()}
-    if report.note:
-        out["note"] = report.note
     return out
 
 

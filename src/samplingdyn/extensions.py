@@ -474,6 +474,5 @@ def mineffort_stable_interior(
     also 1 < k under action observation, is only a flag.
     """
     in_scope = k < g.u + 1.0 and (g.observation == Observation.MINIMUM_EFFORT or 1 < k)
-    note = "" if in_scope else "outside proposition hypothesis"
     base = (MinEffortResponse(g, SampleSizeDistribution.point(k)),)
-    return _first_stable_interior(base, big_k, alpha_step, in_scope, note)
+    return _first_stable_interior(base, big_k, alpha_step, in_scope)

@@ -60,7 +60,6 @@ class Trajectory:
     states: np.ndarray  # shape (n,) for one population, (n, 2) for two
     converged: bool
     limit: StationaryState | None
-    dt: float
     max_clamp: float
 
     @property
@@ -68,11 +67,6 @@ class Trajectory:
         if not self.converged:
             return "max-time-reached"
         return f"converged-to({'unmatched' if self.limit is None else self.limit.state!r})"
-
-    @property
-    def final_state(self):
-        last = self.states[-1]
-        return float(last) if last.ndim == 0 or last.shape == () else tuple(last.tolist())
 
 
 def _rk4_step(field, x, dt, project, k1=None):
@@ -114,7 +108,7 @@ def integrate(
         stationary = system.stationary()
         (i,) = _match_labels(states[-1:].reshape(1, -1), True, stationary, MATCH_TOL)
         limit = stationary.states[i] if i >= 0 else None
-    return Trajectory(np.arange(len(states)) * dt, states, converged, limit, dt, max_clamp)
+    return Trajectory(np.arange(len(states)) * dt, states, converged, limit, max_clamp)
 
 
 def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float):

@@ -55,13 +55,6 @@ class CoordinationGame:
     def is_symmetric(self) -> bool:
         return self.u1 == self.u2
 
-    @property
-    def u(self) -> float:
-        """Single payoff parameter of a symmetric game."""
-        if not self.is_symmetric:
-            raise ValueError("game is not symmetric; use u1/u2 explicitly")
-        return self.u1
-
     def mixed_nash(self) -> tuple[float, float]:
         """Interior Nash equilibrium (p1, p2) = (1/(1+u2), 1/(1+u1))."""
         return (1.0 / (1.0 + self.u2), 1.0 / (1.0 + self.u1))

@@ -82,8 +82,6 @@ class EmpiricalTrajectory:
     times: np.ndarray
     states: np.ndarray  # (steps+1,) one population, (steps+1, 2) two
     n: int
-    seed: int
-    dt: float
 
     @property
     def final_state(self):
@@ -146,4 +144,4 @@ def simulate_population(
         counts[step] = state
     shares = counts / n
     states = shares[:, 0] if system.dim == 1 else shares
-    return EmpiricalTrajectory(times, states, n=n, seed=seed, dt=dt)
+    return EmpiricalTrajectory(times, states, n=n)

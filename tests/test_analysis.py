@@ -868,7 +868,7 @@ class TestPureStates:
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
         pure = classify_pure_states(env)
         assert pure.state_a.state == 1.0 and pure.state_b.state == 0.0
-        assert pure.state_a.eigenvalues == (pure.state_a.slope_product - 1.0,)
+        assert pure.state_a.leading_eigenvalue == pure.state_a.slope_product - 1.0
 
 
 class TestTheorem4:
@@ -1033,7 +1033,6 @@ def _reference_search(env, big_k, alpha_step):
     in_scope = (
         1 < theta1.max_support < game.u1 + 1.0 and 1 < theta2.max_support < game.u2 + 1.0
     )
-    note = "" if in_scope else "outside theorem scope"
     grid = analysis._alpha_grid(alpha_step)
     pairs = [(a, a) for a in grid] + [(a1, a2) for a1 in grid for a2 in grid if a1 != a2]
     for a1, a2 in pairs:
@@ -1042,35 +1041,33 @@ def _reference_search(env, big_k, alpha_step):
         )
         hits = find_stationary_two_pop(mixed).stable_interior()
         if hits:
-            return analysis.StableInteriorSearch(True, (a1, a2), hits[0], in_scope, note)
-    return analysis.StableInteriorSearch(False, None, None, in_scope, note)
+            return analysis.StableInteriorSearch(True, (a1, a2), hits[0], in_scope)
+    return analysis.StableInteriorSearch(False, None, None, in_scope)
 
 
 def _reference_one_pop_search(env, big_k, alpha_step):
     """The one-population mixture search as one whole stationary search per
     share, in order and with the environment's tie rule."""
     in_scope = 1 < env.theta1.max_support < env.game.u1 + 1.0
-    note = "" if in_scope else "outside theorem scope"
     for a in analysis._alpha_grid(alpha_step):
         mixed = env.theta1.mix_with(a, big_k)
         env_a = Environment(env.game, mixed, mixed, env.tie_break)
         hits = find_stationary_one_pop(env_a).stable_interior()
         if hits:
-            return analysis.StableInteriorSearch(True, a, hits[0], in_scope, note)
-    return analysis.StableInteriorSearch(False, None, None, in_scope, note)
+            return analysis.StableInteriorSearch(True, a, hits[0], in_scope)
+    return analysis.StableInteriorSearch(False, None, None, in_scope)
 
 
 def _reference_mineffort_search(game, k, big_k, alpha_step):
     """The minimum-effort mixture search as it was written before it joined
     the block scan: one whole stationary search per share."""
     in_scope = k < game.u + 1.0 and (game.observation == Observation.MINIMUM_EFFORT or 1 < k)
-    note = "" if in_scope else "outside proposition hypothesis"
     for alpha in analysis._alpha_grid(alpha_step):
         theta = SampleSizeDistribution.point(k).mix_with(alpha, big_k)
         hits = find_stationary_one_pop(MinEffortResponse(game, theta)).stable_interior()
         if hits:
-            return analysis.StableInteriorSearch(True, alpha, hits[0], in_scope, note)
-    return analysis.StableInteriorSearch(False, None, None, in_scope, note)
+            return analysis.StableInteriorSearch(True, alpha, hits[0], in_scope)
+    return analysis.StableInteriorSearch(False, None, None, in_scope)
 
 
 def _search_cases(rng):

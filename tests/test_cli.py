@@ -220,6 +220,9 @@ class TestAnalyze:
              "'logit' (both populations) cannot be combined with 'logit1'/'logit2'"),
             ({**_logit(eta=0.3), "logit2": [{"mass": 1, "eta": 5.0}]},
              "'logit' (both populations) cannot be combined with 'logit1'/'logit2'"),
+            # int() reads both keys as 1; the last mass used to win silently
+            ({"u": 1.5, "theta": {"1": 0.5, "01": 0.5, "2": 0.5}},
+             "theta keys '1' and '01' name one sample size 1"),
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
@@ -228,7 +231,8 @@ class TestAnalyze:
              "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass", "huge-theta-key",
              "theta-key-past-max-sample-size", "two-game-forms", "tied-contracting-game",
              "logit-with-thetas", "logit-with-theta", "mineffort-with-u",
-             "contracting-with-u1-u2", "logit-with-logit1-logit2", "logit-with-logit2"],
+             "contracting-with-u1-u2", "logit-with-logit1-logit2", "logit-with-logit2",
+             "theta-keys-naming-one-size"],
     )
     def test_bad_environment_exits_2(self, tmp_path, capsys, env, message):
         conf = write_config(tmp_path, {"command": "analyze", "environment": env})
@@ -923,3 +927,75 @@ class TestOutputDirectory:
         assert err.startswith("config error: 'out'") and repr(str(out)) in err
         assert existing.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "existing"]
+
+
+# the subcommands that read each run flag, and a cheap value of it
+_FLAG_READERS = {"seed": {"oracle"}, "resolution": {"basins"},
+                 "tmax": {"trajectory", "basins", "oracle"},
+                 "dt": {"trajectory", "basins", "oracle"}}
+_FLAG_VALUES = {"seed": "2", "resolution": "3", "tmax": "1", "dt": "0.5"}
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("conf", list({c["command"]: c for c in FUZZ_CONFIGS}.values()),
+                             ids=lambda c: c["command"])
+    @pytest.mark.parametrize("flag", sorted(_FLAG_READERS))
+    def test_a_subcommand_takes_only_the_flags_it_reads(self, tmp_path, capsys, conf, flag):
+        out = tmp_path / "out"
+        argv = [conf["command"], "--config", write_config(tmp_path, conf), "--out", str(out),
+                f"--{flag}", _FLAG_VALUES[flag]]
+        if conf["command"] in _FLAG_READERS[flag]:
+            assert main(argv) == 0
+            assert any(out.iterdir())
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and f"unrecognized arguments: --{flag}" in err
+            assert not out.exists()
+
+    def test_resolution_overrides_the_config(self, tmp_path):
+        conf = write_config(tmp_path, {"command": "basins", "environment": ONE_POP,
+                                       "resolution": 7, "tmax": 5, "dt": 0.1})
+        assert main(["basins", "--config", conf, "--out", str(tmp_path), "--resolution", "3"]) == 0
+        assert json.loads((tmp_path / "basins_legend.json").read_text())["resolution"] == 3
+
+    def test_tmax_and_dt_override_the_config(self, tmp_path):
+        conf = write_config(tmp_path, {"command": "trajectory", "environment": FIG3_RIGHT,
+                                       "initial": [0.2, 0.7], "tmax": 5, "dt": 0.1})
+        assert main(["trajectory", "--config", conf, "--out", str(tmp_path),
+                     "--tmax", "1", "--dt", "0.5"]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "0.5", "1"]
+
+    def test_seed_overrides_the_config(self, tmp_path):
+        conf = write_config(tmp_path, {"command": "oracle", "environment": ONE_POP, "n": 500,
+                                       "tmax": 1, "dt": 0.1, "seed": 1})
+        assert main(["oracle", "--config", conf, "--out", str(tmp_path), "--seed", "5"]) == 0
+        assert (tmp_path / "oracle.csv").read_text().startswith("# seed=5 n=500\n")
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["directory", "not-utf-8", "nested-too-deeply"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        # each of these used to end in a traceback
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        # json.load kept the last copy, so this ran u = 1.5
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "analyze", "environment": '
+                        '{"u": 1.2, "u": 1.5, "theta": {"2": 1.0}}}')
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "key 'u' appears more than once" in err
+        assert not (tmp_path / "out").exists()

@@ -81,7 +81,7 @@ class TestIntegrate:
             a = integrate(env, initial, t_max=200.0, dt=0.01)
             b = integrate(env, initial, t_max=200.0, dt=0.005)
             assert a.converged and b.converged
-            assert np.max(np.abs(np.asarray(a.final_state) - np.asarray(b.final_state))) < 1e-8
+            assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-8
 
     def test_limit_exists_across_random_suite(self, rng):
         for _ in range(25):
@@ -192,7 +192,7 @@ class TestTerminalStates:
         assert ok.all()
         for row, final in zip(starts, finals):
             single = integrate(env, tuple(row), t_max=300.0)
-            assert np.max(np.abs(np.asarray(single.final_state) - final)) < 1e-9
+            assert np.max(np.abs(single.states[-1] - final)) < 1e-9
 
 
 class TestBasins:

@@ -23,7 +23,7 @@ def test_normalize_symmetric_standard_form_passthrough():
 
 def test_normalize_symmetric_hand_example():
     g = normalize_symmetric(OriginalGameMatrix(3.0, 1.0, 1.0, 2.0))
-    assert g.u == pytest.approx(2.0, abs=1e-15)
+    assert g.u1 == g.u2 == pytest.approx(2.0, abs=1e-15)
 
 
 def test_normalize_symmetric_rejects_bad_matrix():
@@ -161,5 +161,3 @@ def test_game_validation():
         CoordinationGame(-1.0, 2.0)
     with pytest.raises(ValueError):
         CoordinationGame(1.0, 0.0)
-    with pytest.raises(ValueError):
-        CoordinationGame(2.0, 1.0).u  # asymmetric game has no single u
