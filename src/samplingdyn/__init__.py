@@ -33,8 +33,6 @@ No command runs these, and each stays for a reason:
   perfbench's tracer patches them by name, as it patches the response
   classes' inverse methods, and perfbench/test_tracer.py asserts that the
   cli module's estimate_basins is the flow module's;
-- ``payoff_efficiency``: it feeds criterion 6's report in the acceptance
-  tests;
 - ``mineffort_stable_interior``: the paper's minimum-effort mixture
   search, which analyze will report once it reports the exact mixture
   window that ROADMAP.md plans.
@@ -78,7 +76,6 @@ from .analysis import (
     find_stationary_one_pop,
     find_stationary_two_pop,
     miscoordination_probability,
-    payoff_efficiency,
     stable_interior_search,
 )
 from .flow import (

@@ -841,18 +841,3 @@ def check_theorem3(system, big_k: int = 1000) -> TheoremReport:
             verdict = Verdict.HOLDS
     return TheoremReport(theorem="theorem-3", conditions=conditions, verdict=verdict)
 
-
-def payoff_efficiency(response, u: float) -> float:
-    """Average payoff of response-following agents against a uniform opponent
-    share, relative to exact payoff maximizers.
-
-    Both averages are brute-force integrals over the opponent share on a
-    uniform grid of 100,001 points (composite Simpson).
-    """
-    from scipy.integrate import simpson
-
-    ps = np.linspace(0.0, 1.0, 100_001)
-    wp = np.asarray(response(ps), dtype=float)
-    realized = wp * ps * u + (1.0 - wp) * (1.0 - ps)
-    best = np.maximum(ps * u, 1.0 - ps)
-    return float(simpson(realized, x=ps) / simpson(best, x=ps))

@@ -8,7 +8,12 @@ only the flags of the config fields it reads, each overriding its field:
     basins       --resolution --tmax --dt
     oracle       --seed --tmax --dt
 analyze, phase, sweep and normalize take no other flag; a flag that a
-subcommand does not take exits 2.  Exit codes: 0 success, 2
+subcommand does not take exits 2.  ``_FIELDS`` is the one table of each
+command's fields, their parsers and defaults and the run flags' types
+and help; the oracle reads those of its "mode" (response mode ignores
+--tmax and --dt).  Every config object names only keys its reader reads
+(the top level: its command's fields, "command" and "out"); any other
+key exits 2, naming the nearest known key.  Exit codes: 0 success, 2
 configuration error, 3 internal numeric failure.  A command makes the
 output directory and writes its files only after it has run, so a run
 that exits 2 or 3 leaves neither; an --out that names a file, or a path
@@ -54,9 +59,9 @@ order, under the header p,estimate,standard_error; population i draws
 its agents with seed + i - 1.  The oracle's population size n and its
 response-mode samples are at most MAX_ORACLE_DRAWS (10**8); larger
 values are a configuration error (exit 2).  So is a step count
-round(tmax / dt) above MAX_STEPS (10**6) for trajectory, basins and the
-oracle's population mode (the defaults tmax 200, 200 and 50 with dt
-0.01 take 20,000, 20,000 and 5,000 steps).  phase draws at most
+round(tmax / dt) of 0 or above MAX_STEPS (10**6) for trajectory, basins
+and the oracle's population mode (the defaults tmax 200, 200 and 50 with
+dt 0.01 take 20,000, 20,000 and 5,000 steps).  phase draws at most
 MAX_PHASE_SAMPLES (10**6) curve samples and a quiver of at most 1,000
 arrows per axis.  A basin grid has at most MAX_BASIN_CELLS (10**6)
 cells: resolution of them in one population, resolution**2 in two.
@@ -73,7 +78,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,15 +100,99 @@ from .games import canonicalize, to_dominance
 from .oracle import empirical_response, simulate_population
 
 
-# each flag's type and help; a subcommand takes the flags of the fields it reads
-_FLAGS = {
-    "config": (str, "JSON run configuration"),
-    "out": (str, "output directory (default '.')"),
-    "seed": (int, "random seed"),
-    "resolution": (int, "grid resolution per axis"),
-    "tmax": (float, "integration horizon"),
-    "dt": (float, "integration step size"),
+MAX_PHASE_SAMPLES = 10**6
+
+# Largest number of fixed steps, round(tmax / dt), of a run.
+MAX_STEPS = 10**6
+
+# Largest basin grid, resolution ** (number of populations) cells.
+MAX_BASIN_CELLS = 10**6
+
+# Largest oracle population size and response-mode sample count.
+MAX_ORACLE_DRAWS = 10**8
+
+
+def _number(kind: type, least: float, most: float = math.inf):
+    """The parser of numbers of ``kind``, int or float, in [least, most]."""
+    def parse(value, key: str):
+        number = cfg._integer({key: value}, key, "config") if kind is int else value
+        if not (cfg._is_number(number) and least <= number <= most):
+            raise ConfigError(f"'{key}' must lie in [{least}, {most}], got {value!r}")
+        return kind(number)
+    return parse
+
+
+def _shares(value, key: str):
+    """A share, or a tuple of them from a list."""
+    return tuple(_share(v, key) for v in value) if isinstance(value, list) else _share(value, key)
+
+
+def _path(value, key: str) -> str:
+    """A directory path that no file is at or above."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"'{key}' must be a directory path, got {value!r}")
+    # _out_dir reports what only making the directory tells, such as permissions
+    with contextlib.suppress(OSError):
+        nearest = next((p for p in (Path(value), *Path(value).parents) if p.exists()), None)
+        if not (nearest is None or nearest.is_dir()):
+            raise ConfigError(f"'{key}' {value!r} cannot be a directory: {str(nearest)!r} is a file")
+    return value
+
+
+def _object(value, key: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"'{key}' must be an object, got {value!r}")
+    return value
+
+
+def _mode(value, key: str) -> str:
+    if not (isinstance(value, str) and value in _ORACLE_MODES):
+        raise ConfigError(f"unknown oracle mode {value!r}")
+    return value
+
+
+class _Field(NamedTuple):
+    parse: Callable  # (value, key) -> the checked, typed value
+    default: Any = ...  # ... when the config must set the field
+    flag: tuple[type, str] | None = None  # a run flag's type and help
+
+
+# perfbench's tracer wraps config's functions in the module, so the parsers
+# call them through it at run time rather than hold them in the table
+_ENVIRONMENT = _Field(lambda value, key: cfg.parse_environment(value))
+_share, _INITIAL = _number(float, 0.0, 1.0), _Field(_shares, None)
+_TMAX, _DT = (float, "integration horizon"), (float, "integration step size")
+_TIME = _number(float, 0.0)  # _horizon keeps tmax and dt positive and finite
+_ORACLE = {"environment": _ENVIRONMENT, "seed": _Field(_number(int, 0), 0, (int, "random seed")),
+           "mode": _Field(_mode, "population")}
+
+# Each command's fields: the keys its config may name besides "command" and
+# "out", and the flags its subcommand takes besides --config and --out.
+_FIELDS = {
+    "analyze": {"environment": _ENVIRONMENT,
+                "big_k": _Field(_number(int, 1, MAX_SAMPLE_SIZE), 1000),
+                "search_alpha_step": _Field(_number(float, an.ALPHA_STEP, 0.5), 0.1)},
+    "phase": {"environment": _ENVIRONMENT,
+              "samples": _Field(_number(int, 2, MAX_PHASE_SAMPLES), 601),
+              "quiver": _Field(_number(int, 0, math.isqrt(MAX_PHASE_SAMPLES)), 15)},
+    "trajectory": {"environment": _ENVIRONMENT, "initial": _INITIAL,
+                   "tmax": _Field(_TIME, 200.0, _TMAX), "dt": _Field(_TIME, 0.01, _DT)},
+    "basins": {"environment": _ENVIRONMENT,
+               "resolution": _Field(_number(int, 2), 101, (int, "grid resolution per axis")),
+               "tmax": _Field(_TIME, 200.0, _TMAX), "dt": _Field(_TIME, 0.01, _DT)},
+    # the oracle's dt is a replacement probability per step
+    "oracle": {**_ORACLE, "tmax": _Field(_TIME, 50.0, _TMAX), "dt": _Field(_share, 0.01, _DT),
+               "initial": _INITIAL, "n": _Field(_number(int, 100, MAX_ORACLE_DRAWS), 10**5)},
+    "sweep": {"environment": _Field(_object), "sweep": _Field(_object)},
+    "normalize": {"game": _Field(lambda value, key: cfg.parse_game(
+        cfg._closed(value, cfg._GAME_FORMS, f"'{key}'"), key))},
 }
+# The oracle reads the fields of its mode; its flags are population mode's.
+_ORACLE_MODES = {"population": _FIELDS["oracle"],
+                 "response": {**_ORACLE, "p": _Field(_share, 0.5),
+                              "samples": _Field(_number(int, 1, MAX_ORACLE_DRAWS), 10**5)}}
+# the fields each sweep type reads besides type, start, stop and step
+_SWEEP_FIELDS = {"u": (), "alpha": ("big_k",), "theta-mass": ("k", "big_k")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,27 +201,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sampling best-response dynamics for coordination games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc, flags in [
-        ("analyze", "stationary states, stability, and theorem reports", ()),
-        ("phase", "deterministic SVG phase plot plus curve CSV", ()),
-        ("trajectory", "integrate one trajectory to CSV", ("tmax", "dt")),
-        ("basins", "basin-of-attraction grid to CSV", ("resolution", "tmax", "dt")),
-        ("oracle", "finite-population Monte Carlo run to CSV", ("seed", "tmax", "dt")),
-        ("sweep", "parameter sweep with per-point verdicts", ()),
-        ("normalize", "reduce a game to the standard representation", ()),
-    ]:
+    for name, (_, desc) in _COMMANDS.items():
         command = sub.add_parser(name, help=desc)
-        for flag in ("config", "out", *flags):
-            kind, text = _FLAGS[flag]
-            command.add_argument(f"--{flag}", type=kind, help=text)
+        command.add_argument("--config", help="JSON run configuration")
+        command.add_argument("--out", help="output directory (default '.')")
+        for key, field in _FIELDS[name].items():
+            if field.flag is not None:
+                command.add_argument(f"--{key}", type=field.flag[0], help=field.flag[1])
     return parser
 
 
-# parse_args keeps no state between calls, so one parser serves every main()
-_PARSER = _build_parser()
-
-
 def _merged_config(args: argparse.Namespace) -> dict:
+    """The command's fields, checked and typed, from flag, config or default; and "out"."""
     flags = {key: value for key, value in vars(args).items() if value is not None}
     command, path = flags.pop("command"), flags.pop("config", None)
     conf = cfg.load_config(path) if path else {}
@@ -140,59 +220,27 @@ def _merged_config(args: argparse.Namespace) -> dict:
         raise ConfigError(
             f"config is for command {conf['command']!r}, invoked as {command!r}"
         )
+    fields = _FIELDS[command]
+    if command == "oracle" and "mode" in conf:
+        fields = _ORACLE_MODES[_mode(conf["mode"], "mode")]
+    cfg._closed(conf, ("command", "out", *fields), f"the {command} config")
     conf.update(flags)
-    out = conf.get("out", ".")
-    if not isinstance(out, str) or "\0" in out:
-        raise ConfigError(f"'out' must be a directory path, got {out!r}")
-    # an 'out' at or under a file fails before the run; _out_dir reports
-    # what only making the directory tells, such as permissions
-    with contextlib.suppress(OSError):
-        nearest = next((p for p in (Path(out), *Path(out).parents) if p.exists()), None)
-        if not (nearest is None or nearest.is_dir()):
-            raise ConfigError(f"'out' {out!r} cannot be a directory: {str(nearest)!r} is a file")
-    for key in ("tmax", "dt"):
-        if key in conf and not 0.0 < cfg._number(conf, key, "config") < math.inf:
-            raise ConfigError(f"'{key}' must be a positive finite number, got {conf[key]!r}")
-    if command == "oracle" and conf.get("dt", 0.0) > 1.0:
-        raise ConfigError(f"oracle 'dt' is a replacement probability per step, got {conf['dt']!r}")
-    _integer_field(conf, "resolution", 2, least=2)
-    _integer_field(conf, "seed", 0, least=0)
-    return conf
-
-
-def _integer_field(conf: dict, key: str, default: int, least: int, most: int | None = None) -> int:
-    """Config field ``key`` (``default`` when absent), an integer of at
-    least ``least`` and, when given, at most ``most``."""
-    value = cfg._integer(conf, key, "config") if key in conf else default
-    if value < least:
-        raise ConfigError(f"'{key}' must be an integer of at least {least}, got {conf[key]!r}")
-    if most is not None and value > most:
-        raise ConfigError(f"'{key}' must be an integer of at most {most}, got {conf[key]!r}")
-    return value
+    missing = [key for key, field in fields.items() if field.default is ... and key not in conf]
+    if missing:
+        raise ConfigError(f"missing '{missing[0]}' in config")
+    return {"out": _path(conf["out"], "out") if "out" in conf else None,
+            **{key: field.parse(conf[key], key) if key in conf else field.default
+               for key, field in fields.items()}}
 
 
 def _out_dir(conf: dict) -> Path:
     """The output directory, made with its parents when missing."""
-    out = Path(conf.get("out", "."))
+    out = Path(conf["out"] or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"'out' {str(out)!r} cannot be a directory: {exc.strerror}") from None
     return out
-
-
-def _env_spec(conf: dict, swept: dict | None = None) -> cfg.EnvSpec:
-    """The config's environment; for a sweep, a sampling one with the
-    ``swept`` fields in place of its own."""
-    if "environment" not in conf:
-        raise ConfigError("missing 'environment' in config")
-    obj = conf["environment"]
-    if swept and isinstance(obj, dict):
-        obj = {**obj, **swept}
-    spec = cfg.parse_environment(obj)
-    if swept is not None and spec.kind != "sampling":
-        raise ConfigError(f"sweeps need a sampling environment, got a {spec.kind} one")
-    return spec
 
 
 def _system(spec: cfg.EnvSpec) -> System:
@@ -208,13 +256,7 @@ def _state_str(s: an.StationaryState) -> str:
 
 
 def cmd_analyze(conf: dict) -> Callable[[Path], None]:
-    spec = _env_spec(conf)
-    big_k = _integer_field(conf, "big_k", 1000, least=1, most=MAX_SAMPLE_SIZE)
-    step = conf.get("search_alpha_step", 0.1)
-    if not (cfg._is_number(step) and an.ALPHA_STEP <= step <= 0.5):
-        raise ConfigError(
-            f"'search_alpha_step' must lie in [{an.ALPHA_STEP}, 0.5], got {step!r}"
-        )
+    spec, big_k, step = conf["environment"], conf["big_k"], conf["search_alpha_step"]
     reports: dict[str, dict] = {}
 
     if spec.kind == "contracting":
@@ -325,14 +367,9 @@ def cmd_analyze(conf: dict) -> Callable[[Path], None]:
     return write
 
 
-MAX_PHASE_SAMPLES = 10**6
-
-
 def cmd_phase(conf: dict) -> Callable[[Path], None]:
-    spec = _env_spec(conf)
-    samples = _integer_field(conf, "samples", 601, least=2, most=MAX_PHASE_SAMPLES)
-    quiver = _integer_field(conf, "quiver", 15, least=0, most=math.isqrt(MAX_PHASE_SAMPLES))
-    system = _system(spec)
+    samples, quiver = conf["samples"], conf["quiver"]
+    system = _system(conf["environment"])
     stationary = system.stationary()
     if system.dim == 1:
         (response,) = system.responses
@@ -351,55 +388,37 @@ def cmd_phase(conf: dict) -> Callable[[Path], None]:
     return write
 
 
-def _parse_initial(conf: dict, one_population: bool):
+def _initial(conf: dict, one_population: bool):
     """The initial share, or pair of shares, in the config's form."""
-    if "initial" not in conf:
-        return 0.5 if one_population else (0.5, 0.5)
-    raw = conf["initial"]
-    shares = [raw] if one_population else raw
-    if not (
-        isinstance(shares, list)
-        and len(shares) == (1 if one_population else 2)
-        and all(cfg._is_number(v) and 0.0 <= v <= 1.0 for v in shares)
-    ):
-        form = "a share" if one_population else "a pair of shares"
-        raise ConfigError(f"'initial' must be {form} in [0, 1], got {raw!r}")
-    return float(raw) if one_population else (float(raw[0]), float(raw[1]))
+    default, form = (0.5, "a share") if one_population else ((0.5, 0.5), "a pair of shares")
+    shares = default if conf["initial"] is None else conf["initial"]
+    if np.shape(shares) != np.shape(default):
+        raise ConfigError(f"'initial' must be {form} in [0, 1], got {shares!r}")
+    return shares
 
 
-# Largest number of fixed steps, round(tmax / dt), of a run.
-MAX_STEPS = 10**6
-
-# Largest basin grid, resolution ** (number of populations) cells.
-MAX_BASIN_CELLS = 10**6
-
-
-def _horizon(conf: dict, t_max: float) -> tuple[float, float]:
-    """The config's tmax (default ``t_max``) and dt (default 0.01), which
-    take at most MAX_STEPS steps."""
-    t_max, dt = float(conf.get("tmax", t_max)), float(conf.get("dt", 0.01))
-    if t_max / dt > MAX_STEPS + 0.5:  # round(tmax / dt) steps; inf fails here too
-        raise ConfigError(
-            f"'tmax' / 'dt' must be at most {MAX_STEPS} steps, got {t_max!r} / {dt!r}"
-        )
+def _horizon(conf: dict) -> tuple[float, float]:
+    """The config's tmax and dt, which take from 1 to MAX_STEPS steps."""
+    t_max, dt = conf["tmax"], conf["dt"]
+    # round(tmax / dt) steps; so dt and tmax are positive, and infinite ones fail
+    if not (dt > 0.0 and 0.5 < t_max / dt <= MAX_STEPS + 0.5):
+        raise ConfigError(f"'tmax' / 'dt' must be 1 to {MAX_STEPS} steps, got {t_max!r} / {dt!r}")
     return t_max, dt
 
 
 def cmd_trajectory(conf: dict) -> Callable[[Path], None]:
-    spec = _env_spec(conf)
-    system = _system(spec)
-    initial = _parse_initial(conf, system.dim == 1)
-    t_max, dt = _horizon(conf, 200.0)
+    system = _system(conf["environment"])
+    initial = _initial(conf, system.dim == 1)
+    t_max, dt = _horizon(conf)
     traj = integrate(system, initial, t_max=t_max, dt=dt)
     print(f"verdict: {traj.verdict}")
     return lambda out: cfg.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states)
 
 
 def cmd_basins(conf: dict) -> Callable[[Path], None]:
-    spec = _env_spec(conf)
-    t_max, dt = _horizon(conf, 200.0)
-    system = _system(spec)
-    resolution = _integer_field(conf, "resolution", 101, least=2)
+    t_max, dt = _horizon(conf)
+    system = _system(conf["environment"])
+    resolution = conf["resolution"]
     if resolution**system.dim > MAX_BASIN_CELLS:
         raise ConfigError(f"'resolution' {resolution} makes over {MAX_BASIN_CELLS} basin cells")
     try:
@@ -426,22 +445,12 @@ def cmd_basins(conf: dict) -> Callable[[Path], None]:
     return write
 
 
-# Largest oracle population size and response-mode sample count.
-MAX_ORACLE_DRAWS = 10**8
-
-
 def cmd_oracle(conf: dict) -> Callable[[Path], None]:
-    spec = _env_spec(conf)
+    spec, seed = conf["environment"], conf["seed"]
     if spec.kind != "sampling":
         raise ConfigError("the oracle simulates sampling environments only")
-    seed = int(conf.get("seed", 0))
-    mode = conf.get("mode", "population")
-    if mode == "response":
-        p = conf.get("p", 0.5)
-        if not (cfg._is_number(p) and 0.0 <= p <= 1.0):
-            raise ConfigError(f"'p' must lie in [0, 1], got {p!r}")
-        p = float(p)
-        samples = _integer_field(conf, "samples", 10**5, least=1, most=MAX_ORACLE_DRAWS)
+    if conf["mode"] == "response":
+        p, samples = conf["p"], conf["samples"]
         lines = [f"# seed={seed} samples={samples}", "p,estimate,standard_error"]
         responses = _system(spec).responses
         for i, response in enumerate(responses):
@@ -450,11 +459,9 @@ def cmd_oracle(conf: dict) -> Callable[[Path], None]:
             who = f" of population {i + 1}" if len(responses) > 1 else ""
             print(f"empirical response{who} at p={p}: {est:.6f} +- {se:.2e}")
         return lambda out: cfg._write_text(out / "oracle.csv", "\n".join(lines) + "\n")
-    if mode != "population":
-        raise ConfigError(f"unknown oracle mode {mode!r}")
-    n = _integer_field(conf, "n", 10**5, least=100, most=MAX_ORACLE_DRAWS)
-    t_max, dt = _horizon(conf, 50.0)
-    initial = _parse_initial(conf, spec.one_population)
+    n = conf["n"]
+    t_max, dt = _horizon(conf)
+    initial = _initial(conf, spec.one_population)
     traj = simulate_population(
         spec.environment,
         n=n,
@@ -496,13 +503,20 @@ def _sweep_values(spec: dict) -> list[float]:
 
 
 def cmd_sweep(conf: dict) -> Callable[[Path], None]:
-    if "sweep" not in conf:
-        raise ConfigError("missing 'sweep' in config")
     spec = conf["sweep"]
-    if not isinstance(spec, dict):
-        raise ConfigError(f"'sweep' must be an object, got {spec!r}")
     sweep_type = spec.get("type")
+    if not (isinstance(sweep_type, str) and sweep_type in _SWEEP_FIELDS):
+        raise ConfigError(f"unknown sweep type {sweep_type!r}")
+    cfg._closed(spec, ("type", "start", "stop", "step", *_SWEEP_FIELDS[sweep_type]),
+                f"a {sweep_type} sweep")
     rows = []
+
+    def swept_system(swept: dict) -> System:
+        """The environment, a sampling one, with the ``swept`` fields in place of its own."""
+        spec = cfg.parse_environment({**conf["environment"], **swept})
+        if spec.kind != "sampling":
+            raise ConfigError(f"sweeps need a sampling environment, got a {spec.kind} one")
+        return _system(spec)
 
     def analyze_env(system: System, value: float):
         try:
@@ -533,8 +547,8 @@ def cmd_sweep(conf: dict) -> Callable[[Path], None]:
         for u in _sweep_values(spec):
             if u <= 0:
                 raise ConfigError(f"u {u} must be positive")
-            rows.append(analyze_env(_system(_env_spec(conf, {"u": u})), u))
-    elif sweep_type in ("theta-mass", "alpha"):
+            rows.append(analyze_env(swept_system({"u": u}), u))
+    else:
         big_k, swept = cfg._integer(spec, "big_k", "sweep"), {}
         if sweep_type == "theta-mass":
             k = cfg._integer(spec, "k", "sweep")
@@ -543,7 +557,7 @@ def cmd_sweep(conf: dict) -> Callable[[Path], None]:
                                   f"of at most {MAX_SAMPLE_SIZE}")
             # theta mass beta on k is the alpha sweep of theta {k: 1}
             swept = {"theta": {str(k): 1.0}}
-        base = _system(_env_spec(conf, swept))
+        base = swept_system(swept)
         if not 1 <= big_k <= MAX_SAMPLE_SIZE or any(big_k in w.theta.support
                                                      for w in base.responses):
             raise ConfigError(f"sweep 'big_k' must lie in [1, {MAX_SAMPLE_SIZE}] and outside "
@@ -553,8 +567,6 @@ def cmd_sweep(conf: dict) -> Callable[[Path], None]:
                 raise ConfigError(f"{sweep_type} {alpha} outside (0, 1)")
             mixed = System(tuple(w.mix_with(alpha, big_k) for w in base.responses))
             rows.append(analyze_env(mixed, alpha))
-    else:
-        raise ConfigError(f"unknown sweep type {sweep_type!r}")
 
     header = "value,n_stationary,n_interior,stable_interior,thm4_part1,thm4_part2,flag"
     text = header + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
@@ -567,11 +579,7 @@ def cmd_sweep(conf: dict) -> Callable[[Path], None]:
 
 
 def cmd_normalize(conf: dict) -> Callable[[Path], None] | None:
-    game_obj = conf.get("game", conf.get("environment"))
-    if game_obj is None:
-        raise ConfigError("missing 'game' in config")
-    game = cfg.parse_game(game_obj, "game")
-    canonical, swapped = canonicalize(game)
+    canonical, swapped = canonicalize(conf["game"])
     dom = to_dominance(canonical)
     out_obj = {
         "u1": canonical.u1,
@@ -581,20 +589,22 @@ def cmd_normalize(conf: dict) -> Callable[[Path], None] | None:
         "mixed_nash": list(canonical.mixed_nash()),
     }
     print(json.dumps(out_obj, indent=2, sort_keys=True))
-    if "out" not in conf:
+    if conf["out"] is None:
         return None
     return lambda out: cfg.write_json(out / "normalized.json", out_obj)
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "phase": cmd_phase,
-    "trajectory": cmd_trajectory,
-    "basins": cmd_basins,
-    "oracle": cmd_oracle,
-    "sweep": cmd_sweep,
-    "normalize": cmd_normalize,
+_COMMANDS = {  # each command's function and help
+    "analyze": (cmd_analyze, "stationary states, stability, and theorem reports"),
+    "phase": (cmd_phase, "deterministic SVG phase plot plus curve CSV"),
+    "trajectory": (cmd_trajectory, "integrate one trajectory to CSV"),
+    "basins": (cmd_basins, "basin-of-attraction grid to CSV"),
+    "oracle": (cmd_oracle, "finite-population Monte Carlo run to CSV"),
+    "sweep": (cmd_sweep, "parameter sweep with per-point verdicts"),
+    "normalize": (cmd_normalize, "reduce a game to the standard representation"),
 }
+# parse_args keeps no state between calls, so one parser serves every main()
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
@@ -603,7 +613,7 @@ def main(argv=None) -> int:
         conf = _merged_config(args)
         # a command returns the function that writes its files, so that the
         # output directory is made only once the command has checked and run
-        write = _COMMANDS[args.command](conf)
+        write = _COMMANDS[args.command][0](conf)
         if write is not None:
             write(_out_dir(conf))
         return 0

@@ -16,7 +16,8 @@ Environment objects:
                               "observation": "minimum-effort"}, "theta": ...}
 
 An environment sets its game in one form (a second is an error), and
-names no key that only another model reads (``_MODEL_KEYS``).  A matrix is
+names only keys that its model reads (``_MODEL_KEYS``); so does each
+object nested in it, as every config object does (``_closed``).  A matrix is
 read in its own labels, as "u1"/"u2" with its reduced payoffs; only
 normalize relabels it to the canonical u1 >= 1, reporting "labels_swapped".
 Sample size distributions use string keys ({"1": 0.5}); tie_break is
@@ -27,6 +28,7 @@ digits so reruns are byte identical.
 
 from __future__ import annotations
 
+import difflib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,15 +96,27 @@ def load_config(path: str | Path) -> dict:
 
 
 def _require(obj: Mapping, key: str, context: str):
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"'{context}' must be an object, got {obj!r}")
     if key not in obj:
         raise ConfigError(f"missing field '{key}' in {context}")
     return obj[key]
 
 
+def _closed(obj: Any, known, context: str) -> Mapping:
+    """``obj``, an object that names only the ``known`` keys its reader reads;
+    an error names each other key, and the nearest known key to each."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{context} must be an object, got {obj!r}")
+    if unread := sorted(set(obj) - set(known)):
+        near = [m for key in unread for m in difflib.get_close_matches(key, known, n=1)]
+        hint = f"; did you mean {', '.join(near)}?" if near else ""
+        raise ConfigError(f"{context} does not read {', '.join(unread)}{hint}")
+    return obj
+
+
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an int past the float range is no number: converting it overflows
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= float(np.finfo(float).max))
 
 
 def _number(obj: Mapping, key: str, context: str) -> float:
@@ -152,33 +166,28 @@ def parse_logit_groups(obj: Any, context: str) -> tuple[tuple[float, float], ...
         raise ConfigError(f"{context} must be a non-empty list of groups")
     groups = []
     for i, entry in enumerate(obj):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"{context}[{i}] must be an object")
+        _closed(entry, ("mass", "eta"), f"{context}[{i}]")
         groups.append(
             (_number(entry, "mass", f"{context}[{i}]"), _number(entry, "eta", f"{context}[{i}]"))
         )
     return tuple(groups)
 
 
-def parse_game(obj: Any, context: str = "environment") -> CoordinationGame:
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"'{context}' must be an object, got {obj!r}")
+def parse_game(obj: Mapping, context: str = "environment") -> CoordinationGame:
     forms = [key for key in ("matrix", "hawk_dove", "u") if key in obj]
     forms += ["u1/u2"] if "u1" in obj or "u2" in obj else []
     if len(forms) > 1:
         raise ConfigError(f"'{context}' sets the game in more than one form: {', '.join(forms)}")
     try:
         if "matrix" in obj:
-            m = obj["matrix"]
-            if not isinstance(m, Mapping):
-                raise ConfigError(f"'matrix' in {context} must be an object")
-            us = {k: _number(m, k, "matrix") for k in ("u11", "u12", "u21", "u22")}
-            if any(k in m for k in ("v11", "v12", "v21", "v22")):
-                vs = {k: _number(m, k, "matrix") for k in ("v11", "v12", "v21", "v22")}
+            m = _closed(obj["matrix"], _MATRIX_KEYS, "'matrix'")
+            us = {k: _number(m, k, "matrix") for k in _MATRIX_KEYS[:4]}
+            if any(k in m for k in _MATRIX_KEYS[4:]):
+                vs = {k: _number(m, k, "matrix") for k in _MATRIX_KEYS[4:]}
                 return normalize_general(OriginalGameMatrix(**us, **vs))
             return normalize_symmetric(OriginalGameMatrix(**us))
         if "hawk_dove" in obj:
-            hd = obj["hawk_dove"]
+            hd = _closed(obj["hawk_dove"], ("g", "l"), "'hawk_dove'")
             return normalize_hawk_dove(
                 HawkDoveGame(_number(hd, "g", "hawk_dove"), _number(hd, "l", "hawk_dove"))
             )
@@ -218,6 +227,7 @@ class EnvSpec:
 
 
 _GAME_FORMS, _LOGIT = ("matrix", "hawk_dove", "u", "u1", "u2"), ("logit", "logit1", "logit2")
+_MATRIX_KEYS = ("u11", "u12", "u21", "u22", "v11", "v12", "v21", "v22")
 _MODEL_KEYS = {  # the environment keys each model reads
     "contracting": ("contracting", "theta1", "theta2"), "mineffort": ("mineffort", "theta"),
     "logit": _GAME_FORMS + _LOGIT,
@@ -231,16 +241,14 @@ def parse_environment(obj: Any) -> EnvSpec:
     context = "environment"
     kind = next((k for k in ("contracting", "mineffort") if k in obj),
                 "logit" if any(k in obj for k in _LOGIT) else "sampling")
-    unread = sorted(set(obj) & set().union(*_MODEL_KEYS.values()) - set(_MODEL_KEYS[kind]))
-    if unread:
-        raise ConfigError(f"a {kind} environment does not read {', '.join(unread)}")
+    _closed(obj, _MODEL_KEYS[kind], f"a {kind} environment")
     if "theta" in obj and ("theta1" in obj or "theta2" in obj):
         raise ConfigError("'theta' (one population) cannot be combined with 'theta1'/'theta2'")
     if "logit" in obj and ("logit1" in obj or "logit2" in obj):
         raise ConfigError("'logit' (both populations) cannot be combined with 'logit1'/'logit2'")
 
     if kind == "contracting":
-        c = obj["contracting"]
+        c = _closed(obj["contracting"], ("M", "diag1", "diag2"), "'contracting'")
         diag1 = _numbers(c, "diag1", "contracting")
         diag2 = _numbers(c, "diag2", "contracting")
         try:
@@ -261,7 +269,7 @@ def parse_environment(obj: Any) -> EnvSpec:
         )
 
     if kind == "mineffort":
-        me = obj["mineffort"]
+        me = _closed(obj["mineffort"], ("N", "c", "observation"), "'mineffort'")
         try:
             game = MinEffortGame(
                 n_players=_integer(me, "N", "mineffort"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from samplingdyn import CoordinationGame, Environment, SampleSizeDistribution
 from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope
@@ -23,6 +24,20 @@ def polynomial_coefficients(w) -> tuple[Fraction, ...]:
             for i in range(0, k - l + 1):
                 coeffs[l + i] += wf * c_kl * math.comb(k - l, i) * (-1) ** i
     return tuple(coeffs)
+
+
+def payoff_efficiency(response, u: float) -> float:
+    """Average payoff of response-following agents against a uniform opponent
+    share, relative to exact payoff maximizers.
+
+    Both averages are brute-force integrals over the opponent share on a
+    uniform grid of 100,001 points (composite Simpson).
+    """
+    ps = np.linspace(0.0, 1.0, 100_001)
+    wp = np.asarray(response(ps), dtype=float)
+    realized = wp * ps * u + (1.0 - wp) * (1.0 - ps)
+    best = np.maximum(ps * u, 1.0 - ps)
+    return float(simpson(realized, x=ps) / simpson(best, x=ps))
 
 
 class NanPastResponse:

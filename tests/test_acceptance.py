@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from conftest import payoff_efficiency
 from samplingdyn.analysis import (
     Stability,
     Verdict,
@@ -19,7 +20,6 @@ from samplingdyn.analysis import (
     find_stationary_one_pop,
     find_stationary_two_pop,
     miscoordination_probability,
-    payoff_efficiency,
 )
 from samplingdyn.dynamics import (
     Environment,

@@ -12,6 +12,7 @@ from scipy.stats import binom
 from conftest import (
     band_inputs,
     band_reference,
+    payoff_efficiency,
     polynomial_coefficients,
     random_env,
     random_game,
@@ -31,7 +32,6 @@ from samplingdyn.analysis import (
     find_stationary_one_pop,
     find_stationary_two_pop,
     miscoordination_probability,
-    payoff_efficiency,
     stable_interior_search,
 )
 from samplingdyn.dynamics import (
@@ -1340,3 +1340,25 @@ class TestPayoffEfficiency:
     def test_perfect_response_approaches_one(self):
         w = SamplingResponse(1.0, SampleSizeDistribution.point(1000))
         assert payoff_efficiency(w, 1.0) > 0.97
+
+    @pytest.mark.parametrize("u, theta, tie", [
+        (1.2, {2: 1.0}, TieBreak.FAVOR_A),
+        (5.0, {1: 0.5, 5: 0.5}, TieBreak.FAVOR_A),
+        (0.2, {3: 0.5, 10: 0.5}, TieBreak.FAVOR_A),
+        (3.0, {2: 0.2, 4: 0.8}, TieBreak.FAVOR_B),
+    ])
+    def test_simpson_matches_the_exact_beta_integrals(self, u, theta, tie):
+        # w is the sum of mass * I_p(a, b) with a = m and b = k - m + 1, and
+        # int_0^1 I_p(a, b) dp = b/(a + b),
+        # int_0^1 p I_p(a, b) dp = 1/2 - a(a + 1)/(2(a + b)(a + b + 1))
+        w = SamplingResponse(u, SampleSizeDistribution.of(theta), tie)
+        mean = first = 0.0
+        for k, mass, m in w._atoms:
+            if m <= k:
+                a, b = m, k - m + 1
+                mean += mass * b / (a + b)
+                first += mass * (0.5 - a * (a + 1) / (2 * (a + b) * (a + b + 1)))
+        realized = (u + 1.0) * first + 0.5 - mean
+        cut = 1.0 / (1.0 + u)  # max(pu, 1 - p) changes sides here
+        best = cut - cut**2 / 2 + u * (1.0 - cut**2) / 2
+        assert payoff_efficiency(w, u) == pytest.approx(realized / best, rel=1e-9)

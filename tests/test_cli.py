@@ -403,14 +403,15 @@ class TestTrajectoryAndBasins:
 
     def test_two_population_form_keeps_two_populations(self, tmp_path):
         # the config's form, not the game's symmetry, sets the arity
-        base = {"environment": SYMMETRIC_PAIR, "search_alpha_step": 0.5}
         basins_dir, analyze_dir = tmp_path / "basins", tmp_path / "analyze"
         conf = write_config(
             tmp_path,
-            {**base, "command": "basins", "resolution": 5, "tmax": 200.0, "dt": 0.05},
+            {"command": "basins", "environment": SYMMETRIC_PAIR, "resolution": 5, "tmax": 200.0,
+             "dt": 0.05},
         )
         assert main(["basins", "--config", conf, "--out", str(basins_dir)]) == 0
-        conf = write_config(tmp_path, {**base, "command": "analyze"})
+        conf = write_config(tmp_path, {"command": "analyze", "environment": SYMMETRIC_PAIR,
+                                       "search_alpha_step": 0.5})
         assert main(["analyze", "--config", conf, "--out", str(analyze_dir)]) == 0
 
         rows = (basins_dir / "basins.csv").read_text().splitlines()[1:]
@@ -454,13 +455,21 @@ class TestTrajectoryAndBasins:
                 ("infinite-step-count", ["--tmax", "1e10", "--dt", "1e-300"]),
             ]
         ),
+        # round(tmax / dt) = 0 steps used to run nothing and exit 0
+        *(
+            pytest.param(command, ["--tmax", "0.001", "--dt", "1"], id=f"{command}-no-step")
+            for command in ("trajectory", "basins", "oracle")
+        ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
 def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
-    conf = write_config(tmp_path, {"command": command, "environment": ONE_POP, "n": 1000})
+    # the oracle's n keeps a run cheap, should a check be missing
+    n = {"n": 1000} if command == "oracle" else {}
+    conf = write_config(tmp_path, {"command": command, "environment": ONE_POP, **n})
     assert main([command, "--config", conf, "--out", str(tmp_path), *flags]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{flags[0][2:]}'" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -472,6 +481,8 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         # 1e308 used to exit 0 with Theorem 3 reported as failing
         ("analyze", {"big_k": 1e308}),
         ("analyze", {"big_k": 10**6 + 1}),
+        # float() of an int past the float range overflowed: exit 3
+        ("analyze", {"big_k": 10**400}),
         ("analyze", {"search_alpha_step": 0}),
         ("analyze", {"search_alpha_step": -0.1}),
         ("analyze", {"search_alpha_step": 1.0}),
@@ -494,6 +505,7 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
         ("normalize", {"out": "a\0b"}),
     ],
     ids=["fractional-big_k", "string-big_k", "huge-big_k", "big_k-past-max-sample-size",
+         "overflowing-big_k",
          "zero-alpha-step", "negative-alpha-step",
          "unit-alpha-step", "alpha-step-below-0.01", "continuum-basins-theta",
          "continuum-basins-theta1-theta2", "fractional-samples", "one-sample", "negative-quiver",
@@ -502,7 +514,8 @@ def test_invalid_run_numbers_exit_2(tmp_path, capsys, command, flags):
          "null-out", "nul-byte-out"],
 )
 def test_bad_analysis_numbers_exit_2(tmp_path, capsys, command, fields):
-    conf = {"command": command, "environment": FIG3_RIGHT, "out": str(tmp_path), **fields}
+    base = {"game": {"u": 2}} if command == "normalize" else {"environment": FIG3_RIGHT}
+    conf = {"command": command, **base, "out": str(tmp_path), **fields}
     assert main([command, "--config", write_config(tmp_path, conf)]) == 2
     assert f"'{next(iter(fields))}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
@@ -705,8 +718,8 @@ class TestSweep:
         ({"environment": {"mineffort": {"N": 3, "c": 0.5}, "theta": {"3": 1}},
           "sweep": {"type": "alpha", "big_k": 50, "start": 0.5, "stop": 0.5, "step": 0.1}},
          "need a sampling environment"),
-        ({"u": 1.5, "sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2,
-                              "stop": 0.2, "step": 0.1}}, "missing 'environment'"),
+        ({"sweep": {"type": "theta-mass", "k": 2, "big_k": 4, "start": 0.2, "stop": 0.2,
+                    "step": 0.1}}, "missing 'environment'"),
         ({"environment": {"matrix": {"u11": 3, "u12": 1, "u21": 1, "u22": 2}, "theta": {"3": 1}},
           "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}}, "more than one form"),
         ({"environment": FIG3_RIGHT, "sweep": {"type": "u", "start": 3, "stop": 3, "step": 1}},
@@ -759,6 +772,9 @@ class TestSweep:
     def test_sweep_that_cannot_end_exits_2(self, tmp_path, capsys, environment, fields, message):
         sweep = {"type": "theta-mass", "k": 1, "big_k": 5, "start": 0.1, "stop": 0.9,
                  "step": 0.1, **fields}
+        # each sweep type names only the fields it reads
+        for key in {"u": ("k", "big_k"), "alpha": ("k",)}.get(sweep["type"], ()):
+            del sweep[key]
         conf = write_config(
             tmp_path,
             {"command": "sweep", "environment": environment, "sweep": sweep,
@@ -802,7 +818,8 @@ class TestNormalize:
 
     def test_two_game_forms_exit_2(self, tmp_path, capsys):
         # the parser read the first form, u = 2, and dropped u1 and u2
-        conf = write_config(tmp_path, {"command": "normalize", "game": {**FIG3_RIGHT, "u": 2}})
+        conf = write_config(tmp_path, {"command": "normalize",
+                                       "game": {"u1": 5, "u2": 0.2, "u": 2}})
         assert main(["normalize", "--config", conf]) == 2
         assert "'game' sets the game in more than one form: u, u1/u2" in capsys.readouterr().err
 
@@ -841,8 +858,11 @@ FUZZ_CONFIGS = [
 _COSTLY_DEFAULTS = {"resolution", "tmax", "n", "samples", "big_k", "search_alpha_step"}
 _BAD_VALUES = [math.nan, math.inf, -math.inf, 5e-324, 1e308, 10**6 + 1, 0, -1, -0.5, "x", "",
                None, True, False, [], [0.5, 0.5], {}]
+# keys that no reader reads, in any object of any config
+_UNREAD_KEYS = ["tmaxx", "thetaa", "etaa"]
 _NEW_KEYS = ["u", "u1", "theta", "theta1", "logit", "matrix", "hawk_dove", "contracting",
-             "mineffort", "k", "big_k", "initial", "mode", "p", "type", "1", "1000"]
+             "mineffort", "k", "big_k", "initial", "mode", "p", "type", "1", "1000",
+             *_UNREAD_KEYS]
 
 
 def _paths(node, path=()):
@@ -877,7 +897,9 @@ def _mutated_configs(draw):
         if op == "drop" and isinstance(parent, dict) and key not in _COSTLY_DEFAULTS:
             del parent[key]
         elif op == "add" and isinstance(node, dict):
-            node[draw(st.sampled_from(_NEW_KEYS))] = draw(bad_values)
+            # one added key in about two names no reader
+            new = draw(st.sampled_from(_NEW_KEYS) | st.sampled_from(_UNREAD_KEYS))
+            node[new] = draw(bad_values)
         elif key != "command":
             parent[key] = draw(bad_values)
     return command, conf
@@ -886,12 +908,60 @@ def _mutated_configs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(command_conf=_mutated_configs())
 def test_mutated_configs_exit_0_or_2(command_conf):
-    # a bad field must end as a config error, never a traceback or exit 3
+    # a bad field must end as a config error, never a traceback or exit 3,
+    # and a config error writes nothing
     command, conf = command_conf
-    with tempfile.TemporaryDirectory() as out:
-        path = Path(out) / "config.json"
+    unread = any(path and path[-1] in _UNREAD_KEYS for path in _paths(conf))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(conf))
-        assert main([command, "--config", str(path), "--out", out]) in (0, 2)
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2 if unread else code in (0, 2)
+        assert code == 0 or not out.exists()
+
+
+@pytest.mark.parametrize("conf, named", [
+    ({"command": "trajectory", "environment": ONE_POP, "tmaxx": 1, "dtt": 0.5},
+     "does not read dtt, tmaxx; did you mean dt, tmax?"),
+    ({"command": "analyze", "environment": {**ONE_POP, "thetaa": {"2": 1.0}}},
+     "does not read thetaa; did you mean theta?"),
+    ({"command": "analyze", "environment": {
+        "mineffort": {"N": 3, "c": 0.5, "observaton": "opponent-action"}, "theta": {"2": 1.0}}},
+     "'mineffort' does not read observaton; did you mean observation?"),
+    ({"command": "analyze", "environment": {
+        "matrix": {"u11": 3, "u12": 1, "u21": 1, "u22": 2, "w11": 4}, "theta": {"2": 1.0}}},
+     "'matrix' does not read w11; did you mean"),
+    ({"command": "analyze", "environment": {
+        **_contracting([4, 2, 1]), "contracting": {"diag1": [4, 2, 1], "diag2": [1, 2, 4],
+                                                   "diag3": [1, 1, 1]}}},
+     "'contracting' does not read diag3; did you mean"),
+    ({"command": "phase", "environment": {
+        "u1": 2.0, "u2": 2.0, "logit": [{"mass": 1.0, "eta": 0.5, "etaa": 0.1}]}},
+     "logit[0] does not read etaa; did you mean eta?"),
+    ({"command": "sweep", "environment": ONE_POP,
+      "sweep": {"type": "u", "big_k": 50, "start": 1.0, "stop": 1.5, "step": 0.5}},
+     "a u sweep does not read big_k"),
+    ({"command": "oracle", "environment": ONE_POP, "mode": "response", "samples": 100,
+      "initial": 0.3}, "the oracle config does not read initial"),
+    ({"command": "normalize", "game": {"u": 2}, "environment": ONE_POP},
+     "the normalize config does not read environment"),
+    # these exited 2 for a range error on a field that the command never reads
+    ({"command": "analyze", "environment": ONE_POP, "tmax": -1},
+     "the analyze config does not read tmax"),
+    ({"command": "phase", "environment": ONE_POP, "resolution": 1},
+     "the phase config does not read resolution"),
+    ({"command": "basins", "environment": ONE_POP, "seed": -1},
+     "the basins config does not read seed"),
+], ids=["top-level", "environment", "mineffort", "matrix", "contracting", "logit-group",
+        "u-sweep-big_k", "response-oracle-initial", "normalize-environment", "analyze-tmax",
+        "phase-resolution", "basins-seed"])
+def test_key_that_the_reader_does_not_read_exits_2(tmp_path, capsys, conf, named):
+    out = tmp_path / "out"
+    assert main([conf["command"], "--config", write_config(tmp_path, conf),
+                 "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("config error") and named in err
+    assert not out.exists()
 
 
 class TestOutputDirectory:
