@@ -21,8 +21,7 @@ group.
 - flow: ``BasinGrid``, ``NumericError``, ``Trajectory``, ``integrate``,
   ``label_basins``.
 - extensions: ``ContractingGame``, ``MinEffortGame``,
-  ``MinEffortResponse``, ``Observation``, ``contracting_pure_stability``,
-  ``mineffort_pure_stability``.
+  ``MinEffortResponse``, ``Observation``, ``contracting_pure_stability``.
 - oracle: ``EmpiricalTrajectory``, ``empirical_response``,
   ``simulate_population``.
 
@@ -95,7 +94,6 @@ from .extensions import (
     contracting_pure_stability,
     contracting_response_vector,
     integrate_contracting,
-    mineffort_pure_stability,
     mineffort_stable_interior,
 )
 from .oracle import EmpiricalTrajectory, empirical_response, simulate_population

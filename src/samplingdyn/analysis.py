@@ -3,17 +3,18 @@
 A state is stationary when every revising agent reproduces the incumbent
 mix: w(p) = p for one population, p_i = w_i(p_j) for two.  Interior
 states are classified by the slope (product) of the response functions at
-the fixed point, pure states by corner products that equal those slopes
-at the corners: each response reads the agents that one contrary
-observation flips off its own thresholds, tie rule included
-(``corner_masses``).  ``classify_slope`` makes every such call, and every
-verdict, against the marginal band.  The checkers evaluate the paper-level
-sufficient conditions (instability of homogeneous mixing, stabilization
-by sample-size mixtures, global convergence to miscoordination) as
-numeric reports rather than proofs.  Every check takes a ``System``, or
-anything ``System.of`` resolves, and reads payoffs, sample sizes and tie
-rule off its responses; each response builds its own mixtures
-(``mix_with``), so every mixture keeps its tie rule.
+the fixed point, pure states by the products of the responses' own corner
+slopes: each response reads the agents that one contrary observation
+flips off its own thresholds, tie rule included, times its observation
+map's slope at the corner (``corner_slopes``).  ``classify_slope`` makes
+every such call, and every verdict, against the marginal band.  The
+checkers evaluate the paper-level sufficient conditions (instability of
+homogeneous mixing, stabilization by sample-size mixtures, global
+convergence to miscoordination) as numeric reports rather than proofs.
+Every check takes a ``System``, or anything ``System.of`` resolves, and
+reads payoffs, sample sizes and tie rule off its responses; each
+response builds its own mixtures (``mix_with``), so every mixture keeps
+its tie rule.
 
 Roots come from one grid scan over a block of rows, which splits the
 grid level by level and drops the cells that a monotone enclosure shows
@@ -621,16 +622,18 @@ def classify_pure_states(system) -> PureStateClassification:
     """Classify both pure states of ``System.of(system)`` by their corner products.
 
     The corner Jacobian of the two-population dynamics has eigenvalues
-    -1 +/- sqrt(prod) where prod multiplies, across populations, the
-    expected sample size of the agents whose best reply flips after a
-    single contrary observation: those whose threshold is the whole sample
-    at the first-action corner and one observation at the second.  Each
-    response's ``corner_masses`` reads that set off its own thresholds, so
-    its tie rule decides the sizes on a tie, and the products are the
-    slope products of the stationary search at the corners (Proposition 4).
+    -1 +/- sqrt(prod) where prod multiplies the responses' slopes at the
+    corner: the expected sample size of the agents whose best reply flips
+    after a single contrary observation (those whose threshold is the whole
+    sample at the first-action corner and one observation at the second),
+    times the observation map's slope there.  Each response's
+    ``corner_slopes`` reads that set off its own thresholds, so its tie
+    rule decides the sizes on a tie, and the products are the slope
+    products of the stationary search at the corners: Proposition 4 for a
+    sampling system, Propositions 7 and 8 for a ``MinEffortResponse``.
     """
     system = System.of(system)
-    b, a = (math.prod(m) for m in zip(*(w.corner_masses() for w in system.responses)))
+    b, a = (math.prod(m) for m in zip(*(w.corner_slopes() for w in system.responses)))
     one = system.dim == 1
     return PureStateClassification(state_a=_state(1.0 if one else (1.0, 1.0), a, 0.0),
                                    state_b=_state(0.0 if one else (0.0, 0.0), b, 0.0))

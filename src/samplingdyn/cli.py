@@ -10,14 +10,15 @@ only the flags of the config fields it reads, each overriding its field:
 analyze, phase, sweep and normalize take no other flag; a flag that a
 subcommand does not take exits 2.  ``_FIELDS`` is the one table of each
 command's fields, their parsers and defaults and the run flags' types
-and help; the oracle reads those of its "mode" (response mode ignores
---tmax and --dt).  Every config object names only keys its reader reads
-(the top level: its command's fields, "command" and "out"); any other
-key exits 2, naming the nearest known key.  Exit codes: 0 success, 2
-configuration error, 3 internal numeric failure.  A command makes the
-output directory and writes its files only after it has run, so a run
-that exits 2 or 3 leaves neither; an --out that names a file, or a path
-under one, exits 2 before the command runs.
+and help; the oracle reads those of its "mode".  Every config object
+names only keys its reader reads (the top level, flags included: its
+command's fields, "command" and "out"); any other key exits 2, naming
+the nearest known key, so --tmax or --dt on a response-mode oracle run
+exits 2.  Exit codes: 0 success, 2 configuration error, 3 internal
+numeric failure.  A command makes the output directory and writes its
+files only after it has run, so a run that exits 2 or 3 leaves neither;
+an --out that names a file, or a path under one, exits 2 before the
+command runs.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
@@ -29,10 +30,17 @@ lies in [0.01, 0.5]: the mixture search scans the shares i * step < 1 of
 a "theta" config and the pairs of them, up to (1/step)^2, of a
 "theta1"/"theta2" config; theorems.json lists the hit's shares, one per
 population, as "alpha".  Theorem 4 concerns two populations, so only
-"theta1"/"theta2" configs report it.  analyze and sweep run every check
-on the one System they build from the config's form, and each mixture is
-one of its responses' ``mix_with``, so a sampling environment's tie_break
-reaches them all.
+"theta1"/"theta2" configs report it.  analyze reports the pure states of
+a sampling config as Proposition 4, with sides a and b, and of a
+minimum-effort config as Proposition 7 (minimum-effort observation) or 8
+(action observation), with sides safe (all low) and efficient (all
+high): theorems.json holds "state_<side>" with "theorem"
+("proposition-<n>-<side>"), "conditions" ("product",
+"leading_eigenvalue") and "stability", the corner call of the
+stationary search.  A contracting config reports Proposition 5 for each
+equilibrium.  analyze and sweep run every check on the one System they
+build from the config's form, and each mixture is one of its responses'
+``mix_with``, so a sampling environment's tie_break reaches them all.
 
 sweep needs an "environment" and parses it as every command does, with
 the swept "u", or "theta" as {k: 1}, in place of its own; a theta-mass
@@ -88,11 +96,7 @@ from . import svg as svgmod
 from .analysis import System
 from .config import ConfigError
 from .dynamics import MAX_SAMPLE_SIZE
-from .extensions import (
-    Observation,
-    contracting_pure_stability,
-    mineffort_pure_stability,
-)
+from .extensions import Observation, contracting_pure_stability
 # estimate_basins, the every-cell reference of label_basins, is not called
 # here; perfbench's tracer test checks that it wraps this binding too.
 from .flow import NumericError, estimate_basins, integrate, label_basins
@@ -223,8 +227,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
     fields = _FIELDS[command]
     if command == "oracle" and "mode" in conf:
         fields = _ORACLE_MODES[_mode(conf["mode"], "mode")]
+    conf.update(flags)  # a flag of population mode is a key that response mode does not read
     cfg._closed(conf, ("command", "out", *fields), f"the {command} config")
-    conf.update(flags)
     missing = [key for key, field in fields.items() if field.default is ... and key not in conf]
     if missing:
         raise ConfigError(f"missing '{missing[0]}' in config")
@@ -281,38 +285,31 @@ def cmd_analyze(conf: dict) -> Callable[[Path], None]:
                 f"(slope product {s.slope_product:.6g}, residual {s.residual:.2e})"
             )
 
-    if spec.kind == "mineffort":
-        rep = mineffort_pure_stability(spec.mineffort, spec.thetas[0])
-        minimum = spec.mineffort.observation == Observation.MINIMUM_EFFORT
-        name = "proposition-7" if minimum else "proposition-8"
-        reports[name] = {
-            "safe": rep.safe_label.value,
-            "efficient": rep.efficient_label.value,
-            "conditions": rep.conditions,
-            "note": rep.note,
-        }
-        print(f"{name}: safe {rep.safe_label.value}, efficient {rep.efficient_label.value}")
-
-    if spec.kind == "sampling":
-        game, thetas = spec.environment.game, [w.theta for w in system.responses]
+    if spec.kind in ("sampling", "mineffort"):
+        # low effort is the first action: all low (safe) is state a
+        number, sides = 4, ("a", "b")
+        if spec.kind == "mineffort":
+            minimum = spec.mineffort.observation == Observation.MINIMUM_EFFORT
+            number, sides = 7 if minimum else 8, ("safe", "efficient")
         pure = an.classify_pure_states(system)
-        reports["proposition-4"] = {
+        corners = tuple(zip(sides, (pure.state_a, pure.state_b)))
+        reports[f"proposition-{number}"] = {
             f"state_{side}": {
-                "theorem": f"proposition-4-{side}",
+                "theorem": f"proposition-{number}-{side}",
                 "conditions": {
                     "product": s.slope_product,
                     "leading_eigenvalue": s.leading_eigenvalue,
                 },
                 "stability": s.stability.value,
             }
-            for side, s in (("a", pure.state_a), ("b", pure.state_b))
+            for side, s in corners
         }
-        print(
-            f"Proposition 4: state a {pure.state_a.stability.value} "
-            f"(product {pure.state_a.slope_product:.6g}), "
-            f"state b {pure.state_b.stability.value} "
-            f"(product {pure.state_b.slope_product:.6g})"
-        )
+        print(f"Proposition {number}: " + ", ".join(
+            f"state {side} {s.stability.value} (product {s.slope_product:.6g})"
+            for side, s in corners))
+
+    if spec.kind == "sampling":
+        game, thetas = spec.environment.game, [w.theta for w in system.responses]
 
         if all((t.degenerate_k or 0) > 1 for t in thetas):
             rep = an.check_homogeneous_uniqueness(system)

@@ -322,14 +322,17 @@ class _TailMixture:
     def inverse(self, y):
         return _monotone_inverse(self, y)
 
-    def corner_masses(self) -> tuple[float, float]:
-        """Sum of k * mass over the atoms whose reply flips after one
-        contrary observation: m = 1 at p = 0 and m = k at p = 1, summed with
-        ``math.fsum`` in atom order, as ``truncated_expectation`` sums.  The
-        thresholds carry the tie rule.  Without an observation exponent
-        these are the corner slopes w'(0) and w'(1)."""
-        return (math.fsum(k * mass for k, mass, m in self._atoms if m == 1),
-                math.fsum(k * mass for k, mass, m in self._atoms if m == k))
+    def corner_slopes(self) -> tuple[float, float]:
+        """The slopes w'(0) and w'(1): the sum of k * mass over the atoms
+        whose reply flips after one contrary observation (m = 1 at p = 0,
+        m = k at p = 1), with ``math.fsum`` in atom order as
+        ``truncated_expectation`` sums, times the observation map's slope at
+        the corner: n at p = 0, and 0 at p = 1 when n >= 2.  The
+        thresholds carry the tie rule."""
+        n = self._exponent
+        low = math.fsum(k * mass for k, mass, m in self._atoms if m == 1)
+        high = math.fsum(k * mass for k, mass, m in self._atoms if m == k)
+        return (low, high) if n is None else (n * low, high * 0 ** (n - 1))
 
 
 class SamplingResponse(_TailMixture):

@@ -7,12 +7,14 @@ structures: agents either see the minimum effort of a random past round
 or the action of a random opponent.  Both reuse the two-action
 machinery.  A minimum-effort agent best-replies as a sampling agent with
 low effort first, at the payoff and tie rule ``MinEffortGame`` states:
-``sampling_threshold`` gives its thresholds, whose corner sums decide its
-pure states, and its response is their tail mixture at the chance that
-one observation reads low, so its mixture search is the one-population
-search of ``analysis``.  Truncated expectations decide the contracting
-pure states of generic games, and binomial tails close the exact
-contracting reply.  Both use the stability rule of ``analysis``.
+``sampling_threshold`` gives its thresholds, and its response is their
+tail mixture at the chance that one observation reads low.  So
+``analysis`` classifies its pure states by the response's own corner
+slopes (Propositions 7 and 8), as it classifies a sampling response's,
+and its mixture search is the one-population search of ``analysis``.
+Truncated expectations decide the contracting pure states of generic
+games, and binomial tails close the exact contracting reply.  Both use
+the stability rule of ``analysis``.
 """
 
 from __future__ import annotations
@@ -387,20 +389,22 @@ class MinEffortResponse(_TailMixture):
     current low-effort share.
 
     Under minimum-effort observation each sampled round shows the minimum
-    of N-1 opponents (the proof convention; the model text says N), so a
-    round reads low with probability q = 1 - (1-p)^(N-1), and for sample
-    sizes below 1/(1-c) the response reduces to
-    1 - (1-p)^(k(N-1)).  Under action observation the sample is binomial
-    in p directly.  Either way the response is the sampling response's
-    tail mixture at the observed probability q, with observation exponent
-    N-1 or none and the thresholds ``sampling_threshold`` gives at the
-    game's ``u`` and ``tie_break``.
+    effort of its N players (the model text's convention), so a round
+    reads low with probability q = 1 - (1-p)^N, and for sample sizes below
+    1/(1-c) the response reduces to 1 - (1-p)^(kN).  Under action
+    observation the sample is binomial in p directly.  Either way the
+    response is the sampling response's tail mixture at the observed
+    probability q, with observation exponent N or none and the thresholds
+    ``sampling_threshold`` gives at the game's ``u`` and ``tie_break``.
+    At exponent N the corner slopes are w'(0) = N times the efficient sum
+    and w'(1) = 0: the efficient state is stable iff that sum is below
+    1/N, and the safe state always is (Proposition 7).
     """
 
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
         u, rule = game.u, game.tie_break
-        n = game.n_players - 1 if game.observation == Observation.MINIMUM_EFFORT else None
+        n = game.n_players if game.observation == Observation.MINIMUM_EFFORT else None
         super().__init__(theta, [sampling_threshold(k, u, rule) for k in theta.support], n)
 
     # perfbench's tracer wraps these three names in each response class's own namespace
@@ -410,52 +414,6 @@ class MinEffortResponse(_TailMixture):
     def mix_with(self, alpha: float, big_k: int) -> "MinEffortResponse":
         """This response on ``theta.mix_with(alpha, big_k)``."""
         return MinEffortResponse(self.game, self.theta.mix_with(alpha, big_k))
-
-
-@dataclass(frozen=True)
-class MinEffortStabilityReport:
-    """Pure-state stability labels with their condition values."""
-
-    safe_label: Stability
-    efficient_label: Stability
-    conditions: dict[str, float]
-    note: str
-
-
-def mineffort_pure_stability(
-    g: MinEffortGame, theta: SampleSizeDistribution
-) -> MinEffortStabilityReport:
-    """Stability of all-low (safe) and all-high (efficient) equilibria.
-
-    Both calls read ``corner_masses`` of the game's own response: the
-    expected sample size of the agents whom one contrary observation
-    flips, selected by the response's thresholds and their tie rule.
-    Minimum-effort observation (Proposition 7) keeps the paper's
-    conditions: the safe state is always stable, and the efficient sum
-    (sizes up to 1/(1-c)) is compared with 1/N.  Action observation
-    (Proposition 8) compares with 1 the efficient sum (sizes below
-    1/(1 - c^(1/(N-1)))) and the safe sum (sizes up to (1/c)^(1/(N-1))),
-    which are the response's slopes at the two corners.
-    """
-    note = (
-        "round minimum taken over N-1 opponents (proof convention); "
-        "the model text says N"
-    )
-    efficient, safe = MinEffortResponse(g, theta).corner_masses()
-    if g.observation == Observation.MINIMUM_EFFORT:
-        bound = 1.0 / g.n_players
-        return MinEffortStabilityReport(
-            safe_label=Stability.STABLE,
-            efficient_label=classify_slope(efficient, bound=bound),
-            conditions={"efficient_sum": efficient, "bound": bound},
-            note=note,
-        )
-    return MinEffortStabilityReport(
-        safe_label=classify_slope(safe),
-        efficient_label=classify_slope(efficient),
-        conditions={"safe_sum": safe, "efficient_sum": efficient},
-        note=note,
-    )
 
 
 def mineffort_stable_interior(

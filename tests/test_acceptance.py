@@ -35,7 +35,6 @@ from samplingdyn.extensions import (
     Observation,
     contracting_response_vector,
     contracting_pure_stability,
-    mineffort_pure_stability,
 )
 from samplingdyn.flow import System, _terminal_states, integrate, label_basins
 from samplingdyn.games import CoordinationGame
@@ -357,7 +356,9 @@ def test_criterion_09_extension_reductions():
         assert abs(r[0] - w(pa)) < 1e-9
 
     # N = 2 minimum-effort response matches the two-action response with
-    # u = c/(1-c) and high-effort tie-breaking
+    # u = c/(1-c) and high-effort tie-breaking, at the chance q = 1 - (1-p)^2
+    # that a round's minimum of both players reads low under minimum-effort
+    # observation and at p under action observation
     from samplingdyn.dynamics import TieBreak
 
     for _ in range(50):
@@ -370,7 +371,7 @@ def test_criterion_09_extension_reductions():
             g_min = MinEffortGame(2, c, Observation.MINIMUM_EFFORT)
             w_ref = SamplingResponse(c / (1.0 - c), theta, TieBreak.FAVOR_B)
             assert np.max(
-                np.abs(MinEffortResponse(g_min, theta)(ps) - w_ref(ps))
+                np.abs(MinEffortResponse(g_min, theta)(ps) - w_ref(1.0 - (1.0 - ps) ** 2))
             ) < 1e-9
         theta = SampleSizeDistribution.point(int(rng.integers(1, 13)))
         g_act = MinEffortGame(2, c, Observation.OPPONENT_ACTION)
@@ -399,12 +400,12 @@ def test_criterion_09_extension_reductions():
         verified += 1
 
     # the unit-sample minimum-effort example
-    rep = mineffort_pure_stability(
+    pure = classify_pure_states(MinEffortResponse(
         MinEffortGame(2, 0.5, Observation.MINIMUM_EFFORT),
         SampleSizeDistribution.point(1),
-    )
-    assert rep.safe_label == Stability.STABLE
-    assert rep.efficient_label == Stability.UNSTABLE
+    ))
+    assert pure.state_a.stability == Stability.STABLE  # safe: everyone low
+    assert pure.state_b.stability == Stability.UNSTABLE  # efficient
     _ok(9, "two-action reductions, homogeneous stabilization, unit-sample example")
 
 

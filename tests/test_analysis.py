@@ -1220,7 +1220,7 @@ class TestStableInteriorSearch:
         assert analysis._alpha_grid(0.07)[-1] == 14 * 0.07
         two = stable_interior_search(Environment.of(CoordinationGame(5.0, 0.2), THETA_15), 50, 0.45)
         assert two.found and two.alpha == (0.9, 0.9)
-        one = mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=0.7)
+        one = mineffort_stable_interior(MinEffortGame(2, 0.05), k=1, big_k=1000, alpha_step=0.7)
         assert one.found and one.alpha == 0.7 and one.state.stability == Stability.STABLE
 
     @pytest.mark.parametrize("step", [-0.1, 0.0, 0.005, 1.0, 1.5, math.nan, math.inf])
@@ -1270,7 +1270,7 @@ class TestSystemArguments:
             # two populations on request, as the searches read a symmetric
             # environment before one population became the default
             pair = analysis.System.of(env, 2)
-            (b1, a1), (b2, a2) = (w.corner_masses() for w in pair.responses)
+            (b1, a1), (b2, a2) = (w.corner_slopes() for w in pair.responses)
             want = analysis.PureStateClassification(analysis._state((1.0, 1.0), a1 * a2, 0.0),
                                                     analysis._state((0.0, 0.0), b1 * b2, 0.0))
             assert repr(classify_pure_states(pair)) == repr(want), env

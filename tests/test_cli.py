@@ -253,7 +253,25 @@ class TestAnalyze:
         )
         assert main(["analyze", "--config", conf]) == 0
         out = capsys.readouterr().out
-        assert "proposition-7: safe asymptotically-stable, efficient unstable" in out
+        assert ("Proposition 7: state safe asymptotically-stable (product 0), "
+                "state efficient unstable (product 2)") in out
+
+    @pytest.mark.parametrize("n, c, theta", [(4, 0.5, {"1": 0.3, "100": 0.7}),
+                                             (2, 0.1, {"2": 1.0})], ids=["N4", "N2"])
+    def test_proposition_7_is_the_stationary_corners(self, tmp_path, capsys, n, c, theta):
+        # a rule of its own called p = 0 stable at slope 0.9 "efficient unstable"
+        # (N = 4), and p = 1 unstable at slope 2 "safe asymptotically-stable" (N = 2)
+        env = {"mineffort": {"N": n, "c": c}, "theta": theta}
+        conf = write_config(tmp_path, {"command": "analyze", "environment": env})
+        assert main(["analyze", "--config", conf, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        corners = {words[1]: words[2] for words in map(str.split, lines)
+                   if words[0] == "stationary" and words[1] in ("0.0000:", "1.0000:")}
+        (line,) = [line for line in lines if line.startswith("Proposition 7:")]
+        sides = dict(part.split()[1:3] for part in line.split(": ", 1)[1].split(", "))
+        assert sides == {"safe": corners["1.0000:"], "efficient": corners["0.0000:"]}
+        report = json.loads((tmp_path / "theorems.json").read_text())["proposition-7"]
+        assert {side: report[f"state_{side}"]["stability"] for side in sides} == sides
 
     def test_contracting_report(self, tmp_path, capsys):
         env = {
@@ -964,6 +982,52 @@ def test_key_that_the_reader_does_not_read_exits_2(tmp_path, capsys, conf, named
     assert not out.exists()
 
 
+# a value of each JSON type; 10**400 is an integer past the float range
+_JSON_VALUES = {"string": "x", "bool": True, "null": None, "list": [0.5], "object": {"k": 1},
+                "huge": 10**400}
+# the JSON type each field takes that is not a number field
+_FIELD_TYPES = {"environment": "object", "game": "object", "sweep": "object",
+                "initial": "list", "mode": "string", "type": "string"}
+
+
+def _fixture(command, mode=None, sweep=None) -> dict:
+    return next(c for c in FUZZ_CONFIGS if c["command"] == command and c.get("mode") == mode
+                and c.get("sweep", {}).get("type") == sweep)
+
+
+def _schema_fields():
+    """(fixture, path of the object, key) for every field of every schema:
+    each command's, response mode's and each sweep type's."""
+    for command, fields in cli._FIELDS.items():
+        if command != "sweep":
+            yield from (pytest.param(_fixture(command), (), key, id=f"{command}-{key}")
+                        for key in fields)
+    yield from (pytest.param(_fixture("oracle", "response"), (), key, id=f"oracle-response-{key}")
+                for key in cli._ORACLE_MODES["response"])
+    for sweep, extra in cli._SWEEP_FIELDS.items():
+        conf = _fixture("sweep", sweep=sweep)
+        yield from (pytest.param(conf, (), key, id=f"sweep-{sweep}-{key}")
+                    for key in cli._FIELDS["sweep"])
+        yield from (pytest.param(conf, ("sweep",), key, id=f"sweep-{sweep}-sweep.{key}")
+                    for key in ("type", "start", "stop", "step", *extra))
+
+
+@pytest.mark.parametrize("conf, path, key", list(_schema_fields()))
+def test_a_value_of_a_type_the_field_does_not_take_exits_2(tmp_path, capsys, conf, path, key):
+    for name, value in _JSON_VALUES.items():
+        if name == _FIELD_TYPES.get(key):
+            continue
+        bad = copy.deepcopy(conf)
+        (bad[path[0]] if path else bad)[key] = copy.deepcopy(value)
+        out = tmp_path / name
+        assert main([bad["command"], "--config", write_config(tmp_path, bad),
+                     "--out", str(out)]) == 2, (key, value)
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("config error"), (key, value, err)
+        assert f"'{key}'" in err or f" {key} " in err, (key, value, err)  # "oracle mode x"
+        assert not out.exists()
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize("conf", [
         {"command": "oracle", "environment": ONE_POP, "mode": "bogus"},
@@ -1011,10 +1075,16 @@ class TestRunFlags:
                              ids=lambda c: c["command"])
     @pytest.mark.parametrize("flag", sorted(_FLAG_READERS))
     def test_a_subcommand_takes_only_the_flags_it_reads(self, tmp_path, capsys, conf, flag):
+        # the oracle fixture runs response mode, which reads no horizon
         out = tmp_path / "out"
         argv = [conf["command"], "--config", write_config(tmp_path, conf), "--out", str(out),
                 f"--{flag}", _FLAG_VALUES[flag]]
-        if conf["command"] in _FLAG_READERS[flag]:
+        if conf.get("mode") == "response" and flag in ("tmax", "dt"):
+            assert main(argv) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and err.startswith("config error") and flag in err
+            assert not out.exists()
+        elif conf["command"] in _FLAG_READERS[flag]:
             assert main(argv) == 0
             assert any(out.iterdir())
         else:

@@ -11,7 +11,13 @@ from scipy import special
 
 from conftest import band_inputs, band_reference, theta_strategy
 from samplingdyn import extensions
-from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope, find_stationary_one_pop
+from samplingdyn.analysis import (
+    MARGINAL_BAND,
+    Stability,
+    classify_pure_states,
+    classify_slope,
+    find_stationary_one_pop,
+)
 from samplingdyn.dynamics import (
     MAX_SAMPLE_SIZE,
     SampleSizeDistribution,
@@ -28,7 +34,6 @@ from samplingdyn.extensions import (
     contracting_pure_stability,
     contracting_response_vector,
     integrate_contracting,
-    mineffort_pure_stability,
     mineffort_stable_interior,
     _replies,
     _ReplyMap,
@@ -341,11 +346,11 @@ def _contracting_label(s1, s2, w1, w2, pareto, near) -> str:
     return "undetermined"
 
 
-def _mineffort_label(v, bound=1.0) -> Stability:
+def _mineffort_label(v) -> Stability:
     """The reference for a minimum-effort pure state's label."""
-    if v < bound - MARGINAL_BAND:
+    if v < 1.0 - MARGINAL_BAND:
         return Stability.STABLE
-    if v > bound + MARGINAL_BAND:
+    if v > 1.0 + MARGINAL_BAND:
         return Stability.UNSTABLE
     return Stability.MARGINAL
 
@@ -481,24 +486,26 @@ class TestMinEffortResponse:
     def test_minimum_mode_low_sample_formula(self):
         g = MinEffortGame(3, 0.5, Observation.MINIMUM_EFFORT)
         theta = SampleSizeDistribution.point(2)
-        assert MinEffortResponse(g, theta)(0.3) == pytest.approx(1 - 0.7**4, abs=1e-12)
+        assert MinEffortResponse(g, theta)(0.3) == pytest.approx(1 - 0.7**6, abs=1e-12)
 
     def test_minimum_mode_mixture_formula(self):
         # every supported size is below 1/(1-c): response is the mixture of
-        # 1 - (1-p)^(k(N-1)) terms
+        # 1 - (1-p)^(kN) terms
         g = MinEffortGame(4, 0.8, Observation.MINIMUM_EFFORT)
         theta = SampleSizeDistribution.of({1: 0.25, 2: 0.25, 4: 0.5})
         ps = np.linspace(0.0, 1.0, 41)
         expected = (
-            0.25 * (1 - (1 - ps) ** 3)
-            + 0.25 * (1 - (1 - ps) ** 6)
-            + 0.5 * (1 - (1 - ps) ** 12)
+            0.25 * (1 - (1 - ps) ** 4)
+            + 0.25 * (1 - (1 - ps) ** 8)
+            + 0.5 * (1 - (1 - ps) ** 16)
         )
         assert np.allclose(MinEffortResponse(g, theta)(ps), expected, atol=1e-12)
 
     def test_two_player_reductions(self, rng):
         # N = 2 collapses onto the two-action sampling response with
-        # u = c/(1-c) and ties toward high effort
+        # u = c/(1-c) and ties toward high effort, at the chance
+        # q = 1 - (1-p)^2 that a round's minimum reads low under
+        # minimum-effort observation and at p under action observation
         for _ in range(50):
             c = float(rng.uniform(0.15, 0.85))
             u = c / (1.0 - c)
@@ -510,7 +517,7 @@ class TestMinEffortResponse:
                 g = MinEffortGame(2, c, Observation.MINIMUM_EFFORT)
                 w = SamplingResponse(u, theta, TieBreak.FAVOR_B)
                 got = MinEffortResponse(g, theta)(ps)
-                assert np.allclose(got, w(ps), atol=1e-9)
+                assert np.allclose(got, w(1.0 - (1.0 - ps) ** 2), atol=1e-9)
             theta = SampleSizeDistribution.point(int(rng.integers(1, 13)))
             g = MinEffortGame(2, c, Observation.OPPONENT_ACTION)
             w = SamplingResponse(u, theta, TieBreak.FAVOR_B)
@@ -571,97 +578,92 @@ def _mineffort_games(observation):
 
 
 class TestMinEffortStability:
+    """Propositions 7 and 8 are ``classify_pure_states`` on the game's own
+    response: state a is the safe state (everyone low), state b the
+    efficient one (everyone high)."""
+
     def test_unit_sample_example(self):
         g = MinEffortGame(2, 0.5, Observation.MINIMUM_EFFORT)
-        rep = mineffort_pure_stability(g, SampleSizeDistribution.point(1))
-        assert rep.safe_label == Stability.STABLE
-        assert rep.efficient_label == Stability.UNSTABLE
+        pure = classify_pure_states(MinEffortResponse(g, SampleSizeDistribution.point(1)))
+        assert pure.state_a.stability == Stability.STABLE
+        assert pure.state_b.stability == Stability.UNSTABLE
 
     def test_large_samples_keep_efficient_stable(self):
-        # k > 1/(1-c): the truncated expectation is empty
+        # k > 1/(1-c): no agent flips on one low round
         g = MinEffortGame(2, 0.5, Observation.MINIMUM_EFFORT)
-        rep = mineffort_pure_stability(g, SampleSizeDistribution.point(5))
-        assert rep.efficient_label == Stability.STABLE
+        pure = classify_pure_states(MinEffortResponse(g, SampleSizeDistribution.point(5)))
+        assert pure.state_b.stability == Stability.STABLE
 
     def test_costly_effort_example(self):
+        # the efficient sum 0.4 is above 1/N = 0.25: its corner slope is N * 0.4
         g = MinEffortGame(4, 0.9, Observation.MINIMUM_EFFORT)
         theta = SampleSizeDistribution.of({1: 0.4, 20: 0.6})
-        rep = mineffort_pure_stability(g, theta)
-        assert rep.conditions["efficient_sum"] == pytest.approx(0.4)
-        assert rep.conditions["bound"] == pytest.approx(0.25)
-        assert rep.efficient_label == Stability.UNSTABLE
-
-    def test_notes_mention_opponent_count_convention(self):
-        g = MinEffortGame(3, 0.5, Observation.MINIMUM_EFFORT)
-        rep = mineffort_pure_stability(g, SampleSizeDistribution.point(2))
-        assert "N-1" in rep.note
+        pure = classify_pure_states(MinEffortResponse(g, theta))
+        assert pure.state_b.slope_product == pytest.approx(1.6)
+        assert pure.state_b.stability == Stability.UNSTABLE
+        assert pure.state_a.slope_product == 0.0
+        assert pure.state_a.stability == Stability.STABLE
 
     def test_action_mode_two_player_reduction(self, rng):
         # thresholds collapse onto the two-action corner products
-        from samplingdyn.analysis import classify_pure_states
         from samplingdyn.dynamics import Environment
-        from samplingdyn.games import CoordinationGame
 
         for _ in range(50):
             c = float(rng.uniform(0.15, 0.85))
             theta = SampleSizeDistribution.of({1: 0.5, int(rng.integers(2, 13)): 0.5})
             g = MinEffortGame(2, c, Observation.OPPONENT_ACTION)
-            rep = mineffort_pure_stability(g, theta)
-            env = Environment.symmetric(c / (1.0 - c), theta)
-            pure = classify_pure_states(env)
+            got = classify_pure_states(MinEffortResponse(g, theta))
+            pure = classify_pure_states(Environment.symmetric(c / (1.0 - c), theta))
             # low effort is the first action of the reduced game
             if pure.state_a.stability != Stability.MARGINAL:
-                assert rep.safe_label == pure.state_a.stability
+                assert got.state_a.stability == pure.state_a.stability
             if pure.state_b.stability != Stability.MARGINAL:
-                assert rep.efficient_label == pure.state_b.stability
+                assert got.state_b.stability == pure.state_b.stability
 
     def test_labels_match_the_reference(self, rng, monkeypatch):
-        # the corner sums are read off the response, so the band inputs go in there
-        sums, theta = {}, SampleSizeDistribution.point(2)
-        monkeypatch.setattr(MinEffortResponse, "corner_masses",
-                            lambda self: (sums["efficient"], sums["safe"]))
+        # the corner slopes are read off the response, so the band inputs go in there
+        slopes, theta = {}, SampleSizeDistribution.point(2)
+        monkeypatch.setattr(MinEffortResponse, "corner_slopes",
+                            lambda self: (slopes["efficient"], slopes["safe"]))
         for v in band_inputs(rng):
             r = float(rng.uniform(0.0, 3.0))
-            sums.update(efficient=v, safe=r)
-            for n in range(2, 6):
-                want = _mineffort_label(v, 1.0 / n)
-                rep = mineffort_pure_stability(MinEffortGame(n, 0.4), theta)
-                assert (rep.safe_label, rep.efficient_label) == (Stability.STABLE, want), (v, n)
-                assert rep.conditions == {"efficient_sum": v, "bound": 1.0 / n}
-            g = MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION)
-            for safe, efficient in ((v, r), (r, v)):
-                sums.update(efficient=efficient, safe=safe)
-                rep = mineffort_pure_stability(g, theta)
-                want = (_mineffort_label(safe), _mineffort_label(efficient))
-                assert (rep.safe_label, rep.efficient_label) == want, (safe, efficient)
+            for observation in Observation:
+                response = MinEffortResponse(MinEffortGame(3, 0.4, observation), theta)
+                for safe, efficient in ((v, r), (r, v)):
+                    slopes.update(efficient=efficient, safe=safe)
+                    pure = classify_pure_states(response)
+                    want = (_mineffort_label(safe), _mineffort_label(efficient))
+                    assert (pure.state_a.stability, pure.state_b.stability) == want, (v, r)
 
+    @pytest.mark.parametrize("observation", list(Observation))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(game=_mineffort_games(Observation.OPPONENT_ACTION), theta=theta_strategy())
-    def test_action_labels_equal_the_stationary_corners(self, game, theta):
-        # Proposition 8's sums are the response's slopes at the corners
-        res = find_stationary_one_pop(MinEffortResponse(game, theta))
+    @given(data=st.data(), theta=theta_strategy())
+    def test_action_labels_equal_the_stationary_corners(self, observation, data, theta):
+        # Propositions 7 and 8 are the response's slopes at the corners
+        game = data.draw(_mineffort_games(observation))
+        response = MinEffortResponse(game, theta)
+        res = find_stationary_one_pop(response)
         assume(not res.continuum)
         corners = {s.p1: s for s in res.states if s.p1 in (0.0, 1.0)}
-        rep = mineffort_pure_stability(game, theta)
-        assert rep.efficient_label == corners[0.0].stability, (game, theta)
-        assert rep.safe_label == corners[1.0].stability, (game, theta)
-        assert math.isclose(rep.conditions["efficient_sum"], corners[0.0].slope_product,
-                            rel_tol=1e-12)
-        assert math.isclose(rep.conditions["safe_sum"], corners[1.0].slope_product,
-                            rel_tol=1e-12)
+        pure = classify_pure_states(response)
+        for got, want in ((pure.state_b, corners[0.0]), (pure.state_a, corners[1.0])):
+            assert got.stability == want.stability, (game, theta)
+            assert math.isclose(got.slope_product, want.slope_product, rel_tol=1e-12)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(game=_mineffort_games(Observation.MINIMUM_EFFORT), theta=theta_strategy())
     def test_minimum_labels_move_only_off_the_weak_strict_margin(self, game, theta):
         # the weak and strict sums cut at 1/(1 - c) called "marginal" wherever
-        # they disagreed; the threshold sum is one of the two
-        cut = 1.0 / (1.0 - game.cost)
+        # they disagreed; the threshold sum is one of the two, and the slope
+        # at the efficient corner is N times it (Proposition 7's 1/N bound)
+        n, cut = game.n_players, 1.0 / (1.0 - game.cost)
         weak, strict = (truncated_expectation(theta, cut, mode) for mode in ("weak", "strict"))
-        old = classify_slope(weak, strict, 1.0 / game.n_players)
-        rep = mineffort_pure_stability(game, theta)
-        assert rep.safe_label == Stability.STABLE
-        assert rep.conditions["efficient_sum"] in (weak, strict)
-        assert rep.efficient_label == old or old == Stability.MARGINAL, (game, theta)
+        old = classify_slope(weak, strict, 1.0 / n)
+        pure = classify_pure_states(MinEffortResponse(game, theta))
+        assert pure.state_a.slope_product == 0.0
+        assert pure.state_a.stability == Stability.STABLE
+        assert pure.state_b.slope_product in (n * weak, n * strict)
+        assert pure.state_b.stability == old or old == Stability.MARGINAL, (game, theta)
 
     def test_stable_interior_search(self):
         g = MinEffortGame(2, 0.6, Observation.MINIMUM_EFFORT)

@@ -15,6 +15,7 @@ must match exactly and every number within ``REL_TOL`` relative.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -130,6 +131,18 @@ def test_text_mode_allows_rounding_and_nothing_else():
     assert _text_mismatch("p,w\n0.25,0.1234567890124\n", want) is None
     assert "number" in _text_mismatch("p,w\n0.25,0.12345679\n", want)
     assert "text" in _text_mismatch("p;w\n0.25,0.1234567890123\n", want)
+
+
+@pytest.mark.parametrize("case", sorted(case for case, conf in CASES.items()
+                                         if conf["command"] == "analyze"
+                                         and "mineffort" in conf["environment"]))
+def test_minimum_effort_propositions_are_the_stationary_corners(case):
+    # Propositions 7 and 8 call the corners that the stationary search reports
+    rows = csv.DictReader(io.StringIO((GOLDEN / case / "stationary.csv").read_text()))
+    corners = {row["p1"]: row["stability"] for row in rows if row["p1"] in ("0", "1")}
+    (report,) = json.loads((GOLDEN / case / "theorems.json").read_text()).values()
+    assert report["state_safe"]["stability"] == corners["1"]
+    assert report["state_efficient"]["stability"] == corners["0"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
