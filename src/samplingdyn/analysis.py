@@ -51,6 +51,7 @@ GRID_POINTS = 10_001
 BISECT_WIDTH = 1e-12
 RESIDUAL_TOL = 1e-10
 CONVERGENCE_TOL = 1e-10  # a run has converged where |field| is below it in each component
+MATCH_TOL = 1e-6  # largest residual of a stationary state, and sup distance to one
 MARGINAL_BAND = 1e-9
 _CONTINUUM_TOL = 1e-12
 _TWO_POP_CONTINUUM = "a state is stationary iff it is symmetric"
@@ -313,7 +314,8 @@ def scan_fixed_points(g: Callable) -> list[float]:
 
 
 class NumericError(ArithmeticError):
-    """A trajectory produced a non-finite state (response function bug)."""
+    """A trajectory produced a non-finite state, or the stationary search a
+    state whose residual exceeds ``MATCH_TOL``."""
 
 
 class ContinuumError(ValueError):
@@ -566,6 +568,9 @@ def _stationary_search(system: System, scan: tuple | None = None) -> StationaryA
     evaluates a Python float through the responses' float kernels, clamping
     w2(p) as the checked call does, and an array through the checked
     calls; a row ``scan`` of ``_scan_rows`` on this g can stand in for it.
+    A state whose residual |w1(p2) - p1| exceeds ``MATCH_TOL`` is no rest
+    point (a response too steep for the scan's rounding), and raises
+    ``NumericError``.
     """
     w1, w2 = system.responses if system.dim == 2 else (system.responses[0], _Identity())
     e1, e2 = w1._kernel, w2._kernel
@@ -588,7 +593,10 @@ def _stationary_search(system: System, scan: tuple | None = None) -> StationaryA
             p2 = p1  # the pure state: masses summing one rounding off 1 move w2(p1)
         slope = float(w1.derivative(p2)) * float(w2.derivative(p1))
         point = (p1, p2) if system.dim == 2 else p1
-        return _state(point, slope, abs(float(w1(p2)) - p1))
+        residual = abs(float(w1(p2)) - p1)
+        if residual > MATCH_TOL:
+            raise NumericError(f"state {point} has residual {residual:.3g} > {MATCH_TOL:g}")
+        return _state(point, slope, residual)
 
     states = [state_at(p1) for p1 in roots]
     missed = _missed_roots(g, states)

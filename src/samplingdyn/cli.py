@@ -14,8 +14,11 @@ and help; the oracle reads those of its "mode".  Every config object
 names only keys its reader reads (the top level, flags included: its
 command's fields, "command" and "out"); any other key exits 2, naming
 the nearest known key, so --tmax or --dt on a response-mode oracle run
-exits 2.  Exit codes: 0 success, 2 configuration error, 3 internal
-numeric failure.  A command makes the output directory and writes its
+exits 2.  Exit codes: 0 success, 2 configuration error, 3 numeric
+failure: a non-finite state, or a stationary state whose residual
+exceeds ``analysis.MATCH_TOL``, as a logit response too steep for
+floats gives (eta 1e-8), where sweep flags the row "numeric-failure"
+instead.  A command makes the output directory and writes its
 files only after it has run, so a run that exits 2 or 3 leaves neither;
 an --out that names a file, or a path under one, exits 2 before the
 command runs.
@@ -23,7 +26,7 @@ command runs.
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
 ``flow.label_basins``); --tmax and --dt bound the separatrix traces and
-the integration of the cells that cannot be labelled that way, whose
+the RK4 steps of the cells that cannot be labelled at their start, whose
 number the legend records as integrated_cells.  A config whose every
 state is stationary has no basins (exit 2).  analyze's search_alpha_step
 lies in [0.01, 0.5]: the mixture search scans the shares i * step < 1 of

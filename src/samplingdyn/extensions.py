@@ -13,8 +13,8 @@ tail mixture at the chance that one observation reads low.  So
 slopes (Propositions 7 and 8), as it classifies a sampling response's,
 and its mixture search is the one-population search of ``analysis``.
 Truncated expectations decide the contracting pure states of generic
-games, and binomial tails close the exact contracting reply.  Both use
-the stability rule of ``analysis``.
+games, with the stability rule of ``analysis``; the exact contracting
+reply sums the replies to every multinomial sample.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .dynamics import (
 from .flow import _rk4_step, _step_count
 
 _PAYOFF_TIE_TOL = 1e-12
-ENUMERATION_LIMIT = 10**6  # prefixes a reply table may enumerate
+ENUMERATION_LIMIT = 10**6  # samples a reply table may enumerate
 
 
 class ContractTieRule(str, Enum):
@@ -117,16 +117,12 @@ class ContractingGame:
         return True
 
 
-def _tie_margin(best):
-    return _PAYOFF_TIE_TOL * np.maximum(1.0, best)
-
-
 def _replies(payoffs: np.ndarray, rule: ContractTieRule) -> np.ndarray:
     """Reply weights per row of sample payoffs.  The ties are the actions within
-    ``_tie_margin`` of the row's best; ``LOWEST`` and ``HIGHEST`` give the lowest
-    or highest tie weight 1, ``UNIFORM`` each tie 1/|ties|."""
+    ``_PAYOFF_TIE_TOL * max(1, |best|)`` of the row's best; ``LOWEST`` and
+    ``HIGHEST`` give the lowest or highest tie weight 1, ``UNIFORM`` each tie 1/|ties|."""
     best = payoffs.max(axis=1, keepdims=True)
-    ties = payoffs >= best - _tie_margin(np.abs(best))
+    ties = payoffs >= best - _PAYOFF_TIE_TOL * np.maximum(1.0, np.abs(best))
     if rule == ContractTieRule.UNIFORM:
         return ties / ties.sum(axis=1, keepdims=True)
     if rule == ContractTieRule.HIGHEST:
@@ -154,73 +150,31 @@ def _samples(k: int, M: int) -> np.ndarray:
 class _ReplyMap:
     """One player's exact reply distribution as a function of the opponent state.
 
-    The table lists each prefix of each size in theta's support (counts of
-    actions 0..M-3, then the total n of the last two).  As the split a of n
-    grows, x = a*d[M-2] rises, y = (n-a)*d[M-1] falls and the prefix
-    payoffs v stay put.  A payoff ties when it is at least f(best) =
-    best - margin(best), f increasing, so the ties change only where x or y
-    crosses f(max v) or f^-1(v_i) = v_i + margin(v_i), or x crosses f(y), or
-    y crosses f(x).  Marks at 0, n + 1 and floor - 1 to floor + 2 of each
-    crossing, which absorbs rounding, cut the splits into pieces [lo, hi],
-    and consecutive pieces with the same replies join into one.  A row per
-    piece holds the prefix counts, log weight (log mass plus log
-    multinomial coefficient) and the replies to its splits; with q the
-    state with its last two shares merged, an evaluation is
-    ``(exp(logw + counts @ log q) * (U(lo) - U(hi + 1))) @ replies`` with
-    U(j) = Pr(Bin(n, r) >= j) = I_r(j, n - j + 1), r = p[M-2] / q[-1].
-    Past ``ENUMERATION_LIMIT`` prefixes it raises ``ValueError``; calls do
-    not check the state.
+    The table holds one row per sample of each size in theta's support
+    (``_samples``): its counts, its log weight (log mass plus log
+    multinomial coefficient) and its replies (``_replies``).  An evaluation
+    is ``exp(logw + counts @ log p) @ replies``.  Past ``ENUMERATION_LIMIT``
+    samples it raises ``ValueError``; calls do not check the state.
     """
 
     def __init__(self, g, player, theta, rule):
-        diag, M = np.asarray(g.diag(player)), g.M
-        n_prefixes = sum(math.comb(k + M - 2, M - 2) for k in theta.support)
-        if n_prefixes > ENUMERATION_LIMIT:
-            raise ValueError(f"{n_prefixes} sample prefixes exceed ENUMERATION_LIMIT")
-        tables = [_samples(k, M - 1) for k in theta.support]
-        prefixes = np.concatenate(tables)
+        n_samples = sum(math.comb(k + g.M - 1, g.M - 1) for k in theta.support)
+        if n_samples > ENUMERATION_LIMIT:
+            raise ValueError(f"{n_samples} samples exceed ENUMERATION_LIMIT")
+        tables = [_samples(k, g.M) for k in theta.support]
+        counts = np.concatenate(tables)
         log_mass = np.repeat([math.log(m) for _, m in theta.atoms], [len(t) for t in tables])
-        log_coef = special.gammaln(prefixes.sum(axis=1) + 1.0)
-        logw = log_mass + log_coef - special.gammaln(prefixes + 1.0).sum(axis=1)
-        d1, d2, n = diag[-2], diag[-1], prefixes[:, -1]
-        v = prefixes[:, :-1] * diag[:-2]
-        best = v.max(axis=1, initial=0.0)
-        levels = np.column_stack([best - _tie_margin(best), v + _tie_margin(v)])
-        side = np.multiply.outer(_tie_margin(n * (d1 / (d1 + d2)) * d2), [-1.0, 1.0])
-        crossings = [levels / d1, n[:, None] - levels / d2, (n[:, None] * d2 + side) / (d1 + d2)]
-        marks = np.floor(np.column_stack(crossings))[:, :, None] + np.arange(-1.0, 3.0)
-        ends = np.column_stack([np.zeros(len(n)), n + 1.0])
-        marks = np.clip(np.column_stack([ends, marks.reshape(len(n), -1)]), 0.0, ends[:, 1:])
-        marks = np.sort(marks, axis=1).astype(np.int64)
-        fresh = np.diff(marks, axis=1, prepend=-1) > 0
-        row, flat = np.nonzero(fresh)[0], marks[fresh]
-        starts = np.flatnonzero(flat <= n[row])
-        row, lo, hi, n = row[starts], flat[starts], flat[starts + 1] - 1, n[row[starts]]
-        replies = _replies(np.column_stack([prefixes[row, :-1], lo, n - lo]) * diag,
-                           ContractTieRule(rule))
-        # a piece joins the one before it when both have one prefix and one reply
-        keep = np.ones(len(row), dtype=bool)
-        keep[1:] = (row[1:] != row[:-1]) | (replies[1:] != replies[:-1]).any(axis=1)
-        hi = hi[np.append(np.flatnonzero(keep)[1:] - 1, len(row) - 1)]
-        row, lo, n, self.replies = row[keep], lo[keep], n[keep], replies[keep]
-        self.counts, self.logw = prefixes[row].astype(float), logw[row]
-        # tails = [U(0) = 1, U(n + 1) = 0, U(lo) for lo > 0]; U(hi + 1) is the next U(lo)
-        inner = lo > 0
-        self._a, self._b = lo[inner].astype(float), (n - lo + 1)[inner].astype(float)
-        self._upper = np.where(inner, np.cumsum(inner) + 1, 0)
-        self._lower = np.where(hi < n, np.append(self._upper[1:], 1), 1)
+        log_coef = special.gammaln(counts.sum(axis=1) + 1.0)
+        self.logw = log_mass + log_coef - special.gammaln(counts + 1.0).sum(axis=1)
+        self.replies = _replies(counts * np.asarray(g.diag(player)), ContractTieRule(rule))
+        self.counts = counts.astype(float)
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         p = np.maximum(p, 0.0)
         p = p / p.sum()
-        q = p[:-1].copy()
-        q[-1] += p[-1]
-        r = p[-2] / q[-1] if q[-1] > 0.0 else 0.0
-        tails = np.concatenate(([1.0, 0.0], special.betainc(self._a, self._b, r)))
         # a zero share's log is -1e300, so a row that samples it weighs exactly 0
-        log_q = np.log(q, out=np.full(len(q), -1e300), where=q > 0.0)
-        weights = np.exp(self.logw + self.counts @ log_q) * (tails[self._upper] - tails[self._lower])
-        return weights @ self.replies
+        log_p = np.log(p, out=np.full(len(p), -1e300), where=p > 0.0)
+        return np.exp(self.logw + self.counts @ log_p) @ self.replies
 
 
 def contracting_response_vector(
@@ -295,23 +249,6 @@ def contracting_pure_stability(
     return tuple(reports)
 
 
-def contracting_field(
-    g: ContractingGame,
-    theta1: SampleSizeDistribution,
-    theta2: SampleSizeDistribution,
-    rule: ContractTieRule = ContractTieRule.LOWEST,
-):
-    """Mean-field vector field on the concatenated simplex pair (2M,)."""
-    reply1 = _ReplyMap(g, 1, theta1, rule)
-    reply2 = _ReplyMap(g, 2, theta2, rule)
-
-    def field(x: np.ndarray) -> np.ndarray:
-        p1, p2 = x[: g.M], x[g.M :]
-        return np.concatenate([reply1(p2) - p1, reply2(p1) - p2])
-
-    return field
-
-
 def integrate_contracting(
     g: ContractingGame,
     theta1: SampleSizeDistribution,
@@ -321,10 +258,15 @@ def integrate_contracting(
     dt: float = 0.01,
     rule: ContractTieRule = ContractTieRule.LOWEST,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 on the simplex pair; states renormalized after each step."""
+    """RK4 on the simplex pair, each population moving toward its reply
+    distribution to the other's state; states renormalized after each step."""
     x = _simplex_points(initial, (2, g.M)).ravel()
     n_steps = _step_count(t_max, dt)
-    field = contracting_field(g, theta1, theta2, rule)
+    reply1, reply2 = _ReplyMap(g, 1, theta1, rule), _ReplyMap(g, 2, theta2, rule)
+
+    def field(y: np.ndarray) -> np.ndarray:
+        p1, p2 = y[: g.M], y[g.M :]
+        return np.concatenate([reply1(p2) - p1, reply2(p1) - p2])
 
     def renorm(y: np.ndarray) -> np.ndarray:
         y = np.clip(y, 0.0, 1.0).reshape(2, g.M)

@@ -10,8 +10,9 @@ populations and runs the one float RK4 loop of each arity
 follow it backward in time.  Basin grids and
 ``extensions.integrate_contracting`` step arrays of states
 (``_rk4_step``).  ``label_basins`` reads basins off the
-stationary analysis and integrates only where it cannot decide;
-``estimate_basins``, which integrates every cell, is its reference.
+stationary analysis and the order of the cooperative dynamics, and
+steps a start only until that order decides it; ``estimate_basins``,
+which integrates every cell to its end, is its reference.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .analysis import (
     CONVERGENCE_TOL,
+    MATCH_TOL,
     ContinuumError,
     NumericError,
     Stability,
@@ -31,7 +33,6 @@ from .analysis import (
     System,
 )
 
-MATCH_TOL = 1e-6
 DEFAULT_T_MAX = 200.0
 DEFAULT_DT = 0.01
 SEPARATRIX_OFFSET = 1e-6  # distance from the saddle at which a trace starts
@@ -155,7 +156,7 @@ class BasinGrid:
     cells: np.ndarray  # shape (res,) or (res, res); -1 marks a flagged cell
     shares: dict[int, float]
     flagged: int
-    integrated: int  # cells labelled by integrating their trajectory
+    integrated: int  # cells whose label needed RK4 steps
 
 
 def _match_labels(finals: np.ndarray, ok, stationary: StationaryAnalysis, tol: float = 1e-3):
@@ -183,18 +184,25 @@ def _integrated_labels(system: System, x0, stationary, t_max: float, dt: float):
     return _match_labels(finals, ok, stationary)
 
 
-def _sign_labels(system: System, x0, stationary):
-    """One population: a start moves monotonically to the nearest stationary
-    state in the direction of w(p) - p, marginal or not."""
-    p = x0[:, 0]
-    f = system.field(x0)[:, 0]
-    ps = np.array([s.state for s in stationary.states])
-    above = np.searchsorted(ps, p, side="right")
-    below = np.searchsorted(ps, p, side="left") - 1
-    target = np.where(f > 0.0, above, np.where(f < 0.0, below, -1))
-    cells = np.where((target >= 0) & (target < len(ps)), target, _UNLABELLED)
-    rest = np.abs(f) < CONVERGENCE_TOL
-    cells[rest] = _match_labels(x0[rest], True, stationary)
+def _monotone_labels(x, f, stationary):
+    """Both responses increase, so the dynamics are cooperative (Hirsch
+    1985; Smith 1995, ch. 3): a start whose field ``f`` is >= 0 in every
+    component rises to the least stationary state >= it, one whose field
+    is <= 0 falls to the greatest state <= it, and a start at rest is
+    matched as ``_integrated_labels`` matches an end point.  Every other
+    start, and one with no such state, is left unlabelled.  The states,
+    in order of p1 with p2 = w2(p1), form a chain, so the least state
+    above a start is the first above it and the greatest below the last."""
+    refs = np.array([np.atleast_1d(s.state) for s in stationary.states]).reshape(-1, x.shape[1])
+    above = np.all(refs[None, :, :] >= x[:, None, :], axis=2)
+    below = np.all(refs[None, :, :] <= x[:, None, :], axis=2)
+    up = np.all(f >= 0.0, axis=1) & above.any(axis=1)
+    down = np.all(f <= 0.0, axis=1) & below.any(axis=1)
+    cells = np.full(len(x), _UNLABELLED)
+    cells[up] = np.argmax(above[up], axis=1)
+    cells[down] = len(refs) - 1 - np.argmax(below[down, ::-1], axis=1)
+    rest = np.max(np.abs(f), axis=1) < CONVERGENCE_TOL
+    cells[rest] = _match_labels(x[rest], True, stationary)
     return cells
 
 
@@ -337,8 +345,8 @@ def estimate_basins(
 ) -> BasinGrid:
     """Integrate from every cell center and record which attractor wins:
     the reference for :func:`label_basins`, which gives the same labels
-    from the stationary analysis and integrates only where that cannot
-    decide.
+    from the stationary analysis and steps a start only until its order
+    decides it.
 
     Cells that have not converged by t_max continue from where they
     stopped for another t_max at half the step size, and are flagged with
@@ -359,22 +367,35 @@ def label_basins(
 ) -> BasinGrid:
     """The stationary state each cell center converges to.
 
-    Labels are limits of the dynamics, read off the stationary analysis:
-    in one population from the sign of w(p) - p, in two from the side of
-    each interior saddle's stable manifold a cell lies on.  Only the cells
-    too close to a separatrix to classify, or the whole grid when a
-    stationary state is marginal or the states do not alternate stable
-    and saddle, are integrated as in :func:`estimate_basins`; ``integrated``
-    counts them.  ``t_max`` and ``dt`` are the horizon and step of every
-    integration this runs, separatrix traces included.  Shares are
-    fractions of all cells, flagged ones included.
+    Labels are limits of the dynamics, read off the stationary analysis.
+    In two populations a cell first takes the side of each interior
+    saddle's stable manifold it lies on.  Every cell left, all of them in
+    one population, takes the order rule of ``_monotone_labels``: a field
+    >= 0 (<= 0) in every component leads to the least (greatest)
+    stationary state above (below) the start, which in one population is
+    the sign of w(p) - p.  A start that the rule cannot decide is stepped
+    by RK4 and the rule re-read after each step; ``integrated`` counts
+    these starts, and one still undecided at ``t_max`` is flagged.
+    ``t_max`` and ``dt`` are the horizon and step of every integration
+    this runs, separatrix traces included.  Shares are fractions of all
+    cells, flagged ones included.
     """
     system, centers, x0, stationary = _basin_starts(system, resolution, t_max, dt)
-    if system.dim == 1:
-        cells = _sign_labels(system, x0, stationary)
-    else:
+    cells = np.full(len(x0), _UNLABELLED)
+    if system.dim == 2:
         cells = _separatrix_labels(system, centers, x0, stationary, t_max, dt)
-    todo = cells == _UNLABELLED
-    if todo.any():
-        cells[todo] = _integrated_labels(system, x0[todo], stationary, t_max, dt)
-    return _basin_grid(system, resolution, stationary, cells, int(np.sum(todo)))
+    idx = np.flatnonzero(cells == _UNLABELLED)
+    x, n_steps, integrated = x0[idx], _step_count(t_max, dt), 0
+    for step in range(n_steps + 1 if idx.size else 0):
+        f = system.field(x)
+        if not np.all(np.isfinite(f)):
+            raise NumericError("non-finite vector field during batched integration")
+        cells[idx] = labels = _monotone_labels(x, f, stationary)
+        left = labels == _UNLABELLED
+        if step == 0:
+            integrated = int(np.sum(left))
+        if step == n_steps or not left.any():
+            break
+        idx, x = idx[left], _rk4_step(system.field, x[left], dt, _clip01, k1=f[left])
+    cells[cells == _UNLABELLED] = -1
+    return _basin_grid(system, resolution, stationary, cells, integrated)

@@ -83,6 +83,17 @@ class TestAnalyze:
         assert "stationary (1.0000, 1.0000): asymptotically-stable" in stdout
         assert "Theorem 4" not in stdout and sorted(files) == ["stationary.csv", "theorems.json"]
 
+    @pytest.mark.parametrize("eta, code", [(1e-8, 3), (1e-3, 0)], ids=["steep", "resolved"])
+    def test_a_root_that_is_not_at_rest_exits_3(self, tmp_path, capsys, eta, code):
+        # at eta 1e-8 the logit response is a step that floats cannot
+        # resolve, and the search's root near p = 1/3 has residual 0.67; at
+        # eta 1e-3 every residual is below 1e-6
+        out = tmp_path / "out"
+        conf = write_config(tmp_path, {"command": "analyze", "environment": _logit(eta=eta)})
+        assert main(["analyze", "--config", conf, "--out", str(out)]) == code
+        assert ("numeric failure" in capsys.readouterr().err) == (code == 3)
+        assert out.exists() == (code == 0)
+
     def test_fig3_right_summary_and_files(self, tmp_path, capsys):
         conf = write_config(
             tmp_path, {"command": "analyze", "environment": FIG3_RIGHT, "out": str(tmp_path)}
@@ -407,16 +418,16 @@ class TestTrajectoryAndBasins:
 
     def test_basins_reports_integrated_cells(self, tmp_path, capsys):
         # the saddle (1/2, 1/2) has the anti-diagonal as its stable manifold,
-        # so the 5 cells on it are integrated
+        # so the 5 cells on it are integrated but the saddle's own, at rest
         env = {"u1": 1.0, "u2": 1.0, "theta1": {"3": 1.0}, "theta2": {"3": 1.0}}
         conf = write_config(
             tmp_path,
             {"command": "basins", "environment": env, "resolution": 5, "dt": 0.05},
         )
         assert main(["basins", "--config", conf, "--out", str(tmp_path)]) == 0
-        assert "integrated cells: 5" in capsys.readouterr().out
+        assert "integrated cells: 4" in capsys.readouterr().out
         legend = json.loads((tmp_path / "basins_legend.json").read_text())
-        assert legend["integrated_cells"] == 5
+        assert legend["integrated_cells"] == 4
 
 
     def test_two_population_form_keeps_two_populations(self, tmp_path):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from conftest import band_inputs, band_reference, theta_strategy
 from samplingdyn import extensions
@@ -36,7 +34,6 @@ from samplingdyn.extensions import (
     integrate_contracting,
     mineffort_stable_interior,
     _replies,
-    _ReplyMap,
     _samples,
 )
 
@@ -130,58 +127,80 @@ class TestResponseVector:
 
     @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
     def test_monte_carlo_agrees_with_exact(self, rng, rule):
-        # theta = {1500: 1} has 1,127,251 samples; at p proportional to
+        # theta = {1000: 1} has 501,501 samples; at p proportional to
         # 1/diag every action pays the same in expectation, so the replies
         # spread, and the second game ties actions 1 and 2 for player 1
         # whenever their counts agree, so the three rules give different
         # vectors
         tied = ContractingGame((1.0, 2.0, 2.0), (2.0, 1.0, 3.0))
-        theta = SampleSizeDistribution.point(1500)
+        theta = SampleSizeDistribution.point(1000)
         draws = np.random.default_rng(11)
         for g in (random_contracting(rng, M=3), tied):
             p = 1.0 / np.asarray(g.diag1)
             p /= p.sum()
             exact = contracting_response_vector(g, 1, theta, p, rule)
-            samples = draws.multinomial(1500, p, size=200_000)
+            samples = draws.multinomial(1000, p, size=200_000)
             mc = _replies(samples * np.asarray(g.diag1), ContractTieRule(rule)).mean(axis=0)
             band = 4.0 * np.maximum(np.sqrt(mc * (1.0 - mc) / len(samples)), 1e-6)
             assert np.all(np.abs(mc - exact) <= band)
-            # a few pieces per prefix, not one row per sample
-            assert len(_ReplyMap(g, 1, theta, rule).counts) <= 20 * 1501
 
-    def test_prefix_count_is_bounded(self, monkeypatch):
-        # M = 3 has k + 1 prefixes at size k
+    def test_sample_count_is_bounded(self, monkeypatch):
+        # M = 3 has (k + 1)(k + 2)/2 samples at size k: 45 at 8, 55 at 9
         monkeypatch.setattr(extensions, "ENUMERATION_LIMIT", 50)
         g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
         p = (0.2, 0.5, 0.3)
         with pytest.raises(ValueError, match="ENUMERATION_LIMIT"):
-            contracting_response_vector(g, 1, SampleSizeDistribution.point(60), p)
-        contracting_response_vector(g, 1, SampleSizeDistribution.point(40), p)
+            contracting_response_vector(g, 1, SampleSizeDistribution.point(9), p)
+        contracting_response_vector(g, 1, SampleSizeDistribution.point(8), p)
+
+    def test_sizes_past_the_limit_raise(self):
+        # 1,128,751 samples; the largest size at M = 3 is 1,412
+        g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
+        with pytest.raises(ValueError, match="ENUMERATION_LIMIT"):
+            contracting_response_vector(g, 1, SampleSizeDistribution.point(1500), (0.2, 0.5, 0.3))
 
 
-@functools.lru_cache(maxsize=1)
-def _full_table(M, theta):
-    tables = [_samples(k, M) for k in theta.support]
-    counts = np.concatenate(tables)
-    log_mass = np.repeat([math.log(m) for _, m in theta.atoms], [len(t) for t in tables])
-    logw = (log_mass + special.gammaln(counts.sum(axis=1) + 1.0)
-            - special.gammaln(counts + 1.0).sum(axis=1))
-    return counts, logw
+def _compositions(k, M):
+    """Every tuple of M counts that sum to k."""
+    if M == 1:
+        yield (k,)
+        return
+    for c in range(k + 1):
+        for rest in _compositions(k - c, M - 1):
+            yield (c, *rest)
 
 
-def full_enumeration(diag, theta, p, rule):
-    """The reply distribution from one table row per sample: every count
-    vector of every size, its multinomial weight and its reply."""
-    diag = np.asarray(diag)
-    counts, logw = _full_table(len(diag), theta)
-    p = np.asarray(p, dtype=float)
-    zero = p == 0.0
-    exponent = logw + counts @ np.log(np.where(zero, 1.0, p))
-    exponent[counts[:, zero].any(axis=1)] = -np.inf
-    return np.exp(exponent) @ _replies(counts * diag, ContractTieRule(rule))
+def reference_response(diag, theta, p, rule):
+    """Brute-force reply distribution: every count vector of every sample
+    size, its multinomial probability and a Python argmax with the tie
+    tolerance of the module."""
+    out = [0.0] * len(diag)
+    for k, mass in theta.atoms:
+        for counts in _compositions(k, len(diag)):
+            if any(c and p[i] == 0.0 for i, c in enumerate(counts)):
+                continue
+            log_prob = math.lgamma(k + 1) + sum(
+                c * math.log(p[i]) - math.lgamma(c + 1) for i, c in enumerate(counts)
+                if c
+            )
+            prob = mass * math.exp(log_prob)
+            payoffs = [u * c for u, c in zip(diag, counts)]
+            best = max(payoffs)
+            ties = [i for i, v in enumerate(payoffs) if v >= best - 1e-12 * max(1.0, best)]
+            if rule == "lowest":
+                out[ties[0]] += prob
+            elif rule == "highest":
+                out[ties[-1]] += prob
+            else:
+                for i in ties:
+                    out[i] += prob / len(ties)
+    return np.array(out)
 
 
 class TestSplitPieces:
+    """The reply table against independent references: the Python brute
+    force ``reference_response`` and a 30-digit sum."""
+
     @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
     def test_matches_full_enumeration(self, rng, rule):
         families = [
@@ -204,51 +223,29 @@ class TestSplitPieces:
             p = weights / weights.sum()
             g = ContractingGame(tuple(diag), tuple(diag))
             got = contracting_response_vector(g, 1, theta, p, rule)
-            assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
-
-    def test_matches_full_enumeration_with_a_large_size(self, rng):
-        # 982,111 samples, 1,405 prefixes; the zero component leaves whole
-        # rows of the merged state without weight
-        g = ContractingGame((4.0, 2.0, 1.0), (1.0, 2.0, 4.0))
-        theta = SampleSizeDistribution.of({3: 0.5, 1400: 0.5})
-        states = [rng.dirichlet(np.ones(3)) for _ in range(2)]
-        states += [(0.0, 0.3, 0.7), (0.5, 0.5, 0.0), (0.2, 0.0, 0.8), (0.002, 0.499, 0.499)]
-        for rule in ContractTieRule:
-            for p in states:
-                got = contracting_response_vector(g, 1, theta, p, rule)
-                assert np.max(np.abs(got - full_enumeration(g.diag1, theta, p, rule))) <= 2e-12
+            assert np.max(np.abs(got - reference_response(diag, theta, p, rule))) <= 1e-12
 
     @pytest.mark.parametrize("rule", [r.value for r in ContractTieRule])
     def test_near_tied_prefix_payoffs(self, rule):
         # actions 0 and 1 tie (4.8e-12 and 5e-12 lie within the absolute
         # tolerance 1e-12); as a * 1e-13 rises past 5.8e-12 action 0 leaves
-        # the ties before action 1 does, a change that only the crossing of
-        # the lower prefix payoff marks
+        # the ties before action 1 does
         diag = (3e-13, 1e-12, 1e-13, 1e-13)
         g = ContractingGame(diag, diag)
         theta = SampleSizeDistribution.point(90)
         p = np.array([16.0, 5.0, 57.0, 12.0]) / 90.0
         got = contracting_response_vector(g, 1, theta, p, rule)
-        assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
+        assert np.max(np.abs(got - reference_response(diag, theta, p, rule))) <= 1e-12
 
     @pytest.mark.parametrize("diag", [(1e200, 1e200), (3.0, 1e200, 1e200)])
     def test_payoffs_whose_product_overflows(self, diag):
-        # the last two payoffs meet at n * d1 * d2 / (d1 + d2), and d1 * d2
-        # alone overflows
+        # sample payoffs up to 10 * 1e200, near the top of the float range
         g = ContractingGame(diag, diag)
         theta = SampleSizeDistribution.point(10)
         p = np.full(len(diag), 1.0 / len(diag))
         for rule in ContractTieRule:
             got = contracting_response_vector(g, 1, theta, p, rule)
-            assert np.max(np.abs(got - full_enumeration(diag, theta, p, rule))) <= 1e-12
-
-    def test_pieces_with_the_same_reply_join(self):
-        # 1,891 prefixes; cut at every crossing they would take 18,073 rows
-        g = ContractingGame((4.0, 2.0, 1.0, 3.0), (1.0, 2.0, 4.0, 3.0))
-        reply = _ReplyMap(g, 1, SampleSizeDistribution.point(60), ContractTieRule.UNIFORM)
-        assert len(reply.counts) <= 2 * math.comb(62, 2)
-        same_prefix = (reply.counts[1:] == reply.counts[:-1]).all(axis=1)
-        assert (reply.replies[1:] != reply.replies[:-1]).any(axis=1)[same_prefix].all()
+            assert np.max(np.abs(got - reference_response(diag, theta, p, rule))) <= 1e-12
 
     def test_matches_high_precision_reference(self):
         # every one of the 11,476 samples summed at 30 digits; the payoffs
@@ -268,33 +265,6 @@ class TestSplitPieces:
             g, 1, SampleSizeDistribution.point(k), [float(x) for x in p]
         )
         assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def reference_response(diag, theta, p, rule):
-    """Brute-force reply distribution: every count vector of every sample
-    size, its multinomial probability and a Python argmax with the tie
-    tolerance of the module."""
-    out = [0.0] * len(diag)
-    for k, mass in theta.atoms:
-        for counts in itertools.product(range(k + 1), repeat=len(diag)):
-            if sum(counts) != k or any(c and p[i] == 0.0 for i, c in enumerate(counts)):
-                continue
-            log_prob = math.lgamma(k + 1) + sum(
-                c * math.log(p[i]) - math.lgamma(c + 1) for i, c in enumerate(counts)
-                if c
-            )
-            prob = mass * math.exp(log_prob)
-            payoffs = [u * c for u, c in zip(diag, counts)]
-            best = max(payoffs)
-            ties = [i for i, v in enumerate(payoffs) if v >= best - 1e-12 * max(1.0, best)]
-            if rule == "lowest":
-                out[ties[0]] += prob
-            elif rule == "highest":
-                out[ties[-1]] += prob
-            else:
-                for i in ties:
-                    out[i] += prob / len(ties)
-    return out
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

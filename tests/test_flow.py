@@ -283,14 +283,18 @@ class TestBasins:
         "env, t_max, integrated",
         [
             # the saddle's stable manifold is the anti-diagonal p1 + p2 = 1,
-            # through the centers of 5 cells
+            # through the centers of 5 cells; the middle one is the saddle,
+            # at rest, so 4 are stepped
             pytest.param(
                 Environment.symmetric(1.0, SampleSizeDistribution.point(3)).pair(),
                 260.0,
-                5,
+                4,
                 id="cells-on-a-separatrix",
             ),
-            # the corner (1, 1) has slope product 1 * (0.5 + 0.25 * 2) = 1
+            # the corner (1, 1) has slope product 1 * (0.5 + 0.25 * 2) = 1, so
+            # no separatrix is traced; the 20 cells whose field has mixed
+            # signs are stepped until it has one, and the corner, which
+            # brute force approaches only algebraically, takes its cell
             pytest.param(
                 Environment.of(
                     CoordinationGame(3.0, 0.5),
@@ -298,23 +302,23 @@ class TestBasins:
                     SampleSizeDistribution.of({1: 0.5, 2: 0.25, 9: 0.25}),
                 ),
                 20.0,
-                25,
+                20,
                 id="marginal-state",
             ),
         ],
     )
     def test_fallback_cells_are_counted(self, env, t_max, integrated):
         grid = label_basins(env, resolution=5, t_max=t_max, dt=0.1)
-        assert grid.integrated == integrated
-        ref = estimate_basins(env, resolution=5, t_max=t_max, dt=0.1)
-        assert np.array_equal(grid.cells, ref.cells)
+        assert grid.integrated == integrated and grid.flagged == 0
+        ref = estimate_basins(env, resolution=5, t_max=260.0, dt=0.1).cells
+        assert np.array_equal(np.where(ref >= 0, ref, grid.cells), grid.cells)
 
     def test_reference_integrates_every_cell(self):
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
         grid = estimate_basins(env.pair(), resolution=5, t_max=100.0)
         assert grid.integrated == 25 and grid.flagged == 0
         fast = label_basins(env.pair(), resolution=5, t_max=100.0)
-        assert fast.integrated == 5  # the cells on the anti-diagonal separatrix
+        assert fast.integrated == 4  # the cells on the anti-diagonal separatrix but the saddle's
         assert np.array_equal(grid.cells, fast.cells)
 
 
@@ -348,6 +352,17 @@ def test_two_population_labels_match_brute_force(u1, u2, theta1, theta2):
     _assert_matches_brute_force(pair, 9)
 
 
+def _without_separatrices(monkeypatch):
+    """Send every two-population cell through the order rule."""
+    monkeypatch.setattr(flow, "_separatrix_labels",
+                        lambda system, centers, x0, *rest: np.full(len(x0), flow._UNLABELLED))
+
+
+def test_two_population_order_rule_matches_brute_force(monkeypatch):
+    _without_separatrices(monkeypatch)
+    test_two_population_labels_match_brute_force()
+
+
 _GROUPS = st.one_of(
     st.tuples(st.tuples(st.just(1.0), st.floats(-4.0, 0.0).map(math.exp))),
     st.floats(0.1, 0.9).flatmap(
@@ -370,6 +385,11 @@ def test_logit_labels_match_brute_force(u1, u2, groups1, groups2):
     _assert_matches_brute_force(
         ResponsePair.logit(CoordinationGame(u1, u2), groups1, groups2), 9
     )
+
+
+def test_logit_order_rule_matches_brute_force(monkeypatch):
+    _without_separatrices(monkeypatch)
+    test_logit_labels_match_brute_force()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
