@@ -315,7 +315,7 @@ def scan_fixed_points(g: Callable) -> list[float]:
 
 class NumericError(ArithmeticError):
     """A trajectory produced a non-finite state, or the stationary search a
-    state whose residual exceeds ``MATCH_TOL``."""
+    state that is not at rest."""
 
 
 class ContinuumError(ValueError):
@@ -568,9 +568,10 @@ def _stationary_search(system: System, scan: tuple | None = None) -> StationaryA
     evaluates a Python float through the responses' float kernels, clamping
     w2(p) as the checked call does, and an array through the checked
     calls; a row ``scan`` of ``_scan_rows`` on this g can stand in for it.
-    A state whose residual |w1(p2) - p1| exceeds ``MATCH_TOL`` is no rest
-    point (a response too steep for the scan's rounding), and raises
-    ``NumericError``.
+    A bisected root within BISECT_WIDTH of a rest point has residual
+    |w1(p2) - p1| at most about |slope product| * BISECT_WIDTH; a state
+    whose residual exceeds ``MATCH_TOL`` plus that is no rest point (a
+    response too steep for floats), and raises ``NumericError``.
     """
     w1, w2 = system.responses if system.dim == 2 else (system.responses[0], _Identity())
     e1, e2 = w1._kernel, w2._kernel
@@ -594,8 +595,8 @@ def _stationary_search(system: System, scan: tuple | None = None) -> StationaryA
         slope = float(w1.derivative(p2)) * float(w2.derivative(p1))
         point = (p1, p2) if system.dim == 2 else p1
         residual = abs(float(w1(p2)) - p1)
-        if residual > MATCH_TOL:
-            raise NumericError(f"state {point} has residual {residual:.3g} > {MATCH_TOL:g}")
+        if not residual <= MATCH_TOL + abs(slope) * BISECT_WIDTH:
+            raise NumericError(f"state {point} has residual {residual:.3g} at slope {slope:.3g}")
         return _state(point, slope, residual)
 
     states = [state_at(p1) for p1 in roots]

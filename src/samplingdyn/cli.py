@@ -16,12 +16,12 @@ command's fields, "command" and "out"); any other key exits 2, naming
 the nearest known key, so --tmax or --dt on a response-mode oracle run
 exits 2.  Exit codes: 0 success, 2 configuration error, 3 numeric
 failure: a non-finite state, or a stationary state whose residual
-exceeds ``analysis.MATCH_TOL``, as a logit response too steep for
-floats gives (eta 1e-8), where sweep flags the row "numeric-failure"
-instead.  A command makes the output directory and writes its
-files only after it has run, so a run that exits 2 or 3 leaves neither;
-an --out that names a file, or a path under one, exits 2 before the
-command runs.
+does not fit the bisection at its slope (``analysis._stationary_search``),
+as a logit response too steep for floats gives (eta 1e-8), where sweep
+flags the row "numeric-failure" instead.  A command makes the output
+directory and writes its files only after it has run, so a run that
+exits 2 or 3 leaves neither; an --out that names a file, or a path
+under one, exits 2 before the command runs.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see

@@ -112,39 +112,42 @@ def integrate(
     return Trajectory(np.arange(len(states)) * dt, states, converged, limit, max_clamp)
 
 
-def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float):
-    """Batched RK4 without trajectory recording; converged rows drop out.
+def _at_rest(x, f):
+    return np.max(np.abs(f), axis=1) < CONVERGENCE_TOL
+
+
+def _terminal_states(field, x0: np.ndarray, t_max: float, dt: float, stop=_at_rest):
+    """Batched RK4 without trajectory recording; a row drops out once
+    ``stop(x, field(x))`` holds for it, by default once it is at rest.
 
     The working set is kept compact: rows are only copied out when they
-    converge, so the common all-active phase costs no masking passes.
-    Returns (final states, converged mask).
+    stop, so the common all-active phase costs no masking passes.
+    Returns (final states, stopped mask).
     """
     n_steps = _step_count(t_max, dt)
     n = x0.shape[0]
     out = x0.copy()
-    converged = np.zeros(n, dtype=bool)
+    stopped = np.zeros(n, dtype=bool)
     idx = np.arange(n)
     x = x0.copy()
-    for _ in range(n_steps):
+    for step in range(n_steps + 1):
         fa = field(x)
         if not np.all(np.isfinite(fa)):
             raise NumericError("non-finite vector field during batched integration")
-        done = np.max(np.abs(fa), axis=1) < CONVERGENCE_TOL
+        done = stop(x, fa)
         if done.any():
             rows = idx[done]
             out[rows] = x[done]
-            converged[rows] = True
+            stopped[rows] = True
             keep = ~done
             idx, x, fa = idx[keep], x[keep], fa[keep]
             if idx.size == 0:
-                return out, converged
+                return out, stopped
+        if step == n_steps:
+            break
         x = _rk4_step(field, x, dt, _clip01, k1=fa)
-    if idx.size:
-        fa = field(x)
-        done = np.max(np.abs(fa), axis=1) < CONVERGENCE_TOL
-        out[idx] = x
-        converged[idx[done]] = True
-    return out, converged
+    out[idx] = x
+    return out, stopped
 
 
 @dataclass
@@ -384,18 +387,15 @@ def label_basins(
     cells = np.full(len(x0), _UNLABELLED)
     if system.dim == 2:
         cells = _separatrix_labels(system, centers, x0, stationary, t_max, dt)
-    idx = np.flatnonzero(cells == _UNLABELLED)
-    x, n_steps, integrated = x0[idx], _step_count(t_max, dt), 0
-    for step in range(n_steps + 1 if idx.size else 0):
-        f = system.field(x)
-        if not np.all(np.isfinite(f)):
-            raise NumericError("non-finite vector field during batched integration")
-        cells[idx] = labels = _monotone_labels(x, f, stationary)
-        left = labels == _UNLABELLED
-        if step == 0:
-            integrated = int(np.sum(left))
-        if step == n_steps or not left.any():
-            break
-        idx, x = idx[left], _rk4_step(system.field, x[left], dt, _clip01, k1=f[left])
-    cells[cells == _UNLABELLED] = -1
-    return _basin_grid(system, resolution, stationary, cells, integrated)
+    todo = np.flatnonzero(cells == _UNLABELLED)
+    if todo.size:
+        cells[todo] = _monotone_labels(x0[todo], system.field(x0[todo]), stationary)
+        todo = todo[cells[todo] == _UNLABELLED]
+    if todo.size:  # step the undecided starts until the rule decides them
+        finals, decided = _terminal_states(
+            system.field, x0[todo], t_max, dt,
+            lambda x, f: _monotone_labels(x, f, stationary) != _UNLABELLED,
+        )
+        labels = _monotone_labels(finals, system.field(finals), stationary)
+        cells[todo] = np.where(decided, labels, -1)
+    return _basin_grid(system, resolution, stationary, cells, len(todo))

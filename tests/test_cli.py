@@ -83,11 +83,16 @@ class TestAnalyze:
         assert "stationary (1.0000, 1.0000): asymptotically-stable" in stdout
         assert "Theorem 4" not in stdout and sorted(files) == ["stationary.csv", "theorems.json"]
 
-    @pytest.mark.parametrize("eta, code", [(1e-8, 3), (1e-3, 0)], ids=["steep", "resolved"])
+    @pytest.mark.parametrize(
+        "eta, code", [(1e-8, 3), (1e-3, 0), (1e-4, 0)],
+        ids=["steep", "resolved", "steep-but-resolved"],
+    )
     def test_a_root_that_is_not_at_rest_exits_3(self, tmp_path, capsys, eta, code):
         # at eta 1e-8 the logit response is a step that floats cannot
-        # resolve, and the search's root near p = 1/3 has residual 0.67; at
-        # eta 1e-3 every residual is below 1e-6
+        # resolve, and the search's root near p = 1/3 has residual 0.67 at
+        # slope product 0; at eta 1e-3 every residual is below 1e-6, and at
+        # eta 1e-4 the saddle's residual 1.1e-5 fits its slope product
+        # 4.4e7 times the bisection width
         out = tmp_path / "out"
         conf = write_config(tmp_path, {"command": "analyze", "environment": _logit(eta=eta)})
         assert main(["analyze", "--config", conf, "--out", str(out)]) == code
