@@ -10,18 +10,20 @@ only the flags of the config fields it reads, each overriding its field:
 analyze, phase, sweep and normalize take no other flag; a flag that a
 subcommand does not take exits 2.  ``_FIELDS`` is the one table of each
 command's fields, their parsers and defaults and the run flags' types
-and help; the oracle reads those of its "mode".  Every config object
-names only keys its reader reads (the top level, flags included: its
-command's fields, "command" and "out"); any other key exits 2, naming
-the nearest known key, so --tmax or --dt on a response-mode oracle run
-exits 2.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure: a non-finite state, or a stationary state whose residual
-does not fit the bisection at its slope (``analysis._stationary_search``),
-as a logit response too steep for floats gives (eta 1e-8), where sweep
-flags the row "numeric-failure" instead.  A command makes the output
-directory and writes its files only after it has run, so a run that
-exits 2 or 3 leaves neither; an --out that names a file, or a path
-under one, exits 2 before the command runs.
+and help; the oracle reads those of its "mode", and a sweep those of its
+"type" (``_SWEEPS``).  ``config.read`` reads each config object from its
+table, so an object names only keys its reader reads (the top level,
+flags included: its command's fields, "command" and "out"); any other
+key exits 2, naming the nearest known key, so --tmax or --dt on a
+response-mode oracle run exits 2.  Exit codes: 0 success, 2
+configuration error, 3 numeric failure: a non-finite state, or a
+stationary state whose residual does not fit the bisection at its slope
+(``analysis._stationary_search``), as a logit response too steep for
+floats gives (eta 1e-8), where sweep flags the row "numeric-failure"
+instead.  A command makes the output directory and writes its files
+only after it has run, so a run that exits 2 or 3 leaves neither; an
+--out that names a file, or a path under one, exits 2 before the
+command runs.
 
 basins labels each cell with the stationary state its center converges
 to, a limit of the dynamics read off the stationary analysis (see
@@ -62,8 +64,8 @@ sweep.csv has one row per swept value with the columns
 Theorem 4 concerns two populations with u1 >= 1, so its columns read
 "n/a" on one-population rows and rows with u1 < 1.  A flagged row leaves
 every column but value and flag empty.  A sweep has at most
-MAX_SWEEP_VALUES (10,000) values, each rounded to 12 digits and larger
-than the one before.
+MAX_SWEEP_VALUES (10,000) values, each rounded to 12 significant digits
+and larger than the one before.
 
 oracle.csv in response mode has one row per population, in population
 order, under the header p,estimate,standard_error; population i draws
@@ -89,7 +91,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -97,7 +99,7 @@ from . import analysis as an
 from . import config as cfg
 from . import svg as svgmod
 from .analysis import System
-from .config import ConfigError
+from .config import ConfigError, Field
 from .dynamics import MAX_SAMPLE_SIZE
 from .extensions import Observation, contracting_pure_stability
 # estimate_basins, the every-cell reference of label_basins, is not called
@@ -117,16 +119,6 @@ MAX_BASIN_CELLS = 10**6
 
 # Largest oracle population size and response-mode sample count.
 MAX_ORACLE_DRAWS = 10**8
-
-
-def _number(kind: type, least: float, most: float = math.inf):
-    """The parser of numbers of ``kind``, int or float, in [least, most]."""
-    def parse(value, key: str):
-        number = cfg._integer({key: value}, key, "config") if kind is int else value
-        if not (cfg._is_number(number) and least <= number <= most):
-            raise ConfigError(f"'{key}' must lie in [{least}, {most}], got {value!r}")
-        return kind(number)
-    return parse
 
 
 def _shares(value, key: str):
@@ -152,54 +144,61 @@ def _object(value, key: str) -> Mapping:
     return value
 
 
-def _mode(value, key: str) -> str:
-    if not (isinstance(value, str) and value in _ORACLE_MODES):
-        raise ConfigError(f"unknown oracle mode {value!r}")
+def _sweep(value, key: str) -> dict:
+    """The sweep, read from the table of its "type"."""
+    sweep_type = _object(value, key).get("type")
+    return cfg.read(value, _sweep_type(sweep_type, "type"), f"a {sweep_type} sweep")
+
+
+def _as_is(value, key: str):
+    """A value checked before its object is read: the command, and the oracle
+    mode and sweep type, which pick their object's table."""
     return value
-
-
-class _Field(NamedTuple):
-    parse: Callable  # (value, key) -> the checked, typed value
-    default: Any = ...  # ... when the config must set the field
-    flag: tuple[type, str] | None = None  # a run flag's type and help
 
 
 # perfbench's tracer wraps config's functions in the module, so the parsers
 # call them through it at run time rather than hold them in the table
-_ENVIRONMENT = _Field(lambda value, key: cfg.parse_environment(value))
-_share, _INITIAL = _number(float, 0.0, 1.0), _Field(_shares, None)
+_ENVIRONMENT = Field(lambda value, key: cfg.parse_environment(value))
+_share, _INITIAL = cfg.number(float, 0.0, 1.0), Field(_shares, None)
 _TMAX, _DT = (float, "integration horizon"), (float, "integration step size")
-_TIME = _number(float, 0.0)  # _horizon keeps tmax and dt positive and finite
-_ORACLE = {"environment": _ENVIRONMENT, "seed": _Field(_number(int, 0), 0, (int, "random seed")),
-           "mode": _Field(_mode, "population")}
+_TIME = cfg.number(float, 0.0)  # _horizon keeps tmax and dt positive
+_SIZE = Field(cfg.number(int, 1, MAX_SAMPLE_SIZE))  # a sample size
+_ORACLE = {"environment": _ENVIRONMENT, "seed": Field(cfg.number(int, 0), 0, (int, "random seed")),
+           "mode": Field(_as_is, "population")}
 
 # Each command's fields: the keys its config may name besides "command" and
 # "out", and the flags its subcommand takes besides --config and --out.
 _FIELDS = {
     "analyze": {"environment": _ENVIRONMENT,
-                "big_k": _Field(_number(int, 1, MAX_SAMPLE_SIZE), 1000),
-                "search_alpha_step": _Field(_number(float, an.ALPHA_STEP, 0.5), 0.1)},
+                "big_k": _SIZE._replace(default=1000),
+                "search_alpha_step": Field(cfg.number(float, an.ALPHA_STEP, 0.5), 0.1)},
     "phase": {"environment": _ENVIRONMENT,
-              "samples": _Field(_number(int, 2, MAX_PHASE_SAMPLES), 601),
-              "quiver": _Field(_number(int, 0, math.isqrt(MAX_PHASE_SAMPLES)), 15)},
+              "samples": Field(cfg.number(int, 2, MAX_PHASE_SAMPLES), 601),
+              "quiver": Field(cfg.number(int, 0, math.isqrt(MAX_PHASE_SAMPLES)), 15)},
     "trajectory": {"environment": _ENVIRONMENT, "initial": _INITIAL,
-                   "tmax": _Field(_TIME, 200.0, _TMAX), "dt": _Field(_TIME, 0.01, _DT)},
+                   "tmax": Field(_TIME, 200.0, _TMAX), "dt": Field(_TIME, 0.01, _DT)},
     "basins": {"environment": _ENVIRONMENT,
-               "resolution": _Field(_number(int, 2), 101, (int, "grid resolution per axis")),
-               "tmax": _Field(_TIME, 200.0, _TMAX), "dt": _Field(_TIME, 0.01, _DT)},
+               "resolution": Field(cfg.number(int, 2), 101, (int, "grid resolution per axis")),
+               "tmax": Field(_TIME, 200.0, _TMAX), "dt": Field(_TIME, 0.01, _DT)},
     # the oracle's dt is a replacement probability per step
-    "oracle": {**_ORACLE, "tmax": _Field(_TIME, 50.0, _TMAX), "dt": _Field(_share, 0.01, _DT),
-               "initial": _INITIAL, "n": _Field(_number(int, 100, MAX_ORACLE_DRAWS), 10**5)},
-    "sweep": {"environment": _Field(_object), "sweep": _Field(_object)},
-    "normalize": {"game": _Field(lambda value, key: cfg.parse_game(
+    "oracle": {**_ORACLE, "tmax": Field(_TIME, 50.0, _TMAX), "dt": Field(_share, 0.01, _DT),
+               "initial": _INITIAL, "n": Field(cfg.number(int, 100, MAX_ORACLE_DRAWS), 10**5)},
+    "sweep": {"environment": Field(_object), "sweep": Field(_sweep)},
+    "normalize": {"game": Field(lambda value, key: cfg.parse_game(
         cfg._closed(value, cfg._GAME_FORMS, f"'{key}'"), key))},
 }
 # The oracle reads the fields of its mode; its flags are population mode's.
 _ORACLE_MODES = {"population": _FIELDS["oracle"],
-                 "response": {**_ORACLE, "p": _Field(_share, 0.5),
-                              "samples": _Field(_number(int, 1, MAX_ORACLE_DRAWS), 10**5)}}
-# the fields each sweep type reads besides type, start, stop and step
-_SWEEP_FIELDS = {"u": (), "alpha": ("big_k",), "theta-mass": ("k", "big_k")}
+                 "response": {**_ORACLE, "p": Field(_share, 0.5),
+                              "samples": Field(cfg.number(int, 1, MAX_ORACLE_DRAWS), 10**5)}}
+# The fields of each sweep type.
+_RANGE = {"type": Field(_as_is),
+          **dict.fromkeys(("start", "stop", "step"), Field(cfg.number(float)))}
+_SWEEPS = {"u": _RANGE, "alpha": {**_RANGE, "big_k": _SIZE},
+           "theta-mass": {**_RANGE, "k": _SIZE, "big_k": _SIZE}}
+# the oracle's mode and a sweep's type each pick the table of their object
+_oracle_mode = cfg.choice(_ORACLE_MODES, "oracle mode")
+_sweep_type = cfg.choice(_SWEEPS, "sweep type")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,16 +227,11 @@ def _merged_config(args: argparse.Namespace) -> dict:
             f"config is for command {conf['command']!r}, invoked as {command!r}"
         )
     fields = _FIELDS[command]
-    if command == "oracle" and "mode" in conf:
-        fields = _ORACLE_MODES[_mode(conf["mode"], "mode")]
+    if command == "oracle":
+        fields = _oracle_mode(conf.get("mode", "population"), "mode")
     conf.update(flags)  # a flag of population mode is a key that response mode does not read
-    cfg._closed(conf, ("command", "out", *fields), f"the {command} config")
-    missing = [key for key, field in fields.items() if field.default is ... and key not in conf]
-    if missing:
-        raise ConfigError(f"missing '{missing[0]}' in config")
-    return {"out": _path(conf["out"], "out") if "out" in conf else None,
-            **{key: field.parse(conf[key], key) if key in conf else field.default
-               for key, field in fields.items()}}
+    return cfg.read(conf, {"command": Field(_as_is, None), "out": Field(_path, None), **fields},
+                    f"the {command} config")
 
 
 def _out_dir(conf: dict) -> Path:
@@ -480,18 +474,15 @@ MAX_SWEEP_VALUES = 10_000
 
 
 def _sweep_values(spec: dict) -> list[float]:
-    start = cfg._number(spec, "start", "sweep")
-    stop = cfg._number(spec, "stop", "sweep")
-    step = cfg._number(spec, "step", "sweep")
-    if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise ConfigError(f"sweep start, stop and step must be finite, got {start}, {stop}, {step}")
+    start, stop, step = spec["start"], spec["stop"], spec["step"]
     if step <= 0 or stop < start:
         raise ConfigError("sweep needs step > 0 and stop >= start")
     values = []
     i = 0
     while True:
-        v = round(start + i * step, 12)
-        if v > stop + 1e-12:
+        # rounded, as stop is, to the 12 significant digits that sweep.csv writes
+        v = float(cfg.fmt(start + i * step))
+        if v > float(cfg.fmt(stop)):
             break
         if values and not v > values[-1]:
             raise ConfigError(f"sweep step {step!r} does not advance past {values[-1]!r}")
@@ -504,11 +495,6 @@ def _sweep_values(spec: dict) -> list[float]:
 
 def cmd_sweep(conf: dict) -> Callable[[Path], None]:
     spec = conf["sweep"]
-    sweep_type = spec.get("type")
-    if not (isinstance(sweep_type, str) and sweep_type in _SWEEP_FIELDS):
-        raise ConfigError(f"unknown sweep type {sweep_type!r}")
-    cfg._closed(spec, ("type", "start", "stop", "step", *_SWEEP_FIELDS[sweep_type]),
-                f"a {sweep_type} sweep")
     rows = []
 
     def swept_system(swept: dict) -> System:
@@ -543,29 +529,21 @@ def cmd_sweep(conf: dict) -> Callable[[Path], None]:
             "",
         ]
 
-    if sweep_type == "u":
-        for u in _sweep_values(spec):
-            if u <= 0:
-                raise ConfigError(f"u {u} must be positive")
+    if spec["type"] == "u":
+        for u in _sweep_values(spec):  # the game rejects a u that is not positive
             rows.append(analyze_env(swept_system({"u": u}), u))
     else:
-        big_k, swept = cfg._integer(spec, "big_k", "sweep"), {}
-        if sweep_type == "theta-mass":
-            k = cfg._integer(spec, "k", "sweep")
-            if min(k, big_k) < 1 or max(k, big_k) > MAX_SAMPLE_SIZE or k == big_k:
-                raise ConfigError("sweep 'k' and 'big_k' must be distinct positive integers "
-                                  f"of at most {MAX_SAMPLE_SIZE}")
-            # theta mass beta on k is the alpha sweep of theta {k: 1}
-            swept = {"theta": {str(k): 1.0}}
+        big_k = spec["big_k"]
+        # theta mass beta on k is the alpha sweep of theta {k: 1}
+        swept = {"theta": {str(spec["k"]): 1.0}} if spec["type"] == "theta-mass" else {}
         base = swept_system(swept)
-        if not 1 <= big_k <= MAX_SAMPLE_SIZE or any(big_k in w.theta.support
-                                                     for w in base.responses):
-            raise ConfigError(f"sweep 'big_k' must lie in [1, {MAX_SAMPLE_SIZE}] and outside "
-                              f"theta's support, got {spec['big_k']!r}")
+        if any(big_k in w.theta.support for w in base.responses):
+            raise ConfigError(f"sweep 'big_k' must lie outside theta's support, got {big_k!r}")
         for alpha in _sweep_values(spec):
-            if not (0.0 < alpha < 1.0):
-                raise ConfigError(f"{sweep_type} {alpha} outside (0, 1)")
-            mixed = System(tuple(w.mix_with(alpha, big_k) for w in base.responses))
+            try:  # alpha in (0, 1), and no mass it scales rounds to 0
+                mixed = System(tuple(w.mix_with(alpha, big_k) for w in base.responses))
+            except ValueError as exc:
+                raise ConfigError(f"{spec['type']} {alpha}: {exc}") from None
             rows.append(analyze_env(mixed, alpha))
 
     header = "value,n_stationary,n_interior,stable_interior,thm4_part1,thm4_part2,flag"

@@ -16,23 +16,27 @@ Environment objects:
                               "observation": "minimum-effort"}, "theta": ...}
 
 An environment sets its game in one form (a second is an error), and
-names only keys that its model reads (``_MODEL_KEYS``); so does each
-object nested in it, as every config object does (``_closed``).  A matrix is
-read in its own labels, as "u1"/"u2" with its reduced payoffs; only
-normalize relabels it to the canonical u1 >= 1, reporting "labels_swapped".
-Sample size distributions use string keys ({"1": 0.5}); tie_break is
-"favor-a" or "favor-b".  CSVs are comma separated with "." decimals, a
-header row, and LF line endings; floats print with 12 significant
-digits so reruns are byte identical.
+names only keys that its model reads (``_MODEL_KEYS``); normalize's
+"game" names only game forms (``_GAME_FORMS``).  ``read`` reads every
+other config object from its table of fields: the object names only the
+table's keys, each parsed by its field's parser, such as ``number``,
+which keeps an integer exact.  A matrix is read in its own labels, as
+"u1"/"u2" with its reduced payoffs; only normalize relabels it to the
+canonical u1 >= 1, reporting "labels_swapped".  Sample size
+distributions use string keys ({"1": 0.5}); tie_break is "favor-a" or
+"favor-b".  CSVs are comma separated with "." decimals, a header row,
+and LF line endings; floats print with 12 significant digits so reruns
+are byte identical.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,7 +101,7 @@ def load_config(path: str | Path) -> dict:
 
 def _require(obj: Mapping, key: str, context: str):
     if key not in obj:
-        raise ConfigError(f"missing field '{key}' in {context}")
+        raise ConfigError(f"missing '{key}' in {context}")
     return obj[key]
 
 
@@ -113,31 +117,59 @@ def _closed(obj: Any, known, context: str) -> Mapping:
     return obj
 
 
-def _is_number(value: Any) -> bool:
-    # an int past the float range is no number: converting it overflows
-    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                        and abs(value) <= float(np.finfo(float).max))
+class Field(NamedTuple):
+    """One field of a config object's table, which ``read`` reads."""
+
+    parse: Callable  # (value, key) -> the checked, typed value
+    default: Any = ...  # ... when the config must set the field
+    flag: tuple[type, str] | None = None  # a run flag's type and help
 
 
-def _number(obj: Mapping, key: str, context: str) -> float:
-    value = _require(obj, key, context)
-    if not _is_number(value):
-        raise ConfigError(f"field '{key}' in {context} must be a number")
-    return float(value)
+def read(obj: Any, fields: Mapping[str, Field], context: str) -> dict:
+    """The ``fields`` of the config object ``obj``: each parsed, or its
+    default where ``obj`` does not name it.  ``obj`` names only the keys of
+    ``fields``, and every field that has no default."""
+    _closed(obj, fields, context)
+    if missing := [key for key, field in fields.items() if field.default is ... and key not in obj]:
+        raise ConfigError(f"missing '{missing[0]}' in {context}")
+    return {key: field.parse(obj[key], key) if key in obj else field.default
+            for key, field in fields.items()}
 
 
-def _numbers(obj: Mapping, key: str, context: str) -> tuple[float, ...]:
-    value = _require(obj, key, context)
-    if not (isinstance(value, list) and all(_is_number(v) for v in value)):
-        raise ConfigError(f"field '{key}' in {context} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+def number(kind: type, least: float = -math.inf, most: float = math.inf):
+    """The parser of finite numbers of ``kind``, int or float, in [least,
+    most]: an int that is not a bool, or a float, integral if ``kind`` is
+    int.  An int keeps its exact value; one past the float range is no
+    number."""
+    what = "an integer" if kind is int else "a finite number"
+    bounds = f" in [{least}, {most}]" if (least, most) != (-math.inf, math.inf) else ""
+
+    def parse(value, key: str):
+        integral = kind is int and isinstance(value, float) and value.is_integer()
+        number = int(value) if integral else value
+        if not (isinstance(number, (kind, int)) and not isinstance(number, bool)
+                and abs(number) <= _LARGEST and least <= number <= most):
+            raise ConfigError(f"'{key}' must be {what}{bounds}, got {value!r}")
+        return kind(number)
+    return parse
 
 
-def _integer(obj: Mapping, key: str, context: str) -> int:
-    value = _number(obj, key, context)
-    if not value.is_integer():
-        raise ConfigError(f"field '{key}' in {context} must be an integer, got {value!r}")
-    return int(value)
+def choice(options: Mapping[str, Any], what: str):
+    """The parser of a string that names one of ``options``: the option."""
+    def parse(value, key: str):
+        if not (isinstance(value, str) and value in options):
+            raise ConfigError(f"invalid {what} {value!r}: not one of {', '.join(options)}")
+        return options[value]
+    return parse
+
+
+_LARGEST, _REAL = float(np.finfo(float).max), number(float)
+
+
+def _reals(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list of numbers, got {value!r}")
+    return tuple(_REAL(v, key) for v in value)
 
 
 def parse_theta(obj: Any, context: str = "theta") -> SampleSizeDistribution:
@@ -152,25 +184,30 @@ def parse_theta(obj: Any, context: str = "theta") -> SampleSizeDistribution:
             raise ConfigError(f"{context} keys must be integer strings, got {key!r}")
         if k in keys:
             raise ConfigError(f"{context} keys {keys[k]!r} and {key!r} name one sample size {k}")
-        if not _is_number(value):
-            raise ConfigError(f"{context}[{key}] must be a number")
-        masses[k], keys[k] = float(value), key
+        masses[k], keys[k] = _REAL(value, f"{context}[{key}]"), key
     try:
         return SampleSizeDistribution.of(masses)
     except ValueError as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
+# The fields of each object nested in an environment.  A matrix names the
+# column player's payoffs, v11 to v22, all four or none.
+_MATRIX = {key: Field(_REAL, None if key[0] == "v" else ...)
+           for key in ("u11", "u12", "u21", "u22", "v11", "v12", "v21", "v22")}
+_HAWK_DOVE = {"g": Field(_REAL), "l": Field(_REAL)}
+_LOGIT_GROUP = {"mass": Field(_REAL), "eta": Field(_REAL)}
+_CONTRACTING = {"M": Field(number(int), None), "diag1": Field(_reals), "diag2": Field(_reals)}
+_MINEFFORT = {"N": Field(number(int)), "c": Field(_REAL),
+              "observation": Field(choice({o.value: o for o in Observation}, "observation"),
+                                   Observation.MINIMUM_EFFORT)}
+
+
 def parse_logit_groups(obj: Any, context: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{context} must be a non-empty list of groups")
-    groups = []
-    for i, entry in enumerate(obj):
-        _closed(entry, ("mass", "eta"), f"{context}[{i}]")
-        groups.append(
-            (_number(entry, "mass", f"{context}[{i}]"), _number(entry, "eta", f"{context}[{i}]"))
-        )
-    return tuple(groups)
+    return tuple(tuple(read(entry, _LOGIT_GROUP, f"{context}[{i}]").values())
+                 for i, entry in enumerate(obj))
 
 
 def parse_game(obj: Mapping, context: str = "environment") -> CoordinationGame:
@@ -180,22 +217,18 @@ def parse_game(obj: Mapping, context: str = "environment") -> CoordinationGame:
         raise ConfigError(f"'{context}' sets the game in more than one form: {', '.join(forms)}")
     try:
         if "matrix" in obj:
-            m = _closed(obj["matrix"], _MATRIX_KEYS, "'matrix'")
-            us = {k: _number(m, k, "matrix") for k in _MATRIX_KEYS[:4]}
-            if any(k in m for k in _MATRIX_KEYS[4:]):
-                vs = {k: _number(m, k, "matrix") for k in _MATRIX_KEYS[4:]}
-                return normalize_general(OriginalGameMatrix(**us, **vs))
-            return normalize_symmetric(OriginalGameMatrix(**us))
+            m = read(obj["matrix"], _MATRIX, "'matrix'")
+            if unset := [key for key, value in m.items() if value is None]:
+                if len(unset) < 4:
+                    raise ConfigError(f"missing '{unset[0]}' in 'matrix'")
+                return normalize_symmetric(OriginalGameMatrix(**m))
+            return normalize_general(OriginalGameMatrix(**m))
         if "hawk_dove" in obj:
-            hd = _closed(obj["hawk_dove"], ("g", "l"), "'hawk_dove'")
-            return normalize_hawk_dove(
-                HawkDoveGame(_number(hd, "g", "hawk_dove"), _number(hd, "l", "hawk_dove"))
-            )
+            return normalize_hawk_dove(HawkDoveGame(**read(obj["hawk_dove"], _HAWK_DOVE,
+                                                           "'hawk_dove'")))
         if "u" in obj:
-            u = _number(obj, "u", context)
-            return CoordinationGame.symmetric(u)
-        u1 = _number(obj, "u1", context)
-        u2 = _number(obj, "u2", context)
+            return CoordinationGame.symmetric(_REAL(obj["u"], "u"))
+        u1, u2 = (_REAL(_require(obj, key, context), key) for key in ("u1", "u2"))
         return CoordinationGame(u1, u2)
     except (NormalizationError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -226,19 +259,25 @@ class EnvSpec:
         raise ConfigError(f"{self.kind} environments do not define scalar/pair dynamics")
 
 
+# An environment's keys come in one-of groups (the game form, "theta" or
+# "theta1"/"theta2", "logit" or "logit1"/"logit2"), so it is closed on the
+# keys of its model and read by hand.
 _GAME_FORMS, _LOGIT = ("matrix", "hawk_dove", "u", "u1", "u2"), ("logit", "logit1", "logit2")
-_MATRIX_KEYS = ("u11", "u12", "u21", "u22", "v11", "v12", "v21", "v22")
 _MODEL_KEYS = {  # the environment keys each model reads
     "contracting": ("contracting", "theta1", "theta2"), "mineffort": ("mineffort", "theta"),
     "logit": _GAME_FORMS + _LOGIT,
     "sampling": _GAME_FORMS + ("theta", "theta1", "theta2", "tie_break"),
 }
+_TIE_BREAK = choice({rule.value: rule for rule in TieBreak}, "tie_break")
+
+
+def _thetas(obj: Mapping, keys: tuple[str, ...]) -> tuple[SampleSizeDistribution, ...]:
+    return tuple(parse_theta(_require(obj, key, "environment"), key) for key in keys)
 
 
 def parse_environment(obj: Any) -> EnvSpec:
     if not isinstance(obj, Mapping):
         raise ConfigError("'environment' must be an object")
-    context = "environment"
     kind = next((k for k in ("contracting", "mineffort") if k in obj),
                 "logit" if any(k in obj for k in _LOGIT) else "sampling")
     _closed(obj, _MODEL_KEYS[kind], f"a {kind} environment")
@@ -248,64 +287,46 @@ def parse_environment(obj: Any) -> EnvSpec:
         raise ConfigError("'logit' (both populations) cannot be combined with 'logit1'/'logit2'")
 
     if kind == "contracting":
-        c = _closed(obj["contracting"], ("M", "diag1", "diag2"), "'contracting'")
-        diag1 = _numbers(c, "diag1", "contracting")
-        diag2 = _numbers(c, "diag2", "contracting")
+        c = read(obj["contracting"], _CONTRACTING, "'contracting'")
         try:
-            game = ContractingGame(diag1, diag2)
+            game = ContractingGame(c["diag1"], c["diag2"])
         except ValueError as exc:
             raise ConfigError(f"invalid contracting game: {exc}") from exc
         if not game.is_generic():
             raise ConfigError("invalid contracting game: two equilibria share a payoff profile")
-        if "M" in c and _integer(c, "M", "contracting") != game.M:
+        if c["M"] not in (None, game.M):
             raise ConfigError(f"'M' = {c['M']} does not match diagonal length {game.M}")
-        theta1 = parse_theta(_require(obj, "theta1", context), "theta1")
-        theta2 = parse_theta(_require(obj, "theta2", context), "theta2")
-        return EnvSpec(
-            kind="contracting",
-            one_population=False,
-            contracting=game,
-            thetas=(theta1, theta2),
-        )
+        return EnvSpec(kind="contracting", one_population=False, contracting=game,
+                       thetas=_thetas(obj, ("theta1", "theta2")))
 
     if kind == "mineffort":
-        me = _closed(obj["mineffort"], ("N", "c", "observation"), "'mineffort'")
+        me = read(obj["mineffort"], _MINEFFORT, "'mineffort'")
         try:
-            game = MinEffortGame(
-                n_players=_integer(me, "N", "mineffort"),
-                cost=_number(me, "c", "mineffort"),
-                observation=Observation(me.get("observation", "minimum-effort")),
-            )
-        except (TypeError, ValueError) as exc:
+            game = MinEffortGame(me["N"], me["c"], me["observation"])
+        except ValueError as exc:
             raise ConfigError(f"invalid minimum-effort game: {exc}") from exc
-        theta = parse_theta(_require(obj, "theta", context), "theta")
-        return EnvSpec(
-            kind="mineffort", one_population=True, mineffort=game, thetas=(theta,)
-        )
+        return EnvSpec(kind="mineffort", one_population=True, mineffort=game,
+                       thetas=_thetas(obj, ("theta",)))
 
-    game = parse_game(obj, context)
+    game = parse_game(obj)
 
     if kind == "logit":
         if "logit" in obj:
             groups1 = groups2 = parse_logit_groups(obj["logit"], "logit")
         else:
-            groups1 = parse_logit_groups(_require(obj, "logit1", context), "logit1")
-            groups2 = parse_logit_groups(_require(obj, "logit2", context), "logit2")
+            groups1, groups2 = (parse_logit_groups(_require(obj, key, "environment"), key)
+                                for key in ("logit1", "logit2"))
         try:
             pair = ResponsePair.logit(game, groups1, groups2)
         except ValueError as exc:
             raise ConfigError(f"invalid logit groups: {exc}") from exc
         return EnvSpec(kind="logit", one_population=False, pair=pair)
 
-    try:
-        tie = TieBreak(obj.get("tie_break", TieBreak.FAVOR_A))
-    except ValueError as exc:
-        raise ConfigError(f"invalid tie_break: {obj['tie_break']!r}") from exc
+    tie = _TIE_BREAK(obj.get("tie_break", TieBreak.FAVOR_A.value), "tie_break")
     one = "theta" in obj
     if one and not game.is_symmetric:
         raise ConfigError("one-population environments need a symmetric game")
-    keys = ("theta",) if one else ("theta1", "theta2")
-    thetas = tuple(parse_theta(_require(obj, key, context), key) for key in keys)
+    thetas = _thetas(obj, ("theta",) if one else ("theta1", "theta2"))
     env = Environment(game, thetas[0], thetas[-1], tie)
     return EnvSpec(kind="sampling", one_population=one, environment=env, thetas=thetas)
 

@@ -202,8 +202,10 @@ class TestAnalyze:
             ({**FIG3_RIGHT, "theta": {"2": 1.0}}, "'theta'"),
             ({"contracting": 5, "theta1": {"1": 1.0}, "theta2": {"1": 1.0}}, "'contracting'"),
             ({"hawk_dove": [0.04, 0.2], "theta": {"2": 1.0}}, "'hawk_dove'"),
-            (_contracting([math.nan, 2, 1]), "finite and positive"),
-            (_contracting([math.inf, 2, 1]), "finite and positive"),
+            ({"matrix": {"u11": 3, "u12": 1, "u21": 1, "u22": 2, "v11": 3},
+              "theta1": {"2": 1.0}, "theta2": {"2": 1.0}}, "missing 'v12' in 'matrix'"),
+            (_contracting([math.nan, 2, 1]), "'diag1' must be a finite number"),
+            (_contracting([math.inf, 2, 1]), "'diag1' must be a finite number"),
             (_contracting([4, 2, -1]), "finite and positive"),
             (_contracting("421"), "'diag1'"),
             (_contracting([True, 2, 1]), "'diag1'"),
@@ -211,9 +213,9 @@ class TestAnalyze:
             ({**FIG3_RIGHT, "u1": 1e-320}, "finite reciprocal"),
             # ubar/u overflows in the pure-state conditions
             (_contracting([4, 5e-324, 1]), "ratios must be finite"),
-            (_logit(eta=math.nan), "noise level"),
-            (_logit(eta=math.inf), "noise level"),
-            (_logit(mass=math.nan), "group mass"),
+            (_logit(eta=math.nan), "'eta' must be a finite number"),
+            (_logit(eta=math.inf), "'eta' must be a finite number"),
+            (_logit(mass=math.nan), "'mass' must be a finite number"),
             # scipy's incomplete beta is NaN at sizes near 1e18
             ({"u": 1.2, "theta": {"1000000000000000000000": 1.0}}, "at most 1000000"),
             ({**FIG3_RIGHT, "theta2": {"1": 0.5, "1000001": 0.5}}, "at most 1000000"),
@@ -242,7 +244,7 @@ class TestAnalyze:
         ],
         ids=["missing-u2", "fractional-N", "non-numeric-M", "theta-and-theta1",
              "theta-and-theta2", "contracting-not-object", "hawk-dove-not-object",
-             "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
+             "part-of-a-column-player", "nan-payoff", "infinite-payoff", "negative-payoff", "string-payoffs",
              "bool-payoff", "subnormal-payoff", "subnormal-contracting-payoff",
              "nan-logit-eta", "infinite-logit-eta", "nan-logit-mass", "huge-theta-key",
              "theta-key-past-max-sample-size", "two-game-forms", "tied-contracting-game",
@@ -664,6 +666,26 @@ class TestOracleCommand:
         one = (tmp_path / "one" / "oracle.csv").read_text().splitlines()
         assert one == lines[:3]
 
+    @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+    @pytest.mark.parametrize("mode", ["population", "response"])
+    def test_a_seed_past_2_53_keeps_every_digit(self, tmp_path, mode, by_flag):
+        # read through a float, seed 2**53 + 1 ran, and was written, as 2**53
+        fields = {"n": 500, "tmax": 1, "dt": 0.1} if mode == "population" else {"samples": 100}
+
+        def run(seed):
+            conf = {"command": "oracle", "environment": ONE_POP, "mode": mode, **fields}
+            if not by_flag:
+                conf["seed"] = seed
+            out = tmp_path / str(seed)
+            out.mkdir()
+            argv = ["oracle", "--config", write_config(out, conf), "--out", str(out)]
+            assert main(argv + (["--seed", str(seed)] if by_flag else [])) == 0
+            return (out / "oracle.csv").read_text()
+
+        exact = run(2**53 + 1)
+        assert exact.startswith("# seed=9007199254740993 ")
+        assert exact.split("\n", 1)[1] != run(2**53).split("\n", 1)[1]
+
 
 class TestSweep:
     def test_theta_mass_indicator(self, tmp_path):
@@ -779,21 +801,21 @@ class TestSweep:
             ({"u": 1.5}, {"step": 1e-300}, "does not advance"),
             ({"u": 1.5}, {"step": 1e-13}, "does not advance"),
             ({"u": 1.5}, {"step": 1e-5}, "more than 10000 values"),
-            ({"u": 1.5}, {"step": math.inf}, "must be finite"),
-            ({"u": 1.5}, {"start": math.nan}, "must be finite"),
-            ({"u": 1.5}, {"stop": -math.inf}, "must be finite"),
-            (ONE_POP, {"type": "u", "step": math.inf}, "must be finite"),
+            ({"u": 1.5}, {"step": math.inf}, "'step' must be a finite number"),
+            ({"u": 1.5}, {"start": math.nan}, "'start' must be a finite number"),
+            ({"u": 1.5}, {"stop": -math.inf}, "'stop' must be a finite number"),
+            (ONE_POP, {"type": "u", "step": math.inf}, "'step' must be a finite number"),
             (3, {}, "must be an object"),
             (1e300, {}, "must be an object"),
             (True, {}, "must be an object"),
-            ({"u": 1.5}, {"k": 0}, "distinct positive integers"),
-            ({"u": 1.5}, {"k": -1}, "distinct positive integers"),
-            ({"u": 1.5}, {"big_k": -5}, "distinct positive integers"),
-            # the masses' dict would collapse onto one key
-            ({"u": 1.5}, {"k": 5}, "distinct positive integers"),
+            ({"u": 1.5}, {"k": 0}, "'k' must be an integer in [1, 1000000]"),
+            ({"u": 1.5}, {"k": -1}, "'k' must be an integer in [1, 1000000]"),
+            ({"u": 1.5}, {"big_k": -5}, "'big_k' must be an integer in [1, 1000000]"),
+            # k = big_k: the masses' dict would collapse onto one key
+            ({"u": 1.5}, {"k": 5}, "outside theta's support"),
             (FIG3_RIGHT, {"type": "alpha"}, "outside theta's support"),
-            ({"u": 1.5}, {"big_k": 1e308}, "of at most 1000000"),
-            ({"u": 1.5}, {"k": 10**6 + 1}, "of at most 1000000"),
+            ({"u": 1.5}, {"big_k": 1e308}, "'big_k' must be an integer in [1, 1000000]"),
+            ({"u": 1.5}, {"k": 10**6 + 1}, "'k' must be an integer in [1, 1000000]"),
             (FIG3_RIGHT, {"type": "alpha", "big_k": 1e308}, "in [1, 1000000]"),
             (FIG3_RIGHT, {"type": "alpha", "big_k": 10**6 + 1}, "in [1, 1000000]"),
         ],
@@ -817,6 +839,19 @@ class TestSweep:
         assert main(["sweep", "--config", conf]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("environment, sweep", [
+        ({"theta": {"2": 1.0}}, {"type": "u"}),
+        (FIG3_RIGHT, {"type": "alpha", "big_k": 50}),
+    ], ids=["u", "alpha"])
+    def test_a_value_below_1e_12_is_swept(self, tmp_path, environment, sweep):
+        # rounded to 12 decimal places, 1e-13 ran as 0 and exited 2
+        conf = write_config(tmp_path, {
+            "command": "sweep", "environment": environment, "out": str(tmp_path),
+            "sweep": {**sweep, "start": 1e-13, "stop": 1e-13, "step": 0.1}})
+        assert main(["sweep", "--config", conf]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1e-13"]
 
     def test_unknown_type_exits_2(self, tmp_path):
         conf = write_config(
@@ -1003,7 +1038,8 @@ _JSON_VALUES = {"string": "x", "bool": True, "null": None, "list": [0.5], "objec
                 "huge": 10**400}
 # the JSON type each field takes that is not a number field
 _FIELD_TYPES = {"environment": "object", "game": "object", "sweep": "object",
-                "initial": "list", "mode": "string", "type": "string"}
+                "initial": "list", "mode": "string", "type": "string", "diag1": "list",
+                "diag2": "list", "observation": "string", "tie_break": "string"}
 
 
 def _fixture(command, mode=None, sweep=None) -> dict:
@@ -1011,21 +1047,45 @@ def _fixture(command, mode=None, sweep=None) -> dict:
                 and c.get("sweep", {}).get("type") == sweep)
 
 
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _holding(path) -> dict:
+    """The first fixture with an object at ``path``."""
+    for conf in FUZZ_CONFIGS:
+        try:
+            if isinstance(_at(conf, path), dict):
+                return conf
+        except (KeyError, IndexError):
+            pass
+
+
 def _schema_fields():
-    """(fixture, path of the object, key) for every field of every schema:
-    each command's, response mode's and each sweep type's."""
-    for command, fields in cli._FIELDS.items():
-        if command != "sweep":
-            yield from (pytest.param(_fixture(command), (), key, id=f"{command}-{key}")
-                        for key in fields)
-    yield from (pytest.param(_fixture("oracle", "response"), (), key, id=f"oracle-response-{key}")
-                for key in cli._ORACLE_MODES["response"])
-    for sweep, extra in cli._SWEEP_FIELDS.items():
+    """(fixture, path of the object, key) for every field of every table:
+    each command's, response mode's, each sweep type's and each nested
+    object's, and a sampling environment's tie_break."""
+    tables = [(command, _fixture(command), (), fields)
+              for command, fields in cli._FIELDS.items() if command != "sweep"]
+    tables.append(("oracle-response", _fixture("oracle", "response"), (),
+                   cli._ORACLE_MODES["response"]))
+    for sweep, fields in cli._SWEEPS.items():
         conf = _fixture("sweep", sweep=sweep)
-        yield from (pytest.param(conf, (), key, id=f"sweep-{sweep}-{key}")
-                    for key in cli._FIELDS["sweep"])
-        yield from (pytest.param(conf, ("sweep",), key, id=f"sweep-{sweep}-sweep.{key}")
-                    for key in ("type", "start", "stop", "step", *extra))
+        tables += [(f"sweep-{sweep}", conf, (), cli._FIELDS["sweep"]),
+                   (f"sweep-{sweep}", conf, ("sweep",), fields)]
+    # the first fixture with an environment is a sampling one
+    for path, fields in [(("game", "matrix"), cfg._MATRIX), (("game", "hawk_dove"), cfg._HAWK_DOVE),
+                         (("environment", "mineffort"), cfg._MINEFFORT),
+                         (("environment", "contracting"), cfg._CONTRACTING),
+                         (("environment", "logit", 0), cfg._LOGIT_GROUP),
+                         (("environment",), ("tie_break",))]:
+        conf = _holding(path)
+        tables.append((conf["command"], conf, path, fields))
+    for name, conf, path, keys in tables:
+        yield from (pytest.param(conf, path, key, id=f"{name}-{'.'.join(map(str, (*path, key)))}")
+                    for key in keys)
 
 
 @pytest.mark.parametrize("conf, path, key", list(_schema_fields()))
@@ -1034,7 +1094,7 @@ def test_a_value_of_a_type_the_field_does_not_take_exits_2(tmp_path, capsys, con
         if name == _FIELD_TYPES.get(key):
             continue
         bad = copy.deepcopy(conf)
-        (bad[path[0]] if path else bad)[key] = copy.deepcopy(value)
+        _at(bad, path)[key] = copy.deepcopy(value)
         out = tmp_path / name
         assert main([bad["command"], "--config", write_config(tmp_path, bad),
                      "--out", str(out)]) == 2, (key, value)
