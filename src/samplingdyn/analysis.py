@@ -151,8 +151,9 @@ def _bisect_root(g: Callable, lo: float, hi: float, glo: float, ghi: float) -> f
     """Root of g in [lo, hi], where the caller has g's values ``glo`` at lo
     and ``ghi`` at hi, of strict opposite signs.
 
-    The ends are not evaluated again: the scan's array values, and the
-    float values ``_root_beside`` has taken, are the float g's bit for bit.
+    The ends are not evaluated again: the scan's array values are the float
+    g's bit for bit, and the stationary search passes a deflated g its limit
+    at the zero it divides out, where it cannot be evaluated.
     A trial point where g is exactly zero is the root.  The bracket closes
     to at most ``BISECT_WIDTH`` by the Illinois method (Dowell & Jarratt
     1971): false position, halving the value kept at an end that two steps
@@ -294,8 +295,8 @@ def scan_fixed_points(g: Callable) -> list[float]:
     strictly changes sign.
     The rule resolves roots one grid cell apart: two roots within one cell,
     one of them an exact zero, show as one (the stationary search finds the
-    other by its alternation rule), and two roots strictly inside one
-    cell, such as a tangency between grid points, do not show.
+    other from the sign of g' at the zero), and two roots strictly inside
+    one cell, such as a tangency between grid points, do not show.
 
     g is evaluated level by level (``_grid``): at every s-th grid point
     (s = isqrt(n) for n grid steps, and the last point), then at every
@@ -505,59 +506,6 @@ def _state(point, slope_product: float, residual: float) -> StationaryState:
     )
 
 
-def _root_beside(g: Callable[[float], float], r: float, edge: float, negative: bool):
-    """The root of g between its zero r and the grid point ``edge`` next to
-    it, where g is negative just beyond r when ``negative`` (positive when
-    not); None when g at ``edge`` has that sign too or no halved offset
-    from r shows it."""
-    gedge = g(edge)
-    if gedge == 0.0 or (gedge < 0.0) == negative:
-        return None
-    offset = edge - r
-    while abs(offset) > BISECT_WIDTH:
-        offset *= 0.5
-        x = r + offset
-        gx = g(x)
-        if gx == 0.0:
-            return x
-        if (gx < 0.0) == negative:
-            return (_bisect_root(g, x, edge, gx, gedge) if x < edge
-                    else _bisect_root(g, edge, x, gedge, gx))
-    return None
-
-
-def _missed_roots(g: Callable[[float], float], states: list[StationaryState]) -> list[float]:
-    """Roots of g that the scan misses next to an exact zero.
-
-    g = h - id with h nondecreasing, so simple roots alternate between
-    g' < 0 (stable) and g' > 0 (unstable), and two neighbours both
-    strictly stable or both strictly unstable leave a root out between
-    them.  Next to such a neighbour r on the grid, where g is zero, g has
-    the sign of g'(r) just beyond r, and the opposite sign at the next grid
-    point when the root lies in that cell.  An offset from r is halved
-    until g takes the sign of g'(r); that brackets the root against the
-    grid point.  Nothing is evaluated when the states alternate.
-    """
-    found: list[float] = []
-    xs = None
-    for a, b in zip(states, states[1:]):
-        if a.stability != b.stability or a.stability == Stability.MARGINAL:
-            continue
-        if xs is None:
-            xs = _grid()[0]
-        # with g' < 0 at r, g is negative just above r and positive just below
-        falling = a.stability == Stability.STABLE
-        for r, toward in ((a.p1, 1), (b.p1, -1)):
-            i = round(r * (GRID_POINTS - 1))
-            if xs[i] != r:
-                continue
-            root = _root_beside(g, r, float(xs[i + toward]), falling == (toward > 0))
-            if root is not None:
-                found.append(root)
-                break
-    return found
-
-
 def _stationary_search(system: System, scan: tuple | None = None) -> StationaryAnalysis:
     """Roots p1 of w1(w2(p1)) = p1 with p2 = w2(p1), where one population
     has w2 = id, so p2 = p1 and the slope product w1'(p2) * w2'(p1) is w'(p).
@@ -568,6 +516,14 @@ def _stationary_search(system: System, scan: tuple | None = None) -> StationaryA
     evaluates a Python float through the responses' float kernels, clamping
     w2(p) as the checked call does, and an array through the checked
     calls; a row ``scan`` of ``_scan_rows`` on this g can stand in for it.
+
+    The scan cannot see a root in a cell next to its own zero r on the
+    grid.  Where the state at r is not marginal, g has the sign of
+    g'(r) = slope product - 1 just beyond r; a grid neighbour where g has
+    the other sign brackets a root, which ``_bisect_root`` refines on the
+    deflated h(x) = g(x) / (x - r), from h(r) = g'(r) without evaluating h
+    at r.
+
     A bisected root within BISECT_WIDTH of a rest point has residual
     |w1(p2) - p1| at most about |slope product| * BISECT_WIDTH; a state
     whose residual exceeds ``MATCH_TOL`` plus that is no rest point (a
@@ -600,9 +556,27 @@ def _stationary_search(system: System, scan: tuple | None = None) -> StationaryA
         return _state(point, slope, residual)
 
     states = [state_at(p1) for p1 in roots]
-    missed = _missed_roots(g, states)
-    if missed:
-        states = sorted(states + [state_at(p1) for p1 in missed], key=lambda s: s.p1)
+    xs, n = _grid()[0], GRID_POINTS - 1
+    beside = []
+    for s in states:
+        # the scan's zeros are its roots on the grid: a refined root lies
+        # strictly inside its cell
+        i, r, slope = round(s.p1 * n), s.p1, s.slope_product - 1.0
+        if xs[i] != r or s.stability == Stability.MARGINAL:
+            continue
+
+        def h(x, r=r):  # g deflated by its zero r, so h(r) = g'(r) = slope
+            return g(x) / (x - r)
+
+        for j in (i - 1, i + 1):
+            if 0 <= j <= n:
+                edge = float(xs[j])
+                hedge = h(edge)
+                if slope * hedge < 0.0:
+                    beside.append(_bisect_root(h, edge, r, hedge, slope) if j < i
+                                  else _bisect_root(h, r, edge, slope, hedge))
+    if beside:
+        states = sorted(states + [state_at(p1) for p1 in beside], key=lambda s: s.p1)
     return StationaryAnalysis(states=tuple(states))
 
 

@@ -228,12 +228,12 @@ def parse_game(obj: Mapping, context: str = "environment") -> CoordinationGame:
                                                            "'hawk_dove'")))
         if "u" in obj:
             return CoordinationGame.symmetric(_REAL(obj["u"], "u"))
-        u1, u2 = (_REAL(_require(obj, key, context), key) for key in ("u1", "u2"))
+        u1, u2 = (_REAL(_require(obj, key, f"'{context}'"), key) for key in ("u1", "u2"))
         return CoordinationGame(u1, u2)
     except (NormalizationError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"invalid game in {context}: {exc}") from exc
+        raise ConfigError(f"invalid game in '{context}': {exc}") from exc
 
 
 @dataclass
@@ -272,7 +272,7 @@ _TIE_BREAK = choice({rule.value: rule for rule in TieBreak}, "tie_break")
 
 
 def _thetas(obj: Mapping, keys: tuple[str, ...]) -> tuple[SampleSizeDistribution, ...]:
-    return tuple(parse_theta(_require(obj, key, "environment"), key) for key in keys)
+    return tuple(parse_theta(_require(obj, key, "'environment'"), key) for key in keys)
 
 
 def parse_environment(obj: Any) -> EnvSpec:
@@ -314,7 +314,7 @@ def parse_environment(obj: Any) -> EnvSpec:
         if "logit" in obj:
             groups1 = groups2 = parse_logit_groups(obj["logit"], "logit")
         else:
-            groups1, groups2 = (parse_logit_groups(_require(obj, key, "environment"), key)
+            groups1, groups2 = (parse_logit_groups(_require(obj, key, "'environment'"), key)
                                 for key in ("logit1", "logit2"))
         try:
             pair = ResponsePair.logit(game, groups1, groups2)

@@ -49,6 +49,7 @@ class CoordinationGame:
 
     @classmethod
     def symmetric(cls, u: float) -> "CoordinationGame":
+        _require_payoff("u", u)
         return cls(u, u)
 
     @property

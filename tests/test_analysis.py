@@ -696,8 +696,8 @@ class TestScanResolution:
     def test_root_next_to_a_pure_state(self):
         # w1(p) = p, so the states are the roots of w2(p) - p: exactly 0,
         # 7.706e-5 and 1.  The grid's first cell holds the middle one with
-        # no sign change, so the scan shows (0, 0) and (1, 1) as adjacent
-        # stable states, and the alternation rule finds the saddle
+        # no sign change, so the scan shows only (0, 0) and (1, 1); g' < 0
+        # at the zero 0 and g > 0 at the next grid point bracket the saddle
         theta2 = SampleSizeDistribution.of({
             4: 0.24983216337430852, 5: 0.3713036772548215,
             6: 0.2427754812819987, 7: 0.13608867808887123,

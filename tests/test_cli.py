@@ -860,6 +860,17 @@ class TestSweep:
         )
         assert main(["sweep", "--config", conf]) == 2
 
+    def test_a_swept_u_out_of_range_is_named_u(self, tmp_path, capsys):
+        # the config names u alone, so the message must not name u1
+        conf = write_config(tmp_path, {
+            "command": "sweep", "environment": {"theta": {"2": 1}}, "out": str(tmp_path),
+            "sweep": {"type": "u", "start": -1, "stop": 1, "step": 1}})
+        assert main(["sweep", "--config", conf]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid game in 'environment': u must be a "
+                              "positive finite number"), err
+        assert "u1" not in err
+
 
 class TestNormalize:
     def test_hawk_dove(self, tmp_path, capsys):
@@ -884,6 +895,14 @@ class TestNormalize:
         game = {"matrix": {"u11": 1.0, "u12": 2.0, "u21": 0.0, "u22": 1.0}}
         conf = write_config(tmp_path, {"command": "normalize", "game": game})
         assert main(["normalize", "--config", conf]) == 2
+
+    def test_a_game_error_quotes_its_context(self, tmp_path, capsys):
+        # it read "invalid game in game"
+        game = {"matrix": {"u11": 1, "u12": 2, "u21": 0, "u22": 1}}
+        conf = write_config(tmp_path, {"command": "normalize", "game": game})
+        assert main(["normalize", "--config", conf]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid game in 'game': u22 > u12 violated (difference -1)\n")
 
     def test_two_game_forms_exit_2(self, tmp_path, capsys):
         # the parser read the first form, u = 2, and dropped u1 and u2
