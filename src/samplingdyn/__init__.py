@@ -9,9 +9,9 @@ group.
   ``NormalizationError``, ``OriginalGameMatrix``, ``canonicalize``,
   ``normalize_general``, ``normalize_hawk_dove``, ``normalize_symmetric``,
   ``to_dominance``.
-- dynamics: ``Environment``, ``LogitResponse``, ``ResponsePair``,
-  ``SampleSizeDistribution``, ``SamplingResponse``, ``TieBreak``,
-  ``sampling_threshold``, ``truncated_expectation``.
+- dynamics: ``Environment``, ``LogitResponse``, ``SampleSizeDistribution``,
+  ``SamplingResponse``, ``TieBreak``, ``sampling_threshold``,
+  ``truncated_expectation``.
 - analysis: ``PureStateClassification``, ``Stability``,
   ``StationaryAnalysis``, ``StationaryState``, ``StableInteriorSearch``,
   ``TheoremReport``, ``Verdict``, ``check_homogeneous_uniqueness``,
@@ -27,6 +27,10 @@ group.
 
 No command runs these, and each stays for a reason:
 
+- ``ResponsePair``: the value of ``Environment.pair()``, two responses
+  that ``System.of`` resolves as the two-population dynamics; the
+  commands build a System from the config instead, and perfbench's
+  tracer test and set-up probe call ``Environment.pair()``;
 - ``binomial_tail``, ``contracting_response_vector`` (with its
   ``ContractTieRule``), ``integrate_contracting`` and ``estimate_basins``:
   perfbench's tracer patches them by name, as it patches the response

@@ -22,11 +22,13 @@ hold no root: ``scan_fixed_points`` is its one-row case, and the one
 mixture search scans blocks of shares (one population) or of pairs of
 shares (two), which share their response tails within each level.
 
-Arity: a single response function drives the one-population dynamics
-dp/dt = w(p) - p and a ``ResponsePair`` the two-population dynamics.  An
-``Environment`` drives whichever the state asks for (a share or a pair);
-with no state to go by, a symmetric environment is one population and
-any other two.  ``System.of`` is the one place that applies this rule.
+Arity: a ``System`` of one response function drives the one-population
+dynamics dp/dt = w(p) - p, and a ``System`` of two the two-population
+dynamics.  ``System.of`` is the one place that builds a ``System`` from
+anything else: a single response is one population, a ``ResponsePair``
+two, and an ``Environment`` whichever the state asks for (a share or a
+pair); with no state to go by, a symmetric environment is one population
+and any other two.
 """
 
 from __future__ import annotations
@@ -359,10 +361,6 @@ class System:
             raise ValueError(f"{name} drives {out.dim}-population dynamics, not {dim}")
         return out
 
-    @property
-    def pair(self) -> ResponsePair:
-        return ResponsePair(*self.responses)
-
     def field(self, x: np.ndarray) -> np.ndarray:
         """Vector field on an (n, dim) array of states.  The responses
         are called through their checked entry: on arrays the check is a
@@ -384,25 +382,22 @@ class System:
         into [0, 1], as the batched step projects them; a negative dt runs
         time backward.
 
-        Returns ``(paths, stopped, max_clamp, fields)``, with one list of
-        recorded shares per population, the start first.  The run stops
-        early (``stopped``) at the first state where every component of the
-        field is below ``CONVERGENCE_TOL`` in absolute value; the field is
-        the step's first stage, so the last state costs one field call.  A
-        next state outside [0, 1] is clamped into it, and ``max_clamp`` is
-        the largest move the clamp made; a non-finite one raises
-        ``NumericError`` with its step number.  ``fields`` is None.
+        Returns ``(paths, stopped, max_clamp)``, with one list of recorded
+        shares per population, the start first.  The run stops early
+        (``stopped``) at the first state where every component of the field
+        is below ``CONVERGENCE_TOL`` in absolute value; the field is the
+        step's first stage, so the last state costs one field call.  A next
+        state outside [0, 1] is clamped into it, and ``max_clamp`` is the
+        largest move the clamp made; a non-finite one raises
+        ``NumericError`` with its step number.
 
-        ``_trace``, for the separatrix traces and in two populations only,
+        ``_trace``, for the separatrix traces, which run in two populations,
         keeps the next states unclamped and checks no convergence: the run
         stops early after the first state past the start that lies outside
-        the square, ``max_clamp`` is 0.0, and ``fields`` holds one list per
-        population of the field at each recorded state.
+        the square, and ``max_clamp`` is 0.0.
         """
         half, sixth, max_clamp = 0.5 * dt, dt / 6.0, 0.0
         if self.dim == 1:
-            if _trace:
-                raise ValueError("separatrix traces run in two populations only")
             w = self.responses[0]._kernel
             p = start
             path = [p]
@@ -410,7 +405,7 @@ class System:
             for n in range(n_steps + 1):
                 a = w(p) - p  # the state is in [0, 1], where the clamp does nothing
                 if -CONVERGENCE_TOL < a < CONVERGENCE_TOL:
-                    return (path,), True, max_clamp, None
+                    return (path,), True, max_clamp
                 if n == n_steps:
                     break
                 y = p + half * a
@@ -431,24 +426,22 @@ class System:
                     p = 0.0 if raw < 0.0 else 1.0
                     max_clamp = max(max_clamp, abs(p - raw))
                 append(p)
-            return (path,), False, max_clamp, None
+            return (path,), False, max_clamp
 
         w1, w2 = (w._kernel for w in self.responses)
         p1, p2 = start
-        path1, path2, fields1, fields2 = [p1], [p2], [], []
+        path1, path2 = [p1], [p2]
         append1, append2 = path1.append, path2.append
         for n in range(n_steps + 1):
             y1 = 0.0 if p1 < 0.0 else (1.0 if p1 > 1.0 else p1)
             y2 = 0.0 if p2 < 0.0 else (1.0 if p2 > 1.0 else p2)
             a1, a2 = w1(y2) - y1, w2(y1) - y2
             if _trace:
-                fields1.append(a1)
-                fields2.append(a2)
                 if n and not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-                    return (path1, path2), True, max_clamp, (fields1, fields2)
+                    return (path1, path2), True, max_clamp
             elif (-CONVERGENCE_TOL < a1 < CONVERGENCE_TOL
                     and -CONVERGENCE_TOL < a2 < CONVERGENCE_TOL):
-                return (path1, path2), True, max_clamp, None
+                return (path1, path2), True, max_clamp
             if n == n_steps:
                 break
             y1, y2 = p1 + half * a1, p2 + half * a2
@@ -475,12 +468,12 @@ class System:
                 max_clamp = max(max_clamp, abs(p1 - raw1), abs(p2 - raw2))
             append1(p1)
             append2(p2)
-        return (path1, path2), False, max_clamp, ((fields1, fields2) if _trace else None)
+        return (path1, path2), False, max_clamp
 
     def stationary(self) -> StationaryAnalysis:
         if self.dim == 1:
-            return find_stationary_one_pop(self.responses[0])
-        return find_stationary_two_pop(self.pair)
+            return find_stationary_one_pop(self)
+        return find_stationary_two_pop(self)
 
 
 class _Identity:

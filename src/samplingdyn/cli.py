@@ -43,8 +43,10 @@ high): theorems.json holds "state_<side>" with "theorem"
 ("proposition-<n>-<side>"), "conditions" ("product",
 "leading_eigenvalue") and "stability", the corner call of the
 stationary search.  A contracting config reports Proposition 5 for each
-equilibrium.  analyze and sweep run every check on the one System they
-build from the config's form, and each mixture is one of its responses'
+equilibrium.  Every command runs the one System that the config builds
+(``EnvSpec.response_system``): "theta" and minimum-effort configs are one
+population, "theta1"/"theta2" and logit configs two.  analyze and sweep
+run every check on it, and each mixture is one of its responses'
 ``mix_with``, so a sampling environment's tie_break reaches them all.
 
 sweep needs an "environment" and parses it as every command does, with
@@ -244,12 +246,6 @@ def _out_dir(conf: dict) -> Path:
     return out
 
 
-def _system(spec: cfg.EnvSpec) -> System:
-    """The config's form sets the arity: "theta" and minimum-effort
-    configs are one population, "theta1"/"theta2" and logit configs two."""
-    return System.of(spec.response_system(), 1 if spec.one_population else 2)
-
-
 def _state_str(s: an.StationaryState) -> str:
     if s.is_pair:
         return f"({s.p1:.4f}, {s.p2:.4f})"
@@ -271,7 +267,7 @@ def cmd_analyze(conf: dict) -> Callable[[Path], None]:
         reports["proposition-5"] = {"equilibria": [dataclasses.asdict(r) for r in eq_reports]}
         return lambda out: cfg.write_json(out / "theorems.json", reports)
 
-    system = _system(spec)
+    system = spec.response_system()
     stationary = system.stationary()
     if stationary.continuum:
         print(f"continuum: {stationary.note}")
@@ -363,16 +359,14 @@ def cmd_analyze(conf: dict) -> Callable[[Path], None]:
 
 def cmd_phase(conf: dict) -> Callable[[Path], None]:
     samples, quiver = conf["samples"], conf["quiver"]
-    system = _system(conf["environment"])
+    system = conf["environment"].response_system()
     stationary = system.stationary()
     if system.dim == 1:
-        (response,) = system.responses
-        svg_text = svgmod.phase_svg_one_pop(response, stationary, samples)
-        csv_text = svgmod.phase_curves_csv_one_pop(response, samples)
+        svg_text = svgmod.phase_svg_one_pop(system, stationary, samples)
+        csv_text = svgmod.phase_curves_csv_one_pop(system, samples)
     else:
-        pair = system.pair
-        svg_text = svgmod.phase_svg_two_pop(pair, stationary, samples, quiver=quiver)
-        csv_text = svgmod.phase_curves_csv_two_pop(pair, samples)
+        svg_text = svgmod.phase_svg_two_pop(system, stationary, samples, quiver=quiver)
+        csv_text = svgmod.phase_curves_csv_two_pop(system, samples)
 
     def write(out: Path) -> None:
         (out / "phase.svg").write_bytes(svg_text.encode("utf-8"))
@@ -401,7 +395,7 @@ def _horizon(conf: dict) -> tuple[float, float]:
 
 
 def cmd_trajectory(conf: dict) -> Callable[[Path], None]:
-    system = _system(conf["environment"])
+    system = conf["environment"].response_system()
     initial = _initial(conf, system.dim == 1)
     t_max, dt = _horizon(conf)
     traj = integrate(system, initial, t_max=t_max, dt=dt)
@@ -411,7 +405,7 @@ def cmd_trajectory(conf: dict) -> Callable[[Path], None]:
 
 def cmd_basins(conf: dict) -> Callable[[Path], None]:
     t_max, dt = _horizon(conf)
-    system = _system(conf["environment"])
+    system = conf["environment"].response_system()
     resolution = conf["resolution"]
     if resolution**system.dim > MAX_BASIN_CELLS:
         raise ConfigError(f"'resolution' {resolution} makes over {MAX_BASIN_CELLS} basin cells")
@@ -446,7 +440,7 @@ def cmd_oracle(conf: dict) -> Callable[[Path], None]:
     if conf["mode"] == "response":
         p, samples = conf["p"], conf["samples"]
         lines = [f"# seed={seed} samples={samples}", "p,estimate,standard_error"]
-        responses = _system(spec).responses
+        responses = spec.response_system().responses
         for i, response in enumerate(responses):
             est, se = empirical_response(response, p, samples, seed + i)
             lines.append(f"{cfg.fmt(p)},{cfg.fmt(est)},{cfg.fmt(se)}")
@@ -457,7 +451,7 @@ def cmd_oracle(conf: dict) -> Callable[[Path], None]:
     t_max, dt = _horizon(conf)
     initial = _initial(conf, spec.one_population)
     traj = simulate_population(
-        spec.environment,
+        spec.response_system(),
         n=n,
         t_max=t_max,
         dt=dt,
@@ -502,7 +496,7 @@ def cmd_sweep(conf: dict) -> Callable[[Path], None]:
         spec = cfg.parse_environment({**conf["environment"], **swept})
         if spec.kind != "sampling":
             raise ConfigError(f"sweeps need a sampling environment, got a {spec.kind} one")
-        return _system(spec)
+        return spec.response_system()
 
     def analyze_env(system: System, value: float):
         try:

@@ -40,10 +40,10 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .analysis import StationaryAnalysis, TheoremReport
+from .analysis import StationaryAnalysis, System, TheoremReport
 from .dynamics import (
     Environment,
-    ResponsePair,
+    LogitResponse,
     SampleSizeDistribution,
     TieBreak,
 )
@@ -243,20 +243,16 @@ class EnvSpec:
     kind: str  # "sampling" | "logit" | "contracting" | "mineffort"
     one_population: bool
     environment: Environment | None = None
-    pair: ResponsePair | None = None
+    system: System | None = None  # None for a contracting environment
     contracting: ContractingGame | None = None
     mineffort: MinEffortGame | None = None
     thetas: tuple[SampleSizeDistribution, ...] = ()
 
-    def response_system(self):
-        """Object driving the flow module: response, pair, or environment."""
-        if self.kind == "sampling":
-            return self.environment
-        if self.kind == "logit":
-            return self.pair
-        if self.kind == "mineffort":
-            return MinEffortResponse(self.mineffort, self.thetas[0])
-        raise ConfigError(f"{self.kind} environments do not define scalar/pair dynamics")
+    def response_system(self) -> System:
+        """The System of the config's dynamics, which every command runs."""
+        if self.system is None:
+            raise ConfigError(f"{self.kind} environments do not define scalar/pair dynamics")
+        return self.system
 
 
 # An environment's keys come in one-of groups (the game form, "theta" or
@@ -305,8 +301,9 @@ def parse_environment(obj: Any) -> EnvSpec:
             game = MinEffortGame(me["N"], me["c"], me["observation"])
         except ValueError as exc:
             raise ConfigError(f"invalid minimum-effort game: {exc}") from exc
-        return EnvSpec(kind="mineffort", one_population=True, mineffort=game,
-                       thetas=_thetas(obj, ("theta",)))
+        (theta,) = _thetas(obj, ("theta",))
+        return EnvSpec(kind="mineffort", one_population=True, mineffort=game, thetas=(theta,),
+                       system=System((MinEffortResponse(game, theta),)))
 
     game = parse_game(obj)
 
@@ -317,10 +314,10 @@ def parse_environment(obj: Any) -> EnvSpec:
             groups1, groups2 = (parse_logit_groups(_require(obj, key, "'environment'"), key)
                                 for key in ("logit1", "logit2"))
         try:
-            pair = ResponsePair.logit(game, groups1, groups2)
+            system = System((LogitResponse(game.u1, groups1), LogitResponse(game.u2, groups2)))
         except ValueError as exc:
             raise ConfigError(f"invalid logit groups: {exc}") from exc
-        return EnvSpec(kind="logit", one_population=False, pair=pair)
+        return EnvSpec(kind="logit", one_population=False, system=system)
 
     tie = _TIE_BREAK(obj.get("tie_break", TieBreak.FAVOR_A.value), "tie_break")
     one = "theta" in obj
@@ -328,7 +325,9 @@ def parse_environment(obj: Any) -> EnvSpec:
         raise ConfigError("one-population environments need a symmetric game")
     thetas = _thetas(obj, ("theta",) if one else ("theta1", "theta2"))
     env = Environment(game, thetas[0], thetas[-1], tie)
-    return EnvSpec(kind="sampling", one_population=one, environment=env, thetas=thetas)
+    # the config's form sets the arity: "theta" is one population, "theta1"/"theta2" two
+    return EnvSpec(kind="sampling", one_population=one, environment=env, thetas=thetas,
+                   system=System.of(env, 1 if one else 2))
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -518,18 +518,8 @@ class Environment:
 @dataclass(frozen=True)
 class ResponsePair:
     """Two response functions driving the two-population dynamics
-    dp1/dt = w1(p2) - p1, dp2/dt = w2(p1) - p2."""
+    dp1/dt = w1(p2) - p1, dp2/dt = w2(p1) - p2: the value of
+    ``Environment.pair``, which ``analysis.System.of`` resolves."""
 
     w1: ResponseFunction
     w2: ResponseFunction
-
-    @classmethod
-    def logit(
-        cls,
-        game: CoordinationGame,
-        groups1: Sequence[tuple[float, float]],
-        groups2: Sequence[tuple[float, float]] | None = None,
-    ) -> "ResponsePair":
-        if groups2 is None:
-            groups2 = groups1
-        return cls(LogitResponse(game.u1, groups1), LogitResponse(game.u2, groups2))

@@ -46,6 +46,8 @@ def _step_count(t_max: float, dt: float) -> int:
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError(f"t_max must be a finite number >= 0, got {t_max!r}")
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt must be a finite number of steps, got {t_max!r} / {dt!r}")
     return int(round(t_max / dt))
 
 
@@ -102,7 +104,7 @@ def integrate(
         raise ValueError(f"initial state outside the unit interval/square: {initial!r}")
     system = System.of(system, init.size)
     start = float(init[0]) if system.dim == 1 else (float(init[0]), float(init[1]))
-    paths, converged, max_clamp, _ = system.rk4_path(start, dt, n_steps)
+    paths, converged, max_clamp = system.rk4_path(start, dt, n_steps)
     states = np.asarray(paths[0]) if system.dim == 1 else np.column_stack(paths)
     limit = None
     if converged:
@@ -241,13 +243,14 @@ def _stable_manifold(system: System, saddle: StationaryState, t_max: float, dt: 
     for sign in (-1.0, 1.0):  # up-left, then down-right
         start = (p1 + sign * scale * v[0], p2 + sign * scale * v[1])
         # RK4 with -dt runs time backward, along the tangent -f
-        paths, left, _, fields = system.rk4_path(start, -dt, n_steps, _trace=True)
+        paths, left, _ = system.rk4_path(start, -dt, n_steps, _trace=True)
         if not left:
             return None
-        branches.append((paths, fields))
-    ((u1, u2), (uf1, uf2)), ((d1, d2), (df1, df2)) = branches
+        branches.append(paths)
+    (u1, u2), (d1, d2) = branches
     pts = np.column_stack([u1[::-1] + [p1] + d1, u2[::-1] + [p2] + d2])
-    tan = -np.column_stack([uf1[::-1] + [0.0] + df1, uf2[::-1] + [0.0] + df2])
+    # the tangent -f at each recorded state, read at the clamped point as the trace reads it
+    tan = -system.field(_clip01(pts))
     tan[len(u1)] = v  # the saddle's own tangent
     if not (np.all(np.diff(pts[:, 0]) >= 0.0) and np.all(np.diff(pts[:, 1]) <= 0.0)):
         return None

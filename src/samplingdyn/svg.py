@@ -4,7 +4,8 @@ No plotting library: output must be byte identical across runs for
 golden-file tests, so every coordinate is formatted to six decimals and
 elements are emitted in a fixed order.  The dot convention follows the
 phase-plot figures: solid dots are asymptotically stable states, hollow
-dots unstable ones, gray dots marginal.
+dots unstable ones, gray dots marginal.  Each phase function takes
+anything ``System.of`` resolves in its arity.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import math
 
 import numpy as np
 
-from .analysis import Stability, StationaryAnalysis
+from .analysis import Stability, StationaryAnalysis, System
 from .config import fmt
-from .dynamics import ResponsePair
 
 VIEW = 600
 MARGIN = 60
@@ -85,9 +85,10 @@ def _document(parts: list[str]) -> str:
 
 
 def phase_svg_one_pop(
-    response, stationary: StationaryAnalysis, samples: int = 601
+    system, stationary: StationaryAnalysis, samples: int = 601
 ) -> str:
     """Response curve against the diagonal, stationary states marked."""
+    (response,) = System.of(system, 1).responses
     ps = np.linspace(0.0, 1.0, samples)
     ws = np.asarray(response(ps), dtype=float)
     parts = _frame("p", "w(p)")
@@ -98,14 +99,14 @@ def phase_svg_one_pop(
     return _document(parts)
 
 
-def _quiver(pair: ResponsePair, per_axis: int) -> list[str]:
+def _quiver(w1, w2, per_axis: int) -> list[str]:
     parts = []
     centers = (np.arange(per_axis) + 0.5) / per_axis
     max_len = 0.8 * SPAN / per_axis
     for p1 in centers:
         for p2 in centers:
-            v1 = float(pair.w1(p2)) - p1
-            v2 = float(pair.w2(p1)) - p2
+            v1 = float(w1(p2)) - p1
+            v2 = float(w2(p1)) - p2
             norm = math.hypot(v1, v2)
             if norm < 1e-12:
                 continue
@@ -137,7 +138,7 @@ def _quiver(pair: ResponsePair, per_axis: int) -> list[str]:
 
 
 def phase_svg_two_pop(
-    pair: ResponsePair,
+    system,
     stationary: StationaryAnalysis,
     samples: int = 601,
     quiver: int = 15,
@@ -147,12 +148,13 @@ def phase_svg_two_pop(
     The second curve is drawn parametrically as (w1(t), t), which is the
     same point set as p2 = w1^{-1}(p1) without inverting.
     """
+    w1, w2 = System.of(system, 2).responses
     ts = np.linspace(0.0, 1.0, samples)
-    w2_vals = np.asarray(pair.w2(ts), dtype=float)
-    w1_vals = np.asarray(pair.w1(ts), dtype=float)
+    w2_vals = np.asarray(w2(ts), dtype=float)
+    w1_vals = np.asarray(w1(ts), dtype=float)
     parts = _frame("p1", "p2")
     if quiver > 0:
-        parts.extend(_quiver(pair, quiver))
+        parts.extend(_quiver(w1, w2, quiver))
     parts.append(
         _polyline(ts, w2_vals, 'stroke="#e08214" stroke-width="2" stroke-dasharray="5,3"')
     )
@@ -162,7 +164,8 @@ def phase_svg_two_pop(
     return _document(parts)
 
 
-def phase_curves_csv_one_pop(response, samples: int = 601) -> str:
+def phase_curves_csv_one_pop(system, samples: int = 601) -> str:
+    (response,) = System.of(system, 1).responses
     ps = np.linspace(0.0, 1.0, samples)
     ws = np.asarray(response(ps), dtype=float)
     lines = ["p,w_of_p"]
@@ -170,10 +173,11 @@ def phase_curves_csv_one_pop(response, samples: int = 601) -> str:
     return "\n".join(lines) + "\n"
 
 
-def phase_curves_csv_two_pop(pair: ResponsePair, samples: int = 601) -> str:
+def phase_curves_csv_two_pop(system, samples: int = 601) -> str:
+    w1, w2 = System.of(system, 2).responses
     ts = np.linspace(0.0, 1.0, samples)
-    w2_vals = np.asarray(pair.w2(ts), dtype=float)
-    w1_vals = np.asarray(pair.w1(ts), dtype=float)
+    w2_vals = np.asarray(w2(ts), dtype=float)
+    w1_vals = np.asarray(w1(ts), dtype=float)
     lines = ["t,w2_of_t,w1_of_t"]
     lines.extend(
         f"{fmt(t)},{fmt(a)},{fmt(b)}" for t, a, b in zip(ts, w2_vals, w1_vals)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from samplingdyn import CoordinationGame, Environment, SampleSizeDistribution
-from samplingdyn.analysis import MARGINAL_BAND, Stability, classify_slope
+from samplingdyn import CoordinationGame, Environment, LogitResponse, SampleSizeDistribution
+from samplingdyn.analysis import MARGINAL_BAND, Stability, System, classify_slope
 
 
 def polynomial_coefficients(w) -> tuple[Fraction, ...]:
@@ -38,6 +38,13 @@ def payoff_efficiency(response, u: float) -> float:
     realized = wp * ps * u + (1.0 - wp) * (1.0 - ps)
     best = np.maximum(ps * u, 1.0 - ps)
     return float(simpson(realized, x=ps) / simpson(best, x=ps))
+
+
+def logit_system(game, groups1, groups2=None) -> System:
+    """The two-population logit System of ``game``, as a logit config builds
+    it: population 2 takes population 1's groups when it has none."""
+    return System((LogitResponse(game.u1, groups1),
+                   LogitResponse(game.u2, groups1 if groups2 is None else groups2)))
 
 
 class NanPastResponse:

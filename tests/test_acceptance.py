@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from conftest import payoff_efficiency
+from conftest import logit_system, payoff_efficiency
 from samplingdyn.analysis import (
     Stability,
     Verdict,
@@ -24,7 +24,6 @@ from samplingdyn.analysis import (
 from samplingdyn.dynamics import (
     Environment,
     LogitResponse,
-    ResponsePair,
     SampleSizeDistribution,
     SamplingResponse,
 )
@@ -198,17 +197,17 @@ def _interior_roots(core: np.ndarray) -> int:
 def test_criterion_06_logit_suite():
     game = CoordinationGame(2.5, 2.5)
 
-    hom = ResponsePair.logit(game, ((1.0, 1.0),))
+    hom = logit_system(game, ((1.0, 1.0),))
     res_hom = find_stationary_two_pop(hom)
     stable = res_hom.stable_interior()
     assert stable, "homogeneous logit must have a stable interior state"
     assert all(0.10 <= c <= 0.90 for s in stable for c in s.state)
 
-    mistake_hom = float(hom.w1(0.0))
+    mistake_hom = float(hom.responses[0](0.0))
     assert mistake_hom == pytest.approx(1.0 / (1.0 + math.e), abs=1e-4)
 
     groups = ((0.55, 0.55), (0.45, 0.01))
-    het = ResponsePair.logit(game, groups)
+    het = logit_system(game, groups)
     res_het = find_stationary_two_pop(het)
     target = [
         s
@@ -217,7 +216,7 @@ def test_criterion_06_logit_suite():
         and abs(s.p1 - 0.21) <= 0.01 and abs(s.p2 - 0.21) <= 0.01
     ]
     assert target, "heterogeneous logit must stabilize (0.21, 0.21)"
-    mistake_het = float(het.w1(0.0))
+    mistake_het = float(het.responses[0](0.0))
     assert mistake_het == pytest.approx(0.077, abs=0.005)
 
     # reported, not gating: payoff efficiencies against uniform opponent
@@ -248,7 +247,7 @@ def _march_until(system, start, ref, exceed=None, below=None, t_max=400.0, dt=0.
     float RK4 loop records the states; it ends early only at a state where
     the field is below 1e-10, which the march would barely move from."""
     x0 = tuple(float(v) for v in start)
-    paths, _, _, _ = System.of(system, len(x0)).rk4_path(
+    paths, _, _ = System.of(system, len(x0)).rk4_path(
         x0 if len(x0) == 2 else x0[0], dt, int(round(t_max / dt)))
     for x in zip(*paths):
         d = max(abs(a - b) for a, b in zip(x, ref))

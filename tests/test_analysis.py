@@ -12,6 +12,7 @@ from scipy.stats import binom
 from conftest import (
     band_inputs,
     band_reference,
+    logit_system,
     payoff_efficiency,
     polynomial_coefficients,
     random_env,
@@ -278,7 +279,7 @@ def _scan_systems(rng):
             env.game, env.theta1.mix_with(a1, 1000), env.theta2.mix_with(a2, 1000)
         )
         out.append((two, mixed))
-    out += [(two, ResponsePair.logit(random_game(rng), groups(), groups())) for _ in range(10)]
+    out += [(two, logit_system(random_game(rng), groups(), groups())) for _ in range(10)]
     for n_players in (2, 3, 5):
         for observation in Observation:
             for cost in (0.2, 0.5, 0.8):
@@ -350,13 +351,13 @@ def _scan_block(draw):
     game = CoordinationGame(draw(_U), draw(_U))
     if kind == "two":
         pair = Environment.of(game, draw(_scan_theta()), draw(_scan_theta())).pair()
+        w1, w2 = pair.w1, pair.w2
     else:
         groups = st.lists(st.tuples(st.floats(0.2, 1.2), st.floats(0.05, 1.0)),
                           min_size=1, max_size=2)
         g1, g2 = ([(m / sum(m for m, _ in g), eta) for m, eta in g]
                   for g in (draw(groups), draw(groups)))
-        pair = ResponsePair.logit(game, g1, g2)
-    w1, w2 = pair.w1, pair.w2
+        w1, w2 = logit_system(game, g1, g2).responses
     return (lambda r, i, x: w1(w2(x)) - x), 1
 
 
@@ -682,7 +683,7 @@ class TestScanResolution:
 
         systems = [random_env(rng) for _ in range(60)]
         systems += [random_env(rng, big_k=1000) for _ in range(20)]
-        systems += [ResponsePair.logit(random_game(rng), groups(), groups()) for _ in range(20)]
+        systems += [logit_system(random_game(rng), groups(), groups()) for _ in range(20)]
         coarse = [find_stationary_two_pop(system) for system in systems]
         monkeypatch.setattr(analysis, "GRID_POINTS", 10 * (analysis.GRID_POINTS - 1) + 1)
         for system, a in zip(systems, coarse):

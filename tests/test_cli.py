@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 from conftest import NanPastResponse
 from samplingdyn import cli
 from samplingdyn import config as cfg
+from samplingdyn import svg as svgmod
 from samplingdyn.analysis import System
 from samplingdyn.cli import main
+from samplingdyn.dynamics import LogitResponse, SampleSizeDistribution
+from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
+from samplingdyn.games import CoordinationGame
 
 FIG3_RIGHT = {
     "u1": 5.0,
@@ -306,7 +310,86 @@ class TestAnalyze:
         assert labels == ["unstable", "asymptotically-stable", "unstable"]
 
 
+def _same_response(a, b) -> bool:
+    """Same class, fields and atoms; the float kernel is a closure of them."""
+    def fields(w):
+        return {key: value for key, value in vars(w).items() if key != "_kernel"}
+    return type(a) is type(b) and fields(a) == fields(b)
+
+
+class TestResponseSystem:
+    """parse_environment builds the System that every command runs, with the
+    arity of the config's form."""
+
+    @pytest.mark.parametrize("env, populations", [
+        (ONE_POP, (1,)), (FIG3_RIGHT, (1, 2)), (SYMMETRIC_PAIR, (1, 2)),
+        ({**ONE_POP, "tie_break": "favor-b"}, (1,)),
+    ], ids=["theta", "theta1-theta2", "symmetric-pair", "favor-b"])
+    def test_sampling(self, env, populations):
+        spec = cfg.parse_environment(env)
+        system = spec.response_system()
+        assert isinstance(system, System) and system.dim == len(populations)
+        assert [repr(w) for w in system.responses] == [
+            repr(spec.environment.response(i)) for i in populations]
+        assert all(_same_response(w, spec.environment.response(i))
+                   for w, i in zip(system.responses, populations))
+
+    @pytest.mark.parametrize("env, groups", [
+        (_logit(), ([(1.0, 0.5)], [(1.0, 0.5)])),
+        ({"u1": 3.0, "u2": 0.5, "logit1": [{"mass": 0.25, "eta": 0.1},
+                                           {"mass": 0.75, "eta": 2}],
+          "logit2": [{"mass": 1, "eta": 0.3}]},
+         ([(0.25, 0.1), (0.75, 2.0)], [(1.0, 0.3)])),
+    ], ids=["logit", "logit1-logit2"])
+    def test_logit(self, env, groups):
+        system = cfg.parse_environment(env).response_system()
+        assert isinstance(system, System) and system.dim == 2
+        want = (LogitResponse(env["u1"], groups[0]), LogitResponse(env["u2"], groups[1]))
+        assert [repr(w) for w in system.responses] == [repr(w) for w in want]
+
+    def test_logit_groups_that_do_not_sum_to_one_are_a_config_error(self):
+        with pytest.raises(cfg.ConfigError, match="invalid logit groups"):
+            cfg.parse_environment(_logit(mass=0.5))
+
+    def test_minimum_effort(self):
+        env = {"mineffort": {"N": 3, "c": 0.4, "observation": "opponent-action"},
+               "theta": {"2": 0.5, "6": 0.5}}
+        system = cfg.parse_environment(env).response_system()
+        assert isinstance(system, System) and system.dim == 1
+        want = MinEffortResponse(MinEffortGame(3, 0.4, Observation.OPPONENT_ACTION),
+                                 SampleSizeDistribution.of({2: 0.5, 6: 0.5}))
+        (w,) = system.responses
+        assert _same_response(w, want)
+
+    def test_contracting_has_no_system(self):
+        spec = cfg.parse_environment(_contracting([4, 2, 1]))
+        with pytest.raises(cfg.ConfigError, match="contracting environments do not define"):
+            spec.response_system()
+
+    @pytest.mark.parametrize("command", ["phase", "trajectory", "basins"])
+    def test_a_command_on_a_contracting_config_exits_2(self, tmp_path, capsys, command):
+        conf = write_config(tmp_path, {"command": command, "environment": _contracting([4, 2, 1]),
+                                       "out": str(tmp_path / "out")})
+        assert main([command, "--config", conf]) == 2
+        assert "do not define scalar/pair dynamics" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPhase:
+    def test_svg_functions_take_anything_the_system_resolves(self):
+        env = cfg.parse_environment(SYMMETRIC_PAIR).environment
+        for dim, forms in ((1, (env, env.response(1), System.of(env, 1))),
+                           (2, (env, env.pair(), System.of(env, 2)))):
+            system = System.of(env, dim)
+            stationary = system.stationary()
+            if dim == 1:
+                texts = [(svgmod.phase_svg_one_pop(f, stationary, 51),
+                          svgmod.phase_curves_csv_one_pop(f, 51)) for f in forms]
+            else:
+                texts = [(svgmod.phase_svg_two_pop(f, stationary, 51, quiver=5),
+                          svgmod.phase_curves_csv_two_pop(f, 51)) for f in forms]
+            assert texts[1:] == texts[:1] * 2, dim
+
     def test_byte_identical_reruns(self, tmp_path):
         conf = write_config(
             tmp_path, {"command": "phase", "environment": FIG3_RIGHT, "out": str(tmp_path)}
@@ -399,7 +482,7 @@ class TestTrajectoryAndBasins:
         conf = write_config(tmp_path, {"command": "trajectory", "environment": ONE_POP,
                                        "initial": initial, "tmax": 10.0, "dt": 1.0,
                                        "out": str(tmp_path)})
-        monkeypatch.setattr(cli, "_system", lambda spec: System(responses))
+        monkeypatch.setattr(cfg.EnvSpec, "response_system", lambda spec: System(responses))
         assert main(["trajectory", "--config", conf]) == 3
         assert "numeric failure: non-finite state at step 2" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()

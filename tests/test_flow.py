@@ -6,7 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import NanPastResponse, random_env, random_symmetric_env, random_theta
+from conftest import (
+    NanPastResponse,
+    logit_system,
+    random_env,
+    random_symmetric_env,
+    random_theta,
+)
 from samplingdyn import flow
 from samplingdyn.analysis import Stability, System, _clamp01, find_stationary_two_pop
 from samplingdyn.dynamics import (
@@ -16,9 +22,16 @@ from samplingdyn.dynamics import (
     SampleSizeDistribution,
     SamplingResponse,
 )
-from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
+from samplingdyn.extensions import (
+    ContractingGame,
+    MinEffortGame,
+    MinEffortResponse,
+    Observation,
+    integrate_contracting,
+)
 from samplingdyn.flow import estimate_basins, integrate, label_basins
 from samplingdyn.games import CoordinationGame
+from samplingdyn.oracle import simulate_population
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
 FIG3_LEFT = Environment.of(
@@ -122,6 +135,22 @@ class TestIntegrate:
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
         with pytest.raises(ValueError):
             integrate(env, initial, **kwargs)
+
+    @pytest.mark.parametrize("run", [
+        lambda env, t_max, dt: integrate(env, 0.5, t_max=t_max, dt=dt),
+        lambda env, t_max, dt: estimate_basins(env, 3, t_max=t_max, dt=dt),
+        lambda env, t_max, dt: label_basins(env, 3, t_max=t_max, dt=dt),
+        lambda env, t_max, dt: simulate_population(env, 100, t_max, dt),
+        lambda env, t_max, dt: integrate_contracting(
+            ContractingGame((1.0, 2.0), (2.0, 1.0)), THETA_15, THETA_15,
+            ((0.5, 0.5), (0.5, 0.5)), t_max, dt),
+    ], ids=["integrate", "estimate_basins", "label_basins", "simulate_population",
+            "integrate_contracting"])
+    @pytest.mark.parametrize("t_max, dt", [(1e300, 1e-10), (1e300, 1e-300)])
+    def test_a_step_count_past_the_float_range_is_a_value_error(self, run, t_max, dt):
+        env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
+        with pytest.raises(ValueError, match=r"t_max / dt"):
+            run(env, t_max, dt)
 
     def test_arity_mismatch(self):
         env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
@@ -391,7 +420,7 @@ _GROUPS = st.one_of(
 )
 def test_logit_labels_match_brute_force(u1, u2, groups1, groups2):
     _assert_matches_brute_force(
-        ResponsePair.logit(CoordinationGame(u1, u2), groups1, groups2), 9
+        logit_system(CoordinationGame(u1, u2), groups1, groups2), 9
     )
 
 
@@ -535,7 +564,7 @@ def _reference_suite():
     eta = [float(e) for e in rng.uniform(0.05, 1.0, 3)]
     for groups in ([(1.0, eta[0])], [(0.3, eta[1]), (0.7, eta[2])]):
         systems.append(LogitResponse(float(rng.uniform(0.15, 8.0)), groups))
-        systems.append(ResponsePair.logit(CoordinationGame(*rng.uniform(0.15, 8.0, 2)), groups))
+        systems.append(logit_system(CoordinationGame(*rng.uniform(0.15, 8.0, 2)), groups))
     mixed = SampleSizeDistribution.of({1: 0.5, 1000: 0.5})
     for game in (
         MinEffortGame(3, 0.4, Observation.MINIMUM_EFFORT),
@@ -555,7 +584,7 @@ def _reference_suite():
         systems.append(MinEffortResponse(game, SampleSizeDistribution.of({1: 0.3, 4: 0.7})))
     three = [(0.2, 0.1), (0.3, 0.4), (0.5, 0.9)]
     systems.append(LogitResponse(2.5, three))
-    systems.append(ResponsePair.logit(CoordinationGame(3.0, 0.4), three, [(1.0, 0.3)]))
+    systems.append(logit_system(CoordinationGame(3.0, 0.4), three, [(1.0, 0.3)]))
     runs = []
     for system in systems:
         dim = System.of(system).dim
@@ -606,11 +635,10 @@ class TestFusedStep:
                         traced += 1
         assert traced >= 8, traced
 
-    def test_a_trace_keeps_the_return_shape_and_runs_in_two_populations_only(self):
+    def test_a_trace_keeps_the_return_shape(self):
         system = System.of(FIG3_LEFT, 2)
-        paths, left, max_clamp, fields = system.rk4_path((0.5, 0.5), -0.01, 3, _trace=True)
+        paths, left, max_clamp = system.rk4_path((0.5, 0.5), -0.01, 3, _trace=True)
         assert not left and max_clamp == 0.0
-        assert [len(x) for x in paths + fields] == [4, 4, 4, 4]
-        assert system.rk4_path((0.5, 0.5), 0.01, 3)[3] is None
-        with pytest.raises(ValueError, match="two populations only"):
-            System.of(SamplingResponse(2.0, THETA_15)).rk4_path(0.5, -0.01, 3, _trace=True)
+        assert [len(x) for x in paths] == [4, 4]
+        paths, converged, max_clamp = system.rk4_path((0.5, 0.5), 0.01, 3)
+        assert [len(x) for x in paths] == [4, 4] and not converged
