@@ -71,9 +71,10 @@ and larger than the one before.
 
 oracle.csv in response mode has one row per population, in population
 order, under the header p,estimate,standard_error; population i draws
-its agents with seed + i - 1.  The oracle's population size n and its
-response-mode samples are at most MAX_ORACLE_DRAWS (10**8); larger
-values are a configuration error (exit 2).  So is a step count
+its agents from child i - 1 of numpy's SeedSequence(seed), so no two
+populations or seeds share a stream.  The oracle's population size n
+and its response-mode samples are at most MAX_ORACLE_DRAWS (10**8);
+larger values are a configuration error (exit 2).  So is a step count
 round(tmax / dt) of 0 or above MAX_STEPS (10**6) for trajectory, basins
 and the oracle's population mode (the defaults tmax 200, 200 and 50 with
 dt 0.01 take 20,000, 20,000 and 5,000 steps).  phase draws at most
@@ -108,7 +109,7 @@ from .extensions import Observation, contracting_pure_stability
 # here; perfbench's tracer test checks that it wraps this binding too.
 from .flow import NumericError, estimate_basins, integrate, label_basins
 from .games import canonicalize, to_dominance
-from .oracle import empirical_response, simulate_population
+from .oracle import _population_streams, empirical_response, simulate_population
 
 
 MAX_PHASE_SAMPLES = 10**6
@@ -441,8 +442,9 @@ def cmd_oracle(conf: dict) -> Callable[[Path], None]:
         p, samples = conf["p"], conf["samples"]
         lines = [f"# seed={seed} samples={samples}", "p,estimate,standard_error"]
         responses = spec.response_system().responses
-        for i, response in enumerate(responses):
-            est, se = empirical_response(response, p, samples, seed + i)
+        streams = _population_streams(seed, len(responses))
+        for i, (response, stream) in enumerate(zip(responses, streams)):
+            est, se = empirical_response(response, p, samples, stream)
             lines.append(f"{cfg.fmt(p)},{cfg.fmt(est)},{cfg.fmt(se)}")
             who = f" of population {i + 1}" if len(responses) > 1 else ""
             print(f"empirical response{who} at p={p}: {est:.6f} +- {se:.2e}")

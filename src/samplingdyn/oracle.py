@@ -11,15 +11,27 @@ agents on the first action.  A step draws the deaths among the
 first-action and second-action agents as two binomials and lets only
 the newcomers draw a sample size and a sample, so it costs O(n*dt)
 draws, not O(n).  The newcomers' choices use the response's own sampling
-thresholds alone, never the analytic tails they are meant to check.  All
-draws come from one seeded generator, so runs are bit-reproducible for a
-seed and follow the same distribution as the model of n individual
-agents; the numbers a seed gives differ from those of the per-agent
-simulation that earlier versions ran.
+thresholds alone, never the analytic tails they are meant to check.  A
+population run draws everything from one seeded generator, so it is
+bit-reproducible for a seed and follows the same distribution as the
+model of n individual agents; the numbers a seed gives differ from those
+of the per-agent simulation that earlier versions ran.
+
+A response estimate splits its samples into ``DRAW_CHUNKS`` chunks of
+equal size (the first ones one larger when the count does not divide).
+Chunk i draws from child i of ``numpy.random.SeedSequence(seed)`` on a
+thread of its own, the calling thread drawing chunk 0, and the counts
+are added in chunk order.  numpy's binomial and multinomial draws
+release the GIL, so the chunks run at once on as many cores.  The
+chunking depends on the number of samples alone, never on the core
+count or on timing, and no chunk shares a stream with another, so a
+seed gives the same estimate on any machine and under any scheduling.
 """
 
 from __future__ import annotations
 
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +42,19 @@ from .flow import _step_count
 
 # Most binomial samples held in memory at once, whatever the number of draws.
 DRAW_BLOCK = 1 << 20
+# Chunks, and so threads, of a response estimate: fixed, so that a seed's
+# estimate never depends on the machine.
+DRAW_CHUNKS = 2
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; it must be an integer
+    that is not a bool, or an integral float."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _draw_table(response: SamplingResponse):
@@ -37,39 +62,79 @@ def _draw_table(response: SamplingResponse):
     return response._atoms, np.array([mass for _, mass, _ in response._atoms])
 
 
-def _first_action_choices(rng, table, draws: int, p: float) -> int:
+def _first_action_choices(rng, table, draws: int, p: float, block: int = DRAW_BLOCK) -> int:
     """How many of ``draws`` newcomers choose the first action.
 
     Each draws a sample size from theta and that many i.i.d. Bernoulli(p)
     opponent actions, and chooses the first action when the count
-    reaches the threshold of its size.
+    reaches the threshold of its size.  At most ``block`` samples are
+    held at once.
     """
     atoms, masses = table
     chosen = 0
     while draws > 0:
-        block = min(draws, DRAW_BLOCK)
-        for (k, _, m), c in zip(atoms, rng.multinomial(block, masses)):
+        size = min(draws, block)
+        for (k, _, m), c in zip(atoms, rng.multinomial(size, masses)):
             if c:
                 chosen += int(np.count_nonzero(rng.binomial(k, p, size=c) >= m))
-        draws -= block
+        draws -= size
     return chosen
 
 
-def empirical_response(env, p: float, samples: int, seed: int) -> tuple[float, float]:
+def _population_streams(seed: int, count: int) -> list:
+    """The seeds of a run's ``count`` response estimates, one a population:
+    the children of ``SeedSequence(seed)``, so that no two populations or
+    seeds share a stream."""
+    return np.random.SeedSequence(seed).spawn(count)
+
+
+def empirical_response(
+    env, p: float, samples: int, seed: int | np.random.SeedSequence
+) -> tuple[float, float]:
     """Monte Carlo estimate of the sampling response at opposing share p.
 
     Draws ``samples`` independent agents: a sample size from theta, then
     that many i.i.d. Bernoulli(p) opponent actions, then the threshold
     rule.  Returns the fraction choosing the first action and its
     binomial standard error.
+
+    The samples are drawn in ``DRAW_CHUNKS`` chunks, each on its own
+    thread from its own child of the seed's ``SeedSequence`` (see the
+    module docstring), holding at most ``DRAW_BLOCK`` samples in all.
+    ``seed`` is an int, or a ``numpy.random.SeedSequence`` whose next
+    children the chunks take, as ``SeedSequence.spawn`` gives them (so a
+    sequence passed twice gives two independent estimates).  An
+    exception in any chunk re-raises here, after every thread has ended.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    samples = _count(samples, "samples", 1)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     (response,) = System.of(env, 1).responses
-    rng = np.random.default_rng(seed)
-    chosen = _first_action_choices(rng, _draw_table(response), samples, p)
+    table = _draw_table(response)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    streams = root.spawn(DRAW_CHUNKS)
+    base, extra = divmod(samples, DRAW_CHUNKS)
+    # each chunk's count, or the exception that ended it
+    outcomes: list = [None] * DRAW_CHUNKS
+
+    def draw(i: int) -> None:
+        try:
+            outcomes[i] = _first_action_choices(
+                np.random.default_rng(streams[i]), table, base + (i < extra), p,
+                block=DRAW_BLOCK // DRAW_CHUNKS)
+        except BaseException as exc:  # re-raised in the caller
+            outcomes[i] = exc
+
+    workers = [threading.Thread(target=draw, args=(i,)) for i in range(1, DRAW_CHUNKS)]
+    for worker in workers:
+        worker.start()
+    draw(0)
+    for worker in workers:
+        worker.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    chosen = sum(outcomes)
     estimate = chosen / samples
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / samples))
     return estimate, stderr
@@ -115,8 +180,7 @@ def simulate_population(
     agent is simulated; runs are bit-reproducible for a seed, but a
     seed's numbers differ from those of the per-agent simulation.
     """
-    if n < 100:
-        raise ValueError(f"population size must be at least 100, got {n!r}")
+    n = _count(n, "population size n", 100)
     n_steps = _step_count(t_max, dt)
     if dt > 1.0:
         raise ValueError(f"dt is a replacement probability per step, at most 1; got {dt!r}")

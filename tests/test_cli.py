@@ -18,6 +18,7 @@ from samplingdyn.cli import main
 from samplingdyn.dynamics import LogitResponse, SampleSizeDistribution
 from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.games import CoordinationGame
+from samplingdyn.oracle import empirical_response
 
 FIG3_RIGHT = {
     "u1": 5.0,
@@ -748,6 +749,26 @@ class TestOracleCommand:
         assert main(["oracle", "--config", write_config(tmp_path, conf)]) == 0
         one = (tmp_path / "one" / "oracle.csv").read_text().splitlines()
         assert one == lines[:3]
+
+    def test_populations_and_seeds_draw_from_their_own_streams(self, tmp_path):
+        # population 2 used to draw with seed + 1, the stream of population 1
+        # at the next seed: on two equal populations both rows read 0.669
+        env = {"u1": 1.5, "u2": 1.5, "theta1": {"2": 0.5, "5": 0.5},
+               "theta2": {"2": 0.5, "5": 0.5}}
+
+        def rows(seed):
+            out = tmp_path / str(seed)
+            conf = {"command": "oracle", "environment": env, "mode": "response", "p": 0.4,
+                    "samples": 1000, "seed": seed, "out": str(out)}
+            assert main(["oracle", "--config", write_config(tmp_path, conf)]) == 0
+            return (out / "oracle.csv").read_text().splitlines()[2:]
+
+        assert rows(5)[1] != rows(6)[0]
+        responses = cfg.parse_environment(env).response_system().responses
+        for seed in (5, 6):
+            streams = np.random.SeedSequence(seed).spawn(2)
+            want = [empirical_response(w, 0.4, 1000, stream) for w, stream in zip(responses, streams)]
+            assert rows(seed) == [f"0.4,{cfg.fmt(est)},{cfg.fmt(se)}" for est, se in want]
 
     @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
     @pytest.mark.parametrize("mode", ["population", "response"])

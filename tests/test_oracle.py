@@ -1,13 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import binom, chisquare
 
 from conftest import random_symmetric_env
-from samplingdyn import dynamics
+from samplingdyn import dynamics, oracle
+from samplingdyn.analysis import System
 from samplingdyn.dynamics import Environment, SampleSizeDistribution
 from samplingdyn.flow import integrate
 from samplingdyn.games import CoordinationGame
-from samplingdyn.oracle import empirical_response, simulate_population
+from samplingdyn.oracle import DRAW_BLOCK, DRAW_CHUNKS, empirical_response, simulate_population
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
 
@@ -51,6 +55,101 @@ class TestEmpiricalResponse:
         with pytest.raises(ValueError):
             empirical_response(env, 1.5, 10, seed=1)
 
+    @pytest.mark.parametrize("samples", [2.5, True, np.True_, "10", float("nan")])
+    def test_samples_must_be_an_integer(self, samples):
+        # 2.5 samples used to run as 2 chosen over 2.5, True as one sample
+        env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            empirical_response(env, 0.5, samples, seed=1)
+
+    def test_integral_samples_of_any_type_run_as_the_int(self):
+        env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
+        want = empirical_response(env, 0.5, 10, seed=1)
+        assert empirical_response(env, 0.5, np.int64(10), seed=1) == want
+        assert empirical_response(env, 0.5, 10.0, seed=1) == want
+
+
+THETA_MIXED = SampleSizeDistribution.of({1: 0.2, 4: 0.5, 9: 0.3})
+
+
+def _serial_estimate(env, p, samples, seed):
+    """The chunks of ``empirical_response`` drawn one after another here."""
+    (response,) = System.of(env, 1).responses
+    table = oracle._draw_table(response)
+    streams = np.random.SeedSequence(seed).spawn(DRAW_CHUNKS)
+    base, extra = divmod(samples, DRAW_CHUNKS)
+    chosen = sum(
+        oracle._first_action_choices(np.random.default_rng(stream), table, base + (i < extra),
+                                     p, block=DRAW_BLOCK // DRAW_CHUNKS)
+        for i, stream in enumerate(streams))
+    return chosen / samples
+
+
+class TestChunkStreams:
+    @pytest.mark.parametrize("samples", [1, 2, 3, 100_000, DRAW_BLOCK + 1])
+    def test_threads_equal_the_chunks_drawn_in_turn(self, monkeypatch, samples):
+        env = Environment.symmetric(1.7, THETA_MIXED)
+        drawing = set()
+        draw = oracle._first_action_choices
+
+        def spy(*args, **kwargs):
+            drawing.add(threading.get_ident())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_first_action_choices", spy)
+        est, _ = empirical_response(env, 0.45, samples, seed=11)
+        assert len(drawing) == DRAW_CHUNKS
+        monkeypatch.undo()
+        assert est == _serial_estimate(env, 0.45, samples, 11)
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # eight calls at once run sixteen chunks on two cores, switching
+        # threads every microsecond; each still reads its seed's estimate
+        env = Environment.symmetric(1.7, THETA_MIXED)
+        want = {seed: _serial_estimate(env, 0.6, 20_001, seed) for seed in range(8)}
+        got = {}
+
+        def call(seed):
+            got[seed] = empirical_response(env, 0.6, 20_001, seed)[0]
+
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in want]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == want
+
+    def test_a_seed_sequence_seeds_its_children(self):
+        env = Environment.symmetric(1.7, THETA_MIXED)
+        child = np.random.SeedSequence(4).spawn(2)[1]
+        est, _ = empirical_response(env, 0.3, 5_000, child)
+        again = np.random.SeedSequence(4).spawn(2)[1]
+        assert est == empirical_response(env, 0.3, 5_000, again)[0]
+        assert est != empirical_response(env, 0.3, 5_000, 4)[0]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-chunk", "second-chunk"])
+    def test_a_failing_chunk_raises_and_no_thread_is_left(self, monkeypatch, failing):
+        # 5 samples make chunks of 3 and 2, told apart by their size
+        env = Environment.symmetric(1.7, THETA_MIXED)
+        draw = oracle._first_action_choices
+
+        def fail_one(rng, table, draws, p, **kwargs):
+            if draws == (3, 2)[failing]:
+                raise RuntimeError("chunk failed")
+            return draw(rng, table, draws, p, **kwargs)
+
+        monkeypatch.setattr(oracle, "_first_action_choices", fail_one)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            empirical_response(env, 0.5, 5, seed=1)
+        assert threading.active_count() == before
+
 
 class TestSimulatePopulation:
     def test_risk_dominant_takeover(self):
@@ -89,6 +188,10 @@ class TestSimulatePopulation:
         env = Environment.symmetric(1.2, SampleSizeDistribution.point(2))
         with pytest.raises(ValueError):
             simulate_population(env, n=10, t_max=1.0)
+        # n = 1000.5 used to run
+        for n in (1000.5, True, "1000", float("inf")):
+            with pytest.raises(ValueError, match="population size n must be an integer"):
+                simulate_population(env, n=n, t_max=1.0)
         for dt in (0.0, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 simulate_population(env, n=500, t_max=1.0, dt=dt)
