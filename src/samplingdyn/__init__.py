@@ -25,6 +25,10 @@ group.
 - oracle: ``EmpiricalTrajectory``, ``empirical_response``,
   ``simulate_population``.
 
+The paper's minimum-effort mixture search is ``stable_interior_search``
+on a ``MinEffortResponse`` of the base sample sizes, which no command
+runs yet.
+
 No command runs these, and each stays for a reason:
 
 - ``ResponsePair``: the value of ``Environment.pair()``, two responses
@@ -35,10 +39,7 @@ No command runs these, and each stays for a reason:
   ``ContractTieRule``), ``integrate_contracting`` and ``estimate_basins``:
   perfbench's tracer patches them by name, as it patches the response
   classes' inverse methods, and perfbench/test_tracer.py asserts that the
-  cli module's estimate_basins is the flow module's;
-- ``mineffort_stable_interior``: the paper's minimum-effort mixture
-  search, which analyze will report once it reports the exact mixture
-  window that ROADMAP.md plans.
+  cli module's estimate_basins is the flow module's.
 """
 
 from .games import (
@@ -98,7 +99,6 @@ from .extensions import (
     contracting_pure_stability,
     contracting_response_vector,
     integrate_contracting,
-    mineffort_stable_interior,
 )
 from .oracle import EmpiricalTrajectory, empirical_response, simulate_population
 

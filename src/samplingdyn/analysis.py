@@ -14,7 +14,9 @@ convergence to miscoordination) as numeric reports rather than proofs.
 Every check takes a ``System``, or anything ``System.of`` resolves, and
 reads payoffs, sample sizes and tie rule off its responses; each
 response builds its own mixtures (``mix_with``), so every mixture keeps
-its tie rule.
+its tie rule.  The theorem checks take sampling responses, the corner
+call and the mixture search minimum-effort ones too, and any other
+response is a ``ValueError`` (``_tail_responses``).
 
 Roots come from one grid scan over a block of rows, which splits the
 grid level by level and drops the cells that a monotone enclosure shows
@@ -44,8 +46,10 @@ import numpy as np
 from .dynamics import (
     Environment,
     ResponsePair,
+    SamplingResponse,
     _int_power,
     _tail,
+    _TailMixture,
     truncated_expectation,
 )
 
@@ -586,6 +590,20 @@ def find_stationary_two_pop(env) -> StationaryAnalysis:
     return _stationary_search(System.of(env, 2))
 
 
+def _tail_responses(system, dim: int | None = None, sampling: bool = True) -> tuple:
+    """The responses of ``System.of(system, dim)``: sampling responses, or,
+    unless ``sampling``, any tail mixture, minimum-effort responses too.
+    The one check of every call that reads sample sizes, thresholds or
+    mixtures off its responses, which a logit response does not have."""
+    responses = System.of(system, dim).responses
+    kind, name = ((SamplingResponse, "sampling") if sampling
+                  else (_TailMixture, "sampling or minimum-effort"))
+    if not all(isinstance(w, kind) for w in responses):
+        got = ", ".join(type(w).__name__ for w in responses)
+        raise ValueError(f"needs {name} responses, got {got}")
+    return responses
+
+
 @dataclass(frozen=True)
 class PureStateClassification:
     """Stability of the two pure equilibria from corner linearization."""
@@ -608,9 +626,9 @@ def classify_pure_states(system) -> PureStateClassification:
     products of the stationary search at the corners: Proposition 4 for a
     sampling system, Propositions 7 and 8 for a ``MinEffortResponse``.
     """
-    system = System.of(system)
-    b, a = (math.prod(m) for m in zip(*(w.corner_slopes() for w in system.responses)))
-    one = system.dim == 1
+    responses = _tail_responses(system, sampling=False)
+    b, a = (math.prod(m) for m in zip(*(w.corner_slopes() for w in responses)))
+    one = len(responses) == 1
     return PureStateClassification(state_a=_state(1.0 if one else (1.0, 1.0), a, 0.0),
                                    state_b=_state(0.0 if one else (0.0, 0.0), b, 0.0))
 
@@ -623,7 +641,7 @@ def check_theorem4(system) -> TheoremReport:
     converges to a pure state; part 2 (some weak product below 1) asserts
     that at least one pure equilibrium is asymptotically stable.
     """
-    w1, w2 = System.of(system, 2).responses
+    w1, w2 = _tail_responses(system, 2)
     if w1.u < 1.0 - 1e-12:
         raise ValueError("requires the canonical representation u1 >= 1")
     t1_1, t2_1 = w1.theta.mass(1), w2.theta.mass(1)
@@ -659,13 +677,13 @@ def check_homogeneous_uniqueness(system) -> TheoremReport:
     strictly above 1; the report records the interior count and whether
     any interior state was classified stable.
     """
-    system = System.of(system)
-    ks = [w.theta.degenerate_k for w in system.responses]
+    responses = _tail_responses(system)
+    ks = [w.theta.degenerate_k for w in responses]
     if None in ks:
         raise ValueError("requires homogeneous sample size distributions")
     if min(ks) < 2:
         raise ValueError("requires sample sizes larger than 1")
-    analysis = system.stationary()
+    analysis = System(responses).stationary()
     interior = analysis.interior()
     any_stable = any(s.stability == Stability.STABLE for s in interior)
     verdict = Verdict.HOLDS if (len(interior) <= 1 and not any_stable) else Verdict.FAILS
@@ -714,7 +732,12 @@ def _mixture_field(w1s: list, w2s: list | None = None) -> Callable:
     once per grid point, and of w1 after w2 once per (j, point), w1's at its
     observed chance.  Masses add tails in ``_tail_mixture``'s order, so each
     row equals its checked one-row scan bit for bit."""
-    xs, n = _grid()[0], w1s[0]._exponent
+    xs = _grid()[0]
+
+    def observed(q, ws):  # the chance that one observation shows the first action
+        n = ws[0]._exponent
+        return q if n is None else 1.0 - _int_power(1.0 - q, n)
+
     atoms1, masses1 = w1s[0]._atoms, np.array([[a[1] for a in w._atoms] for w in w1s]).T
     if w2s is not None:
         atoms2, masses2 = w2s[0]._atoms, np.array([[a[1] for a in w._atoms] for w in w2s]).T
@@ -726,7 +749,7 @@ def _mixture_field(w1s: list, w2s: list | None = None) -> Callable:
             points, at = np.unique(i, return_inverse=True)
             q = xs[points]
             if w2s is not None:
-                j = alpha2[r]
+                q, j = observed(q, w2s), alpha2[r]
                 keys, at_key = np.unique(j * GRID_POINTS + i, return_inverse=True)
                 one = np.empty(keys.size, dtype=int)  # an element of each key
                 one[at_key] = np.arange(i.size)
@@ -734,8 +757,7 @@ def _mixture_field(w1s: list, w2s: list | None = None) -> Callable:
                 for mass, (k, _, m) in zip(masses2, atoms2):
                     y = y + mass[j[one]] * _tail(k, m, q)[at[one]]
                 q, at = np.clip(y, 0.0, 1.0), at_key
-            if n is not None:
-                q = 1.0 - _int_power(1.0 - q, n)
+            q = observed(q, w1s)
             out = 0.0
             for mass, (k, _, m) in zip(masses1, atoms1):
                 out = out + mass[alpha1[r]] * _tail(k, m, q)[at]
@@ -746,15 +768,31 @@ def _mixture_field(w1s: list, w2s: list | None = None) -> Callable:
     return field
 
 
-def _first_stable_interior(base, big_k, step, in_scope) -> StableInteriorSearch:
-    """The first row with a stable interior state, each response of ``base``
-    mixed by ``mix_with`` at the shares of ``_alpha_grid(step)``: shares
-    for one response, else pairs, the diagonal first, then
-    lexicographically.  Blocks of rows within ``SCAN_BLOCK`` share one scan
-    (``_mixture_field``) and are resolved row by row."""
+def stable_interior_search(system, big_k: int = 1000,
+                           alpha_step: float = ALPHA_STEP) -> StableInteriorSearch:
+    """Scan mixture shares that keep mass alpha_i on each base distribution
+    of ``System.of(system)``, of sampling or minimum-effort responses, and
+    move the rest to sample size big_k, looking for a stable interior
+    state: shares alpha of one population, pairs (alpha1, alpha2) of two.
+
+    Each response builds its mixtures (``mix_with``) at the shares of
+    ``_alpha_grid(alpha_step)``; the rows are those shares for one
+    response, else pairs, the diagonal first, then lexicographically.
+    Blocks of rows within ``SCAN_BLOCK`` share one scan
+    (``_mixture_field``) and are resolved row by row, and the first row
+    with a stable interior state is the result.  The sufficient-condition
+    hypothesis of Theorem 2 and of the minimum-effort proposition is only
+    a flag, and the search runs either way: each max support lies below
+    u_i + 1, and above 1 unless its response observes through an exponent
+    (a minimum-effort round).  A big_k inside a support, a step outside
+    [``ALPHA_STEP``, 1), or a logit response raises ``ValueError``.
+    """
+    base = _tail_responses(system, sampling=False)
     if big_k <= max(w.theta.max_support for w in base):
         raise ValueError("big_k must exceed the base supports")
-    grid = _alpha_grid(step)
+    in_scope = all(w.theta.max_support < w.u + 1.0
+                   and (w._exponent is not None or 1 < w.theta.max_support) for w in base)
+    grid = _alpha_grid(alpha_step)
     ws, shares = [[w.mix_with(a, big_k) for a in grid] for w in base], range(len(grid))
     rows = [(i,) * len(ws) for i in shares]
     rows += [(i, j) for i in shares for j in shares if i != j] if len(ws) == 2 else []
@@ -770,24 +808,6 @@ def _first_stable_interior(base, big_k, step, in_scope) -> StableInteriorSearch:
     return StableInteriorSearch(False, None, None, in_scope)
 
 
-def stable_interior_search(system, big_k: int = 1000,
-                           alpha_step: float = ALPHA_STEP) -> StableInteriorSearch:
-    """Scan mixture shares that keep mass alpha_i on each base distribution
-    of ``System.of(system)`` and move the rest to sample size big_k,
-    looking for a stable interior state: shares alpha of one population,
-    pairs (alpha1, alpha2) of two.
-
-    The sufficient-condition hypothesis (1 < max support < u_i + 1 for
-    each population) is only a flag: the search runs either way.  The
-    first hit in ``_first_stable_interior``'s order is the result.  A big_k
-    inside a support, or a step outside [``ALPHA_STEP``, 1), raises
-    ``ValueError``.
-    """
-    responses = System.of(system).responses
-    in_scope = all(1 < w.theta.max_support < w.u + 1.0 for w in responses)
-    return _first_stable_interior(responses, big_k, alpha_step, in_scope)
-
-
 def check_theorem3(system, big_k: int = 1000) -> TheoremReport:
     """Half-and-half mixture test for high-miscoordination stable states.
 
@@ -798,7 +818,7 @@ def check_theorem3(system, big_k: int = 1000) -> TheoremReport:
     the given payoffs of ``System.of(system, 2)``; the underlying claim is
     only asserted for u1 and 1/u2 large.
     """
-    w1, w2 = System.of(system, 2).responses
+    w1, w2 = _tail_responses(system, 2)
     if not (w2.u < 1.0 < w1.u):
         raise ValueError("requires u2 < 1 < u1 (different preferred outcomes)")
     analysis = System((w1.mix_with(0.5, big_k), w2.mix_with(0.5, big_k))).stationary()

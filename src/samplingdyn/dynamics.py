@@ -291,17 +291,23 @@ def truncated_expectation(theta: SampleSizeDistribution, m: float, mode: str = "
 class _TailMixture:
     """A mixture of binomial upper tails over the atoms (k, mass, m): a
     sample size, its mass under ``theta`` and the least count that makes
-    the first action a best reply, at the chance q that one observation
-    shows that action: q = p, or q = 1 - (1 - p)^n with an observation
-    exponent n (the minimum of n draws).  Calling it checks p in [0, 1]
-    (within 1e-9, then clipped); a float goes to ``_kernel``, the float
-    form bound once, and an array to ``_tail_mixture`` at q.  The slope
-    carries the chain-rule factor n (1 - p)^(n-1) when n is set.
+    the first action a best reply at payoff ``u`` under ``tie_break``
+    (``sampling_threshold``), at the chance q that one observation shows
+    that action: q = p, or q = 1 - (1 - p)^n with an observation exponent
+    n (the minimum of n draws).  Sampling and minimum-effort responses are
+    its two forms, so the stability calls and the mixture search read
+    ``theta``, ``u``, the atoms and the exponent off either.  Calling it
+    checks p in [0, 1] (within 1e-9, then clipped); a float goes to
+    ``_kernel``, the float form bound once, and an array to
+    ``_tail_mixture`` at q.  The slope carries the chain-rule factor
+    n (1 - p)^(n-1) when n is set.
     """
 
-    def __init__(self, theta: SampleSizeDistribution, thresholds, exponent: int | None = None):
-        self.theta = theta
-        self._atoms = tuple((k, mass, m) for (k, mass), m in zip(theta.atoms, thresholds))
+    def __init__(self, theta: SampleSizeDistribution, u: float, tie_break: TieBreak,
+                 exponent: int | None = None):
+        self.theta, self.u, self.tie_break = theta, float(u), TieBreak(tie_break)
+        self._atoms = tuple((k, mass, sampling_threshold(k, self.u, self.tie_break))
+                            for k, mass in theta.atoms)
         self._exponent = n = exponent
         tail = _tail_kernel(self._atoms)
         self._kernel = tail if n is None else (lambda p: tail(1.0 - _int_power(1.0 - p, n)))
@@ -354,11 +360,7 @@ class SamplingResponse(_TailMixture):
     ) -> None:
         if u <= 0.0 or not math.isfinite(u):
             raise ValueError(f"u must be a positive finite number, got {u!r}")
-        self.u = float(u)
-        self.tie_break = TieBreak(tie_break)
-        super().__init__(
-            theta, [sampling_threshold(k, self.u, self.tie_break) for k in theta.support]
-        )
+        super().__init__(theta, u, tie_break)
 
     # perfbench's tracer wraps these three names in each response class's own namespace
     __call__, derivative, inverse = (

@@ -9,9 +9,9 @@ machinery.  A minimum-effort agent best-replies as a sampling agent with
 low effort first, at the payoff and tie rule ``MinEffortGame`` states:
 ``sampling_threshold`` gives its thresholds, and its response is their
 tail mixture at the chance that one observation reads low.  So
-``analysis`` classifies its pure states by the response's own corner
-slopes (Propositions 7 and 8), as it classifies a sampling response's,
-and its mixture search is the one-population search of ``analysis``.
+``analysis`` takes the response as it takes a sampling response: it
+classifies its pure states by their own corner slopes (Propositions 7
+and 8), and ``stable_interior_search`` mixes it with a large sample size.
 Truncated expectations decide the contracting pure states of generic
 games, with the stability rule of ``analysis``; the exact contracting
 reply sums the replies to every multinomial sample.
@@ -28,20 +28,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .analysis import (
-    ALPHA_STEP,
-    Stability,
-    StableInteriorSearch,
-    _first_stable_interior,
-    classify_slope,
-)
-from .dynamics import (
-    SampleSizeDistribution,
-    TieBreak,
-    _TailMixture,
-    sampling_threshold,
-    truncated_expectation,
-)
+from .analysis import Stability, classify_slope
+from .dynamics import SampleSizeDistribution, TieBreak, _TailMixture, truncated_expectation
 from .flow import _rk4_step, _step_count
 
 _PAYOFF_TIE_TOL = 1e-12
@@ -345,9 +333,8 @@ class MinEffortResponse(_TailMixture):
 
     def __init__(self, game: MinEffortGame, theta: SampleSizeDistribution) -> None:
         self.game = game
-        u, rule = game.u, game.tie_break
         n = game.n_players if game.observation == Observation.MINIMUM_EFFORT else None
-        super().__init__(theta, [sampling_threshold(k, u, rule) for k in theta.support], n)
+        super().__init__(theta, game.u, game.tie_break, n)
 
     # perfbench's tracer wraps these three names in each response class's own namespace
     __call__, derivative, inverse = (
@@ -356,23 +343,3 @@ class MinEffortResponse(_TailMixture):
     def mix_with(self, alpha: float, big_k: int) -> "MinEffortResponse":
         """This response on ``theta.mix_with(alpha, big_k)``."""
         return MinEffortResponse(self.game, self.theta.mix_with(alpha, big_k))
-
-
-def mineffort_stable_interior(
-    g: MinEffortGame,
-    k: int,
-    big_k: int = 1000,
-    alpha_step: float = ALPHA_STEP,
-) -> StableInteriorSearch:
-    """Mixture search for a stable interior low-effort share.
-
-    The one-population search of ``stable_interior_search`` (big_k <= k, or
-    a step outside [``ALPHA_STEP``, 1), raises ``ValueError``) on the
-    response to sample size k: the first alpha, a float, with a stable
-    interior state.  The proposition hypothesis, k < u + 1 at the game's
-    effective payoff u (k < 1/(1-c) for minimum-effort observation) and
-    also 1 < k under action observation, is only a flag.
-    """
-    in_scope = k < g.u + 1.0 and (g.observation == Observation.MINIMUM_EFFORT or 1 < k)
-    base = (MinEffortResponse(g, SampleSizeDistribution.point(k)),)
-    return _first_stable_interior(base, big_k, alpha_step, in_scope)

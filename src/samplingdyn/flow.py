@@ -18,6 +18,7 @@ which integrates every cell to its end, is its reference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,16 @@ DEFAULT_DT = 0.01
 SEPARATRIX_OFFSET = 1e-6  # distance from the saddle at which a trace starts
 SEPARATRIX_TOL = 1e-8  # least gap in p1 + p2 between a labelled cell and a separatrix
 _UNLABELLED = -2
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; it must be an integer
+    that is not a bool, or an integral float."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _step_count(t_max: float, dt: float) -> int:
@@ -310,10 +321,10 @@ def _separatrix_labels(system: System, centers, x0, stationary, t_max: float, dt
 
 
 def _basin_starts(system, resolution: int, t_max: float, dt: float):
-    """The system, the cell centers along one axis, the grid's starts (one
-    row per cell) and its stationary analysis; checks the arguments."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution!r}")
+    """The system, the resolution as an int, the cell centers along one
+    axis, the grid's starts (one row per cell) and its stationary
+    analysis; checks the arguments."""
+    resolution = _count(resolution, "resolution", 2)
     _step_count(t_max, dt)  # checks dt and t_max even when nothing is integrated
     system = System.of(system)
     centers = (np.arange(resolution) + 0.5) / resolution
@@ -325,7 +336,7 @@ def _basin_starts(system, resolution: int, t_max: float, dt: float):
     stationary = system.stationary()
     if stationary.continuum:
         raise ContinuumError("basin estimation needs finitely many stationary states")
-    return system, centers, x0, stationary
+    return system, resolution, centers, x0, stationary
 
 
 def _basin_grid(system: System, resolution: int, stationary, cells, integrated: int):
@@ -360,7 +371,7 @@ def estimate_basins(
     flagged ones included, so they sum to less than one when any cell is
     flagged.
     """
-    system, _, x0, stationary = _basin_starts(system, resolution, t_max, dt)
+    system, resolution, _, x0, stationary = _basin_starts(system, resolution, t_max, dt)
     cells = _integrated_labels(system, x0, stationary, t_max, dt)
     return _basin_grid(system, resolution, stationary, cells, len(cells))
 
@@ -386,7 +397,7 @@ def label_basins(
     this runs, separatrix traces included.  Shares are fractions of all
     cells, flagged ones included.
     """
-    system, centers, x0, stationary = _basin_starts(system, resolution, t_max, dt)
+    system, resolution, centers, x0, stationary = _basin_starts(system, resolution, t_max, dt)
     cells = np.full(len(x0), _UNLABELLED)
     if system.dim == 2:
         cells = _separatrix_labels(system, centers, x0, stationary, t_max, dt)

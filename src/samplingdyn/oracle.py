@@ -30,15 +30,14 @@ seed gives the same estimate on any machine and under any scheduling.
 
 from __future__ import annotations
 
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import System
-from .dynamics import Environment, SamplingResponse
-from .flow import _step_count
+from .dynamics import Environment, _TailMixture
+from .flow import _count, _step_count
 
 # Most binomial samples held in memory at once, whatever the number of draws.
 DRAW_BLOCK = 1 << 20
@@ -47,18 +46,17 @@ DRAW_BLOCK = 1 << 20
 DRAW_CHUNKS = 2
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int of at least ``least``; it must be an integer
-    that is not a bool, or an integral float."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
-def _draw_table(response: SamplingResponse):
-    """The response's atoms (k, mass, m), with m its threshold, and their masses."""
+def _draw_table(response):
+    """The response's atoms (k, mass, m), with m its threshold, and their
+    masses.  The newcomers draw opponent actions themselves, so only a
+    tail mixture observed directly has them: one with an observation
+    exponent (a minimum-effort round) or without thresholds (logit)
+    raises ``ValueError``."""
+    tail = isinstance(response, _TailMixture)
+    if not tail or response._exponent is not None:
+        why = "observes minimum-effort rounds" if tail else "has no thresholds"
+        raise ValueError("the oracle simulates agents who sample opponent actions; "
+                         f"a {type(response).__name__} that {why} is not one of them")
     return response._atoms, np.array([mass for _, mass, _ in response._atoms])
 
 

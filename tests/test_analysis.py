@@ -43,12 +43,7 @@ from samplingdyn.dynamics import (
     TieBreak,
     truncated_expectation,
 )
-from samplingdyn.extensions import (
-    MinEffortGame,
-    MinEffortResponse,
-    Observation,
-    mineffort_stable_interior,
-)
+from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.games import CoordinationGame
 
 THETA_15 = SampleSizeDistribution.of({1: 0.5, 5: 0.5})
@@ -1182,8 +1177,47 @@ class TestStableInteriorSearch:
         assert 4 <= sum("found=True" in w for w in want) < len(want)
         for budget in (analysis.SCAN_BLOCK, 3 * analysis.GRID_POINTS, 1):
             monkeypatch.setattr(analysis, "SCAN_BLOCK", budget)
-            for case, w in zip(cases, want):
-                assert repr(mineffort_stable_interior(*case)) == w, (budget, case)
+            for (game, k, big_k, step), w in zip(cases, want):
+                base = MinEffortResponse(game, SampleSizeDistribution.point(k))
+                got = repr(stable_interior_search(base, big_k, step))
+                assert got == w, (budget, game, k, big_k, step)
+
+    def test_pairs_with_minimum_effort_equal_one_stationary_search_per_pair(self, rng):
+        # each side of a pair observes through its own exponent, or none;
+        # sizes mostly below u + 1, as the propositions ask
+        def response(n, side):
+            if n % 3 == 2 and side == 1:
+                u = float(rng.uniform(0.15, 8.0))
+                top = max(2, min(6, int(u + 1.0)))
+                theta = SampleSizeDistribution.point(int(rng.integers(2, top + 1)))
+                return SamplingResponse(u, theta)
+            game = MinEffortGame(int(rng.integers(2, 5)), float(rng.uniform(0.05, 0.95)),
+                                 list(Observation)[(n + side) % 2])
+            top = max(1, min(6, int(game.u + 1.0)))
+            theta = SampleSizeDistribution.point(int(rng.integers(1, top + 1)))
+            return MinEffortResponse(game, theta)
+
+        found = 0
+        for n in range(12):
+            base = (response(n, 0), response(n, 1))
+            # a minimum-effort round counts one sample size as in scope
+            rounds = [isinstance(w, MinEffortResponse)
+                      and w.game.observation == Observation.MINIMUM_EFFORT for w in base]
+            in_scope = all(w.theta.max_support < w.u + 1.0 and (r or 1 < w.theta.max_support)
+                           for w, r in zip(base, rounds))
+            grid = analysis._alpha_grid(0.25)
+            pairs = [(a, a) for a in grid] + [(a, b) for a in grid for b in grid if a != b]
+            want = analysis.StableInteriorSearch(False, None, None, in_scope)
+            for a1, a2 in pairs:
+                mixed = analysis.System((base[0].mix_with(a1, 50), base[1].mix_with(a2, 50)))
+                hits = mixed.stationary().stable_interior()
+                if hits:
+                    want = analysis.StableInteriorSearch(True, (a1, a2), hits[0], in_scope)
+                    break
+            found += want.found
+            got = stable_interior_search(analysis.System(base), 50, 0.25)
+            assert repr(got) == repr(want), base
+        assert 2 <= found < 12
 
     def test_one_population_needs_a_symmetric_environment(self):
         env = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
@@ -1221,7 +1255,8 @@ class TestStableInteriorSearch:
         assert analysis._alpha_grid(0.07)[-1] == 14 * 0.07
         two = stable_interior_search(Environment.of(CoordinationGame(5.0, 0.2), THETA_15), 50, 0.45)
         assert two.found and two.alpha == (0.9, 0.9)
-        one = mineffort_stable_interior(MinEffortGame(2, 0.05), k=1, big_k=1000, alpha_step=0.7)
+        base = MinEffortResponse(MinEffortGame(2, 0.05), SampleSizeDistribution.point(1))
+        one = stable_interior_search(base, big_k=1000, alpha_step=0.7)
         assert one.found and one.alpha == 0.7 and one.state.stability == Stability.STABLE
 
     @pytest.mark.parametrize("step", [-0.1, 0.0, 0.005, 1.0, 1.5, math.nan, math.inf])
@@ -1230,8 +1265,9 @@ class TestStableInteriorSearch:
             stable_interior_search(
                 Environment.symmetric(1.5, SampleSizeDistribution.point(2)), 1000, step
             )
+        base = MinEffortResponse(MinEffortGame(3, 0.05), SampleSizeDistribution.point(1))
         with pytest.raises(ValueError, match="alpha step"):
-            mineffort_stable_interior(MinEffortGame(3, 0.05), k=1, big_k=1000, alpha_step=step)
+            stable_interior_search(base, big_k=1000, alpha_step=step)
 
     def test_unit_theta_flagged_and_empty(self):
         res = stable_interior_search(
@@ -1296,6 +1332,38 @@ class TestSystemArguments:
             want = MinEffortResponse(game, theta.mix_with(alpha, 1000))
             assert type(mixed) is MinEffortResponse and mixed._atoms == want._atoms
             assert mixed._exponent == want._exponent
+
+
+class TestResponseKinds:
+    """Each check names the responses it needs: the theorems read sample
+    sizes and payoffs of sampling responses, the corner call and the
+    mixture search thresholds and mixtures of minimum-effort ones too, and
+    a logit response has none of them."""
+
+    LOGIT = logit_system(CoordinationGame(5.0, 0.2), [(0.55, 0.55), (0.45, 0.01)])
+    MINIMUM = MinEffortResponse(MinEffortGame(2, 0.6), SampleSizeDistribution.point(2))
+
+    @pytest.mark.parametrize("check", [
+        classify_pure_states, check_theorem4, check_homogeneous_uniqueness,
+        stable_interior_search, check_theorem3,
+    ])
+    def test_a_logit_system_is_a_value_error(self, check):
+        # each raised AttributeError; check_theorem3 once past u2 < 1 < u1
+        with pytest.raises(ValueError, match="needs sampling .*responses, got LogitResponse"):
+            check(self.LOGIT)
+
+    @pytest.mark.parametrize("check", [
+        check_theorem4, check_homogeneous_uniqueness, check_theorem3,
+    ])
+    def test_the_theorems_need_sampling_responses(self, check):
+        pair = analysis.System((self.MINIMUM, self.MINIMUM))
+        with pytest.raises(ValueError, match="needs sampling responses, got MinEffortResponse"):
+            check(pair)
+
+    def test_minimum_effort_reaches_the_corner_call_and_the_search(self):
+        pure = classify_pure_states(self.MINIMUM)
+        assert pure.state_a.stability == Stability.STABLE
+        assert stable_interior_search(self.MINIMUM, 50, 0.5).in_scope
 
 
 class TestTheorem3:

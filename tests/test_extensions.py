@@ -15,6 +15,7 @@ from samplingdyn.analysis import (
     classify_pure_states,
     classify_slope,
     find_stationary_one_pop,
+    stable_interior_search,
 )
 from samplingdyn.dynamics import (
     MAX_SAMPLE_SIZE,
@@ -32,7 +33,6 @@ from samplingdyn.extensions import (
     contracting_pure_stability,
     contracting_response_vector,
     integrate_contracting,
-    mineffort_stable_interior,
     _replies,
     _samples,
 )
@@ -534,7 +534,8 @@ class TestMinEffortResponse:
         for n in range(2, 9):
             game = MinEffortGame(n, c, observation)
             assert [m for _, _, m in MinEffortResponse(game, theta)._atoms] == [1, 1, 1], n
-            assert mineffort_stable_interior(game, k=2, big_k=10, alpha_step=0.5).in_scope
+            base = MinEffortResponse(game, SampleSizeDistribution.point(2))
+            assert stable_interior_search(base, big_k=10, alpha_step=0.5).in_scope
 
 
 # costs with k * cut integral for some k <= 12 under N = 2-4 players, where
@@ -637,7 +638,8 @@ class TestMinEffortStability:
 
     def test_stable_interior_search(self):
         g = MinEffortGame(2, 0.6, Observation.MINIMUM_EFFORT)
-        res = mineffort_stable_interior(g, k=2, big_k=1000, alpha_step=0.01)
+        base = MinEffortResponse(g, SampleSizeDistribution.point(2))
+        res = stable_interior_search(base, big_k=1000, alpha_step=0.01)
         assert res.found and res.in_scope
         response = MinEffortResponse(
             g, SampleSizeDistribution.of({2: res.alpha, 1000: 1.0 - res.alpha})
@@ -647,11 +649,13 @@ class TestMinEffortStability:
 
     def test_search_flags_hypothesis_violation(self):
         g = MinEffortGame(2, 0.6, Observation.MINIMUM_EFFORT)
-        res = mineffort_stable_interior(g, k=3, big_k=1000, alpha_step=0.05)
+        base = MinEffortResponse(g, SampleSizeDistribution.point(3))
+        res = stable_interior_search(base, big_k=1000, alpha_step=0.05)
         assert not res.in_scope
 
     def test_action_mode_search(self):
         # 1 < k < 1/(1 - c^(1/(N-1))) = 1/(1 - sqrt(0.64)) = 5
         g = MinEffortGame(3, 0.64, Observation.OPPONENT_ACTION)
-        res = mineffort_stable_interior(g, k=2, big_k=1000, alpha_step=0.02)
+        base = MinEffortResponse(g, SampleSizeDistribution.point(2))
+        res = stable_interior_search(base, big_k=1000, alpha_step=0.02)
         assert res.in_scope and res.found

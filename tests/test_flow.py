@@ -267,6 +267,10 @@ class TestBasins:
         [
             pytest.param({"resolution": 1}, id="resolution-1"),
             pytest.param({"resolution": 0}, id="resolution-0"),
+            # a resolution that is not an integer raised TypeError from numpy
+            pytest.param({"resolution": 2.5}, id="resolution-2.5"),
+            pytest.param({"resolution": "5"}, id="resolution-str"),
+            pytest.param({"resolution": True}, id="resolution-bool"),
             pytest.param({"resolution": 5, "dt": 0.0}, id="dt-zero"),
             pytest.param({"resolution": 5, "dt": -0.01}, id="dt-negative"),
             pytest.param({"resolution": 5, "t_max": -1.0}, id="tmax-negative"),
@@ -278,6 +282,13 @@ class TestBasins:
         for basins in (estimate_basins, label_basins):
             with pytest.raises(ValueError):
                 basins(env, **kwargs)
+
+    def test_an_integral_float_resolution_runs_as_the_int(self):
+        env = Environment.symmetric(1.2, SampleSizeDistribution.point(3))
+        for basins in (estimate_basins, label_basins):
+            want = basins(env, 5, t_max=100.0)
+            got = basins(env, 5.0, t_max=100.0)
+            assert got.resolution == 5 and np.array_equal(got.cells, want.cells)
 
     def test_arity_follows_the_system(self):
         # a symmetric Environment is one population; its pair is two

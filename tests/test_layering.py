@@ -76,6 +76,48 @@ def test_exports_are_the_names_the_package_docstring_lists():
     assert exported == listed, (sorted(exported - listed), sorted(listed - exported))
 
 
+# the package's API in sorted order: a change here is an API change, which
+# CHANGES.md names
+EXPORTS = (
+    "BasinGrid", "ContractTieRule", "ContractingGame", "CoordinationGame", "DominanceProfile",
+    "EmpiricalTrajectory", "Environment", "HawkDoveGame", "LogitResponse", "MinEffortGame",
+    "MinEffortResponse", "NormalizationError", "NumericError", "Observation",
+    "OriginalGameMatrix", "PureStateClassification", "ResponsePair", "SampleSizeDistribution",
+    "SamplingResponse", "Stability", "StableInteriorSearch", "StationaryAnalysis",
+    "StationaryState", "TheoremReport", "TieBreak", "Trajectory", "Verdict", "binomial_tail",
+    "canonicalize", "check_homogeneous_uniqueness", "check_theorem3", "check_theorem4",
+    "classify_pure_states", "contracting_pure_stability", "contracting_response_vector",
+    "empirical_response", "estimate_basins", "find_stationary_one_pop",
+    "find_stationary_two_pop", "integrate", "integrate_contracting", "label_basins",
+    "miscoordination_probability", "normalize_general", "normalize_hawk_dove",
+    "normalize_symmetric", "sampling_threshold", "simulate_population",
+    "stable_interior_search", "to_dominance", "truncated_expectation",
+)
+
+
+def test_the_export_list_is_pinned():
+    # the minimum-effort mixture search is stable_interior_search on a
+    # MinEffortResponse, not a name of its own
+    exported = sorted(
+        name for name in samplingdyn.__all__
+        if not inspect.ismodule(getattr(samplingdyn, name))
+    )
+    assert exported == sorted(EXPORTS) and len(EXPORTS) == 51
+
+
+def test_no_module_imports_a_private_name_of_analysis():
+    # the stability calls and the mixture search are analysis' own; the
+    # other modules reach them through its public names
+    offenders = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "analysis":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                if private:
+                    offenders[path.name] = private
+    assert not offenders, offenders
+
+
 def _names_used(node: ast.AST) -> set[str]:
     """Every name read, attribute taken or name imported within ``node``."""
     used = set()

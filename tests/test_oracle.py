@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chisquare
 
-from conftest import random_symmetric_env
+from conftest import logit_system, random_symmetric_env
 from samplingdyn import dynamics, oracle
 from samplingdyn.analysis import System
-from samplingdyn.dynamics import Environment, SampleSizeDistribution
+from samplingdyn.dynamics import Environment, LogitResponse, SampleSizeDistribution
+from samplingdyn.extensions import MinEffortGame, MinEffortResponse, Observation
 from samplingdyn.flow import integrate
 from samplingdyn.games import CoordinationGame
 from samplingdyn.oracle import DRAW_BLOCK, DRAW_CHUNKS, empirical_response, simulate_population
@@ -249,3 +250,35 @@ class TestCountLevelStep:
         two = Environment.of(CoordinationGame(5.0, 0.2), THETA_15)
         traj = simulate_population(two, n=1000, t_max=0.5, seed=2, initial=(0.5, 0.5))
         assert traj.states.shape == (51, 2)
+
+
+class TestModelsTheOracleDoesNotPlay:
+    """The newcomers draw opponent actions and compare the count with a
+    threshold: a response that observes through an exponent, or that has
+    no thresholds, would be simulated as another model or not at all."""
+
+    MINIMUM = MinEffortResponse(MinEffortGame(3, 0.5), SampleSizeDistribution.point(2))
+    LOGIT = LogitResponse(2.0, [(1.0, 0.3)])
+
+    @pytest.mark.parametrize("response", [MINIMUM, LOGIT], ids=["minimum-effort", "logit"])
+    def test_both_entries_refuse_it(self, response):
+        # the minimum-effort estimate at p = 0.5 read 0.7524 +- 0.0014 where
+        # w(0.5) = 0.984375; a logit response raised AttributeError
+        with pytest.raises(ValueError, match="sample opponent actions"):
+            empirical_response(response, 0.5, 1000, 1)
+        with pytest.raises(ValueError, match="sample opponent actions"):
+            simulate_population(response, n=500, t_max=0.1)
+
+    def test_a_two_population_logit_system_is_refused(self):
+        system = logit_system(CoordinationGame(2.5, 2.5), [(0.55, 0.55), (0.45, 0.01)])
+        with pytest.raises(ValueError, match="sample opponent actions"):
+            simulate_population(system, n=500, t_max=0.1)
+
+    def test_action_observation_stays_a_sampling_model(self):
+        # one observation is one opponent's action, so the draws are the model's
+        game = MinEffortGame(3, 0.5, Observation.OPPONENT_ACTION)
+        response = MinEffortResponse(game, SampleSizeDistribution.of({2: 0.5, 5: 0.5}))
+        est, se = empirical_response(response, 0.5, 100_000, 1)
+        assert abs(est - response(0.5)) < 4 * se
+        traj = simulate_population(response, n=500, t_max=0.1, initial=0.5)
+        assert len(traj.states) == 11
